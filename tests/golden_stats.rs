@@ -9,6 +9,14 @@
 //! fast) and diffs them against the checked-in fixture at
 //! `tests/fixtures/golden_stats.txt`.
 //!
+//! The fixture also pins the simulated machine itself: a `model` row
+//! per application and system (Base, FR, SWI+FR) on the sequential
+//! engine carries execution time, message and directory-request
+//! counts, NI contention, event count and the speculation counters,
+//! and a `windowed1t` row carries the windowed engine's execution
+//! time, message and event counts on one thread. Any engine or
+//! protocol refactor that changes what the machine does shows up here.
+//!
 //! The fixture also pins the optimistic engine's window counters
 //! (windows attempted, committed, aborted, validation failures) for a
 //! representative app and the adversarial conflict generators: those
@@ -85,11 +93,86 @@ fn render_optimistic(out: &mut String) {
     }
 }
 
+/// One simulation of `app` under `policy` at quick scale on the paper
+/// machine.
+fn run_app(app: AppId, policy: SpecPolicy, engine: EngineConfig) -> specdsm::prelude::RunStats {
+    let machine = MachineConfig::paper_machine();
+    let w = app.build(&machine, specdsm::workloads::Scale::Quick);
+    let cfg = SystemConfig {
+        machine,
+        policy,
+        engine,
+        ..SystemConfig::default()
+    };
+    System::new(cfg, w.as_ref()).expect("valid config").run()
+}
+
+/// Short, space-free policy labels for the fixture rows.
+fn policy_label(policy: SpecPolicy) -> &'static str {
+    match policy {
+        SpecPolicy::Base => "base",
+        SpecPolicy::FirstRead => "fr",
+        SpecPolicy::SwiFr => "swi",
+    }
+}
+
+/// The modeled machine's outputs for every app and system: the full
+/// counter set on the sequential engine, and the headline counters on
+/// the one-thread windowed engine.
+fn render_model(out: &mut String) {
+    for app in AppId::ALL {
+        for policy in SpecPolicy::ALL {
+            let r = run_app(app, policy, EngineConfig::Sequential);
+            let s = r.spec;
+            let _ = writeln!(
+                out,
+                "model {} {} exec_cycles={} remote_messages={} dir_reads={} dir_writes={} \
+                 dir_upgrades={} ni_wait_cycles={} sim_events={} fr_sent={} swi_sent={} \
+                 fr_unused={} swi_unused={} verified={} dropped={} swi_inval_sent={} \
+                 swi_inval_premature={}",
+                app,
+                policy_label(policy),
+                r.exec_cycles,
+                r.remote_messages,
+                r.dir_reads,
+                r.dir_writes,
+                r.dir_upgrades,
+                r.ni_wait_cycles,
+                r.sim_events,
+                s.fr_sent,
+                s.swi_sent,
+                s.fr_unused,
+                s.swi_unused,
+                s.verified,
+                s.dropped,
+                s.swi_inval_sent,
+                s.swi_inval_premature
+            );
+        }
+    }
+    for app in AppId::ALL {
+        for policy in SpecPolicy::ALL {
+            let r = run_app(app, policy, EngineConfig::Windowed { threads: 1 });
+            let _ = writeln!(
+                out,
+                "windowed1t {} {} exec_cycles={} remote_messages={} sim_events={}",
+                app,
+                policy_label(policy),
+                r.exec_cycles,
+                r.remote_messages,
+                r.sim_events
+            );
+        }
+    }
+}
+
 fn render_golden() -> String {
     let mut lab = Lab::new(Scale::Quick);
     let mut out = String::new();
     out.push_str("# Golden predictor stats (quick scale, 16 nodes, depth 1).\n");
     out.push_str("# fig7: accuracy per predictor; table3: coverage/correct fraction.\n");
+    out.push_str("# model: sequential-engine machine counters per app and system.\n");
+    out.push_str("# windowed1t: windowed-engine (1 thread) headline counters.\n");
     out.push_str("# optimistic: window/validation/rollback counters (SwiFr, 2 workers).\n");
     out.push_str("# Regenerate with UPDATE_GOLDEN=1 cargo test --test golden_stats\n");
     for row in fig7(&mut lab) {
@@ -106,6 +189,7 @@ fn render_golden() -> String {
         }
         out.push('\n');
     }
+    render_model(&mut out);
     render_optimistic(&mut out);
     out
 }
