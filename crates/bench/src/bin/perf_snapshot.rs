@@ -20,12 +20,12 @@
 //!
 //! ```text
 //! perf_snapshot [--out FILE] [--protocol-out FILE] [--skip-protocol]
-//!     [--engine seq|windowed|optimistic]
+//!     [--engine seq|windowed]
 //!     (defaults: BENCH_predictors.json, BENCH_protocol.json)
 //! ```
 //!
-//! `--engine` runs the end-to-end suite on the chosen engine (parallel
-//! engines at 2 workers) and restricts the scaling matrix to that
+//! `--engine` runs the end-to-end suite on the chosen engine (windowed
+//! at 2 workers) and restricts the scaling matrix to that
 //! engine family; the default keeps the historical shape — sequential
 //! suite, full matrix.
 
@@ -34,9 +34,7 @@ use std::time::{Duration, Instant};
 
 use specdsm_bench::producer_consumer_stream;
 use specdsm_core::{History, PatternTable, PredictorKind, SharingPredictor, Symbol, Vmsp};
-use specdsm_protocol::{
-    EngineConfig, FaultStats, OptimisticStats, SpecPolicy, System, SystemConfig,
-};
+use specdsm_protocol::{EngineConfig, FaultStats, SpecPolicy, System, SystemConfig};
 use specdsm_types::{
     BlockAddr, DirMsg, MachineConfig, ProcId, ReaderSet, ReaderSetInterner, ReqKind,
 };
@@ -294,62 +292,25 @@ fn protocol_rows(engine: EngineConfig) -> Vec<ProtoRow> {
 }
 
 struct ScalingRow {
-    app: String,
     nodes: usize,
     scale: &'static str,
-    /// `"sequential"`, `"windowed-Nt"`, or `"optimistic-Nt"`.
+    /// `"sequential"` or `"windowed-Nt"`.
     engine: String,
     /// Worker threads (0 for the sequential single-shard engine).
     threads: usize,
     wall_ms: f64,
     sim_events: u64,
     exec_cycles: u64,
-    /// Window/validation/rollback counters — all zero except on the
-    /// optimistic engine.
-    opt: OptimisticStats,
 }
 
 /// The nodes × engine × worker-threads scaling matrix over em3d (the
 /// most communication-bound app): 16 nodes (the paper machine), 64
 /// (the former `ReaderSet` ceiling), and 256 (well past it, quick
 /// inputs to bound runtime). Each node count runs the sequential
-/// engine once and the windowed and optimistic engines at 1, 2, and 4
-/// workers. Two extra quick-scale optimistic rows (em3d and tomcatv on
-/// the paper machine) track the adaptive engine's commit ratio and
-/// committed-cycle fraction at the scale the differential tests pin.
+/// engine once and the windowed engine at 1, 2, and 4 workers.
 /// `only` restricts the matrix to one engine family (`--engine`).
 fn scaling_rows(only: Option<&str>) -> Vec<ScalingRow> {
     let mut rows = Vec::new();
-    let mut run_one = |app: AppId,
-                       nodes: usize,
-                       scale: Scale,
-                       scale_name: &'static str,
-                       engine_name: String,
-                       threads: usize,
-                       engine: EngineConfig| {
-        let machine = MachineConfig::with_nodes(nodes);
-        let w = app.build(&machine, scale);
-        let cfg = SystemConfig {
-            machine,
-            policy: SpecPolicy::SwiFr,
-            engine,
-            ..SystemConfig::default()
-        };
-        let sys = System::new(cfg, w.as_ref()).expect("valid");
-        let start = Instant::now();
-        let stats = sys.run();
-        rows.push(ScalingRow {
-            app: app.to_string(),
-            nodes,
-            scale: scale_name,
-            engine: engine_name,
-            threads,
-            wall_ms: start.elapsed().as_secs_f64() * 1e3,
-            sim_events: stats.sim_events,
-            exec_cycles: stats.exec_cycles,
-            opt: stats.optimistic,
-        });
-    };
     let wanted = |family: &str| only.is_none_or(|f| f == family);
     for (nodes, scale, scale_name) in [
         (16usize, Scale::Default, "Default"),
@@ -360,45 +321,36 @@ fn scaling_rows(only: Option<&str>) -> Vec<ScalingRow> {
         if wanted("seq") {
             engines.push(("sequential".to_string(), 0usize, EngineConfig::Sequential));
         }
-        for threads in [1usize, 2, 4] {
-            if wanted("windowed") {
+        if wanted("windowed") {
+            for threads in [1usize, 2, 4] {
                 engines.push((
                     format!("windowed-{threads}t"),
                     threads,
                     EngineConfig::Windowed { threads },
                 ));
             }
-            if wanted("optimistic") {
-                engines.push((
-                    format!("optimistic-{threads}t"),
-                    threads,
-                    EngineConfig::Optimistic { threads },
-                ));
-            }
         }
         for (engine_name, threads, engine) in engines {
-            run_one(
-                AppId::Em3d,
-                nodes,
-                scale,
-                scale_name,
-                engine_name,
-                threads,
+            let machine = MachineConfig::with_nodes(nodes);
+            let w = AppId::Em3d.build(&machine, scale);
+            let cfg = SystemConfig {
+                machine,
+                policy: SpecPolicy::SwiFr,
                 engine,
-            );
-        }
-    }
-    if wanted("optimistic") {
-        for app in [AppId::Em3d, AppId::Tomcatv] {
-            run_one(
-                app,
-                16,
-                Scale::Quick,
-                "Quick",
-                "optimistic-2t".to_string(),
-                2,
-                EngineConfig::Optimistic { threads: 2 },
-            );
+                ..SystemConfig::default()
+            };
+            let sys = System::new(cfg, w.as_ref()).expect("valid");
+            let start = Instant::now();
+            let stats = sys.run();
+            rows.push(ScalingRow {
+                nodes,
+                scale: scale_name,
+                engine: engine_name,
+                threads,
+                wall_ms: start.elapsed().as_secs_f64() * 1e3,
+                sim_events: stats.sim_events,
+                exec_cycles: stats.exec_cycles,
+            });
         }
     }
     rows
@@ -576,54 +528,12 @@ fn render_protocol_json(
     for (i, r) in scaling.iter().enumerate() {
         let comma = if i + 1 == scaling.len() { "" } else { "," };
         let eps = r.sim_events as f64 / (r.wall_ms / 1e3);
-        // Optimistic rows carry their window/validation counters — the
-        // commit ratio and re-execution volume explain their wall
-        // clock; the model outputs themselves stay engine-invariant.
-        // `commit_ratio` counts windows that landed any work (full or
-        // prefix); `committed_cycles_per_abort` is the simulated
-        // progress bought per rollback, the adaptive engine's figure
-        // of merit.
-        let opt = if r.engine.starts_with("optimistic") {
-            let o = r.opt;
-            let aborts = o.sync_aborts + o.stuck_aborts;
-            format!(
-                ", \"optimistic\": {{\"windows\": {}, \"committed\": {}, \"sync_aborts\": {}, \
-                 \"stuck_aborts\": {}, \"validation_failures\": {}, \"executions\": {}, \
-                 \"reexecutions\": {}, \"conservative_rounds\": {}, \"committed_cycles\": {}, \
-                 \"partial_commits\": {}, \"reexec_passes_saved\": {}, \"commit_ratio\": {:.3}, \
-                 \"committed_cycles_per_abort\": {:.1}, \"committed_cycle_fraction\": {:.3}}}",
-                o.windows,
-                o.committed,
-                o.sync_aborts,
-                o.stuck_aborts,
-                o.validation_failures,
-                o.executions,
-                o.reexecutions,
-                o.conservative_rounds,
-                o.committed_cycles,
-                o.partial_commits,
-                o.reexec_passes_saved,
-                (o.committed + o.partial_commits) as f64 / o.windows.max(1) as f64,
-                o.committed_cycles as f64 / aborts.max(1) as f64,
-                o.committed_cycles as f64 / r.exec_cycles.max(1) as f64,
-            )
-        } else {
-            String::new()
-        };
         let _ = writeln!(
             out,
-            "    {{\"app\": \"{}\", \"nodes\": {}, \"scale\": \"{}\", \"engine\": \"{}\", \
+            "    {{\"app\": \"em3d\", \"nodes\": {}, \"scale\": \"{}\", \"engine\": \"{}\", \
              \"threads\": {}, \"wall_ms\": {:.1}, \"sim_events\": {}, \"events_per_sec\": {:.0}, \
-             \"exec_cycles\": {}{opt}}}{comma}",
-            r.app,
-            r.nodes,
-            r.scale,
-            r.engine,
-            r.threads,
-            r.wall_ms,
-            r.sim_events,
-            eps,
-            r.exec_cycles
+             \"exec_cycles\": {}}}{comma}",
+            r.nodes, r.scale, r.engine, r.threads, r.wall_ms, r.sim_events, eps, r.exec_cycles
         );
     }
     out.push_str("  ],\n");
@@ -756,7 +666,7 @@ fn main() {
             "--help" | "-h" => {
                 println!(
                     "usage: perf_snapshot [--out FILE] [--protocol-out FILE] [--skip-protocol] \
-                     [--engine seq|windowed|optimistic]"
+                     [--engine seq|windowed]"
                 );
                 return;
             }
@@ -769,9 +679,8 @@ fn main() {
     let (engine_name, suite_engine) = match engine_arg.as_deref() {
         None | Some("seq") => ("seq", EngineConfig::Sequential),
         Some("windowed") => ("windowed", EngineConfig::Windowed { threads: 2 }),
-        Some("optimistic") => ("optimistic", EngineConfig::Optimistic { threads: 2 }),
         Some(other) => {
-            eprintln!("unknown engine '{other}' (seq|windowed|optimistic)");
+            eprintln!("unknown engine '{other}' (seq|windowed)");
             std::process::exit(2);
         }
     };

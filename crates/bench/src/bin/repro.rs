@@ -3,18 +3,16 @@
 //!
 //! ```text
 //! repro [EXPERIMENT ...] [--scale quick|default|paper] [--threads N]
-//!       [--engine seq|windowed|optimistic] [--out DIR]
+//!       [--engine seq|windowed] [--out DIR]
 //!
 //! EXPERIMENT: config fig6 fig7 fig8 table3 table4 fig9 table5 all
 //!             (default: all)
 //! ```
 //!
 //! `--engine` picks the simulation engine explicitly: `seq` (the
-//! default single-shard engine), `windowed` (conservative bounded-lag
-//! shards), or `optimistic` (speculative windows with adaptive
-//! sizing). `--threads N` sets the worker count for the parallel
-//! engines; on its own it implies `--engine windowed` (the historical
-//! behaviour). Engine choice perturbs results only by deterministic
+//! default single-shard engine) or `windowed` (conservative bounded-lag
+//! shards). `--threads N` sets the windowed engine's worker count; on
+//! its own it implies `--engine windowed` (`--threads 0`: sequential). Engine choice perturbs results only by deterministic
 //! same-cycle tie-breaking — see `docs/ARCHITECTURE.md`.
 //!
 //! Output goes to stdout and, with `--out`, one text file per
@@ -70,7 +68,7 @@ fn main() {
                 println!(
                     "usage: repro [config|fig6|fig7|fig8|table3|table4|fig9|table5|all ...] \
                      [--scale quick|default|paper] [--threads N] \
-                     [--engine seq|windowed|optimistic] [--out DIR]"
+                     [--engine seq|windowed] [--out DIR]"
                 );
                 return;
             }
@@ -91,26 +89,19 @@ fn main() {
     }
 
     let mut lab = Lab::new(scale);
-    match engine.as_deref() {
-        // Historical behaviour: `--threads N` alone selects the
-        // windowed engine (N = 0 for sequential).
-        None => {
-            if let Some(threads) = threads {
-                lab.set_threads(threads);
-            }
-        }
-        Some("seq") => lab.set_engine(EngineConfig::Sequential),
-        Some("windowed") => lab.set_engine(EngineConfig::Windowed {
+    lab.set_engine(match (engine.as_deref(), threads) {
+        // `--threads N` alone selects the windowed engine (N = 0 for
+        // sequential).
+        (None, None | Some(0)) | (Some("seq"), _) => EngineConfig::Sequential,
+        (None, Some(threads)) => EngineConfig::Windowed { threads },
+        (Some("windowed"), _) => EngineConfig::Windowed {
             threads: threads.unwrap_or(1).max(1),
-        }),
-        Some("optimistic") => lab.set_engine(EngineConfig::Optimistic {
-            threads: threads.unwrap_or(1).max(1),
-        }),
-        Some(other) => {
-            eprintln!("unknown engine '{other}' (seq|windowed|optimistic)");
+        },
+        (Some(other), _) => {
+            eprintln!("unknown engine '{other}' (seq|windowed)");
             std::process::exit(2);
         }
-    }
+    });
     for exp in &experiments {
         let text = match exp.as_str() {
             "config" => render_config(),

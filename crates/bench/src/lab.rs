@@ -33,22 +33,9 @@ impl Lab {
         }
     }
 
-    /// Switches every subsequent simulation onto the windowed sharded
-    /// engine with `threads` workers (`repro --threads N`). Cached runs
-    /// are dropped — engine choice is part of the cache key in spirit.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.engine = if threads == 0 {
-            EngineConfig::Sequential
-        } else {
-            EngineConfig::Windowed { threads }
-        };
-        self.traces.clear();
-        self.runs.clear();
-    }
-
-    /// Switches every subsequent simulation onto an explicit engine
-    /// (`repro --engine seq|windowed|optimistic`). Cached runs are
-    /// dropped, same as [`set_threads`](Lab::set_threads).
+    /// Switches every subsequent simulation onto `engine` (`repro
+    /// --engine` / `--threads`). Cached runs are dropped — engine
+    /// choice is part of the cache key in spirit.
     pub fn set_engine(&mut self, engine: EngineConfig) {
         self.engine = engine;
         self.traces.clear();

@@ -63,7 +63,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod adapt;
 mod audit;
 mod cache;
 mod directory;
@@ -77,7 +76,6 @@ mod stats;
 mod sync;
 mod system;
 
-pub use adapt::WindowController;
 pub use cache::{Cache, LineState};
 pub use directory::{DirState, Directory};
 pub use msg::{Msg, MsgKind};
@@ -85,7 +83,7 @@ pub use network::Network;
 pub use processor::Processor;
 pub use spec::{SpecPolicy, SpecStats, SpecStore};
 pub use spec_ref::MapSpecStore;
-pub use stats::{FaultStats, OptimisticStats, ProcStats, RunStats};
+pub use stats::{FaultStats, ProcStats, RunStats};
 pub use sync::{BarrierManager, LockManager};
 pub use system::{BuildError, EngineConfig, EngineError, GenericSystem, System, SystemConfig};
 

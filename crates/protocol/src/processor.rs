@@ -1,5 +1,7 @@
 //! The blocking in-order processor model.
 
+use std::iter::Peekable;
+
 use specdsm_sim::Cycle;
 use specdsm_types::{BlockAddr, LockId, Op, OpStream, ProcId, ReqKind};
 
@@ -58,99 +60,11 @@ pub(crate) enum Blocked {
     Done,
 }
 
-/// An op stream wrapper that can replay a consumed suffix.
-///
-/// The workload [`OpStream`] is a boxed iterator and cannot be cloned,
-/// so the optimistic engine's shard snapshots cannot simply copy it.
-/// Instead the stream *records* ops consumed after a [`Self::mark`]
-/// and can [`Self::rewind`] to re-serve them — the stream-position
-/// half of a processor checkpoint. While not recording it behaves
-/// exactly like `Peekable`: at most one op buffered, popped on `next`.
-struct ReplayStream {
-    inner: OpStream,
-    /// Ops pulled from `inner` but not yet committed: `buf[..pos]`
-    /// have been served since the last mark, `buf[pos..]` await replay.
-    buf: std::collections::VecDeque<Op>,
-    pos: usize,
-    recording: bool,
-}
-
-impl ReplayStream {
-    fn new(inner: OpStream) -> Self {
-        ReplayStream {
-            inner,
-            buf: std::collections::VecDeque::new(),
-            pos: 0,
-            recording: false,
-        }
-    }
-
-    fn peek(&mut self) -> Option<&Op> {
-        if self.pos == self.buf.len() {
-            let op = self.inner.next()?;
-            self.buf.push_back(op);
-        }
-        self.buf.get(self.pos)
-    }
-
-    fn next(&mut self) -> Option<Op> {
-        if self.pos < self.buf.len() {
-            let op = self.buf[self.pos];
-            if self.recording {
-                self.pos += 1;
-            } else {
-                self.buf.pop_front();
-            }
-            return Some(op);
-        }
-        let op = self.inner.next()?;
-        if self.recording {
-            self.buf.push_back(op);
-            self.pos += 1;
-        }
-        Some(op)
-    }
-
-    /// Starts (or restarts) recording: ops consumed before this point
-    /// are committed and dropped; everything after can be rewound.
-    fn mark(&mut self) {
-        self.buf.drain(..self.pos);
-        self.pos = 0;
-        self.recording = true;
-    }
-
-    /// Rewinds to the last mark; recording continues.
-    fn rewind(&mut self) {
-        self.pos = 0;
-    }
-
-    /// Commits everything consumed since the mark and stops recording;
-    /// un-reconsumed ops (a rewound suffix, a buffered peek) stay
-    /// queued for replay. The abort path is `rewind` + `commit`: with
-    /// the position rewound, nothing is dropped and the speculatively
-    /// consumed ops are re-served to the conservative execution.
-    fn commit(&mut self) {
-        self.buf.drain(..self.pos);
-        self.pos = 0;
-        self.recording = false;
-    }
-}
-
-/// The cheaply copyable half of a processor checkpoint; the stream
-/// position is handled by [`ReplayStream`] marks.
-#[derive(Debug, Clone)]
-pub(crate) struct ProcCheckpoint {
-    cache: Cache,
-    blocked: Blocked,
-    stats: ProcStats,
-    req_seq: u64,
-}
-
 /// One simulated processor: an in-order core that blocks on memory
 /// requests (one outstanding request), with its cache.
 pub struct Processor {
     id: ProcId,
-    stream: ReplayStream,
+    stream: Peekable<OpStream>,
     /// The processor's cache (processor cache + remote cache combined).
     pub(crate) cache: Cache,
     pub(crate) blocked: Blocked,
@@ -180,46 +94,13 @@ impl Processor {
     pub fn new(id: ProcId, stream: OpStream, cache_hit_cycles: u64) -> Self {
         Processor {
             id,
-            stream: ReplayStream::new(stream),
+            stream: stream.peekable(),
             cache: Cache::new(),
             blocked: Blocked::No,
             stats: ProcStats::default(),
             req_seq: 0,
             cache_hit_cycles,
         }
-    }
-
-    /// Captures the processor's state and marks the op stream so
-    /// consumption from here on can be rewound.
-    pub(crate) fn checkpoint(&mut self) -> ProcCheckpoint {
-        self.stream.mark();
-        ProcCheckpoint {
-            cache: self.cache.clone(),
-            blocked: self.blocked,
-            stats: self.stats,
-            req_seq: self.req_seq,
-        }
-    }
-
-    /// Rolls back to `ck` (taken by [`Self::checkpoint`] on this same
-    /// processor): state restored, stream rewound to the mark. Can be
-    /// applied repeatedly for multiple re-execution passes.
-    pub(crate) fn restore(&mut self, ck: &ProcCheckpoint) {
-        self.cache = ck.cache.clone();
-        self.blocked = ck.blocked;
-        self.stats = ck.stats;
-        self.req_seq = ck.req_seq;
-        self.stream.rewind();
-    }
-
-    /// Ends the checkpoint scope. With `keep_position` (commit), the
-    /// ops consumed since the checkpoint become final; without it
-    /// (abort), the stream is rewound first so they replay.
-    pub(crate) fn end_checkpoint(&mut self, keep_position: bool) {
-        if !keep_position {
-            self.stream.rewind();
-        }
-        self.stream.commit();
     }
 
     /// This processor's id.
@@ -395,42 +276,5 @@ mod tests {
     fn empty_stream_is_done_immediately() {
         let mut p = proc_with(vec![]);
         assert_eq!(p.next_action(), ProcAction::Done);
-    }
-
-    #[test]
-    fn checkpoint_replays_ops_and_stats() {
-        let mut p = proc_with(vec![
-            Op::Compute(3),
-            Op::Read(BlockAddr(1)),
-            Op::Compute(9),
-            Op::Barrier,
-        ]);
-        assert_eq!(p.next_action(), ProcAction::Busy(3));
-        let ck = p.checkpoint();
-        assert_eq!(p.next_action(), ProcAction::ReadMiss(BlockAddr(1)));
-        assert_eq!(p.stats().read_misses, 1);
-        // Roll back: the miss replays identically, twice.
-        for _ in 0..2 {
-            p.restore(&ck);
-            assert_eq!(p.stats().read_misses, 0);
-            assert_eq!(p.next_action(), ProcAction::ReadMiss(BlockAddr(1)));
-        }
-        p.end_checkpoint(true);
-        assert_eq!(p.next_action(), ProcAction::Busy(9));
-        assert_eq!(p.next_action(), ProcAction::Barrier);
-        assert_eq!(p.next_action(), ProcAction::Done);
-    }
-
-    #[test]
-    fn aborted_checkpoint_replays_into_plain_consumption() {
-        let mut p = proc_with(vec![Op::Compute(4), Op::Compute(6), Op::Barrier]);
-        let ck = p.checkpoint();
-        assert_eq!(p.next_action(), ProcAction::Busy(10));
-        p.restore(&ck);
-        // Abort: stop recording, keep the consumed ops for replay.
-        p.end_checkpoint(false);
-        assert_eq!(p.next_action(), ProcAction::Busy(10));
-        assert_eq!(p.next_action(), ProcAction::Barrier);
-        assert_eq!(p.stats().compute_cycles, 10);
     }
 }

@@ -33,7 +33,7 @@
 use std::sync::Arc;
 
 use specdsm_core::{DirectoryTrace, SpecTicket, SpecTrigger, VSlot};
-use specdsm_sim::{Cycle, FifoResource, KeyedQueue, KeyedQueueSnapshot, SchedKey};
+use specdsm_sim::{Cycle, FifoResource, KeyedQueue, SchedKey};
 use specdsm_types::{
     BlockAddr, DirMsg, FaultPlan, LockId, MachineConfig, NodeId, ProcId, ReaderSet,
     ReaderSetInterner, ReqKind,
@@ -43,7 +43,7 @@ use crate::audit::Auditor;
 use crate::directory::{DirBlock, DirSlot, DirState, Directory, Txn, TxnKind};
 use crate::msg::{Msg, MsgKind};
 use crate::network::Network;
-use crate::processor::{Blocked, ProcAction, ProcCheckpoint, Processor};
+use crate::processor::{Blocked, ProcAction, Processor};
 use crate::spec::{SpecEngine, SpecStore};
 use crate::stats::FaultStats;
 
@@ -129,13 +129,9 @@ impl Directive {
 pub(crate) enum ShardYield {
     /// No pending event below the horizon.
     Idle,
-    /// One or more sync operations were encountered; they are parked in
-    /// [`HomeShard::paused`] until the engine arbitrates them (via
-    /// directives) and unparks the affected processors. A single-proc
-    /// shard stops dead at its op; a grouped (multi-proc) shard parks
-    /// the op and keeps processing events strictly below the earliest
-    /// parked cycle, so sibling processors make progress and any
-    /// earlier-cycle sync op is still discovered.
+    /// A sync operation was encountered; it is parked in
+    /// [`HomeShard::paused`] and the shard stops dead until the engine
+    /// arbitrates it (via directives) and clears the pause.
     Sync,
 }
 
@@ -149,40 +145,6 @@ pub(crate) struct InFlight {
     pub key: SchedKey,
     pub at_dst: Cycle,
     pub msg: Msg,
-}
-
-/// A full checkpoint of one shard, taken at an optimistic window
-/// boundary. Borrowed (not consumed) by [`HomeShard::restore`], so one
-/// snapshot supports any number of re-execution passes.
-///
-/// Everything a window execution can mutate is captured — protocol
-/// state (directories, caches via [`ProcCheckpoint`], speculation
-/// stores), timing state (queue, resources, network interfaces), and
-/// every statistics counter — so a rolled-back pass leaves no trace in
-/// the final [`RunStats`](crate::RunStats). The op streams themselves
-/// are not copied (they are boxed iterators); the processor checkpoint
-/// marks them for replay instead.
-pub(crate) struct ShardSnapshot<V: SpecStore> {
-    procs: Vec<ProcCheckpoint>,
-    dirs: Vec<Directory>,
-    sets: ReaderSetInterner,
-    mems: Vec<FifoResource>,
-    net: Network,
-    spec: SpecEngine<V>,
-    queue: KeyedQueueSnapshot<Event>,
-    seq: u64,
-    cur: Cycle,
-    pending_in: std::collections::BTreeMap<SchedKey, InFlight>,
-    paused: Vec<SyncOp>,
-    trace: Option<DirectoryTrace>,
-    last_cycle: Cycle,
-    done_count: usize,
-    dir_reads: u64,
-    dir_writes: u64,
-    dir_upgrades: u64,
-    fstats: FaultStats,
-    req_seen: Vec<Vec<u64>>,
-    audit: Option<Box<Auditor>>,
 }
 
 /// All simulation state of a contiguous range of nodes, plus the
@@ -215,17 +177,16 @@ pub(crate) struct HomeShard<V: SpecStore> {
     /// Cycle of the event currently being processed (the `sched` part
     /// of keys consumed while handling it).
     cur: Cycle,
-    /// Cross-shard sends of the current window: `(destination shard,
-    /// message)`. Drained by the engine at window barriers.
-    pub outbox: Vec<(ShardId, InFlight)>,
+    /// Cross-shard sends of the current window, routed to the shard of
+    /// `msg.dst`. Drained by the engine at window barriers.
+    pub outbox: Vec<InFlight>,
     /// Cross-shard messages received but not yet eligible for inbound
     /// NI acquisition (their send window may still be open elsewhere).
     /// Sorted by key; key order == global send order.
     pub pending_in: std::collections::BTreeMap<SchedKey, InFlight>,
-    /// Parked sync operations, in event (nondecreasing-cycle) order;
-    /// pushed on [`ShardYield::Sync`], removed per-processor when the
-    /// engine resolves them. At most one entry per owned processor.
-    pub paused: Vec<SyncOp>,
+    /// The parked sync operation, set on [`ShardYield::Sync`] and
+    /// cleared when the engine resolves it.
+    pub paused: Option<SyncOp>,
     /// Per-shard directory message trace (merged at run end).
     pub trace: Option<DirectoryTrace>,
     /// Deliver cross-node messages inline (sequential mode) instead of
@@ -251,10 +212,6 @@ pub(crate) struct HomeShard<V: SpecStore> {
     req_seen: Vec<Vec<u64>>,
     /// Optional runtime coherence auditor (purely observational).
     pub audit: Option<Box<Auditor>>,
-    /// Node → owning-shard map (shared, engine-built). Identity in
-    /// per-home mode, all-zero in sequential mode, contiguous ranges
-    /// under grouped sharding.
-    shard_map: Arc<[ShardId]>,
 }
 
 impl<V: SpecStore> HomeShard<V> {
@@ -271,7 +228,6 @@ impl<V: SpecStore> HomeShard<V> {
         max_cycles: Option<u64>,
         faults: Option<Arc<FaultPlan>>,
         audit: bool,
-        shard_map: Arc<[ShardId]>,
     ) -> Self {
         debug_assert_eq!(procs.len(), hi - lo);
         let req_seen = if faults.is_some() {
@@ -296,7 +252,7 @@ impl<V: SpecStore> HomeShard<V> {
             cur: Cycle::ZERO,
             outbox: Vec::new(),
             pending_in: std::collections::BTreeMap::new(),
-            paused: Vec::new(),
+            paused: None,
             trace: record_trace.then(DirectoryTrace::new),
             immediate,
             last_cycle: Cycle::ZERO,
@@ -310,7 +266,6 @@ impl<V: SpecStore> HomeShard<V> {
             fstats: FaultStats::default(),
             req_seen,
             audit: audit.then(|| Box::new(Auditor::new())),
-            shard_map,
         }
     }
 
@@ -405,74 +360,6 @@ impl<V: SpecStore> HomeShard<V> {
         }
     }
 
-    /// Captures the shard's complete state and marks every processor's
-    /// op stream so speculative consumption can be rewound.
-    ///
-    /// The outbox must be empty (the engine drains it every round);
-    /// asserting that here keeps the snapshot/restore pair symmetric.
-    pub(crate) fn checkpoint(&mut self) -> ShardSnapshot<V> {
-        debug_assert!(self.outbox.is_empty(), "checkpoint with undrained outbox");
-        ShardSnapshot {
-            procs: self.procs.iter_mut().map(Processor::checkpoint).collect(),
-            dirs: self.dirs.clone(),
-            sets: self.sets.clone(),
-            mems: self.mems.clone(),
-            net: self.net.clone(),
-            spec: self.spec.clone(),
-            queue: self.queue.snapshot(),
-            seq: self.seq,
-            cur: self.cur,
-            pending_in: self.pending_in.clone(),
-            paused: self.paused.clone(),
-            trace: self.trace.clone(),
-            last_cycle: self.last_cycle,
-            done_count: self.done_count,
-            dir_reads: self.dir_reads,
-            dir_writes: self.dir_writes,
-            dir_upgrades: self.dir_upgrades,
-            fstats: self.fstats,
-            req_seen: self.req_seen.clone(),
-            audit: self.audit.clone(),
-        }
-    }
-
-    /// Rolls the shard back to `snap` (taken on this same shard).
-    /// Discards any buffered outbox sends of the abandoned execution.
-    pub(crate) fn restore(&mut self, snap: &ShardSnapshot<V>) {
-        for (p, ck) in self.procs.iter_mut().zip(&snap.procs) {
-            p.restore(ck);
-        }
-        self.dirs.clone_from(&snap.dirs);
-        self.sets.clone_from(&snap.sets);
-        self.mems.clone_from(&snap.mems);
-        self.net.clone_from(&snap.net);
-        self.spec.clone_from(&snap.spec);
-        self.queue.restore(&snap.queue);
-        self.seq = snap.seq;
-        self.cur = snap.cur;
-        self.pending_in.clone_from(&snap.pending_in);
-        self.paused.clone_from(&snap.paused);
-        self.trace.clone_from(&snap.trace);
-        self.last_cycle = snap.last_cycle;
-        self.done_count = snap.done_count;
-        self.dir_reads = snap.dir_reads;
-        self.dir_writes = snap.dir_writes;
-        self.dir_upgrades = snap.dir_upgrades;
-        self.fstats = snap.fstats;
-        self.req_seen.clone_from(&snap.req_seen);
-        self.audit.clone_from(&snap.audit);
-        self.outbox.clear();
-    }
-
-    /// Ends the checkpoint scope on every processor stream. With
-    /// `committed`, speculatively consumed ops become final; without
-    /// it, they stay queued for the conservative re-execution.
-    pub(crate) fn end_checkpoint(&mut self, committed: bool) {
-        for p in &mut self.procs {
-            p.end_checkpoint(committed);
-        }
-    }
-
     /// Merges one batch of cross-shard messages (already sent, not yet
     /// delivered) into the pending-arrival buffer.
     pub(crate) fn receive(&mut self, items: impl IntoIterator<Item = InFlight>) {
@@ -517,60 +404,15 @@ impl<V: SpecStore> HomeShard<V> {
         }
     }
 
-    /// Whether this shard parks sync operations and keeps running
-    /// (grouped multi-proc shards) instead of stopping dead at the
-    /// first one (single-proc per-home shards, and the sequential
-    /// engine which resolves ops inline at their exact event
-    /// position).
-    #[inline]
-    pub(crate) fn parks_and_continues(&self) -> bool {
-        self.hi - self.lo > 1 && !self.immediate
-    }
-
-    /// Removes the parked sync operation of `proc` (the engine resolved
-    /// it and applied the matching directives).
-    pub(crate) fn unpark(&mut self, proc: ProcId) {
-        self.paused.retain(|o| o.proc != proc);
-    }
-
-    /// Cycle of the earliest parked sync operation, if any. `paused`
-    /// is push-ordered (a later-parked op can precede an earlier one
-    /// in cycle), so this scans — the vector holds at most one entry
-    /// per owned processor.
-    pub(crate) fn paused_min_at(&self) -> Option<Cycle> {
-        self.paused.iter().map(|o| o.at).min()
-    }
-
     /// Processes queued events with cycle **strictly below** `horizon`,
-    /// parking any sync operation encountered in [`HomeShard::paused`].
-    ///
-    /// A single-proc shard returns [`ShardYield::Sync`] immediately at
-    /// the op (nothing else can run until the engine resolves it). A
-    /// grouped shard instead caps its effective horizon at the earliest
-    /// parked op plus one: events strictly below that cycle are
-    /// independent of the op's resolution (every directive's effect
-    /// starts at `op.at + 1`), so sibling processors keep running and
-    /// any sync op at an earlier cycle is still discovered and reported
-    /// — which is what keeps global sync arbitration in (cycle, proc)
-    /// order.
+    /// parking the first sync operation encountered in
+    /// [`HomeShard::paused`] and returning [`ShardYield::Sync`] at it
+    /// (nothing else can run until the engine resolves it).
     pub(crate) fn run_until(&mut self, horizon: Cycle) -> ShardYield {
-        let park_continue = self.parks_and_continues();
-        if !park_continue && !self.paused.is_empty() {
+        if self.paused.is_some() {
             return ShardYield::Sync;
         }
-        loop {
-            // Never process past the earliest parked op: its resolution
-            // effects begin at `op.at + 1`. `paused` is push-ordered,
-            // not cycle-ordered — a shard can park at 100, keep
-            // running, and park another processor at 95 — so take the
-            // minimum, not the first entry.
-            let cap = match self.paused_min_at() {
-                Some(at) => horizon.min(at + 1),
-                None => horizon,
-            };
-            let Some((now, event)) = self.queue.pop_before(cap) else {
-                break;
-            };
+        while let Some((now, event)) = self.queue.pop_before(horizon) {
             if let Some(limit) = self.max_cycles {
                 assert!(
                     now.raw() <= limit,
@@ -582,10 +424,8 @@ impl<V: SpecStore> HomeShard<V> {
             match event {
                 Event::Resume(p) => {
                     if let Some(op) = self.step_proc(now, p) {
-                        self.paused.push(op);
-                        if !park_continue {
-                            return ShardYield::Sync;
-                        }
+                        self.paused = Some(op);
+                        return ShardYield::Sync;
                     }
                 }
                 Event::Deliver(msg) => self.deliver(now, msg),
@@ -597,11 +437,7 @@ impl<V: SpecStore> HomeShard<V> {
                 }
             }
         }
-        if self.paused.is_empty() {
-            ShardYield::Idle
-        } else {
-            ShardYield::Sync
-        }
+        ShardYield::Idle
     }
 
     /// The directory record of a resolved slot.
@@ -760,14 +596,7 @@ impl<V: SpecStore> HomeShard<V> {
         if drop {
             return;
         }
-        if self.immediate || self.owns(dst) {
-            let handoff = self.net.arrive(at_dst, dst);
-            self.sched(handoff, Event::Deliver(msg));
-        } else {
-            let key = self.next_key(self.cur);
-            let dst_shard = self.shard_of(dst);
-            self.outbox.push((dst_shard, InFlight { key, at_dst, msg }));
-        }
+        self.depart_to(at_dst, msg);
     }
 
     /// A retransmission timer fired. A stale timer (its request was
@@ -909,22 +738,6 @@ impl<V: SpecStore> HomeShard<V> {
     // Message plumbing
     // ------------------------------------------------------------------
 
-    /// The shard owning `node` (engine-built map; identity in per-home
-    /// mode).
-    fn shard_of(&self, node: NodeId) -> ShardId {
-        self.shard_map[node.0]
-    }
-
-    /// Whether `node` is one of this shard's own homes. Cross-node
-    /// sends between two owned nodes complete inline (both endpoints'
-    /// NIs are local state), exactly like sequential mode; routing them
-    /// through the outbox would hand the shard its own messages back as
-    /// speculative inputs and double-deliver on re-execution.
-    #[inline]
-    fn owns(&self, node: NodeId) -> bool {
-        (self.lo..self.hi).contains(&node.0)
-    }
-
     #[inline]
     fn send(&mut self, now: Cycle, src: NodeId, dst: NodeId, block: BlockAddr, kind: MsgKind) {
         debug_assert!(now >= self.cur, "messages are never sent in the past");
@@ -944,16 +757,21 @@ impl<V: SpecStore> HomeShard<V> {
             return;
         }
         let at_dst = self.net.depart(now, src);
-        if self.immediate || self.owns(dst) {
-            // Both endpoints owned (sequential mode, or an intra-shard
-            // send under grouped sharding): complete the delivery
-            // inline, exactly like the monolithic engine.
-            let handoff = self.net.arrive(at_dst, dst);
+        self.depart_to(at_dst, msg);
+    }
+
+    /// Hands a message that left its sender's NI to the destination: in
+    /// sequential mode the delivery completes inline, exactly like the
+    /// monolithic engine; in windowed mode it leaves through the outbox
+    /// (the destination node's shard).
+    #[inline]
+    fn depart_to(&mut self, at_dst: Cycle, msg: Msg) {
+        if self.immediate {
+            let handoff = self.net.arrive(at_dst, msg.dst);
             self.sched(handoff, Event::Deliver(msg));
         } else {
             let key = self.next_key(self.cur);
-            let dst_shard = self.shard_of(dst);
-            self.outbox.push((dst_shard, InFlight { key, at_dst, msg }));
+            self.outbox.push(InFlight { key, at_dst, msg });
         }
     }
 

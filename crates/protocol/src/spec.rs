@@ -127,10 +127,8 @@ impl SpecStats {
 /// grow state for an unseen block.
 ///
 /// Stores are `Send + Sync` (they are plain owned data) so the sharded
-/// engine can move each home's store onto a worker thread and the
-/// optimistic engine can share window snapshots across pass workers,
-/// and `Clone` so those snapshots can be taken at window boundaries.
-pub trait SpecStore: Send + Sync + Clone {
+/// engine can move each home's store onto a worker thread.
+pub trait SpecStore: Send + Sync {
     /// Builds the store for a machine (history `depth`, one processor
     /// per node, the machine's home geometry).
     fn build(depth: usize, machine: &MachineConfig) -> Self;

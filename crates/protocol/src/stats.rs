@@ -87,55 +87,6 @@ impl std::ops::AddAssign for FaultStats {
     }
 }
 
-/// Optimistic-engine accounting: windows, validation, and rollback.
-///
-/// All zero unless the run used
-/// [`EngineConfig::Optimistic`](crate::EngineConfig). These counters
-/// describe *simulator scheduling*, not the modeled machine, but they
-/// are nonetheless deterministic — bit-identical across worker-thread
-/// counts, like every other output — because every abort/validation
-/// decision is a pure function of published window state.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct OptimisticStats {
-    /// Optimistic windows attempted.
-    pub windows: u64,
-    /// Windows that validated cleanly and committed.
-    pub committed: u64,
-    /// Windows aborted because a shard hit a synchronization operation
-    /// mid-window (sync arbitration is never speculated through).
-    pub sync_aborts: u64,
-    /// Windows aborted after exhausting the pass budget or hitting a
-    /// persistent speculative failure.
-    pub stuck_aborts: u64,
-    /// Shard executions across all passes (first passes included).
-    pub executions: u64,
-    /// Shard re-executions (passes beyond a shard's first).
-    pub reexecutions: u64,
-    /// Shards whose recorded read set failed validation against the
-    /// final message versions (each triggers one re-execution).
-    pub validation_failures: u64,
-    /// Conservative bounded-lag rounds interleaved between windows
-    /// (sync phases and post-abort cool-down).
-    pub conservative_rounds: u64,
-    /// Simulated cycles committed speculatively (window length summed
-    /// over full and partial commits). The committed-cycle fraction of
-    /// `exec_cycles` is the engine's headline efficiency metric.
-    #[serde(default)]
-    pub committed_cycles: u64,
-    /// Windows rescued by a partial-prefix commit: the full window
-    /// failed (counted under `sync_aborts`/`stuck_aborts`) but a
-    /// shortened prefix below the trouble cycle re-validated and
-    /// committed instead of rolling the whole window back.
-    #[serde(default)]
-    pub partial_commits: u64,
-    /// Re-execution passes avoided by estimate deferral: shards whose
-    /// inputs matched what they executed against — merely awaiting a
-    /// producer's re-publication — kept their buffered outputs in the
-    /// multi-version view instead of re-running.
-    #[serde(default)]
-    pub reexec_passes_saved: u64,
-}
-
 /// Result of one complete system simulation.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RunStats {
@@ -172,10 +123,6 @@ pub struct RunStats {
     /// Fault-injection and recovery counters (all zero without a
     /// fault plan).
     pub faults: FaultStats,
-    /// Optimistic-engine window/validation/rollback counters (all zero
-    /// on the sequential and windowed engines).
-    #[serde(default)]
-    pub optimistic: OptimisticStats,
     /// Online predictor accuracy (FR-/SWI-DSM only).
     pub predictor: Option<PredictorStats>,
     /// Directory message trace, when recording was enabled.
@@ -281,7 +228,6 @@ mod tests {
             dir_upgrades: 0,
             spec: SpecStats::default(),
             faults: FaultStats::default(),
-            optimistic: OptimisticStats::default(),
             predictor: None,
             trace: None,
         }

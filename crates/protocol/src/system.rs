@@ -35,17 +35,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 
 use specdsm_core::Vmsp;
-use specdsm_sim::{Cycle, MvView};
-use specdsm_types::{ConfigError, FaultPlan, MachineConfig, OptimisticConfig, ProcId, Workload};
+use specdsm_sim::Cycle;
+use specdsm_types::{ConfigError, FaultPlan, MachineConfig, ProcId, Workload};
 
-use crate::adapt::WindowController;
 use crate::directory::DirState;
 use crate::processor::{Blocked, Processor};
-use crate::shard::{
-    Directive, HomeShard, InFlight, ShardId, ShardSnapshot, ShardYield, SyncKind, SyncOp,
-};
+use crate::shard::{Directive, HomeShard, InFlight, ShardId, ShardYield, SyncKind, SyncOp};
 use crate::spec::{SpecEngine, SpecPolicy, SpecStore};
-use crate::stats::{OptimisticStats, RunStats};
+use crate::stats::RunStats;
 use crate::sync::{BarrierManager, LockManager};
 
 /// Execution strategy of the protocol engine.
@@ -61,22 +58,6 @@ pub enum EngineConfig {
     /// values distribute shards over that many workers (output is
     /// identical either way).
     Windowed {
-        /// Worker threads (clamped to the shard count; 0 means 1).
-        threads: usize,
-    },
-    /// Per-home (or grouped, see [`OptimisticConfig::shards`]) shards
-    /// under the optimistic (Block-STM-style) window scheduler: shards
-    /// execute several lookahead periods past the conservative horizon
-    /// against a multi-version message view
-    /// ([`MvView`](specdsm_sim::MvView)), then a deterministic
-    /// validation pass re-executes only the shards whose recorded read
-    /// sets were invalidated; a failed window commits its conflict-free
-    /// prefix when one exists. The window length adapts to the
-    /// commit/abort history via an AIMD [`WindowController`]. Sync
-    /// phases and aborted windows fall back to the conservative rounds
-    /// of [`EngineConfig::Windowed`]. Output is bit-identical for any
-    /// `threads` value; tuning knobs live in [`SystemConfig::opt`].
-    Optimistic {
         /// Worker threads (clamped to the shard count; 0 means 1).
         threads: usize,
     },
@@ -117,9 +98,6 @@ pub struct SystemConfig {
     /// offending block) on any invariant violation. Purely
     /// observational — enabling it never perturbs timing or statistics.
     pub audit: bool,
-    /// Optimistic-engine tuning (window length, pass budget). Ignored
-    /// unless `engine` is [`EngineConfig::Optimistic`].
-    pub opt: OptimisticConfig,
 }
 
 impl Default for SystemConfig {
@@ -134,7 +112,6 @@ impl Default for SystemConfig {
             engine: EngineConfig::Sequential,
             faults: None,
             audit: false,
-            opt: OptimisticConfig::default(),
         }
     }
 }
@@ -241,15 +218,9 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 pub struct GenericSystem<V: SpecStore = Vmsp> {
     cfg: SystemConfig,
     shards: Vec<HomeShard<V>>,
-    /// Node → owning shard id. Identity under per-home sharding,
-    /// all-zero sequentially, contiguous ranges under grouped
-    /// optimistic sharding ([`OptimisticConfig::shards`]).
-    shard_map: Arc<[ShardId]>,
     barrier: BarrierManager,
     locks: LockManager,
     workload_name: String,
-    /// Window/validation/rollback counters of an optimistic run.
-    opt_stats: OptimisticStats,
 }
 
 /// The default speculative DSM: [`GenericSystem`] over the arena-backed
@@ -263,15 +234,9 @@ struct ShardReport {
     queue: Option<Cycle>,
     /// Lower bound on the earliest undelivered arrival.
     arrivals: Option<Cycle>,
-    /// Parked sync operations, in nondecreasing cycle order (at most
-    /// one per owned processor; empty when nothing is parked).
-    ops: Vec<SyncOp>,
-    /// Whether the shard keeps processing events below its earliest
-    /// parked op while parked (multi-processor grouped shards). Such a
-    /// shard can still *discover* earlier sync ops, so its queue and
-    /// arrival bounds must keep feeding the planner's arbitration
-    /// bound even though it has ops parked.
-    runs_while_parked: bool,
+    /// The parked sync operation, if any (the shard stops dead at it
+    /// until the engine arbitrates it).
+    op: Option<SyncOp>,
     /// Whether an owned processor is blocked on synchronization.
     sync_blocked: bool,
 }
@@ -281,8 +246,8 @@ struct ShardReport {
 struct ShardPlan {
     /// Sync-resolution effects to apply, in order.
     directives: Vec<Directive>,
-    /// Processors whose parked ops were arbitrated; clear those pauses.
-    resolved: Vec<ProcId>,
+    /// Whether the shard's parked op was arbitrated; clear its pause.
+    resolved: bool,
 }
 
 /// One window round, as computed by the deterministic planner.
@@ -299,134 +264,6 @@ struct Plan {
     /// when no sync source remains (no release can ever happen).
     sync_guard: Option<Cycle>,
     per_shard: Vec<ShardPlan>,
-}
-
-/// One shard's marching orders for one optimistic window pass: execute
-/// the window speculatively from the pre-window snapshot against the
-/// current multi-version view contents.
-struct PassJob<'a, V: SpecStore> {
-    /// Shard id (== index into the window-global vectors).
-    idx: usize,
-    shard: &'a mut HomeShard<V>,
-    /// Pre-window snapshot, restored before every re-execution.
-    snap: &'a ShardSnapshot<V>,
-    /// Whether the shard holds a stale execution to roll back first
-    /// (true on every pass after a shard's first).
-    restore_first: bool,
-    /// Mail scheduled before the window floor — final, delivered
-    /// upfront exactly as a conservative round would.
-    pre: &'a [InFlight],
-    /// The shard's **read set**: the view's current entries for it,
-    /// in key order (pre-floor keys all precede these).
-    inputs: Vec<InFlight>,
-}
-
-/// What one pass execution produced.
-struct PassOut {
-    idx: usize,
-    /// The inputs the execution consumed, handed back for validation.
-    inputs: Vec<InFlight>,
-    /// The shard paused on a synchronization operation mid-window —
-    /// grounds for aborting the whole window.
-    syncing: bool,
-    /// The execution panicked; the shard state is garbage until
-    /// restored, and its publication must be retracted.
-    panicked: bool,
-    /// Cross-shard sends of the execution — the **write set**.
-    outs: Vec<(ShardId, InFlight)>,
-}
-
-/// Result of one optimistic window attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum WindowOutcome {
-    /// The full window validated and committed.
-    Committed,
-    /// The full window failed, but a conflict-free prefix below the
-    /// trouble cycle re-validated and committed in its place.
-    Partial,
-    /// Nothing committed; every shard was rolled back.
-    Aborted,
-}
-
-/// Result of one execute/validate fixpoint over a window span.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FixOutcome {
-    /// Every shard's read set validated against final inputs.
-    Valid,
-    /// A shard parked on a sync operation at `at` (the earliest such
-    /// cycle): speculation never crosses sync arbitration, but a
-    /// shortened window ending at or below `at` may still be clean.
-    Sync { at: Cycle },
-    /// The pass budget ran out (`trouble` = the earliest divergent
-    /// input cycle of the last pass) or a persistent speculative
-    /// failure remained (`trouble` = `None`: real failures must
-    /// reproduce conservatively, not be committed around).
-    Invalid { trouble: Option<Cycle> },
-}
-
-/// Window-scoped immutable context shared by the fixpoint passes.
-struct WindowCtx<'a, V: SpecStore> {
-    /// Exclusive end of the span being attempted.
-    end: Cycle,
-    /// Execute/validate pass budget.
-    max_passes: u32,
-    /// Pre-window snapshots, one per shard.
-    snaps: &'a [ShardSnapshot<V>],
-    /// Pre-floor mail per shard, delivered upfront every execution.
-    pre: &'a [Vec<InFlight>],
-    /// Worker threads for pass execution.
-    workers: usize,
-    /// Whether this is the shortened-prefix retry: shards hold a stale
-    /// failed execution, so even pass 0 restores (and counts as
-    /// re-execution).
-    retry: bool,
-}
-
-impl<V: SpecStore> PassJob<'_, V> {
-    /// Executes the window speculatively and collects the write set.
-    /// Panics are contained here: speculative inputs may be garbage
-    /// (e.g. a protocol assertion fed a stale reply), so a panic marks
-    /// the result failed instead of killing the run — if it persists
-    /// once inputs are final, the conservative fallback reproduces it
-    /// through the [`EngineError`] path with true state.
-    fn run(self, end: Cycle) -> PassOut {
-        let PassJob {
-            idx,
-            shard,
-            snap,
-            restore_first,
-            pre,
-            inputs,
-        } = self;
-        if restore_first {
-            shard.restore(snap);
-        }
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            shard.deliver_batch(pre.iter().cloned());
-            shard.deliver_batch(inputs.iter().cloned());
-            let yielded = shard.run_until(end);
-            matches!(yielded, ShardYield::Sync) || !shard.paused.is_empty()
-        }));
-        match outcome {
-            Ok(syncing) => PassOut {
-                idx,
-                inputs,
-                syncing,
-                panicked: false,
-                outs: shard.outbox.drain(..).collect(),
-            },
-            Err(_) => {
-                shard.outbox.clear();
-                PassOut {
-                    idx,
-                    inputs,
-                    syncing: false,
-                    panicked: true,
-                    outs: Vec::new(),
-                }
-            }
-        }
-    }
 }
 
 fn opt_min(a: Option<Cycle>, b: Option<Cycle>) -> Option<Cycle> {
@@ -533,36 +370,14 @@ impl<V: SpecStore> GenericSystem<V> {
                 proc
             })
             .collect();
-        if matches!(cfg.engine, EngineConfig::Optimistic { .. }) {
-            cfg.opt.validate()?;
-        }
-        let sharded = matches!(
-            cfg.engine,
-            EngineConfig::Windowed { .. } | EngineConfig::Optimistic { .. }
-        );
+        // One shard per home node (windowed), or one for the whole
+        // machine (sequential).
+        let sharded = matches!(cfg.engine, EngineConfig::Windowed { .. });
         let ranges: Vec<(usize, usize)> = if sharded {
-            // The optimistic engine may group several home nodes per
-            // shard: fewer, coarser shards amortize the per-shard
-            // snapshot/validate overhead of every window. Grouping is
-            // balanced and contiguous, so home `h` lives in shard
-            // `ranges.partition_point(|r| r.1 <= h)`.
-            let groups = match cfg.engine {
-                EngineConfig::Optimistic { .. } => cfg.opt.shards.unwrap_or(n).clamp(1, n),
-                _ => n,
-            };
-            if groups >= n {
-                (0..n).map(|i| (i, i + 1)).collect()
-            } else {
-                scoped_pool::balanced_partition(n, groups)
-            }
+            (0..n).map(|i| (i, i + 1)).collect()
         } else {
             vec![(0, n)]
         };
-        let mut map = vec![0 as ShardId; n];
-        for (id, &(lo, hi)) in ranges.iter().enumerate() {
-            map[lo..hi].fill(id as ShardId);
-        }
-        let shard_map: Arc<[ShardId]> = map.into();
         let mut shards = Vec::with_capacity(ranges.len());
         for (id, (lo, hi)) in ranges.into_iter().enumerate() {
             let owned: Vec<Processor> = procs.drain(..hi - lo).collect();
@@ -578,17 +393,14 @@ impl<V: SpecStore> GenericSystem<V> {
                 cfg.max_cycles,
                 faults.clone(),
                 cfg.audit,
-                shard_map.clone(),
             ));
         }
         Ok(GenericSystem {
             shards,
-            shard_map,
             barrier: BarrierManager::new(n),
             locks: LockManager::new(),
             workload_name: workload.name().to_string(),
             cfg,
-            opt_stats: OptimisticStats::default(),
         })
     }
 
@@ -639,10 +451,6 @@ impl<V: SpecStore> GenericSystem<V> {
                     self.run_windowed_parallel(workers)?;
                 }
             }
-            EngineConfig::Optimistic { threads } => {
-                let workers = threads.clamp(1, self.shards.len());
-                self.run_optimistic(workers)?;
-            }
         }
         self.check_quiescent();
         self.check_coherence();
@@ -661,9 +469,9 @@ impl<V: SpecStore> GenericSystem<V> {
         let mut directives = Vec::new();
         loop {
             match shard.run_until(Cycle(u64::MAX)) {
-                crate::shard::ShardYield::Idle => break,
-                crate::shard::ShardYield::Sync => {
-                    let op = shard.paused.pop().expect("yielded sync op");
+                ShardYield::Idle => break,
+                ShardYield::Sync => {
+                    let op = shard.paused.take().expect("yielded sync op");
                     directives.clear();
                     resolve_sync(&mut self.barrier, &mut self.locks, op, &mut directives);
                     for d in directives.drain(..) {
@@ -690,8 +498,7 @@ impl<V: SpecStore> GenericSystem<V> {
         ShardReport {
             queue: shard.queue.peek_cycle(),
             arrivals: shard.arrivals_bound(),
-            ops: shard.paused.clone(),
-            runs_while_parked: shard.parks_and_continues(),
+            op: shard.paused,
             sync_blocked: shard.has_sync_blocked(),
         }
     }
@@ -711,7 +518,6 @@ impl<V: SpecStore> GenericSystem<V> {
             &mut self.barrier,
             &mut self.locks,
             self.shards.len(),
-            &self.shard_map,
             reports,
             staged_bound,
         )
@@ -730,8 +536,8 @@ impl<V: SpecStore> GenericSystem<V> {
         sync_guard: Option<Cycle>,
         lookahead: u64,
     ) {
-        for p in plan.resolved.drain(..) {
-            shard.unpark(p);
+        if plan.resolved {
+            shard.paused = None;
         }
         for d in plan.directives.drain(..) {
             shard.apply(d);
@@ -747,10 +553,8 @@ impl<V: SpecStore> GenericSystem<V> {
             }
         }
         shard.drain_arrivals(floor);
-        // A parked per-home shard stops dead until its op resolves; a
-        // parked grouped shard keeps running its other processors
-        // (`run_until` caps itself below the earliest parked op).
-        if shard.paused.is_empty() || shard.parks_and_continues() {
+        // A parked shard stops dead until its op resolves.
+        if shard.paused.is_none() {
             let window_end = floor + lookahead;
             let horizon = if shard.has_sync_blocked() {
                 // The shard's resume may be scheduled at `sync_guard`
@@ -806,8 +610,8 @@ impl<V: SpecStore> GenericSystem<V> {
                     window_floor: plan.floor.raw(),
                     message: panic_message(payload),
                 })?;
-                for (dst, m) in shard.outbox.drain(..) {
-                    next_staging[dst as usize].push(m);
+                for m in shard.outbox.drain(..) {
+                    next_staging[m.msg.dst.0].push(m);
                 }
             }
             std::mem::swap(&mut staging, &mut next_staging);
@@ -858,7 +662,6 @@ impl<V: SpecStore> GenericSystem<V> {
             *board.reports[i].lock().unwrap() = Self::report(shard);
         }
 
-        let shard_map = self.shard_map.clone();
         let parts = scoped_pool::balanced_partition(n, workers);
         let mut chunks: Vec<&mut [HomeShard<V>]> = Vec::with_capacity(parts.len());
         let mut rest: &mut [HomeShard<V>] = &mut self.shards;
@@ -917,8 +720,8 @@ impl<V: SpecStore> GenericSystem<V> {
                         }));
                         match round {
                             Ok(()) => {
-                                for (dst, m) in shard.outbox.drain(..) {
-                                    board.staging_out[dst as usize].lock().unwrap().push(m);
+                                for m in shard.outbox.drain(..) {
+                                    board.staging_out[m.msg.dst.0].lock().unwrap().push(m);
                                 }
                                 *board.reports[sid].lock().unwrap() = Self::report(shard);
                             }
@@ -970,7 +773,7 @@ impl<V: SpecStore> GenericSystem<V> {
                     let plan = {
                         let mut mgrs = barrier_mgr.lock().unwrap();
                         let (bar, locks) = &mut *mgrs;
-                        plan_round_impl(bar, locks, plan_len, &shard_map, &reports, staged_bound)
+                        plan_round_impl(bar, locks, plan_len, &reports, staged_bound)
                     };
                     match plan {
                         None => {
@@ -1000,454 +803,6 @@ impl<V: SpecStore> GenericSystem<V> {
         self.barrier = bar;
         self.locks = locks;
         outcome
-    }
-
-    // ------------------------------------------------------------------
-    // Optimistic driver
-    // ------------------------------------------------------------------
-
-    /// Optimistic execution: conservative bounded-lag rounds for sync
-    /// phases, speculative multi-round windows everywhere else.
-    ///
-    /// Each loop iteration plans a round exactly like the windowed
-    /// drivers. When the plan is *pure* — no parked or blocked sync
-    /// anywhere — the engine attempts an optimistic window instead:
-    /// every shard executes the whole window speculatively against the
-    /// multi-version message view, and a deterministic validation
-    /// fixpoint re-executes only shards whose read sets changed
-    /// ([`Self::attempt_window`]). A committed window replaces that
-    /// many conservative rounds and their barriers; an aborted window
-    /// falls back to conservative rounds (with a cool-down of one
-    /// window so a sync-dense phase is not repeatedly re-speculated).
-    ///
-    /// The window length is adaptive: a [`WindowController`] (AIMD over
-    /// the engine's own commit/abort history, bounded by
-    /// `opt.min_window_rounds ..= opt.max_window_rounds`) picks the
-    /// round count for each attempt, so conflict-light phases earn long
-    /// windows and conflict-heavy phases shrink toward the minimum.
-    ///
-    /// Determinism: the attempt/commit/abort decisions are pure
-    /// functions of published shard state, and pass executions are
-    /// per-shard-independent, so the outcome is bit-identical for any
-    /// `workers` value — the same invariant the windowed engine keeps.
-    fn run_optimistic(&mut self, workers: usize) -> Result<(), EngineError> {
-        let lookahead = self.lookahead();
-        let n = self.shards.len();
-        let one_way = self.cfg.machine.latency.one_way();
-        let mut ctl = WindowController::new(
-            self.cfg.opt.window_rounds,
-            self.cfg.opt.min_window_rounds,
-            self.cfg.opt.max_window_rounds,
-        );
-        let max_passes = self.cfg.opt.max_passes;
-        let mut staging: Vec<Vec<InFlight>> = (0..n).map(|_| Vec::new()).collect();
-        let mut next_staging: Vec<Vec<InFlight>> = (0..n).map(|_| Vec::new()).collect();
-        let mut reports: Vec<ShardReport> = Vec::with_capacity(n);
-        let mut cooldown: u32 = 0;
-        let mut ostats = OptimisticStats::default();
-        loop {
-            reports.clear();
-            reports.extend(self.shards.iter().map(Self::report));
-            let staged_bound = staging
-                .iter()
-                .flatten()
-                .map(|m| Cycle(m.key.sched) + one_way)
-                .min();
-            let Some(mut plan) = self.plan_round(&reports, staged_bound) else {
-                break;
-            };
-            let pure = cooldown == 0
-                && reports.iter().all(|r| r.ops.is_empty() && !r.sync_blocked)
-                && plan
-                    .per_shard
-                    .iter()
-                    .all(|p| p.directives.is_empty() && p.resolved.is_empty());
-            if pure {
-                let outcome = self.attempt_window(
-                    plan.floor,
-                    ctl.rounds(),
-                    max_passes,
-                    &staging,
-                    workers,
-                    &mut ostats,
-                );
-                match outcome {
-                    WindowOutcome::Committed | WindowOutcome::Partial => {
-                        // Committed: the staged mail was consumed by
-                        // the window (every entry seeded the view or
-                        // was delivered upfront).
-                        for s in &mut staging {
-                            s.clear();
-                        }
-                        if matches!(outcome, WindowOutcome::Committed) {
-                            ctl.on_commit();
-                        } else {
-                            ctl.on_partial();
-                        }
-                        continue;
-                    }
-                    WindowOutcome::Aborted => {
-                        ctl.on_abort();
-                        cooldown = ctl.rounds();
-                    }
-                }
-            }
-            cooldown = cooldown.saturating_sub(1);
-            ostats.conservative_rounds += 1;
-            // Conservative fallback round — identical to one
-            // `run_windowed_serial` round.
-            for (i, shard) in self.shards.iter_mut().enumerate() {
-                catch_unwind(AssertUnwindSafe(|| {
-                    Self::shard_round(
-                        shard,
-                        &mut plan.per_shard[i],
-                        &mut staging[i],
-                        plan.floor,
-                        plan.sync_guard,
-                        lookahead,
-                    );
-                }))
-                .map_err(|payload| EngineError::WorkerPanic {
-                    shard: i,
-                    window_floor: plan.floor.raw(),
-                    message: panic_message(payload),
-                })?;
-                for (dst, m) in shard.outbox.drain(..) {
-                    next_staging[dst as usize].push(m);
-                }
-            }
-            std::mem::swap(&mut staging, &mut next_staging);
-        }
-        self.opt_stats = ostats;
-        Ok(())
-    }
-
-    /// Attempts one optimistic window of `rounds` lookahead periods
-    /// starting at `floor`. On [`WindowOutcome::Aborted`] every shard
-    /// has been rolled back to its pre-window state (pending arrivals
-    /// reinstated, op streams rewound) and the caller proceeds
-    /// conservatively. `staging` is only read — the caller clears it
-    /// on (full or partial) commit and delivers it on abort.
-    ///
-    /// The pass fixpoint (pevm's execute/validate loop, transplanted)
-    /// lives in [`Self::window_fixpoint`]:
-    ///
-    /// 1. Every shard executes the window from its snapshot, its input
-    ///    mailbox being the view's current entries for it (its
-    ///    recorded **read set**); its cross-shard sends are published
-    ///    to the view as its **write set**, replacing its previous
-    ///    publication wholesale.
-    /// 2. Validation walks shards in ascending id: a shard is invalid
-    ///    if its execution panicked or its read set no longer equals
-    ///    the view. Invalid shards' publications are estimate-marked
-    ///    (tainting *their* readers, still in ascending order) and
-    ///    they re-execute next pass; a reader whose inputs are merely
-    ///    estimate-marked — byte-identical to what it consumed — is
-    ///    *deferred* instead of re-executed, keeping its buffered
-    ///    outputs in the view (`reexec_passes_saved`).
-    /// 3. No invalid shards → commit.
-    ///
-    /// Sync is never speculated through: arbitration order depends on
-    /// global manager state that rollback cannot cheaply restore, so
-    /// any shard pausing mid-window fails the fixpoint and the
-    /// conservative rounds rediscover the operation at the exact cycle
-    /// the windowed engine would.
-    ///
-    /// A failed full window is not always a total loss: the fixpoint
-    /// reports the earliest *trouble cycle* (first parked sync op, or
-    /// earliest divergent input of the final pass), and if at least
-    /// one whole round fits below it, the window is re-attempted once
-    /// at that shortened span from the same snapshots. Success is a
-    /// *partial commit*: the conflict-free prefix lands instead of
-    /// being thrown away with the rest of the window.
-    fn attempt_window(
-        &mut self,
-        floor: Cycle,
-        rounds: u32,
-        max_passes: u32,
-        staging: &[Vec<InFlight>],
-        workers: usize,
-        ostats: &mut OptimisticStats,
-    ) -> WindowOutcome {
-        let n = self.shards.len();
-        let lookahead = self.lookahead();
-        let window = lookahead * u64::from(rounds);
-        let end = floor + window;
-        ostats.windows += 1;
-
-        // Partition each shard's known mail (staged + leftover pending
-        // arrivals): entries scheduled before the floor are delivered
-        // upfront exactly as a conservative round would; later entries
-        // seed the view as already-final versions.
-        let mut pre: Vec<Vec<InFlight>> = Vec::with_capacity(n);
-        let mut from_pending: Vec<Vec<InFlight>> = Vec::with_capacity(n);
-        let mut view: MvView<InFlight> = MvView::new(n);
-        for (d, shard) in self.shards.iter_mut().enumerate() {
-            let pending: Vec<InFlight> = std::mem::take(&mut shard.pending_in)
-                .into_values()
-                .collect();
-            let mut early: Vec<InFlight> = Vec::new();
-            for m in staging[d].iter().chain(pending.iter()) {
-                if m.key.sched < floor.raw() {
-                    early.push(m.clone());
-                } else {
-                    view.seed(d, m.key, m.clone());
-                }
-            }
-            early.sort_unstable_by_key(|m| m.key);
-            pre.push(early);
-            from_pending.push(pending);
-        }
-        // Snapshot every shard (pending buffers now empty, so a
-        // restore leaves them empty — the abort path reinstates
-        // `from_pending` explicitly).
-        let snaps: Vec<ShardSnapshot<V>> =
-            self.shards.iter_mut().map(HomeShard::checkpoint).collect();
-
-        let full = self.window_fixpoint(
-            &WindowCtx {
-                end,
-                max_passes,
-                snaps: &snaps,
-                pre: &pre,
-                workers,
-                retry: false,
-            },
-            &mut view,
-            ostats,
-        );
-        let trouble = match full {
-            FixOutcome::Valid => {
-                for shard in &mut self.shards {
-                    shard.end_checkpoint(true);
-                }
-                ostats.committed += 1;
-                ostats.committed_cycles += window;
-                return WindowOutcome::Committed;
-            }
-            // The full window failed either way; a partial rescue does
-            // not un-count the abort — `partial_commits` records it
-            // separately.
-            FixOutcome::Sync { at } => {
-                ostats.sync_aborts += 1;
-                Some(at)
-            }
-            FixOutcome::Invalid { trouble } => {
-                ostats.stuck_aborts += 1;
-                trouble
-            }
-        };
-
-        // Shortened-prefix retry: everything strictly below the trouble
-        // cycle was (or can be made) conflict-free. If at least one
-        // whole round fits, re-run the fixpoint once over that prefix —
-        // from the same snapshots, against a freshly re-seeded view —
-        // and commit it on success instead of rolling everything back.
-        if let Some(c) = trouble {
-            let rounds_ok = c.raw().saturating_sub(floor.raw()) / lookahead;
-            if rounds_ok >= 1 && rounds_ok < u64::from(rounds) {
-                let end2 = floor + lookahead * rounds_ok;
-                let mut view2: MvView<InFlight> = MvView::new(n);
-                for d in 0..n {
-                    for m in staging[d].iter().chain(from_pending[d].iter()) {
-                        if m.key.sched >= floor.raw() {
-                            view2.seed(d, m.key, m.clone());
-                        }
-                    }
-                }
-                let retry = self.window_fixpoint(
-                    &WindowCtx {
-                        end: end2,
-                        max_passes,
-                        snaps: &snaps,
-                        pre: &pre,
-                        workers,
-                        retry: true,
-                    },
-                    &mut view2,
-                    ostats,
-                );
-                if retry == FixOutcome::Valid {
-                    for shard in &mut self.shards {
-                        shard.end_checkpoint(true);
-                    }
-                    ostats.partial_commits += 1;
-                    ostats.committed_cycles += lookahead * rounds_ok;
-                    return WindowOutcome::Partial;
-                }
-            }
-        }
-
-        for (d, shard) in self.shards.iter_mut().enumerate() {
-            shard.restore(&snaps[d]);
-            shard.end_checkpoint(false);
-            shard.receive(from_pending[d].drain(..));
-        }
-        WindowOutcome::Aborted
-    }
-
-    /// One execute/validate fixpoint over `[snapshot floor, ctx.end)`:
-    /// the pevm-style loop shared by the full-window attempt and the
-    /// shortened-prefix retry. Leaves the shards holding the final
-    /// execution on [`FixOutcome::Valid`] (the caller commits) and an
-    /// arbitrary failed execution otherwise (the caller restores or
-    /// retries with `ctx.retry = true`).
-    fn window_fixpoint(
-        &mut self,
-        ctx: &WindowCtx<'_, V>,
-        view: &mut MvView<InFlight>,
-        ostats: &mut OptimisticStats,
-    ) -> FixOutcome {
-        let n = self.shards.len();
-        let mut given: Vec<Vec<InFlight>> = (0..n).map(|_| Vec::new()).collect();
-        let mut failed: Vec<bool> = vec![false; n];
-        let mut need: Vec<bool> = vec![true; n];
-        let mut trouble: Option<Cycle> = None;
-
-        for pass in 0..ctx.max_passes {
-            // Build this pass's jobs in ascending shard id.
-            let mut jobs: Vec<PassJob<'_, V>> = Vec::new();
-            for (i, shard) in self.shards.iter_mut().enumerate() {
-                if !need[i] {
-                    continue;
-                }
-                jobs.push(PassJob {
-                    idx: i,
-                    shard,
-                    snap: &ctx.snaps[i],
-                    restore_first: pass > 0 || ctx.retry,
-                    pre: &ctx.pre[i],
-                    inputs: view.read(i).into_iter().map(|(_, m)| m).collect(),
-                });
-            }
-            ostats.executions += jobs.len() as u64;
-            if pass > 0 || ctx.retry {
-                ostats.reexecutions += jobs.len() as u64;
-            }
-
-            // Execute the jobs — inline, or chunked over workers. Each
-            // job touches only its own shard, so results are identical
-            // either way; they come back in ascending shard id.
-            let end = ctx.end;
-            let results: Vec<PassOut> = if ctx.workers <= 1 || jobs.len() <= 1 {
-                jobs.into_iter().map(|j| j.run(end)).collect()
-            } else {
-                let parts = scoped_pool::balanced_partition(jobs.len(), ctx.workers);
-                let mut chunks: Vec<Vec<PassJob<'_, V>>> = Vec::with_capacity(parts.len());
-                for &(lo, _) in parts.iter().rev() {
-                    chunks.push(jobs.split_off(lo));
-                }
-                chunks.reverse();
-                scoped_pool::fork_join(&mut chunks, |_, chunk: &mut Vec<PassJob<'_, V>>| {
-                    chunk.drain(..).map(|j| j.run(end)).collect::<Vec<_>>()
-                })
-                .into_iter()
-                .flatten()
-                .collect()
-            };
-
-            // A sync operation surfaced mid-window: the fixpoint fails;
-            // speculation never crosses sync arbitration. The earliest
-            // parked cycle bounds the still-clean prefix.
-            if results.iter().any(|r| r.syncing) {
-                let at = results
-                    .iter()
-                    .filter(|r| r.syncing)
-                    .filter_map(|r| self.shards[r.idx].paused_min_at())
-                    .min()
-                    .unwrap_or(ctx.end);
-                return FixOutcome::Sync { at };
-            }
-
-            // Publish write sets in ascending shard id.
-            for r in &results {
-                let src = r.idx as ShardId;
-                if r.panicked {
-                    failed[r.idx] = true;
-                    view.retract(src);
-                } else {
-                    failed[r.idx] = false;
-                    view.publish(
-                        src,
-                        pass,
-                        r.outs
-                            .iter()
-                            .map(|(dst, m)| (*dst as usize, m.key, m.clone()))
-                            .collect(),
-                    );
-                }
-            }
-            for r in results {
-                given[r.idx] = r.inputs;
-            }
-
-            // Validate in ascending shard id. Marking an invalid
-            // shard's publication as estimates taints its readers
-            // *later in this same walk* — the deterministic cascade.
-            let mut any_invalid = false;
-            let mut progress = false;
-            trouble = None;
-            for d in 0..n {
-                let current: Vec<InFlight> = view.read(d).into_iter().map(|(_, m)| m).collect();
-                let diverged = given[d] != current;
-                if !diverged && !failed[d] {
-                    if view.has_estimate(d) {
-                        // The inputs match what the shard consumed
-                        // entry-for-entry, but some entries carry an
-                        // estimate mark: their producer re-executes
-                        // this round and may republish identical
-                        // values. Defer judgment instead of re-running
-                        // — the shard's buffered outputs stay in the
-                        // view, and a real change surfaces as a plain
-                        // divergence on the next walk. (Every estimate
-                        // mark pairs with a producer that *does*
-                        // re-execute, so deferral cannot stall the
-                        // fixpoint.)
-                        any_invalid = true;
-                        need[d] = false;
-                        ostats.reexec_passes_saved += 1;
-                    } else {
-                        need[d] = false;
-                    }
-                    continue;
-                }
-                any_invalid = true;
-                need[d] = true;
-                if diverged {
-                    progress = true;
-                    if !failed[d] {
-                        ostats.validation_failures += 1;
-                    }
-                    // Earliest divergent input: the trouble cycle
-                    // below which a shortened window may still be
-                    // clean.
-                    let i = given[d]
-                        .iter()
-                        .zip(current.iter())
-                        .position(|(a, b)| a != b)
-                        .unwrap_or_else(|| given[d].len().min(current.len()));
-                    let at = [given[d].get(i), current.get(i)]
-                        .into_iter()
-                        .flatten()
-                        .map(|m| Cycle(m.key.sched))
-                        .min();
-                    trouble = opt_min(trouble, at);
-                }
-                view.mark_estimates(d as ShardId);
-            }
-            if !any_invalid {
-                return FixOutcome::Valid;
-            }
-            if !progress {
-                // Only failed shards with unchanged inputs remain:
-                // re-execution would deterministically fail again.
-                // No trouble cycle: a real failure must reproduce
-                // through the conservative EngineError path, never be
-                // committed around.
-                return FixOutcome::Invalid { trouble: None };
-            }
-        }
-        FixOutcome::Invalid { trouble }
     }
 
     // ------------------------------------------------------------------
@@ -1578,7 +933,6 @@ impl<V: SpecStore> GenericSystem<V> {
 
     fn into_stats(self) -> RunStats {
         let cfg = self.cfg;
-        let optimistic = self.opt_stats;
         let mut per_proc = Vec::with_capacity(self.shards.iter().map(|s| s.procs.len()).sum());
         let mut sim_events = 0;
         let mut remote_messages = 0;
@@ -1638,7 +992,6 @@ impl<V: SpecStore> GenericSystem<V> {
             dir_upgrades,
             spec,
             faults,
-            optimistic,
             predictor,
             trace,
         }
@@ -1654,32 +1007,21 @@ fn plan_round_impl(
     barrier: &mut BarrierManager,
     locks: &mut LockManager,
     num_shards: usize,
-    shard_map: &[ShardId],
     reports: &[ShardReport],
     staged_bound: Option<Cycle>,
 ) -> Option<Plan> {
-    let mut ops: Vec<SyncOp> = reports.iter().flat_map(|r| r.ops.iter().copied()).collect();
+    let mut ops: Vec<SyncOp> = reports.iter().filter_map(|r| r.op).collect();
     ops.sort_unstable_by_key(|o| (o.at, o.proc.0));
 
     let mut arb_base: Option<Cycle> = staged_bound;
     for r in reports {
-        // A parked shard that runs while parked (grouped, multiple
-        // processors) can still discover earlier ops through its other
-        // processors, so its bounds must hold the arbitration back; a
-        // parked per-home shard is frozen and cannot.
-        if (r.ops.is_empty() || r.runs_while_parked) && !r.sync_blocked {
+        // A parked shard is frozen and cannot discover earlier ops.
+        if r.op.is_none() && !r.sync_blocked {
             arb_base = opt_min(arb_base, opt_min(r.queue, r.arrivals));
         }
     }
 
     let mut per_shard: Vec<ShardPlan> = (0..num_shards).map(|_| ShardPlan::default()).collect();
-    // Processor `i` lives on node `i`; `shard_map` resolves the node to
-    // its owning shard (identity under per-home sharding, a contiguous
-    // range lookup under grouped optimistic sharding).
-    let shard_of = |p: ProcId| -> usize {
-        debug_assert!(p.0 < shard_map.len(), "proc id == node id");
-        shard_map[p.0] as usize
-    };
     let mut staged_directives = Vec::new();
     let mut resume_floor: Option<Cycle> = None;
     let mut held: Option<Cycle> = None;
@@ -1690,9 +1032,10 @@ fn plan_round_impl(
             staged_directives.clear();
             resolve_sync(barrier, locks, op, &mut staged_directives);
             for d in staged_directives.drain(..) {
-                per_shard[shard_of(d.proc())].directives.push(d);
+                // Processor `i` lives on node `i`, the home of shard `i`.
+                per_shard[d.proc().0].directives.push(d);
             }
-            per_shard[shard_of(op.proc)].resolved.push(op.proc);
+            per_shard[op.proc.0].resolved = true;
             resume_floor = opt_min(resume_floor, Some(op.at + 1));
         } else {
             held = opt_min(held, Some(op.at));

@@ -208,105 +208,6 @@ impl Default for MachineConfig {
     }
 }
 
-/// Tuning knobs of the optimistic (Block-STM-style) protocol engine.
-///
-/// The optimistic engine executes each shard speculatively through a
-/// *window* of several lookahead periods (the conservative engine's
-/// round is exactly one lookahead), then validates recorded
-/// cross-shard read sets against the multi-version message view and
-/// re-executes only invalidated shards. `max_passes` bounds that
-/// fixpoint; exhausting it aborts the window to the conservative path,
-/// so progress never depends on speculation converging.
-///
-/// The window length is adaptive: it starts at `window_rounds` and an
-/// AIMD controller grows it after consecutive committed windows and
-/// halves it on aborts, clamped to
-/// `[min_window_rounds, max_window_rounds]`. Setting
-/// `min_window_rounds == max_window_rounds` pins the window to a fixed
-/// size. `shards` optionally groups several home nodes into one shard
-/// to amortize per-pass snapshot/validate overhead on small machines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OptimisticConfig {
-    /// Initial window length in units of the bounded-lag lookahead
-    /// (the one-way network latency). Must lie within
-    /// `[min_window_rounds, max_window_rounds]`.
-    pub window_rounds: u32,
-    /// Lower bound on the adaptive window. Must be at least 2 — a
-    /// one-round window is just the conservative engine plus snapshot
-    /// overhead.
-    pub min_window_rounds: u32,
-    /// Upper bound on the adaptive window. Must be at least
-    /// `min_window_rounds`.
-    pub max_window_rounds: u32,
-    /// Maximum execute/validate passes per window before the window
-    /// aborts to conservative execution. Must be at least 1.
-    pub max_passes: u32,
-    /// Number of shards to partition the homes into, or `None` for
-    /// one shard per home node. Values above the node count are
-    /// clamped; `Some(0)` is rejected. Grouping home nodes
-    /// (`shards < nodes`) trades window parallelism for fewer,
-    /// larger snapshot/validate passes.
-    pub shards: Option<usize>,
-}
-
-impl OptimisticConfig {
-    /// Checks the structural invariants.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError::BadOptimisticConfig`] if the window
-    /// bounds are inverted or below 2, if the initial `window_rounds`
-    /// falls outside them, if `max_passes` is zero, or if `shards`
-    /// is `Some(0)`.
-    pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.min_window_rounds < 2 {
-            return Err(ConfigError::BadOptimisticConfig {
-                reason: "min_window_rounds must be at least 2 lookahead periods",
-            });
-        }
-        if self.max_window_rounds < self.min_window_rounds {
-            return Err(ConfigError::BadOptimisticConfig {
-                reason: "max_window_rounds must be at least min_window_rounds",
-            });
-        }
-        if self.window_rounds < self.min_window_rounds
-            || self.window_rounds > self.max_window_rounds
-        {
-            return Err(ConfigError::BadOptimisticConfig {
-                reason: "window_rounds must lie within [min_window_rounds, max_window_rounds]",
-            });
-        }
-        if self.max_passes == 0 {
-            return Err(ConfigError::BadOptimisticConfig {
-                reason: "max_passes must be at least 1",
-            });
-        }
-        if self.shards == Some(0) {
-            return Err(ConfigError::BadOptimisticConfig {
-                reason: "shards must be at least 1 when set",
-            });
-        }
-        Ok(())
-    }
-}
-
-impl Default for OptimisticConfig {
-    fn default() -> Self {
-        // Four conservative rounds per window amortizes the snapshot
-        // cost well below the re-execution cost on the paper suite;
-        // eight passes is far beyond observed convergence (2-3). The
-        // adaptive controller may stretch a streak of clean windows to
-        // 16 rounds before an abort pulls it back.
-        OptimisticConfig {
-            window_rounds: 4,
-            min_window_rounds: 2,
-            max_window_rounds: 16,
-            max_passes: 8,
-            shards: None,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -28,12 +28,6 @@ pub enum ConfigError {
         /// What is wrong with the plan.
         reason: &'static str,
     },
-    /// An [`crate::OptimisticConfig`] violates its structural
-    /// invariants (degenerate window, zero pass budget).
-    BadOptimisticConfig {
-        /// What is wrong with the configuration.
-        reason: &'static str,
-    },
 }
 
 impl fmt::Display for ConfigError {
@@ -58,9 +52,6 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::BadFaultPlan { reason } => {
                 write!(f, "invalid fault plan: {reason}")
-            }
-            ConfigError::BadOptimisticConfig { reason } => {
-                write!(f, "invalid optimistic engine config: {reason}")
             }
         }
     }

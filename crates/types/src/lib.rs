@@ -47,7 +47,7 @@ mod ops;
 mod readers;
 
 pub use addr::BlockAddr;
-pub use config::{LatencyConfig, MachineConfig, OptimisticConfig, PAPER_BLOCK_BYTES, PAPER_NODES};
+pub use config::{LatencyConfig, MachineConfig, PAPER_BLOCK_BYTES, PAPER_NODES};
 pub use error::ConfigError;
 pub use fault::{FaultDecision, FaultPlan};
 pub use geometry::HomeGeometry;

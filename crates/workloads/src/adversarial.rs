@@ -1,14 +1,11 @@
-//! Adversarial conflict generators for the optimistic engine.
+//! Adversarial conflict generators.
 //!
 //! The application suite is *polite*: its sharing phases are
-//! barrier-separated, so speculative windows mostly validate on their
-//! second pass. These two generators are built to be rude — long
-//! barrier-free bursts of cross-shard coherence traffic whose reply and
-//! forward chains land mid-window, maximizing read-set invalidations,
-//! re-executions, and whole-window aborts. They exist to prove the
-//! optimistic engine's worst case is *slow, not wrong*: the
-//! differential suite runs them under every engine and thread count and
-//! demands bit-identical statistics while the abort counters churn.
+//! barrier-separated. These generators are built to be rude — long
+//! barrier-free bursts of cross-node coherence traffic whose reply and
+//! forward chains cross shard boundaries inside every window of the
+//! windowed engine. The differential suite runs them under every engine
+//! and thread count and demands bit-identical statistics.
 
 use std::sync::Arc;
 
@@ -25,9 +22,7 @@ use crate::stream::PhasedStream;
 ///
 /// Ownership of each hot block ping-pongs across all nodes; every
 /// access is a request to home 0 whose reply or forward crosses a shard
-/// boundary inside the speculative window, so a first-pass execution
-/// (taken against an empty view) is all but guaranteed to be
-/// invalidated and re-executed.
+/// boundary.
 #[derive(Debug, Clone)]
 pub struct HotspotStorm {
     machine: MachineConfig,
@@ -110,10 +105,9 @@ impl Workload for HotspotStorm {
 /// synchronization inside an iteration.
 ///
 /// Every turn handoff moves exclusive ownership across the pair's shard
-/// boundary (read → forward → invalidate → upgrade), so speculative
-/// windows continuously carry cross-shard dependency chains in both
-/// directions — the pattern that forces multi-pass validation cascades
-/// rather than one-shot re-execution.
+/// boundary (read → forward → invalidate → upgrade), so windows
+/// continuously carry cross-shard dependency chains in both
+/// directions.
 #[derive(Debug, Clone)]
 pub struct MigratoryPingPong {
     machine: MachineConfig,
@@ -199,10 +193,8 @@ impl Workload for MigratoryPingPong {
 /// write-write conflicts here hit every directory at once: each write
 /// is an upgrade-or-write-miss that invalidates whichever processor
 /// wrote the block last, so exclusive ownership of every line migrates
-/// continuously across *all* shard boundaries. This is the worst case
-/// for grouped shards — every shard is simultaneously a home under
-/// attack and a writer being invalidated, keeping no window prefix
-/// quiet for long.
+/// continuously across *all* shard boundaries: every shard is
+/// simultaneously a home under attack and a writer being invalidated.
 #[derive(Debug, Clone)]
 pub struct FalseSharingStorm {
     machine: MachineConfig,

@@ -56,9 +56,7 @@ pub use specdsm_workloads as workloads;
 pub mod prelude {
     pub use specdsm_analytic::ModelParams;
     pub use specdsm_core::{Cosmos, DirectoryTrace, Msp, PredictorKind, SharingPredictor, Vmsp};
-    pub use specdsm_protocol::{
-        FaultStats, OptimisticStats, RunStats, SpecPolicy, System, SystemConfig,
-    };
+    pub use specdsm_protocol::{FaultStats, RunStats, SpecPolicy, System, SystemConfig};
     pub use specdsm_types::{
         BlockAddr, DirMsg, FaultPlan, MachineConfig, NodeId, Op, OpStream, ProcId, ReaderSet,
         ReqKind, Workload,

@@ -17,13 +17,6 @@
 //! time, message and event counts on one thread. Any engine or
 //! protocol refactor that changes what the machine does shows up here.
 //!
-//! The fixture also pins the optimistic engine's window counters
-//! (windows attempted, committed, aborted, validation failures) for a
-//! representative app and the adversarial conflict generators: those
-//! counters are the observable shape of the speculate/validate/rollback
-//! loop, and a silent change in them means the scheduling changed even
-//! when the architectural outputs did not.
-//!
 //! The simulation and the trace replay are fully deterministic, so the
 //! comparison is exact at 6 decimal places. If a change *intentionally*
 //! alters predictor behavior, regenerate the fixture with
@@ -36,66 +29,15 @@
 
 use std::fmt::Write as _;
 
-use specdsm::prelude::{adversarial_suite, AppId, MachineConfig, System, SystemConfig, Workload};
+use specdsm::prelude::{AppId, MachineConfig, RunStats, System, SystemConfig};
 use specdsm::protocol::{EngineConfig, SpecPolicy};
 use specdsm_bench::{fig7, table3, Lab, Scale};
 
 const FIXTURE: &str = "tests/fixtures/golden_stats.txt";
 
-/// Optimistic-engine window counters for a paper app and the two
-/// adversarial generators. Deterministic and thread-count-invariant
-/// (locked down by `shard_differential`), so an exact golden match is
-/// safe even though the run here uses two workers.
-fn render_optimistic(out: &mut String) {
-    let machine = MachineConfig::paper_machine();
-    let mut runs: Vec<(String, Box<dyn Workload>)> = vec![
-        (
-            "em3d".into(),
-            AppId::Em3d.build(&machine, specdsm::workloads::Scale::Quick),
-        ),
-        (
-            "ocean".into(),
-            AppId::Ocean.build(&machine, specdsm::workloads::Scale::Quick),
-        ),
-    ];
-    for w in adversarial_suite(&machine, specdsm::workloads::Scale::Quick) {
-        runs.push((w.name().to_string(), w));
-    }
-    for (name, w) in runs {
-        let cfg = SystemConfig {
-            machine: machine.clone(),
-            policy: SpecPolicy::SwiFr,
-            engine: EngineConfig::Optimistic { threads: 2 },
-            max_cycles: Some(2_000_000_000),
-            ..SystemConfig::default()
-        };
-        let o = System::new(cfg, w.as_ref())
-            .expect("valid config")
-            .run()
-            .optimistic;
-        let _ = writeln!(
-            out,
-            "optimistic {name} windows={} committed={} sync_aborts={} stuck_aborts={} \
-             validation_failures={} executions={} reexecutions={} conservative_rounds={} \
-             committed_cycles={} partial_commits={} reexec_saved={}",
-            o.windows,
-            o.committed,
-            o.sync_aborts,
-            o.stuck_aborts,
-            o.validation_failures,
-            o.executions,
-            o.reexecutions,
-            o.conservative_rounds,
-            o.committed_cycles,
-            o.partial_commits,
-            o.reexec_passes_saved
-        );
-    }
-}
-
 /// One simulation of `app` under `policy` at quick scale on the paper
 /// machine.
-fn run_app(app: AppId, policy: SpecPolicy, engine: EngineConfig) -> specdsm::prelude::RunStats {
+fn run_app(app: AppId, policy: SpecPolicy, engine: EngineConfig) -> RunStats {
     let machine = MachineConfig::paper_machine();
     let w = app.build(&machine, specdsm::workloads::Scale::Quick);
     let cfg = SystemConfig {
@@ -173,7 +115,6 @@ fn render_golden() -> String {
     out.push_str("# fig7: accuracy per predictor; table3: coverage/correct fraction.\n");
     out.push_str("# model: sequential-engine machine counters per app and system.\n");
     out.push_str("# windowed1t: windowed-engine (1 thread) headline counters.\n");
-    out.push_str("# optimistic: window/validation/rollback counters (SwiFr, 2 workers).\n");
     out.push_str("# Regenerate with UPDATE_GOLDEN=1 cargo test --test golden_stats\n");
     for row in fig7(&mut lab) {
         let _ = writeln!(
@@ -190,7 +131,6 @@ fn render_golden() -> String {
         out.push('\n');
     }
     render_model(&mut out);
-    render_optimistic(&mut out);
     out
 }
 

@@ -430,71 +430,6 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Adaptive window controller (AIMD) under arbitrary outcome histories
-// ---------------------------------------------------------------------
-
-proptest! {
-    /// The optimistic engine's window length must stay inside the
-    /// configured `[min, max]` band, follow the exact AIMD step law
-    /// (grow by one only after a streak of clean commits, hold on a
-    /// partial, halve on an abort), be a pure function of the outcome
-    /// history — which is what makes the window trajectory identical
-    /// across 1/2/4 worker threads, since the outcomes themselves are
-    /// bit-identical — and respond monotonically: upgrading any single
-    /// outcome (abort → partial → commit) never shrinks any later
-    /// window.
-    #[test]
-    fn window_controller_is_bounded_deterministic_and_monotone(
-        init in 0u32..40,
-        min in 1u32..8,
-        span in 0u32..24,
-        events in proptest::collection::vec(0u8..3, 1..160),
-        flip_pick in 0usize..160,
-    ) {
-        use specdsm::protocol::WindowController;
-
-        let max = min + span;
-        let mut base = WindowController::new(init, min, max);
-        let mut replay = WindowController::new(init, min, max);
-        let mut upgraded = WindowController::new(init, min, max);
-        let flip = flip_pick % events.len();
-        let step = |c: &mut WindowController, e: u8| match e {
-            0 => c.on_abort(),
-            1 => c.on_partial(),
-            _ => c.on_commit(),
-        };
-        let mut streak = 0u32;
-        prop_assert!(base.rounds() >= min && base.rounds() <= max);
-        for (i, &e) in events.iter().enumerate() {
-            let before = base.rounds();
-            step(&mut base, e);
-            step(&mut replay, e);
-            // `upgraded` sees a better-or-equal outcome at `flip`
-            // (commit dominates both others) and the same elsewhere.
-            step(&mut upgraded, if i == flip { 2 } else { e });
-            streak = if e == 2 { streak + 1 } else { 0 };
-            let after = base.rounds();
-            prop_assert!(after >= min && after <= max, "window within bounds");
-            let want = match e {
-                0 => (before / 2).max(min),
-                1 => before,
-                _ if streak >= 2 => (before + 1).min(max),
-                _ => before,
-            };
-            prop_assert_eq!(after, want, "AIMD step law at event {}", i);
-            prop_assert_eq!(replay.rounds(), after, "pure function of outcomes");
-            prop_assert!(
-                upgraded.rounds() >= after,
-                "a better history never shrinks the window ({} < {} at event {})",
-                upgraded.rounds(),
-                after,
-                i
-            );
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // Protocol fuzz: random barrier-synchronized programs stay coherent
 // ---------------------------------------------------------------------
 
@@ -832,137 +767,5 @@ proptest! {
         prop_assert!(model.is_empty(), "events left in the model: {:?}", model);
         prop_assert!(q.is_empty());
         prop_assert_eq!(q.scheduled_total(), scheduled);
-    }
-}
-
-// ---------------------------------------------------------------------
-// MvView matches a naive single-version reference model
-// ---------------------------------------------------------------------
-
-proptest! {
-    /// The multi-version message view under random interleavings of
-    /// seed (finalize), publish (write), retract (rollback), estimate
-    /// marking (invalidation), and read — checked op by op against a
-    /// naive flat-map reference. Publications deliberately reuse their
-    /// source's previous keys (wholesale replacement), and reads after
-    /// retract exercise the re-read-after-abort path the optimistic
-    /// engine relies on.
-    #[test]
-    fn mv_view_matches_single_version_model(
-        shards in 2usize..5,
-        ops in proptest::collection::vec(
-            (0u8..5, 0usize..4, 0u32..4, 0u64..40, 0usize..4),
-            1..150,
-        ),
-    ) {
-        use specdsm::sim::{MvView, SchedKey};
-
-        // The reference: one flat map per layer, no version indexing.
-        #[derive(Default)]
-        struct Model {
-            base: std::collections::BTreeMap<(usize, SchedKey), u32>,
-            /// (dst, key) -> (src, estimate, payload)
-            spec: std::collections::BTreeMap<(usize, SchedKey), (u32, bool, u32)>,
-        }
-        impl Model {
-            fn read(&self, dst: usize) -> Vec<(SchedKey, u32)> {
-                let mut out: Vec<(SchedKey, u32)> = self
-                    .base
-                    .iter()
-                    .filter(|((d, _), _)| *d == dst)
-                    .map(|((_, k), m)| (*k, *m))
-                    .chain(
-                        self.spec
-                            .iter()
-                            .filter(|((d, _), _)| *d == dst)
-                            .map(|((_, k), (_, _, m))| (*k, *m)),
-                    )
-                    .collect();
-                out.sort_by_key(|(k, _)| *k);
-                out
-            }
-            fn has_estimate(&self, dst: usize) -> bool {
-                self.spec
-                    .iter()
-                    .any(|((d, _), (_, e, _))| *d == dst && *e)
-            }
-        }
-
-        let mut view: MvView<u32> = MvView::new(shards);
-        let mut model = Model::default();
-        let mut seed_seq = 1_000_000u64; // disjoint from publication keys
-        let mut round = 0u32;
-
-        for (kind, dst, src, sched, extra) in ops {
-            let dst = dst % shards;
-            let src = src % shards as u32;
-            match kind {
-                // Finalize: a base entry under a globally fresh key.
-                0 => {
-                    let key = SchedKey { sched, src, seq: seed_seq };
-                    seed_seq += 1;
-                    view.seed(dst, key, sched as u32);
-                    model.base.insert((dst, key), sched as u32);
-                }
-                // Write: wholesale publication for `src`. Keys derive
-                // from (src, j, extra parity) so consecutive
-                // publications of one source often collide with their
-                // own previous keys — never with another source's.
-                1 => {
-                    round += 1;
-                    let entries: Vec<(usize, SchedKey, u32)> = (0..extra)
-                        .map(|j| {
-                            let key = SchedKey {
-                                sched: sched + j as u64,
-                                src,
-                                seq: (u64::from(src) << 8) | ((extra % 2) * 16 + j) as u64,
-                            };
-                            ((dst + j) % shards, key, (round << 8) | j as u32)
-                        })
-                        .collect();
-                    for (d, k, _) in &entries {
-                        prop_assert!(
-                            !model.base.contains_key(&(*d, *k)),
-                            "generator kept base/publication keys disjoint"
-                        );
-                    }
-                    // Mirror the wholesale replacement.
-                    model.spec.retain(|_, (s, _, _)| *s != src);
-                    for (d, k, m) in &entries {
-                        model.spec.insert((*d, *k), (src, false, *m));
-                    }
-                    view.publish(src, round, entries);
-                }
-                // Rollback: the source's whole publication vanishes.
-                2 => {
-                    view.retract(src);
-                    model.spec.retain(|_, (s, _, _)| *s != src);
-                }
-                // Invalidation: the source's publication goes stale.
-                3 => {
-                    view.mark_estimates(src);
-                    for (s, e, _) in model.spec.values_mut() {
-                        if *s == src {
-                            *e = true;
-                        }
-                    }
-                }
-                // Read: full merged comparison below covers it.
-                _ => {}
-            }
-            // Compare every destination after every op — reads after
-            // aborts and invalidations are just later loop iterations.
-            for d in 0..shards {
-                prop_assert_eq!(view.read(d), model.read(d), "dst {} diverged", d);
-                prop_assert_eq!(
-                    view.has_estimate(d),
-                    model.has_estimate(d),
-                    "dst {} estimate flag diverged",
-                    d
-                );
-                prop_assert_eq!(view.len(d), model.read(d).len());
-                prop_assert_eq!(view.is_empty(d), model.read(d).is_empty());
-            }
-        }
     }
 }

@@ -26,15 +26,6 @@
 //!    The test pins per-processor access counts exactly and total
 //!    timing/traffic within tight tolerances.
 //!
-//! A third engine joins the oracle: **optimistic** (Block-STM-style
-//! speculative windows over the multi-version message view). It makes
-//! the same two claims at the same strengths — bit-identical across
-//! worker-thread counts (its window/validation/rollback counters
-//! included), same-machine against the sequential engine — plus one of
-//! its own: rollback is invisible, so a run under the fault-injection
-//! plan (whose retry timers must survive window aborts) stays exactly
-//! as deterministic as a reliable one.
-//!
 //! Scale: `Quick` by default so `cargo test` stays fast; CI re-runs
 //! this file in **release** mode (covering the LTO build) with
 //! `SPECDSM_DIFF_SCALE=default` for the full-size inputs.
@@ -107,12 +98,10 @@ fn assert_same_machine(seq: &RunStats, win: &RunStats, ctx: &str) {
     assert_same_machine_tol(seq, win, ctx, 0.025);
 }
 
-/// Same claim with a caller-chosen timing/traffic tolerance. Grouped
-/// shards (several nodes per shard) need a looser band: intra-shard
-/// cross-node sends deliver inline at send-processing order, while
-/// cross-shard traffic merges in global key order, so same-cycle NI
-/// slot assignment differs from the per-home engines by design (still
-/// deterministic — the bit-identical claim is unweakened).
+/// Same claim with a caller-chosen timing/traffic tolerance, for
+/// workloads built to amplify the documented same-cycle tie-break
+/// divergence (still deterministic — the bit-identical claim across
+/// thread counts is unweakened).
 fn assert_same_machine_tol(seq: &RunStats, win: &RunStats, ctx: &str, tol: f64) {
     assert_eq!(seq.per_proc.len(), win.per_proc.len(), "{ctx}: proc count");
     for (i, (s, w)) in seq.per_proc.iter().zip(&win.per_proc).enumerate() {
@@ -247,32 +236,20 @@ fn interned_wide_sets_bit_identical_at_256_nodes() {
                 w.as_ref(),
             );
             assert_same_machine(&seq, &one, &format!("{app}@256/{policy}"));
-            let two = run_with(
-                &machine,
-                policy,
-                EngineConfig::Windowed { threads: 2 },
-                w.as_ref(),
-            );
-            assert_bit_identical(&one, &two, &format!("{app}@256/{policy}/threads=2"));
-            if policy == SpecPolicy::SwiFr {
-                let opt1 = run_with(
+            for threads in [2usize, 4] {
+                let many = run_with(
                     &machine,
                     policy,
-                    EngineConfig::Optimistic { threads: 1 },
+                    EngineConfig::Windowed { threads },
                     w.as_ref(),
                 );
-                assert_same_machine(&seq, &opt1, &format!("opt:{app}@256/{policy}"));
-                let opt2 = run_with(
-                    &machine,
-                    policy,
-                    EngineConfig::Optimistic { threads: 2 },
-                    w.as_ref(),
+                assert_bit_identical(
+                    &one,
+                    &many,
+                    &format!("{app}@256/{policy}/threads={threads}"),
                 );
-                let ctx = format!("opt:{app}@256/{policy}/threads=2");
-                assert_bit_identical(&opt1, &opt2, &ctx);
-                assert_eq!(opt1.optimistic, opt2.optimistic, "{ctx}: window counters");
-                spec_reads += opt1.spec.fr_sent + opt1.spec.swi_sent;
             }
+            spec_reads += one.spec.fr_sent + one.spec.swi_sent;
         }
     }
     // The suite must actually drive speculative wide read vectors
@@ -280,124 +257,14 @@ fn interned_wide_sets_bit_identical_at_256_nodes() {
     assert!(spec_reads > 0, "256-node suite used speculative reads");
 }
 
-/// The optimistic engine across the full suite and every policy:
-/// bit-identical for any worker-thread count — including the
-/// window/commit/abort/validation counters, which describe scheduling
-/// decisions and are therefore the most sensitive to a determinism
-/// leak — and simulating the same machine as the sequential engine.
-#[test]
-fn optimistic_engine_is_bit_identical_across_threads() {
-    let machine = MachineConfig::paper_machine();
-    let scale = scale();
-    let mut windows = 0u64;
-    let mut committed = 0u64;
-    let mut partial = 0u64;
-    let mut deferred = 0u64;
-    for app in AppId::ALL {
-        let w = app.build(&machine, scale);
-        for policy in SpecPolicy::ALL {
-            let seq = run_with(&machine, policy, EngineConfig::Sequential, w.as_ref());
-            let one = run_with(
-                &machine,
-                policy,
-                EngineConfig::Optimistic { threads: 1 },
-                w.as_ref(),
-            );
-            assert_same_machine(&seq, &one, &format!("opt:{app}/{policy}"));
-            for threads in [2usize, 4] {
-                let many = run_with(
-                    &machine,
-                    policy,
-                    EngineConfig::Optimistic { threads },
-                    w.as_ref(),
-                );
-                let ctx = format!("opt:{app}/{policy}/threads={threads}");
-                assert_bit_identical(&one, &many, &ctx);
-                assert_eq!(one.optimistic, many.optimistic, "{ctx}: window counters");
-            }
-            windows += one.optimistic.windows;
-            committed += one.optimistic.committed;
-            partial += one.optimistic.partial_commits;
-            deferred += one.optimistic.reexec_passes_saved;
-            assert!(
-                one.optimistic.committed_cycles <= one.exec_cycles,
-                "opt:{app}/{policy}: committed_cycles within the run"
-            );
-        }
-    }
-    // The engine must actually speculate on this suite, and some of it
-    // must pay off — otherwise the test only covered the fallback path.
-    assert!(windows > 0, "suite attempted optimistic windows");
-    assert!(committed > 0, "suite committed optimistic windows");
-    // The abort-recovery paths this file guards must fire too: prefix
-    // rescues of failed windows and deferred (estimate-clean) shard
-    // re-executions both happen on the stock suite.
-    assert!(partial > 0, "suite rescued conflict-free window prefixes");
-    assert!(
-        deferred > 0,
-        "suite skipped clean-but-tainted re-executions"
-    );
-}
-
-/// The optimistic engine under the suite-standard fault-injection
-/// plan: pending retry timers, dedup state, and recovery accounting
-/// must survive window rollback bit-exactly. The fault counters join
-/// the cross-thread comparison, and the suite must actually exercise
-/// recovery (retries fire) *and* speculation (windows commit) in the
-/// same runs.
-#[test]
-fn optimistic_engine_is_deterministic_under_faults() {
-    let machine = MachineConfig::paper_machine();
-    let plan = fault_plan(0x1a1f);
-    let mut retries = 0u64;
-    let mut committed = 0u64;
-    for app in [AppId::Em3d, AppId::Moldyn, AppId::Ocean] {
-        let w = app.build(&machine, scale());
-        for policy in SpecPolicy::ALL {
-            let run = |threads: usize| {
-                let cfg = SystemConfig {
-                    machine: machine.clone(),
-                    policy,
-                    engine: EngineConfig::Optimistic { threads },
-                    faults: Some(plan.clone()),
-                    audit: true,
-                    max_cycles: Some(2_000_000_000),
-                    ..SystemConfig::default()
-                };
-                specdsm::protocol::System::new(cfg, w.as_ref())
-                    .expect("valid system")
-                    .run()
-            };
-            let one = run(1);
-            for threads in [2usize, 4] {
-                let many = run(threads);
-                let ctx = format!("opt-fault:{app}/{policy}/threads={threads}");
-                assert_bit_identical(&one, &many, &ctx);
-                assert_eq!(one.faults, many.faults, "{ctx}: fault counters");
-                assert_eq!(one.optimistic, many.optimistic, "{ctx}: window counters");
-            }
-            retries += one.faults.retries;
-            committed += one.optimistic.committed;
-        }
-    }
-    assert!(retries > 0, "fault recovery fired under speculation");
-    assert!(committed > 0, "windows committed despite fault injection");
-}
-
 /// The adversarial conflict generators (hotspot-home storm, migratory
-/// ping-pong, false-sharing storm) exist to make the optimistic engine
-/// suffer: their
-/// barrier-free cross-shard storms must produce real contention —
-/// nonzero read-set invalidations *and* nonzero whole-window aborts —
-/// while the results stay bit-identical across worker-thread counts
-/// and on the same machine as the sequential engine. Slow is allowed;
-/// wrong is not.
+/// ping-pong, false-sharing storm): their barrier-free cross-shard
+/// storms cross a shard boundary with nearly every message, yet the
+/// windowed engine must stay bit-identical across worker-thread counts
+/// and on the same machine as the sequential engine.
 #[test]
-fn adversarial_workloads_abort_windows_but_stay_deterministic() {
+fn adversarial_workloads_stay_deterministic_on_windowed_engine() {
     let machine = MachineConfig::paper_machine();
-    let mut invalidations = 0u64;
-    let mut aborts = 0u64;
-    let mut committed = 0u64;
     for w in adversarial_suite(&machine, scale()) {
         for policy in [SpecPolicy::Base, SpecPolicy::SwiFr] {
             let name = w.name().to_string();
@@ -405,7 +272,7 @@ fn adversarial_workloads_abort_windows_but_stay_deterministic() {
             let one = run_with(
                 &machine,
                 policy,
-                EngineConfig::Optimistic { threads: 1 },
+                EngineConfig::Windowed { threads: 1 },
                 w.as_ref(),
             );
             // The storms amplify same-cycle reordering on purpose, so
@@ -418,95 +285,17 @@ fn adversarial_workloads_abort_windows_but_stay_deterministic() {
                 let many = run_with(
                     &machine,
                     policy,
-                    EngineConfig::Optimistic { threads },
+                    EngineConfig::Windowed { threads },
                     w.as_ref(),
                 );
-                let ctx = format!("adv:{name}/{policy}/threads={threads}");
-                assert_bit_identical(&one, &many, &ctx);
-                assert_eq!(one.optimistic, many.optimistic, "{ctx}: window counters");
-            }
-            invalidations += one.optimistic.validation_failures;
-            aborts += one.optimistic.sync_aborts + one.optimistic.stuck_aborts;
-            committed += one.optimistic.committed;
-        }
-    }
-    assert!(invalidations > 0, "storms invalidated read sets");
-    assert!(aborts > 0, "storms aborted whole windows");
-    assert!(committed > 0, "contention still let some windows commit");
-}
-
-/// Grouped shards: `opt.shards < nodes` packs several nodes per shard
-/// (contiguous, count-balanced), shrinking the validation surface at
-/// the cost of coarser rollback. Intra-shard cross-node sends deliver
-/// inline rather than through the outbox merge, so same-cycle NI slot
-/// assignment legitimately differs from the per-home engines (a few
-/// percent of exec cycles on conflict-heavy storms) — but every run is
-/// still a pure function of the configuration: bit-identical across
-/// worker-thread counts, adaptive-window and rescue counters included.
-#[test]
-fn optimistic_grouped_shards_stay_deterministic_on_adversarial_suite() {
-    let machine = MachineConfig::paper_machine();
-    let scale = scale();
-    let run = |w: &dyn Workload, shards: usize, threads: usize| {
-        let mut cfg = SystemConfig {
-            machine: machine.clone(),
-            policy: SpecPolicy::SwiFr,
-            engine: EngineConfig::Optimistic { threads },
-            max_cycles: Some(2_000_000_000),
-            ..SystemConfig::default()
-        };
-        cfg.opt.shards = Some(shards);
-        specdsm::protocol::System::new(cfg, w)
-            .expect("valid system")
-            .run()
-    };
-    let mut workloads = adversarial_suite(&machine, scale);
-    let storms = workloads.len();
-    workloads.push(AppId::Em3d.build(&machine, scale));
-    workloads.push(AppId::Tomcatv.build(&machine, scale));
-    let mut committed = 0u64;
-    for (wi, w) in workloads.iter().enumerate() {
-        let name = w.name().to_string();
-        let seq = run_with(
-            &machine,
-            SpecPolicy::SwiFr,
-            EngineConfig::Sequential,
-            w.as_ref(),
-        );
-        // nodes/4 mirrors the CI release job; nodes/8 stresses wider
-        // shards (more parked procs per shard) on the same inputs.
-        for shards in [machine.num_nodes / 4, machine.num_nodes / 8] {
-            let one = run(w.as_ref(), shards, 1);
-            let ctx = format!("grouped:{name}/shards={shards}");
-            if wi < storms {
-                // The storms are built to amplify reordering, so their
-                // predictor accuracy is chaotic under the grouped NI
-                // slot order; pin the program and coarse timing only.
-                for (i, (s, g)) in seq.per_proc.iter().zip(&one.per_proc).enumerate() {
-                    assert_eq!(s.reads, g.reads, "{ctx}: P{i} reads");
-                    assert_eq!(s.writes, g.writes, "{ctx}: P{i} writes");
-                }
-                let exec = rel_diff(seq.exec_cycles, one.exec_cycles);
-                assert!(
-                    exec < 0.25,
-                    "{ctx}: exec_cycles diverge {:.4}% ({} vs {})",
-                    exec * 100.0,
-                    seq.exec_cycles,
-                    one.exec_cycles
+                assert_bit_identical(
+                    &one,
+                    &many,
+                    &format!("adv:{name}/{policy}/threads={threads}"),
                 );
-            } else {
-                assert_same_machine_tol(&seq, &one, &ctx, 0.15);
             }
-            for threads in [2usize, 4] {
-                let many = run(w.as_ref(), shards, threads);
-                let ctx = format!("grouped:{name}/shards={shards}/threads={threads}");
-                assert_bit_identical(&one, &many, &ctx);
-                assert_eq!(one.optimistic, many.optimistic, "{ctx}: window counters");
-            }
-            committed += one.optimistic.committed + one.optimistic.partial_commits;
         }
     }
-    assert!(committed > 0, "grouped shards committed windows");
 }
 
 /// Finite-cache mode adds capacity evictions and speculative
