@@ -13,9 +13,10 @@ use serde::{Deserialize, Serialize};
 /// `Cycle`s yields the `u64` duration between them.
 ///
 /// Cycles are also the scheduling granularity of the calendar-queue
-/// [`EventQueue`](crate::EventQueue): its timing wheel uses one bucket
-/// per cycle, so two events are "simultaneous" (and ordered FIFO by
-/// scheduling order) exactly when their `Cycle` values are equal.
+/// [`KeyedQueue`](crate::KeyedQueue): its timing wheel uses one bucket
+/// per cycle, so two events are "simultaneous" (and ordered by their
+/// [`SchedKey`](crate::SchedKey)) exactly when their `Cycle` values
+/// are equal.
 ///
 /// # Example
 ///

@@ -1,16 +1,17 @@
-//! The keyed calendar queue driving the sharded protocol engine.
+//! The keyed calendar-queue event scheduler.
 //!
-//! [`KeyedQueue`] is the sibling of [`EventQueue`](crate::EventQueue)
-//! with one structural difference: the order of same-cycle events is
-//! not the implicit *insertion* order but an explicit [`SchedKey`]
-//! supplied by the caller. That makes the order **reconstructible
-//! across execution strategies** — the property the parallel sharded
-//! engine is built on:
+//! [`KeyedQueue`] is the heart of the simulation loop: every protocol
+//! message delivery, processor resume, and directory release passes
+//! through it once. The order of same-cycle events is not the implicit
+//! *insertion* order but an explicit [`SchedKey`] supplied by the
+//! caller. That makes the order **reconstructible across execution
+//! strategies** — the property the parallel sharded engine is built
+//! on:
 //!
 //! * In a single sequential event loop, insertion order and key order
 //!   coincide (events are scheduled while processing in time order, so
-//!   keys are assigned monotonically) and the queue behaves exactly
-//!   like `EventQueue`.
+//!   keys are assigned monotonically) and the queue is FIFO among
+//!   same-cycle events.
 //! * In bounded-lag windowed execution, a cross-shard message is
 //!   scheduled at its *receiver* one window barrier after it was sent.
 //!   Insertion order then depends on window boundaries (and would make
@@ -25,10 +26,15 @@ use std::collections::{BinaryHeap, VecDeque};
 
 use crate::clock::Cycle;
 
-/// Number of one-cycle buckets on the timing wheel (shared design with
-/// [`EventQueue`](crate::EventQueue); see that type for the rationale).
+/// Number of one-cycle buckets on the timing wheel. Must be a power of
+/// two. 2048 cycles comfortably covers every protocol latency of the
+/// paper's machine (the longest uncontended path, a three-hop
+/// invalidate + writeback + grant, is under 800 cycles), so in steady
+/// state almost every event lands on the wheel; long `Compute` phases
+/// spill to the overflow heap.
 const WHEEL_SLOTS: usize = 2048;
 const WHEEL_MASK: u64 = (WHEEL_SLOTS - 1) as u64;
+/// Occupancy-bitmap words (one bit per bucket).
 const WHEEL_WORDS: usize = WHEEL_SLOTS / 64;
 
 /// Deterministic tie-break key of one scheduled event.
@@ -90,7 +96,32 @@ struct Packed(u64, u64);
 /// cycle pop in increasing [`SchedKey`] order **regardless of insertion
 /// order**. The sharded engine relies on this: window-barrier merges
 /// insert cross-shard deliveries after a shard has already scheduled
-/// its own later-keyed events for the same cycle.
+/// its own later-keyed events for the same cycle. Both internal stores
+/// agree on `(cycle, key)` as the total order, so the guarantee holds
+/// even when same-cycle events straddle the wheel/overflow boundary.
+///
+/// # Structure
+///
+/// * A **timing wheel** of 2048 (`WHEEL_SLOTS`) one-cycle buckets
+///   holds every event scheduled within the horizon of the wheel
+///   cursor. Scheduling is O(1) in the common case: index by
+///   `cycle mod WHEEL_SLOTS`, append (an out-of-order key is inserted
+///   by binary search into its still-small bucket). Popping advances
+///   the cursor to the next occupied bucket via a two-level bitmap scan
+///   (a few word operations), so the common case — protocol latencies
+///   of tens to hundreds of cycles — never touches a comparison-based
+///   structure.
+/// * An **overflow heap** (`BinaryHeap`) absorbs events beyond the
+///   wheel horizon (for this simulator: long `Compute` delays) and
+///   events scheduled at or before an already-popped cycle. `pop`
+///   compares the wheel's earliest `(cycle, key)` with the heap's top,
+///   so correctness never depends on migrating events between the
+///   stores. An empty wheel re-centers its window on the next
+///   scheduled event, so sparse phases stay O(1) too.
+///
+/// Both `schedule` and `pop` are amortized O(1) for near-future events
+/// versus the O(log n) of the seed's `BinaryHeap<Reverse<Entry>>`
+/// scheduler.
 ///
 /// # Example
 ///

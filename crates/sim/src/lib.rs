@@ -6,12 +6,11 @@
 //! discrete-event engine with
 //!
 //! * a [`Cycle`] time axis,
-//! * an [`EventQueue`] — a calendar queue (bucketed timing wheel with
-//!   an overflow heap) with strict FIFO ordering among same-cycle
-//!   events, so runs are reproducible bit-for-bit,
-//! * a [`KeyedQueue`] — the same calendar structure with an *explicit*
-//!   per-event [`SchedKey`] tie-break, the deterministic backbone of
-//!   the sharded (optionally parallel) protocol engine,
+//! * a [`KeyedQueue`] — a calendar queue (bucketed timing wheel with
+//!   an overflow heap) whose same-cycle order is an *explicit*
+//!   per-event [`SchedKey`] tie-break, so runs are reproducible
+//!   bit-for-bit and the sharded (optionally parallel) protocol engine
+//!   orders events independently of its worker-thread count,
 //! * [`FifoResource`] for occupancy-based contention modeling (memory
 //!   banks, network interfaces),
 //! * a tiny, stable [`Xorshift64Star`] PRNG used to generate the timing
@@ -21,14 +20,15 @@
 //! # Example
 //!
 //! ```
-//! use specdsm_sim::{Cycle, EventQueue};
+//! use specdsm_sim::{Cycle, KeyedQueue, SchedKey};
 //!
-//! let mut q = EventQueue::new();
-//! q.schedule(Cycle(10), "b");
-//! q.schedule(Cycle(5), "a");
-//! q.schedule(Cycle(10), "c");
+//! let key = |seq| SchedKey { sched: 0, src: 0, seq };
+//! let mut q = KeyedQueue::new();
+//! q.schedule(Cycle(10), key(0), "b");
+//! q.schedule(Cycle(5), key(1), "a");
+//! q.schedule(Cycle(10), key(2), "c");
 //! let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-//! assert_eq!(order, vec!["a", "b", "c"]); // FIFO among equal cycles
+//! assert_eq!(order, vec!["a", "b", "c"]); // key order among equal cycles
 //! ```
 //!
 //! How the engine fits into the whole simulator — the message
@@ -40,14 +40,12 @@
 
 mod clock;
 mod keyed;
-mod queue;
 mod resource;
 mod rng;
 mod stats;
 
 pub use clock::Cycle;
 pub use keyed::{KeyedQueue, SchedKey};
-pub use queue::EventQueue;
 pub use resource::FifoResource;
 pub use rng::Xorshift64Star;
 pub use stats::{Histogram, StatCounter};

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use specdsm::core::{evaluate_trace, DirectoryTrace, Observation, PredictorKind, SpecTicket, Vmsp};
 use specdsm::prelude::*;
 use specdsm::protocol::{MapSpecStore, SpecStore, SpecTrigger, System, SystemConfig};
-use specdsm::sim::{Cycle, EventQueue, FifoResource};
+use specdsm::sim::{Cycle, FifoResource};
 use specdsm::types::NodeId;
 
 // ---------------------------------------------------------------------
@@ -228,71 +228,10 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Event queue ordering
+// Resource contention
 // ---------------------------------------------------------------------
 
 proptest! {
-    #[test]
-    fn event_queue_pops_monotonic_fifo(times in proptest::collection::vec(0u64..1000, 1..200)) {
-        let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.schedule(Cycle(t), i);
-        }
-        let mut last: Option<(Cycle, usize)> = None;
-        while let Some((at, id)) = q.pop() {
-            if let Some((prev_at, prev_id)) = last {
-                prop_assert!(at >= prev_at, "time never goes backwards");
-                if at == prev_at {
-                    prop_assert!(id > prev_id, "FIFO among equal cycles");
-                }
-            }
-            last = Some((at, id));
-        }
-    }
-
-    #[test]
-    fn event_queue_matches_reference_heap_model(
-        ops in proptest::collection::vec((0u32..3, 0u64..6000), 1..400),
-    ) {
-        // The reference model is the seed implementation: a binary heap
-        // ordered by (cycle, global sequence number). The calendar
-        // queue must pop the exact same (cycle, id) sequence under
-        // arbitrary interleavings of schedules and pops — including
-        // times beyond the 2048-cycle wheel horizon (overflow heap)
-        // and times before an already-popped cycle.
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-
-        let mut q = EventQueue::new();
-        let mut model: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
-        let mut seq = 0u64;
-
-        // Plain assert: usable from a helper closure under both the
-        // vendored and the real proptest (panics register as failures).
-        let check_pop = |q: &mut EventQueue<u64>, model: &mut BinaryHeap<Reverse<(u64, u64)>>| {
-            let got = q.pop();
-            let want = model.pop().map(|Reverse((at, id))| (Cycle(at), id));
-            assert_eq!(got, want, "pop diverged from the reference heap");
-        };
-
-        for &(kind, t) in &ops {
-            if kind == 0 {
-                check_pop(&mut q, &mut model);
-            } else {
-                prop_assert_eq!(q.peek_cycle(), model.peek().map(|Reverse((at, _))| Cycle(*at)));
-                q.schedule(Cycle(t), seq);
-                model.push(Reverse((t, seq)));
-                prop_assert_eq!(q.len(), model.len());
-                seq += 1;
-            }
-        }
-        while !model.is_empty() {
-            check_pop(&mut q, &mut model);
-        }
-        prop_assert!(q.is_empty());
-        prop_assert_eq!(q.scheduled_total(), seq);
-    }
-
     #[test]
     fn fifo_resource_never_overlaps(reqs in proptest::collection::vec((0u64..5000, 1u64..50), 1..100)) {
         let mut r = FifoResource::new();
