@@ -1,9 +1,7 @@
 //! Equations 1 and 2.
 
-use serde::{Deserialize, Serialize};
-
 /// Parameters of the analytic model (paper §5).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ModelParams {
     /// Fraction of memory requests executed speculatively (`f`).
     pub f: f64,

@@ -1,11 +1,9 @@
 //! Parameter sweeps regenerating the paper's Figure 6.
 
-use serde::{Deserialize, Serialize};
-
 use crate::model::ModelParams;
 
 /// One plotted curve: a parameter label and `(c, speedup)` points.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Series {
     /// Curve label (e.g. `"p = 0.9"`).
     pub label: String,
@@ -14,7 +12,7 @@ pub struct Series {
 }
 
 /// One panel of Figure 6: a title and its family of curves.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Figure6Panel {
     /// Panel title (the fixed parameters).
     pub title: String,

@@ -8,8 +8,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use specdsm_types::{BlockAddr, DirMsg};
 
 use crate::predictor::PredictorKind;
@@ -36,7 +34,7 @@ use crate::storage::StorageReport;
 /// let eval = evaluate_trace(&trace, PredictorKind::Msp, 1, 16);
 /// assert!(eval.stats.accuracy() > 0.9);
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct DirectoryTrace {
     blocks: BTreeMap<BlockAddr, Vec<DirMsg>>,
 }
@@ -94,7 +92,7 @@ impl DirectoryTrace {
 }
 
 /// Result of replaying a trace through one predictor configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceEval {
     /// Which predictor and depth produced this result.
     pub kind: PredictorKind,

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use specdsm_types::{BlockAddr, DirMsg};
 
 use crate::cosmos::Cosmos;
@@ -39,7 +37,7 @@ pub trait SharingPredictor {
 }
 
 /// The three predictor designs compared in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PredictorKind {
     /// General message predictor (Mukherjee & Hill); predicts requests
     /// *and* acknowledgements.

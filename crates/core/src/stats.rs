@@ -3,8 +3,6 @@
 use std::fmt;
 use std::ops::AddAssign;
 
-use serde::{Deserialize, Serialize};
-
 /// What a predictor had to say about one observed message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Observation {
@@ -57,7 +55,7 @@ impl Observation {
 /// assert!((s.coverage() - 2.0 / 3.0).abs() < 1e-12);
 /// assert!((s.correct_fraction() - 1.0 / 3.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PredictorStats {
     /// Messages observed (within the predictor's alphabet).
     pub seen: u64,

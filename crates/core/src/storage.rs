@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::predictor::PredictorKind;
 
 /// The bit-level cost model of one predictor configuration.
@@ -30,7 +28,7 @@ use crate::predictor::PredictorKind;
 /// // Five entries: (7 + 14*5)/8 ≈ 9.6 bytes, Table 4's ~10 for appbt.
 /// assert!((cosmos.bytes_per_block(5.0) - 9.625).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StorageModel {
     /// Which predictor design.
     pub kind: PredictorKind,
@@ -123,7 +121,7 @@ impl StorageModel {
 
 /// Measured storage of a live predictor: how many blocks have allocated
 /// state and how many pattern entries exist in total.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StorageReport {
     /// The cost model (kind, depth, processor count).
     pub model: StorageModel,

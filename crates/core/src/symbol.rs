@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use specdsm_types::{AckKind, DirMsg, ProcId, ReaderSet, ReqKind, SetId};
 
 /// One history/pattern-table symbol.
@@ -18,7 +16,7 @@ use specdsm_types::{AckKind, DirMsg, ProcId, ReaderSet, ReqKind, SetId};
 /// whose reader sets spill past 64 processors. The id's cached digest
 /// is exactly [`ReaderSet::mix64`], so pattern keys are unchanged from
 /// the pre-interning representation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Symbol {
     /// A request message `<kind, proc>`.
     Req(ReqKind, ProcId),
@@ -159,7 +157,7 @@ impl fmt::Display for Symbol {
 ///     HistoryKey::of(&[h[0], w]),
 /// );
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct HistoryKey(u64);
 
 impl HistoryKey {

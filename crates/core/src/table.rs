@@ -33,15 +33,13 @@
 //! `Box<[Symbol]>` allocation. The box is allocated once, when the
 //! entry is first inserted.
 
-use serde::{Deserialize, Serialize};
-
 use crate::fxhash::FxHashMap;
 use crate::symbol::{HistoryKey, Symbol};
 
 /// One pattern-table entry: the observed immediate successor of a
 /// history window, "the prediction ... when the sequence last occurred"
 /// (paper §2.1).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PatternEntry {
     /// Predicted next symbol.
     pub prediction: Symbol,

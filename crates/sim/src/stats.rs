@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A named event counter.
 ///
 /// # Example
@@ -16,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(c.value(), 4);
 /// assert_eq!(c.to_string(), "read_misses: 4");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StatCounter {
     name: String,
     value: u64,
@@ -88,7 +86,7 @@ impl fmt::Display for StatCounter {
 /// assert_eq!(h.mean(), (1.0 + 418.0 + 418.0) / 3.0);
 /// assert_eq!(h.max(), 418);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Histogram {
     buckets: Vec<u64>,
     count: u64,

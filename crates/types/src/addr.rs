@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Address of one fine-grain coherence block (paper: 32 bytes).
 ///
 /// The simulator works at block granularity throughout: workloads emit
@@ -19,9 +17,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(b.to_string(), "0x100");
 /// assert_eq!(b.offset(2), BlockAddr(0x102));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct BlockAddr(pub u64);
 
 impl BlockAddr {

@@ -21,8 +21,6 @@
 //!
 //! [`Jitter`]: ../specdsm_workloads/struct.Jitter.html
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::ConfigError;
 
 /// What the plan decided for one request transmission.
@@ -64,7 +62,7 @@ impl FaultDecision {
 /// // A retry (attempt 1) of the same request redraws its fate.
 /// let _retry = plan.decide(3, 7, 19, 1, 20_000);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Seed of the stateless decision hash.
     pub seed: u64,

@@ -10,8 +10,6 @@
 //! mapping, so every slot-addressed store in the workspace resolves
 //! blocks with the same bijection and the same power-of-two fast path.
 
-use serde::{Deserialize, Serialize};
-
 use crate::addr::BlockAddr;
 use crate::config::MachineConfig;
 use crate::ids::NodeId;
@@ -45,7 +43,7 @@ use crate::ids::NodeId;
 /// let slot = g.local_index(b);
 /// assert_eq!(g.block_at(NodeId(3), slot), b);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HomeGeometry {
     /// Blocks per page.
     page_blocks: u64,

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Maximum number of processors supported by the bit-vector types.
 ///
 /// [`crate::ReaderSet`] is a hybrid bitset: machines up to 64
@@ -29,7 +27,7 @@ pub const MAX_PROCS: usize = 1024;
 /// assert_eq!(p.node(), NodeId(5));
 /// assert_eq!(p.to_string(), "P5");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ProcId(pub usize);
 
 impl ProcId {
@@ -66,7 +64,7 @@ impl From<ProcId> for usize {
 /// use specdsm_types::NodeId;
 /// assert_eq!(NodeId(2).to_string(), "N2");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub usize);
 
 impl NodeId {

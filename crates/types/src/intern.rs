@@ -25,8 +25,6 @@
 use std::borrow::Cow;
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::ProcId;
 use crate::readers::ReaderSet;
 
@@ -53,7 +51,7 @@ const INLINE: u32 = u32::MAX;
 /// set, and hash-consing gives equal spilled sets equal arena ids —
 /// so the derived `Eq`/`Hash` over `(key, id)` is **exact set
 /// equality** for ids minted by one interner.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SetId {
     /// Inline: the raw low word. Arena: the cached `mix64` digest.
     key: u64,

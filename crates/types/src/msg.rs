@@ -14,8 +14,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::ProcId;
 
 /// The three memory-request message types (paper §2).
@@ -23,7 +21,7 @@ use crate::ids::ProcId;
 /// * `Read` — fetch a read-only copy of a block.
 /// * `Write` — obtain a writable copy of a block.
 /// * `Upgrade` — write to an already-cached read-only copy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ReqKind {
     /// Fetch a read-only copy.
     Read,
@@ -60,7 +58,7 @@ impl fmt::Display for ReqKind {
 /// The two acknowledgement message types a general message predictor also
 /// tracks (paper §3: "responses to read-only invalidations and
 /// writebacks").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum AckKind {
     /// Acknowledgement of an invalidation of a read-only copy.
     InvAck,
@@ -97,7 +95,7 @@ impl fmt::Display for AckKind {
 /// let requests: Vec<_> = stream.iter().filter_map(|m| m.request()).collect();
 /// assert_eq!(requests, vec![(ReqKind::Upgrade, ProcId(3)), (ReqKind::Read, ProcId(1))]);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DirMsg {
     /// A memory request message from a processor.
     Request(ReqKind, ProcId),

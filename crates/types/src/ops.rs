@@ -3,12 +3,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::addr::BlockAddr;
 
 /// Identifier of a synchronization lock.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LockId(pub u32);
 
 impl fmt::Display for LockId {
@@ -26,7 +24,7 @@ impl fmt::Display for LockId {
 /// waiting on it is accounted as computation time — matching the
 /// paper's Figure 9 breakdown ("computation time including barrier
 /// synchronization and spinning on locks").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Op {
     /// Compute for the given number of cycles.
     Compute(u64),

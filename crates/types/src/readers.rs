@@ -3,8 +3,6 @@
 use std::fmt;
 use std::ops::{BitAnd, BitOr, BitOrAssign, Sub};
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::{ProcId, MAX_PROCS};
 
 /// Bits per storage word.
@@ -56,7 +54,7 @@ const WORD: usize = 64;
 /// assert!(wide.contains(ProcId(700)));
 /// assert_eq!(wide.len(), 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct ReaderSet {
     /// Processors `P0..P63`, one bit each (the inline fast path).
     lo: u64,
