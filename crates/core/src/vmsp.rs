@@ -88,8 +88,7 @@ pub struct Vmsp {
     homes: Vec<HomeArena>,
     /// Hash-cons arena for the spilled (>64-processor) read vectors
     /// this predictor retains in its pattern tables. Owned per
-    /// predictor instance, so clones (engine snapshots, differential
-    /// references) stay self-contained and `Send`.
+    /// predictor instance, so clones stay self-contained and `Send`.
     sets: ReaderSetInterner,
     stats: PredictorStats,
 }
@@ -151,9 +150,9 @@ pub struct VSlot {
 }
 
 impl VSlot {
-    /// Sentinel slot used by storage backends that do not resolve
-    /// blocks to arena indices (e.g. the map-based differential
-    /// reference implementation). Indexing an arena with it panics.
+    /// Sentinel slot for stores that do not resolve blocks to arena
+    /// indices (the map-addressed reference model the property tests
+    /// compare against). Indexing an arena with it panics.
     pub const NULL: VSlot = VSlot {
         home: u32::MAX,
         idx: u32::MAX,
@@ -202,10 +201,10 @@ impl SpecTicket {
     }
 
     /// Builds a ticket from a raw pattern-table key. Intended for
-    /// alternative speculation-state backends (such as the map-based
-    /// differential reference implementation) that capture history
-    /// contexts outside [`Vmsp`]; the protocol itself only consumes
-    /// tickets minted by the predictor it queries.
+    /// reference models (such as the map-addressed model the property
+    /// tests compare against) that capture history contexts outside
+    /// [`Vmsp`]; the protocol itself only consumes tickets minted by
+    /// the predictor it queries.
     #[must_use]
     pub fn from_key(key: HistoryKey) -> Self {
         SpecTicket { key }

@@ -16,12 +16,11 @@
 //! flight. The base protocol is unmodified — speculation only *advises*
 //! it to execute existing coherence operations early.
 //!
-//! Speculation state is slot-addressed: the engine resolves each
-//! message's block to a dense [`VSlot`] (the predictor-side analogue of
-//! the directory's slot handle) once, so the FR/SWI fast path makes no
-//! hash-map probes. The [`SpecStore`] trait abstracts that storage;
-//! [`MapSpecStore`] retains the pre-arena map layout purely as the
-//! differential-test reference.
+//! Speculation state lives in one slot-addressed store, the
+//! arena-backed [`Vmsp`](specdsm_core::Vmsp): the engine resolves each
+//! message's block to a dense [`VSlot`](specdsm_core::VSlot) (the
+//! predictor-side analogue of the directory's slot handle) once, so the
+//! FR/SWI fast path makes no hash-map probes.
 //!
 //! The full message lifecycle (processor → network → directory →
 //! speculation engine → predictor feedback), and the design rationale
@@ -71,7 +70,6 @@ mod network;
 mod processor;
 mod shard;
 mod spec;
-mod spec_ref;
 mod stats;
 mod sync;
 mod system;
@@ -81,12 +79,7 @@ pub use directory::{DirState, Directory};
 pub use msg::{Msg, MsgKind};
 pub use network::Network;
 pub use processor::Processor;
-pub use spec::{SpecPolicy, SpecStats, SpecStore};
-pub use spec_ref::MapSpecStore;
+pub use spec::{SpecPolicy, SpecStats};
 pub use stats::{FaultStats, ProcStats, RunStats};
 pub use sync::{BarrierManager, LockManager};
-pub use system::{BuildError, EngineConfig, EngineError, GenericSystem, System, SystemConfig};
-
-// Re-exported so alternative [`SpecStore`] backends can be written
-// against this crate alone.
-pub use specdsm_core::{SpecTicket, SpecTrigger, VSlot};
+pub use system::{BuildError, EngineConfig, EngineError, System, SystemConfig};

@@ -5,7 +5,7 @@
 //! caches, directories, memory buses, network interfaces, and
 //! speculation/predictor state — together with a private
 //! [`KeyedQueue`] event queue. The whole-machine engine
-//! ([`GenericSystem`](crate::GenericSystem)) is a composition of
+//! ([`System`](crate::System)) is a composition of
 //! shards:
 //!
 //! * **Sequential mode** builds one shard spanning every node and runs
@@ -44,7 +44,7 @@ use crate::directory::{DirBlock, DirSlot, DirState, Directory, Txn, TxnKind};
 use crate::msg::{Msg, MsgKind};
 use crate::network::Network;
 use crate::processor::{Blocked, ProcAction, Processor};
-use crate::spec::{SpecEngine, SpecStore};
+use crate::spec::SpecEngine;
 use crate::stats::FaultStats;
 
 /// Index of a shard within the engine (== home node id in windowed
@@ -149,7 +149,7 @@ pub(crate) struct InFlight {
 
 /// All simulation state of a contiguous range of nodes, plus the
 /// protocol logic operating on it. See the module docs.
-pub(crate) struct HomeShard<V: SpecStore> {
+pub(crate) struct HomeShard {
     pub id: ShardId,
     /// First owned node.
     pub lo: usize,
@@ -170,7 +170,7 @@ pub(crate) struct HomeShard<V: SpecStore> {
     pub net: Network,
     /// Per-shard speculation engine (predictor arenas populate only for
     /// owned homes; counters merge at run end).
-    pub spec: SpecEngine<V>,
+    pub spec: SpecEngine,
     pub queue: KeyedQueue<Event>,
     /// Monotone counter behind every scheduling action's [`SchedKey`].
     seq: u64,
@@ -214,7 +214,7 @@ pub(crate) struct HomeShard<V: SpecStore> {
     pub audit: Option<Box<Auditor>>,
 }
 
-impl<V: SpecStore> HomeShard<V> {
+impl HomeShard {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         id: ShardId,
@@ -222,7 +222,7 @@ impl<V: SpecStore> HomeShard<V> {
         hi: usize,
         procs: Vec<Processor>,
         machine: &MachineConfig,
-        spec: SpecEngine<V>,
+        spec: SpecEngine,
         record_trace: bool,
         immediate: bool,
         max_cycles: Option<u64>,
@@ -783,7 +783,7 @@ impl<V: SpecStore> HomeShard<V> {
     fn resolve_dir(&mut self, dst: NodeId, block: BlockAddr) -> (DirSlot, Option<VSlot>) {
         let slot = self.dirs[dst.0 - self.lo].slot_of(block);
         let vslot = if self.spec.policy.uses_predictor() {
-            self.spec.vmsp.resolve(dst, block)
+            self.spec.vmsp.resolve_at_home(dst, block)
         } else {
             None
         };
@@ -897,7 +897,7 @@ impl<V: SpecStore> HomeShard<V> {
             trace.record(block, dmsg);
         }
         if let Some(vs) = vslot {
-            self.spec.vmsp.observe(vs, block, dmsg);
+            self.spec.vmsp.observe_at(vs, dmsg);
         }
         // SWI trigger: a write-like request signals that this
         // processor's previous written block (at this home) is done.
@@ -937,7 +937,7 @@ impl<V: SpecStore> HomeShard<V> {
         if let Some((owner, ticket)) = pending {
             match kind {
                 ReqKind::Read if p == owner => {
-                    self.resolve_swi_premature(slot, vslot, block, ticket);
+                    self.resolve_swi_premature(slot, vslot, ticket);
                 }
                 ReqKind::Read => {
                     // A consumer demanded the block: success.
@@ -960,13 +960,12 @@ impl<V: SpecStore> HomeShard<V> {
         &mut self,
         slot: DirSlot,
         vslot: Option<VSlot>,
-        block: BlockAddr,
         ticket: Option<SpecTicket>,
     ) {
         self.dblk(slot).swi_pending = None;
         self.spec.stats.swi_inval_premature += 1;
         if let (Some(vs), Some(t)) = (vslot, ticket) {
-            self.spec.vmsp.mark_swi_premature(vs, block, t);
+            self.spec.vmsp.mark_swi_premature_at(vs, t);
         }
     }
 
@@ -1101,7 +1100,7 @@ impl<V: SpecStore> HomeShard<V> {
         // to anyone else means production simply moved on.
         if let Some((owner, ticket)) = self.dblk_ref(slot).swi_pending {
             if p == owner {
-                self.resolve_swi_premature(slot, vslot, block, ticket);
+                self.resolve_swi_premature(slot, vslot, ticket);
             } else {
                 self.dblk(slot).swi_pending = None;
             }
@@ -1185,7 +1184,7 @@ impl<V: SpecStore> HomeShard<V> {
         }
         // Speculation verification via the piggy-backed reference bit.
         if let Some(vs) = vslot {
-            self.spec.note_invalidated(vs, block, proc, spec_unused);
+            self.spec.note_invalidated(vs, proc, spec_unused);
         }
         // A referenced copy is consumption evidence for a pending SWI.
         if !spec_unused {
@@ -1320,7 +1319,7 @@ impl<V: SpecStore> HomeShard<V> {
             return None;
         }
         let vslot = vslot?;
-        let (vec, ticket) = self.spec.vmsp.predicted_readers(vslot, block)?;
+        let (vec, ticket) = self.spec.vmsp.predicted_readers_at(vslot)?;
         self.spec_forward(now, slot, vslot, block, vec, ticket, SpecTrigger::Fr)
     }
 
@@ -1335,7 +1334,7 @@ impl<V: SpecStore> HomeShard<V> {
         block: BlockAddr,
     ) -> Option<Cycle> {
         let vslot = vslot?;
-        let (vec, ticket) = self.spec.vmsp.predicted_readers(vslot, block)?;
+        let (vec, ticket) = self.spec.vmsp.predicted_readers_at(vslot)?;
         self.spec_forward(now, slot, vslot, block, vec, ticket, SpecTrigger::Swi)
     }
 
@@ -1378,7 +1377,7 @@ impl<V: SpecStore> HomeShard<V> {
             self.send(t, home, r.node(), block, kind);
         }
         for r in targets.iter() {
-            self.spec.note_sent(vslot, block, r, ticket, trigger);
+            self.spec.note_sent(vslot, r, ticket, trigger);
         }
         {
             let merged = self
@@ -1386,7 +1385,7 @@ impl<V: SpecStore> HomeShard<V> {
                 .union_with(self.dblk_ref(slot).sharers(), &targets);
             self.dblk(slot).state = DirState::Shared(merged);
         }
-        self.spec.vmsp.speculate_readers(vslot, block, targets);
+        self.spec.vmsp.speculate_readers_at(vslot, targets);
         Some(t)
     }
 
@@ -1396,17 +1395,17 @@ impl<V: SpecStore> HomeShard<V> {
     /// here — once, like `deliver` does for the message's own block.
     fn try_swi(&mut self, now: Cycle, home: NodeId, prev: BlockAddr, owner: ProcId) {
         let slot = self.dirs[home.0 - self.lo].slot_of(prev);
-        let Some(vslot) = self.spec.vmsp.resolve(home, prev) else {
+        let Some(vslot) = self.spec.vmsp.resolve_at_home(home, prev) else {
             return;
         };
         let eligible = {
             let b = self.dblk_ref(slot);
             b.busy.is_none() && b.state == DirState::Exclusive(owner)
         };
-        if !eligible || !self.spec.vmsp.swi_allowed(vslot, prev) {
+        if !eligible || !self.spec.vmsp.swi_allowed_at(vslot) {
             return;
         }
-        let ticket = self.spec.vmsp.swi_ticket(vslot, prev);
+        let ticket = self.spec.vmsp.swi_ticket_at(vslot);
         self.send(
             now,
             home,
@@ -1439,7 +1438,7 @@ fn ack_delay(now: Cycle, p: ProcId, jitter: u64) -> u64 {
     (z ^ (z >> 31)) % jitter
 }
 
-impl<V: SpecStore> std::fmt::Debug for HomeShard<V> {
+impl std::fmt::Debug for HomeShard {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("HomeShard")
             .field("id", &self.id)

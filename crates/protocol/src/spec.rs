@@ -2,10 +2,8 @@
 
 use std::fmt;
 
-use specdsm_core::{
-    Observation, PredictorStats, SpecTicket, SpecTrigger, StorageReport, SwiTable, VSlot, Vmsp,
-};
-use specdsm_types::{BlockAddr, DirMsg, HomeGeometry, MachineConfig, NodeId, ProcId, ReaderSet};
+use specdsm_core::{SpecTicket, SpecTrigger, SwiTable, VSlot, Vmsp};
+use specdsm_types::{HomeGeometry, MachineConfig, ProcId};
 
 /// Which speculation mechanisms the DSM runs (paper §7.4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -107,178 +105,25 @@ impl SpecStats {
     }
 }
 
-/// Directory-side speculation state: the online predictor plus the
-/// open-ticket bookkeeping for verification attribution.
-///
-/// The production implementation is the arena-backed [`Vmsp`], which
-/// resolves each block to a dense [`VSlot`] once per message and makes
-/// every subsequent access — observe, `predicted_readers`, ticket
-/// open/close — a direct index. The retained map-based reference
-/// implementation ([`MapSpecStore`](crate::MapSpecStore)) implements
-/// the same trait with the pre-arena `HashMap` storage so differential
-/// tests can replay entire workloads against both and demand
-/// bit-identical results.
-///
-/// All methods take both the resolved `slot` and the `block` address:
-/// slot-addressed backends use the former, map-addressed backends the
-/// latter. [`SpecStore::resolve`] is the only place a backend may
-/// grow state for an unseen block.
-///
-/// Stores are `Send + Sync` (they are plain owned data) so the sharded
-/// engine can move each home's store onto a worker thread.
-pub trait SpecStore: Send + Sync {
-    /// Builds the store for a machine (history `depth`, one processor
-    /// per node, the machine's home geometry).
-    fn build(depth: usize, machine: &MachineConfig) -> Self;
-
-    /// Resolves `block`, known to be routed to `home`, to a slot
-    /// handle. Returns `None` for a block actually homed elsewhere —
-    /// the directory-style foreign-block guard: a misrouted query must
-    /// report no state rather than alias onto one of `home`'s slots.
-    fn resolve(&mut self, home: NodeId, block: BlockAddr) -> Option<VSlot>;
-
-    /// Feeds one directory request into the predictor.
-    fn observe(&mut self, slot: VSlot, block: BlockAddr, msg: DirMsg) -> Observation;
-
-    /// The predicted read vector for the block's current history
-    /// context, with a verification ticket.
-    fn predicted_readers(&self, slot: VSlot, block: BlockAddr) -> Option<(ReaderSet, SpecTicket)>;
-
-    /// Folds speculatively served readers into the open read vector.
-    fn speculate_readers(&mut self, slot: VSlot, block: BlockAddr, readers: ReaderSet);
-
-    /// Verification failure: removes `reader` from the entry `ticket`
-    /// points at. Returns whether an entry changed.
-    fn prune_reader(
-        &mut self,
-        slot: VSlot,
-        block: BlockAddr,
-        ticket: SpecTicket,
-        reader: ProcId,
-    ) -> bool;
-
-    /// Whether SWI is allowed in the block's current history context.
-    fn swi_allowed(&self, slot: VSlot, block: BlockAddr) -> bool;
-
-    /// Ticket capturing the block's current history context.
-    fn swi_ticket(&self, slot: VSlot, block: BlockAddr) -> Option<SpecTicket>;
-
-    /// Suppresses SWI for the pattern `ticket` points at.
-    fn mark_swi_premature(&mut self, slot: VSlot, block: BlockAddr, ticket: SpecTicket);
-
-    /// Records an outstanding speculative copy sent to `proc`
-    /// (overwriting any previous open ticket for `(block, proc)`).
-    fn open_ticket(
-        &mut self,
-        slot: VSlot,
-        block: BlockAddr,
-        proc: ProcId,
-        ticket: SpecTicket,
-        trigger: SpecTrigger,
-    );
-
-    /// Consumes the open ticket for `(block, proc)`, if any.
-    fn close_ticket(
-        &mut self,
-        slot: VSlot,
-        block: BlockAddr,
-        proc: ProcId,
-    ) -> Option<(SpecTicket, SpecTrigger)>;
-
-    /// Aggregate predictor accuracy statistics.
-    fn predictor_stats(&self) -> PredictorStats;
-
-    /// Predictor storage accounting.
-    fn storage(&self) -> StorageReport;
-}
-
-impl SpecStore for Vmsp {
-    fn build(depth: usize, machine: &MachineConfig) -> Self {
-        Vmsp::with_geometry(depth, machine.num_nodes, HomeGeometry::of_machine(machine))
-    }
-
-    fn resolve(&mut self, home: NodeId, block: BlockAddr) -> Option<VSlot> {
-        self.resolve_at_home(home, block)
-    }
-
-    fn observe(&mut self, slot: VSlot, _block: BlockAddr, msg: DirMsg) -> Observation {
-        self.observe_at(slot, msg)
-    }
-
-    fn predicted_readers(&self, slot: VSlot, _block: BlockAddr) -> Option<(ReaderSet, SpecTicket)> {
-        self.predicted_readers_at(slot)
-    }
-
-    fn speculate_readers(&mut self, slot: VSlot, _block: BlockAddr, readers: ReaderSet) {
-        self.speculate_readers_at(slot, readers);
-    }
-
-    fn prune_reader(
-        &mut self,
-        slot: VSlot,
-        _block: BlockAddr,
-        ticket: SpecTicket,
-        reader: ProcId,
-    ) -> bool {
-        self.prune_reader_at(slot, ticket, reader)
-    }
-
-    fn swi_allowed(&self, slot: VSlot, _block: BlockAddr) -> bool {
-        self.swi_allowed_at(slot)
-    }
-
-    fn swi_ticket(&self, slot: VSlot, _block: BlockAddr) -> Option<SpecTicket> {
-        self.swi_ticket_at(slot)
-    }
-
-    fn mark_swi_premature(&mut self, slot: VSlot, _block: BlockAddr, ticket: SpecTicket) {
-        self.mark_swi_premature_at(slot, ticket);
-    }
-
-    fn open_ticket(
-        &mut self,
-        slot: VSlot,
-        _block: BlockAddr,
-        proc: ProcId,
-        ticket: SpecTicket,
-        trigger: SpecTrigger,
-    ) {
-        Vmsp::open_ticket(self, slot, proc, ticket, trigger);
-    }
-
-    fn close_ticket(
-        &mut self,
-        slot: VSlot,
-        _block: BlockAddr,
-        proc: ProcId,
-    ) -> Option<(SpecTicket, SpecTrigger)> {
-        Vmsp::close_ticket(self, slot, proc)
-    }
-
-    fn predictor_stats(&self) -> PredictorStats {
-        specdsm_core::SharingPredictor::stats(self)
-    }
-
-    fn storage(&self) -> StorageReport {
-        specdsm_core::SharingPredictor::storage(self)
-    }
-}
-
-/// Directory-side speculation engine: the online predictor store, the
+/// Directory-side speculation engine: the online predictor, the
 /// per-home SWI tables, and the speculation activity counters.
+///
+/// The predictor is the arena-backed [`Vmsp`]: the shard resolves each
+/// message's block to a dense [`VSlot`] once, and every later access —
+/// observe, predicted readers, ticket open/close — is a direct index.
 #[derive(Debug, Clone)]
-pub(crate) struct SpecEngine<V: SpecStore> {
+pub(crate) struct SpecEngine {
     pub policy: SpecPolicy,
-    pub vmsp: V,
+    pub vmsp: Vmsp,
     pub swi_tables: Vec<SwiTable>,
     pub stats: SpecStats,
 }
 
-impl<V: SpecStore> SpecEngine<V> {
+impl SpecEngine {
     pub(crate) fn new(policy: SpecPolicy, depth: usize, machine: &MachineConfig) -> Self {
         SpecEngine {
             policy,
-            vmsp: V::build(depth, machine),
+            vmsp: Vmsp::with_geometry(depth, machine.num_nodes, HomeGeometry::of_machine(machine)),
             swi_tables: (0..machine.num_nodes).map(|_| SwiTable::new()).collect(),
             stats: SpecStats::default(),
         }
@@ -288,7 +133,6 @@ impl<V: SpecStore> SpecEngine<V> {
     pub(crate) fn note_sent(
         &mut self,
         slot: VSlot,
-        block: BlockAddr,
         proc: ProcId,
         ticket: SpecTicket,
         trigger: SpecTrigger,
@@ -297,21 +141,15 @@ impl<V: SpecStore> SpecEngine<V> {
             SpecTrigger::Fr => self.stats.fr_sent += 1,
             SpecTrigger::Swi => self.stats.swi_sent += 1,
         }
-        self.vmsp.open_ticket(slot, block, proc, ticket, trigger);
+        self.vmsp.open_ticket(slot, proc, ticket, trigger);
     }
 
-    /// Applies the piggy-backed reference bit when `proc`'s copy of
-    /// `block` is invalidated. `unused == true` marks a misspeculation:
-    /// the predictor entry is pruned and the miss attributed to its
-    /// trigger.
-    pub(crate) fn note_invalidated(
-        &mut self,
-        slot: VSlot,
-        block: BlockAddr,
-        proc: ProcId,
-        unused: bool,
-    ) {
-        let Some((ticket, trigger)) = self.vmsp.close_ticket(slot, block, proc) else {
+    /// Applies the piggy-backed reference bit when `proc`'s copy of the
+    /// block at `slot` is invalidated. `unused == true` marks a
+    /// misspeculation: the predictor entry is pruned and the miss
+    /// attributed to its trigger.
+    pub(crate) fn note_invalidated(&mut self, slot: VSlot, proc: ProcId, unused: bool) {
+        let Some((ticket, trigger)) = self.vmsp.close_ticket(slot, proc) else {
             return;
         };
         if unused {
@@ -319,7 +157,7 @@ impl<V: SpecStore> SpecEngine<V> {
                 SpecTrigger::Fr => self.stats.fr_unused += 1,
                 SpecTrigger::Swi => self.stats.swi_unused += 1,
             }
-            self.vmsp.prune_reader(slot, block, ticket, proc);
+            self.vmsp.prune_reader_at(slot, ticket, proc);
         } else {
             self.stats.verified += 1;
         }
@@ -329,7 +167,7 @@ impl<V: SpecStore> SpecEngine<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use specdsm_types::DirMsg;
+    use specdsm_types::{BlockAddr, DirMsg, ReaderSet};
 
     #[test]
     fn policy_flags() {
@@ -350,52 +188,52 @@ mod tests {
         assert_eq!(SpecPolicy::SwiFr.to_string(), "SWI-DSM");
     }
 
-    fn trained_engine() -> (SpecEngine<Vmsp>, BlockAddr, VSlot) {
+    fn trained_engine() -> (SpecEngine, VSlot) {
         let machine = MachineConfig::paper_machine();
-        let mut e: SpecEngine<Vmsp> = SpecEngine::new(SpecPolicy::SwiFr, 1, &machine);
+        let mut e = SpecEngine::new(SpecPolicy::SwiFr, 1, &machine);
         let b = BlockAddr(1);
         let home = machine.home_of(b);
-        let slot = e.vmsp.resolve(home, b).expect("homed");
+        let slot = e.vmsp.resolve_at_home(home, b).expect("homed");
         for _ in 0..5 {
-            e.vmsp.observe(slot, b, DirMsg::upgrade(ProcId(3)));
-            e.vmsp.observe(slot, b, DirMsg::read(ProcId(1)));
-            e.vmsp.observe(slot, b, DirMsg::read(ProcId(2)));
+            e.vmsp.observe_at(slot, DirMsg::upgrade(ProcId(3)));
+            e.vmsp.observe_at(slot, DirMsg::read(ProcId(1)));
+            e.vmsp.observe_at(slot, DirMsg::read(ProcId(2)));
         }
-        e.vmsp.observe(slot, b, DirMsg::upgrade(ProcId(3)));
-        (e, b, slot)
+        e.vmsp.observe_at(slot, DirMsg::upgrade(ProcId(3)));
+        (e, slot)
     }
 
     #[test]
     fn verification_prunes_on_unused() {
-        let (mut e, b, slot) = trained_engine();
-        let (readers, ticket) = SpecStore::predicted_readers(&e.vmsp, slot, b).unwrap();
+        let (mut e, slot) = trained_engine();
+        let (readers, ticket) = e.vmsp.predicted_readers_at(slot).unwrap();
         assert!(readers.contains(ProcId(2)));
-        e.note_sent(slot, b, ProcId(2), ticket, SpecTrigger::Fr);
+        e.note_sent(slot, ProcId(2), ticket, SpecTrigger::Fr);
         assert_eq!(e.stats.fr_sent, 1);
 
-        e.note_invalidated(slot, b, ProcId(2), true);
+        e.note_invalidated(slot, ProcId(2), true);
         assert_eq!(e.stats.fr_unused, 1);
-        let (readers, _) = SpecStore::predicted_readers(&e.vmsp, slot, b).unwrap();
+        let (readers, _) = e.vmsp.predicted_readers_at(slot).unwrap();
         assert_eq!(readers, ReaderSet::single(ProcId(1)), "P2 pruned");
     }
 
     #[test]
     fn verification_confirms_on_used() {
-        let (mut e, b, slot) = trained_engine();
-        let (_, ticket) = SpecStore::predicted_readers(&e.vmsp, slot, b).unwrap();
-        e.note_sent(slot, b, ProcId(1), ticket, SpecTrigger::Swi);
-        e.note_invalidated(slot, b, ProcId(1), false);
+        let (mut e, slot) = trained_engine();
+        let (_, ticket) = e.vmsp.predicted_readers_at(slot).unwrap();
+        e.note_sent(slot, ProcId(1), ticket, SpecTrigger::Swi);
+        e.note_invalidated(slot, ProcId(1), false);
         assert_eq!(e.stats.verified, 1);
         assert_eq!(e.stats.swi_unused, 0);
         // Ticket consumed: a second invalidation is a no-op.
-        e.note_invalidated(slot, b, ProcId(1), true);
+        e.note_invalidated(slot, ProcId(1), true);
         assert_eq!(e.stats.swi_unused, 0);
     }
 
     #[test]
     fn invalidation_without_ticket_is_ignored() {
-        let (mut e, b, slot) = trained_engine();
-        e.note_invalidated(slot, b, ProcId(9), true);
+        let (mut e, slot) = trained_engine();
+        e.note_invalidated(slot, ProcId(9), true);
         assert_eq!(e.stats, SpecStats::default());
     }
 

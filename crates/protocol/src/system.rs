@@ -34,14 +34,14 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 
-use specdsm_core::Vmsp;
+use specdsm_core::SharingPredictor;
 use specdsm_sim::Cycle;
 use specdsm_types::{ConfigError, FaultPlan, MachineConfig, ProcId, Workload};
 
 use crate::directory::DirState;
 use crate::processor::{Blocked, Processor};
 use crate::shard::{Directive, HomeShard, InFlight, ShardId, ShardYield, SyncKind, SyncOp};
-use crate::spec::{SpecEngine, SpecPolicy, SpecStore};
+use crate::spec::{SpecEngine, SpecPolicy};
 use crate::stats::RunStats;
 use crate::sync::{BarrierManager, LockManager};
 
@@ -152,7 +152,7 @@ impl From<ConfigError> for BuildError {
 }
 
 /// Fatal failure inside the windowed engine, surfaced structurally by
-/// [`GenericSystem::try_run`] instead of unwinding through the worker
+/// [`System::try_run`] instead of unwinding through the worker
 /// pool.
 ///
 /// A shard panics when it hits a protocol assertion, a coherence-audit
@@ -206,26 +206,18 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// A complete simulated DSM: processors, caches, directories, network,
-/// synchronization, and (optionally) the speculation engine.
-///
-/// Generic over the speculation-state backend so differential tests can
-/// run the same workload against the production arena store and the
-/// retained map reference ([`MapSpecStore`](crate::MapSpecStore)) and
-/// diff the results; everything else uses the [`System`] alias, which
-/// fixes the backend to the arena-backed [`Vmsp`].
+/// synchronization, and (optionally) the speculation engine, whose
+/// predictor state is one slot-addressed [`Vmsp`](specdsm_core::Vmsp)
+/// per shard.
 ///
 /// Build one with [`System::new`] and consume it with [`System::run`].
-pub struct GenericSystem<V: SpecStore = Vmsp> {
+pub struct System {
     cfg: SystemConfig,
-    shards: Vec<HomeShard<V>>,
+    shards: Vec<HomeShard>,
     barrier: BarrierManager,
     locks: LockManager,
     workload_name: String,
 }
-
-/// The default speculative DSM: [`GenericSystem`] over the arena-backed
-/// [`Vmsp`] speculation store.
-pub type System = GenericSystem<Vmsp>;
 
 /// What one shard publishes at a window barrier.
 #[derive(Debug, Clone, Default)]
@@ -324,7 +316,7 @@ fn resolve_sync(
     }
 }
 
-impl<V: SpecStore> GenericSystem<V> {
+impl System {
     /// Builds a system running `workload` under `cfg`.
     ///
     /// # Errors
@@ -395,7 +387,7 @@ impl<V: SpecStore> GenericSystem<V> {
                 cfg.audit,
             ));
         }
-        Ok(GenericSystem {
+        Ok(System {
             shards,
             barrier: BarrierManager::new(n),
             locks: LockManager::new(),
@@ -494,7 +486,7 @@ impl<V: SpecStore> GenericSystem<V> {
         l.max(1)
     }
 
-    fn report(shard: &HomeShard<V>) -> ShardReport {
+    fn report(shard: &HomeShard) -> ShardReport {
         ShardReport {
             queue: shard.queue.peek_cycle(),
             arrivals: shard.arrivals_bound(),
@@ -529,7 +521,7 @@ impl<V: SpecStore> GenericSystem<V> {
     /// `incoming` is drained in place (its capacity is reused across
     /// rounds — the round loop runs tens of thousands of times).
     fn shard_round(
-        shard: &mut HomeShard<V>,
+        shard: &mut HomeShard,
         plan: &mut ShardPlan,
         incoming: &mut Vec<InFlight>,
         floor: Cycle,
@@ -621,7 +613,7 @@ impl<V: SpecStore> GenericSystem<V> {
 
     /// Windowed execution over `workers` threads: shards are statically
     /// partitioned; the calling thread plans rounds between barriers.
-    /// Every decision is made by the same [`GenericSystem::plan_round`]
+    /// Every decision is made by the same [`System::plan_round`]
     /// as the serial form, from the same published state — the output
     /// is bit-identical for any worker count.
     fn run_windowed_parallel(&mut self, workers: usize) -> Result<(), EngineError> {
@@ -663,8 +655,8 @@ impl<V: SpecStore> GenericSystem<V> {
         }
 
         let parts = scoped_pool::balanced_partition(n, workers);
-        let mut chunks: Vec<&mut [HomeShard<V>]> = Vec::with_capacity(parts.len());
-        let mut rest: &mut [HomeShard<V>] = &mut self.shards;
+        let mut chunks: Vec<&mut [HomeShard]> = Vec::with_capacity(parts.len());
+        let mut rest: &mut [HomeShard] = &mut self.shards;
         for &(lo, hi) in &parts {
             let (chunk, tail) = rest.split_at_mut(hi - lo);
             chunks.push(chunk);
@@ -970,7 +962,7 @@ impl<V: SpecStore> GenericSystem<V> {
             spec += shard.spec.stats;
             faults += shard.fstats;
             if let Some(total) = &mut predictor {
-                *total += shard.spec.vmsp.predictor_stats();
+                *total += shard.spec.vmsp.stats();
             }
             if let (Some(total), Some(t)) = (&mut trace, shard.trace) {
                 total.merge(t);
@@ -1001,7 +993,7 @@ impl<V: SpecStore> GenericSystem<V> {
 /// Free-function form of the round planner for the parallel driver
 /// (which cannot hold `&mut self` while workers borrow the shards).
 /// Must stay behaviorally identical to
-/// [`GenericSystem::plan_round`] — it is the same code path: the
+/// [`System::plan_round`] — it is the same code path: the
 /// method delegates here.
 fn plan_round_impl(
     barrier: &mut BarrierManager,
@@ -1061,7 +1053,7 @@ fn plan_round_impl(
     })
 }
 
-impl<V: SpecStore> fmt::Debug for GenericSystem<V> {
+impl fmt::Debug for System {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("System")
             .field("workload", &self.workload_name)

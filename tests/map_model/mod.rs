@@ -1,0 +1,340 @@
+//! The map-addressed reference model of the speculation store, and the
+//! small operation trait the property tests drive it and the arena
+//! [`Vmsp`] through.
+//!
+//! Before the arena rework, the online VMSP kept per-block state in a
+//! `FxHashMap<BlockAddr, _>` and the speculation engine tracked
+//! outstanding tickets in a `FxHashMap<(BlockAddr, ProcId), _>`.
+//! [`MapModel`] keeps that storage design: one hash probe per touch, no
+//! slots, no aliasing. Replaying the same operations through both
+//! stores and demanding identical results checks the arena's slot
+//! addressing, per-block ticket slabs and stale-ticket handling against
+//! the obvious implementation.
+
+use specdsm::core::{
+    FxHashMap, History, Observation, PatternTable, PredictorStats, SharingPredictor, SpecTicket,
+    SpecTrigger, Symbol, VSlot, Vmsp,
+};
+use specdsm::types::{
+    BlockAddr, DirMsg, HomeGeometry, MachineConfig, NodeId, ProcId, ReaderSet, ReaderSetInterner,
+    ReqKind,
+};
+
+/// The speculation-store operations the property tests replay. Every
+/// method takes both the resolved `slot` and the `block` address: the
+/// arena uses the former, the map model the latter.
+pub trait SpecOps {
+    /// Builds the store for a machine (history `depth`, one processor
+    /// per node).
+    fn build(depth: usize, machine: &MachineConfig) -> Self;
+    /// Resolves `block`, routed to `home`, to a slot handle; `None` for
+    /// a block homed elsewhere.
+    fn resolve(&mut self, home: NodeId, block: BlockAddr) -> Option<VSlot>;
+    /// Feeds one directory request into the predictor.
+    fn observe(&mut self, slot: VSlot, block: BlockAddr, msg: DirMsg) -> Observation;
+    /// The predicted read vector for the current history context.
+    fn predicted_readers(&self, slot: VSlot, block: BlockAddr) -> Option<(ReaderSet, SpecTicket)>;
+    /// Removes `reader` from the entry `ticket` points at; whether an
+    /// entry changed.
+    fn prune_reader(
+        &mut self,
+        slot: VSlot,
+        block: BlockAddr,
+        ticket: SpecTicket,
+        reader: ProcId,
+    ) -> bool;
+    /// Whether SWI is allowed in the current history context.
+    fn swi_allowed(&self, slot: VSlot, block: BlockAddr) -> bool;
+    /// Ticket capturing the current history context.
+    fn swi_ticket(&self, slot: VSlot, block: BlockAddr) -> Option<SpecTicket>;
+    /// Suppresses SWI for the pattern `ticket` points at.
+    fn mark_swi_premature(&mut self, slot: VSlot, block: BlockAddr, ticket: SpecTicket);
+    /// Records an outstanding speculative copy sent to `proc`.
+    fn open_ticket(
+        &mut self,
+        slot: VSlot,
+        block: BlockAddr,
+        proc: ProcId,
+        ticket: SpecTicket,
+        trigger: SpecTrigger,
+    );
+    /// Consumes the open ticket for `(block, proc)`, if any.
+    fn close_ticket(
+        &mut self,
+        slot: VSlot,
+        block: BlockAddr,
+        proc: ProcId,
+    ) -> Option<(SpecTicket, SpecTrigger)>;
+    /// Aggregate predictor accuracy statistics.
+    fn predictor_stats(&self) -> PredictorStats;
+    /// Pattern-table entries over all blocks.
+    fn entries(&self) -> u64;
+    /// Blocks with predictor state.
+    fn blocks(&self) -> u64;
+}
+
+impl SpecOps for Vmsp {
+    fn build(depth: usize, machine: &MachineConfig) -> Self {
+        Vmsp::with_geometry(depth, machine.num_nodes, HomeGeometry::of_machine(machine))
+    }
+
+    fn resolve(&mut self, home: NodeId, block: BlockAddr) -> Option<VSlot> {
+        self.resolve_at_home(home, block)
+    }
+
+    fn observe(&mut self, slot: VSlot, _block: BlockAddr, msg: DirMsg) -> Observation {
+        self.observe_at(slot, msg)
+    }
+
+    fn predicted_readers(&self, slot: VSlot, _block: BlockAddr) -> Option<(ReaderSet, SpecTicket)> {
+        self.predicted_readers_at(slot)
+    }
+
+    fn prune_reader(
+        &mut self,
+        slot: VSlot,
+        _block: BlockAddr,
+        ticket: SpecTicket,
+        reader: ProcId,
+    ) -> bool {
+        self.prune_reader_at(slot, ticket, reader)
+    }
+
+    fn swi_allowed(&self, slot: VSlot, _block: BlockAddr) -> bool {
+        self.swi_allowed_at(slot)
+    }
+
+    fn swi_ticket(&self, slot: VSlot, _block: BlockAddr) -> Option<SpecTicket> {
+        self.swi_ticket_at(slot)
+    }
+
+    fn mark_swi_premature(&mut self, slot: VSlot, _block: BlockAddr, ticket: SpecTicket) {
+        self.mark_swi_premature_at(slot, ticket);
+    }
+
+    fn open_ticket(
+        &mut self,
+        slot: VSlot,
+        _block: BlockAddr,
+        proc: ProcId,
+        ticket: SpecTicket,
+        trigger: SpecTrigger,
+    ) {
+        Vmsp::open_ticket(self, slot, proc, ticket, trigger);
+    }
+
+    fn close_ticket(
+        &mut self,
+        slot: VSlot,
+        _block: BlockAddr,
+        proc: ProcId,
+    ) -> Option<(SpecTicket, SpecTrigger)> {
+        Vmsp::close_ticket(self, slot, proc)
+    }
+
+    fn predictor_stats(&self) -> PredictorStats {
+        SharingPredictor::stats(self)
+    }
+
+    fn entries(&self) -> u64 {
+        SharingPredictor::storage(self).entries
+    }
+
+    fn blocks(&self) -> u64 {
+        SharingPredictor::storage(self).blocks
+    }
+}
+
+/// Map-addressed speculation store: the pre-arena `HashMap` layout.
+/// Slot handles are ignored ([`SpecOps::resolve`] hands out
+/// [`VSlot::NULL`]); every access keys the maps by block address.
+#[derive(Debug, Clone)]
+pub struct MapModel {
+    depth: usize,
+    blocks: FxHashMap<BlockAddr, RefBlock>,
+    /// Outstanding speculative copies: `(block, receiver)` → how and
+    /// under which pattern context they were sent.
+    tickets: FxHashMap<(BlockAddr, ProcId), (SpecTicket, SpecTrigger)>,
+    /// Hash-cons arena for spilled (>64-processor) read vectors, owned
+    /// by the model so its `SetId`s follow their own insertion order.
+    sets: ReaderSetInterner,
+    stats: PredictorStats,
+}
+
+#[derive(Debug, Clone)]
+struct RefBlock {
+    history: History,
+    table: PatternTable,
+    /// The read vector currently being accumulated (open read phase).
+    open: ReaderSet,
+}
+
+impl MapModel {
+    fn block_mut(&mut self, block: BlockAddr) -> &mut RefBlock {
+        let depth = self.depth;
+        self.blocks.entry(block).or_insert_with(|| RefBlock {
+            history: History::new(depth),
+            table: PatternTable::new(),
+            open: ReaderSet::new(),
+        })
+    }
+
+    /// Commits a symbol: last-occurrence learn + history shift.
+    fn commit(b: &mut RefBlock, sym: Symbol) {
+        if b.history.is_full() {
+            b.table.learn(&b.history, sym);
+        }
+        b.history.push(sym);
+    }
+}
+
+impl SpecOps for MapModel {
+    fn build(depth: usize, _machine: &MachineConfig) -> Self {
+        assert!(depth > 0, "history depth must be at least 1");
+        MapModel {
+            depth,
+            blocks: FxHashMap::default(),
+            tickets: FxHashMap::default(),
+            sets: ReaderSetInterner::new(),
+            stats: PredictorStats::default(),
+        }
+    }
+
+    fn resolve(&mut self, _home: NodeId, _block: BlockAddr) -> Option<VSlot> {
+        // Map addressing has no slots (and no aliasing to guard
+        // against): every block keys its own entry.
+        Some(VSlot::NULL)
+    }
+
+    fn observe(&mut self, _slot: VSlot, block: BlockAddr, msg: DirMsg) -> Observation {
+        let Some((kind, p)) = msg.request() else {
+            return Observation::Ignored;
+        };
+        let depth = self.depth;
+        let MapModel {
+            blocks,
+            sets,
+            stats,
+            ..
+        } = self;
+        let b = blocks.entry(block).or_insert_with(|| RefBlock {
+            history: History::new(depth),
+            table: PatternTable::new(),
+            open: ReaderSet::new(),
+        });
+        let obs = match kind {
+            ReqKind::Read => {
+                let obs = if b.history.is_full() {
+                    match b.table.predict(&b.history) {
+                        Some(Symbol::ReadVec(v)) => Observation::Predicted {
+                            correct: sets.contains(v, p),
+                        },
+                        Some(_) => Observation::Predicted { correct: false },
+                        None => Observation::NoPrediction,
+                    }
+                } else {
+                    Observation::NoPrediction
+                };
+                b.open.insert(p);
+                obs
+            }
+            ReqKind::Write | ReqKind::Upgrade => {
+                if !b.open.is_empty() {
+                    let vec = Symbol::ReadVec(sets.intern_owned(std::mem::take(&mut b.open)));
+                    Self::commit(b, vec);
+                }
+                let sym = Symbol::Req(kind, p);
+                let obs = if b.history.is_full() {
+                    match b.table.predict_and_learn(&b.history, &sym) {
+                        Some(pred) => Observation::Predicted {
+                            correct: pred == sym,
+                        },
+                        None => Observation::NoPrediction,
+                    }
+                } else {
+                    Observation::NoPrediction
+                };
+                b.history.push(sym);
+                obs
+            }
+        };
+        stats.record(obs);
+        obs
+    }
+
+    fn predicted_readers(&self, _slot: VSlot, block: BlockAddr) -> Option<(ReaderSet, SpecTicket)> {
+        let b = self.blocks.get(&block)?;
+        if !b.history.is_full() {
+            return None;
+        }
+        match b.table.peek(&b.history)?.prediction {
+            Symbol::ReadVec(v) => {
+                Some((self.sets.resolve(v), SpecTicket::from_key(b.history.key())))
+            }
+            _ => None,
+        }
+    }
+
+    fn prune_reader(
+        &mut self,
+        _slot: VSlot,
+        block: BlockAddr,
+        ticket: SpecTicket,
+        reader: ProcId,
+    ) -> bool {
+        let MapModel { blocks, sets, .. } = self;
+        match blocks.get_mut(&block) {
+            Some(b) => b.table.prune_reader(sets, ticket.key(), reader),
+            None => false,
+        }
+    }
+
+    fn swi_allowed(&self, _slot: VSlot, block: BlockAddr) -> bool {
+        match self.blocks.get(&block) {
+            Some(b) => !b.table.swi_suppressed_key(b.history.key()),
+            None => true,
+        }
+    }
+
+    fn swi_ticket(&self, _slot: VSlot, block: BlockAddr) -> Option<SpecTicket> {
+        self.blocks
+            .get(&block)
+            .map(|b| SpecTicket::from_key(b.history.key()))
+    }
+
+    fn mark_swi_premature(&mut self, _slot: VSlot, block: BlockAddr, ticket: SpecTicket) {
+        self.block_mut(block).table.set_swi_premature(ticket.key());
+    }
+
+    fn open_ticket(
+        &mut self,
+        _slot: VSlot,
+        block: BlockAddr,
+        proc: ProcId,
+        ticket: SpecTicket,
+        trigger: SpecTrigger,
+    ) {
+        self.tickets.insert((block, proc), (ticket, trigger));
+    }
+
+    fn close_ticket(
+        &mut self,
+        _slot: VSlot,
+        block: BlockAddr,
+        proc: ProcId,
+    ) -> Option<(SpecTicket, SpecTrigger)> {
+        self.tickets.remove(&(block, proc))
+    }
+
+    fn predictor_stats(&self) -> PredictorStats {
+        self.stats
+    }
+
+    fn entries(&self) -> u64 {
+        self.blocks.values().map(|b| b.table.len() as u64).sum()
+    }
+
+    fn blocks(&self) -> u64 {
+        self.blocks.len() as u64
+    }
+}

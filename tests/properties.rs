@@ -1,10 +1,15 @@
 //! Property-based tests on the core data structures and invariants.
 
+mod map_model;
+
 use proptest::prelude::*;
 
-use specdsm::core::{evaluate_trace, DirectoryTrace, Observation, PredictorKind, SpecTicket, Vmsp};
+use map_model::{MapModel, SpecOps};
+use specdsm::core::{
+    evaluate_trace, DirectoryTrace, Observation, PredictorKind, SpecTicket, SpecTrigger, Vmsp,
+};
 use specdsm::prelude::*;
-use specdsm::protocol::{MapSpecStore, SpecStore, SpecTrigger, System, SystemConfig};
+use specdsm::protocol::{System, SystemConfig};
 use specdsm::sim::{Cycle, FifoResource};
 use specdsm::types::NodeId;
 
@@ -487,11 +492,11 @@ enum SpecEffect {
     Noop,
 }
 
-/// Replays one random operation sequence through any [`SpecStore`],
+/// Replays one random operation sequence through any [`SpecOps`] store,
 /// recording every observable effect plus the final accuracy stats and
 /// pattern-entry count. Running it for the arena and the map model and
 /// diffing the outputs is the whole property.
-fn replay_spec_ops<V: SpecStore>(
+fn replay_spec_ops<V: SpecOps>(
     ops: &[(u8, usize, usize)],
 ) -> (Vec<SpecEffect>, specdsm::core::PredictorStats, u64) {
     let m = MachineConfig::paper_machine();
@@ -560,7 +565,7 @@ fn replay_spec_ops<V: SpecStore>(
         };
         effects.push(effect);
     }
-    (effects, store.predictor_stats(), store.storage().entries)
+    (effects, store.predictor_stats(), store.entries())
 }
 
 proptest! {
@@ -571,7 +576,7 @@ proptest! {
         ops in proptest::collection::vec((0u8..7, 0usize..4, 0usize..6), 1..250),
     ) {
         let (arena_fx, arena_stats, arena_entries) = replay_spec_ops::<Vmsp>(&ops);
-        let (map_fx, map_stats, map_entries) = replay_spec_ops::<MapSpecStore>(&ops);
+        let (map_fx, map_stats, map_entries) = replay_spec_ops::<MapModel>(&ops);
         for (i, (a, m)) in arena_fx.iter().zip(&map_fx).enumerate() {
             prop_assert_eq!(a, m, "step {} of {:?}", i, ops);
         }
@@ -585,7 +590,7 @@ fn mark_swi_premature_after_evict_is_a_noop_in_both_stores() {
     // The documented PR 1 drift: suppression state lives in the pattern
     // entry, so feedback arriving after the entry was pruned away must
     // change nothing — in the arena exactly as in the map model.
-    fn scenario<V: SpecStore>() -> (bool, u64) {
+    fn scenario<V: SpecOps>() -> (bool, u64) {
         let m = MachineConfig::paper_machine();
         let mut store = V::build(1, &m);
         let b = m.page_on(NodeId(2), 0);
@@ -604,12 +609,53 @@ fn mark_swi_premature_after_evict_is_a_noop_in_both_stores() {
         assert!(store.predicted_readers(slot, b).is_none(), "entry evicted");
         // Late SWI feedback through the stale ticket: must be a no-op.
         store.mark_swi_premature(slot, b, ticket);
-        (store.swi_allowed(slot, b), store.storage().entries)
+        (store.swi_allowed(slot, b), store.entries())
     }
     let arena = scenario::<Vmsp>();
-    let map = scenario::<MapSpecStore>();
+    let map = scenario::<MapModel>();
     assert_eq!(arena, map);
     assert!(arena.0, "no entry, so nothing is suppressed");
+}
+
+#[test]
+fn map_store_matches_vmsp_on_a_training_run() {
+    /// Trains one block through a producer/consumer pattern, recording
+    /// every observation, then reports the trained store's prediction,
+    /// accuracy counters, pattern entries and tracked blocks.
+    #[allow(clippy::type_complexity)]
+    fn train<V: SpecOps>() -> (
+        Vec<Observation>,
+        Option<(ReaderSet, SpecTicket)>,
+        specdsm::core::PredictorStats,
+        u64,
+        u64,
+    ) {
+        let machine = MachineConfig::paper_machine();
+        let mut store = V::build(1, &machine);
+        let b = machine.page_on(NodeId(4), 0);
+        let home = machine.home_of(b);
+        let mut seen = Vec::new();
+        for _ in 0..6 {
+            for msg in [
+                DirMsg::upgrade(ProcId(3)),
+                DirMsg::read(ProcId(1)),
+                DirMsg::read(ProcId(2)),
+            ] {
+                let slot = store.resolve(home, b).unwrap();
+                seen.push(store.observe(slot, b, msg));
+            }
+        }
+        let slot = store.resolve(home, b).unwrap();
+        store.observe(slot, b, DirMsg::upgrade(ProcId(3)));
+        (
+            seen,
+            store.predicted_readers(slot, b),
+            store.predictor_stats(),
+            store.entries(),
+            store.blocks(),
+        )
+    }
+    assert_eq!(train::<Vmsp>(), train::<MapModel>());
 }
 
 // ---------------------------------------------------------------------
