@@ -158,7 +158,6 @@ fn write_proc_row(out: &mut String, label: &str, app: AppId, policy: SpecPolicy,
 /// Everything the fixture is rendered from, computed once per test
 /// binary and shared by the fixture diff and the paper-claim checks.
 struct Golden {
-    scale: Scale,
     text: String,
     fig7: Vec<Fig7Row>,
     /// Sequential-engine runs per (app, policy), infinite caches.
@@ -271,7 +270,6 @@ fn render_golden(scale: Scale) -> Golden {
         write_proc_row(&mut out, "proc-finite", AppId::Em3d, policy, &r);
     }
     Golden {
-        scale,
         text: out,
         fig7: fig7_rows,
         model,
@@ -280,8 +278,9 @@ fn render_golden(scale: Scale) -> Golden {
 
 #[test]
 fn predictor_accuracy_matches_golden_fixture() {
-    let g = golden(scale());
-    let fixture = fixture(g.scale);
+    let scale = scale();
+    let g = golden(scale);
+    let fixture = fixture(scale);
     if std::env::var("UPDATE_GOLDEN").is_ok() {
         std::fs::write(fixture, &g.text).expect("write fixture");
         eprintln!("regenerated {fixture}");
