@@ -22,7 +22,10 @@
 //! - `model-finite`/`proc-finite` rows repeat the first two for em3d
 //!   under FR and SWI+FR with 16-block caches. At default scale
 //!   capacity evictions race speculative fills there; at quick scale
-//!   the footprint fits and the rows equal the infinite-cache ones.
+//!   the footprint fits and the rows equal the infinite-cache ones;
+//! - `model-finite4`/`proc-finite4` rows repeat them with 4-block
+//!   caches, which evict at both scales, so the quick-scale `cargo
+//!   test` covers the eviction path too.
 //!
 //! Any engine or protocol refactor that changes what the machine does
 //! shows up here.
@@ -162,14 +165,20 @@ struct Golden {
     fig7: Vec<Fig7Row>,
     /// Sequential-engine runs per (app, policy), infinite caches.
     model: Vec<(AppId, SpecPolicy, RunStats)>,
+    /// Sequential-engine em3d runs per policy with 4-block caches.
+    finite4: Vec<(SpecPolicy, RunStats)>,
 }
 
 impl Golden {
     fn exec_cycles(&self, app: AppId, policy: SpecPolicy) -> u64 {
+        self.model_run(app, policy).exec_cycles
+    }
+
+    fn model_run(&self, app: AppId, policy: SpecPolicy) -> &RunStats {
         self.model
             .iter()
             .find(|(a, p, _)| *a == app && *p == policy)
-            .map(|(_, _, r)| r.exec_cycles)
+            .map(|(_, _, r)| r)
             .expect("every app and policy is run")
     }
 }
@@ -201,6 +210,7 @@ fn render_golden(scale: Scale) -> Golden {
     out.push_str("# windowed1t: windowed-engine (1 thread) headline counters.\n");
     out.push_str("# proc: access counters, per-processor compute/sync/mem_wait cycles.\n");
     out.push_str("# model-finite/proc-finite: em3d with 16-block caches.\n");
+    out.push_str("# model-finite4/proc-finite4: em3d with 4-block caches.\n");
     if scale == Scale::Default {
         out.push_str(
             "# Regenerate with UPDATE_GOLDEN=1 SPECDSM_DIFF_SCALE=default \
@@ -269,10 +279,24 @@ fn render_golden(scale: Scale) -> Golden {
         write_model_row(&mut out, "model-finite", AppId::Em3d, policy, &r);
         write_proc_row(&mut out, "proc-finite", AppId::Em3d, policy, &r);
     }
+    let mut finite4 = Vec::new();
+    for policy in [SpecPolicy::FirstRead, SpecPolicy::SwiFr] {
+        let r = run_app(
+            AppId::Em3d,
+            policy,
+            scale,
+            EngineConfig::Sequential,
+            Some(4),
+        );
+        write_model_row(&mut out, "model-finite4", AppId::Em3d, policy, &r);
+        write_proc_row(&mut out, "proc-finite4", AppId::Em3d, policy, &r);
+        finite4.push((policy, r));
+    }
     Golden {
         text: out,
         fig7: fig7_rows,
         model,
+        finite4,
     }
 }
 
@@ -298,6 +322,24 @@ fn predictor_accuracy_matches_golden_fixture() {
         panic!(
             "predictor accuracy drifted from {fixture}; if intentional, regenerate with \
              UPDATE_GOLDEN=1 (see the module docs)"
+        );
+    }
+}
+
+/// The 4-block em3d rows must actually evict: capacity misses add read
+/// misses over the infinite-cache runs of the same policy. Without this
+/// the finite-cache path could silently stop being exercised.
+#[test]
+fn four_block_caches_add_read_misses() {
+    let g = golden(scale());
+    let read_misses = |r: &RunStats| r.per_proc.iter().map(|p| p.read_misses).sum::<u64>();
+    for (policy, finite) in &g.finite4 {
+        let infinite = g.model_run(AppId::Em3d, *policy);
+        assert!(
+            read_misses(finite) > read_misses(infinite),
+            "em3d {policy}: 4-block caches gave {} read misses, infinite caches {}",
+            read_misses(finite),
+            read_misses(infinite)
         );
     }
 }
