@@ -14,9 +14,8 @@
 //!   events processed, and events/second — alongside the recorded
 //!   seed baseline (BinaryHeap event queue + per-home `HashMap`
 //!   directories) so the speedup is visible in one file; plus the
-//!   `scaling` section: the nodes × worker-threads matrix (16/64/256
-//!   nodes, sequential vs windowed 1/2/4 workers) of the sharded
-//!   engine.
+//!   `scaling` section: the nodes × engine matrix (16/64/256 nodes,
+//!   sequential vs windowed) of the sharded engine.
 //!
 //! ```text
 //! perf_snapshot [--out FILE] [--protocol-out FILE] [--skip-protocol]
@@ -24,10 +23,9 @@
 //!     (defaults: BENCH_predictors.json, BENCH_protocol.json)
 //! ```
 //!
-//! `--engine` runs the end-to-end suite on the chosen engine (windowed
-//! at 2 workers) and restricts the scaling matrix to that
-//! engine family; the default keeps the historical shape — sequential
-//! suite, full matrix.
+//! `--engine` runs the end-to-end suite on the chosen engine and
+//! restricts the scaling matrix to it; the default keeps the historical
+//! shape — sequential suite, full matrix.
 
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
@@ -294,43 +292,36 @@ fn protocol_rows(engine: EngineConfig) -> Vec<ProtoRow> {
 struct ScalingRow {
     nodes: usize,
     scale: &'static str,
-    /// `"sequential"` or `"windowed-Nt"`.
-    engine: String,
-    /// Worker threads (0 for the sequential single-shard engine).
-    threads: usize,
+    /// `"sequential"` or `"windowed-1t"`.
+    engine: &'static str,
     wall_ms: f64,
     sim_events: u64,
     exec_cycles: u64,
 }
 
-/// The nodes × engine × worker-threads scaling matrix over em3d (the
-/// most communication-bound app): 16 nodes (the paper machine), 64
-/// (the former `ReaderSet` ceiling), and 256 (well past it, quick
-/// inputs to bound runtime). Each node count runs the sequential
-/// engine once and the windowed engine at 1, 2, and 4 workers.
-/// `only` restricts the matrix to one engine family (`--engine`).
-fn scaling_rows(only: Option<&str>) -> Vec<ScalingRow> {
+/// The engines the scaling matrix and the fault probe compare, by row
+/// label.
+const ENGINES: [(&str, EngineConfig); 2] = [
+    ("sequential", EngineConfig::Sequential),
+    ("windowed-1t", EngineConfig::Windowed { threads: 1 }),
+];
+
+/// The nodes × engine scaling matrix over em3d (the most
+/// communication-bound app): 16 nodes (the paper machine), 64 (the
+/// former `ReaderSet` ceiling), and 256 (well past it, quick inputs to
+/// bound runtime). Each node count runs the sequential and the windowed
+/// engine once. `only` restricts the matrix to one engine (`--engine`).
+fn scaling_rows(only: Option<EngineConfig>) -> Vec<ScalingRow> {
     let mut rows = Vec::new();
-    let wanted = |family: &str| only.is_none_or(|f| f == family);
     for (nodes, scale, scale_name) in [
         (16usize, Scale::Default, "Default"),
         (64, Scale::Default, "Default"),
         (256, Scale::Quick, "Quick"),
     ] {
-        let mut engines = Vec::new();
-        if wanted("seq") {
-            engines.push(("sequential".to_string(), 0usize, EngineConfig::Sequential));
-        }
-        if wanted("windowed") {
-            for threads in [1usize, 2, 4] {
-                engines.push((
-                    format!("windowed-{threads}t"),
-                    threads,
-                    EngineConfig::Windowed { threads },
-                ));
+        for (engine_name, engine) in ENGINES {
+            if only.is_some_and(|e| e != engine) {
+                continue;
             }
-        }
-        for (engine_name, threads, engine) in engines {
             let machine = MachineConfig::with_nodes(nodes);
             let w = AppId::Em3d.build(&machine, scale);
             let cfg = SystemConfig {
@@ -346,7 +337,6 @@ fn scaling_rows(only: Option<&str>) -> Vec<ScalingRow> {
                 nodes,
                 scale: scale_name,
                 engine: engine_name,
-                threads,
                 wall_ms: start.elapsed().as_secs_f64() * 1e3,
                 sim_events: stats.sim_events,
                 exec_cycles: stats.exec_cycles,
@@ -376,10 +366,7 @@ fn fault_rows() -> Vec<FaultRow> {
     let plan = fault_plan(0xbad5eed);
     let mut rows = Vec::new();
     for policy in [SpecPolicy::Base, SpecPolicy::SwiFr] {
-        for (engine_name, engine) in [
-            ("sequential", EngineConfig::Sequential),
-            ("windowed-2t", EngineConfig::Windowed { threads: 2 }),
-        ] {
+        for (engine_name, engine) in ENGINES {
             let cfg = SystemConfig {
                 machine: machine.clone(),
                 policy,
@@ -516,12 +503,9 @@ fn render_protocol_json(
         );
     }
     out.push_str("  ],\n");
-    // The nodes × worker-threads matrix (em3d, SWI-DSM). `threads: 0`
-    // is the sequential single-shard engine; `threads >= 1` the
-    // windowed sharded engine. Worker speedup only materializes on
-    // multi-core hosts: on a single-CPU container the workers
-    // timeshare and the barrier overhead is all that remains, so read
-    // the 2/4-thread walls together with `host_cpus`.
+    // The nodes × engine matrix (em3d, SWI-DSM): the sequential
+    // single-shard engine and the windowed sharded engine, both on one
+    // thread.
     let host_cpus = std::thread::available_parallelism().map_or(0, std::num::NonZeroUsize::get);
     let _ = writeln!(out, "  \"host_cpus\": {host_cpus},");
     out.push_str("  \"scaling\": [\n");
@@ -531,9 +515,9 @@ fn render_protocol_json(
         let _ = writeln!(
             out,
             "    {{\"app\": \"em3d\", \"nodes\": {}, \"scale\": \"{}\", \"engine\": \"{}\", \
-             \"threads\": {}, \"wall_ms\": {:.1}, \"sim_events\": {}, \"events_per_sec\": {:.0}, \
+             \"wall_ms\": {:.1}, \"sim_events\": {}, \"events_per_sec\": {:.0}, \
              \"exec_cycles\": {}}}{comma}",
-            r.nodes, r.scale, r.engine, r.threads, r.wall_ms, r.sim_events, eps, r.exec_cycles
+            r.nodes, r.scale, r.engine, r.wall_ms, r.sim_events, eps, r.exec_cycles
         );
     }
     out.push_str("  ],\n");
@@ -678,7 +662,7 @@ fn main() {
     }
     let (engine_name, suite_engine) = match engine_arg.as_deref() {
         None | Some("seq") => ("seq", EngineConfig::Sequential),
-        Some("windowed") => ("windowed", EngineConfig::Windowed { threads: 2 }),
+        Some("windowed") => ("windowed", EngineConfig::Windowed { threads: 1 }),
         Some(other) => {
             eprintln!("unknown engine '{other}' (seq|windowed)");
             std::process::exit(2);
@@ -707,7 +691,7 @@ fn main() {
     eprintln!("running end-to-end suite (7 apps x 3 policies, default scale, {engine_name})...");
     let rows = protocol_rows(suite_engine);
     eprintln!("running scaling matrix (nodes 16/64/256 x engines)...");
-    let scaling = scaling_rows(engine_arg.as_deref());
+    let scaling = scaling_rows(engine_arg.is_some().then_some(suite_engine));
     eprintln!("running fault-injection probe (em3d, audited, 2 policies x 2 engines)...");
     let faults = fault_rows();
     let json = render_protocol_json(engine_name, &rows, &scaling, &faults);

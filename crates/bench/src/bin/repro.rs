@@ -2,18 +2,20 @@
 //! evaluation section.
 //!
 //! ```text
-//! repro [EXPERIMENT ...] [--scale quick|default|paper] [--threads N]
+//! repro [EXPERIMENT ...] [--scale quick|default|paper]
 //!       [--engine seq|windowed] [--out DIR]
 //!
 //! EXPERIMENT: config fig6 fig7 fig8 table3 table4 fig9 table5 all
 //!             (default: all)
 //! ```
 //!
-//! `--engine` picks the simulation engine explicitly: `seq` (the
-//! default single-shard engine) or `windowed` (conservative bounded-lag
-//! shards). `--threads N` sets the windowed engine's worker count; on
-//! its own it implies `--engine windowed` (`--threads 0`: sequential). Engine choice perturbs results only by deterministic
-//! same-cycle tie-breaking — see `docs/ARCHITECTURE.md`.
+//! `--engine` picks the simulation engine: `seq` (the default
+//! single-shard engine) or `windowed` (conservative bounded-lag shards,
+//! run on one thread). Engine choice perturbs results only by
+//! deterministic same-cycle tie-breaking — see `docs/ARCHITECTURE.md`.
+//!
+//! Every argument is checked before anything is simulated: an unknown
+//! experiment or option prints the usage and exits with status 2.
 //!
 //! Output goes to stdout and, with `--out`, one text file per
 //! experiment in DIR.
@@ -26,12 +28,28 @@ use specdsm_protocol::{EngineConfig, SpecPolicy};
 use specdsm_types::MachineConfig;
 use specdsm_workloads::AppId;
 
+const USAGE: &str = "usage: repro [config|fig6|fig7|fig8|table3|table4|fig9|table5|all ...] \
+                     [--scale quick|default|paper] [--engine seq|windowed] [--out DIR]";
+
+/// What `all` (or no experiment at all) runs.
+const ALL: [&str; 8] = [
+    "config", "fig6", "fig7", "fig8", "table3", "table4", "fig9", "table5",
+];
+
+/// Experiments run only when named.
+const EXTRA: [&str; 2] = ["detail", "ablation"];
+
+/// Reports a bad command line with the usage and exits with status 2.
+fn bad_args(msg: &str) -> ! {
+    eprintln!("{msg}\n{USAGE}");
+    std::process::exit(2);
+}
+
 fn main() {
     let mut experiments: Vec<String> = Vec::new();
     let mut scale = Scale::Default;
     let mut out_dir: Option<PathBuf> = None;
-    let mut threads: Option<usize> = None;
-    let mut engine: Option<String> = None;
+    let mut engine = EngineConfig::Sequential;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -42,46 +60,35 @@ fn main() {
                     "quick" => Scale::Quick,
                     "default" => Scale::Default,
                     "paper" => Scale::Paper,
-                    other => {
-                        eprintln!("unknown scale '{other}' (quick|default|paper)");
-                        std::process::exit(2);
-                    }
+                    other => bad_args(&format!("unknown scale '{other}' (quick|default|paper)")),
                 };
             }
-            "--threads" => {
-                let v = args.next().unwrap_or_default();
-                threads = Some(v.parse().unwrap_or_else(|_| {
-                    eprintln!("--threads needs a number");
-                    std::process::exit(2);
-                }));
-            }
             "--engine" => {
-                engine = Some(args.next().unwrap_or_default());
+                engine = match args.next().unwrap_or_default().as_str() {
+                    "seq" => EngineConfig::Sequential,
+                    "windowed" => EngineConfig::Windowed { threads: 1 },
+                    other => bad_args(&format!("unknown engine '{other}' (seq|windowed)")),
+                };
             }
             "--out" => {
-                out_dir = Some(PathBuf::from(args.next().unwrap_or_else(|| {
-                    eprintln!("--out needs a directory");
-                    std::process::exit(2);
-                })));
+                out_dir = Some(PathBuf::from(
+                    args.next()
+                        .unwrap_or_else(|| bad_args("--out needs a directory")),
+                ));
             }
             "--help" | "-h" => {
-                println!(
-                    "usage: repro [config|fig6|fig7|fig8|table3|table4|fig9|table5|all ...] \
-                     [--scale quick|default|paper] [--threads N] \
-                     [--engine seq|windowed] [--out DIR]"
-                );
+                println!("{USAGE}");
                 return;
             }
-            other => experiments.push(other.to_string()),
+            other if other.starts_with('-') => bad_args(&format!("unknown option '{other}'")),
+            other if other == "all" || ALL.contains(&other) || EXTRA.contains(&other) => {
+                experiments.push(other.to_string());
+            }
+            other => bad_args(&format!("unknown experiment '{other}'")),
         }
     }
     if experiments.is_empty() || experiments.iter().any(|e| e == "all") {
-        experiments = [
-            "config", "fig6", "fig7", "fig8", "table3", "table4", "fig9", "table5",
-        ]
-        .iter()
-        .map(ToString::to_string)
-        .collect();
+        experiments = ALL.iter().map(ToString::to_string).collect();
     }
 
     if let Some(dir) = &out_dir {
@@ -89,19 +96,7 @@ fn main() {
     }
 
     let mut lab = Lab::new(scale);
-    lab.set_engine(match (engine.as_deref(), threads) {
-        // `--threads N` alone selects the windowed engine (N = 0 for
-        // sequential).
-        (None, None | Some(0)) | (Some("seq"), _) => EngineConfig::Sequential,
-        (None, Some(threads)) => EngineConfig::Windowed { threads },
-        (Some("windowed"), _) => EngineConfig::Windowed {
-            threads: threads.unwrap_or(1).max(1),
-        },
-        (Some(other), _) => {
-            eprintln!("unknown engine '{other}' (seq|windowed)");
-            std::process::exit(2);
-        }
-    });
+    lab.set_engine(engine);
     for exp in &experiments {
         let text = match exp.as_str() {
             "config" => render_config(),
@@ -114,10 +109,7 @@ fn main() {
             "table5" => render_table5(&mut lab),
             "detail" => render_detail(&mut lab),
             "ablation" => render_ablation(scale),
-            other => {
-                eprintln!("unknown experiment '{other}'");
-                std::process::exit(2);
-            }
+            other => unreachable!("experiment '{other}' was validated"),
         };
         println!("{text}");
         if let Some(dir) = &out_dir {

@@ -34,7 +34,7 @@ impl Lab {
     }
 
     /// Switches every subsequent simulation onto `engine` (`repro
-    /// --engine` / `--threads`). Cached runs are dropped — engine
+    /// --engine`). Cached runs are dropped — engine
     /// choice is part of the cache key in spirit.
     pub fn set_engine(&mut self, engine: EngineConfig) {
         self.engine = engine;

@@ -15,8 +15,7 @@ use specdsm_types::{LatencyConfig, NodeId};
 /// every `ni_occupancy` cycles.
 ///
 /// A send decomposes into two halves, because in the sharded engine the
-/// two endpoints may live on different shards (and different worker
-/// threads):
+/// two endpoints may live on different shards:
 ///
 /// * [`Network::depart`] — the *sender-side* half: counts the message,
 ///   acquires the source's outbound NI, and returns the cycle the

@@ -12,18 +12,18 @@
 //!   its queue to exhaustion; cross-node messages deliver immediately,
 //!   exactly like the pre-shard monolithic engine (bit-for-bit).
 //! * **Windowed mode** builds one shard per home and executes them in
-//!   bounded-lag windows (optionally on worker threads). Cross-shard
-//!   messages leave through [`HomeShard::outbox`] carrying their
-//!   deterministic [`SchedKey`] and are merged into the destination
-//!   shard at window barriers.
+//!   bounded-lag windows on the calling thread. Cross-shard messages
+//!   leave through [`HomeShard::outbox`] carrying their deterministic
+//!   [`SchedKey`] and are merged into the destination shard at window
+//!   barriers.
 //!
 //! Everything order-sensitive goes through one per-shard monotone
 //! action counter: event scheduling, network-interface acquisition and
 //! mailbox keys all derive from it, which is what makes windowed runs
-//! independent of the worker-thread count. The protocol handlers
-//! themselves (directory transactions, speculation triggers,
-//! verification feedback) are the former `system.rs` logic, indexed
-//! through the shard's node range.
+//! independent of the order in which the engine visits shards. The
+//! protocol handlers themselves (directory transactions, speculation
+//! triggers, verification feedback) are the former `system.rs` logic,
+//! indexed through the shard's node range.
 //!
 //! Synchronization (barriers, locks) is global state owned by the
 //! engine, not by any shard: a shard encountering a sync operation
@@ -160,9 +160,8 @@ pub(crate) struct HomeShard {
     /// Owned home directories, indexed by `node - lo`.
     pub dirs: Vec<Directory>,
     /// Hash-cons arena backing the [`DirState::Shared`] sharer sets of
-    /// every owned directory. Shard-local (never shared across worker
-    /// threads), so id assignment depends only on this shard's
-    /// deterministic event order.
+    /// every owned directory. Shard-local, so id assignment depends only
+    /// on this shard's deterministic event order.
     pub sets: ReaderSetInterner,
     /// Owned memory buses, indexed by `node - lo`.
     pub mems: Vec<FifoResource>,

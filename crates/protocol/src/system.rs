@@ -11,14 +11,14 @@
 //!   monolithic engine, bit for bit: same event order, same
 //!   network-interface serialization, same statistics.
 //! * [`EngineConfig::Windowed`] — one shard **per home node**, executed
-//!   in conservative bounded-lag windows whose lookahead is the minimum
-//!   cross-node message latency ([`LatencyConfig::one_way`]): a message
-//!   sent inside a window cannot be delivered inside it, so shards
-//!   process windows independently and exchange mailboxes at window
-//!   barriers, merged in deterministic `(cycle, source, sequence)` key
-//!   order. The schedule is a pure function of the simulated machine —
-//!   running the same configuration with 1, 2, or 4 worker threads
-//!   yields **bit-identical** statistics.
+//!   on the calling thread in conservative bounded-lag windows whose
+//!   lookahead is the minimum cross-node message latency
+//!   ([`LatencyConfig::one_way`]): a message sent inside a window cannot
+//!   be delivered inside it, so each shard processes a window on its
+//!   own and the shards exchange mailboxes at window barriers, merged
+//!   in deterministic `(cycle, source, sequence)` key order. The
+//!   schedule is a pure function of the simulated machine, not of the
+//!   order in which shards are visited.
 //!
 //! Synchronization (the barrier and lock managers) is global state the
 //! shards cannot touch: a shard yields sync operations and the engine
@@ -31,8 +31,7 @@
 use std::error::Error;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::Arc;
 
 use specdsm_core::SharingPredictor;
 use specdsm_sim::Cycle;
@@ -53,12 +52,14 @@ pub enum EngineConfig {
     /// engine. The default.
     #[default]
     Sequential,
-    /// Per-home shards under the bounded-lag window scheduler.
-    /// `threads <= 1` runs the rounds on the calling thread; larger
-    /// values distribute shards over that many workers (output is
-    /// identical either way).
+    /// Per-home shards under the bounded-lag window scheduler, run on
+    /// the calling thread.
     Windowed {
-        /// Worker threads (clamped to the shard count; 0 means 1).
+        /// Must be 0 or 1 (both mean the calling thread); any larger
+        /// value makes [`System::new`] return
+        /// [`BuildError::WorkerThreads`]. The field remains only because
+        /// the benchmark constructs it, and goes when the benchmark
+        /// stops doing so.
         threads: usize,
     },
 }
@@ -129,6 +130,12 @@ pub enum BuildError {
         /// Nodes in the machine.
         machine: usize,
     },
+    /// [`EngineConfig::Windowed`] asked for more than one thread; the
+    /// windowed engine runs on the calling thread only.
+    WorkerThreads {
+        /// The requested thread count.
+        requested: usize,
+    },
 }
 
 impl fmt::Display for BuildError {
@@ -138,6 +145,10 @@ impl fmt::Display for BuildError {
             BuildError::ProcCountMismatch { workload, machine } => write!(
                 f,
                 "workload uses {workload} processors but the machine has {machine} nodes"
+            ),
+            BuildError::WorkerThreads { requested } => write!(
+                f,
+                "the windowed engine runs on one thread, but {requested} were requested"
             ),
         }
     }
@@ -152,15 +163,14 @@ impl From<ConfigError> for BuildError {
 }
 
 /// Fatal failure inside the windowed engine, surfaced structurally by
-/// [`System::try_run`] instead of unwinding through the worker
-/// pool.
+/// [`System::try_run`] instead of unwinding.
 ///
 /// A shard panics when it hits a protocol assertion, a coherence-audit
 /// violation, an exhausted retry budget, or the `max_cycles` guard; the
-/// windowed drivers catch the unwind at the window boundary and report
-/// *which* shard failed in *which* window. For diagnosis, re-run the
-/// same configuration under [`EngineConfig::Sequential`] — the failure
-/// replays in a single-threaded event loop where the full panic
+/// windowed driver catches the unwind around each shard's round and
+/// reports *which* shard failed in *which* window. For diagnosis,
+/// re-run the same configuration under [`EngineConfig::Sequential`] —
+/// the failure replays in one event loop where the full panic
 /// backtrace points directly at the offending event.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
@@ -220,7 +230,7 @@ pub struct System {
 }
 
 /// What one shard publishes at a window barrier.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug)]
 struct ShardReport {
     /// Earliest queued event.
     queue: Option<Cycle>,
@@ -321,10 +331,16 @@ impl System {
     ///
     /// # Errors
     ///
-    /// Returns [`BuildError`] if the machine configuration is invalid or
-    /// the workload's processor count does not match the node count.
+    /// Returns [`BuildError`] if the machine configuration is invalid,
+    /// the workload's processor count does not match the node count, or
+    /// the windowed engine is asked for more than one thread.
     pub fn new(cfg: SystemConfig, workload: &dyn Workload) -> Result<Self, BuildError> {
         cfg.machine.validate()?;
+        if let EngineConfig::Windowed { threads } = cfg.engine {
+            if threads > 1 {
+                return Err(BuildError::WorkerThreads { requested: threads });
+            }
+        }
         if let Some(plan) = &cfg.faults {
             plan.validate()?;
         }
@@ -415,7 +431,7 @@ impl System {
     ///
     /// A shard panic during windowed execution (protocol assertion,
     /// coherence-audit violation, retry-budget exhaustion, `max_cycles`)
-    /// is caught at the window boundary and returned as
+    /// is caught around that shard's round and returned as
     /// [`EngineError::WorkerPanic`] naming the shard and window floor.
     /// Sequential runs are not wrapped: they panic in the caller's
     /// thread with a full backtrace, which is exactly what you want
@@ -435,14 +451,7 @@ impl System {
         }
         match self.cfg.engine {
             EngineConfig::Sequential => self.run_sequential(),
-            EngineConfig::Windowed { threads } => {
-                let workers = threads.clamp(1, self.shards.len());
-                if workers <= 1 {
-                    self.run_windowed_serial()?;
-                } else {
-                    self.run_windowed_parallel(workers)?;
-                }
-            }
+            EngineConfig::Windowed { .. } => self.run_windowed()?,
         }
         self.check_quiescent();
         self.check_coherence();
@@ -475,7 +484,7 @@ impl System {
     }
 
     // ------------------------------------------------------------------
-    // Windowed drivers
+    // Windowed driver
     // ------------------------------------------------------------------
 
     /// The window lookahead: the minimum latency of any cross-node
@@ -499,20 +508,67 @@ impl System {
     /// operations in `(cycle, processor)` order (holding any that a
     /// still-running shard could yet pre-empt), computes the next
     /// global floor, and packages per-shard directives. Pure function
-    /// of published shard state — thread count never enters.
-    /// Delegates to [`plan_round_impl`], which the parallel driver
-    /// calls directly.
+    /// of published shard state.
     ///
     /// Returns `None` when no activity remains anywhere: the run is
     /// complete.
     fn plan_round(&mut self, reports: &[ShardReport], staged_bound: Option<Cycle>) -> Option<Plan> {
-        plan_round_impl(
-            &mut self.barrier,
-            &mut self.locks,
-            self.shards.len(),
-            reports,
-            staged_bound,
-        )
+        let mut ops: Vec<SyncOp> = reports.iter().filter_map(|r| r.op).collect();
+        ops.sort_unstable_by_key(|o| (o.at, o.proc.0));
+
+        let mut arb_base: Option<Cycle> = staged_bound;
+        for r in reports {
+            // A parked shard is frozen and cannot discover earlier ops.
+            if r.op.is_none() && !r.sync_blocked {
+                arb_base = opt_min(arb_base, opt_min(r.queue, r.arrivals));
+            }
+        }
+
+        let mut per_shard: Vec<ShardPlan> = (0..self.shards.len())
+            .map(|_| ShardPlan::default())
+            .collect();
+        let mut staged_directives = Vec::new();
+        let mut resume_floor: Option<Cycle> = None;
+        let mut held: Option<Cycle> = None;
+        for op in ops {
+            let bound = opt_min(arb_base, resume_floor);
+            let applicable = bound.is_none_or(|b| op.at < b);
+            if applicable {
+                staged_directives.clear();
+                resolve_sync(
+                    &mut self.barrier,
+                    &mut self.locks,
+                    op,
+                    &mut staged_directives,
+                );
+                for d in staged_directives.drain(..) {
+                    // Processor `i` lives on node `i`, the home of shard `i`.
+                    per_shard[d.proc().0].directives.push(d);
+                }
+                per_shard[op.proc.0].resolved = true;
+                resume_floor = opt_min(resume_floor, Some(op.at + 1));
+            } else {
+                held = opt_min(held, Some(op.at));
+            }
+        }
+
+        // Earliest cycle any sync operation can still fire: a held op, a
+        // new op discovered by a runnable shard (≥ `arb_base`), or an op
+        // reached through a resume granted this round (≥ `resume_floor`).
+        // Monotone across rounds, so "blocked shards never run past
+        // `sync_guard`" stays valid for releases at *any* later barrier.
+        let sync_guard = opt_min(opt_min(arb_base, resume_floor), held).map(|c| c + 1);
+
+        let mut floor = opt_min(staged_bound, resume_floor);
+        floor = opt_min(floor, held.map(|c| c + 1));
+        for r in reports {
+            floor = opt_min(floor, opt_min(r.queue, r.arrivals));
+        }
+        floor.map(|floor| Plan {
+            floor,
+            sync_guard,
+            per_shard,
+        })
     }
 
     /// One shard's share of a window round: apply sync resolutions,
@@ -560,16 +616,17 @@ impl System {
         }
     }
 
-    /// Windowed execution on the calling thread (the `threads <= 1`
-    /// form — and the reference the parallel form must match).
-    fn run_windowed_serial(&mut self) -> Result<(), EngineError> {
+    /// Windowed execution: plan a round, run every shard's share of it,
+    /// route the mail, repeat until the planner finds no activity.
+    fn run_windowed(&mut self) -> Result<(), EngineError> {
         let lookahead = self.lookahead();
         let n = self.shards.len();
         let one_way = self.cfg.machine.latency.one_way();
         // Double-buffered mail staging, per destination shard: `staging`
         // is delivered this round, `next_staging` collects this round's
-        // sends (a shard later in the loop must not see mail staged by
-        // an earlier one — the parallel driver wouldn't).
+        // sends. A shard later in the loop must not see mail an earlier
+        // one sent this round, so a shard's round depends only on the
+        // round's plan and its own state, never on the visiting order.
         let mut staging: Vec<Vec<InFlight>> = (0..n).map(|_| Vec::new()).collect();
         let mut next_staging: Vec<Vec<InFlight>> = (0..n).map(|_| Vec::new()).collect();
         let mut reports: Vec<ShardReport> = Vec::with_capacity(n);
@@ -587,6 +644,8 @@ impl System {
                 break;
             };
             for (i, shard) in self.shards.iter_mut().enumerate() {
+                // A failing shard is reported by id and window floor,
+                // as `EngineError::WorkerPanic`, rather than unwound.
                 catch_unwind(AssertUnwindSafe(|| {
                     Self::shard_round(
                         shard,
@@ -609,192 +668,6 @@ impl System {
             std::mem::swap(&mut staging, &mut next_staging);
         }
         Ok(())
-    }
-
-    /// Windowed execution over `workers` threads: shards are statically
-    /// partitioned; the calling thread plans rounds between barriers.
-    /// Every decision is made by the same [`System::plan_round`]
-    /// as the serial form, from the same published state — the output
-    /// is bit-identical for any worker count.
-    fn run_windowed_parallel(&mut self, workers: usize) -> Result<(), EngineError> {
-        let lookahead = self.lookahead();
-        let n = self.shards.len();
-        let one_way = self.cfg.machine.latency.one_way();
-
-        struct Board {
-            barrier: Barrier,
-            done: AtomicBool,
-            /// Per-shard round plans + floor/sync-guard, set by the leader.
-            round: Mutex<(Vec<ShardPlan>, Cycle, Option<Cycle>)>,
-            /// Mail to deliver this round, per destination shard.
-            staging_in: Vec<Mutex<Vec<InFlight>>>,
-            /// Mail sent during this round, per destination shard.
-            staging_out: Vec<Mutex<Vec<InFlight>>>,
-            /// Per-shard reports published at round end.
-            reports: Vec<Mutex<ShardReport>>,
-            /// First shard failure of the round, if any. Workers catch
-            /// their shards' panics and keep participating in the
-            /// barriers (a raw unwind would deadlock everyone else);
-            /// the leader checks this after each round-end barrier.
-            /// Lowest shard id wins, so the reported error does not
-            /// depend on worker scheduling.
-            failed: Mutex<Option<EngineError>>,
-        }
-
-        let board = Board {
-            barrier: Barrier::new(workers + 1),
-            done: AtomicBool::new(false),
-            round: Mutex::new((Vec::new(), Cycle::ZERO, None)),
-            staging_in: (0..n).map(|_| Mutex::new(Vec::new())).collect(),
-            staging_out: (0..n).map(|_| Mutex::new(Vec::new())).collect(),
-            failed: Mutex::new(None),
-            reports: (0..n).map(|_| Mutex::new(ShardReport::default())).collect(),
-        };
-        for (i, shard) in self.shards.iter().enumerate() {
-            *board.reports[i].lock().unwrap() = Self::report(shard);
-        }
-
-        let parts = scoped_pool::balanced_partition(n, workers);
-        let mut chunks: Vec<&mut [HomeShard]> = Vec::with_capacity(parts.len());
-        let mut rest: &mut [HomeShard] = &mut self.shards;
-        for &(lo, hi) in &parts {
-            let (chunk, tail) = rest.split_at_mut(hi - lo);
-            chunks.push(chunk);
-            rest = tail;
-        }
-
-        // The planner mutates the global sync managers while the shards
-        // are borrowed by the workers; park the managers in a mutex the
-        // leader closure owns for the scope.
-        let barrier_mgr = Mutex::new((
-            std::mem::replace(&mut self.barrier, BarrierManager::new(1)),
-            std::mem::take(&mut self.locks),
-        ));
-        let plan_len = n;
-        let (_, outcome) = scoped_pool::run_with_leader(
-            &mut chunks,
-            |_idx, chunk| {
-                loop {
-                    board.barrier.wait();
-                    if board.done.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    // Read this round's orders.
-                    let (floor, sync_guard, my_plans): (
-                        Cycle,
-                        Option<Cycle>,
-                        Vec<(usize, ShardPlan)>,
-                    ) = {
-                        let mut round = board.round.lock().unwrap();
-                        let (plans, floor, guard) = &mut *round;
-                        let mine = chunk
-                            .iter()
-                            .map(|s| {
-                                let id = s.id as usize;
-                                (id, std::mem::take(&mut plans[id]))
-                            })
-                            .collect();
-                        (*floor, *guard, mine)
-                    };
-                    for (shard, (_, mut plan)) in chunk.iter_mut().zip(my_plans) {
-                        let sid = shard.id as usize;
-                        let mut incoming =
-                            std::mem::take(&mut *board.staging_in[sid].lock().unwrap());
-                        let round = catch_unwind(AssertUnwindSafe(|| {
-                            Self::shard_round(
-                                shard,
-                                &mut plan,
-                                &mut incoming,
-                                floor,
-                                sync_guard,
-                                lookahead,
-                            );
-                        }));
-                        match round {
-                            Ok(()) => {
-                                for m in shard.outbox.drain(..) {
-                                    board.staging_out[m.msg.dst.0].lock().unwrap().push(m);
-                                }
-                                *board.reports[sid].lock().unwrap() = Self::report(shard);
-                            }
-                            Err(payload) => {
-                                let mut failed = board.failed.lock().unwrap();
-                                let replace = match failed.as_ref() {
-                                    None => true,
-                                    Some(EngineError::WorkerPanic { shard: s, .. }) => sid < *s,
-                                };
-                                if replace {
-                                    *failed = Some(EngineError::WorkerPanic {
-                                        shard: sid,
-                                        window_floor: floor.raw(),
-                                        message: panic_message(payload),
-                                    });
-                                }
-                            }
-                        }
-                    }
-                    board.barrier.wait();
-                }
-            },
-            || -> Result<(), EngineError> {
-                loop {
-                    // A failed round means the shards' states are no
-                    // longer trustworthy: stop before planning another.
-                    // (The round-end barrier orders the workers' writes
-                    // to `failed` before this read.)
-                    if let Some(err) = board.failed.lock().unwrap().take() {
-                        board.done.store(true, Ordering::SeqCst);
-                        board.barrier.wait();
-                        return Err(err);
-                    }
-                    // Plan the next round from the published state.
-                    let reports: Vec<ShardReport> = (0..plan_len)
-                        .map(|i| board.reports[i].lock().unwrap().clone())
-                        .collect();
-                    let staged_bound = board
-                        .staging_in
-                        .iter()
-                        .filter_map(|m| {
-                            m.lock()
-                                .unwrap()
-                                .iter()
-                                .map(|x| Cycle(x.key.sched) + one_way)
-                                .min()
-                        })
-                        .min();
-                    let plan = {
-                        let mut mgrs = barrier_mgr.lock().unwrap();
-                        let (bar, locks) = &mut *mgrs;
-                        plan_round_impl(bar, locks, plan_len, &reports, staged_bound)
-                    };
-                    match plan {
-                        None => {
-                            board.done.store(true, Ordering::SeqCst);
-                            board.barrier.wait();
-                            break Ok(());
-                        }
-                        Some(plan) => {
-                            *board.round.lock().unwrap() =
-                                (plan.per_shard, plan.floor, plan.sync_guard);
-                            board.barrier.wait(); // release workers
-                            board.barrier.wait(); // wait for round end
-                                                  // Swap staged mail into next round's inbox.
-                            for i in 0..plan_len {
-                                let mut out = board.staging_out[i].lock().unwrap();
-                                let mut inn = board.staging_in[i].lock().unwrap();
-                                debug_assert!(inn.is_empty());
-                                std::mem::swap(&mut *out, &mut *inn);
-                            }
-                        }
-                    }
-                }
-            },
-        );
-
-        let (bar, locks) = barrier_mgr.into_inner().unwrap();
-        self.barrier = bar;
-        self.locks = locks;
-        outcome
     }
 
     // ------------------------------------------------------------------
@@ -988,69 +861,6 @@ impl System {
             trace,
         }
     }
-}
-
-/// Free-function form of the round planner for the parallel driver
-/// (which cannot hold `&mut self` while workers borrow the shards).
-/// Must stay behaviorally identical to
-/// [`System::plan_round`] — it is the same code path: the
-/// method delegates here.
-fn plan_round_impl(
-    barrier: &mut BarrierManager,
-    locks: &mut LockManager,
-    num_shards: usize,
-    reports: &[ShardReport],
-    staged_bound: Option<Cycle>,
-) -> Option<Plan> {
-    let mut ops: Vec<SyncOp> = reports.iter().filter_map(|r| r.op).collect();
-    ops.sort_unstable_by_key(|o| (o.at, o.proc.0));
-
-    let mut arb_base: Option<Cycle> = staged_bound;
-    for r in reports {
-        // A parked shard is frozen and cannot discover earlier ops.
-        if r.op.is_none() && !r.sync_blocked {
-            arb_base = opt_min(arb_base, opt_min(r.queue, r.arrivals));
-        }
-    }
-
-    let mut per_shard: Vec<ShardPlan> = (0..num_shards).map(|_| ShardPlan::default()).collect();
-    let mut staged_directives = Vec::new();
-    let mut resume_floor: Option<Cycle> = None;
-    let mut held: Option<Cycle> = None;
-    for op in ops {
-        let bound = opt_min(arb_base, resume_floor);
-        let applicable = bound.is_none_or(|b| op.at < b);
-        if applicable {
-            staged_directives.clear();
-            resolve_sync(barrier, locks, op, &mut staged_directives);
-            for d in staged_directives.drain(..) {
-                // Processor `i` lives on node `i`, the home of shard `i`.
-                per_shard[d.proc().0].directives.push(d);
-            }
-            per_shard[op.proc.0].resolved = true;
-            resume_floor = opt_min(resume_floor, Some(op.at + 1));
-        } else {
-            held = opt_min(held, Some(op.at));
-        }
-    }
-
-    // Earliest cycle any sync operation can still fire: a held op, a
-    // new op discovered by a runnable shard (≥ `arb_base`), or an op
-    // reached through a resume granted this round (≥ `resume_floor`).
-    // Monotone across rounds, so "blocked shards never run past
-    // `sync_guard`" stays valid for releases at *any* later barrier.
-    let sync_guard = opt_min(opt_min(arb_base, resume_floor), held).map(|c| c + 1);
-
-    let mut floor = opt_min(staged_bound, resume_floor);
-    floor = opt_min(floor, held.map(|c| c + 1));
-    for r in reports {
-        floor = opt_min(floor, opt_min(r.queue, r.arrivals));
-    }
-    floor.map(|floor| Plan {
-        floor,
-        sync_guard,
-        per_shard,
-    })
 }
 
 impl fmt::Debug for System {
@@ -1467,22 +1277,34 @@ mod tests {
     }
 
     #[test]
-    fn windowed_thread_count_is_unobservable() {
-        for threads in [2, 3, 8] {
-            let one = run_script_on(
-                8,
-                SpecPolicy::SwiFr,
-                EngineConfig::Windowed { threads: 1 },
-                mixed_script(8),
-            );
-            let many = run_script_on(
+    fn windowed_threads_zero_and_one_are_identical() {
+        let run = |threads| {
+            run_script_on(
                 8,
                 SpecPolicy::SwiFr,
                 EngineConfig::Windowed { threads },
                 mixed_script(8),
-            );
-            assert_same_model_output(&one, &many, &format!("{threads} threads"));
-        }
+            )
+        };
+        assert_eq!(format!("{:?}", run(0)), format!("{:?}", run(1)));
+    }
+
+    #[test]
+    fn windowed_rejects_worker_threads() {
+        let cfg = SystemConfig {
+            machine: machine(4),
+            engine: EngineConfig::Windowed { threads: 2 },
+            ..SystemConfig::default()
+        };
+        let err = System::new(
+            cfg,
+            &Script {
+                name: "threads",
+                ops: vec![vec![]; 4],
+            },
+        )
+        .unwrap_err();
+        assert_eq!(err, BuildError::WorkerThreads { requested: 2 });
     }
 
     #[test]
@@ -1491,7 +1313,7 @@ mod tests {
         let stats = run_script_on(
             4,
             SpecPolicy::Base,
-            EngineConfig::Windowed { threads: 2 },
+            EngineConfig::Windowed { threads: 1 },
             vec![vec![], vec![Op::Read(b)], vec![], vec![]],
         );
         assert_eq!(stats.per_proc[1].mem_wait, 418);
@@ -1519,7 +1341,7 @@ mod tests {
         let win = run_script_on(
             4,
             SpecPolicy::Base,
-            EngineConfig::Windowed { threads: 4 },
+            EngineConfig::Windowed { threads: 1 },
             ops,
         );
         assert_same_model_output(&seq, &win, "lock contention");
@@ -1593,31 +1415,18 @@ mod tests {
     }
 
     #[test]
-    fn faulty_thread_count_is_unobservable() {
+    fn windowed_faulty_run_recovers_under_audit() {
         for policy in SpecPolicy::ALL {
-            let plan = heavy_plan(0xFEED);
-            let one = run_faulty(
+            let s = run_faulty(
                 4,
                 policy,
                 EngineConfig::Windowed { threads: 1 },
-                Some(plan.clone()),
+                Some(heavy_plan(0xFEED)),
                 true,
                 mixed_script(4),
             );
-            assert!(one.faults.drops > 0, "{policy}: {:?}", one.faults);
-            assert!(one.faults.retries > 0, "{policy}: {:?}", one.faults);
-            for threads in [2, 4] {
-                let many = run_faulty(
-                    4,
-                    policy,
-                    EngineConfig::Windowed { threads },
-                    Some(plan.clone()),
-                    true,
-                    mixed_script(4),
-                );
-                assert_same_model_output(&one, &many, &format!("{policy}/{threads} faulty"));
-                assert_eq!(one.faults, many.faults, "{policy}/{threads}: fault stats");
-            }
+            assert!(s.faults.drops > 0, "{policy}: {:?}", s.faults);
+            assert!(s.faults.retries > 0, "{policy}: {:?}", s.faults);
         }
     }
 
@@ -1647,7 +1456,7 @@ mod tests {
     fn zero_rate_plan_and_audit_are_inert() {
         for engine in [
             EngineConfig::Sequential,
-            EngineConfig::Windowed { threads: 2 },
+            EngineConfig::Windowed { threads: 1 },
         ] {
             let base = run_script_on(4, SpecPolicy::SwiFr, engine, mixed_script(4));
             let z = run_faulty(
@@ -1663,58 +1472,33 @@ mod tests {
         }
     }
 
+    /// A windowed system whose one remote read cannot complete within
+    /// its 10-cycle `max_cycles` budget, so the shard delivering past
+    /// the limit trips the guard.
+    fn windowed_over_budget() -> System {
+        let cfg = SystemConfig {
+            machine: machine(4),
+            max_cycles: Some(10),
+            engine: EngineConfig::Windowed { threads: 1 },
+            ..SystemConfig::default()
+        };
+        let ops = vec![vec![], vec![Op::Read(homed(0))], vec![], vec![]];
+        System::new(cfg, &Script { name: "tiny", ops }).unwrap()
+    }
+
     #[test]
     fn windowed_failure_surfaces_as_engine_error() {
-        // A remote read cannot complete within 10 cycles, so the shard
-        // delivering past the limit trips the max_cycles guard — which
-        // the windowed drivers must catch and name, not unwind.
-        let ops = vec![vec![], vec![Op::Read(homed(0))], vec![], vec![]];
-        let mut errs = Vec::new();
-        for threads in [1, 2] {
-            let cfg = SystemConfig {
-                machine: machine(4),
-                max_cycles: Some(10),
-                engine: EngineConfig::Windowed { threads },
-                ..SystemConfig::default()
-            };
-            let sys = System::new(
-                cfg,
-                &Script {
-                    name: "tiny",
-                    ops: ops.clone(),
-                },
-            )
-            .unwrap();
-            let err = sys.try_run().unwrap_err();
-            let msg = err.to_string();
-            assert!(msg.contains("max_cycles"), "inner message kept: {msg}");
-            assert!(msg.contains("shard"), "failing shard named: {msg}");
-            errs.push(err);
-        }
-        assert_eq!(
-            errs[0], errs[1],
-            "structured error is thread-count independent"
-        );
+        // The windowed driver must catch and name the failure, not
+        // unwind.
+        let msg = windowed_over_budget().try_run().unwrap_err().to_string();
+        assert!(msg.contains("max_cycles"), "inner message kept: {msg}");
+        assert!(msg.contains("shard"), "failing shard named: {msg}");
     }
 
     #[test]
     #[should_panic(expected = "max_cycles")]
     fn run_panics_on_windowed_failure() {
-        let cfg = SystemConfig {
-            machine: machine(4),
-            max_cycles: Some(10),
-            engine: EngineConfig::Windowed { threads: 2 },
-            ..SystemConfig::default()
-        };
-        let _ = System::new(
-            cfg,
-            &Script {
-                name: "tiny",
-                ops: vec![vec![], vec![Op::Read(homed(0))], vec![], vec![]],
-            },
-        )
-        .unwrap()
-        .run();
+        let _ = windowed_over_budget().run();
     }
 
     #[test]
@@ -1723,7 +1507,7 @@ mod tests {
         let cfg = SystemConfig {
             machine: machine(2),
             record_trace: true,
-            engine: EngineConfig::Windowed { threads: 2 },
+            engine: EngineConfig::Windowed { threads: 1 },
             ..SystemConfig::default()
         };
         let script = Script {
