@@ -5,7 +5,7 @@
 //! through it once. The order of same-cycle events is not the implicit
 //! *insertion* order but an explicit [`SchedKey`] supplied by the
 //! caller. That makes the order **reconstructible across execution
-//! strategies** — the property the parallel sharded engine is built
+//! strategies** — the property the windowed sharded engine is built
 //! on:
 //!
 //! * In a single sequential event loop, insertion order and key order
@@ -14,12 +14,12 @@
 //!   same-cycle events.
 //! * In bounded-lag windowed execution, a cross-shard message is
 //!   scheduled at its *receiver* one window barrier after it was sent.
-//!   Insertion order then depends on window boundaries (and would make
-//!   thread count observable); the key — `(scheduling cycle, source
+//!   Insertion order then depends on window boundaries and on the
+//!   order shards are visited; the key — `(scheduling cycle, source
 //!   shard, per-source sequence)` captured at the *send* — does not.
 //!
 //! See `docs/ARCHITECTURE.md` (repo root) for how the key ordering
-//! yields bit-identical parallel and sequential runs.
+//! makes windowed runs deterministic.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -50,7 +50,8 @@ const WHEEL_WORDS: usize = WHEEL_SLOTS / 64;
 /// For two same-cycle events this reproduces the order a single
 /// sequential loop would have popped them in, except when two *distinct
 /// shards* schedule at the same `sched` cycle — there the `src` index
-/// breaks the tie, deterministically and independently of thread count.
+/// breaks the tie, deterministically and independently of the order the
+/// shards run in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SchedKey {
     /// Cycle of the scheduling action.

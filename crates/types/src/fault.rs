@@ -6,9 +6,10 @@
 //! plan itself holds **no mutable state**: every decision is a pure
 //! function of `(seed, src, dst, request sequence, attempt)` — the same
 //! SplitMix64 absorption the workload [`Jitter`] source uses — so
-//! Base-, FR-, and SWI-DSM runs, and windowed runs at any worker-thread
-//! count, see the identical fault schedule. That statelessness is what
-//! keeps the shard differential tests meaningful under faults.
+//! Base-, FR-, and SWI-DSM runs see the identical fault schedule, and a
+//! windowed run's schedule does not depend on the order in which its
+//! shards are visited. That statelessness is what keeps faulty runs
+//! reproducible.
 //!
 //! Only the three *request* messages (read, write, upgrade) are ever
 //! faulted. Replies, invalidations, and acknowledgements ride the
@@ -56,7 +57,7 @@ impl FaultDecision {
 /// let plan = FaultPlan::light(42);
 /// plan.validate().expect("built-in plans are valid");
 /// // Decisions are a pure function of the coordinates: same inputs,
-/// // same fault, on every engine and at every thread count.
+/// // same fault, on every engine.
 /// let a = plan.decide(3, 7, 19, 0, 12_345);
 /// assert_eq!(a, plan.decide(3, 7, 19, 0, 12_345));
 /// // A retry (attempt 1) of the same request redraws its fate.

@@ -19,8 +19,8 @@
 //! the same sets in the same order produce the same ids. The dedup
 //! index is a digest → candidate-id map that is only ever *probed*
 //! (never iterated), so its internal ordering cannot leak into model
-//! outputs. Sharded engines give each shard its own interner, keeping
-//! the arena single-writer and the shard state `Send`.
+//! outputs. The windowed engine gives each shard its own interner, so
+//! a shard's ids follow its own event order alone.
 
 use std::borrow::Cow;
 use std::collections::HashMap;

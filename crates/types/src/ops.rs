@@ -58,8 +58,9 @@ impl fmt::Display for Op {
 
 /// A lazy per-processor operation stream.
 ///
-/// Streams are `Send` so the sharded protocol engine can move each
-/// processor (and its pending stream) onto a worker thread.
+/// Streams are `Send` so a whole simulated system, streams included, can
+/// move to another thread (for example to run independent simulations
+/// concurrently).
 pub type OpStream = Box<dyn Iterator<Item = Op> + Send>;
 
 /// A multiprocessor workload: a factory for one [`OpStream`] per

@@ -4,8 +4,8 @@
 //! barrier-separated. These generators are built to be rude — long
 //! barrier-free bursts of cross-node coherence traffic whose reply and
 //! forward chains cross shard boundaries inside every window of the
-//! windowed engine. The differential suite runs them under every engine
-//! and thread count and demands bit-identical statistics.
+//! windowed engine. The differential suite runs them on both engines
+//! and demands that the windowed one tracks the sequential one.
 
 use std::sync::Arc;
 

@@ -176,8 +176,7 @@ pub fn suite(machine: &MachineConfig, scale: Scale) -> Vec<Box<dyn Workload>> {
 ///
 /// Like [`Jitter`](crate::Jitter), every decision derived from the plan
 /// is a pure function of `(seed, src, dst, seq, attempt)`, so Base, FR,
-/// and SWI runs — at any thread count — face the identical fault
-/// schedule.
+/// and SWI runs face the identical fault schedule.
 #[must_use]
 pub fn fault_plan(seed: u64) -> FaultPlan {
     FaultPlan::light(seed)
