@@ -25,7 +25,10 @@
 //!   the footprint fits and the rows equal the infinite-cache ones;
 //! - `model-finite4`/`proc-finite4` rows repeat them with 4-block
 //!   caches, which evict at both scales, so the quick-scale `cargo
-//!   test` covers the eviction path too.
+//!   test` covers the eviction path too;
+//! - `model-n64`/`model-n256` rows carry the `model` counters of em3d
+//!   under SWI+FR on 64 and 256 nodes. The 64-node run uses the scale
+//!   under test; the 256-node run always uses the quick inputs.
 //!
 //! Any engine or protocol refactor that changes what the machine does
 //! shows up here.
@@ -69,15 +72,17 @@ fn fixture(scale: Scale) -> &'static str {
     }
 }
 
-/// One simulation of `app` under `policy` on the paper machine.
+/// One simulation of `app` under `policy` on a paper machine with
+/// `nodes` nodes.
 fn run_app(
     app: AppId,
     policy: SpecPolicy,
     scale: Scale,
+    nodes: usize,
     engine: EngineConfig,
     cache_blocks: Option<usize>,
 ) -> RunStats {
-    let machine = MachineConfig::paper_machine();
+    let machine = MachineConfig::with_nodes(nodes);
     let w = app.build(&machine, scale);
     let cfg = SystemConfig {
         machine,
@@ -211,6 +216,7 @@ fn render_golden(scale: Scale) -> Golden {
     out.push_str("# proc: access counters, per-processor compute/sync/mem_wait cycles.\n");
     out.push_str("# model-finite/proc-finite: em3d with 16-block caches.\n");
     out.push_str("# model-finite4/proc-finite4: em3d with 4-block caches.\n");
+    out.push_str("# model-n64/model-n256: em3d SWI+FR on 64 nodes, and on 256 at quick scale.\n");
     if scale == Scale::Default {
         out.push_str(
             "# Regenerate with UPDATE_GOLDEN=1 SPECDSM_DIFF_SCALE=default \
@@ -238,7 +244,7 @@ fn render_golden(scale: Scale) -> Golden {
     let mut model = Vec::new();
     for app in AppId::ALL {
         for policy in SpecPolicy::ALL {
-            let r = run_app(app, policy, scale, EngineConfig::Sequential, None);
+            let r = run_app(app, policy, scale, 16, EngineConfig::Sequential, None);
             write_model_row(&mut out, "model", app, policy, &r);
             model.push((app, policy, r));
         }
@@ -249,6 +255,7 @@ fn render_golden(scale: Scale) -> Golden {
                 app,
                 policy,
                 scale,
+                16,
                 EngineConfig::Windowed { threads: 1 },
                 None,
             );
@@ -273,6 +280,7 @@ fn render_golden(scale: Scale) -> Golden {
             AppId::Em3d,
             policy,
             scale,
+            16,
             EngineConfig::Sequential,
             Some(16),
         );
@@ -285,12 +293,26 @@ fn render_golden(scale: Scale) -> Golden {
             AppId::Em3d,
             policy,
             scale,
+            16,
             EngineConfig::Sequential,
             Some(4),
         );
         write_model_row(&mut out, "model-finite4", AppId::Em3d, policy, &r);
         write_proc_row(&mut out, "proc-finite4", AppId::Em3d, policy, &r);
         finite4.push((policy, r));
+    }
+    // Wider machines: 64 nodes fill the inline reader-set word, 256
+    // spill every shared reader set into the interner.
+    for (label, nodes, scale) in [("model-n64", 64, scale), ("model-n256", 256, Scale::Quick)] {
+        let r = run_app(
+            AppId::Em3d,
+            SpecPolicy::SwiFr,
+            scale,
+            nodes,
+            EngineConfig::Sequential,
+            None,
+        );
+        write_model_row(&mut out, label, AppId::Em3d, SpecPolicy::SwiFr, &r);
     }
     Golden {
         text: out,
