@@ -2,34 +2,30 @@
 //! evaluation section.
 //!
 //! ```text
-//! repro [EXPERIMENT ...] [--scale quick|default|paper]
-//!       [--engine seq|windowed] [--out DIR]
+//! repro [EXPERIMENT ...] [--scale quick|default|paper] [--out DIR]
 //!
 //! EXPERIMENT: config fig6 fig7 fig8 table3 table4 fig9 table5 all
 //!             (default: all)
 //! ```
 //!
-//! `--engine` picks the simulation engine: `seq` (the default
-//! single-shard engine) or `windowed` (conservative bounded-lag shards,
-//! run on one thread). Engine choice perturbs results only by
-//! deterministic same-cycle tie-breaking — see `docs/ARCHITECTURE.md`.
-//!
 //! Every argument is checked before anything is simulated: an unknown
 //! experiment or option prints the usage and exits with status 2.
 //!
 //! Output goes to stdout and, with `--out`, one text file per
-//! experiment in DIR.
+//! experiment in DIR. DIR is created before anything is simulated; if
+//! it cannot be created, or an experiment's file cannot be written,
+//! `repro` names the path and the error and exits with status 1.
 
 use std::fmt::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use specdsm_bench::{fig6, fig7, fig8, fig9, table3, table4, table5, Lab, Scale, TextTable};
-use specdsm_protocol::{EngineConfig, SpecPolicy};
+use specdsm_protocol::SpecPolicy;
 use specdsm_types::MachineConfig;
 use specdsm_workloads::AppId;
 
 const USAGE: &str = "usage: repro [config|fig6|fig7|fig8|table3|table4|fig9|table5|all ...] \
-                     [--scale quick|default|paper] [--engine seq|windowed] [--out DIR]";
+                     [--scale quick|default|paper] [--out DIR]";
 
 /// What `all` (or no experiment at all) runs.
 const ALL: [&str; 8] = [
@@ -45,11 +41,16 @@ fn bad_args(msg: &str) -> ! {
     std::process::exit(2);
 }
 
+/// Reports an I/O error on `path` and exits with status 1.
+fn io_failure(action: &str, path: &Path, err: &std::io::Error) -> ! {
+    eprintln!("cannot {action} {}: {err}", path.display());
+    std::process::exit(1);
+}
+
 fn main() {
     let mut experiments: Vec<String> = Vec::new();
     let mut scale = Scale::Default;
     let mut out_dir: Option<PathBuf> = None;
-    let mut engine = EngineConfig::Sequential;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -61,13 +62,6 @@ fn main() {
                     "default" => Scale::Default,
                     "paper" => Scale::Paper,
                     other => bad_args(&format!("unknown scale '{other}' (quick|default|paper)")),
-                };
-            }
-            "--engine" => {
-                engine = match args.next().unwrap_or_default().as_str() {
-                    "seq" => EngineConfig::Sequential,
-                    "windowed" => EngineConfig::Windowed { threads: 1 },
-                    other => bad_args(&format!("unknown engine '{other}' (seq|windowed)")),
                 };
             }
             "--out" => {
@@ -92,11 +86,12 @@ fn main() {
     }
 
     if let Some(dir) = &out_dir {
-        std::fs::create_dir_all(dir).expect("create output directory");
+        if let Err(e) = std::fs::create_dir_all(dir) {
+            io_failure("create", dir, &e);
+        }
     }
 
     let mut lab = Lab::new(scale);
-    lab.set_engine(engine);
     for exp in &experiments {
         let text = match exp.as_str() {
             "config" => render_config(),
@@ -113,7 +108,10 @@ fn main() {
         };
         println!("{text}");
         if let Some(dir) = &out_dir {
-            std::fs::write(dir.join(format!("{exp}.txt")), &text).expect("write experiment output");
+            let path = dir.join(format!("{exp}.txt"));
+            if let Err(e) = std::fs::write(&path, &text) {
+                io_failure("write", &path, &e);
+            }
         }
     }
 }

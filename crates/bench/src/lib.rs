@@ -23,7 +23,6 @@
 
 mod experiments;
 mod lab;
-mod streams;
 mod table;
 
 pub use experiments::{
@@ -31,7 +30,6 @@ pub use experiments::{
     Table4Row, Table5Row,
 };
 pub use lab::Lab;
-pub use streams::producer_consumer_stream;
 pub use table::TextTable;
 
 pub use specdsm_workloads::{AppId, Scale};

@@ -1,4 +1,5 @@
-//! `repro` rejects a bad command line before it simulates anything.
+//! `repro` rejects a bad command line, or an output directory it cannot
+//! create, before it simulates anything.
 
 use std::process::{Command, Output};
 
@@ -19,7 +20,7 @@ fn bad_arguments_fail_before_any_experiment_runs() {
         (&["fig7", "fig10"][..], "unknown experiment 'fig10'"),
         (&["--jobs", "4"], "unknown option '--jobs'"),
         (&["config", "-j"], "unknown option '-j'"),
-        (&["--engine", "parallel"], "unknown engine 'parallel'"),
+        (&["--engine", "windowed"], "unknown option '--engine'"),
         (&["fig7", "--scale", "huge"], "unknown scale 'huge'"),
     ] {
         let out = repro(args);
@@ -33,7 +34,35 @@ fn bad_arguments_fail_before_any_experiment_runs() {
 
 #[test]
 fn valid_arguments_run() {
-    let out = repro(&["config", "--engine", "windowed", "--scale", "quick"]);
+    let out = repro(&["config", "--scale", "quick"]);
     assert!(out.status.success(), "{out:?}");
     assert!(!out.stdout.is_empty());
+}
+
+/// An `--out` path that exists as a file cannot become the output
+/// directory: `repro` names it, exits with status 1 and renders nothing.
+#[test]
+fn unusable_out_directory_fails_before_any_experiment_runs() {
+    let file = env!("CARGO_BIN_EXE_repro");
+    let out = repro(&["config", "--out", file]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains(&format!("cannot create {file}:")),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty(), "rendered output");
+}
+
+/// An experiment file that cannot be written is reported the same way.
+#[test]
+fn unwritable_experiment_file_exits_with_status_1() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("repro_unwritable");
+    // A directory where `config.txt` should go makes the write fail.
+    std::fs::create_dir_all(dir.join("config.txt")).expect("create blocking directory");
+    let out = repro(&["config", "--out", dir.to_str().expect("utf-8 path")]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("cannot write "), "{stderr}");
+    assert!(stderr.contains("config.txt:"), "{stderr}");
 }

@@ -97,7 +97,7 @@ pub struct RunStats {
     /// Discrete events processed by the simulation loop (resumes,
     /// deliveries, directory releases). Simulator-side work, not a
     /// property of the modeled machine; `sim_events / wall time` is the
-    /// simulator-throughput metric tracked in `BENCH_protocol.json`.
+    /// simulator throughput perfbench reports as `mitems_per_s`.
     pub sim_events: u64,
     /// Per-processor breakdowns.
     pub per_proc: Vec<ProcStats>,

@@ -1,8 +1,7 @@
 //! Micro-benchmark sharing patterns.
 //!
 //! Minimal workloads isolating one sharing pattern each — the building
-//! blocks the seven applications compose. Used by tests, examples, and
-//! ablation benches.
+//! blocks the seven applications compose. Used by tests and examples.
 
 use std::sync::Arc;
 
