@@ -28,7 +28,12 @@
 //!   test` covers the eviction path too;
 //! - `model-n64`/`model-n256` rows carry the `model` counters of em3d
 //!   under SWI+FR on 64 and 256 nodes. The 64-node run uses the scale
-//!   under test; the 256-node run always uses the quick inputs.
+//!   under test; the 256-node run always uses the quick inputs;
+//! - `model-adv` rows carry the `model` counters of the hotspot and
+//!   false-sharing storms from `adversarial_suite` under each system,
+//!   with the coherence auditor on. They deliver a `WriteReq` to an
+//!   `Exclusive` block whose transaction is still in flight, which no
+//!   application run does.
 //!
 //! Any engine or protocol refactor that changes what the machine does
 //! shows up here.
@@ -52,7 +57,11 @@
 use std::fmt::Write as _;
 use std::sync::OnceLock;
 
-use specdsm::prelude::{AppId, MachineConfig, RunStats, Scale, System, SystemConfig};
+use std::fmt::Display;
+
+use specdsm::prelude::{
+    adversarial_suite, AppId, MachineConfig, RunStats, Scale, System, SystemConfig,
+};
 use specdsm::protocol::{EngineConfig, SpecPolicy};
 use specdsm_bench::{fig7, table3, Fig7Row, Lab};
 
@@ -104,7 +113,13 @@ fn policy_label(policy: SpecPolicy) -> &'static str {
 }
 
 /// The full machine-counter row of one sequential run.
-fn write_model_row(out: &mut String, label: &str, app: AppId, policy: SpecPolicy, r: &RunStats) {
+fn write_model_row(
+    out: &mut String,
+    label: &str,
+    app: impl Display,
+    policy: SpecPolicy,
+    r: &RunStats,
+) {
     let s = r.spec;
     let _ = write!(
         out,
@@ -217,6 +232,7 @@ fn render_golden(scale: Scale) -> Golden {
     out.push_str("# model-finite/proc-finite: em3d with 16-block caches.\n");
     out.push_str("# model-finite4/proc-finite4: em3d with 4-block caches.\n");
     out.push_str("# model-n64/model-n256: em3d SWI+FR on 64 nodes, and on 256 at quick scale.\n");
+    out.push_str("# model-adv: hotspot and false-sharing storms, auditor on.\n");
     if scale == Scale::Default {
         out.push_str(
             "# Regenerate with UPDATE_GOLDEN=1 SPECDSM_DIFF_SCALE=default \
@@ -313,6 +329,24 @@ fn render_golden(scale: Scale) -> Golden {
             None,
         );
         write_model_row(&mut out, label, AppId::Em3d, SpecPolicy::SwiFr, &r);
+    }
+    // The storms reach a `WriteReq` on a busy `Exclusive` block; the
+    // migratory ping-pong reaches nothing the applications do not.
+    let machine = MachineConfig::paper_machine();
+    for w in adversarial_suite(&machine, scale) {
+        if !matches!(w.name(), "hotspot-storm" | "false-sharing-storm") {
+            continue;
+        }
+        for policy in SpecPolicy::ALL {
+            let cfg = SystemConfig {
+                machine: machine.clone(),
+                policy,
+                audit: true,
+                ..SystemConfig::default()
+            };
+            let r = System::new(cfg, w.as_ref()).expect("valid config").run();
+            write_model_row(&mut out, "model-adv", w.name(), policy, &r);
+        }
     }
     Golden {
         text: out,
