@@ -5,8 +5,13 @@
 //! repro [EXPERIMENT ...] [--scale quick|default|paper] [--out DIR]
 //!
 //! EXPERIMENT: config fig6 fig7 fig8 table3 table4 fig9 table5 all
+//!             detail ablation
 //!             (default: all)
 //! ```
+//!
+//! `all` stands for the eight paper experiments; `detail` and
+//! `ablation` run only when named. Each experiment runs once, in the
+//! order it was first named.
 //!
 //! Every argument is checked before anything is simulated: an unknown
 //! experiment or option prints the usage and exits with status 2.
@@ -56,7 +61,9 @@ fn main() {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--scale" => {
-                let v = args.next().unwrap_or_default();
+                let v = args
+                    .next()
+                    .unwrap_or_else(|| bad_args("--scale needs a value"));
                 scale = match v.as_str() {
                     "quick" => Scale::Quick,
                     "default" => Scale::Default,
@@ -76,12 +83,17 @@ fn main() {
             }
             other if other.starts_with('-') => bad_args(&format!("unknown option '{other}'")),
             other if other == "all" || ALL.contains(&other) || EXTRA.contains(&other) => {
-                experiments.push(other.to_string());
+                let named: &[&str] = if other == "all" { &ALL } else { &[other] };
+                for &name in named {
+                    if !experiments.iter().any(|e| e == name) {
+                        experiments.push(name.to_string());
+                    }
+                }
             }
             other => bad_args(&format!("unknown experiment '{other}'")),
         }
     }
-    if experiments.is_empty() || experiments.iter().any(|e| e == "all") {
+    if experiments.is_empty() {
         experiments = ALL.iter().map(ToString::to_string).collect();
     }
 

@@ -22,6 +22,7 @@ fn bad_arguments_fail_before_any_experiment_runs() {
         (&["config", "-j"], "unknown option '-j'"),
         (&["--engine", "windowed"], "unknown option '--engine'"),
         (&["fig7", "--scale", "huge"], "unknown scale 'huge'"),
+        (&["--scale"], "--scale needs a value"),
     ] {
         let out = repro(args);
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -37,6 +38,23 @@ fn valid_arguments_run() {
     let out = repro(&["config", "--scale", "quick"]);
     assert!(out.status.success(), "{out:?}");
     assert!(!out.stdout.is_empty());
+}
+
+/// `all` expands in place: the experiments named beside it still run,
+/// and each of the twelve section headers appears exactly once.
+#[test]
+fn all_keeps_the_extra_experiments() {
+    let out = repro(&["all", "detail", "ablation", "--scale", "quick"]);
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let headers: Vec<&str> = stdout
+        .lines()
+        .filter(|l| l.starts_with("== ") && l.ends_with(" =="))
+        .collect();
+    assert_eq!(headers.len(), 12, "{headers:#?}");
+    for h in &headers {
+        assert_eq!(headers.iter().filter(|x| *x == h).count(), 1, "{h}");
+    }
 }
 
 /// An `--out` path that exists as a file cannot become the output

@@ -31,9 +31,9 @@
 //! The crate also hosts the decision logic of the speculative DSM:
 //! [`SwiTable`] (the Speculative Write-Invalidation early-write-invalidate
 //! table, one entry per processor) and the VMSP speculation hooks
-//! ([`Vmsp::predicted_readers`], [`Vmsp::speculate_readers`],
-//! [`Vmsp::prune_reader`]) used by the protocol crate to implement the
-//! FR and SWI trigger mechanisms.
+//! ([`Vmsp::predicted_readers_at`], [`Vmsp::speculate_readers_at`],
+//! [`Vmsp::prune_reader_at`]) used by the protocol crate to implement
+//! the FR and SWI trigger mechanisms.
 //!
 //! # Example: the paper's Figure 3/4 producer–consumer pattern
 //!

@@ -51,30 +51,6 @@ impl SwiTable {
         let prev = self.last_write.insert(proc, block);
         prev.filter(|&b| b != block)
     }
-
-    /// The block `proc` last wrote, if any.
-    #[must_use]
-    pub fn last_write(&self, proc: ProcId) -> Option<BlockAddr> {
-        self.last_write.get(&proc).copied()
-    }
-
-    /// Forgets a processor's entry (e.g. when the block is invalidated
-    /// through the normal protocol before SWI could act).
-    pub fn clear(&mut self, proc: ProcId) {
-        self.last_write.remove(&proc);
-    }
-
-    /// Number of processors currently tracked.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.last_write.len()
-    }
-
-    /// Whether the table is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.last_write.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -92,8 +68,8 @@ mod tests {
         let mut t = SwiTable::new();
         t.note_write(ProcId(0), BlockAddr(1));
         assert_eq!(t.note_write(ProcId(0), BlockAddr(1)), None);
-        // Still tracked.
-        assert_eq!(t.last_write(ProcId(0)), Some(BlockAddr(1)));
+        // Still tracked: the next different block signals it.
+        assert_eq!(t.note_write(ProcId(0), BlockAddr(2)), Some(BlockAddr(1)));
     }
 
     #[test]
@@ -109,15 +85,8 @@ mod tests {
         let mut t = SwiTable::new();
         t.note_write(ProcId(0), BlockAddr(1));
         assert_eq!(t.note_write(ProcId(1), BlockAddr(2)), None);
-        assert_eq!(t.len(), 2);
-    }
-
-    #[test]
-    fn clear_forgets() {
-        let mut t = SwiTable::new();
-        t.note_write(ProcId(0), BlockAddr(1));
-        t.clear(ProcId(0));
-        assert!(t.is_empty());
-        assert_eq!(t.note_write(ProcId(0), BlockAddr(2)), None);
+        // Each processor's next write signals only its own block.
+        assert_eq!(t.note_write(ProcId(0), BlockAddr(3)), Some(BlockAddr(1)));
+        assert_eq!(t.note_write(ProcId(1), BlockAddr(4)), Some(BlockAddr(2)));
     }
 }

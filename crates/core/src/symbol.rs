@@ -48,15 +48,6 @@ impl Symbol {
         }
     }
 
-    /// The interned reader vector if this symbol is a read sequence.
-    #[must_use]
-    pub fn read_vec(&self) -> Option<SetId> {
-        match *self {
-            Symbol::ReadVec(v) => Some(v),
-            _ => None,
-        }
-    }
-
     /// The symbol's contribution to a rolling [`HistoryKey`]: a
     /// two-round SplitMix64 over the symbol's `(type tag, payload)`
     /// pair. The tag is diffused first and the **full 64-bit payload**
@@ -232,9 +223,7 @@ mod tests {
     fn accessors() {
         let s = Symbol::Req(ReqKind::Write, ProcId(4));
         assert_eq!(s.request(), Some((ReqKind::Write, ProcId(4))));
-        assert_eq!(s.read_vec(), None);
         let v = read_vec_of(&[1]);
-        assert_eq!(v.read_vec(), Some(SetId::from_bits(1 << 1)));
         assert_eq!(v.request(), None);
     }
 

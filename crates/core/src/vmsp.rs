@@ -45,17 +45,13 @@ const DEFAULT_PAGE_BLOCKS: u64 = 128;
 /// encoding and a slightly slower learning speed.
 ///
 /// VMSP is also the predictor driving the speculative DSM (paper §7.4):
-/// [`Vmsp::predicted_readers`] answers "who will read next" for the FR
-/// and SWI triggers, [`Vmsp::speculate_readers`] keeps the open vector
-/// consistent when the directory forwards copies speculatively, and
-/// [`Vmsp::prune_reader`] applies the piggy-backed verification feedback.
-///
-/// The protocol uses the slot-addressed variants of these methods
-/// (`*_at`, taking a [`VSlot`] resolved once per message); the
-/// address-based methods remain for offline evaluation, tests, and
-/// examples, and — like the directory's public queries — report **no
-/// state** for blocks without allocated predictor state rather than
-/// aliasing onto an unrelated slot.
+/// [`Vmsp::predicted_readers_at`] answers "who will read next" for the
+/// FR and SWI triggers, [`Vmsp::speculate_readers_at`] keeps the open
+/// vector consistent when the directory forwards copies speculatively,
+/// and [`Vmsp::prune_reader_at`] applies the piggy-backed verification
+/// feedback. Every speculation query takes a [`VSlot`], resolved once
+/// per message with [`Vmsp::slot_of`] (or, guarded against foreign
+/// blocks, [`Vmsp::resolve_at_home`]).
 ///
 /// # Example
 ///
@@ -77,7 +73,8 @@ const DEFAULT_PAGE_BLOCKS: u64 = 128;
 ///
 /// // After the upgrade, the predicted readers are {P1, P2}.
 /// vmsp.observe(b, DirMsg::upgrade(ProcId(3)));
-/// let (readers, _ticket) = vmsp.predicted_readers(b).unwrap();
+/// let slot = vmsp.slot_of(b);
+/// let (readers, _ticket) = vmsp.predicted_readers_at(slot).unwrap();
 /// assert_eq!(readers, ReaderSet::from_iter([ProcId(1), ProcId(2)]));
 /// ```
 #[derive(Debug, Clone)]
@@ -141,7 +138,7 @@ impl VBlock {
 /// `VSlot` **once** (one [`HomeGeometry`] index computation, shared
 /// with the directory's `DirSlot`) and then reaches the block's
 /// predictor state by direct indexing for the rest of the transaction
-/// step — observe, `predicted_readers`, and ticket bookkeeping make
+/// step — observe, `predicted_readers_at`, and ticket bookkeeping make
 /// zero hash-map probes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct VSlot {
@@ -182,12 +179,13 @@ pub enum SpecTrigger {
 /// was triggered, so verification feedback can find the entry later.
 ///
 /// The carried [`HistoryKey`] is the pattern table's index, so feedback
-/// consumption ([`Vmsp::prune_reader`], [`Vmsp::mark_swi_premature`])
-/// is a direct O(1) lookup — the ticket *is* the reverse index into
-/// the table.
+/// consumption ([`Vmsp::prune_reader_at`],
+/// [`Vmsp::mark_swi_premature_at`]) is a direct O(1) lookup — the
+/// ticket *is* the reverse index into the table.
 ///
-/// Returned by [`Vmsp::predicted_readers`] / [`Vmsp::swi_ticket`];
-/// consumed by [`Vmsp::prune_reader`] / [`Vmsp::mark_swi_premature`].
+/// Returned by [`Vmsp::predicted_readers_at`] / [`Vmsp::swi_ticket_at`];
+/// consumed by [`Vmsp::prune_reader_at`] /
+/// [`Vmsp::mark_swi_premature_at`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SpecTicket {
     key: HistoryKey,
@@ -315,27 +313,6 @@ impl Vmsp {
         &mut self.homes[slot.home as usize].table[slot.idx as usize]
     }
 
-    /// Guarded address-based lookup for the public query methods: no
-    /// growth, no aliasing (the home dimension comes from the block's
-    /// own address), and pristine slots report no state exactly like
-    /// the sparse map this arena replaced.
-    fn lookup(&self, block: BlockAddr) -> Option<&VBlock> {
-        let home = self.geom.home_of(block);
-        let idx = self.geom.local_index(block);
-        self.homes.get(home.0)?.table.get(idx).filter(|b| b.active)
-    }
-
-    /// Mutable form of [`Vmsp::lookup`] (still non-growing).
-    fn lookup_mut(&mut self, block: BlockAddr) -> Option<&mut VBlock> {
-        let home = self.geom.home_of(block);
-        let idx = self.geom.local_index(block);
-        self.homes
-            .get_mut(home.0)?
-            .table
-            .get_mut(idx)
-            .filter(|b| b.active)
-    }
-
     // ------------------------------------------------------------------
     // Slot-addressed hot path (used by the speculative protocol)
     // ------------------------------------------------------------------
@@ -407,36 +384,71 @@ impl Vmsp {
         obs
     }
 
-    /// Slot-addressed form of [`Vmsp::predicted_readers`].
+    /// The predicted read vector for the current history of the block
+    /// at `slot`, with a ticket for later verification pruning. `None`
+    /// when the history is cold (including a slot the predictor never
+    /// observed) or the predicted successor is not a read vector.
     #[must_use]
     pub fn predicted_readers_at(&self, slot: VSlot) -> Option<(ReaderSet, SpecTicket)> {
-        self.predicted_readers_of(self.at(slot))
+        let b = self.at(slot);
+        if !b.history.is_full() {
+            return None;
+        }
+        match b.table.peek(&b.history)?.prediction {
+            // The speculation engine fans the prediction out to the
+            // network, so this is a genuinely transient copy — the
+            // persistent state keeps only the interned id.
+            Symbol::ReadVec(v) => Some((
+                self.sets.resolve(v),
+                SpecTicket {
+                    key: b.history.key(),
+                },
+            )),
+            _ => None,
+        }
     }
 
-    /// Slot-addressed form of [`Vmsp::speculate_readers`].
+    /// Registers processors that were sent read-only copies of the
+    /// block at `slot` speculatively. They join the open read vector so
+    /// the committed pattern stays consistent with the directory's
+    /// sharer state even though their read requests never reach the
+    /// directory.
     pub fn speculate_readers_at(&mut self, slot: VSlot, readers: ReaderSet) {
         self.at_mut(slot).open |= readers;
     }
 
-    /// Slot-addressed form of [`Vmsp::prune_reader`].
+    /// Verification failure: `reader` never referenced the copy of the
+    /// block at `slot` sent under `ticket`. Removes the reader from that
+    /// entry's vector prediction ("removes mispredicted request
+    /// sequences", §4.2). Returns `true` if an entry changed.
     pub fn prune_reader_at(&mut self, slot: VSlot, ticket: SpecTicket, reader: ProcId) -> bool {
+        // Field-split borrow: the pruned vector re-interns through
+        // `sets` while the entry is borrowed from `homes`.
         let Vmsp { homes, sets, .. } = self;
         homes[slot.home as usize].table[slot.idx as usize]
             .table
             .prune_reader(sets, ticket.key, reader)
     }
 
-    /// Slot-addressed form of [`Vmsp::swi_allowed`].
+    /// Whether SWI may speculatively invalidate the writable copy of the
+    /// block at `slot` in its current history context (i.e. no previous
+    /// premature invalidation was recorded for this pattern).
+    ///
+    /// Reads the suppression bit stored in the pattern entry itself
+    /// (paper §4.2: "a bit per write in the corresponding pattern
+    /// table entry") through the O(1) keyed lookup.
     #[must_use]
     pub fn swi_allowed_at(&self, slot: VSlot) -> bool {
         let b = self.at(slot);
         !b.table.swi_suppressed_key(b.history.key())
     }
 
-    /// Slot-addressed form of [`Vmsp::swi_ticket`]: `None` while the
-    /// slot's record is still pristine (a block the predictor never
-    /// observed has no history context to capture — exactly the blocks
-    /// a sparse map would not contain).
+    /// Ticket capturing the current history context of the block at
+    /// `slot`, taken when SWI triggers so a later premature detection
+    /// can suppress exactly this pattern. `None` while the slot's record
+    /// is still pristine (a block the predictor never observed has no
+    /// history context to capture — exactly the blocks a sparse map
+    /// would not contain).
     #[must_use]
     pub fn swi_ticket_at(&self, slot: VSlot) -> Option<SpecTicket> {
         let b = self.at(slot);
@@ -445,7 +457,11 @@ impl Vmsp {
         })
     }
 
-    /// Slot-addressed form of [`Vmsp::mark_swi_premature`].
+    /// Records that the SWI invalidation of the block at `slot` taken
+    /// under `ticket` was premature (the producer re-accessed the
+    /// block), suppressing future SWI for this pattern. A no-op if the
+    /// pattern entry has since been evicted (its suppression state went
+    /// with it).
     pub fn mark_swi_premature_at(&mut self, slot: VSlot, ticket: SpecTicket) {
         self.at_mut(slot).table.set_swi_premature(ticket.key);
     }
@@ -481,106 +497,6 @@ impl Vmsp {
     /// comes home.
     pub fn close_ticket(&mut self, slot: VSlot, proc: ProcId) -> Option<(SpecTicket, SpecTrigger)> {
         self.at_mut_raw(slot).tickets.get_mut(proc.0)?.take()
-    }
-
-    // ------------------------------------------------------------------
-    // Address-based queries (offline evaluation, tests, examples)
-    // ------------------------------------------------------------------
-
-    /// The predicted read vector for the current history of `block`,
-    /// with a ticket for later verification pruning. `None` when the
-    /// block has no predictor state (including blocks whose dense index
-    /// would alias another home's slot), the history is cold, or the
-    /// predicted successor is not a read vector.
-    #[must_use]
-    pub fn predicted_readers(&self, block: BlockAddr) -> Option<(ReaderSet, SpecTicket)> {
-        self.predicted_readers_of(self.lookup(block)?)
-    }
-
-    fn predicted_readers_of(&self, b: &VBlock) -> Option<(ReaderSet, SpecTicket)> {
-        if !b.history.is_full() {
-            return None;
-        }
-        match b.table.peek(&b.history)?.prediction {
-            // The speculation engine fans the prediction out to the
-            // network, so this is a genuinely transient copy — the
-            // persistent state keeps only the interned id.
-            Symbol::ReadVec(v) => Some((
-                self.sets.resolve(v),
-                SpecTicket {
-                    key: b.history.key(),
-                },
-            )),
-            _ => None,
-        }
-    }
-
-    /// Registers processors that were sent read-only copies
-    /// speculatively. They join the open read vector so the committed
-    /// pattern stays consistent with the directory's sharer state even
-    /// though their read requests never reach the directory.
-    pub fn speculate_readers(&mut self, block: BlockAddr, readers: ReaderSet) {
-        let slot = self.slot_of(block);
-        self.speculate_readers_at(slot, readers);
-    }
-
-    /// Verification failure: `reader` never referenced the copy sent
-    /// under `ticket`. Removes the reader from that entry's vector
-    /// prediction ("removes mispredicted request sequences", §4.2).
-    /// Returns `true` if an entry changed.
-    pub fn prune_reader(&mut self, block: BlockAddr, ticket: SpecTicket, reader: ProcId) -> bool {
-        // Field-split borrow of `lookup_mut`'s logic: the pruned
-        // vector re-interns through `sets` while the entry is borrowed
-        // from `homes`.
-        let Vmsp {
-            homes, sets, geom, ..
-        } = self;
-        let home = geom.home_of(block);
-        let idx = geom.local_index(block);
-        match homes
-            .get_mut(home.0)
-            .and_then(|h| h.table.get_mut(idx))
-            .filter(|b| b.active)
-        {
-            Some(b) => b.table.prune_reader(sets, ticket.key, reader),
-            None => false,
-        }
-    }
-
-    /// Whether SWI may speculatively invalidate the writable copy of
-    /// `block` in its current history context (i.e. no previous
-    /// premature invalidation was recorded for this pattern).
-    ///
-    /// Reads the suppression bit stored in the pattern entry itself
-    /// (paper §4.2: "a bit per write in the corresponding pattern
-    /// table entry") through the O(1) keyed lookup.
-    #[must_use]
-    pub fn swi_allowed(&self, block: BlockAddr) -> bool {
-        match self.lookup(block) {
-            Some(b) => !b.table.swi_suppressed_key(b.history.key()),
-            None => true,
-        }
-    }
-
-    /// Ticket capturing the current history context of `block`, taken
-    /// when SWI triggers so a later premature detection can suppress
-    /// exactly this pattern. `None` for blocks without predictor state.
-    #[must_use]
-    pub fn swi_ticket(&self, block: BlockAddr) -> Option<SpecTicket> {
-        self.lookup(block).map(|b| SpecTicket {
-            key: b.history.key(),
-        })
-    }
-
-    /// Records that the SWI invalidation taken under `ticket` was
-    /// premature (the producer re-accessed the block), suppressing
-    /// future SWI for this pattern. A no-op if the pattern entry has
-    /// since been evicted (its suppression state went with it) or the
-    /// block has no predictor state at all.
-    pub fn mark_swi_premature(&mut self, block: BlockAddr, ticket: SpecTicket) {
-        if let Some(b) = self.lookup_mut(block) {
-            b.table.set_swi_premature(ticket.key);
-        }
     }
 
     /// Commits a symbol: last-occurrence learn + history shift.
@@ -722,17 +638,19 @@ mod tests {
         let mut vmsp = Vmsp::new(1, 16);
         producer_consumer(&mut vmsp, b, 5, false);
         vmsp.observe(b, DirMsg::upgrade(ProcId(3)));
-        let (readers, _) = vmsp.predicted_readers(b).expect("pattern learned");
+        let slot = vmsp.slot_of(b);
+        let (readers, _) = vmsp.predicted_readers_at(slot).expect("pattern learned");
         assert_eq!(readers, ReaderSet::from_iter([ProcId(1), ProcId(2)]));
     }
 
     #[test]
     fn predicted_readers_cold_block_is_none() {
         let mut vmsp = Vmsp::new(1, 16);
-        assert!(vmsp.predicted_readers(BlockAddr(7)).is_none());
+        let slot = vmsp.slot_of(BlockAddr(7));
+        assert!(vmsp.predicted_readers_at(slot).is_none());
         // One write: history warm but no pattern yet.
-        vmsp.observe(BlockAddr(7), DirMsg::write(ProcId(0)));
-        assert!(vmsp.predicted_readers(BlockAddr(7)).is_none());
+        vmsp.observe_at(slot, DirMsg::write(ProcId(0)));
+        assert!(vmsp.predicted_readers_at(slot).is_none());
     }
 
     #[test]
@@ -741,10 +659,11 @@ mod tests {
         let mut vmsp = Vmsp::new(1, 16);
         producer_consumer(&mut vmsp, b, 5, false);
         vmsp.observe(b, DirMsg::upgrade(ProcId(3)));
-        let (readers, ticket) = vmsp.predicted_readers(b).unwrap();
+        let slot = vmsp.slot_of(b);
+        let (readers, ticket) = vmsp.predicted_readers_at(slot).unwrap();
         assert!(readers.contains(ProcId(2)));
-        assert!(vmsp.prune_reader(b, ticket, ProcId(2)));
-        let (readers, _) = vmsp.predicted_readers(b).unwrap();
+        assert!(vmsp.prune_reader_at(slot, ticket, ProcId(2)));
+        let (readers, _) = vmsp.predicted_readers_at(slot).unwrap();
         assert_eq!(readers, ReaderSet::single(ProcId(1)));
     }
 
@@ -757,9 +676,10 @@ mod tests {
         // The directory forwards copies to P1 and P2 speculatively; their
         // reads never arrive. The next write must still commit the full
         // vector.
-        vmsp.speculate_readers(b, ReaderSet::from_iter([ProcId(1), ProcId(2)]));
-        vmsp.observe(b, DirMsg::upgrade(ProcId(3)));
-        let (readers, _) = vmsp.predicted_readers(b).unwrap();
+        let slot = vmsp.slot_of(b);
+        vmsp.speculate_readers_at(slot, ReaderSet::from_iter([ProcId(1), ProcId(2)]));
+        vmsp.observe_at(slot, DirMsg::upgrade(ProcId(3)));
+        let (readers, _) = vmsp.predicted_readers_at(slot).unwrap();
         assert_eq!(readers, ReaderSet::from_iter([ProcId(1), ProcId(2)]));
     }
 
@@ -769,22 +689,24 @@ mod tests {
         let mut vmsp = Vmsp::new(1, 16);
         producer_consumer(&mut vmsp, b, 5, false);
         vmsp.observe(b, DirMsg::upgrade(ProcId(3)));
-        assert!(vmsp.swi_allowed(b));
-        let ticket = vmsp.swi_ticket(b).unwrap();
-        vmsp.mark_swi_premature(b, ticket);
-        assert!(!vmsp.swi_allowed(b), "same context now suppressed");
+        let slot = vmsp.slot_of(b);
+        assert!(vmsp.swi_allowed_at(slot));
+        let ticket = vmsp.swi_ticket_at(slot).unwrap();
+        vmsp.mark_swi_premature_at(slot, ticket);
+        assert!(!vmsp.swi_allowed_at(slot), "same context now suppressed");
         // A different history context is unaffected.
-        vmsp.observe(b, DirMsg::read(ProcId(1)));
-        vmsp.observe(b, DirMsg::upgrade(ProcId(3)));
+        vmsp.observe_at(slot, DirMsg::read(ProcId(1)));
+        vmsp.observe_at(slot, DirMsg::upgrade(ProcId(3)));
         // History is <Upgrade,P3> again -> suppressed again.
-        assert!(!vmsp.swi_allowed(b));
+        assert!(!vmsp.swi_allowed_at(slot));
     }
 
     #[test]
     fn swi_allowed_for_unknown_block() {
-        let vmsp = Vmsp::new(1, 16);
-        assert!(vmsp.swi_allowed(BlockAddr(99)));
-        assert!(vmsp.swi_ticket(BlockAddr(99)).is_none());
+        let mut vmsp = Vmsp::new(1, 16);
+        let slot = vmsp.slot_of(BlockAddr(99));
+        assert!(vmsp.swi_allowed_at(slot));
+        assert!(vmsp.swi_ticket_at(slot).is_none());
     }
 
     #[test]
@@ -824,63 +746,15 @@ mod tests {
     }
 
     #[test]
-    fn slot_api_matches_address_api() {
-        // The slot-addressed hot path and the address-based queries are
-        // two views of the same state.
-        let m = MachineConfig::paper_machine();
-        let mut vmsp = Vmsp::with_geometry(1, 16, HomeGeometry::of_machine(&m));
-        let b = m.page_on(NodeId(2), 1).offset(7);
-        for _ in 0..5 {
-            for msg in [
-                DirMsg::upgrade(ProcId(3)),
-                DirMsg::read(ProcId(1)),
-                DirMsg::read(ProcId(2)),
-            ] {
-                let slot = vmsp.slot_of(b);
-                vmsp.observe_at(slot, msg);
-            }
-        }
-        let slot = vmsp.slot_of(b);
-        vmsp.observe_at(slot, DirMsg::upgrade(ProcId(3)));
-        assert_eq!(
-            vmsp.predicted_readers_at(slot),
-            vmsp.predicted_readers(b),
-            "slot and address queries agree"
-        );
-        assert_eq!(vmsp.swi_allowed_at(slot), vmsp.swi_allowed(b));
-        assert_eq!(vmsp.swi_ticket_at(slot), vmsp.swi_ticket(b));
-        let (_, ticket) = vmsp.predicted_readers_at(slot).unwrap();
-        assert!(vmsp.prune_reader_at(slot, ticket, ProcId(2)));
-        let (readers, _) = vmsp.predicted_readers(b).unwrap();
-        assert_eq!(readers, ReaderSet::single(ProcId(1)));
-    }
-
-    #[test]
-    fn queries_for_foreign_homed_blocks_report_no_state() {
+    fn foreign_homed_blocks_resolve_to_no_slot() {
         // BlockAddr(128) is homed at node 1 on the paper machine; its
         // dense index *at node 0* would alias slot 0. Mirroring the
-        // directory's aliasing rule, the address-based queries and the
-        // guarded resolver must report no state for blocks homed
-        // elsewhere, even after the aliased local slot has real state.
+        // directory's aliasing rule, the guarded resolver refuses to
+        // hand out a slot for a block homed elsewhere.
         let m = MachineConfig::paper_machine();
         let mut vmsp = Vmsp::with_geometry(1, 16, HomeGeometry::of_machine(&m));
-        let local = BlockAddr(0);
         let foreign = BlockAddr(m.page_blocks); // first block of page 1
         assert_eq!(m.home_of(foreign), NodeId(1));
-        // Train `local` so home 0, slot 0 has a prediction and a ticket
-        // context.
-        producer_consumer(&mut vmsp, local, 5, false);
-        vmsp.observe(local, DirMsg::upgrade(ProcId(3)));
-        assert!(vmsp.predicted_readers(local).is_some());
-
-        assert!(vmsp.predicted_readers(foreign).is_none());
-        assert!(vmsp.swi_ticket(foreign).is_none());
-        assert!(vmsp.swi_allowed(foreign));
-        let ticket = vmsp.swi_ticket(local).unwrap();
-        vmsp.mark_swi_premature(foreign, ticket);
-        assert!(vmsp.swi_allowed(local), "foreign mark must not leak");
-
-        // The guarded resolver refuses to hand out a foreign slot.
         assert!(vmsp.resolve_at_home(NodeId(0), foreign).is_none());
         let slot = vmsp.resolve_at_home(NodeId(1), foreign).expect("homed");
         assert_eq!(slot.home(), NodeId(1));

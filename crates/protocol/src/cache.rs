@@ -48,9 +48,6 @@ pub struct Cache {
     lines: FxHashMap<BlockAddr, Line>,
     capacity: Option<usize>,
     clock: u64,
-    evictions: u64,
-    spec_installs: u64,
-    spec_first_touches: u64,
 }
 
 impl Cache {
@@ -96,14 +93,7 @@ impl Cache {
             .map(|(a, _)| *a);
         if let Some(addr) = victim {
             self.lines.remove(&addr);
-            self.evictions += 1;
         }
-    }
-
-    /// Read-only lines silently evicted so far (finite mode only).
-    #[must_use]
-    pub fn evictions(&self) -> u64 {
-        self.evictions
     }
 
     /// State of `block`, if cached.
@@ -137,7 +127,6 @@ impl Cache {
             line.state = LineState::Shared {
                 spec_unreferenced: false,
             };
-            self.spec_first_touches += 1;
         }
         Some((line.version, first_touch))
     }
@@ -223,7 +212,6 @@ impl Cache {
                 last_use,
             },
         );
-        self.spec_installs += 1;
         true
     }
 
@@ -267,19 +255,6 @@ impl Cache {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.lines.is_empty()
-    }
-
-    /// Speculative copies installed.
-    #[must_use]
-    pub fn spec_installs(&self) -> u64 {
-        self.spec_installs
-    }
-
-    /// Speculative copies that were later referenced (each one is a
-    /// remote read turned local).
-    #[must_use]
-    pub fn spec_first_touches(&self) -> u64 {
-        self.spec_first_touches
     }
 }
 
@@ -340,7 +315,6 @@ mod tests {
         // First read clears the reference bit and reports first touch.
         assert_eq!(c.read(B), Some((9, true)));
         assert_eq!(c.read(B), Some((9, false)));
-        assert_eq!(c.spec_first_touches(), 1);
     }
 
     #[test]
@@ -376,7 +350,6 @@ mod tests {
         assert!(c.state(BlockAddr(2)).is_none(), "LRU line evicted");
         assert!(c.state(BlockAddr(1)).is_some());
         assert!(c.state(BlockAddr(3)).is_some());
-        assert_eq!(c.evictions(), 1);
     }
 
     #[test]
@@ -388,7 +361,6 @@ mod tests {
         // than dropping a dirty line.
         c.fill_shared(BlockAddr(3), 0);
         assert_eq!(c.len(), 3);
-        assert_eq!(c.evictions(), 0);
         assert!(c.can_write(BlockAddr(1)));
         assert!(c.can_write(BlockAddr(2)));
     }
@@ -400,7 +372,6 @@ mod tests {
             c.fill_shared(BlockAddr(i), 0);
         }
         assert_eq!(c.len(), 10_000);
-        assert_eq!(c.evictions(), 0);
     }
 
     #[test]

@@ -29,8 +29,7 @@ use specdsm_types::{LatencyConfig, NodeId};
 /// exactly the pre-shard monolithic network's.
 ///
 /// Messages between a node and itself (processor ↔ local directory)
-/// bypass the network entirely; the shard calls [`Network::note_local`]
-/// for accounting.
+/// bypass the network entirely.
 #[derive(Debug, Clone)]
 pub struct Network {
     lat: LatencyConfig,
@@ -39,7 +38,6 @@ pub struct Network {
     ni_out: Vec<FifoResource>,
     ni_in: Vec<FifoResource>,
     messages: u64,
-    local_messages: u64,
 }
 
 impl Network {
@@ -59,7 +57,6 @@ impl Network {
             ni_out: (lo..hi).map(|_| FifoResource::new()).collect(),
             ni_in: (lo..hi).map(|_| FifoResource::new()).collect(),
             messages: 0,
-            local_messages: 0,
         }
     }
 
@@ -97,29 +94,16 @@ impl Network {
     /// delivery takes exactly [`LatencyConfig::one_way`] cycles.
     pub fn send(&mut self, now: Cycle, src: NodeId, dst: NodeId) -> Cycle {
         if src == dst {
-            self.note_local();
             return now;
         }
         let at_dst = self.depart(now, src);
         self.arrive(at_dst, dst)
     }
 
-    /// Accounts one node-local (bus) delivery.
-    #[inline]
-    pub fn note_local(&mut self) {
-        self.local_messages += 1;
-    }
-
     /// Remote messages sent from this range so far.
     #[must_use]
     pub fn messages_sent(&self) -> u64 {
         self.messages
-    }
-
-    /// Node-local (bus) deliveries so far.
-    #[must_use]
-    pub fn local_messages(&self) -> u64 {
-        self.local_messages
     }
 
     /// Total cycles messages waited for this range's NI slots (a
@@ -154,7 +138,6 @@ mod tests {
     fn local_delivery_is_immediate() {
         let mut n = net();
         assert_eq!(n.send(Cycle(7), NodeId(2), NodeId(2)), Cycle(7));
-        assert_eq!(n.local_messages(), 1);
         assert_eq!(n.messages_sent(), 0);
     }
 

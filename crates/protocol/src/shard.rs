@@ -751,7 +751,6 @@ impl HomeShard {
         }
         if src == dst {
             // Node-local delivery bypasses the network entirely.
-            self.net.note_local();
             self.sched(now, Event::Deliver(msg));
             return;
         }

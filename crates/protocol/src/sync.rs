@@ -27,7 +27,6 @@ use specdsm_types::{LockId, ProcId};
 pub struct BarrierManager {
     n: usize,
     waiting: Vec<ProcId>,
-    episodes: u64,
 }
 
 impl BarrierManager {
@@ -42,7 +41,6 @@ impl BarrierManager {
         BarrierManager {
             n,
             waiting: Vec::with_capacity(n),
-            episodes: 0,
         }
     }
 
@@ -60,7 +58,6 @@ impl BarrierManager {
         );
         self.waiting.push(p);
         if self.waiting.len() == self.n {
-            self.episodes += 1;
             Some(std::mem::take(&mut self.waiting))
         } else {
             None
@@ -71,12 +68,6 @@ impl BarrierManager {
     #[must_use]
     pub fn waiting(&self) -> &[ProcId] {
         &self.waiting
-    }
-
-    /// Completed barrier episodes.
-    #[must_use]
-    pub fn episodes(&self) -> u64 {
-        self.episodes
     }
 }
 
@@ -174,7 +165,6 @@ mod tests {
         assert_eq!(b.waiting(), &[ProcId(2), ProcId(0)]);
         let released = b.arrive(ProcId(1)).unwrap();
         assert_eq!(released, vec![ProcId(2), ProcId(0), ProcId(1)]);
-        assert_eq!(b.episodes(), 1);
         assert!(b.waiting().is_empty(), "barrier resets");
     }
 
@@ -185,7 +175,6 @@ mod tests {
             assert!(b.arrive(ProcId(0)).is_none());
             assert!(b.arrive(ProcId(1)).is_some());
         }
-        assert_eq!(b.episodes(), 5);
     }
 
     #[test]

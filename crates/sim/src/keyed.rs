@@ -63,13 +63,6 @@ pub struct SchedKey {
 }
 
 impl SchedKey {
-    /// The smallest possible key (sorts before every real key).
-    pub const MIN: SchedKey = SchedKey {
-        sched: 0,
-        src: 0,
-        seq: 0,
-    };
-
     /// Packs the key into two machine words for compact queue entries
     /// and two-instruction comparisons. Lossless while `sched < 2^48`
     /// (2.8·10^14 cycles — far beyond any simulated run) and

@@ -12,10 +12,9 @@
 //!   bit-for-bit and the sharded windowed protocol engine orders events
 //!   independently of the order it visits shards in,
 //! * [`FifoResource`] for occupancy-based contention modeling (memory
-//!   banks, network interfaces),
+//!   banks, network interfaces), and
 //! * a tiny, stable [`Xorshift64Star`] PRNG used to generate the timing
-//!   jitter that stands in for real-system load imbalance, and
-//! * counters and histograms for statistics.
+//!   jitter that stands in for real-system load imbalance.
 //!
 //! # Example
 //!
@@ -42,10 +41,8 @@ mod clock;
 mod keyed;
 mod resource;
 mod rng;
-mod stats;
 
 pub use clock::Cycle;
 pub use keyed::{KeyedQueue, SchedKey};
 pub use resource::FifoResource;
 pub use rng::Xorshift64Star;
-pub use stats::{Histogram, StatCounter};

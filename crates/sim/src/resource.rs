@@ -27,7 +27,6 @@ use crate::clock::Cycle;
 pub struct FifoResource {
     next_free: Cycle,
     busy_cycles: u64,
-    uses: u64,
     wait_cycles: u64,
 }
 
@@ -46,13 +45,6 @@ impl FifoResource {
         self.wait_cycles += start.since(at);
         self.next_free = start + occupancy;
         self.busy_cycles += occupancy;
-        self.uses += 1;
-        self.next_free
-    }
-
-    /// Earliest time a new request could start service.
-    #[must_use]
-    pub fn next_free(&self) -> Cycle {
         self.next_free
     }
 
@@ -66,22 +58,6 @@ impl FifoResource {
     #[must_use]
     pub fn wait_cycles(&self) -> u64 {
         self.wait_cycles
-    }
-
-    /// Number of requests served.
-    #[must_use]
-    pub fn uses(&self) -> u64 {
-        self.uses
-    }
-
-    /// Utilization over `[0, horizon)`: busy cycles / horizon.
-    #[must_use]
-    pub fn utilization(&self, horizon: Cycle) -> f64 {
-        if horizon.raw() == 0 {
-            0.0
-        } else {
-            self.busy_cycles as f64 / horizon.raw() as f64
-        }
     }
 }
 
@@ -105,7 +81,6 @@ mod tests {
         assert_eq!(r.acquire(Cycle(50), 4), Cycle(54));
         assert_eq!(r.acquire(Cycle(60), 4), Cycle(64));
         assert_eq!(r.wait_cycles(), 0);
-        assert_eq!(r.uses(), 2);
     }
 
     #[test]
@@ -113,13 +88,5 @@ mod tests {
         let mut r = FifoResource::new();
         assert_eq!(r.acquire(Cycle(5), 0), Cycle(5));
         assert_eq!(r.busy_cycles(), 0);
-    }
-
-    #[test]
-    fn utilization_fraction() {
-        let mut r = FifoResource::new();
-        r.acquire(Cycle(0), 25);
-        assert!((r.utilization(Cycle(100)) - 0.25).abs() < 1e-12);
-        assert_eq!(r.utilization(Cycle(0)), 0.0);
     }
 }

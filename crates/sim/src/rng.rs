@@ -79,17 +79,6 @@ impl Xorshift64Star {
             items.swap(i, j);
         }
     }
-
-    /// Derives an independent generator for a sub-stream (e.g. one per
-    /// processor) without correlating the streams.
-    #[must_use]
-    pub fn fork(&mut self, tag: u64) -> Xorshift64Star {
-        // SplitMix-style mixing of the parent's output with the tag.
-        let mut z = self.next_u64() ^ tag.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        Xorshift64Star::new(z ^ (z >> 31))
-    }
 }
 
 #[cfg(test)]
@@ -162,16 +151,6 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
         assert_ne!(v, (0..50).collect::<Vec<_>>(), "shuffle changed order");
-    }
-
-    #[test]
-    fn forks_are_decorrelated() {
-        let mut parent = Xorshift64Star::new(9);
-        let mut f1 = parent.fork(1);
-        let mut f2 = parent.fork(2);
-        let a: Vec<u64> = (0..8).map(|_| f1.next_u64()).collect();
-        let b: Vec<u64> = (0..8).map(|_| f2.next_u64()).collect();
-        assert_ne!(a, b);
     }
 
     #[test]

@@ -30,14 +30,6 @@ impl BlockAddr {
     pub fn offset(self, delta: u64) -> BlockAddr {
         BlockAddr(self.0 + delta)
     }
-
-    /// Index into a region that starts at `base`.
-    ///
-    /// Returns `None` when this address lies below `base`.
-    #[must_use]
-    pub fn index_in(self, base: BlockAddr) -> Option<u64> {
-        self.0.checked_sub(base.0)
-    }
 }
 
 impl fmt::Display for BlockAddr {
@@ -72,14 +64,6 @@ mod tests {
     fn offset_advances() {
         assert_eq!(BlockAddr(10).offset(5), BlockAddr(15));
         assert_eq!(BlockAddr(0).offset(0), BlockAddr(0));
-    }
-
-    #[test]
-    fn index_in_region() {
-        let base = BlockAddr(100);
-        assert_eq!(BlockAddr(107).index_in(base), Some(7));
-        assert_eq!(BlockAddr(100).index_in(base), Some(0));
-        assert_eq!(BlockAddr(99).index_in(base), None);
     }
 
     #[test]

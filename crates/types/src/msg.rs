@@ -38,10 +38,6 @@ impl ReqKind {
     pub fn is_write_like(self) -> bool {
         matches!(self, ReqKind::Write | ReqKind::Upgrade)
     }
-
-    /// Bits needed to encode a request type (paper §3: MSP uses 2 bits
-    /// for three request message types).
-    pub const ENCODING_BITS: u32 = 2;
 }
 
 impl fmt::Display for ReqKind {

@@ -212,30 +212,6 @@ impl ReaderSet {
         self.word(p.0 / WORD) & (1u64 << (p.0 % WORD)) != 0
     }
 
-    /// Removes and returns the smallest member, or `None` if empty.
-    /// Destructive ascending iteration without borrowing the set — the
-    /// protocol's invalidation/forwarding loops use it to fan out while
-    /// mutating other engine state.
-    #[inline]
-    pub fn pop_first(&mut self) -> Option<ProcId> {
-        if self.lo != 0 {
-            let i = self.lo.trailing_zeros() as usize;
-            self.lo &= self.lo - 1;
-            return Some(ProcId(i));
-        }
-        let hi = self.hi.as_deref_mut()?;
-        let (w, word) = hi
-            .iter_mut()
-            .enumerate()
-            .find(|(_, w)| **w != 0)
-            .expect("canonical spill holds at least one bit");
-        let i = word.trailing_zeros() as usize;
-        *word &= *word - 1;
-        let p = ProcId(WORD + w * WORD + i);
-        self.canonicalize();
-        Some(p)
-    }
-
     /// Number of processors in the set.
     #[must_use]
     #[inline]

@@ -124,18 +124,10 @@ proptest! {
         expected.sort_unstable();
         prop_assert_eq!(got, expected);
         // Canonical representation: rebuilding from the model yields a
-        // structurally equal (and equally hashed) set, and destructive
-        // pop_first drains in the same order.
+        // structurally equal (and equally hashed) set.
         let rebuilt = ReaderSet::from_iter(model.iter().map(|&i| ProcId(i)));
         prop_assert_eq!(&set, &rebuilt);
         prop_assert_eq!(set.mix64(), rebuilt.mix64());
-        let mut draining = set.clone();
-        let mut drained = Vec::new();
-        while let Some(p) = draining.pop_first() {
-            drained.push(p.0);
-        }
-        prop_assert_eq!(drained, set.iter().map(|p| p.0).collect::<Vec<_>>());
-        prop_assert!(draining.is_empty());
     }
 
     #[test]
