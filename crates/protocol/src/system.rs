@@ -1522,4 +1522,125 @@ mod tests {
         assert_eq!(trace.num_blocks(), 1);
         assert_eq!(trace.total_requests(), 2);
     }
+
+    // ------------------------------------------------------------------
+    // Quiescence audit: one corrupted record per invariant
+    // ------------------------------------------------------------------
+
+    /// Runs `ops` to quiescence on the sequential engine and checks the
+    /// clean machine once, then hands it back for corruption.
+    fn quiesced(cache_blocks: Option<usize>, ops: Vec<Vec<Op>>) -> System {
+        let cfg = SystemConfig {
+            machine: machine(4),
+            cache_blocks,
+            max_cycles: Some(50_000_000),
+            ..SystemConfig::default()
+        };
+        let mut sys = System::new(cfg, &Script { name: "audit", ops }).expect("valid system");
+        for shard in &mut sys.shards {
+            shard.seed();
+        }
+        sys.run_sequential();
+        sys.check_quiescent();
+        sys.check_coherence();
+        sys
+    }
+
+    /// P1 and P2 hold read-only copies of `homed(0)` at version 0.
+    fn shared_by_p1_p2() -> System {
+        let b = homed(0);
+        quiesced(
+            None,
+            vec![vec![], vec![Op::Read(b)], vec![Op::Read(b)], vec![]],
+        )
+    }
+
+    /// P1 holds the writable copy of `homed(0)`.
+    fn owned_by_p1() -> System {
+        quiesced(
+            None,
+            vec![vec![], vec![Op::Write(homed(0))], vec![], vec![]],
+        )
+    }
+
+    #[test]
+    #[should_panic(expected = "transaction still in flight at quiescence")]
+    fn audit_rejects_a_transaction_in_flight() {
+        let mut sys = shared_by_p1_p2();
+        sys.shards[0].dirs[0].block_mut(homed(0)).busy = Some(crate::directory::Txn {
+            kind: crate::directory::TxnKind::Reply { until: Cycle(0) },
+            acks_left: 0,
+            awaiting_wb: false,
+        });
+        sys.check_coherence();
+    }
+
+    #[test]
+    #[should_panic(expected = "is Idle but P1 holds a copy")]
+    fn audit_rejects_a_copy_of_an_idle_block() {
+        let mut sys = shared_by_p1_p2();
+        sys.shards[0].dirs[0].block_mut(homed(0)).state = DirState::Idle;
+        sys.check_coherence();
+    }
+
+    #[test]
+    #[should_panic(expected = "sharer P2 holds Some(Exclusive)")]
+    fn audit_rejects_a_sharer_in_the_wrong_state() {
+        let mut sys = shared_by_p1_p2();
+        sys.shards[0].procs[2].cache.fill_exclusive(homed(0), 0);
+        sys.check_coherence();
+    }
+
+    #[test]
+    #[should_panic(expected = "stale copy at P1")]
+    fn audit_rejects_a_stale_sharer_version() {
+        let mut sys = shared_by_p1_p2();
+        sys.shards[0].procs[1].cache.fill_shared(homed(0), 7);
+        sys.check_coherence();
+    }
+
+    #[test]
+    #[should_panic(expected = "sharer P1 holds None")]
+    fn audit_rejects_a_sharer_that_lost_its_copy() {
+        let mut sys = shared_by_p1_p2();
+        sys.shards[0].procs[1].cache.invalidate(homed(0));
+        sys.check_coherence();
+    }
+
+    #[test]
+    fn audit_tolerates_an_evicted_sharer_in_finite_cache_mode() {
+        // A finite cache evicts read-only lines silently, so the
+        // directory's sharer list may name a processor with no copy.
+        let b = homed(0);
+        let mut sys = quiesced(
+            Some(64),
+            vec![vec![], vec![Op::Read(b)], vec![Op::Read(b)], vec![]],
+        );
+        sys.shards[0].procs[1].cache.invalidate(b);
+        sys.check_coherence();
+    }
+
+    #[test]
+    #[should_panic(expected = "non-sharer P3 holds a copy")]
+    fn audit_rejects_a_copy_at_a_non_sharer() {
+        let mut sys = shared_by_p1_p2();
+        sys.shards[0].procs[3].cache.fill_shared(homed(0), 0);
+        sys.check_coherence();
+    }
+
+    #[test]
+    #[should_panic(expected = "owner P1 lost its copy")]
+    fn audit_rejects_an_owner_without_its_copy() {
+        let mut sys = owned_by_p1();
+        sys.shards[0].procs[1].cache.invalidate_exclusive(homed(0));
+        sys.check_coherence();
+    }
+
+    #[test]
+    #[should_panic(expected = "P2 holds a copy besides the owner")]
+    fn audit_rejects_a_copy_besides_the_owner() {
+        let mut sys = owned_by_p1();
+        sys.shards[0].procs[2].cache.fill_shared(homed(0), 0);
+        sys.check_coherence();
+    }
 }
