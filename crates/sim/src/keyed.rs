@@ -22,7 +22,7 @@
 //! makes windowed runs deterministic.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 use crate::clock::Cycle;
 
@@ -36,6 +36,8 @@ const WHEEL_SLOTS: usize = 2048;
 const WHEEL_MASK: u64 = (WHEEL_SLOTS - 1) as u64;
 /// Occupancy-bitmap words (one bit per bucket).
 const WHEEL_WORDS: usize = WHEEL_SLOTS / 64;
+/// The null slab index: end of a bucket list or of the free list.
+const NIL: u32 = u32::MAX;
 
 /// Deterministic tie-break key of one scheduled event.
 ///
@@ -80,6 +82,32 @@ impl SchedKey {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Packed(u64, u64);
 
+/// One slab entry: a pending event, or a free slot (`event: None`)
+/// whose `next` links the free list.
+#[derive(Debug, Clone)]
+struct Slot<E> {
+    key: Packed,
+    /// Next slot in the same bucket list (or free list), `NIL` at the
+    /// end.
+    next: u32,
+    event: Option<E>,
+}
+
+/// One wheel bucket: a singly linked list of slab slots sorted by key.
+/// `tail` is meaningful only while `head != NIL`.
+#[derive(Debug, Clone, Copy)]
+struct Bucket {
+    head: u32,
+    tail: u32,
+}
+
+impl Bucket {
+    const EMPTY: Bucket = Bucket {
+        head: NIL,
+        tail: NIL,
+    };
+}
+
 /// A deterministic discrete-event queue ordered by `(cycle,
 /// [`SchedKey`])`: a calendar queue (bucketed timing wheel plus
 /// overflow heap) whose same-cycle order is the caller's explicit key.
@@ -96,26 +124,32 @@ struct Packed(u64, u64);
 ///
 /// # Structure
 ///
+/// * One **slab** (`Vec` of slots) stores every pending event, wherever
+///   it is indexed from. A freed slot goes on a LIFO free list and is
+///   the next one reused, so the live slots stay few and cache-hot:
+///   the slab never grows past the peak number of pending events.
 /// * A **timing wheel** of 2048 (`WHEEL_SLOTS`) one-cycle buckets
-///   holds every event scheduled within the horizon of the wheel
-///   cursor. Scheduling is O(1) in the common case: index by
-///   `cycle mod WHEEL_SLOTS`, append (an out-of-order key is inserted
-///   by binary search into its still-small bucket). Popping advances
-///   the cursor to the next occupied bucket via a two-level bitmap scan
-///   (a few word operations), so the common case — protocol latencies
-///   of tens to hundreds of cycles — never touches a comparison-based
-///   structure.
-/// * An **overflow heap** (`BinaryHeap`) absorbs events beyond the
-///   wheel horizon (for this simulator: long `Compute` delays) and
-///   events scheduled at or before an already-popped cycle. `pop`
-///   compares the wheel's earliest `(cycle, key)` with the heap's top,
-///   so correctness never depends on migrating events between the
-///   stores. An empty wheel re-centers its window on the next
-///   scheduled event, so sparse phases stay O(1) too.
+///   indexes every event scheduled within the horizon of the wheel
+///   cursor. A bucket is just a `(head, tail)` pair of slab indices
+///   heading a singly linked list sorted by key. Scheduling indexes by
+///   `cycle mod WHEEL_SLOTS` and appends at the tail — O(1), since a
+///   sequential loop's keys are monotone; an out-of-order key (window
+///   merges) walks the short list to its place. Popping advances the
+///   cursor to the next occupied bucket via a two-level bitmap scan (a
+///   few word operations) and unlinks the head.
+/// * An **overflow heap** (`BinaryHeap` of `(cycle, key, slot)`) indexes
+///   events beyond the wheel horizon (for this simulator: long
+///   `Compute` delays) and events scheduled at or before an
+///   already-popped cycle. Keys are unique, so the slot index never
+///   decides the order. `pop` compares the wheel's earliest `(cycle,
+///   key)` with the heap's top, so correctness never depends on
+///   migrating events between the stores. An empty wheel re-centers
+///   its window on the next scheduled event, so sparse phases stay
+///   O(1) too.
 ///
-/// Both `schedule` and `pop` are amortized O(1) for near-future events
-/// versus the O(log n) of the seed's `BinaryHeap<Reverse<Entry>>`
-/// scheduler.
+/// Both `schedule` and `pop` are amortized O(1) for near-future events.
+/// The wheel itself is 16 KB of list heads; event payloads live only
+/// in the slab.
 ///
 /// # Example
 ///
@@ -133,8 +167,12 @@ struct Packed(u64, u64);
 /// ```
 #[derive(Debug, Clone)]
 pub struct KeyedQueue<E> {
-    /// `WHEEL_SLOTS` one-cycle buckets, each sorted by key.
-    wheel: Vec<VecDeque<(Packed, E)>>,
+    /// Every pending event, plus free slots.
+    slots: Vec<Slot<E>>,
+    /// Head of the LIFO free list of `slots`.
+    free: u32,
+    /// `WHEEL_SLOTS` one-cycle buckets, each a key-sorted slot list.
+    wheel: Box<[Bucket; WHEEL_SLOTS]>,
     /// One bit per bucket: set iff the bucket is non-empty.
     occupied: [u64; WHEEL_WORDS],
     /// Second-level occupancy: bit `w` set iff `occupied[w] != 0`, so
@@ -145,34 +183,11 @@ pub struct KeyedQueue<E> {
     cursor: u64,
     /// Events currently on the wheel.
     wheel_len: usize,
-    /// Events beyond the wheel horizon (or scheduled in the past).
-    overflow: BinaryHeap<Reverse<Entry<E>>>,
+    /// Events beyond the wheel horizon (or scheduled in the past), as
+    /// `(cycle, key, slot)`.
+    overflow: BinaryHeap<Reverse<(u64, Packed, u32)>>,
     /// All-time schedule count (the `sim_events` metric).
     scheduled: u64,
-}
-
-#[derive(Debug, Clone)]
-struct Entry<E> {
-    at: Cycle,
-    key: Packed,
-    event: E,
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.key == other.key
-    }
-}
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.key).cmp(&(other.at, other.key))
-    }
 }
 
 impl<E> KeyedQueue<E> {
@@ -180,7 +195,9 @@ impl<E> KeyedQueue<E> {
     #[must_use]
     pub fn new() -> Self {
         KeyedQueue {
-            wheel: (0..WHEEL_SLOTS).map(|_| VecDeque::new()).collect(),
+            slots: Vec::new(),
+            free: NIL,
+            wheel: Box::new([Bucket::EMPTY; WHEEL_SLOTS]),
             occupied: [0; WHEEL_WORDS],
             summary: 0,
             cursor: 0,
@@ -188,6 +205,41 @@ impl<E> KeyedQueue<E> {
             overflow: BinaryHeap::new(),
             scheduled: 0,
         }
+    }
+
+    /// Stores `event` in a slab slot (the most recently freed one, if
+    /// any) and returns its index.
+    #[inline]
+    fn alloc(&mut self, key: Packed, event: E) -> u32 {
+        if self.free == NIL {
+            let i = u32::try_from(self.slots.len()).expect("queue exceeds 2^32 pending events");
+            self.slots.push(Slot {
+                key,
+                next: NIL,
+                event: Some(event),
+            });
+            i
+        } else {
+            let i = self.free;
+            let slot = &mut self.slots[i as usize];
+            self.free = slot.next;
+            *slot = Slot {
+                key,
+                next: NIL,
+                event: Some(event),
+            };
+            i
+        }
+    }
+
+    /// Takes the event out of slot `i` and puts the slot on the free
+    /// list.
+    #[inline]
+    fn release(&mut self, i: u32) -> E {
+        let slot = &mut self.slots[i as usize];
+        slot.next = self.free;
+        self.free = i;
+        slot.event.take().expect("released slot holds an event")
     }
 
     /// Schedules `event` to fire at cycle `at` with tie-break `key`.
@@ -203,24 +255,45 @@ impl<E> KeyedQueue<E> {
             // Empty wheel: re-center the window on the next event.
             self.cursor = at.0;
         }
+        let i = self.alloc(key, event);
         if at.0 >= self.cursor && at.0 - self.cursor < WHEEL_SLOTS as u64 {
             let idx = (at.0 & WHEEL_MASK) as usize;
-            let bucket = &mut self.wheel[idx];
-            // Fast path: keys almost always arrive in increasing order
-            // (a sequential loop's keys are monotone; merges insert
-            // sorted batches into still-small buckets).
-            match bucket.back() {
-                Some((last, _)) if *last > key => {
-                    let pos = bucket.partition_point(|(k, _)| *k < key);
-                    bucket.insert(pos, (key, event));
-                }
-                _ => bucket.push_back((key, event)),
-            }
+            self.link(idx, i, key);
             self.occupied[idx >> 6] |= 1 << (idx & 63);
             self.summary |= 1 << (idx >> 6);
             self.wheel_len += 1;
         } else {
-            self.overflow.push(Reverse(Entry { at, key, event }));
+            self.overflow.push(Reverse((at.0, key, i)));
+        }
+    }
+
+    /// Links slot `i` (carrying `key`) into bucket `idx` in key order.
+    #[inline]
+    fn link(&mut self, idx: usize, i: u32, key: Packed) {
+        let Bucket { head, tail } = self.wheel[idx];
+        if head == NIL {
+            self.wheel[idx] = Bucket { head: i, tail: i };
+        } else if self.slots[tail as usize].key < key {
+            // Fast path: keys almost always arrive in increasing order
+            // (a sequential loop's keys are monotone).
+            self.slots[tail as usize].next = i;
+            self.wheel[idx].tail = i;
+        } else if key < self.slots[head as usize].key {
+            self.slots[i as usize].next = head;
+            self.wheel[idx].head = i;
+        } else {
+            // Out-of-order key (window merges): walk the short list.
+            // The tail's key exceeds `key`, so the walk stops before it.
+            let mut prev = head;
+            loop {
+                let next = self.slots[prev as usize].next;
+                if self.slots[next as usize].key > key {
+                    self.slots[i as usize].next = next;
+                    self.slots[prev as usize].next = i;
+                    return;
+                }
+                prev = next;
+            }
         }
     }
 
@@ -253,7 +326,7 @@ impl<E> KeyedQueue<E> {
         let idx = (word_idx << 6) | word.trailing_zeros() as usize;
         let dist = (idx.wrapping_sub(start) & (WHEEL_SLOTS - 1)) as u64;
         let cycle = self.cursor + dist;
-        let key = self.wheel[idx].front().expect("occupied bit set").0;
+        let key = self.slots[self.wheel[idx].head as usize].key;
         Some((cycle, key, idx))
     }
 
@@ -271,7 +344,7 @@ impl<E> KeyedQueue<E> {
     #[inline]
     pub fn pop_before(&mut self, horizon: Cycle) -> Option<(Cycle, E)> {
         let wheel = self.wheel_peek();
-        let over = self.overflow.peek().map(|Reverse(e)| (e.at.0, e.key));
+        let over = self.overflow.peek().map(|Reverse((c, k, _))| (*c, *k));
         let take_wheel = match (wheel, over) {
             (None, None) => return None,
             (Some(_), None) => true,
@@ -282,41 +355,40 @@ impl<E> KeyedQueue<E> {
             let (c, _, idx) = wheel.expect("checked");
             (c < horizon.0).then(|| self.pop_wheel(c, idx))
         } else {
-            if self.overflow.peek().expect("checked").0.at >= horizon {
-                return None;
-            }
-            self.pop_overflow()
+            let (c, _) = over.expect("checked");
+            (c < horizon.0).then(|| self.pop_overflow())
         }
     }
 
     #[inline]
     fn pop_wheel(&mut self, cycle: u64, idx: usize) -> (Cycle, E) {
         self.cursor = cycle;
-        let bucket = &mut self.wheel[idx];
-        let (_, event) = bucket.pop_front().expect("occupied bucket");
+        let head = self.wheel[idx].head;
+        let next = self.slots[head as usize].next;
+        self.wheel[idx].head = next;
         self.wheel_len -= 1;
-        if bucket.is_empty() {
+        if next == NIL {
             self.occupied[idx >> 6] &= !(1 << (idx & 63));
             if self.occupied[idx >> 6] == 0 {
                 self.summary &= !(1 << (idx >> 6));
             }
         }
-        (Cycle(cycle), event)
+        (Cycle(cycle), self.release(head))
     }
 
-    fn pop_overflow(&mut self) -> Option<(Cycle, E)> {
-        let Reverse(e) = self.overflow.pop()?;
+    fn pop_overflow(&mut self) -> (Cycle, E) {
+        let Reverse((at, _, i)) = self.overflow.pop().expect("checked");
         if self.wheel_len == 0 {
-            self.cursor = self.cursor.max(e.at.0);
+            self.cursor = self.cursor.max(at);
         }
-        Some((e.at, e.event))
+        (Cycle(at), self.release(i))
     }
 
     /// The cycle of the earliest pending event.
     #[must_use]
     pub fn peek_cycle(&self) -> Option<Cycle> {
         let wheel = self.wheel_peek().map(|(c, _, _)| c);
-        let over = self.overflow.peek().map(|Reverse(e)| e.at.0);
+        let over = self.overflow.peek().map(|Reverse((c, _, _))| *c);
         match (wheel, over) {
             (None, None) => None,
             (Some(c), None) | (None, Some(c)) => Some(Cycle(c)),
@@ -444,6 +516,36 @@ mod tests {
             }
         }
         assert_eq!(expected, 100);
+    }
+
+    #[test]
+    fn slab_never_outgrows_the_peak_of_pending_events() {
+        // The engine's shape: pop one event, schedule 0-3 successors up
+        // to 3000 cycles ahead (past the wheel horizon), for more than
+        // ten wheel rotations. Freed slots are reused before the slab
+        // grows.
+        let mut q = KeyedQueue::new();
+        let mut rng = crate::Xorshift64Star::new(11);
+        for i in 0..64u64 {
+            q.schedule(Cycle(i), key(0, 0, i), ());
+        }
+        let (mut seq, mut peak) = (64, q.len());
+        while let Some((at, ())) = q.pop() {
+            if at.0 < 12 * WHEEL_SLOTS as u64 {
+                let n = rng.range(0, 4).min(256 - q.len() as u64);
+                for _ in 0..n {
+                    q.schedule(at + rng.range(1, 3001), key(at.0, 0, seq), ());
+                    seq += 1;
+                }
+            }
+            peak = peak.max(q.len());
+            assert!(
+                q.slots.len() <= peak,
+                "slab {} > peak {peak}",
+                q.slots.len()
+            );
+        }
+        assert!(seq > 10 * peak as u64, "slots were reused many times over");
     }
 
     #[test]

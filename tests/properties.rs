@@ -746,3 +746,69 @@ proptest! {
         prop_assert_eq!(q.scheduled_total(), scheduled);
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Drives a [`KeyedQueue`] in the event loop's own shape — pop one
+    /// event, schedule 0–3 successors 1–3000 cycles later (past the
+    /// 2048-cycle wheel horizon) — for more than ten wheel rotations,
+    /// so slab slots are freed and reused across rotations and bucket
+    /// lists empty and refill, and checks every pop against a
+    /// sorted-set reference model. With `coarse` the delays are
+    /// multiples of 100 cycles, so many successors share a bucket, as
+    /// a wide fan-out's deliveries do. With `merge_keys` the successors
+    /// carry earlier send cycles and mixed sources, as window-merged
+    /// deliveries do, so bucket lists also take mid-list inserts.
+    #[test]
+    fn keyed_queue_matches_model_in_the_event_loop_shape(
+        seed in any::<u64>(),
+        start in 1u64..64,
+        coarse in any::<bool>(),
+        merge_keys in any::<bool>(),
+    ) {
+        const ROTATIONS_CYCLES: u64 = 12 * 2048;
+        let mut rng = specdsm::sim::Xorshift64Star::new(seed);
+        let mut q: KeyedQueue<u64> = KeyedQueue::new();
+        let mut model: std::collections::BTreeSet<(u64, (u64, u32, u64), u64)> =
+            std::collections::BTreeSet::new();
+        let mut seq = 0u64;
+        for at in 0..start {
+            q.schedule(Cycle(at), SchedKey { sched: 0, src: 0, seq }, seq);
+            model.insert((at, (0, 0, seq), seq));
+            seq += 1;
+        }
+        let mut last = 0;
+        while let Some((at, got)) = q.pop() {
+            let expect = model.pop_first().expect("queue popped an event the model does not have");
+            prop_assert_eq!((at.raw(), got), (expect.0, expect.2), "pop order");
+            prop_assert!(at.raw() >= last, "time went backwards");
+            last = at.raw();
+            if at.raw() < ROTATIONS_CYCLES {
+                // At least one successor when nothing else is pending,
+                // so the run lasts the full span.
+                let fewest = u64::from(q.is_empty());
+                let successors = rng.range(fewest, 4).min(512 - q.len() as u64);
+                for _ in 0..successors {
+                    let when = if coarse {
+                        at.raw() + 100 * rng.range(1, 31)
+                    } else {
+                        at.raw() + rng.range(1, 3001)
+                    };
+                    let (sched, src) = if merge_keys {
+                        (at.raw().saturating_sub(rng.range(0, 64)), rng.range(0, 4) as u32)
+                    } else {
+                        (at.raw(), 0)
+                    };
+                    q.schedule(Cycle(when), SchedKey { sched, src, seq }, seq);
+                    model.insert((when, (sched, src, seq), seq));
+                    seq += 1;
+                }
+            }
+            prop_assert_eq!(q.len(), model.len());
+        }
+        prop_assert!(model.is_empty(), "events left in the model: {:?}", model);
+        prop_assert!(last >= ROTATIONS_CYCLES - 2048, "ran {last} cycles");
+        prop_assert_eq!(q.scheduled_total(), seq);
+    }
+}
