@@ -245,6 +245,11 @@ impl Cache {
         }
     }
 
+    /// Every cached block, in no particular order.
+    pub(crate) fn lines(&self) -> impl Iterator<Item = BlockAddr> + '_ {
+        self.lines.keys().copied()
+    }
+
     /// Number of cached blocks.
     #[must_use]
     pub fn len(&self) -> usize {

@@ -37,6 +37,7 @@ use specdsm_core::SharingPredictor;
 use specdsm_sim::Cycle;
 use specdsm_types::{ConfigError, FaultPlan, MachineConfig, ProcId, Workload};
 
+use crate::cache::LineState;
 use crate::directory::DirState;
 use crate::processor::{Blocked, Processor};
 use crate::shard::{Directive, HomeShard, InFlight, ShardId, ShardYield, SyncKind, SyncOp};
@@ -695,12 +696,25 @@ impl System {
     /// (sharers hold read-only copies of the memory version, exclusive
     /// owners hold the writable copy, nobody else holds anything).
     ///
+    /// Linear in the directory's sharer entries plus the cached lines:
+    /// the directory side visits only the holders each record lists,
+    /// and the cache side checks each cached line against its home's
+    /// record, so a copy the directory does not list — including one
+    /// of a block the directory never saw — fails there.
+    ///
     /// # Panics
     ///
     /// Panics on any violation — these are protocol bugs, not workload
     /// errors.
     fn check_coherence(&self) {
+        // Processor ids are dense and shards own consecutive ranges,
+        // so both tables are indexed by node.
         let procs: Vec<&Processor> = self.shards.iter().flat_map(|s| s.procs.iter()).collect();
+        let home_shard: Vec<&HomeShard> = self
+            .shards
+            .iter()
+            .flat_map(|s| (s.lo..s.hi).map(move |_| s))
+            .collect();
         for shard in &self.shards {
             for dir in &shard.dirs {
                 dir.check_invariants();
@@ -710,66 +724,52 @@ impl System {
                         "{block}: transaction still in flight at quiescence"
                     );
                     match state {
-                        DirState::Idle => {
-                            for proc in &procs {
+                        DirState::Idle => {}
+                        DirState::Shared(readers) => {
+                            for reader in shard.sets.iter(readers) {
+                                let cache = procs[reader.0].cache();
+                                let cached = cache.state(block);
+                                // In finite-cache mode a listed sharer may
+                                // have silently evicted its copy; the
+                                // directory is allowed to be stale.
+                                if self.cfg.cache_blocks.is_some() && cached.is_none() {
+                                    continue;
+                                }
+                                assert!(
+                                    matches!(cached, Some(LineState::Shared { .. })),
+                                    "{block}: sharer {reader} holds {cached:?}"
+                                );
                                 assert_eq!(
-                                    proc.cache().state(block),
-                                    None,
-                                    "{block} is Idle but {} holds a copy",
-                                    proc.id()
+                                    cache.version(block),
+                                    Some(version),
+                                    "{block}: stale copy at {reader}"
                                 );
                             }
                         }
-                        DirState::Shared(readers) => {
-                            for proc in &procs {
-                                let cached = proc.cache().state(block);
-                                if shard.sets.contains(readers, proc.id()) {
-                                    // In finite-cache mode a listed sharer
-                                    // may have silently evicted its copy;
-                                    // the directory is allowed to be stale.
-                                    if self.cfg.cache_blocks.is_none() || cached.is_some() {
-                                        assert!(
-                                            matches!(cached, Some(crate::LineState::Shared { .. })),
-                                            "{block}: sharer {} holds {cached:?}",
-                                            proc.id()
-                                        );
-                                        assert_eq!(
-                                            proc.cache().version(block),
-                                            Some(version),
-                                            "{block}: stale copy at {}",
-                                            proc.id()
-                                        );
-                                    }
-                                } else {
-                                    assert_eq!(
-                                        cached,
-                                        None,
-                                        "{block}: non-sharer {} holds a copy",
-                                        proc.id()
-                                    );
-                                }
-                            }
-                        }
                         DirState::Exclusive(owner) => {
-                            for proc in &procs {
-                                let cached = proc.cache().state(block);
-                                if proc.id() == owner {
-                                    assert_eq!(
-                                        cached,
-                                        Some(crate::LineState::Exclusive),
-                                        "{block}: owner {} lost its copy",
-                                        owner
-                                    );
-                                } else {
-                                    assert_eq!(
-                                        cached,
-                                        None,
-                                        "{block}: {} holds a copy besides the owner",
-                                        proc.id()
-                                    );
-                                }
-                            }
+                            assert_eq!(
+                                procs[owner.0].cache().state(block),
+                                Some(LineState::Exclusive),
+                                "{block}: owner {owner} lost its copy"
+                            );
                         }
+                    }
+                }
+            }
+        }
+        for proc in &procs {
+            let id = proc.id();
+            for block in proc.cache().lines() {
+                let home = self.cfg.machine.home_of(block).0;
+                let shard = home_shard[home];
+                match shard.dirs[home - shard.lo].state(block) {
+                    DirState::Idle => panic!("{block} is Idle but {id} holds a copy"),
+                    DirState::Shared(readers) => assert!(
+                        shard.sets.contains(readers, id),
+                        "{block}: non-sharer {id} holds a copy"
+                    ),
+                    DirState::Exclusive(owner) => {
+                        assert!(id == owner, "{block}: {id} holds a copy besides the owner")
                     }
                 }
             }
@@ -1625,6 +1625,14 @@ mod tests {
     fn audit_rejects_a_copy_at_a_non_sharer() {
         let mut sys = shared_by_p1_p2();
         sys.shards[0].procs[3].cache.fill_shared(homed(0), 0);
+        sys.check_coherence();
+    }
+
+    #[test]
+    #[should_panic(expected = "is Idle but P3 holds a copy")]
+    fn audit_rejects_a_copy_the_directory_never_saw() {
+        let mut sys = shared_by_p1_p2();
+        sys.shards[0].procs[3].cache.fill_shared(homed(1), 0);
         sys.check_coherence();
     }
 
