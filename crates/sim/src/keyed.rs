@@ -211,23 +211,19 @@ impl<E> KeyedQueue<E> {
     /// any) and returns its index.
     #[inline]
     fn alloc(&mut self, key: Packed, event: E) -> u32 {
+        let slot = Slot {
+            key,
+            next: NIL,
+            event: Some(event),
+        };
         if self.free == NIL {
             let i = u32::try_from(self.slots.len()).expect("queue exceeds 2^32 pending events");
-            self.slots.push(Slot {
-                key,
-                next: NIL,
-                event: Some(event),
-            });
+            self.slots.push(slot);
             i
         } else {
             let i = self.free;
-            let slot = &mut self.slots[i as usize];
-            self.free = slot.next;
-            *slot = Slot {
-                key,
-                next: NIL,
-                event: Some(event),
-            };
+            self.free = self.slots[i as usize].next;
+            self.slots[i as usize] = slot;
             i
         }
     }
