@@ -73,6 +73,16 @@ impl SharingPredictor for Cosmos {
         obs
     }
 
+    fn observe_run(&mut self, block: BlockAddr, msgs: &[DirMsg]) {
+        if msgs.is_empty() {
+            return;
+        }
+        let state = self.inner.state(block);
+        for &msg in msgs {
+            self.stats.record(state.observe(Symbol::from_msg(msg)));
+        }
+    }
+
     fn stats(&self) -> PredictorStats {
         self.stats
     }

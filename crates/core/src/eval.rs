@@ -118,9 +118,7 @@ pub fn evaluate_trace(
 ) -> TraceEval {
     let mut predictor = kind.build(depth, num_procs);
     for (block, msgs) in trace.iter() {
-        for &msg in msgs {
-            predictor.observe(block, msg);
-        }
+        predictor.observe_run(block, msgs);
     }
     TraceEval {
         kind,

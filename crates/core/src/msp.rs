@@ -75,6 +75,17 @@ impl SharingPredictor for Msp {
         obs
     }
 
+    fn observe_run(&mut self, block: BlockAddr, msgs: &[DirMsg]) {
+        // Like `observe`, a run of acks alone allocates no state.
+        let Some(first) = msgs.iter().position(DirMsg::is_request) else {
+            return;
+        };
+        let state = self.inner.state(block);
+        for (kind, p) in msgs[first..].iter().filter_map(DirMsg::request) {
+            self.stats.record(state.observe(Symbol::Req(kind, p)));
+        }
+    }
+
     fn stats(&self) -> PredictorStats {
         self.stats
     }

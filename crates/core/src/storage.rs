@@ -95,17 +95,16 @@ impl StorageModel {
     }
 
     /// Bytes one pattern-table entry actually occupies in *this
-    /// reproduction's* keyed software layout (as opposed to the
-    /// paper's hardware bit model above): the 64-bit `HistoryKey`
-    /// index, the owning-window box (`depth` symbols plus the
-    /// fat-pointer header) kept for collision detection, and the
-    /// prediction entry itself.
+    /// reproduction's* record-slab software layout (as opposed to the
+    /// paper's hardware bit model above): one bucket of the table's
+    /// hash index (the 64-bit `HistoryKey` plus the record number and
+    /// SWI bit) and one record of `depth + 1` symbols, the owning
+    /// window kept for collision detection followed by the prediction.
     #[must_use]
     pub fn sw_entry_bytes(&self) -> u64 {
-        let key = std::mem::size_of::<crate::HistoryKey>() as u64;
-        let window_box = 16 + self.depth as u64 * std::mem::size_of::<crate::Symbol>() as u64;
-        let entry = std::mem::size_of::<crate::PatternEntry>() as u64;
-        key + window_box + entry
+        let bucket = crate::table::INDEX_BUCKET_BYTES as u64;
+        let record = (self.depth as u64 + 1) * std::mem::size_of::<crate::Symbol>() as u64;
+        bucket + record
     }
 
     /// Bytes one per-block history register occupies in the software
@@ -170,10 +169,11 @@ impl StorageReport {
         self.model.bytes_per_block(self.pte_per_block())
     }
 
-    /// Total bytes of live predictor state in the reproduction's keyed
-    /// software layout (ring-buffer registers + keyed entries). This
-    /// is the number to watch for host-memory budgeting; the paper's
-    /// hardware bit model stays in [`StorageReport::bytes_per_block`].
+    /// Total bytes of live predictor state in the reproduction's
+    /// record-slab software layout (ring-buffer registers + slab
+    /// entries). This is the number to watch for host-memory
+    /// budgeting; the paper's hardware bit model stays in
+    /// [`StorageReport::bytes_per_block`].
     ///
     /// Charged per **committed slot**, not per active block: a dense
     /// arena pays for every record in its committed span whether the
@@ -327,10 +327,10 @@ mod tests {
     #[test]
     fn software_layout_accounting() {
         let m = model(PredictorKind::Msp, 2);
-        // Key (8) + window box header (16) + 2 symbols + entry.
+        // Index bucket (8-byte key + 8-byte slot) + a record of the
+        // 2-symbol window and the prediction.
         let sym = std::mem::size_of::<crate::Symbol>() as u64;
-        let entry = std::mem::size_of::<crate::PatternEntry>() as u64;
-        assert_eq!(m.sw_entry_bytes(), 8 + 16 + 2 * sym + entry);
+        assert_eq!(m.sw_entry_bytes(), 16 + 3 * sym);
         assert_eq!(m.sw_history_bytes(), 2 * sym + 32);
 
         let rep = inline_report(m, 3, 3, 7);

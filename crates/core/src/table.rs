@@ -1,6 +1,6 @@
 //! Two-level tables: per-block history registers and pattern tables.
 //!
-//! # Storage layout (the O(1) keyed design)
+//! # Storage layout (one record slab per table)
 //!
 //! The paper's predictors are hardware tables: a fixed-width history
 //! register feeds a pattern table indexed by a compact function of the
@@ -12,26 +12,36 @@
 //!   memmove) and maintains a **rolling [`HistoryKey`]** — a polynomial
 //!   hash updated in O(1) per push (`key·B + in − out·B^d`), so
 //!   obtaining the current window's key never re-hashes the window.
-//! * [`PatternTable`] is a flat hash map **keyed by `HistoryKey`**
-//!   (a `u64`) through the vendored FxHash-style hasher — the software
-//!   analogue of the hardware's direct index. Each entry stores its
-//!   owning window (`Box<[Symbol]>`) so a 64-bit key collision is
-//!   *detected* rather than silently aliasing: a lookup whose stored
-//!   window differs from the live history reports a miss, and a learn
-//!   evicts the colliding entry, matching the way a hardware table
-//!   would simply overwrite the slot.
-//! * Because entries are keyed by the same `HistoryKey` the protocol
+//! * [`PatternTable`] is one pointer: `None` until the first insert,
+//!   then a boxed slab. The slab keeps every entry as a fixed-stride
+//!   **record** of `depth + 1` symbols in one `Vec<Symbol>` — the
+//!   owning window, oldest first, then the prediction — and a flat
+//!   hash index **keyed by `HistoryKey`** (a `u64`, through the
+//!   vendored FxHash-style hasher) that maps each key to its record
+//!   number and the entry's SWI bit. A new pattern appends a record;
+//!   no entry owns a heap allocation of its own.
+//! * The stored window is the **collision guard**: `HistoryKey` is 64
+//!   bits, so two windows can (very rarely) share a key. Every
+//!   history-addressed access compares the live window with the
+//!   record's window; a mismatch is a miss for a read, and a learn
+//!   overwrites the record wholesale (window, prediction, fresh SWI
+//!   bit), the way a hardware table slot is simply reused.
+//! * Because the index is keyed by the same `HistoryKey` the protocol
 //!   carries in its [`SpecTicket`](crate::SpecTicket)s, speculation
 //!   feedback ([`PatternTable::set_swi_premature`],
-//!   [`PatternTable::prune_reader`]) is a direct O(1) lookup — the
-//!   key map doubles as the reverse index from ticket to entry. The
-//!   previous design scanned the whole table and re-hashed every
-//!   entry's window per feedback event.
+//!   [`PatternTable::prune_reader`]) is one direct lookup: the index
+//!   doubles as the reverse map from ticket to entry.
+//! * A prune that empties a read vector removes the entry: the last
+//!   record moves into the hole and its index entry is re-pointed
+//!   through `HistoryKey::of` of the moved window. That relies on each
+//!   record's key being the key of its window, which every public
+//!   operation keeps.
 //!
-//! Re-learning an existing pattern (the common case in steady state)
-//! touches only the resident entry: no window re-hash, no
-//! `Box<[Symbol]>` allocation. The box is allocated once, when the
-//! entry is first inserted.
+//! The box keeps a never-used table at one word. The VMSP arena commits
+//! whole spans of pristine per-block records, most of which never learn
+//! a pattern, so an inline map plus a record vector would cost every one
+//! of them several words. Re-learning a resident pattern (the steady
+//! state) is one index probe, one window compare and one store.
 
 use crate::fxhash::FxHashMap;
 use crate::symbol::{HistoryKey, Symbol};
@@ -39,7 +49,7 @@ use crate::symbol::{HistoryKey, Symbol};
 /// One pattern-table entry: the observed immediate successor of a
 /// history window, "the prediction ... when the sequence last occurred"
 /// (paper §2.1).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PatternEntry {
     /// Predicted next symbol.
     pub prediction: Symbol,
@@ -47,43 +57,68 @@ pub struct PatternEntry {
     /// invalidation triggered from this entry proved premature, which
     /// suppresses further SWI for this pattern (paper §4.2).
     pub swi_premature: bool,
-    /// How many times this entry has been consulted for a prediction
-    /// (reuse frequency; relates to the paper's `f` parameter).
-    pub uses: u64,
 }
 
-impl PatternEntry {
-    fn new(prediction: Symbol) -> Self {
-        PatternEntry {
-            prediction,
-            swi_premature: false,
-            uses: 0,
-        }
-    }
+/// The index side of one entry: where its record lives, and its SWI bit.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    /// Record number; the record starts at symbol `at · stride`.
+    at: u32,
+    swi_premature: bool,
 }
 
-/// A pattern entry together with the window that owns it.
-///
-/// The window is the collision guard: `HistoryKey` is 64 bits, so two
-/// distinct windows can (very rarely) share a key. Storing the owning
-/// window lets every keyed access verify it hit the right pattern.
+/// Bytes one entry occupies in the slab's hash index (key plus
+/// [`Slot`]), for the software storage accounting.
+pub(crate) const INDEX_BUCKET_BYTES: usize = std::mem::size_of::<(HistoryKey, Slot)>();
+
+/// The storage of a table that holds at least one entry.
 #[derive(Debug, Clone)]
-struct KeyedEntry {
-    window: Box<[Symbol]>,
-    entry: PatternEntry,
+struct Slab {
+    /// Symbols per record: the window depth plus the prediction.
+    stride: usize,
+    index: FxHashMap<HistoryKey, Slot>,
+    records: Vec<Symbol>,
+}
+
+impl Slab {
+    fn empty(stride: usize) -> Box<Slab> {
+        Box::new(Slab {
+            stride,
+            index: FxHashMap::default(),
+            records: Vec::new(),
+        })
+    }
+
+    /// The window and the entry of the record `slot` points at.
+    fn entry(&self, slot: Slot) -> (&[Symbol], PatternEntry) {
+        let record = &self.records[slot.at as usize * self.stride..][..self.stride];
+        let (window, prediction) = record.split_at(self.stride - 1);
+        let entry = PatternEntry {
+            prediction: prediction[0],
+            swi_premature: slot.swi_premature,
+        };
+        (window, entry)
+    }
+
+    /// The entry `history`'s window owns, if its key is present and
+    /// its record holds that very window.
+    fn lookup(&self, history: &History) -> Option<PatternEntry> {
+        let (window, entry) = self.entry(*self.index.get(&history.key())?);
+        history.window_matches(window).then_some(entry)
+    }
 }
 
 /// A per-block pattern table keyed by the history window's
 /// [`HistoryKey`].
 ///
 /// See the `table` module source docs for the storage layout. All
-/// operations
-/// are O(1): lookups and learns index by the history's rolling key;
-/// speculation feedback (`set_swi_premature`, `prune_reader`) indexes
-/// by the key captured in the protocol's ticket.
+/// operations are O(1): lookups and learns index by the history's
+/// rolling key; speculation feedback (`set_swi_premature`,
+/// `prune_reader`) indexes by the key captured in the protocol's
+/// ticket. Every history-addressed call expects a full register.
 #[derive(Debug, Clone, Default)]
 pub struct PatternTable {
-    entries: FxHashMap<HistoryKey, KeyedEntry>,
+    slab: Option<Box<Slab>>,
 }
 
 impl PatternTable {
@@ -93,85 +128,82 @@ impl PatternTable {
         Self::default()
     }
 
-    /// Looks up the prediction for `history`'s current window, counting
-    /// a use. A key collision (entry owned by a different window) is a
-    /// miss.
-    pub fn predict(&mut self, history: &History) -> Option<Symbol> {
-        let keyed = self.entries.get_mut(&history.key())?;
-        if !history.window_matches(&keyed.window) {
-            return None;
-        }
-        keyed.entry.uses += 1;
-        Some(keyed.entry.prediction)
+    /// Looks up the prediction for `history`'s current window. A key
+    /// collision (entry owned by a different window) is a miss.
+    #[must_use]
+    pub fn predict(&self, history: &History) -> Option<Symbol> {
+        self.peek(history).map(|e| e.prediction)
     }
 
-    /// Looks up the entry for `history`'s current window without
-    /// counting a use.
+    /// Looks up the entry for `history`'s current window.
     #[must_use]
-    pub fn peek(&self, history: &History) -> Option<&PatternEntry> {
-        let keyed = self.entries.get(&history.key())?;
-        history
-            .window_matches(&keyed.window)
-            .then_some(&keyed.entry)
+    pub fn peek(&self, history: &History) -> Option<PatternEntry> {
+        self.slab.as_deref()?.lookup(history)
     }
 
     /// Last-occurrence update: records `successor` as the prediction
     /// for `history`'s current window, preserving the entry's SWI bit
     /// if the same window is already resident. A colliding entry (same
-    /// key, different window) is evicted and replaced, like a hardware
-    /// table slot being overwritten.
-    ///
-    /// Only a first-time insert allocates (the owning-window box); the
-    /// steady-state re-learn path is allocation-free.
+    /// key, different window) is overwritten, like a hardware table
+    /// slot being reused.
     pub fn learn(&mut self, history: &History, successor: Symbol) {
-        if let Some(entry) = self.resident_or_insert(history, &successor) {
-            entry.prediction = successor;
+        if let Some(prediction) = self.resident_or_insert(history, &successor) {
+            *prediction = successor;
         }
     }
 
     /// Fused predict + learn for one observed symbol: returns what the
-    /// table predicted for `history`'s window (counting a use, exactly
-    /// like [`PatternTable::predict`]) and records `sym` as the
-    /// window's new successor (exactly like [`PatternTable::learn`]) —
-    /// in a **single** keyed map access instead of two. This is the
-    /// per-symbol hot path of every predictor's observe loop.
+    /// table predicted for `history`'s window (exactly like
+    /// [`PatternTable::predict`]) and records `sym` as the window's new
+    /// successor (exactly like [`PatternTable::learn`]) — in a
+    /// **single** index probe instead of two. This is the per-symbol
+    /// hot path of every predictor's observe loop.
     pub fn predict_and_learn(&mut self, history: &History, sym: &Symbol) -> Option<Symbol> {
-        let entry = self.resident_or_insert(history, sym)?;
-        entry.uses += 1;
-        let predicted = std::mem::replace(&mut entry.prediction, *sym);
-        Some(predicted)
+        let prediction = self.resident_or_insert(history, sym)?;
+        Some(std::mem::replace(prediction, *sym))
     }
 
     /// The shared slot-resolution arm of [`PatternTable::learn`] and
-    /// [`PatternTable::predict_and_learn`]: one keyed map access that
-    /// either returns the **resident** entry for `history`'s window
-    /// (the caller updates its prediction), or installs a fresh entry
-    /// predicting `successor` and returns `None` — covering both the
-    /// vacant slot and the 64-bit key collision, where the slot's
-    /// owner is a different window and is overwritten wholesale (fresh
-    /// SWI bit and use count — it is a different pattern), like a
-    /// hardware table slot being reused.
-    fn resident_or_insert(
-        &mut self,
-        history: &History,
-        successor: &Symbol,
-    ) -> Option<&mut PatternEntry> {
-        match self.entries.entry(history.key()) {
+    /// [`PatternTable::predict_and_learn`]: one index probe that either
+    /// returns the **resident** prediction for `history`'s window (the
+    /// caller updates it), or installs a record predicting `successor`
+    /// and returns `None`. Installing covers both the vacant key, which
+    /// appends a record, and the 64-bit key collision, where the
+    /// record's owner is a different window and the record is
+    /// overwritten wholesale (window, prediction and a fresh SWI bit:
+    /// it is a different pattern).
+    fn resident_or_insert(&mut self, history: &History, successor: &Symbol) -> Option<&mut Symbol> {
+        let stride = history.depth() + 1;
+        let slab = self.slab.get_or_insert_with(|| Slab::empty(stride));
+        assert!(
+            history.is_full() && slab.stride == stride,
+            "pattern tables learn only from full registers of one depth"
+        );
+        let Slab { index, records, .. } = &mut **slab;
+        match index.entry(history.key()) {
             std::collections::hash_map::Entry::Occupied(o) => {
-                let keyed = o.into_mut();
-                if history.window_matches(&keyed.window) {
-                    Some(&mut keyed.entry)
-                } else {
-                    keyed.window = history.window_boxed();
-                    keyed.entry = PatternEntry::new(*successor);
-                    None
+                let slot = o.into_mut();
+                let record = &mut records[slot.at as usize * stride..][..stride];
+                let (window, prediction) = record.split_at_mut(stride - 1);
+                if history.window_matches(window) {
+                    return Some(&mut prediction[0]);
                 }
+                history.copy_window_to(window);
+                prediction[0] = *successor;
+                slot.swi_premature = false;
+                None
             }
             std::collections::hash_map::Entry::Vacant(v) => {
-                v.insert(KeyedEntry {
-                    window: history.window_boxed(),
-                    entry: PatternEntry::new(*successor),
+                let at = u32::try_from(records.len() / stride)
+                    .expect("pattern table exceeds u32 records");
+                v.insert(Slot {
+                    at,
+                    swi_premature: false,
                 });
+                let (straight, wrapped) = history.halves();
+                records.extend_from_slice(straight);
+                records.extend_from_slice(wrapped);
+                records.push(*successor);
                 None
             }
         }
@@ -182,13 +214,12 @@ impl PatternTable {
     /// was marked.
     ///
     /// Matching by key lets the protocol refer to the entry without
-    /// retaining the symbol sequence; the keyed map makes this a direct
-    /// O(1) lookup (the old layout scanned and re-hashed the whole
-    /// table).
+    /// retaining the symbol sequence; the index makes this one direct
+    /// lookup.
     pub fn set_swi_premature(&mut self, key: HistoryKey) -> bool {
-        match self.entries.get_mut(&key) {
-            Some(keyed) => {
-                keyed.entry.swi_premature = true;
+        match self.slab.as_deref_mut().and_then(|s| s.index.get_mut(&key)) {
+            Some(slot) => {
+                slot.swi_premature = true;
                 true
             }
             None => false,
@@ -205,9 +236,10 @@ impl PatternTable {
     /// ticket-handle form of [`PatternTable::swi_suppressed`]).
     #[must_use]
     pub fn swi_suppressed_key(&self, key: HistoryKey) -> bool {
-        self.entries
-            .get(&key)
-            .is_some_and(|k| k.entry.swi_premature)
+        self.slab
+            .as_deref()
+            .and_then(|s| s.index.get(&key))
+            .is_some_and(|slot| slot.swi_premature)
     }
 
     /// Removes a reader from a vector prediction (speculation
@@ -216,57 +248,87 @@ impl PatternTable {
     /// changed. O(1) lookup: the ticket key indexes the entry
     /// directly; `sets` must be the interner that minted the entry's
     /// read-vector ids (the pruned vector is re-interned through it).
+    /// Pruning the last reader removes the entry: the table's last
+    /// record moves into its place.
     pub fn prune_reader(
         &mut self,
         sets: &mut specdsm_types::ReaderSetInterner,
         key: HistoryKey,
         reader: specdsm_types::ProcId,
     ) -> bool {
-        let Some(keyed) = self.entries.get_mut(&key) else {
+        let Some(Slab {
+            stride,
+            index,
+            records,
+        }) = self.slab.as_deref_mut()
+        else {
             return false;
         };
-        let Symbol::ReadVec(v) = &mut keyed.entry.prediction else {
+        let stride = *stride;
+        let Some(&Slot { at, .. }) = index.get(&key) else {
+            return false;
+        };
+        let start = at as usize * stride;
+        let Symbol::ReadVec(v) = &mut records[start + stride - 1] else {
             return false;
         };
         let pruned = sets.remove(*v, reader);
         if pruned == *v {
             return false;
         }
-        if pruned.is_empty() {
-            self.entries.remove(&key);
-        } else {
+        if !pruned.is_empty() {
             *v = pruned;
+            return true;
         }
+        index.remove(&key);
+        let last = records.len() - stride;
+        if start != last {
+            records.copy_within(last.., start);
+            let moved = HistoryKey::of(&records[start..start + stride - 1]);
+            index
+                .get_mut(&moved)
+                .expect("every record is indexed under its window's key")
+                .at = at;
+        }
+        records.truncate(last);
         true
     }
 
     /// Number of entries.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.slab.as_ref().map_or(0, |s| s.index.len())
     }
 
     /// Whether the table is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
     }
 
     /// Iterates `(history window, entry)` pairs in unspecified order.
-    pub fn iter(&self) -> impl Iterator<Item = (&[Symbol], &PatternEntry)> {
-        self.entries.values().map(|k| (&*k.window, &k.entry))
+    pub fn iter(&self) -> impl Iterator<Item = (&[Symbol], PatternEntry)> {
+        self.slab
+            .iter()
+            .flat_map(|slab| slab.index.values().map(|&slot| slab.entry(slot)))
     }
 
-    /// Test-only backdoor: inserts an entry under an arbitrary key,
+    /// Test-only backdoor: installs a record under an arbitrary key,
     /// simulating a 64-bit key collision that honest inputs cannot
-    /// produce on demand.
+    /// produce on demand. The record's key then differs from its
+    /// window's key, so the table must not be pruned afterwards.
     #[cfg(test)]
-    fn insert_forged(&mut self, key: HistoryKey, window: Box<[Symbol]>, successor: Symbol) {
-        self.entries.insert(
+    fn insert_forged(&mut self, key: HistoryKey, window: &[Symbol], successor: Symbol) {
+        let stride = window.len() + 1;
+        let slab = self.slab.get_or_insert_with(|| Slab::empty(stride));
+        let at = u32::try_from(slab.records.len() / stride).unwrap();
+        slab.records.extend_from_slice(window);
+        slab.records.push(successor);
+        slab.index.insert(
             key,
-            KeyedEntry {
-                window,
-                entry: PatternEntry::new(successor),
+            Slot {
+                at,
+                swi_premature: false,
             },
         );
     }
@@ -333,7 +395,10 @@ impl History {
             let outgoing = std::mem::replace(&mut self.buf[self.head], sym);
             let incoming = &self.buf[self.head];
             self.key = self.key.shift(&outgoing, incoming, self.base_pow_depth);
-            self.head = (self.head + 1) % self.depth;
+            self.head += 1;
+            if self.head == self.depth {
+                self.head = 0;
+            }
         }
     }
 
@@ -352,21 +417,33 @@ impl History {
 
     /// Iterates the current window, oldest symbol first.
     pub fn window(&self) -> impl Iterator<Item = &Symbol> + '_ {
-        let (wrapped, straight) = self.buf.split_at(self.head);
+        let (straight, wrapped) = self.halves();
         straight.iter().chain(wrapped)
+    }
+
+    /// The current window as two ring slices whose concatenation is
+    /// the window, oldest symbol first.
+    pub(crate) fn halves(&self) -> (&[Symbol], &[Symbol]) {
+        let (wrapped, straight) = self.buf.split_at(self.head);
+        (straight, wrapped)
     }
 
     /// Whether the current window equals `window` symbol-for-symbol.
     #[must_use]
     pub fn window_matches(&self, window: &[Symbol]) -> bool {
-        self.buf.len() == window.len() && self.window().eq(window.iter())
+        let (straight, wrapped) = self.halves();
+        self.buf.len() == window.len()
+            && window[..straight.len()] == *straight
+            && window[straight.len()..] == *wrapped
     }
 
-    /// The current window as an owned boxed slice (oldest first); used
-    /// when a pattern entry takes ownership of its window.
-    #[must_use]
-    pub fn window_boxed(&self) -> Box<[Symbol]> {
-        self.window().copied().collect()
+    /// Copies the current window, oldest first, into `dst`, which must
+    /// be exactly the window's length.
+    pub(crate) fn copy_window_to(&self, dst: &mut [Symbol]) {
+        let (straight, wrapped) = self.halves();
+        let (front, back) = dst.split_at_mut(straight.len());
+        front.copy_from_slice(straight);
+        back.copy_from_slice(wrapped);
     }
 }
 
@@ -516,16 +593,6 @@ mod tests {
     }
 
     #[test]
-    fn uses_counted_on_predict_not_peek() {
-        let mut t = PatternTable::new();
-        let h = history_of(&[req(ReqKind::Read, 1)]);
-        t.learn(&h, req(ReqKind::Read, 2));
-        t.predict(&h);
-        t.predict(&h);
-        assert_eq!(t.peek(&h).unwrap().uses, 2);
-    }
-
-    #[test]
     fn predict_and_learn_equals_separate_calls() {
         let stream = [
             req(ReqKind::Upgrade, 3),
@@ -581,8 +648,7 @@ mod tests {
         // the slot for the rightful window.
         let mut t = PatternTable::new();
         let live = history_of(&[req(ReqKind::Upgrade, 3)]);
-        let foreign: Box<[Symbol]> = Box::new([req(ReqKind::Read, 7)]);
-        t.insert_forged(live.key(), foreign, req(ReqKind::Write, 9));
+        t.insert_forged(live.key(), &[req(ReqKind::Read, 7)], req(ReqKind::Write, 9));
 
         // Same key, different window: every verified lookup misses.
         assert_eq!(t.predict(&live), None);

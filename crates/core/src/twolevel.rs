@@ -7,12 +7,16 @@
 //!
 //! Each block owns a fixed ring-buffer [`History`] register with a
 //! rolling [`HistoryKey`](crate::HistoryKey) and a [`PatternTable`]
-//! keyed by that key, so one observed symbol costs two O(1) keyed map
-//! accesses (predict + learn) and an O(1) ring push — no per-symbol
-//! window re-hash, no window allocation on the steady-state re-learn
-//! path. The block index itself uses the same FxHash-style hasher as
-//! the pattern tables ([`FxHashMap`]) so the first-level lookup does
-//! not become the bottleneck the second level just stopped being.
+//! keyed by that key, so one observed symbol costs one fused
+//! predict-and-learn probe of the table's index and an O(1) ring push:
+//! no per-symbol window re-hash, and no allocation on the steady-state
+//! re-learn path. The block index itself uses the same FxHash-style
+//! hasher as the pattern tables ([`FxHashMap`]).
+//!
+//! Trace replay hands a predictor each block's whole run of messages
+//! at once ([`SharingPredictor::observe_run`](crate::SharingPredictor::observe_run)),
+//! so [`TwoLevel::state`] resolves the block once per run and
+//! [`BlockState::observe`] steps each symbol on the resolved state.
 
 use specdsm_types::BlockAddr;
 
@@ -29,10 +33,33 @@ pub(crate) struct TwoLevel {
     blocks: FxHashMap<BlockAddr, BlockState>,
 }
 
+/// One block's history register and pattern table.
 #[derive(Debug, Clone)]
-struct BlockState {
+pub(crate) struct BlockState {
     history: History,
     table: PatternTable,
+}
+
+impl BlockState {
+    /// Core PAp step: predict the successor of the current history,
+    /// compare with `sym`, learn `sym` as the new successor
+    /// (last-occurrence update), and shift `sym` into the history.
+    pub(crate) fn observe(&mut self, sym: Symbol) -> Observation {
+        let obs = if self.history.is_full() {
+            // Fused predict + last-occurrence learn: one table access.
+            match self.table.predict_and_learn(&self.history, &sym) {
+                Some(pred) => Observation::Predicted {
+                    correct: pred == sym,
+                },
+                None => Observation::NoPrediction,
+            }
+        } else {
+            // Warm-up: the history register is not yet primed.
+            Observation::NoPrediction
+        };
+        self.history.push(sym);
+        obs
+    }
 }
 
 impl TwoLevel {
@@ -48,30 +75,18 @@ impl TwoLevel {
         self.depth
     }
 
-    /// Core PAp step: predict the successor of the current history,
-    /// compare with `sym`, learn `sym` as the new successor
-    /// (last-occurrence update), and shift `sym` into the history.
-    pub(crate) fn observe_symbol(&mut self, block: BlockAddr, sym: Symbol) -> Observation {
+    /// The state of `block`, created empty on first use.
+    pub(crate) fn state(&mut self, block: BlockAddr) -> &mut BlockState {
         let depth = self.depth;
-        let state = self.blocks.entry(block).or_insert_with(|| BlockState {
+        self.blocks.entry(block).or_insert_with(|| BlockState {
             history: History::new(depth),
             table: PatternTable::new(),
-        });
+        })
+    }
 
-        let obs = if state.history.is_full() {
-            // Fused predict + last-occurrence learn: one table access.
-            match state.table.predict_and_learn(&state.history, &sym) {
-                Some(pred) => Observation::Predicted {
-                    correct: pred == sym,
-                },
-                None => Observation::NoPrediction,
-            }
-        } else {
-            // Warm-up: the history register is not yet primed.
-            Observation::NoPrediction
-        };
-        state.history.push(sym);
-        obs
+    /// One [`BlockState::observe`] step on `block`'s state.
+    pub(crate) fn observe_symbol(&mut self, block: BlockAddr, sym: Symbol) -> Observation {
+        self.state(block).observe(sym)
     }
 
     /// Total pattern-table entries across all blocks.

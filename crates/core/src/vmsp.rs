@@ -514,6 +514,18 @@ impl SharingPredictor for Vmsp {
         self.observe_at(slot, msg)
     }
 
+    fn observe_run(&mut self, block: BlockAddr, msgs: &[DirMsg]) {
+        if msgs.is_empty() {
+            return;
+        }
+        // Acks included: `observe` resolves (and so commits) the slot
+        // for every message.
+        let slot = self.slot_of(block);
+        for &msg in msgs {
+            self.observe_at(slot, msg);
+        }
+    }
+
     fn stats(&self) -> PredictorStats {
         self.stats
     }

@@ -5,8 +5,11 @@ mod map_model;
 use proptest::prelude::*;
 
 use map_model::{MapModel, SpecOps};
+use std::collections::HashMap;
+
 use specdsm::core::{
-    evaluate_trace, DirectoryTrace, Observation, PredictorKind, SpecTicket, SpecTrigger, Vmsp,
+    evaluate_trace, DirectoryTrace, History, Observation, PatternEntry, PatternTable,
+    PredictorKind, ReaderSetInterner, SpecTicket, SpecTrigger, Symbol, Vmsp,
 };
 use specdsm::prelude::*;
 use specdsm::protocol::{System, SystemConfig};
@@ -336,6 +339,224 @@ proptest! {
             prop_assert_eq!(a.stats, b.stats);
             prop_assert_eq!(a.storage.entries, b.storage.entries);
         }
+    }
+}
+
+/// A trace-shaped message: blocks 0–5 see any message, blocks 6–7
+/// only acks, so some blocks' runs hold no request at all. The block
+/// number is spread over several 128-block pages, and so over several
+/// VMSP homes.
+fn arb_trace_msg() -> impl Strategy<Value = (BlockAddr, DirMsg)> {
+    (0u64..8, arb_msg(), 0usize..8).prop_map(|(b, m, p)| {
+        let m = if b >= 6 && m.is_request() {
+            DirMsg::ack_inv(ProcId(p))
+        } else {
+            m
+        };
+        (BlockAddr(b * 61), m)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `evaluate_trace` hands each block's run to `observe_run`; that
+    /// must equal observing every message one at a time, in recording
+    /// order, in the statistics and in the whole storage report.
+    #[test]
+    fn observe_run_replay_equals_per_message_observe(
+        msgs in proptest::collection::vec(arb_trace_msg(), 0..300),
+    ) {
+        let mut trace = DirectoryTrace::new();
+        for &(b, m) in &msgs {
+            trace.record(b, m);
+        }
+        for kind in PredictorKind::ALL {
+            for depth in [1, 2, 4] {
+                let mut p = kind.build(depth, 8);
+                for &(b, m) in &msgs {
+                    p.observe(b, m);
+                }
+                let eval = evaluate_trace(&trace, kind, depth, 8);
+                prop_assert_eq!(eval.stats, p.stats(), "{} d={}", kind, depth);
+                prop_assert_eq!(eval.storage, p.storage(), "{} d={}", kind, depth);
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// PatternTable's record slab vs a window-keyed map model
+// ---------------------------------------------------------------------
+
+/// Eight symbols the model windows are drawn from, read vectors
+/// included.
+fn slab_alphabet(sets: &mut ReaderSetInterner) -> [Symbol; 8] {
+    let mut vec = |procs: &[usize]| {
+        Symbol::ReadVec(sets.intern(&ReaderSet::from_iter(procs.iter().map(|&p| ProcId(p)))))
+    };
+    [
+        Symbol::Req(ReqKind::Read, ProcId(0)),
+        Symbol::Req(ReqKind::Write, ProcId(1)),
+        Symbol::Req(ReqKind::Upgrade, ProcId(2)),
+        Symbol::Req(ReqKind::Upgrade, ProcId(3)),
+        Symbol::Req(ReqKind::Write, ProcId(3)),
+        vec(&[0, 1]),
+        vec(&[2]),
+        vec(&[1, 2, 3]),
+    ]
+}
+
+/// Eight distinct depth-`depth` windows over `alphabet`, each paired
+/// with a full register holding it. Every register is primed with a
+/// different number of leading symbols, so the ring's oldest slot sits
+/// at a different offset and the window straddles the wrap.
+fn slab_windows(alphabet: &[Symbol; 8], depth: usize) -> Vec<(Vec<Symbol>, History)> {
+    (0..8usize)
+        .map(|i| {
+            // `37` is odd, so `i ↦ 37·i + 11` is injective mod 8^depth.
+            let mut n = (37 * i + 11) % 8usize.pow(depth as u32);
+            let window: Vec<Symbol> = (0..depth)
+                .map(|_| {
+                    let sym = alphabet[n % 8];
+                    n /= 8;
+                    sym
+                })
+                .collect();
+            let mut history = History::new(depth);
+            for k in 0..i {
+                history.push(alphabet[k % 8]);
+            }
+            for &sym in &window {
+                history.push(sym);
+            }
+            (window, history)
+        })
+        .collect()
+}
+
+/// Replays `ops` on a `PatternTable` and on a `HashMap` from window to
+/// `(prediction, SWI bit)`, checking every observable after each step.
+/// Returns how many prunes removed an entry other than the most
+/// recently stored one, which is the slab's record-move path.
+fn replay_slab_ops(depth: usize, ops: &[(u8, usize, usize)]) -> usize {
+    let mut sets = ReaderSetInterner::new();
+    let alphabet = slab_alphabet(&mut sets);
+    let windows = slab_windows(&alphabet, depth);
+    let mut table = PatternTable::new();
+    let mut model: HashMap<Vec<Symbol>, (Symbol, bool)> = HashMap::new();
+    // The model's entries in storage order: appended on insert,
+    // swap-removed on removal, as the slab keeps its records.
+    let mut order: Vec<Vec<Symbol>> = Vec::new();
+    let mut moves = 0;
+    for (step, &(op, w, b)) in ops.iter().enumerate() {
+        let (window, history) = &windows[w % windows.len()];
+        let successor = if b % 3 == 0 {
+            Symbol::Req(ReqKind::Write, ProcId(b % 4))
+        } else {
+            let bits = (b % 15 + 1) as u64;
+            Symbol::ReadVec(sets.intern(&ReaderSet::from_bits(bits)))
+        };
+        let mut learn = |model: &mut HashMap<Vec<Symbol>, (Symbol, bool)>| {
+            if let Some(entry) = model.get_mut(window) {
+                Some(std::mem::replace(&mut entry.0, successor))
+            } else {
+                model.insert(window.clone(), (successor, false));
+                order.push(window.clone());
+                None
+            }
+        };
+        match op % 4 {
+            0 => {
+                table.learn(history, successor);
+                learn(&mut model);
+            }
+            1 => {
+                let got = table.predict_and_learn(history, &successor);
+                assert_eq!(got, learn(&mut model), "step {step}: predict_and_learn");
+            }
+            2 => {
+                let marked = model.get_mut(window).map(|e| e.1 = true).is_some();
+                assert_eq!(
+                    table.set_swi_premature(history.key()),
+                    marked,
+                    "step {step}: set_swi_premature"
+                );
+            }
+            _ => {
+                let reader = ProcId(b % 4);
+                let expected = match model.get(window) {
+                    Some(&(Symbol::ReadVec(v), _)) if sets.resolve(v).contains(reader) => {
+                        let mut left = sets.resolve(v);
+                        left.remove(reader);
+                        if left.is_empty() {
+                            model.remove(window);
+                            let at = order.iter().position(|o| o == window).unwrap();
+                            if at + 1 != order.len() {
+                                moves += 1;
+                            }
+                            order.swap_remove(at);
+                        } else {
+                            model.get_mut(window).unwrap().0 = Symbol::ReadVec(sets.intern(&left));
+                        }
+                        true
+                    }
+                    _ => false,
+                };
+                assert_eq!(
+                    table.prune_reader(&mut sets, history.key(), reader),
+                    expected,
+                    "step {step}: prune_reader"
+                );
+            }
+        }
+        assert_eq!(table.len(), model.len(), "step {step}: len");
+        for (window, history) in &windows {
+            let want = model.get(window).copied();
+            assert_eq!(table.predict(history), want.map(|e| e.0), "step {step}");
+            assert_eq!(
+                table.peek(history),
+                want.map(|(prediction, swi_premature)| PatternEntry {
+                    prediction,
+                    swi_premature
+                }),
+                "step {step}"
+            );
+            let suppressed = want.is_some_and(|e| e.1);
+            assert_eq!(table.swi_suppressed(history), suppressed, "step {step}");
+            assert_eq!(table.swi_suppressed_key(history.key()), suppressed);
+        }
+    }
+    moves
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn pattern_table_matches_window_keyed_model(
+        ops in proptest::collection::vec((0u8..4, 0usize..8, 0usize..16), 1..200),
+    ) {
+        for depth in [1, 2, 4] {
+            replay_slab_ops(depth, &ops);
+        }
+    }
+}
+
+#[test]
+fn pattern_table_prune_moves_the_last_record() {
+    // Store three read-vector entries, then prune the first one empty:
+    // the third record moves into its place and must stay reachable.
+    let ops = [
+        (0, 0, 1),
+        (0, 1, 2),
+        (0, 2, 4),
+        (3, 0, 1),
+        (1, 2, 5),
+        (3, 1, 1),
+    ];
+    for depth in [1, 2, 4] {
+        assert!(replay_slab_ops(depth, &ops) >= 1, "depth {depth}");
     }
 }
 
