@@ -41,7 +41,7 @@ use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
 
 use specdsm_sim::Cycle;
-use specdsm_types::{BlockAddr, ProcId, ReaderSet, ReaderSetInterner};
+use specdsm_types::{BlockAddr, ProcId, ReaderSet};
 
 use crate::directory::DirState;
 use crate::msg::{Msg, MsgKind};
@@ -240,14 +240,8 @@ impl Auditor {
     }
 
     /// Cross-checks the directory's published state for `block` against
-    /// the shadow (called after directory-bound deliveries). `sets` is
-    /// the shard's interner — `Shared` states carry an interned id.
-    pub(crate) fn check_dir_state(
-        &mut self,
-        block: BlockAddr,
-        state: DirState,
-        sets: &ReaderSetInterner,
-    ) {
+    /// the shadow (called after directory-bound deliveries).
+    pub(crate) fn check_dir_state(&mut self, block: BlockAddr, state: &DirState) {
         let Some(sh) = self.shadows.get(&block) else {
             return;
         };
@@ -264,12 +258,12 @@ impl Auditor {
                         "directory shared while a writable copy is outstanding",
                     );
                 }
-                if !sets.is_superset_of(listed, &sh.readers) {
+                if !listed.is_superset(&sh.readers) {
                     self.fail(block, "directory reader set misses an actual sharer");
                 }
             }
             DirState::Exclusive(owner) => {
-                if sh.owner != Some(owner) {
+                if sh.owner != Some(*owner) {
                     self.fail(
                         block,
                         "directory owner disagrees with the granted writable copy",
@@ -330,11 +324,7 @@ mod tests {
             ),
         );
         a.note_sent(at(40), &msg(0, 2, MsgKind::DataExcl { version: 1 }));
-        a.check_dir_state(
-            BlockAddr(7),
-            DirState::Exclusive(ProcId(2)),
-            &ReaderSetInterner::new(),
-        );
+        a.check_dir_state(BlockAddr(7), &DirState::Exclusive(ProcId(2)));
         a.note_sent(at(50), &msg(0, 2, MsgKind::InvWriteback { swi: false }));
         a.note_delivered(
             at(60),
@@ -417,13 +407,30 @@ mod tests {
     #[test]
     #[should_panic(expected = "reader set misses")]
     fn directory_underapproximation_fails() {
-        let mut sets = ReaderSetInterner::new();
         let mut a = Auditor::new();
         a.note_sent(at(0), &msg(0, 1, MsgKind::DataShared { version: 0 }));
         a.note_sent(at(1), &msg(0, 2, MsgKind::DataShared { version: 0 }));
         // Directory claims only P2 shares the block — P1's copy is lost.
-        let only_p2 = sets.single(ProcId(2));
-        a.check_dir_state(BlockAddr(7), DirState::Shared(only_p2), &sets);
+        let only_p2 = ReaderSet::single(ProcId(2));
+        a.check_dir_state(BlockAddr(7), &DirState::Shared(only_p2));
+    }
+
+    #[test]
+    fn wide_directory_underapproximation_fails() {
+        // The same loss on a 256-node machine: the shadow holds P1 and
+        // P200, and the directory lists only one of them, either the
+        // spilled P200 or the inline P1.
+        for listed in [ProcId(200), ProcId(1)] {
+            let err = std::panic::catch_unwind(|| {
+                let mut a = Auditor::new();
+                a.note_sent(at(0), &msg(0, 1, MsgKind::DataShared { version: 0 }));
+                a.note_sent(at(1), &msg(0, 200, MsgKind::DataShared { version: 0 }));
+                a.check_dir_state(BlockAddr(7), &DirState::Shared(ReaderSet::single(listed)));
+            })
+            .unwrap_err();
+            let text = err.downcast_ref::<String>().expect("panic carries text");
+            assert!(text.contains("reader set misses"), "{listed}: {text}");
+        }
     }
 
     #[test]

@@ -16,23 +16,21 @@
 use std::collections::VecDeque;
 
 use specdsm_core::SpecTicket;
-use specdsm_types::{BlockAddr, HomeGeometry, MachineConfig, NodeId, ProcId, ReqKind, SetId};
+use specdsm_types::{BlockAddr, HomeGeometry, MachineConfig, NodeId, ProcId, ReaderSet, ReqKind};
 
 /// Stable sharing state of a block at its home directory (paper
 /// Figure 1).
 ///
-/// The sharer set is an interned [`SetId`]: machines up to 64
-/// processors encode the set inline in the id itself, wider sets point
-/// into the owning shard's
-/// [`ReaderSetInterner`](specdsm_types::ReaderSetInterner) arena. That
-/// keeps this enum `Copy` — directory records move through snapshots,
-/// audits, and coherence checks without cloning heap words.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The sharer set is the block's own full-map bit vector, which the
+/// protocol updates in place: machines up to 64 processors keep it in
+/// one inline word, wider ones spill to a heap array owned by the
+/// record.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DirState {
     /// No remote copies.
     Idle,
     /// One or more read-only copies.
-    Shared(SetId),
+    Shared(ReaderSet),
     /// A single writable copy.
     Exclusive(ProcId),
 }
@@ -129,10 +127,11 @@ impl DirBlock {
     }
 
     /// Current sharers (empty unless `Shared`).
-    pub fn sharers(&self) -> SetId {
-        match self.state {
+    pub fn sharers(&self) -> &ReaderSet {
+        static NONE: ReaderSet = ReaderSet::new();
+        match &self.state {
             DirState::Shared(r) => r,
-            _ => SetId::EMPTY,
+            _ => &NONE,
         }
     }
 }
@@ -260,8 +259,9 @@ impl Directory {
     /// Sharing state of `block` (`Idle` if never touched, or if the
     /// block is homed at a different node).
     #[must_use]
-    pub fn state(&self, block: BlockAddr) -> DirState {
-        self.lookup(block).map_or(DirState::Idle, |b| b.state)
+    pub fn state(&self, block: BlockAddr) -> &DirState {
+        static IDLE: DirState = DirState::Idle;
+        self.lookup(block).map_or(&IDLE, |b| &b.state)
     }
 
     /// Memory version of `block` (0 if never touched, or if the block
@@ -292,12 +292,12 @@ impl Directory {
 
     /// Iterates `(block, state, memory version)` for every active
     /// block, in increasing block-address order.
-    pub fn iter(&self) -> impl Iterator<Item = (BlockAddr, DirState, u64)> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = (BlockAddr, &DirState, u64)> + '_ {
         self.table
             .iter()
             .enumerate()
             .filter(|(_, b)| b.touched)
-            .map(|(i, b)| (self.block_of(i), b.state, b.version))
+            .map(|(i, b)| (self.block_of(i), &b.state, b.version))
     }
 
     /// Inverse of the dense index mapping: the block address of slot
@@ -350,7 +350,7 @@ impl Directory {
                     "{addr}: queued requests but no transaction"
                 );
             }
-            if let DirState::Shared(r) = b.state {
+            if let DirState::Shared(r) = &b.state {
                 assert!(!r.is_empty(), "{addr}: Shared with empty sharer set");
             }
         }
@@ -360,7 +360,6 @@ impl Directory {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use specdsm_types::ReaderSetInterner;
 
     fn dir(node: usize) -> Directory {
         Directory::new(NodeId(node), &MachineConfig::paper_machine())
@@ -369,7 +368,7 @@ mod tests {
     #[test]
     fn fresh_blocks_are_idle() {
         let d = dir(0);
-        assert_eq!(d.state(BlockAddr(1)), DirState::Idle);
+        assert_eq!(*d.state(BlockAddr(1)), DirState::Idle);
         assert_eq!(d.version(BlockAddr(1)), 0);
         assert!(!d.is_busy(BlockAddr(1)));
         assert!(d.is_empty());
@@ -387,22 +386,41 @@ mod tests {
 
     #[test]
     fn sharers_accessor() {
-        let mut sets = ReaderSetInterner::new();
         let mut d = dir(0);
         let b = d.block_mut(BlockAddr(1));
         assert!(b.sharers().is_empty());
-        b.state = DirState::Shared(sets.single(ProcId(2)));
-        assert!(sets.contains(b.sharers(), ProcId(2)));
+        b.state = DirState::Shared(ReaderSet::single(ProcId(2)));
+        assert!(b.sharers().contains(ProcId(2)));
         b.state = DirState::Exclusive(ProcId(1));
         assert!(b.sharers().is_empty());
     }
 
     #[test]
     fn invariants_pass_on_consistent_state() {
-        let mut sets = ReaderSetInterner::new();
         let mut d = dir(0);
         let b = d.block_mut(BlockAddr(1));
-        b.state = DirState::Shared(sets.single(ProcId(0)));
+        b.state = DirState::Shared(ReaderSet::single(ProcId(0)));
+        d.check_invariants();
+    }
+
+    #[test]
+    fn wide_sharer_set_updates_in_place() {
+        // A 256-node machine spills every set with a processor ≥ P64.
+        // The record's own vector grows and shrinks in place and stays
+        // canonical, so it equals the same set built fresh.
+        let m = MachineConfig::with_nodes(256);
+        let mut d = Directory::new(NodeId(0), &m);
+        let b = d.block_mut(BlockAddr(1));
+        b.state = DirState::Shared(ReaderSet::new());
+        let DirState::Shared(readers) = &mut b.state else {
+            unreachable!()
+        };
+        for p in [3, 200, 255] {
+            assert!(readers.insert(ProcId(p)));
+        }
+        assert!(readers.remove(ProcId(200)));
+        let want = ReaderSet::from_iter([ProcId(3), ProcId(255)]);
+        assert_eq!(*d.state(BlockAddr(1)), DirState::Shared(want));
         d.check_invariants();
     }
 
@@ -410,7 +428,7 @@ mod tests {
     #[should_panic(expected = "empty sharer set")]
     fn invariants_catch_empty_shared() {
         let mut d = dir(0);
-        d.block_mut(BlockAddr(1)).state = DirState::Shared(SetId::EMPTY);
+        d.block_mut(BlockAddr(1)).state = DirState::Shared(ReaderSet::new());
         d.check_invariants();
     }
 
@@ -436,10 +454,10 @@ mod tests {
         let foreign = BlockAddr(m.page_blocks); // first block of page 1
         assert_eq!(m.home_of(foreign), NodeId(1));
         d.block_mut(local).state = DirState::Exclusive(ProcId(7));
-        assert_eq!(d.state(foreign), DirState::Idle);
+        assert_eq!(*d.state(foreign), DirState::Idle);
         assert_eq!(d.version(foreign), 0);
         assert!(!d.is_busy(foreign));
-        assert_eq!(d.state(local), DirState::Exclusive(ProcId(7)));
+        assert_eq!(*d.state(local), DirState::Exclusive(ProcId(7)));
     }
 
     #[test]
@@ -494,7 +512,7 @@ mod tests {
         assert_eq!(got[0].0, lo, "iteration is address-ordered");
         assert_eq!(got[1].0, hi);
         assert_eq!(got[0].2, 9);
-        assert_eq!(got[1].1, DirState::Exclusive(ProcId(4)));
+        assert_eq!(*got[1].1, DirState::Exclusive(ProcId(4)));
     }
 
     /// The pre-dense-table reference implementation: the exact
@@ -518,7 +536,7 @@ mod tests {
             let mut v: Vec<_> = self
                 .blocks
                 .iter()
-                .map(|(a, b)| (*a, b.state, b.version))
+                .map(|(a, b)| (*a, b.state.clone(), b.version))
                 .collect();
             v.sort_by_key(|(a, _, _)| a.0);
             v
@@ -543,23 +561,21 @@ mod tests {
             let mut map: Vec<MapDirectory> =
                 (0..m.num_nodes).map(|_| MapDirectory::new()).collect();
 
-            // A single interner serves both storages so equal sharer
-            // sets compare equal by `SetId` in the final diff.
-            let mut sets = ReaderSetInterner::new();
-            let apply =
-                |sets: &mut ReaderSetInterner, blk: &mut DirBlock, op: &Op, p: ProcId| match op {
-                    Op::Read(_) => {
-                        if let DirState::Exclusive(_) = blk.state {
-                            blk.version = blk.next_version - 1;
-                        }
-                        blk.state = DirState::Shared(sets.insert(blk.sharers(), p));
+            let apply = |blk: &mut DirBlock, op: &Op, p: ProcId| match op {
+                Op::Read(_) => {
+                    if let DirState::Exclusive(_) = blk.state {
+                        blk.version = blk.next_version - 1;
                     }
-                    Op::Write(_) => {
-                        blk.state = DirState::Exclusive(p);
-                        blk.grant_version();
-                    }
-                    _ => {}
-                };
+                    let mut readers = blk.sharers().clone();
+                    readers.insert(p);
+                    blk.state = DirState::Shared(readers);
+                }
+                Op::Write(_) => {
+                    blk.state = DirState::Exclusive(p);
+                    blk.grant_version();
+                }
+                _ => {}
+            };
 
             for (i, stream) in w.build_streams().into_iter().enumerate() {
                 let p = ProcId(i);
@@ -569,13 +585,13 @@ mod tests {
                         _ => continue,
                     };
                     let home = m.home_of(block);
-                    apply(&mut sets, dense[home.0].block_mut(block), &op, p);
-                    apply(&mut sets, map[home.0].block_mut(block), &op, p);
+                    apply(dense[home.0].block_mut(block), &op, p);
+                    apply(map[home.0].block_mut(block), &op, p);
                 }
             }
 
             for (d, r) in dense.iter().zip(&map) {
-                let got: Vec<_> = d.iter().collect();
+                let got: Vec<_> = d.iter().map(|(a, s, v)| (a, s.clone(), v)).collect();
                 assert_eq!(
                     got,
                     r.snapshot(),

@@ -35,8 +35,7 @@ use std::sync::Arc;
 use specdsm_core::{DirectoryTrace, SpecTicket, SpecTrigger, VSlot};
 use specdsm_sim::{Cycle, FifoResource, KeyedQueue, SchedKey};
 use specdsm_types::{
-    BlockAddr, DirMsg, FaultPlan, LockId, MachineConfig, NodeId, ProcId, ReaderSet,
-    ReaderSetInterner, ReqKind,
+    BlockAddr, DirMsg, FaultPlan, LockId, MachineConfig, NodeId, ProcId, ReaderSet, ReqKind,
 };
 
 use crate::audit::Auditor;
@@ -159,10 +158,6 @@ pub(crate) struct HomeShard {
     pub procs: Vec<Processor>,
     /// Owned home directories, indexed by `node - lo`.
     pub dirs: Vec<Directory>,
-    /// Hash-cons arena backing the [`DirState::Shared`] sharer sets of
-    /// every owned directory. Shard-local, so id assignment depends only
-    /// on this shard's deterministic event order.
-    pub sets: ReaderSetInterner,
     /// Owned memory buses, indexed by `node - lo`.
     pub mems: Vec<FifoResource>,
     /// Owned network interfaces (outbound and inbound).
@@ -242,7 +237,6 @@ impl HomeShard {
             dirs: (lo..hi)
                 .map(|n| Directory::new(NodeId(n), machine))
                 .collect(),
-            sets: ReaderSetInterner::new(),
             mems: (lo..hi).map(|_| FifoResource::new()).collect(),
             net: Network::with_range(lo, hi, machine.latency),
             spec,
@@ -864,10 +858,9 @@ impl HomeShard {
             MsgKind::InvWriteback { swi } => self.proc_inv_writeback(now, dst, block, src, swi),
             MsgKind::SpecData { version } => self.proc_spec_data(now, dst, block, version),
         }
-        if dir_bound && self.audit.is_some() {
-            let state = self.dirs[dst.0 - self.lo].state(block);
+        if dir_bound {
             if let Some(audit) = &mut self.audit {
-                audit.check_dir_state(block, state, &self.sets);
+                audit.check_dir_state(block, self.dirs[dst.0 - self.lo].state(block));
             }
         }
     }
@@ -983,10 +976,14 @@ impl HomeShard {
         match owner {
             None => {
                 let t = self.mem_access(now, home);
-                let readers = self.sets.insert(self.dblk_ref(slot).sharers(), p);
                 let version = {
                     let blk = self.dblk(slot);
-                    blk.state = DirState::Shared(readers);
+                    match &mut blk.state {
+                        DirState::Shared(readers) => {
+                            readers.insert(p);
+                        }
+                        state => *state = DirState::Shared(ReaderSet::single(p)),
+                    }
                     blk.version
                 };
                 self.send(t, home, p.node(), block, MsgKind::DataShared { version });
@@ -1023,23 +1020,24 @@ impl HomeShard {
         p: ProcId,
     ) {
         let home = slot.home;
-        let state = match self.dblk_ref(slot).state {
+        let state = match &self.dblk_ref(slot).state {
             DirState::Idle => None,
-            DirState::Shared(r) => Some(Ok(r)),
-            DirState::Exclusive(o) => Some(Err(o)),
+            DirState::Shared(readers) => {
+                // The fan-out below sends while mutating the shard, so
+                // it walks a copy of the sharers minus the requester.
+                let in_place = kind == ReqKind::Upgrade && readers.contains(p);
+                let mut others = readers.clone();
+                others.remove(p);
+                Some(Ok((others, in_place)))
+            }
+            DirState::Exclusive(o) => Some(Err(*o)),
         };
         match state {
             None => {
                 let sent = self.grant_exclusive(now, slot, vslot, block, p, false);
                 self.lock_reply(now, slot, vslot, block, sent);
             }
-            Some(Ok(readers)) => {
-                let in_place = kind == ReqKind::Upgrade && self.sets.contains(readers, p);
-                // The invalidation fan-out iterates the set, so a wide
-                // one is materialized once (a transient copy); the
-                // interned record itself is untouched.
-                let others = self.sets.remove(readers, p);
-                let others = self.sets.resolve(others);
+            Some(Ok((others, in_place))) => {
                 if others.is_empty() {
                     let sent = self.grant_exclusive(now, slot, vslot, block, p, in_place);
                     self.lock_reply(now, slot, vslot, block, sent);
@@ -1236,10 +1234,9 @@ impl HomeShard {
             TxnKind::Read(requester) => {
                 // Memory absorbs the writeback and sources the reply.
                 let t = self.mem_access(now, home);
-                let single = self.sets.single(requester);
                 let version = {
                     let blk = self.dblk(slot);
-                    blk.state = DirState::Shared(single);
+                    blk.state = DirState::Shared(ReaderSet::single(requester));
                     blk.version
                 };
                 self.send(
@@ -1359,8 +1356,7 @@ impl HomeShard {
                 !matches!(blk.state, DirState::Exclusive(_)),
                 "speculative forward while a writable copy exists"
             );
-            let targets = self.sets.with(blk.sharers(), |sharers| &vec - sharers);
-            (targets, blk.version)
+            (&vec - blk.sharers(), blk.version)
         };
         if targets.is_empty() {
             return None;
@@ -1377,11 +1373,9 @@ impl HomeShard {
         for r in targets.iter() {
             self.spec.note_sent(vslot, r, ticket, trigger);
         }
-        {
-            let merged = self
-                .sets
-                .union_with(self.dblk_ref(slot).sharers(), &targets);
-            self.dblk(slot).state = DirState::Shared(merged);
+        match &mut self.dblk(slot).state {
+            DirState::Shared(sharers) => *sharers |= &targets,
+            state => *state = DirState::Shared(targets.clone()),
         }
         self.spec.vmsp.speculate_readers_at(vslot, targets);
         Some(t)

@@ -726,7 +726,7 @@ impl System {
                     match state {
                         DirState::Idle => {}
                         DirState::Shared(readers) => {
-                            for reader in shard.sets.iter(readers) {
+                            for reader in readers.iter() {
                                 let cache = procs[reader.0].cache();
                                 let cached = cache.state(block);
                                 // In finite-cache mode a listed sharer may
@@ -765,11 +765,11 @@ impl System {
                 match shard.dirs[home - shard.lo].state(block) {
                     DirState::Idle => panic!("{block} is Idle but {id} holds a copy"),
                     DirState::Shared(readers) => assert!(
-                        shard.sets.contains(readers, id),
+                        readers.contains(id),
                         "{block}: non-sharer {id} holds a copy"
                     ),
                     DirState::Exclusive(owner) => {
-                        assert!(id == owner, "{block}: {id} holds a copy besides the owner")
+                        assert!(id == *owner, "{block}: {id} holds a copy besides the owner")
                     }
                 }
             }

@@ -1,8 +1,8 @@
 //! Hash-consed reader sets: [`SetId`] and [`ReaderSetInterner`].
 //!
 //! On machines past 64 processors a [`ReaderSet`] spills to a
-//! heap-allocated word array, and every layer that *retains* one —
-//! pattern-table entries, directory sharer lists, speculation tickets —
+//! heap-allocated word array, and every predictor layer that *retains*
+//! one — pattern-table entries, open read phases, speculation tickets —
 //! used to hold its own clone. This module replaces those retained
 //! clones with an id into a per-component hash-cons arena: each
 //! canonical spilled bit pattern is stored **once**, and everything
@@ -19,8 +19,9 @@
 //! the same sets in the same order produce the same ids. The dedup
 //! index is a digest → candidate-id map that is only ever *probed*
 //! (never iterated), so its internal ordering cannot leak into model
-//! outputs. The windowed engine gives each shard its own interner, so
-//! a shard's ids follow its own event order alone.
+//! outputs. Each `Vmsp` predictor owns its own interner, so its ids
+//! follow its own event order alone. (The protocol's directory keeps
+//! plain [`ReaderSet`]s, which it edits in place.)
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -129,7 +130,7 @@ impl Default for SetId {
 /// Arena ids are only meaningful with the interner that minted them;
 /// resolving a foreign arena id panics (index out of bounds) or
 /// returns the wrong set. Components therefore own their interner
-/// (per predictor, per shard) and never exchange raw arena ids.
+/// (one per predictor) and never exchange raw arena ids.
 #[derive(Debug, Clone, Default)]
 pub struct ReaderSetInterner {
     /// Arena of canonical **spilled** sets, indexed by `SetId::id`.

@@ -66,7 +66,7 @@ pub struct ReaderSet {
 impl ReaderSet {
     /// The empty set.
     #[must_use]
-    pub fn new() -> Self {
+    pub const fn new() -> Self {
         ReaderSet { lo: 0, hi: None }
     }
 
