@@ -143,9 +143,9 @@ impl Bucket {
 ///   already-popped cycle. Keys are unique, so the slot index never
 ///   decides the order. `pop` compares the wheel's earliest `(cycle,
 ///   key)` with the heap's top, so correctness never depends on
-///   migrating events between the stores. An empty wheel re-centers
-///   its window on the next scheduled event, so sparse phases stay
-///   O(1) too.
+///   migrating events between the stores. The cursor advances to
+///   every popped cycle, from either store, so after a long `Compute`
+///   delay pops from the heap the wheel's window starts there.
 ///
 /// Both `schedule` and `pop` are amortized O(1) for near-future events.
 /// The wheel itself is 16 KB of list heads; event payloads live only
@@ -247,10 +247,6 @@ impl<E> KeyedQueue<E> {
     pub fn schedule(&mut self, at: Cycle, key: SchedKey, event: E) {
         let key = key.pack();
         self.scheduled += 1;
-        if self.wheel_len == 0 && at.0 > self.cursor {
-            // Empty wheel: re-center the window on the next event.
-            self.cursor = at.0;
-        }
         let i = self.alloc(key, event);
         if at.0 >= self.cursor && at.0 - self.cursor < WHEEL_SLOTS as u64 {
             let idx = (at.0 & WHEEL_MASK) as usize;
@@ -374,9 +370,9 @@ impl<E> KeyedQueue<E> {
 
     fn pop_overflow(&mut self) -> (Cycle, E) {
         let Reverse((at, _, i)) = self.overflow.pop().expect("checked");
-        if self.wheel_len == 0 {
-            self.cursor = self.cursor.max(at);
-        }
+        // No wheel event is earlier than `at`, so the window may start
+        // there without stranding one below the cursor.
+        self.cursor = self.cursor.max(at);
         (Cycle(at), self.release(i))
     }
 
@@ -463,15 +459,30 @@ mod tests {
     fn key_order_holds_across_wheel_and_overflow() {
         let mut q = KeyedQueue::new();
         let far = WHEEL_SLOTS as u64 * 2 + 9;
-        // Lands in the overflow heap (beyond the horizon).
+        // Both land in the overflow heap (beyond the horizon).
         q.schedule(Cycle(far), key(0, 2, 0), "late-key-small-cycle");
-        q.schedule(Cycle(0), key(0, 0, 0), "now");
-        assert_eq!(q.pop(), Some((Cycle(0), "now")));
-        // The wheel re-centers; this same-cycle event lands on the wheel
-        // with a *smaller* key than the overflow resident.
+        q.schedule(Cycle(far - 10), key(0, 0, 0), "near");
+        assert_eq!(q.pop(), Some((Cycle(far - 10), "near")));
+        // The pop moved the cursor to `far - 10`; this same-cycle event
+        // lands on the wheel with a *smaller* key than the overflow
+        // resident.
         q.schedule(Cycle(far), key(0, 1, 0), "wheel");
+        assert_eq!(q.overflow.len(), 1);
         assert_eq!(q.pop(), Some((Cycle(far), "wheel")));
         assert_eq!(q.pop(), Some((Cycle(far), "late-key-small-cycle")));
+    }
+
+    #[test]
+    fn nearer_event_after_a_far_one_stays_on_the_wheel() {
+        // An empty wheel keeps its window when a far event arrives, so
+        // a nearer event scheduled next is not stranded below the
+        // cursor.
+        let mut q = KeyedQueue::new();
+        q.schedule(Cycle(1000), key(0, 0, 0), "far");
+        q.schedule(Cycle(10), key(0, 0, 1), "near");
+        assert_eq!(q.overflow.len(), 0);
+        assert_eq!(q.pop(), Some((Cycle(10), "near")));
+        assert_eq!(q.pop(), Some((Cycle(1000), "far")));
     }
 
     #[test]
