@@ -149,15 +149,14 @@ fn windowed_engine_scales_beyond_64_nodes() {
     }
 }
 
-/// The interned-wide-set regime: at 256 nodes every shared read vector
-/// spills past the 64-bit inline word, so directory `Shared` states,
-/// VMSP read vectors, and pattern-table symbols all live in the
-/// hash-cons arenas. The windowed engine must track the sequential
-/// engine on the full suite there too — each shard owns its own arena
-/// and allocates `SetId`s in its own order, so agreement here shows the
-/// simulation does not depend on arena id assignment on wide machines.
+/// The wide-set regime: at 256 nodes every shared read vector spills
+/// past the 64-bit inline word, in the directory's `Shared` records,
+/// VMSP read vectors and pattern-table symbols alike. The windowed
+/// engine must track the sequential engine on the full suite there
+/// too, with each shard editing its own directories' spilled sharer
+/// vectors.
 #[test]
-fn interned_wide_sets_bit_identical_at_256_nodes() {
+fn wide_sets_track_sequential_at_256_nodes() {
     let machine = MachineConfig::with_nodes(256);
     let mut spec_reads = 0u64;
     for app in AppId::ALL {
@@ -174,8 +173,8 @@ fn interned_wide_sets_bit_identical_at_256_nodes() {
             spec_reads += win.spec.fr_sent + win.spec.swi_sent;
         }
     }
-    // The suite must actually drive speculative wide read vectors
-    // through the arenas, or this only covered the inline fast path.
+    // The suite must actually drive speculative wide read vectors,
+    // or this only covered the inline fast path.
     assert!(spec_reads > 0, "256-node suite used speculative reads");
 }
 
