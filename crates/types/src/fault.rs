@@ -386,4 +386,61 @@ mod tests {
             .collect();
         assert_ne!(fates, other_link, "links draw independent fates");
     }
+    /// Known answers recorded from the original hash: a change to the
+    /// hash or its salts fails here, though no golden row runs faults.
+    #[test]
+    fn decisions_match_known_answers() {
+        let fate = |plan: &FaultPlan, (src, dst, seq, attempt, now)| {
+            let d = plan.decide(src, dst, seq, attempt, now);
+            (d.drop, d.duplicate, d.extra_delay, d.dup_extra_delay)
+        };
+        // `light` slows node 1, so each request 0 -> 1 pays 60 cycles;
+        // these are the `(seq, attempt)` points that draw more.
+        let light = FaultPlan::light(42);
+        let drawn: Vec<_> = (0..32)
+            .flat_map(|seq| [(seq, 0), (seq, 1)])
+            .map(|(seq, att)| (seq, att, fate(&light, (0, 1, seq, att, 0))))
+            .filter(|&(.., f)| f != (false, false, 60, 60))
+            .collect();
+        let expected = [
+            (2, 0, (false, false, 60, 118)),
+            (6, 0, (false, false, 60, 110)),
+            (9, 0, (false, false, 60, 255)),
+            (9, 1, (false, true, 60, 60)),
+            (13, 0, (false, false, 60, 76)),
+            (13, 1, (false, false, 247, 60)),
+            (15, 1, (false, true, 60, 60)),
+            (19, 1, (false, false, 168, 60)),
+            (22, 1, (false, false, 60, 127)),
+            (24, 1, (false, false, 60, 209)),
+            (27, 0, (false, false, 60, 63)),
+        ];
+        assert_eq!(drawn, expected);
+        // Dense rates, a 400-of-1000-cycle burst window and two slow
+        // nodes, at `(src, dst, seq, attempt, now)`.
+        let bursty = FaultPlan {
+            drop_rate: 0.5,
+            dup_rate: 0.5,
+            delay_rate: 0.5,
+            delay_max: 1000,
+            burst_period: 1000,
+            burst_len: 400,
+            slow_nodes: vec![2, 7],
+            slow_extra: 33,
+            ..FaultPlan::new(0xDEAD_BEEF)
+        };
+        for (at, want) in [
+            ((0, 1, 0, 0, 0), (true, true, 0, 351)),
+            ((1, 0, 1, 0, 399), (true, true, 0, 0)),
+            ((0, 1, 1, 0, 400), (false, false, 0, 0)),
+            ((0, 2, 5, 1, 999), (false, false, 33, 33)),
+            ((2, 3, 5, 1, 1000), (true, false, 363, 974)),
+            ((3, 4, 77, 1, 1234), (false, false, 547, 0)),
+            ((7, 5, 9, 3, 2100), (false, false, 33, 1021)),
+            ((5, 6, 1 << 40, 0, 3050), (true, false, 0, 140)),
+            ((9, 8, 123_456, 2, 5_000_399), (false, true, 6, 350)),
+        ] {
+            assert_eq!(fate(&bursty, at), want, "decide{at:?}");
+        }
+    }
 }
