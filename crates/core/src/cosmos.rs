@@ -100,8 +100,6 @@ impl SharingPredictor for Cosmos {
             entries: self.inner.pattern_entries(),
             // Message-grain symbols carry no reader vectors.
             spill_bytes: 0,
-            spill_unique: 0,
-            spill_refs: 0,
         }
     }
 

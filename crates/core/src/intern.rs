@@ -20,17 +20,11 @@
 //! index is a digest → candidate-id map that is only ever *probed*
 //! (never iterated), so its internal ordering cannot leak into model
 //! outputs. Each `Vmsp` predictor owns its own interner, so its ids
-//! follow its own event order alone. (The protocol's directory keeps
-//! plain [`ReaderSet`]s, which it edits in place.)
+//! follow its own event order alone.
 
-use std::borrow::Cow;
 use std::collections::HashMap;
 
-use crate::ids::ProcId;
-use crate::readers::ReaderSet;
-
-/// Bits in the inline word (mirrors `ReaderSet`'s layout).
-const WORD: usize = 64;
+use specdsm_types::{ProcId, ReaderSet};
 
 /// Sentinel arena index marking an inline (non-arena) id.
 const INLINE: u32 = u32::MAX;
@@ -108,24 +102,13 @@ impl SetId {
     }
 }
 
-impl Default for SetId {
-    fn default() -> Self {
-        SetId::EMPTY
-    }
-}
-
 /// An id-addressed hash-cons arena for spilled [`ReaderSet`]s.
 ///
 /// [`ReaderSetInterner::intern`] maps each canonical spilled bit
 /// pattern to a stable `u32` arena index (first-come order); interning
 /// the same pattern again returns the same id. Inline sets bypass the
-/// arena entirely. Set *mutation* goes through the functional
-/// [`insert`](ReaderSetInterner::insert) /
-/// [`remove`](ReaderSetInterner::remove) /
-/// [`union`](ReaderSetInterner::union) helpers, which are pure bit ops
-/// on the inline path and materialize-modify-reintern on the spilled
-/// path — copies, equality, and hashing of the resulting ids are what
-/// interning makes O(1).
+/// arena entirely. Copies, equality, and hashing of the resulting ids
+/// are what interning makes O(1).
 ///
 /// Arena ids are only meaningful with the interner that minted them;
 /// resolving a foreign arena id panics (index out of bounds) or
@@ -138,9 +121,6 @@ pub struct ReaderSetInterner {
     /// Dedup index: `mix64` digest → candidate arena ids (full
     /// compare on probe; never iterated, so map order is unobservable).
     dedup: HashMap<u64, Vec<u32>>,
-    /// Spilled intern requests, dedup hits included — the "how many
-    /// retained wide-set copies did interning absorb" numerator.
-    spill_refs: u64,
 }
 
 impl ReaderSetInterner {
@@ -151,41 +131,26 @@ impl ReaderSetInterner {
     }
 
     /// Interns `set`, returning its id. Inline sets never touch the
-    /// arena; spilled sets are cloned only on first sight.
-    pub fn intern(&mut self, set: &ReaderSet) -> SetId {
+    /// arena; a spilled set moves into it on first sight.
+    pub fn intern(&mut self, set: ReaderSet) -> SetId {
         if !set.has_spill() {
             return SetId::from_bits(set.bits());
         }
-        self.intern_spilled(Cow::Borrowed(set))
-    }
-
-    /// Interns an owned `set` without cloning on arena miss.
-    pub fn intern_owned(&mut self, set: ReaderSet) -> SetId {
-        if !set.has_spill() {
-            return SetId::from_bits(set.bits());
-        }
-        self.intern_spilled(Cow::Owned(set))
-    }
-
-    fn intern_spilled(&mut self, set: Cow<'_, ReaderSet>) -> SetId {
-        debug_assert!(set.has_spill(), "inline sets bypass the arena");
-        self.spill_refs += 1;
         let key = set.mix64();
         let ids = self.dedup.entry(key).or_default();
         for &id in ids.iter() {
-            if self.arena[id as usize] == *set {
+            if self.arena[id as usize] == set {
                 return SetId { key, id };
             }
         }
         let id = u32::try_from(self.arena.len()).expect("arena index fits u32");
         assert!(id != INLINE, "reader-set arena exhausted");
-        self.arena.push(set.into_owned());
+        self.arena.push(set);
         ids.push(id);
         SetId { key, id }
     }
 
-    /// Materializes the set behind `sid` (allocates for spilled sets;
-    /// prefer [`with`](ReaderSetInterner::with) where a borrow will do).
+    /// Materializes the set behind `sid` (allocates for spilled sets).
     #[must_use]
     pub fn resolve(&self, sid: SetId) -> ReaderSet {
         if sid.is_inline() {
@@ -195,142 +160,24 @@ impl ReaderSetInterner {
         }
     }
 
-    /// Runs `f` against the set behind `sid` without materializing a
-    /// spilled copy (the inline path builds a stack-only temporary).
-    pub fn with<R>(&self, sid: SetId, f: impl FnOnce(&ReaderSet) -> R) -> R {
-        if sid.is_inline() {
-            f(&ReaderSet::from_bits(sid.key))
-        } else {
-            f(&self.arena[sid.id as usize])
-        }
-    }
-
     /// Whether `p` is in the set behind `sid`.
     #[must_use]
     pub fn contains(&self, sid: SetId, p: ProcId) -> bool {
         if sid.is_inline() {
-            return p.0 < WORD && sid.key & (1u64 << p.0) != 0;
-        }
-        self.arena[sid.id as usize].contains(p)
-    }
-
-    /// Number of processors in the set behind `sid`.
-    #[must_use]
-    pub fn len(&self, sid: SetId) -> usize {
-        if sid.is_inline() {
-            sid.key.count_ones() as usize
+            ReaderSet::from_bits(sid.key).contains(p)
         } else {
-            self.arena[sid.id as usize].len()
+            self.arena[sid.id as usize].contains(p)
         }
-    }
-
-    /// Iterates the set behind `sid` in ascending processor order.
-    pub fn iter(&self, sid: SetId) -> impl Iterator<Item = ProcId> + '_ {
-        let (lo, hi): (u64, &[u64]) = if sid.is_inline() {
-            (sid.key, &[])
-        } else {
-            let s = &self.arena[sid.id as usize];
-            (s.bits(), s.spill())
-        };
-        std::iter::once(lo)
-            .chain(hi.iter().copied())
-            .enumerate()
-            .flat_map(|(w, mut bits)| {
-                std::iter::from_fn(move || {
-                    if bits == 0 {
-                        return None;
-                    }
-                    let i = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    Some(ProcId(w * WORD + i))
-                })
-            })
-    }
-
-    /// Whether the set behind `sid` is a superset of `other`.
-    #[must_use]
-    pub fn is_superset_of(&self, sid: SetId, other: &ReaderSet) -> bool {
-        self.with(sid, |s| s.is_superset(other))
-    }
-
-    /// The id for `{p}`.
-    pub fn single(&mut self, p: ProcId) -> SetId {
-        if p.0 < WORD {
-            SetId::from_bits(1u64 << p.0)
-        } else {
-            self.intern_owned(ReaderSet::single(p))
-        }
-    }
-
-    /// The id for `sid ∪ {p}`. Pure bit math when both stay inline.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p.0 >= MAX_PROCS` (as [`ReaderSet::insert`] does).
-    pub fn insert(&mut self, sid: SetId, p: ProcId) -> SetId {
-        if sid.is_inline() && p.0 < WORD {
-            return SetId::from_bits(sid.key | (1u64 << p.0));
-        }
-        if self.contains(sid, p) {
-            return sid;
-        }
-        let mut s = self.resolve(sid);
-        s.insert(p);
-        self.intern_owned(s)
     }
 
     /// The id for `sid \ {p}` (canonical: may collapse back to inline).
     pub fn remove(&mut self, sid: SetId, p: ProcId) -> SetId {
-        if sid.is_inline() {
-            return if p.0 < WORD {
-                SetId::from_bits(sid.key & !(1u64 << p.0))
-            } else {
-                sid
-            };
-        }
         if !self.contains(sid, p) {
             return sid;
         }
         let mut s = self.resolve(sid);
         s.remove(p);
-        self.intern_owned(s)
-    }
-
-    /// The id for `a ∪ b`.
-    pub fn union(&mut self, a: SetId, b: SetId) -> SetId {
-        if a.is_inline() && b.is_inline() {
-            return SetId::from_bits(a.key | b.key);
-        }
-        if a == b || b.is_empty() {
-            return a;
-        }
-        if a.is_empty() {
-            return b;
-        }
-        let merged = self.with(a, |sa| self.with(b, |sb| sa | sb));
-        self.intern_owned(merged)
-    }
-
-    /// The id for `sid ∪ other` where `other` is a materialized set.
-    pub fn union_with(&mut self, sid: SetId, other: &ReaderSet) -> SetId {
-        if sid.is_inline() && !other.has_spill() {
-            return SetId::from_bits(sid.key | other.bits());
-        }
-        let merged = self.with(sid, |s| s | other);
-        self.intern_owned(merged)
-    }
-
-    /// Distinct spilled patterns resident in the arena.
-    #[must_use]
-    pub fn unique_spilled(&self) -> u64 {
-        self.arena.len() as u64
-    }
-
-    /// Spilled intern requests served (dedup hits included) — each one
-    /// is a retained wide-set copy that interning collapsed into an id.
-    #[must_use]
-    pub fn spill_refs(&self) -> u64 {
-        self.spill_refs
+        self.intern(s)
     }
 
     /// Bytes the arena actually holds: one canonical copy per distinct
@@ -350,20 +197,22 @@ impl ReaderSetInterner {
 mod tests {
     use super::*;
 
+    fn copy_bytes(set: &ReaderSet) -> u64 {
+        (std::mem::size_of::<ReaderSet>() + set.heap_bytes()) as u64
+    }
+
     #[test]
     fn inline_ids_are_raw_bits_and_need_no_arena() {
         let mut sets = ReaderSetInterner::new();
         let s = ReaderSet::from_iter([ProcId(1), ProcId(63)]);
-        let sid = sets.intern(&s);
+        let sid = sets.intern(s.clone());
         assert!(sid.is_inline());
         assert_eq!(sid.key(), s.bits());
         assert_eq!(sid.key(), s.mix64());
-        assert_eq!(sets.unique_spilled(), 0, "inline sets bypass the arena");
-        assert_eq!(sets.spill_refs(), 0);
+        assert_eq!(sets.spill_bytes(), 0, "inline sets bypass the arena");
         assert_eq!(sets.resolve(sid), s);
         assert!(sets.contains(sid, ProcId(63)));
         assert!(!sets.contains(sid, ProcId(64)));
-        assert_eq!(sets.len(sid), 2);
     }
 
     #[test]
@@ -371,13 +220,12 @@ mod tests {
         let mut sets = ReaderSetInterner::new();
         let a = ReaderSet::from_iter([ProcId(1), ProcId(200)]);
         let b = ReaderSet::from_iter([ProcId(200), ProcId(1)]);
-        let ia = sets.intern(&a);
-        let ib = sets.intern(&b);
+        let ia = sets.intern(a.clone());
+        let ib = sets.intern(b);
         assert_eq!(ia, ib, "equal sets intern to equal ids");
         assert_eq!(ia.key(), a.mix64());
-        assert_eq!(sets.unique_spilled(), 1);
-        assert_eq!(sets.spill_refs(), 2);
-        let ic = sets.intern(&ReaderSet::from_iter([ProcId(1), ProcId(201)]));
+        assert_eq!(sets.spill_bytes(), copy_bytes(&a));
+        let ic = sets.intern(ReaderSet::from_iter([ProcId(1), ProcId(201)]));
         assert_ne!(ia, ic, "distinct sets get distinct ids");
         assert_eq!(sets.resolve(ia), a);
     }
@@ -385,26 +233,15 @@ mod tests {
     #[test]
     fn functional_ops_match_reader_set_semantics() {
         let mut sets = ReaderSetInterner::new();
-        let sid = sets.single(ProcId(3));
-        let sid = sets.insert(sid, ProcId(100));
+        let sid = sets.intern(ReaderSet::from_iter([ProcId(3), ProcId(100)]));
         assert!(!sid.is_inline());
-        assert_eq!(sets.len(sid), 2);
+        assert!(sets.contains(sid, ProcId(100)));
+        assert_eq!(sets.remove(sid, ProcId(5)), sid, "absent member: same id");
         let back = sets.remove(sid, ProcId(100));
         assert!(back.is_inline(), "dropping the spilled bit re-inlines");
         assert_eq!(back, SetId::from_bits(1 << 3));
         assert_eq!(sets.remove(back, ProcId(3)), SetId::EMPTY);
         assert!(SetId::EMPTY.is_empty());
-
-        let a = sets.single(ProcId(70));
-        let b = sets.single(ProcId(2));
-        let u = sets.union(a, b);
-        assert_eq!(
-            sets.resolve(u),
-            ReaderSet::from_iter([ProcId(2), ProcId(70)])
-        );
-        assert_eq!(sets.union(u, a), u, "idempotent union reuses the id");
-        let got: Vec<usize> = sets.iter(u).map(|p| p.0).collect();
-        assert_eq!(got, vec![2, 70]);
     }
 
     #[test]
@@ -412,12 +249,9 @@ mod tests {
         let mut sets = ReaderSetInterner::new();
         let wide = ReaderSet::from_iter([ProcId(5), ProcId(500)]);
         for _ in 0..10 {
-            sets.intern(&wide);
+            sets.intern(wide.clone());
         }
-        assert_eq!(sets.unique_spilled(), 1);
-        assert_eq!(sets.spill_refs(), 10);
-        let expected = (std::mem::size_of::<ReaderSet>() + wide.heap_bytes()) as u64;
-        assert_eq!(sets.spill_bytes(), expected);
+        assert_eq!(sets.spill_bytes(), copy_bytes(&wide));
         assert!(wide.heap_bytes() > 0);
     }
 }

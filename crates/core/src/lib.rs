@@ -62,6 +62,7 @@
 mod cosmos;
 mod eval;
 mod fxhash;
+mod intern;
 mod msp;
 mod predictor;
 mod stats;
@@ -75,6 +76,7 @@ mod vmsp;
 pub use cosmos::Cosmos;
 pub use eval::{evaluate_trace, DirectoryTrace, TraceEval};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHasher};
+pub use intern::{ReaderSetInterner, SetId};
 pub use msp::Msp;
 pub use predictor::{PredictorKind, SharingPredictor};
 pub use stats::{Observation, PredictorStats};
@@ -84,4 +86,4 @@ pub use symbol::{HistoryKey, Symbol};
 pub use table::{History, PatternEntry, PatternTable};
 pub use vmsp::{SpecTicket, SpecTrigger, VSlot, Vmsp};
 
-pub use specdsm_types::{DirMsg, ReaderSet, ReaderSetInterner, SetId};
+pub use specdsm_types::{DirMsg, ReaderSet};

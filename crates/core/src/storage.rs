@@ -141,13 +141,6 @@ pub struct StorageReport {
     /// any live per-block open-vector spills. Always zero on machines
     /// of ≤ 64 processors, whose sets are inline.
     pub spill_bytes: u64,
-    /// Distinct spilled reader-set patterns resident in the interner
-    /// arena (the dedup denominator).
-    pub spill_unique: u64,
-    /// Retained references to spilled sets the interner served (dedup
-    /// hits included) — each one a wide-set copy the pre-interning
-    /// layout would have heap-allocated separately.
-    pub spill_refs: u64,
 }
 
 impl StorageReport {
@@ -191,21 +184,6 @@ impl StorageReport {
         self.slots * self.model.sw_history_bytes()
             + self.entries * self.model.sw_entry_bytes()
             + self.spill_bytes
-    }
-
-    /// How many retained wide-set copies each canonical arena pattern
-    /// absorbs: `spill_refs / spill_unique`. `1.0` means interning
-    /// saved nothing (every spilled set was unique); `1.0` is also
-    /// reported for inline-only machines, where there is nothing to
-    /// dedup. The pre-interning layout effectively ran at ratio 1 by
-    /// construction, paying one allocation per reference.
-    #[must_use]
-    pub fn dedup_ratio(&self) -> f64 {
-        if self.spill_unique == 0 {
-            1.0
-        } else {
-            self.spill_refs as f64 / self.spill_unique as f64
-        }
     }
 }
 
@@ -283,8 +261,6 @@ mod tests {
             slots,
             entries,
             spill_bytes: 0,
-            spill_unique: 0,
-            spill_refs: 0,
         }
     }
 
@@ -300,7 +276,6 @@ mod tests {
         let rep = inline_report(model(PredictorKind::Vmsp, 1), 0, 0, 0);
         assert_eq!(rep.pte_per_block(), 0.0);
         assert_eq!(rep.sw_bytes_total(), 0);
-        assert_eq!(rep.dedup_ratio(), 1.0, "nothing to dedup reads as 1");
     }
 
     #[test]
@@ -344,7 +319,7 @@ mod tests {
     }
 
     #[test]
-    fn spill_bytes_join_the_total_and_dedup_ratio_reads_out() {
+    fn spill_bytes_join_the_total() {
         // The wide-machine accounting bug this report used to have:
         // spilled reader-set words never reached `sw_bytes_total`.
         let m = StorageModel {
@@ -355,8 +330,6 @@ mod tests {
         let inline_only = inline_report(m, 3, 3, 7);
         let spilled = StorageReport {
             spill_bytes: 960,
-            spill_unique: 5,
-            spill_refs: 40,
             ..inline_only
         };
         assert_eq!(
@@ -364,7 +337,6 @@ mod tests {
             inline_only.sw_bytes_total() + 960,
             "spill bytes must be charged on top of the record formulas"
         );
-        assert!((spilled.dedup_ratio() - 8.0).abs() < 1e-12);
     }
 
     #[test]

@@ -2,7 +2,9 @@
 
 use std::fmt;
 
-use specdsm_types::{AckKind, DirMsg, ProcId, ReaderSet, ReqKind, SetId};
+use specdsm_types::{splitmix64, AckKind, DirMsg, ProcId, ReaderSet, ReqKind, GOLDEN_GAMMA};
+
+use crate::intern::SetId;
 
 /// One history/pattern-table symbol.
 ///
@@ -81,15 +83,8 @@ impl Symbol {
             }
             Symbol::ReadVec(v) => (5, v.key()),
         };
-        splitmix64(splitmix64(tag.wrapping_add(0x9E37_79B9_7F4A_7C15)).wrapping_add(payload))
+        splitmix64(splitmix64(tag.wrapping_add(GOLDEN_GAMMA)).wrapping_add(payload))
     }
-}
-
-/// The SplitMix64 finalizer: a bijective 64-bit diffusion round.
-fn splitmix64(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 impl fmt::Display for Symbol {
@@ -326,8 +321,8 @@ mod tests {
         assert_eq!(v.to_string(), "<Read, {P1,P2}>");
         // Spilled vectors can't be reconstructed from the id alone;
         // they display the arena handle instead.
-        let mut sets = specdsm_types::ReaderSetInterner::new();
-        let wide = sets.intern(&ReaderSet::from_iter([ProcId(1), ProcId(100)]));
+        let mut sets = crate::ReaderSetInterner::new();
+        let wide = sets.intern(ReaderSet::from_iter([ProcId(1), ProcId(100)]));
         assert_eq!(
             Symbol::ReadVec(wide).to_string(),
             format!("<Read, #0:{:016x}>", wide.key())

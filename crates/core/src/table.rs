@@ -252,7 +252,7 @@ impl PatternTable {
     /// record moves into its place.
     pub fn prune_reader(
         &mut self,
-        sets: &mut specdsm_types::ReaderSetInterner,
+        sets: &mut crate::intern::ReaderSetInterner,
         key: HistoryKey,
         reader: specdsm_types::ProcId,
     ) -> bool {
@@ -450,7 +450,8 @@ impl History {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use specdsm_types::{ProcId, ReaderSet, ReaderSetInterner, ReqKind, SetId};
+    use crate::{ReaderSetInterner, SetId};
+    use specdsm_types::{ProcId, ReaderSet, ReqKind};
 
     fn req(kind: ReqKind, p: usize) -> Symbol {
         Symbol::Req(kind, ProcId(p))
@@ -548,7 +549,7 @@ mod tests {
         let mut sets = ReaderSetInterner::new();
         let mut t = PatternTable::new();
         let h = history_of(&[req(ReqKind::Write, 3)]);
-        let vec = sets.intern(&ReaderSet::from_iter([ProcId(1), ProcId(2)]));
+        let vec = sets.intern(ReaderSet::from_iter([ProcId(1), ProcId(2)]));
         t.learn(&h, Symbol::ReadVec(vec));
         let key = h.key();
         assert!(t.prune_reader(&mut sets, key, ProcId(2)));
@@ -571,7 +572,7 @@ mod tests {
         let mut sets = ReaderSetInterner::new();
         let mut t = PatternTable::new();
         let h = history_of(&[req(ReqKind::Write, 3)]);
-        let vec = sets.intern(&ReaderSet::from_iter([ProcId(1), ProcId(200)]));
+        let vec = sets.intern(ReaderSet::from_iter([ProcId(1), ProcId(200)]));
         t.learn(&h, Symbol::ReadVec(vec));
         assert!(t.prune_reader(&mut sets, h.key(), ProcId(1)));
         let Some(Symbol::ReadVec(left)) = t.peek(&h).map(|e| e.prediction) else {

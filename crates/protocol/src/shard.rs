@@ -35,7 +35,8 @@ use std::sync::Arc;
 use specdsm_core::{DirectoryTrace, SpecTicket, SpecTrigger, VSlot};
 use specdsm_sim::{Cycle, FifoResource, KeyedQueue, SchedKey};
 use specdsm_types::{
-    BlockAddr, DirMsg, FaultPlan, LockId, MachineConfig, NodeId, ProcId, ReaderSet, ReqKind,
+    splitmix64, BlockAddr, DirMsg, FaultPlan, LockId, MachineConfig, NodeId, ProcId, ReaderSet,
+    ReqKind, GOLDEN_GAMMA,
 };
 
 use crate::audit::Auditor;
@@ -1421,13 +1422,11 @@ fn ack_delay(now: Cycle, p: ProcId, jitter: u64) -> u64 {
     if jitter == 0 {
         return 0;
     }
-    let mut z = now
+    let z = now
         .raw()
         .wrapping_add((p.0 as u64) << 32)
-        .wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    (z ^ (z >> 31)) % jitter
+        .wrapping_add(GOLDEN_GAMMA);
+    splitmix64(z) % jitter
 }
 
 impl std::fmt::Debug for HomeShard {

@@ -23,6 +23,7 @@
 //! [`Jitter`]: ../specdsm_workloads/struct.Jitter.html
 
 use crate::error::ConfigError;
+use crate::mix::splitmix_fold;
 
 /// What the plan decided for one request transmission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -211,7 +212,9 @@ impl FaultPlan {
                 ..FaultDecision::NONE
             };
         }
-        let draw = |salt: u64| self.hash(src, dst, seq, attempt, salt);
+        // The same SplitMix64 fold the workload jitter source uses.
+        let link = (src as u64) << 32 | dst as u64;
+        let draw = |salt: u64| splitmix_fold(self.seed, [link, seq, u64::from(attempt), salt]);
         let chance = |salt: u64, rate: f64| to_unit(draw(salt)) < rate;
         let delay = |gate_salt: u64, mag_salt: u64| {
             if self.delay_max > 0 && chance(gate_salt, self.delay_rate) {
@@ -226,24 +229,6 @@ impl FaultPlan {
             extra_delay: slow + delay(2, 3),
             dup_extra_delay: slow + delay(4, 5),
         }
-    }
-
-    /// SplitMix64-style absorption of the decision coordinates (the
-    /// same finalizer the workload jitter source uses).
-    fn hash(&self, src: usize, dst: usize, seq: u64, attempt: u32, salt: u64) -> u64 {
-        let mut h = self.seed ^ 0x9E37_79B9_7F4A_7C15;
-        for t in [
-            (src as u64) << 32 | dst as u64,
-            seq,
-            u64::from(attempt),
-            salt,
-        ] {
-            h ^= t.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            h ^= h >> 31;
-        }
-        h
     }
 }
 
@@ -386,6 +371,7 @@ mod tests {
             .collect();
         assert_ne!(fates, other_link, "links draw independent fates");
     }
+
     /// Known answers recorded from the original hash: a change to the
     /// hash or its salts fails here, though no golden row runs faults.
     #[test]

@@ -41,7 +41,7 @@ mod error;
 mod fault;
 mod geometry;
 mod ids;
-mod intern;
+mod mix;
 mod msg;
 mod ops;
 mod readers;
@@ -52,7 +52,7 @@ pub use error::ConfigError;
 pub use fault::{FaultDecision, FaultPlan};
 pub use geometry::HomeGeometry;
 pub use ids::{NodeId, ProcId, MAX_PROCS};
-pub use intern::{ReaderSetInterner, SetId};
+pub use mix::{splitmix64, splitmix_fold, GOLDEN_GAMMA};
 pub use msg::{AckKind, DirMsg, ReqKind};
 pub use ops::{LockId, Op, OpStream, Workload};
 pub use readers::ReaderSet;

@@ -273,13 +273,6 @@ impl ReaderSet {
         self.hi.as_deref().map_or(0, std::mem::size_of_val)
     }
 
-    /// The spilled words (empty for inline sets); word `j` holds
-    /// `P(64 + 64j) .. P(127 + 64j)`.
-    #[inline]
-    pub(crate) fn spill(&self) -> &[u64] {
-        self.hi.as_deref().unwrap_or(&[])
-    }
-
     /// The low 64 bits of the bit-vector (bit `i` set iff `ProcId(i)`,
     /// `i < 64`, is a member). For sets confined to the inline word —
     /// every machine up to 64 processors — this is the complete raw

@@ -1,6 +1,7 @@
 //! Stateless deterministic timing jitter.
 
 use specdsm_sim::Xorshift64Star;
+use specdsm_types::splitmix_fold;
 
 /// Deterministic per-(proc, iteration) jitter source.
 ///
@@ -72,15 +73,7 @@ impl Jitter {
     /// An RNG deterministically derived from `(seed, tags)`.
     #[must_use]
     pub fn rng(&self, tags: &[u64]) -> Xorshift64Star {
-        // SplitMix-style absorption of each tag.
-        let mut h = self.seed ^ 0x9E37_79B9_7F4A_7C15;
-        for &t in tags {
-            h ^= t.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            h ^= h >> 31;
-        }
-        Xorshift64Star::new(h)
+        Xorshift64Star::new(splitmix_fold(self.seed, tags.iter().copied()))
     }
 }
 

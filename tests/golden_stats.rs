@@ -318,7 +318,7 @@ fn render_golden(scale: Scale) -> Golden {
         finite4.push((policy, r));
     }
     // Wider machines: 64 nodes fill the inline reader-set word, 256
-    // spill every shared reader set into the interner.
+    // spill wide reader sets past it into heap words.
     for (label, nodes, scale) in [("model-n64", 64, scale), ("model-n256", 256, Scale::Quick)] {
         let r = run_app(
             AppId::Em3d,

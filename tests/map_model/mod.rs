@@ -12,12 +12,11 @@
 //! the obvious implementation.
 
 use specdsm::core::{
-    FxHashMap, History, Observation, PatternTable, PredictorStats, SharingPredictor, SpecTicket,
-    SpecTrigger, Symbol, VSlot, Vmsp,
+    FxHashMap, History, Observation, PatternTable, PredictorStats, ReaderSetInterner,
+    SharingPredictor, SpecTicket, SpecTrigger, Symbol, VSlot, Vmsp,
 };
 use specdsm::types::{
-    BlockAddr, DirMsg, HomeGeometry, MachineConfig, NodeId, ProcId, ReaderSet, ReaderSetInterner,
-    ReqKind,
+    BlockAddr, DirMsg, HomeGeometry, MachineConfig, NodeId, ProcId, ReaderSet, ReqKind,
 };
 
 /// The speculation-store operations the property tests replay. Every
@@ -240,7 +239,7 @@ impl SpecOps for MapModel {
             }
             ReqKind::Write | ReqKind::Upgrade => {
                 if !b.open.is_empty() {
-                    let vec = Symbol::ReadVec(sets.intern_owned(std::mem::take(&mut b.open)));
+                    let vec = Symbol::ReadVec(sets.intern(std::mem::take(&mut b.open)));
                     Self::commit(b, vec);
                 }
                 let sym = Symbol::Req(kind, p);

@@ -169,12 +169,13 @@ proptest! {
             2..6,
         ),
     ) {
-        use specdsm::types::{ReaderSetInterner, SetId};
+        use specdsm::core::SetId;
 
         let mut sets = ReaderSetInterner::new();
-        // Each script evolves one tracked id through the interner's
-        // functional ops alongside a materialized model set. Processor
-        // ids span the inline/spill boundary (0..256).
+        // Each script evolves a materialized model set and interns it
+        // after every step, so ids are minted along independent
+        // histories. Processor ids span the inline/spill boundary
+        // (0..256).
         let mut tracked: Vec<(SetId, ReaderSet)> = Vec::new();
         for script in &scripts {
             let mut id = SetId::EMPTY;
@@ -182,25 +183,28 @@ proptest! {
             for &(op, a, b) in script {
                 let pa = ProcId(a % 256);
                 let pb = ProcId(b % 256);
-                match op {
+                let removed = match op {
                     0 => {
-                        id = sets.insert(id, pa);
                         model.insert(pa);
+                        None
                     }
                     1 => {
-                        id = sets.remove(id, pa);
                         model.remove(pa);
+                        Some(sets.remove(id, pa))
                     }
                     _ => {
-                        let other = ReaderSet::from_iter([pa, pb]);
-                        id = sets.union_with(id, &other);
-                        model |= other;
+                        model |= ReaderSet::from_iter([pa, pb]);
+                        None
                     }
-                }
-                // The functional update resolves to exactly the model.
+                };
+                id = sets.intern(model.clone());
+                // The id resolves to exactly the model, and the
+                // interner's own removal lands on the same id.
                 prop_assert_eq!(&sets.resolve(id), &model);
-                prop_assert_eq!(sets.len(id), model.len());
                 prop_assert_eq!(id.is_empty(), model.is_empty());
+                if let Some(removed) = removed {
+                    prop_assert_eq!(removed, id);
+                }
             }
             tracked.push((id, model));
         }
@@ -219,10 +223,10 @@ proptest! {
             if id_a.is_inline() {
                 prop_assert_eq!(id_a.key(), set_a.bits());
             } else {
-                prop_assert!(sets.with(*id_a, |s| s.iter().any(|p| p.0 >= 64)));
+                prop_assert!(sets.resolve(*id_a).iter().any(|p| p.0 >= 64));
             }
             // Re-interning the resolved set returns the identical id.
-            prop_assert_eq!(sets.intern(set_a), *id_a);
+            prop_assert_eq!(sets.intern(set_a.clone()), *id_a);
         }
     }
 }
@@ -393,7 +397,7 @@ proptest! {
 /// included.
 fn slab_alphabet(sets: &mut ReaderSetInterner) -> [Symbol; 8] {
     let mut vec = |procs: &[usize]| {
-        Symbol::ReadVec(sets.intern(&ReaderSet::from_iter(procs.iter().map(|&p| ProcId(p)))))
+        Symbol::ReadVec(sets.intern(ReaderSet::from_iter(procs.iter().map(|&p| ProcId(p)))))
     };
     [
         Symbol::Req(ReqKind::Read, ProcId(0)),
@@ -455,7 +459,7 @@ fn replay_slab_ops(depth: usize, ops: &[(u8, usize, usize)]) -> usize {
             Symbol::Req(ReqKind::Write, ProcId(b % 4))
         } else {
             let bits = (b % 15 + 1) as u64;
-            Symbol::ReadVec(sets.intern(&ReaderSet::from_bits(bits)))
+            Symbol::ReadVec(sets.intern(ReaderSet::from_bits(bits)))
         };
         let mut learn = |model: &mut HashMap<Vec<Symbol>, (Symbol, bool)>| {
             if let Some(entry) = model.get_mut(window) {
@@ -497,7 +501,7 @@ fn replay_slab_ops(depth: usize, ops: &[(u8, usize, usize)]) -> usize {
                             }
                             order.swap_remove(at);
                         } else {
-                            model.get_mut(window).unwrap().0 = Symbol::ReadVec(sets.intern(&left));
+                            model.get_mut(window).unwrap().0 = Symbol::ReadVec(sets.intern(left));
                         }
                         true
                     }
