@@ -155,7 +155,7 @@ fn render_detail(lab: &mut Lab) -> String {
     ]);
     for app in AppId::ALL {
         for policy in SpecPolicy::ALL {
-            let r = lab.run(app, policy).clone();
+            let r = lab.run(app, policy);
             t.row([
                 app.to_string(),
                 policy.to_string(),

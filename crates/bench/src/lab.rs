@@ -1,4 +1,4 @@
-//! Shared experiment state: cached runs and traces per application.
+//! Shared experiment state: cached runs per application.
 
 use std::collections::HashMap;
 
@@ -7,14 +7,14 @@ use specdsm_protocol::{RunStats, SpecPolicy, System, SystemConfig};
 use specdsm_types::MachineConfig;
 use specdsm_workloads::{AppId, Scale};
 
-/// Caches per-application simulation artifacts so that the predictor
-/// experiments (Figures 7–8, Tables 3–4) reuse one Base-DSM trace run
-/// and the speculation experiments (Figure 9, Table 5) reuse the three
-/// system runs.
+/// Caches per-application simulation runs so that the predictor
+/// experiments (Figures 7–8, Tables 3–4) and the speculation
+/// experiments (Figure 9, Table 5) share them. The Base-DSM run records
+/// the directory trace the predictor experiments replay, so each app
+/// simulates once per system.
 pub struct Lab {
     machine: MachineConfig,
     scale: Scale,
-    traces: HashMap<AppId, DirectoryTrace>,
     runs: HashMap<(AppId, SpecPolicy), RunStats>,
 }
 
@@ -26,7 +26,6 @@ impl Lab {
         Lab {
             machine: MachineConfig::paper_machine(),
             scale,
-            traces: HashMap::new(),
             runs: HashMap::new(),
         }
     }
@@ -43,33 +42,24 @@ impl Lab {
         self.scale
     }
 
-    /// The Base-DSM directory message trace for `app` (simulating it on
-    /// first use).
+    /// The Base-DSM directory message trace for `app` (simulating the
+    /// Base run on first use).
     pub fn trace(&mut self, app: AppId) -> &DirectoryTrace {
-        if !self.traces.contains_key(&app) {
-            let workload = app.build(&self.machine, self.scale);
-            let cfg = SystemConfig {
-                machine: self.machine.clone(),
-                policy: SpecPolicy::Base,
-                record_trace: true,
-                ..SystemConfig::default()
-            };
-            let stats = System::new(cfg, workload.as_ref())
-                .expect("suite workloads match the paper machine")
-                .run();
-            self.traces
-                .insert(app, stats.trace.expect("trace recording was enabled"));
-        }
-        &self.traces[&app]
+        self.run(app, SpecPolicy::Base)
+            .trace
+            .as_ref()
+            .expect("Base runs record their trace")
     }
 
     /// The full run of `app` under `policy` (simulating on first use).
+    /// Base runs also record the directory trace.
     pub fn run(&mut self, app: AppId, policy: SpecPolicy) -> &RunStats {
         if !self.runs.contains_key(&(app, policy)) {
             let workload = app.build(&self.machine, self.scale);
             let cfg = SystemConfig {
                 machine: self.machine.clone(),
                 policy,
+                record_trace: policy == SpecPolicy::Base,
                 ..SystemConfig::default()
             };
             let stats = System::new(cfg, workload.as_ref())
@@ -85,7 +75,6 @@ impl std::fmt::Debug for Lab {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Lab")
             .field("scale", &self.scale)
-            .field("cached_traces", &self.traces.len())
             .field("cached_runs", &self.runs.len())
             .finish()
     }
@@ -102,6 +91,25 @@ mod tests {
         let n2 = lab.trace(AppId::Tomcatv).total_messages();
         assert_eq!(n1, n2);
         assert!(n1 > 0);
+    }
+
+    #[test]
+    fn trace_recording_only_observes() {
+        // `trace` and `run(app, Base)` share one traced run, so recording
+        // must leave every other field as an untraced run has it.
+        // `RunStats` has no `PartialEq`; its `Debug` form shows every field.
+        let mut lab = Lab::new(Scale::Quick);
+        for app in [AppId::Em3d, AppId::Barnes, AppId::Ocean] {
+            let mut traced = lab.run(app, SpecPolicy::Base).clone();
+            assert!(traced.trace.take().is_some(), "{app}: Base runs trace");
+            let workload = app.build(lab.machine(), lab.scale());
+            let cfg = SystemConfig {
+                machine: lab.machine().clone(),
+                ..SystemConfig::default()
+            };
+            let untraced = System::new(cfg, workload.as_ref()).unwrap().run();
+            assert_eq!(format!("{traced:?}"), format!("{untraced:?}"), "{app}");
+        }
     }
 
     #[test]
