@@ -1,17 +1,12 @@
 //! Hash-consed reader sets: [`SetId`] and [`ReaderSetInterner`].
 //!
 //! On machines past 64 processors a [`ReaderSet`] spills to a
-//! heap-allocated word array, and every predictor layer that *retains*
-//! one — pattern-table entries, open read phases, speculation tickets —
-//! used to hold its own clone. This module replaces those retained
-//! clones with an id into a per-component hash-cons arena: each
-//! canonical spilled bit pattern is stored **once**, and everything
-//! else passes around a `Copy` [`SetId`] whose equality/hash are O(1).
-//!
-//! The inline ≤64-processor fast path never touches the arena at all:
-//! an inline [`SetId`] carries the raw low word itself, so machines up
-//! to 64 nodes pay exactly what they paid before interning (and no
-//! arena is even consulted to compare, hash, or test membership).
+//! heap-allocated word array. VMSP keeps its read vectors — pattern
+//! entries and histories — as ids into its own hash-cons arena, which
+//! stores each canonical spilled bit pattern **once**; the `Copy`
+//! [`SetId`] compares and hashes in O(1). An inline (≤64-processor)
+//! [`SetId`] carries the raw low word itself and never touches the
+//! arena.
 //!
 //! # Determinism
 //!
@@ -85,9 +80,8 @@ impl SetId {
     }
 
     /// The 64-bit pattern digest: for an inline id the raw low word,
-    /// for an arena id the cached [`ReaderSet::mix64`] of the set.
-    /// Numerically identical to calling `mix64()` on the materialized
-    /// set, so pattern-table keys are unchanged by interning.
+    /// for an arena id the cached [`ReaderSet::mix64`] of the set —
+    /// in both cases equal to `mix64()` of the materialized set.
     #[must_use]
     #[inline]
     pub fn key(self) -> u64 {

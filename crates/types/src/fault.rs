@@ -242,17 +242,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn decisions_are_pure() {
-        let plan = FaultPlan::light(7);
-        for seq in 0..64 {
-            assert_eq!(
-                plan.decide(0, 5, seq, 0, 100),
-                plan.decide(0, 5, seq, 0, 100)
-            );
-        }
-    }
-
-    #[test]
     fn rates_are_roughly_honored() {
         let plan = FaultPlan {
             drop_rate: 0.25,
