@@ -33,7 +33,13 @@
 //!   false-sharing storms from `adversarial_suite` under each system,
 //!   with the coherence auditor on. They deliver a `WriteReq` to an
 //!   `Exclusive` block whose transaction is still in flight, which no
-//!   application run does.
+//!   application run does;
+//! - `model-fault` rows carry the `model` counters plus every
+//!   `FaultStats` field of each application under each system with the
+//!   suite-standard fault plan (`fault_plan`, fixed seed) and the
+//!   coherence auditor on. They pin retry timing, backoff and duplicate
+//!   suppression, which the fault differential only checks for
+//!   completion.
 //!
 //! Any engine or protocol refactor that changes what the machine does
 //! shows up here.
@@ -60,7 +66,7 @@ use std::sync::OnceLock;
 use std::fmt::Display;
 
 use specdsm::prelude::{
-    adversarial_suite, AppId, MachineConfig, RunStats, Scale, System, SystemConfig,
+    adversarial_suite, fault_plan, AppId, MachineConfig, RunStats, Scale, System, SystemConfig,
 };
 use specdsm::protocol::{EngineConfig, SpecPolicy};
 use specdsm_bench::{fig7, table3, Fig7Row, Lab};
@@ -112,8 +118,34 @@ fn policy_label(policy: SpecPolicy) -> &'static str {
     }
 }
 
+/// Seed of the fault plan behind the `model-fault` rows.
+const FAULT_SEED: u64 = 0x1a1f;
+
 /// The full machine-counter row of one sequential run.
 fn write_model_row(
+    out: &mut String,
+    label: &str,
+    app: impl Display,
+    policy: SpecPolicy,
+    r: &RunStats,
+) {
+    write_model_fields(out, label, app, policy, r);
+    out.push('\n');
+}
+
+/// The `model` row of one faulty run, followed by its fault counters.
+fn write_fault_row(out: &mut String, app: AppId, policy: SpecPolicy, r: &RunStats) {
+    write_model_fields(out, "model-fault", app, policy, r);
+    let f = r.faults;
+    let _ = writeln!(
+        out,
+        " drops={} duplicates={} retries={} dup_suppressed={} recovery_cycles={}",
+        f.drops, f.duplicates, f.retries, f.dup_suppressed, f.recovery_cycles
+    );
+}
+
+/// The machine counters of a `model` row, without the line break.
+fn write_model_fields(
     out: &mut String,
     label: &str,
     app: impl Display,
@@ -148,9 +180,9 @@ fn write_model_row(
     );
     match r.predictor {
         Some(p) => {
-            let _ = writeln!(out, " predictor={}/{}/{}", p.seen, p.predicted, p.correct);
+            let _ = write!(out, " predictor={}/{}/{}", p.seen, p.predicted, p.correct);
         }
-        None => out.push_str(" predictor=none\n"),
+        None => out.push_str(" predictor=none"),
     }
 }
 
@@ -233,6 +265,7 @@ fn render_golden(scale: Scale) -> Golden {
     out.push_str("# model-finite4/proc-finite4: em3d with 4-block caches.\n");
     out.push_str("# model-n64/model-n256: em3d SWI+FR on 64 nodes, and on 256 at quick scale.\n");
     out.push_str("# model-adv: hotspot and false-sharing storms, auditor on.\n");
+    out.push_str("# model-fault: every app under the suite fault plan, auditor on.\n");
     if scale == Scale::Default {
         out.push_str(
             "# Regenerate with UPDATE_GOLDEN=1 SPECDSM_DIFF_SCALE=default \
@@ -346,6 +379,22 @@ fn render_golden(scale: Scale) -> Golden {
             };
             let r = System::new(cfg, w.as_ref()).expect("valid config").run();
             write_model_row(&mut out, "model-adv", w.name(), policy, &r);
+        }
+    }
+    // Lossy requests: retries, backoff and duplicate suppression.
+    let plan = fault_plan(FAULT_SEED);
+    for app in AppId::ALL {
+        let w = app.build(&machine, scale);
+        for policy in SpecPolicy::ALL {
+            let cfg = SystemConfig {
+                machine: machine.clone(),
+                policy,
+                faults: Some(plan.clone()),
+                audit: true,
+                ..SystemConfig::default()
+            };
+            let r = System::new(cfg, w.as_ref()).expect("valid config").run();
+            write_fault_row(&mut out, app, policy, &r);
         }
     }
     Golden {
