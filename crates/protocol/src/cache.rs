@@ -7,8 +7,8 @@ use specdsm_types::BlockAddr;
 ///
 /// The paper's caches hold either a read-only or a writable copy;
 /// MESI's E/M distinction is irrelevant here because writebacks happen
-/// only on invalidation (caches are "large enough to hold the remote
-/// data", §6 — no capacity evictions).
+/// only on invalidation: a [`Cache`] has no capacity limit, so it never
+/// evicts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LineState {
     /// Read-only copy. `spec_unreferenced` is the reference bit of the
@@ -26,74 +26,28 @@ pub enum LineState {
 struct Line {
     state: LineState,
     version: u64,
-    last_use: u64,
 }
 
 /// A processor cache at block granularity.
 ///
 /// The cache is the combined processor cache + remote cache of a node
-/// (Figure 5). By default it is unbounded: the paper sizes the remote
-/// cache "large enough to hold the remote data" so all simulated
-/// traffic is true sharing traffic. [`Cache::with_capacity`] enables
-/// the finite mode the paper deliberately excludes: read-only lines
-/// are evicted LRU (silently — the directory's sharer list goes stale,
-/// which the protocol tolerates), re-introducing capacity misses.
-/// Writable lines are never evicted, so no writeback-on-eviction
-/// machinery is needed.
+/// (Figure 5). It is unbounded: the paper sizes the remote cache
+/// "large enough to hold the remote data" (§6), so all simulated
+/// traffic is true sharing traffic and a line leaves the cache only
+/// when the protocol invalidates it.
 #[derive(Debug, Clone, Default)]
 pub struct Cache {
     // Keyed through the trusted-input FxHash hasher: the cache is
     // probed on *every* processor memory operation (hits included), so
     // SipHash would tax the simulator's hottest loop.
     lines: FxHashMap<BlockAddr, Line>,
-    capacity: Option<usize>,
-    clock: u64,
 }
 
 impl Cache {
-    /// Creates an empty, unbounded cache.
+    /// Creates an empty cache.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates a cache bounded to `blocks` lines (finite remote-cache
-    /// mode; read-only lines evict LRU).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `blocks` is zero.
-    #[must_use]
-    pub fn with_capacity(blocks: usize) -> Self {
-        assert!(blocks > 0, "cache capacity must be at least one block");
-        Cache {
-            capacity: Some(blocks),
-            ..Self::default()
-        }
-    }
-
-    fn tick(&mut self) -> u64 {
-        self.clock += 1;
-        self.clock
-    }
-
-    /// Makes room for one more line when at capacity by evicting the
-    /// least recently used *read-only* line. If every line is writable
-    /// the insert proceeds anyway (writable copies are pinned).
-    fn make_room(&mut self) {
-        let Some(cap) = self.capacity else { return };
-        if self.lines.len() < cap {
-            return;
-        }
-        let victim = self
-            .lines
-            .iter()
-            .filter(|(_, l)| matches!(l.state, LineState::Shared { .. }))
-            .min_by_key(|(a, l)| (l.last_use, a.0))
-            .map(|(a, _)| *a);
-        if let Some(addr) = victim {
-            self.lines.remove(&addr);
-        }
     }
 
     /// State of `block`, if cached.
@@ -113,10 +67,7 @@ impl Cache {
     /// first touch of a speculatively placed copy (i.e. a read that
     /// would have been remote without speculation).
     pub fn read(&mut self, block: BlockAddr) -> Option<(u64, bool)> {
-        self.clock += 1;
-        let clock = self.clock;
         let line = self.lines.get_mut(&block)?;
-        line.last_use = clock;
         let first_touch = matches!(
             line.state,
             LineState::Shared {
@@ -146,8 +97,6 @@ impl Cache {
 
     /// Installs a demand read-only copy.
     pub fn fill_shared(&mut self, block: BlockAddr, version: u64) {
-        self.make_room();
-        let last_use = self.tick();
         self.lines.insert(
             block,
             Line {
@@ -155,21 +104,17 @@ impl Cache {
                     spec_unreferenced: false,
                 },
                 version,
-                last_use,
             },
         );
     }
 
     /// Installs a writable copy (write grant).
     pub fn fill_exclusive(&mut self, block: BlockAddr, version: u64) {
-        self.make_room();
-        let last_use = self.tick();
         self.lines.insert(
             block,
             Line {
                 state: LineState::Exclusive,
                 version,
-                last_use,
             },
         );
     }
@@ -178,19 +123,15 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics if the block is not cached (protocol bug: an upgrade was
-    /// granted to a processor that lost its copy — the directory must
-    /// convert such upgrades into write grants).
+    /// Panics if the block is not cached: the caller must install a
+    /// writable copy instead when the read-only one is gone.
     pub fn upgrade(&mut self, block: BlockAddr, version: u64) {
-        self.clock += 1;
-        let clock = self.clock;
         let line = self
             .lines
             .get_mut(&block)
             .expect("upgrade granted for an uncached block");
         line.state = LineState::Exclusive;
         line.version = version;
-        line.last_use = clock;
     }
 
     /// Installs a speculatively forwarded copy with the reference bit
@@ -200,8 +141,6 @@ impl Cache {
         if self.lines.contains_key(&block) {
             return false;
         }
-        self.make_room();
-        let last_use = self.tick();
         self.lines.insert(
             block,
             Line {
@@ -209,7 +148,6 @@ impl Cache {
                     spec_unreferenced: true,
                 },
                 version,
-                last_use,
             },
         );
         true
@@ -344,45 +282,12 @@ mod tests {
     }
 
     #[test]
-    fn finite_cache_evicts_lru_shared_line() {
-        let mut c = Cache::with_capacity(2);
-        c.fill_shared(BlockAddr(1), 0);
-        c.fill_shared(BlockAddr(2), 0);
-        // Touch block 1 so block 2 becomes the LRU victim.
-        c.read(BlockAddr(1));
-        c.fill_shared(BlockAddr(3), 0);
-        assert_eq!(c.len(), 2);
-        assert!(c.state(BlockAddr(2)).is_none(), "LRU line evicted");
-        assert!(c.state(BlockAddr(1)).is_some());
-        assert!(c.state(BlockAddr(3)).is_some());
-    }
-
-    #[test]
-    fn finite_cache_never_evicts_writable_lines() {
-        let mut c = Cache::with_capacity(2);
-        c.fill_exclusive(BlockAddr(1), 0);
-        c.fill_exclusive(BlockAddr(2), 0);
-        // No shared victim exists: the insert exceeds capacity rather
-        // than dropping a dirty line.
-        c.fill_shared(BlockAddr(3), 0);
-        assert_eq!(c.len(), 3);
-        assert!(c.can_write(BlockAddr(1)));
-        assert!(c.can_write(BlockAddr(2)));
-    }
-
-    #[test]
     fn infinite_cache_never_evicts() {
         let mut c = Cache::new();
         for i in 0..10_000 {
             c.fill_shared(BlockAddr(i), 0);
         }
         assert_eq!(c.len(), 10_000);
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity")]
-    fn zero_capacity_panics() {
-        let _ = Cache::with_capacity(0);
     }
 
     #[test]

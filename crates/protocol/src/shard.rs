@@ -635,12 +635,13 @@ impl HomeShard {
             Grant::Shared => proc.cache.fill_shared(block, version),
             Grant::Exclusive => proc.cache.fill_exclusive(block, version),
             Grant::Upgrade => {
-                // The directory only grants in-place upgrades while the
-                // requester is a sharer, and home→proc messages are
-                // FIFO, so the copy is normally still present. The one
-                // exception is finite-cache mode, where a concurrent
-                // speculative fill may have evicted the line while the
-                // upgrade was in flight.
+                // The directory grants an in-place upgrade whenever it
+                // lists the requester as a sharer, and that listing can
+                // outlive the copy. While a lost upgrade awaits its
+                // retry, another writer may invalidate the copy and a
+                // speculative forward may list the requester again; the
+                // requester drops that forward under the race rule
+                // (§4.2), so the grant finds no copy to promote.
                 if proc.cache.has_shared(block) {
                     proc.cache.upgrade(block, version);
                 } else {

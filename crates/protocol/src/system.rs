@@ -77,12 +77,6 @@ pub struct SystemConfig {
     /// Record the per-block directory message trace (for offline
     /// predictor evaluation).
     pub record_trace: bool,
-    /// Per-processor cache capacity in blocks. `None` (the paper's
-    /// configuration) means unbounded — no capacity or conflict
-    /// traffic. `Some(n)` enables finite-cache mode: read-only lines
-    /// evict LRU and capacity misses reappear (the "inflated traffic"
-    /// the paper's methodology deliberately excludes).
-    pub cache_blocks: Option<usize>,
     /// Optional safety limit; the run panics if simulated time exceeds
     /// it (guards against workload deadlocks in development).
     pub max_cycles: Option<u64>,
@@ -109,7 +103,6 @@ impl Default for SystemConfig {
             policy: SpecPolicy::Base,
             predictor_depth: 1,
             record_trace: false,
-            cache_blocks: None,
             max_cycles: None,
             engine: EngineConfig::Sequential,
             faults: None,
@@ -371,13 +364,7 @@ impl System {
         let mut procs: Vec<Processor> = streams
             .into_iter()
             .enumerate()
-            .map(|(i, s)| {
-                let mut proc = Processor::new(ProcId(i), s, cfg.machine.latency.cache_hit);
-                if let Some(blocks) = cfg.cache_blocks {
-                    proc.cache = crate::Cache::with_capacity(blocks);
-                }
-                proc
-            })
+            .map(|(i, s)| Processor::new(ProcId(i), s, cfg.machine.latency.cache_hit))
             .collect();
         // One shard per home node (windowed), or one for the whole
         // machine (sequential).
@@ -729,12 +716,6 @@ impl System {
                             for reader in readers.iter() {
                                 let cache = procs[reader.0].cache();
                                 let cached = cache.state(block);
-                                // In finite-cache mode a listed sharer may
-                                // have silently evicted its copy; the
-                                // directory is allowed to be stale.
-                                if self.cfg.cache_blocks.is_some() && cached.is_none() {
-                                    continue;
-                                }
                                 assert!(
                                     matches!(cached, Some(LineState::Shared { .. })),
                                     "{block}: sharer {reader} holds {cached:?}"
@@ -1529,10 +1510,9 @@ mod tests {
 
     /// Runs `ops` to quiescence on the sequential engine and checks the
     /// clean machine once, then hands it back for corruption.
-    fn quiesced(cache_blocks: Option<usize>, ops: Vec<Vec<Op>>) -> System {
+    fn quiesced(ops: Vec<Vec<Op>>) -> System {
         let cfg = SystemConfig {
             machine: machine(4),
-            cache_blocks,
             max_cycles: Some(50_000_000),
             ..SystemConfig::default()
         };
@@ -1549,18 +1529,12 @@ mod tests {
     /// P1 and P2 hold read-only copies of `homed(0)` at version 0.
     fn shared_by_p1_p2() -> System {
         let b = homed(0);
-        quiesced(
-            None,
-            vec![vec![], vec![Op::Read(b)], vec![Op::Read(b)], vec![]],
-        )
+        quiesced(vec![vec![], vec![Op::Read(b)], vec![Op::Read(b)], vec![]])
     }
 
     /// P1 holds the writable copy of `homed(0)`.
     fn owned_by_p1() -> System {
-        quiesced(
-            None,
-            vec![vec![], vec![Op::Write(homed(0))], vec![], vec![]],
-        )
+        quiesced(vec![vec![], vec![Op::Write(homed(0))], vec![], vec![]])
     }
 
     #[test]
@@ -1604,19 +1578,6 @@ mod tests {
     fn audit_rejects_a_sharer_that_lost_its_copy() {
         let mut sys = shared_by_p1_p2();
         sys.shards[0].procs[1].cache.invalidate(homed(0));
-        sys.check_coherence();
-    }
-
-    #[test]
-    fn audit_tolerates_an_evicted_sharer_in_finite_cache_mode() {
-        // A finite cache evicts read-only lines silently, so the
-        // directory's sharer list may name a processor with no copy.
-        let b = homed(0);
-        let mut sys = quiesced(
-            Some(64),
-            vec![vec![], vec![Op::Read(b)], vec![Op::Read(b)], vec![]],
-        );
-        sys.shards[0].procs[1].cache.invalidate(b);
         sys.check_coherence();
     }
 

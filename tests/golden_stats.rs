@@ -19,13 +19,6 @@
 //!   compute/sync/mem-wait split plus the machine-wide access counters;
 //! - a `windowed1t` row carries the windowed engine's execution time,
 //!   message and event counts on one thread;
-//! - `model-finite`/`proc-finite` rows repeat the first two for em3d
-//!   under FR and SWI+FR with 16-block caches. At default scale
-//!   capacity evictions race speculative fills there; at quick scale
-//!   the footprint fits and the rows equal the infinite-cache ones;
-//! - `model-finite4`/`proc-finite4` rows repeat them with 4-block
-//!   caches, which evict at both scales, so the quick-scale `cargo
-//!   test` covers the eviction path too;
 //! - `model-n64`/`model-n256` rows carry the `model` counters of em3d
 //!   under SWI+FR on 64 and 256 nodes. The 64-node run uses the scale
 //!   under test; the 256-node run always uses the quick inputs;
@@ -95,7 +88,6 @@ fn run_app(
     scale: Scale,
     nodes: usize,
     engine: EngineConfig,
-    cache_blocks: Option<usize>,
 ) -> RunStats {
     let machine = MachineConfig::with_nodes(nodes);
     let w = app.build(&machine, scale);
@@ -103,7 +95,6 @@ fn run_app(
         machine,
         policy,
         engine,
-        cache_blocks,
         ..SystemConfig::default()
     };
     System::new(cfg, w.as_ref()).expect("valid config").run()
@@ -215,10 +206,8 @@ fn write_proc_row(out: &mut String, label: &str, app: AppId, policy: SpecPolicy,
 struct Golden {
     text: String,
     fig7: Vec<Fig7Row>,
-    /// Sequential-engine runs per (app, policy), infinite caches.
+    /// Sequential-engine runs per (app, policy).
     model: Vec<(AppId, SpecPolicy, RunStats)>,
-    /// Sequential-engine em3d runs per policy with 4-block caches.
-    finite4: Vec<(SpecPolicy, RunStats)>,
 }
 
 impl Golden {
@@ -261,8 +250,6 @@ fn render_golden(scale: Scale) -> Golden {
     out.push_str("# model: sequential-engine machine counters per app and system.\n");
     out.push_str("# windowed1t: windowed-engine (1 thread) headline counters.\n");
     out.push_str("# proc: access counters, per-processor compute/sync/mem_wait cycles.\n");
-    out.push_str("# model-finite/proc-finite: em3d with 16-block caches.\n");
-    out.push_str("# model-finite4/proc-finite4: em3d with 4-block caches.\n");
     out.push_str("# model-n64/model-n256: em3d SWI+FR on 64 nodes, and on 256 at quick scale.\n");
     out.push_str("# model-adv: hotspot and false-sharing storms, auditor on.\n");
     out.push_str("# model-fault: every app under the suite fault plan, auditor on.\n");
@@ -293,7 +280,7 @@ fn render_golden(scale: Scale) -> Golden {
     let mut model = Vec::new();
     for app in AppId::ALL {
         for policy in SpecPolicy::ALL {
-            let r = run_app(app, policy, scale, 16, EngineConfig::Sequential, None);
+            let r = run_app(app, policy, scale, 16, EngineConfig::Sequential);
             write_model_row(&mut out, "model", app, policy, &r);
             model.push((app, policy, r));
         }
@@ -306,7 +293,6 @@ fn render_golden(scale: Scale) -> Golden {
                 scale,
                 16,
                 EngineConfig::Windowed { threads: 1 },
-                None,
             );
             let _ = writeln!(
                 out,
@@ -322,34 +308,6 @@ fn render_golden(scale: Scale) -> Golden {
     for (app, policy, r) in &model {
         write_proc_row(&mut out, "proc", *app, *policy, r);
     }
-    // Finite caches add capacity evictions and the speculative
-    // fill/eviction races — a different invalidation-ack pattern.
-    for policy in [SpecPolicy::FirstRead, SpecPolicy::SwiFr] {
-        let r = run_app(
-            AppId::Em3d,
-            policy,
-            scale,
-            16,
-            EngineConfig::Sequential,
-            Some(16),
-        );
-        write_model_row(&mut out, "model-finite", AppId::Em3d, policy, &r);
-        write_proc_row(&mut out, "proc-finite", AppId::Em3d, policy, &r);
-    }
-    let mut finite4 = Vec::new();
-    for policy in [SpecPolicy::FirstRead, SpecPolicy::SwiFr] {
-        let r = run_app(
-            AppId::Em3d,
-            policy,
-            scale,
-            16,
-            EngineConfig::Sequential,
-            Some(4),
-        );
-        write_model_row(&mut out, "model-finite4", AppId::Em3d, policy, &r);
-        write_proc_row(&mut out, "proc-finite4", AppId::Em3d, policy, &r);
-        finite4.push((policy, r));
-    }
     // Wider machines: 64 nodes fill the inline reader-set word, 256
     // spill wide reader sets past it into heap words.
     for (label, nodes, scale) in [("model-n64", 64, scale), ("model-n256", 256, Scale::Quick)] {
@@ -359,7 +317,6 @@ fn render_golden(scale: Scale) -> Golden {
             scale,
             nodes,
             EngineConfig::Sequential,
-            None,
         );
         write_model_row(&mut out, label, AppId::Em3d, SpecPolicy::SwiFr, &r);
     }
@@ -401,7 +358,6 @@ fn render_golden(scale: Scale) -> Golden {
         text: out,
         fig7: fig7_rows,
         model,
-        finite4,
     }
 }
 
@@ -427,24 +383,6 @@ fn predictor_accuracy_matches_golden_fixture() {
         panic!(
             "predictor accuracy drifted from {fixture}; if intentional, regenerate with \
              UPDATE_GOLDEN=1 (see the module docs)"
-        );
-    }
-}
-
-/// The 4-block em3d rows must actually evict: capacity misses add read
-/// misses over the infinite-cache runs of the same policy. Without this
-/// the finite-cache path could silently stop being exercised.
-#[test]
-fn four_block_caches_add_read_misses() {
-    let g = golden(scale());
-    let read_misses = |r: &RunStats| r.per_proc.iter().map(|p| p.read_misses).sum::<u64>();
-    for (policy, finite) in &g.finite4 {
-        let infinite = g.model_run(AppId::Em3d, *policy);
-        assert!(
-            read_misses(finite) > read_misses(infinite),
-            "em3d {policy}: 4-block caches gave {} read misses, infinite caches {}",
-            read_misses(finite),
-            read_misses(infinite)
         );
     }
 }

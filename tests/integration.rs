@@ -243,70 +243,6 @@ fn recorded_traces_reproduce_paper_orderings() {
 }
 
 #[test]
-fn finite_caches_inflate_traffic_but_stay_coherent() {
-    // The paper sizes remote caches to eliminate capacity traffic
-    // (§6); the finite-cache extension brings it back. A repeated
-    // read-only scan over a working set larger than the cache must
-    // produce strictly more read misses than the unbounded
-    // configuration, while all coherence checks still pass. (The Table
-    // 2 apps will not show this: their reads are invalidated by the
-    // next producer write, so they miss either way.)
-    let machine = MachineConfig::paper_machine();
-    let base = machine.page_on(NodeId(0), 0);
-    let mut ops = vec![vec![Op::Barrier; 5]; 16];
-    let mut scan = Vec::new();
-    for _ in 0..5 {
-        for b in 0..64u64 {
-            scan.push(Op::Read(base.offset(b)));
-        }
-        scan.push(Op::Barrier);
-    }
-    ops[3] = scan;
-    let w = Script { ops };
-    let run_with = |cache_blocks: Option<usize>| {
-        let cfg = SystemConfig {
-            machine: machine.clone(),
-            policy: SpecPolicy::Base,
-            cache_blocks,
-            max_cycles: Some(500_000_000),
-            ..SystemConfig::default()
-        };
-        System::new(cfg, &w).expect("valid").run()
-    };
-    let infinite = run_with(None);
-    let finite = run_with(Some(8));
-    let misses = |s: &RunStats| -> u64 { s.per_proc.iter().map(|p| p.read_misses).sum() };
-    assert!(
-        misses(&finite) > misses(&infinite),
-        "capacity misses reappear: {} vs {}",
-        misses(&finite),
-        misses(&infinite)
-    );
-    assert!(finite.exec_cycles > infinite.exec_cycles);
-    // Program semantics unchanged.
-    let reads = |s: &RunStats| -> u64 { s.per_proc.iter().map(|p| p.reads).sum() };
-    assert_eq!(reads(&finite), reads(&infinite));
-}
-
-#[test]
-fn finite_caches_work_under_speculation() {
-    let machine = MachineConfig::paper_machine();
-    let w = AppId::Em3d.build(&machine, Scale::Quick);
-    for policy in SpecPolicy::ALL {
-        let cfg = SystemConfig {
-            machine: machine.clone(),
-            policy,
-            cache_blocks: Some(16),
-            max_cycles: Some(500_000_000),
-            ..SystemConfig::default()
-        };
-        // Completion implies the quiescence coherence checks passed.
-        let stats = System::new(cfg, w.as_ref()).expect("valid").run();
-        assert!(stats.exec_cycles > 0, "{policy}");
-    }
-}
-
-#[test]
 fn analytic_model_agrees_with_simulation_direction() {
     // The model says high-accuracy speculation on a communication-bound
     // app speeds it up; check the simulator agrees on a clean case.

@@ -205,35 +205,3 @@ fn adversarial_workloads_stay_deterministic_on_windowed_engine() {
         }
     }
 }
-
-/// Finite-cache mode adds capacity evictions and speculative
-/// fill/eviction races — a different invalidation-ack pattern for the
-/// window merges to preserve. 4-block caches evict at every scale;
-/// 16-block ones at default scale.
-#[test]
-fn windowed_matches_sequential_with_finite_caches() {
-    let machine = MachineConfig::paper_machine();
-    let w = AppId::Em3d.build(&machine, scale());
-    for cache_blocks in [4, 16] {
-        for policy in [SpecPolicy::FirstRead, SpecPolicy::SwiFr] {
-            let run = |engine| {
-                let cfg = SystemConfig {
-                    machine: machine.clone(),
-                    policy,
-                    engine,
-                    cache_blocks: Some(cache_blocks),
-                    max_cycles: Some(2_000_000_000),
-                    ..SystemConfig::default()
-                };
-                specdsm::protocol::System::new(cfg, w.as_ref())
-                    .expect("valid")
-                    .run()
-            };
-            assert_same_machine(
-                &run(EngineConfig::Sequential),
-                &run(EngineConfig::Windowed { threads: 1 }),
-                &format!("em3d-finite{cache_blocks}/{policy}"),
-            );
-        }
-    }
-}
