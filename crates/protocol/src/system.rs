@@ -1411,6 +1411,72 @@ mod tests {
         }
     }
 
+    /// Three training rounds of "P2 writes `b`, then P1 and P3 read
+    /// it" teach the online VMSP that P1 and P3 read `b` after P2's
+    /// write. In the last round P1 upgrades `b` at cycle
+    /// `LATE_UPGRADE_AT` and P2 writes it one cycle later, while P3
+    /// first misses on three far blocks and only then reads `b`.
+    fn late_upgrade_script() -> Vec<Vec<Op>> {
+        let b = homed(0);
+        // P2 and P3 stay one cycle clear of the cycles the burst below
+        // covers: cycle 0 and P1's upgrade.
+        let mut ops = vec![Vec::new(), Vec::new(), vec![Op::Compute(1)], Vec::new()];
+        for _ in 0..3 {
+            ops[0].extend([Op::Barrier, Op::Barrier]);
+            ops[1].extend([Op::Barrier, Op::Read(b), Op::Barrier]);
+            ops[2].extend([Op::Write(b), Op::Barrier, Op::Barrier]);
+            ops[3].extend([Op::Barrier, Op::Read(b), Op::Barrier]);
+        }
+        ops[1].push(Op::Write(b));
+        ops[2].extend([Op::Compute(1), Op::Write(b)]);
+        ops[3].extend([
+            Op::Compute(1),
+            Op::Read(homed(1)),
+            Op::Read(homed(2)),
+            Op::Read(homed(1).offset(1)),
+            Op::Read(b),
+        ]);
+        ops
+    }
+
+    /// Cycle at which P1 sends the upgrade of the last round.
+    const LATE_UPGRADE_AT: u64 = 4_485;
+
+    #[test]
+    fn retried_upgrade_finds_no_copy_after_race_rule_drop() {
+        // A one-cycle burst drops P1's upgrade and nothing else: it
+        // recurs at multiples of its period, where no other request
+        // leaves. The long timeout lets the round finish before the
+        // retry. P2's write invalidates P1's copy, and P3's read makes
+        // FR forward `b` to P1. P1 drops the forward under the race
+        // rule (§4.2), yet the directory lists it as a sharer again, so
+        // the retry gets an in-place upgrade grant with no copy to
+        // promote. Dropping, not delaying, matters: a delayed request
+        // would hold its link's FIFO, and P1's invalidation ack would
+        // queue behind it.
+        let plan = FaultPlan {
+            drop_rate: 1.0,
+            burst_period: LATE_UPGRADE_AT,
+            burst_len: 1,
+            retry_timeout: 10_000,
+            ..FaultPlan::new(7)
+        };
+        let s = run_faulty(
+            4,
+            SpecPolicy::FirstRead,
+            EngineConfig::Sequential,
+            Some(plan),
+            true,
+            late_upgrade_script(),
+        );
+        assert_eq!(s.faults.drops, 1, "{:?}", s.faults);
+        assert_eq!(s.faults.retries, 1, "{:?}", s.faults);
+        assert_eq!(s.per_proc[1].upgrades, 1);
+        // FR forwards `b` in the second and third rounds and, to P1,
+        // in the last one.
+        assert_eq!(s.spec.fr_sent, 3, "{:?}", s.spec);
+    }
+
     #[test]
     fn duplicates_are_suppressed_at_the_home() {
         // Duplication only, no drops: every duplicate that arrives must
