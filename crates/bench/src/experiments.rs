@@ -1,13 +1,11 @@
 //! One function per paper table/figure.
 
 use specdsm_analytic::Figure6Panel;
-use specdsm_core::{evaluate_trace, PredictorKind};
+use specdsm_core::PredictorKind;
 use specdsm_protocol::SpecPolicy;
 use specdsm_workloads::AppId;
 
 use crate::lab::Lab;
-
-const NPROCS: usize = 16;
 
 /// Figure 6: the analytic model's four panels.
 #[must_use]
@@ -29,9 +27,7 @@ pub fn fig7(lab: &mut Lab) -> Vec<Fig7Row> {
     AppId::ALL
         .iter()
         .map(|&app| {
-            let trace = lab.trace(app);
-            let accuracy = PredictorKind::ALL
-                .map(|kind| evaluate_trace(trace, kind, 1, NPROCS).stats.accuracy());
+            let accuracy = PredictorKind::ALL.map(|kind| lab.eval(app, kind, 1).stats.accuracy());
             Fig7Row { app, accuracy }
         })
         .collect()
@@ -52,10 +48,8 @@ pub fn fig8(lab: &mut Lab) -> Vec<Fig8Row> {
     AppId::ALL
         .iter()
         .map(|&app| {
-            let trace = lab.trace(app);
-            let accuracy = PredictorKind::ALL.map(|kind| {
-                [1usize, 2, 4].map(|d| evaluate_trace(trace, kind, d, NPROCS).stats.accuracy())
-            });
+            let accuracy = PredictorKind::ALL
+                .map(|kind| [1usize, 2, 4].map(|d| lab.eval(app, kind, d).stats.accuracy()));
             Fig8Row { app, accuracy }
         })
         .collect()
@@ -76,9 +70,8 @@ pub fn table3(lab: &mut Lab) -> Vec<Table3Row> {
     AppId::ALL
         .iter()
         .map(|&app| {
-            let trace = lab.trace(app);
             let predicted = PredictorKind::ALL.map(|kind| {
-                let eval = evaluate_trace(trace, kind, 1, NPROCS);
+                let eval = lab.eval(app, kind, 1);
                 (eval.stats.coverage(), eval.stats.correct_fraction())
             });
             Table3Row { app, predicted }
@@ -100,10 +93,9 @@ pub fn table4(lab: &mut Lab) -> Vec<Table4Row> {
     AppId::ALL
         .iter()
         .map(|&app| {
-            let trace = lab.trace(app);
             let storage = PredictorKind::ALL.map(|kind| {
-                let d1 = evaluate_trace(trace, kind, 1, NPROCS).storage;
-                let d4 = evaluate_trace(trace, kind, 4, NPROCS).storage;
+                let d1 = lab.eval(app, kind, 1).storage;
+                let d4 = lab.eval(app, kind, 4).storage;
                 (d1.pte_per_block(), d4.pte_per_block(), d1.bytes_per_block())
             });
             Table4Row { app, storage }

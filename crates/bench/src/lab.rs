@@ -1,21 +1,24 @@
-//! Shared experiment state: cached runs per application.
+//! Shared experiment state: cached runs and trace replays per
+//! application.
 
 use std::collections::HashMap;
 
-use specdsm_core::DirectoryTrace;
+use specdsm_core::{evaluate_trace, DirectoryTrace, PredictorKind, TraceEval};
 use specdsm_protocol::{RunStats, SpecPolicy, System, SystemConfig};
 use specdsm_types::MachineConfig;
 use specdsm_workloads::{AppId, Scale};
 
 /// Caches per-application simulation runs so that the predictor
-/// experiments (Figures 7–8, Tables 3–4) and the speculation
-/// experiments (Figure 9, Table 5) share them. The Base-DSM run records
-/// the directory trace the predictor experiments replay, so each app
-/// simulates once per system.
+/// experiments (Figures 7–8, Tables 3–4), the speculation experiments
+/// (Figure 9, Table 5) and the ablation share them. The Base-DSM run
+/// records the directory trace the predictor experiments replay, so
+/// each app simulates once per system, and each replay of that trace
+/// through one predictor at one depth runs once.
 pub struct Lab {
     machine: MachineConfig,
     scale: Scale,
     runs: HashMap<(AppId, SpecPolicy), RunStats>,
+    evals: HashMap<(AppId, PredictorKind, usize), TraceEval>,
 }
 
 impl Lab {
@@ -27,6 +30,7 @@ impl Lab {
             machine: MachineConfig::paper_machine(),
             scale,
             runs: HashMap::new(),
+            evals: HashMap::new(),
         }
     }
 
@@ -49,6 +53,18 @@ impl Lab {
             .trace
             .as_ref()
             .expect("Base runs record their trace")
+    }
+
+    /// The replay of `app`'s Base-DSM trace through a `kind` predictor
+    /// of history depth `depth` (replaying on first use).
+    pub fn eval(&mut self, app: AppId, kind: PredictorKind, depth: usize) -> TraceEval {
+        if let Some(eval) = self.evals.get(&(app, kind, depth)) {
+            return *eval;
+        }
+        let num_procs = self.machine.num_nodes;
+        let eval = evaluate_trace(self.trace(app), kind, depth, num_procs);
+        self.evals.insert((app, kind, depth), eval);
+        eval
     }
 
     /// The full run of `app` under `policy` (simulating on first use).
@@ -76,6 +92,7 @@ impl std::fmt::Debug for Lab {
         f.debug_struct("Lab")
             .field("scale", &self.scale)
             .field("cached_runs", &self.runs.len())
+            .field("cached_evals", &self.evals.len())
             .finish()
     }
 }
@@ -110,6 +127,17 @@ mod tests {
             let untraced = System::new(cfg, workload.as_ref()).unwrap().run();
             assert_eq!(format!("{traced:?}"), format!("{untraced:?}"), "{app}");
         }
+    }
+
+    #[test]
+    fn eval_is_cached_and_matches_a_fresh_replay() {
+        let mut lab = Lab::new(Scale::Quick);
+        let first = lab.eval(AppId::Em3d, PredictorKind::Vmsp, 2);
+        assert_eq!(lab.evals.len(), 1);
+        assert_eq!(lab.eval(AppId::Em3d, PredictorKind::Vmsp, 2), first);
+        assert_eq!(lab.evals.len(), 1, "a second call replays nothing");
+        let fresh = evaluate_trace(lab.trace(AppId::Em3d), PredictorKind::Vmsp, 2, 16);
+        assert_eq!(first, fresh);
     }
 
     #[test]

@@ -15,8 +15,9 @@
 //! | Table 5 (speculation frequencies) | [`table5`] |
 //!
 //! All simulation-backed experiments share per-app artifacts through
-//! [`Lab`], which caches the Base-DSM directory trace and the three
-//! system runs per application.
+//! [`Lab`], which caches the three system runs per application (the
+//! Base-DSM run records the directory trace) and every replay of that
+//! trace through one predictor at one history depth.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
