@@ -115,7 +115,7 @@ fn main() {
             "fig9" => render_fig9(&mut lab),
             "table5" => render_table5(&mut lab),
             "detail" => render_detail(&mut lab),
-            "ablation" => render_ablation(scale),
+            "ablation" => render_ablation(&mut lab),
             other => unreachable!("experiment '{other}' was validated"),
         };
         println!("{text}");
@@ -180,11 +180,15 @@ fn render_detail(lab: &mut Lab) -> String {
     s
 }
 
-fn render_ablation(scale: Scale) -> String {
+/// The ablations vary one parameter of the paper's configuration; the
+/// paper's own setting (depth 1, 80-cycle hops) comes from `lab`, and
+/// only the other settings simulate here.
+fn render_ablation(lab: &mut Lab) -> String {
     use specdsm_protocol::{System, SystemConfig};
 
     let mut s = String::new();
-    let machine = MachineConfig::paper_machine();
+    let machine = lab.machine().clone();
+    let scale = lab.scale();
 
     let run = |machine: MachineConfig, policy: SpecPolicy, depth: usize, app: AppId| {
         let w = app.build(&machine, scale);
@@ -210,12 +214,10 @@ fn render_ablation(scale: Scale) -> String {
         "d=4 acc %",
     ]);
     for app in [AppId::Em3d, AppId::Unstructured, AppId::Appbt] {
-        let base = run(machine.clone(), SpecPolicy::Base, 1, app).exec_cycles as f64;
+        let base = lab.run(app, SpecPolicy::Base).exec_cycles as f64;
         let mut cells = vec![app.to_string()];
-        let runs: Vec<_> = [1usize, 2, 4]
-            .iter()
-            .map(|&d| run(machine.clone(), SpecPolicy::SwiFr, d, app))
-            .collect();
+        let mut runs = vec![lab.run(app, SpecPolicy::SwiFr).clone()];
+        runs.extend([2usize, 4].map(|d| run(machine.clone(), SpecPolicy::SwiFr, d, app)));
         for r in &runs {
             cells.push(format!("{:.1}", 100.0 * r.exec_cycles as f64 / base));
         }
@@ -239,8 +241,13 @@ fn render_ablation(scale: Scale) -> String {
     for hop in [20u64, 80, 240] {
         let mut m = machine.clone();
         m.latency.net_hop = hop;
-        let base = run(m.clone(), SpecPolicy::Base, 1, AppId::Em3d).exec_cycles;
-        let swi = run(m.clone(), SpecPolicy::SwiFr, 1, AppId::Em3d).exec_cycles;
+        let [base, swi] = [SpecPolicy::Base, SpecPolicy::SwiFr].map(|policy| {
+            if hop == machine.latency.net_hop {
+                lab.run(AppId::Em3d, policy).exec_cycles
+            } else {
+                run(m.clone(), policy, 1, AppId::Em3d).exec_cycles
+            }
+        });
         t2.row([
             hop.to_string(),
             format!("{:.1}", m.remote_to_local_ratio()),
