@@ -18,9 +18,9 @@
 //!   anyone but the grantee; a writeback must come from the owner.
 //! * **Reader-set soundness** — the directory's reader set is a
 //!   superset of the shadow's outstanding read-only copies (the
-//!   full-map directory may over-approximate after silent evictions,
-//!   never under-approximate), and invalidations/acks only name actual
-//!   sharers.
+//!   full-map directory may over-approximate after a recipient drops a
+//!   speculative copy under the race rule, never under-approximate),
+//!   and invalidations/acks only name actual sharers.
 //! * **No stale data** — data replies carry the current memory version;
 //!   the sequence of versions delivered to any one processor is
 //!   non-decreasing, so no processor ever reads state older than what
