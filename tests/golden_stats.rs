@@ -212,14 +212,10 @@ struct Golden {
 
 impl Golden {
     fn exec_cycles(&self, app: AppId, policy: SpecPolicy) -> u64 {
-        self.model_run(app, policy).exec_cycles
-    }
-
-    fn model_run(&self, app: AppId, policy: SpecPolicy) -> &RunStats {
         self.model
             .iter()
             .find(|(a, p, _)| *a == app && *p == policy)
-            .map(|(_, _, r)| r)
+            .map(|(_, _, r)| r.exec_cycles)
             .expect("every app and policy is run")
     }
 }
