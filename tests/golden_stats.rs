@@ -1,12 +1,14 @@
 //! Golden-stats regression test: predictor accuracy must not drift.
 //!
-//! The paper's headline numbers — Figure 7 (accuracy per predictor per
-//! application) and Table 3 (coverage and correctly-predicted fraction)
-//! — are regenerated by the `repro` binary, but nothing used to *fail*
+//! The paper's predictor numbers — Figure 7 (accuracy per predictor per
+//! application), Figure 8 (accuracy at history depths 1, 2 and 4),
+//! Table 3 (coverage and correctly-predicted fraction) and Table 4
+//! (pattern entries per block at depths 1 and 4, bytes per block) —
+//! are regenerated by the `repro` binary, but nothing used to *fail*
 //! when a refactor nudged them: drift only showed up if someone read
-//! the BENCH json. This test renders the same `fig7`/`table3`
-//! experiments the repro path uses and diffs them against a checked-in
-//! fixture.
+//! the BENCH json. This test renders the same `fig7`/`fig8`/`table3`/
+//! `table4` experiments the repro path uses and diffs them against a
+//! checked-in fixture.
 //!
 //! The fixture also pins the simulated machine itself:
 //!
@@ -62,7 +64,7 @@ use specdsm::prelude::{
     adversarial_suite, fault_plan, AppId, MachineConfig, RunStats, Scale, System, SystemConfig,
 };
 use specdsm::protocol::{EngineConfig, SpecPolicy};
-use specdsm_bench::{fig7, table3, Fig7Row, Lab};
+use specdsm_bench::{fig7, fig8, table3, table4, Fig7Row, Lab};
 
 /// The input scale under test: `SPECDSM_DIFF_SCALE=default` selects the
 /// default-scale inputs, anything else the quick ones.
@@ -240,9 +242,10 @@ fn render_golden(scale: Scale) -> Golden {
     };
     let _ = writeln!(
         out,
-        "# Golden predictor stats ({scale_name} scale, 16 nodes, depth 1)."
+        "# Golden predictor stats ({scale_name} scale, 16 nodes, depth 1 unless noted)."
     );
     out.push_str("# fig7: accuracy per predictor; table3: coverage/correct fraction.\n");
+    out.push_str("# fig8: accuracy at depths 1/2/4; table4: pte at depths 1/4 and ovh bytes.\n");
     out.push_str("# model: sequential-engine machine counters per app and system.\n");
     out.push_str("# windowed1t: windowed-engine (1 thread) headline counters.\n");
     out.push_str("# proc: access counters, per-processor compute/sync/mem_wait cycles.\n");
@@ -269,6 +272,20 @@ fn render_golden(scale: Scale) -> Golden {
         let _ = write!(out, "table3 {}", row.app);
         for (name, (cov, correct)) in ["cosmos", "msp", "vmsp"].iter().zip(row.predicted) {
             let _ = write!(out, " {name}={cov:.6}/{correct:.6}");
+        }
+        out.push('\n');
+    }
+    for row in fig8(&mut lab) {
+        let _ = write!(out, "fig8 {}", row.app);
+        for (name, [d1, d2, d4]) in ["cosmos", "msp", "vmsp"].iter().zip(row.accuracy) {
+            let _ = write!(out, " {name}={d1:.6}/{d2:.6}/{d4:.6}");
+        }
+        out.push('\n');
+    }
+    for row in table4(&mut lab) {
+        let _ = write!(out, "table4 {}", row.app);
+        for (name, (pte1, pte4, ovh)) in ["cosmos", "msp", "vmsp"].iter().zip(row.storage) {
+            let _ = write!(out, " {name}={pte1:.6}/{pte4:.6}/{ovh:.6}");
         }
         out.push('\n');
     }
