@@ -2,17 +2,20 @@
 //!
 //! This crate implements the three pattern-based coherence predictors
 //! evaluated by Lai & Falsafi (ISCA '99), all derived from Yeh & Patt's
-//! two-level adaptive PAp branch predictor:
+//! two-level adaptive PAp branch predictor. [`PredictorKind::build`]
+//! constructs each of them:
 //!
-//! * [`Cosmos`] — the baseline *general message predictor* of Mukherjee &
-//!   Hill (ISCA '98). It learns and predicts **every** incoming directory
-//!   message for a block: read/write/upgrade requests *and* the
-//!   invalidation-ack / writeback acknowledgements.
-//! * [`Msp`] — the **Memory Sharing Predictor**. Identical machinery, but
-//!   only *request* messages enter the history and pattern tables. Acks
-//!   are always expected anyway, and dropping them removes the
-//!   perturbation caused by ack re-ordering, shrinks the tables, and
-//!   needs one bit less per message type.
+//! * Cosmos and MSP are two kinds of one two-level message predictor,
+//!   which differ only in which messages enter its tables.
+//!   [`PredictorKind::Cosmos`] is the baseline *general message
+//!   predictor* of Mukherjee & Hill (ISCA '98). It learns and predicts
+//!   **every** incoming directory message for a block: read/write/upgrade
+//!   requests *and* the invalidation-ack / writeback acknowledgements.
+//!   [`PredictorKind::Msp`] is the **Memory Sharing Predictor**: only
+//!   *request* messages enter the history and pattern tables. Acks are
+//!   always expected anyway, and dropping them removes the perturbation
+//!   caused by ack re-ordering, shrinks the tables, and needs one bit
+//!   less per message type.
 //! * [`Vmsp`] — the **Vector MSP**. Folds an entire read sequence into a
 //!   single [`ReaderSet`] bit-vector pattern entry, the way a full-map
 //!   directory tracks sharers, eliminating read re-ordering effects
@@ -59,11 +62,9 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod cosmos;
 mod eval;
 mod fxhash;
 mod intern;
-mod msp;
 mod predictor;
 mod stats;
 mod storage;
@@ -73,11 +74,9 @@ mod table;
 mod twolevel;
 mod vmsp;
 
-pub use cosmos::Cosmos;
 pub use eval::{evaluate_trace, DirectoryTrace, TraceEval};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHasher};
 pub use intern::{ReaderSetInterner, SetId};
-pub use msp::Msp;
 pub use predictor::{PredictorKind, SharingPredictor};
 pub use stats::{Observation, PredictorStats};
 pub use storage::{StorageModel, StorageReport};

@@ -4,10 +4,9 @@ use std::fmt;
 
 use specdsm_types::{BlockAddr, DirMsg};
 
-use crate::cosmos::Cosmos;
-use crate::msp::Msp;
 use crate::stats::{Observation, PredictorStats};
 use crate::storage::StorageReport;
+use crate::twolevel::TwoLevel;
 use crate::vmsp::Vmsp;
 
 /// A directory-side coherence predictor.
@@ -41,12 +40,44 @@ pub trait SharingPredictor {
 
     /// Which of the three designs this is.
     fn kind(&self) -> PredictorKind;
-
-    /// Configured history depth.
-    fn depth(&self) -> usize;
 }
 
 /// The three predictor designs compared in the paper.
+///
+/// Cosmos and MSP share one two-level machinery and differ only in
+/// the message filter: Cosmos learns the acknowledgements along with
+/// the requests, MSP ignores them (paper §3).
+///
+/// # Example
+///
+/// ```
+/// use specdsm_core::{Observation, PredictorKind};
+/// use specdsm_types::{BlockAddr, DirMsg, ProcId};
+///
+/// let mut cosmos = PredictorKind::Cosmos.build(1, 16);
+/// let mut msp = PredictorKind::Msp.build(1, 16);
+/// let b = BlockAddr(0x100);
+/// // A producer/consumer phase *including* the protocol acks.
+/// let phase = [
+///     DirMsg::upgrade(ProcId(3)),
+///     DirMsg::ack_inv(ProcId(1)),
+///     DirMsg::ack_inv(ProcId(2)),
+///     DirMsg::read(ProcId(1)),
+///     DirMsg::read(ProcId(2)),
+///     DirMsg::writeback(ProcId(3)),
+/// ];
+/// for _ in 0..4 {
+///     for m in phase {
+///         cosmos.observe(b, m);
+///         msp.observe(b, m);
+///     }
+/// }
+/// // Cosmos counts all six messages of a phase, MSP the three requests.
+/// assert_eq!(cosmos.stats().seen, 24);
+/// assert_eq!(msp.stats().seen, 12);
+/// assert_eq!(msp.observe(b, DirMsg::ack_inv(ProcId(1))), Observation::Ignored);
+/// assert!(cosmos.stats().accuracy() > 0.9 && msp.stats().accuracy() > 0.9);
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PredictorKind {
     /// General message predictor (Mukherjee & Hill); predicts requests
@@ -84,8 +115,9 @@ impl PredictorKind {
     #[must_use]
     pub fn build(self, depth: usize, num_procs: usize) -> Box<dyn SharingPredictor> {
         match self {
-            PredictorKind::Cosmos => Box::new(Cosmos::new(depth, num_procs)),
-            PredictorKind::Msp => Box::new(Msp::new(depth, num_procs)),
+            PredictorKind::Cosmos | PredictorKind::Msp => {
+                Box::new(TwoLevel::new(self, depth, num_procs))
+            }
             PredictorKind::Vmsp => Box::new(Vmsp::new(depth, num_procs)),
         }
     }
@@ -112,7 +144,6 @@ mod tests {
         for kind in PredictorKind::ALL {
             let mut p = kind.build(2, 16);
             assert_eq!(p.kind(), kind);
-            assert_eq!(p.depth(), 2);
             p.observe(BlockAddr(1), DirMsg::read(ProcId(0)));
             assert_eq!(p.stats().seen, 1);
         }

@@ -93,29 +93,6 @@ impl StorageModel {
     pub fn bytes_per_block(&self, pte: f64) -> f64 {
         (self.history_bits() as f64 + self.pte_bits() as f64 * pte) / 8.0
     }
-
-    /// Bytes one pattern-table entry actually occupies in *this
-    /// reproduction's* record-slab software layout (as opposed to the
-    /// paper's hardware bit model above): one bucket of the table's
-    /// hash index (the 64-bit `HistoryKey` plus the record number and
-    /// SWI bit) and one record of `depth + 1` symbols, the owning
-    /// window kept for collision detection followed by the prediction.
-    #[must_use]
-    pub fn sw_entry_bytes(&self) -> u64 {
-        let bucket = crate::table::INDEX_BUCKET_BYTES as u64;
-        let record = (self.depth as u64 + 1) * std::mem::size_of::<crate::Symbol>() as u64;
-        bucket + record
-    }
-
-    /// Bytes one per-block history register occupies in the software
-    /// layout: the ring buffer of `depth` symbols plus the rolling-key
-    /// and ring bookkeeping (key, head, depth, base power).
-    #[must_use]
-    pub fn sw_history_bytes(&self) -> u64 {
-        let ring = self.depth as u64 * std::mem::size_of::<crate::Symbol>() as u64;
-        let bookkeeping = 4 * 8; // key + head + depth + B^depth
-        ring + bookkeeping
-    }
 }
 
 /// Measured storage of a live predictor: how many blocks have allocated
@@ -127,19 +104,13 @@ pub struct StorageReport {
     /// Blocks with *active* predictor state (ever observed or touched
     /// by speculation feedback).
     pub blocks: u64,
-    /// Storage slots actually committed by the backing store. For the
-    /// map-backed predictors this equals `blocks`; the VMSP's dense
-    /// per-home arenas commit whole spans up to the highest slot
-    /// touched, so `slots >= blocks` and the difference is the price
-    /// of slot addressing.
-    pub slots: u64,
     /// Total pattern-table entries across blocks.
     pub entries: u64,
     /// Bytes of **spilled** reader-set state the predictor retains
-    /// beyond the fixed-size records counted above: the hash-cons
-    /// arena's canonical copies (one per distinct wide pattern) plus
-    /// any live per-block open-vector spills. Always zero on machines
-    /// of ≤ 64 processors, whose sets are inline.
+    /// beyond its fixed-size records: the hash-cons arena's canonical
+    /// copies (one per distinct wide pattern) plus any live per-block
+    /// open-vector spills. Always zero on machines of ≤ 64 processors,
+    /// whose sets are inline.
     pub spill_bytes: u64,
 }
 
@@ -160,30 +131,6 @@ impl StorageReport {
     #[must_use]
     pub fn bytes_per_block(&self) -> f64 {
         self.model.bytes_per_block(self.pte_per_block())
-    }
-
-    /// Total bytes of live predictor state in the reproduction's
-    /// record-slab software layout (ring-buffer registers + slab
-    /// entries). This is the number to watch for host-memory
-    /// budgeting; the paper's hardware bit model stays in
-    /// [`StorageReport::bytes_per_block`].
-    ///
-    /// Charged per **committed slot**, not per active block: a dense
-    /// arena pays for every record in its committed span whether the
-    /// protocol ever touched it or not, and honest accounting must say
-    /// so (for the map-backed predictors `slots == blocks` and nothing
-    /// changes).
-    ///
-    /// Spilled reader-set words ([`StorageReport::spill_bytes`]) are
-    /// included: on >64-processor machines the per-record formulas
-    /// only cover the inline set headers, and omitting the heap words
-    /// (as this method did before interning) undercounts exactly the
-    /// machines the wide-set economics argument is about.
-    #[must_use]
-    pub fn sw_bytes_total(&self) -> u64 {
-        self.slots * self.model.sw_history_bytes()
-            + self.entries * self.model.sw_entry_bytes()
-            + self.spill_bytes
     }
 }
 
@@ -254,11 +201,10 @@ mod tests {
     }
 
     /// A report with no spilled state (the ≤64-processor case).
-    fn inline_report(model: StorageModel, blocks: u64, slots: u64, entries: u64) -> StorageReport {
+    fn inline_report(model: StorageModel, blocks: u64, entries: u64) -> StorageReport {
         StorageReport {
             model,
             blocks,
-            slots,
             entries,
             spill_bytes: 0,
         }
@@ -266,16 +212,15 @@ mod tests {
 
     #[test]
     fn report_averages() {
-        let rep = inline_report(model(PredictorKind::Msp, 1), 4, 4, 12);
+        let rep = inline_report(model(PredictorKind::Msp, 1), 4, 12);
         assert_eq!(rep.pte_per_block(), 3.0);
         assert!((rep.bytes_per_block() - (6.0 + 12.0 * 3.0) / 8.0).abs() < 1e-12);
     }
 
     #[test]
     fn empty_report_is_zero() {
-        let rep = inline_report(model(PredictorKind::Vmsp, 1), 0, 0, 0);
+        let rep = inline_report(model(PredictorKind::Vmsp, 1), 0, 0);
         assert_eq!(rep.pte_per_block(), 0.0);
-        assert_eq!(rep.sw_bytes_total(), 0);
     }
 
     #[test]
@@ -300,48 +245,8 @@ mod tests {
     }
 
     #[test]
-    fn software_layout_accounting() {
-        let m = model(PredictorKind::Msp, 2);
-        // Index bucket (8-byte key + 8-byte slot) + a record of the
-        // 2-symbol window and the prediction.
-        let sym = std::mem::size_of::<crate::Symbol>() as u64;
-        assert_eq!(m.sw_entry_bytes(), 16 + 3 * sym);
-        assert_eq!(m.sw_history_bytes(), 2 * sym + 32);
-
-        let rep = inline_report(m, 3, 3, 7);
-        assert_eq!(
-            rep.sw_bytes_total(),
-            3 * m.sw_history_bytes() + 7 * m.sw_entry_bytes()
-        );
-        // The software layout is strictly fatter than the paper's
-        // hardware bit budget — that is the price of the O(1) map.
-        assert!(rep.sw_bytes_total() as f64 > rep.bytes_per_block() * 3.0);
-    }
-
-    #[test]
-    fn spill_bytes_join_the_total() {
-        // The wide-machine accounting bug this report used to have:
-        // spilled reader-set words never reached `sw_bytes_total`.
-        let m = StorageModel {
-            kind: PredictorKind::Vmsp,
-            depth: 1,
-            num_procs: 256,
-        };
-        let inline_only = inline_report(m, 3, 3, 7);
-        let spilled = StorageReport {
-            spill_bytes: 960,
-            ..inline_only
-        };
-        assert_eq!(
-            spilled.sw_bytes_total(),
-            inline_only.sw_bytes_total() + 960,
-            "spill bytes must be charged on top of the record formulas"
-        );
-    }
-
-    #[test]
     fn display_nonempty() {
-        let rep = inline_report(model(PredictorKind::Cosmos, 1), 1, 1, 5);
+        let rep = inline_report(model(PredictorKind::Cosmos, 1), 1, 5);
         assert!(rep.to_string().contains("Cosmos"));
     }
 }

@@ -67,10 +67,6 @@ struct Slot {
     swi_premature: bool,
 }
 
-/// Bytes one entry occupies in the slab's hash index (key plus
-/// [`Slot`]), for the software storage accounting.
-pub(crate) const INDEX_BUCKET_BYTES: usize = std::mem::size_of::<(HistoryKey, Slot)>();
-
 /// The storage of a table that holds at least one entry.
 #[derive(Debug, Clone)]
 struct Slab {

@@ -4,10 +4,11 @@
 //! The Key to a Speculative Coherent DSM" (ISCA 26, 1999)** as a Rust
 //! workspace:
 //!
-//! * [`core`] — the paper's contribution: the [`Cosmos`](core::Cosmos)
-//!   baseline general message predictor, the [`Msp`](core::Msp) and
-//!   [`Vmsp`](core::Vmsp) memory sharing predictors, storage accounting,
-//!   and the SWI early-write-invalidate table.
+//! * [`core`] — the paper's contribution: the Cosmos baseline general
+//!   message predictor and the MSP memory sharing predictor (two
+//!   [kinds](core::PredictorKind) of one two-level predictor), the
+//!   [`Vmsp`](core::Vmsp) vector memory sharing predictor, storage
+//!   accounting, and the SWI early-write-invalidate table.
 //! * [`protocol`] — the substrate: an event-driven sixteen-node CC-NUMA
 //!   with a full-map write-invalidate protocol, plus the speculative
 //!   extensions (FR and SWI triggers, reference-bit verification).
@@ -55,7 +56,7 @@ pub use specdsm_workloads as workloads;
 /// Convenience prelude re-exporting the items most programs need.
 pub mod prelude {
     pub use specdsm_analytic::ModelParams;
-    pub use specdsm_core::{Cosmos, DirectoryTrace, Msp, PredictorKind, SharingPredictor, Vmsp};
+    pub use specdsm_core::{DirectoryTrace, PredictorKind, SharingPredictor, Vmsp};
     pub use specdsm_protocol::{FaultStats, RunStats, SpecPolicy, System, SystemConfig};
     pub use specdsm_types::{
         BlockAddr, DirMsg, FaultPlan, MachineConfig, NodeId, Op, OpStream, ProcId, ReaderSet,
