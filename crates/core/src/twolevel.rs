@@ -102,10 +102,9 @@ impl TwoLevel {
     ///
     /// # Panics
     ///
-    /// Panics if `depth` is zero or `kind` is VMSP.
+    /// Panics if `depth` is zero.
     pub(crate) fn new(kind: PredictorKind, depth: usize, num_procs: usize) -> Self {
         assert!(depth > 0, "history depth must be at least 1");
-        assert_ne!(kind, PredictorKind::Vmsp, "VMSP is not a message predictor");
         TwoLevel {
             kind,
             depth,
@@ -370,7 +369,6 @@ mod tests {
             m.observe(b, DirMsg::writeback(ProcId(2))),
             Observation::Ignored
         );
-        m.observe_run(b, &[DirMsg::ack_inv(ProcId(3))]);
         assert_eq!(m.stats().seen, 0);
         assert_eq!(m.storage().blocks, 0, "acks allocate no state");
     }
