@@ -83,6 +83,6 @@ pub use storage::{StorageModel, StorageReport};
 pub use swi::SwiTable;
 pub use symbol::{HistoryKey, Symbol};
 pub use table::{History, PatternEntry, PatternTable};
-pub use vmsp::{SpecTicket, SpecTrigger, VSlot, Vmsp};
+pub use vmsp::{SpecTicket, SpecTrigger, Vmsp};
 
 pub use specdsm_types::{DirMsg, ReaderSet};

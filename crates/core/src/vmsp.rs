@@ -1,25 +1,21 @@
 //! VMSP: the Vector Memory Sharing Predictor.
 //!
-//! # Storage layout (the arena design)
+//! # Storage layout
 //!
 //! The online VMSP sits on the coherence fast path: every directory
 //! request triggers an observe, every demand read may consult
 //! [`Vmsp::predicted_readers_at`], and every speculative send/ack pair
-//! opens and closes a verification ticket. A `HashMap<BlockAddr,
-//! VBlock>` put a hash probe on each of those steps. Because homes are
-//! page-interleaved, per-block state can instead live in **flat
-//! per-home arenas** indexed arithmetically by the shared
-//! [`HomeGeometry`] — the same dense bijection the protocol's
-//! directory block tables use. The protocol resolves a block to a
-//! [`VSlot`] handle once per message and every subsequent predictor
-//! access is direct indexing.
+//! opens and closes a verification ticket. Per-block state therefore
+//! lives in a [`HomeTable`], the same dense per-home table the
+//! protocol's directory uses, so one [`Slot`] computed per message
+//! reaches both records by direct indexing.
 //!
 //! Outstanding speculation tickets live in a small per-block slab
 //! indexed by processor id (at most one open ticket per `(block,
 //! proc)`, and the paper's machines have 16–64 nodes), replacing the
 //! speculation engine's former `(block, proc)`-keyed ticket map.
 
-use specdsm_types::{BlockAddr, DirMsg, HomeGeometry, NodeId, ProcId, ReaderSet, ReqKind};
+use specdsm_types::{BlockAddr, DirMsg, HomeGeometry, HomeTable, ProcId, ReaderSet, ReqKind, Slot};
 
 use crate::intern::ReaderSetInterner;
 use crate::predictor::{PredictorKind, SharingPredictor};
@@ -48,9 +44,8 @@ const DEFAULT_PAGE_BLOCKS: u64 = 128;
 /// FR and SWI triggers, [`Vmsp::speculate_readers_at`] keeps the open
 /// vector consistent when the directory forwards copies speculatively,
 /// and [`Vmsp::prune_reader_at`] applies the piggy-backed verification
-/// feedback. Every speculation query takes a [`VSlot`], resolved once
-/// per message with [`Vmsp::slot_of`] (or, guarded against foreign
-/// blocks, [`Vmsp::resolve_at_home`]).
+/// feedback. Every speculation query takes a [`Slot`], computed once
+/// per message with [`Vmsp::slot_of`] or [`HomeGeometry::slot`].
 ///
 /// # Example
 ///
@@ -80,21 +75,12 @@ const DEFAULT_PAGE_BLOCKS: u64 = 128;
 pub struct Vmsp {
     depth: usize,
     num_procs: usize,
-    geom: HomeGeometry,
-    homes: Vec<HomeArena>,
+    blocks: HomeTable<VBlock>,
     /// Hash-cons arena for the spilled (>64-processor) read vectors
     /// this predictor retains in its pattern tables. Owned per
     /// predictor instance, so clones stay self-contained and `Send`.
     sets: ReaderSetInterner,
     stats: PredictorStats,
-}
-
-/// One home's dense block-state table.
-#[derive(Debug, Clone, Default)]
-struct HomeArena {
-    table: Vec<VBlock>,
-    /// Number of records with `active == true`.
-    active: usize,
 }
 
 #[derive(Debug, Clone)]
@@ -108,10 +94,10 @@ struct VBlock {
     /// `num_procs` once (speculation is concentrated on few blocks, so
     /// most records never pay for the slab).
     tickets: Box<[Option<(SpecTicket, SpecTrigger)>]>,
-    /// Whether the predictor ever took a mutable reference to this
-    /// record. Arena growth creates pristine neighbors eagerly; the
-    /// flag keeps storage accounting reporting only blocks with real
-    /// predictor activity.
+    /// Whether an observation, a speculative reader or SWI feedback
+    /// ever touched this record. Table growth creates pristine
+    /// neighbors eagerly; the flag keeps storage accounting reporting
+    /// only blocks with real predictor activity.
     active: bool,
 }
 
@@ -119,7 +105,7 @@ impl VBlock {
     fn new(depth: usize) -> Self {
         VBlock {
             // `History` defers its ring allocation to the first push,
-            // so growing the arena over pristine spans allocates
+            // so growing the table over pristine spans allocates
             // nothing per record.
             history: History::new(depth),
             table: PatternTable::new(),
@@ -127,36 +113,6 @@ impl VBlock {
             tickets: Box::new([]),
             active: false,
         }
-    }
-}
-
-/// A resolved predictor-state handle: home node plus dense arena index.
-///
-/// The speculative protocol resolves each incoming message's block to a
-/// `VSlot` **once** (one [`HomeGeometry`] index computation, shared
-/// with the directory's `DirSlot`) and then reaches the block's
-/// predictor state by direct indexing for the rest of the transaction
-/// step — observe, `predicted_readers_at`, and ticket bookkeeping make
-/// zero hash-map probes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct VSlot {
-    home: u32,
-    idx: u32,
-}
-
-impl VSlot {
-    /// Sentinel slot for stores that do not resolve blocks to arena
-    /// indices (the map-addressed reference model the property tests
-    /// compare against). Indexing an arena with it panics.
-    pub const NULL: VSlot = VSlot {
-        home: u32::MAX,
-        idx: u32::MAX,
-    };
-
-    /// Home node owning the block.
-    #[must_use]
-    pub fn home(self) -> NodeId {
-        NodeId(self.home as usize)
     }
 }
 
@@ -227,9 +183,9 @@ impl Vmsp {
         )
     }
 
-    /// Creates a VMSP whose arena follows an explicit home layout —
-    /// the protocol passes the machine's [`HomeGeometry`] so `VSlot`s
-    /// resolve with the same arithmetic as directory slots.
+    /// Creates a VMSP whose table follows an explicit home layout —
+    /// the protocol passes the machine's [`HomeGeometry`] so one
+    /// [`Slot`] indexes both the directory and the predictor.
     ///
     /// # Panics
     ///
@@ -240,75 +196,28 @@ impl Vmsp {
         Vmsp {
             depth,
             num_procs,
-            geom,
-            homes: vec![HomeArena::default(); geom.num_nodes()],
+            blocks: HomeTable::new(geom, VBlock::new(depth)),
             sets: ReaderSetInterner::new(),
             stats: PredictorStats::default(),
         }
     }
 
-    // ------------------------------------------------------------------
-    // Slot resolution
-    // ------------------------------------------------------------------
-
-    /// Resolves `block` to a [`VSlot`], growing that home's arena to
-    /// cover it. The protocol calls this once per incoming message.
-    pub fn slot_of(&mut self, block: BlockAddr) -> VSlot {
-        let home = self.geom.home_of(block);
-        self.slot_in(home, self.geom.local_index(block))
+    /// The slot of `block` in this predictor's table.
+    #[must_use]
+    pub fn slot_of(&self, block: BlockAddr) -> Slot {
+        self.blocks.geometry().slot(block)
     }
 
-    /// Resolves `block` within `home`'s arena — the guarded,
-    /// sharding-facing form of [`Vmsp::slot_of`]. Mirroring the
-    /// directory's foreign-block rule, a block homed at a *different*
-    /// node reports no state (`None`) instead of aliasing onto one of
-    /// `home`'s local slots. The geometry is evaluated once — the
-    /// guard reuses the same `home_of` the resolution needs anyway.
-    pub fn resolve_at_home(&mut self, home: NodeId, block: BlockAddr) -> Option<VSlot> {
-        if self.geom.home_of(block) != home {
-            return None;
-        }
-        Some(self.slot_in(home, self.geom.local_index(block)))
-    }
-
-    /// Shared growth arm of the two resolvers: commits `home`'s arena
-    /// up to `idx` and hands out the slot.
-    fn slot_in(&mut self, home: NodeId, idx: usize) -> VSlot {
-        let table = &mut self.homes[home.0].table;
-        if idx >= table.len() {
-            let depth = self.depth;
-            table.resize_with(idx + 1, || VBlock::new(depth));
-        }
-        VSlot {
-            home: home.0 as u32,
-            idx: u32::try_from(idx).expect("VMSP arena exceeds u32 slots"),
-        }
-    }
-
-    /// The record of a resolved slot (read-only; never marks activity).
-    fn at(&self, slot: VSlot) -> &VBlock {
-        &self.homes[slot.home as usize].table[slot.idx as usize]
-    }
-
-    /// The record of a resolved slot, marking it active. Used by the
-    /// operations whose map-based counterpart would allocate an entry
-    /// (observe, speculative-reader folding, SWI suppression).
-    fn at_mut(&mut self, slot: VSlot) -> &mut VBlock {
-        let arena = &mut self.homes[slot.home as usize];
-        let blk = &mut arena.table[slot.idx as usize];
-        if !blk.active {
-            blk.active = true;
-            arena.active += 1;
-        }
-        blk
-    }
-
-    /// Mutable access *without* marking activity: for operations that
-    /// only ever shrink or probe existing state (ticket bookkeeping,
-    /// prune feedback), so a pristine slot stays indistinguishable from
-    /// a block a sparse map never held.
-    fn at_mut_raw(&mut self, slot: VSlot) -> &mut VBlock {
-        &mut self.homes[slot.home as usize].table[slot.idx as usize]
+    /// The record at `slot`, marking it active. Used by the operations
+    /// whose map-based counterpart would allocate an entry (observe,
+    /// speculative-reader folding, SWI suppression); ticket bookkeeping
+    /// and prune feedback only shrink or probe state, so they reach the
+    /// record through `blocks.get_mut` and leave a pristine slot
+    /// indistinguishable from a block a sparse map never held.
+    fn at_mut(&mut self, slot: Slot) -> &mut VBlock {
+        let b = self.blocks.get_mut(slot);
+        b.active = true;
+        b
     }
 
     // ------------------------------------------------------------------
@@ -317,22 +226,21 @@ impl Vmsp {
 
     /// Observes one request for the block at `slot` (the slot-addressed
     /// hot-path form of [`SharingPredictor::observe`]).
-    pub fn observe_at(&mut self, slot: VSlot, msg: DirMsg) -> Observation {
+    pub fn observe_at(&mut self, slot: Slot, msg: DirMsg) -> Observation {
         let Some((kind, p)) = msg.request() else {
             return Observation::Ignored;
         };
-        // Field-split borrow: the record lives in `homes`, the read
+        // Field-split borrow: the record lives in `blocks`, the read
         // vectors in `sets` — both are needed mutably in one pass
         // (this inlines `at_mut`, activity marking included).
         let Vmsp {
-            homes, sets, stats, ..
+            blocks,
+            sets,
+            stats,
+            ..
         } = self;
-        let arena = &mut homes[slot.home as usize];
-        let b = &mut arena.table[slot.idx as usize];
-        if !b.active {
-            b.active = true;
-            arena.active += 1;
-        }
+        let b = blocks.get_mut(slot);
+        b.active = true;
         let obs = match kind {
             ReqKind::Read => {
                 // Each read is checked against the vector predicted to
@@ -387,8 +295,8 @@ impl Vmsp {
     /// when the history is cold (including a slot the predictor never
     /// observed) or the predicted successor is not a read vector.
     #[must_use]
-    pub fn predicted_readers_at(&self, slot: VSlot) -> Option<(ReaderSet, SpecTicket)> {
-        let b = self.at(slot);
+    pub fn predicted_readers_at(&self, slot: Slot) -> Option<(ReaderSet, SpecTicket)> {
+        let b = self.blocks.get(slot);
         if !b.history.is_full() {
             return None;
         }
@@ -411,7 +319,7 @@ impl Vmsp {
     /// the committed pattern stays consistent with the directory's
     /// sharer state even though their read requests never reach the
     /// directory.
-    pub fn speculate_readers_at(&mut self, slot: VSlot, readers: ReaderSet) {
+    pub fn speculate_readers_at(&mut self, slot: Slot, readers: ReaderSet) {
         self.at_mut(slot).open |= readers;
     }
 
@@ -419,11 +327,12 @@ impl Vmsp {
     /// block at `slot` sent under `ticket`. Removes the reader from that
     /// entry's vector prediction ("removes mispredicted request
     /// sequences", §4.2). Returns `true` if an entry changed.
-    pub fn prune_reader_at(&mut self, slot: VSlot, ticket: SpecTicket, reader: ProcId) -> bool {
+    pub fn prune_reader_at(&mut self, slot: Slot, ticket: SpecTicket, reader: ProcId) -> bool {
         // Field-split borrow: the pruned vector re-interns through
-        // `sets` while the entry is borrowed from `homes`.
-        let Vmsp { homes, sets, .. } = self;
-        homes[slot.home as usize].table[slot.idx as usize]
+        // `sets` while the entry is borrowed from `blocks`.
+        let Vmsp { blocks, sets, .. } = self;
+        blocks
+            .get_mut(slot)
             .table
             .prune_reader(sets, ticket.key, reader)
     }
@@ -436,8 +345,8 @@ impl Vmsp {
     /// (paper §4.2: "a bit per write in the corresponding pattern
     /// table entry") through the O(1) keyed lookup.
     #[must_use]
-    pub fn swi_allowed_at(&self, slot: VSlot) -> bool {
-        let b = self.at(slot);
+    pub fn swi_allowed_at(&self, slot: Slot) -> bool {
+        let b = self.blocks.get(slot);
         !b.table.swi_suppressed_key(b.history.key())
     }
 
@@ -448,8 +357,8 @@ impl Vmsp {
     /// history context to capture — exactly the blocks a sparse map
     /// would not contain).
     #[must_use]
-    pub fn swi_ticket_at(&self, slot: VSlot) -> Option<SpecTicket> {
-        let b = self.at(slot);
+    pub fn swi_ticket_at(&self, slot: Slot) -> Option<SpecTicket> {
+        let b = self.blocks.get(slot);
         b.active.then(|| SpecTicket {
             key: b.history.key(),
         })
@@ -460,7 +369,7 @@ impl Vmsp {
     /// block), suppressing future SWI for this pattern. A no-op if the
     /// pattern entry has since been evicted (its suppression state went
     /// with it).
-    pub fn mark_swi_premature_at(&mut self, slot: VSlot, ticket: SpecTicket) {
+    pub fn mark_swi_premature_at(&mut self, slot: Slot, ticket: SpecTicket) {
         self.at_mut(slot).table.set_swi_premature(ticket.key);
     }
 
@@ -475,13 +384,13 @@ impl Vmsp {
     /// feedback.
     pub fn open_ticket(
         &mut self,
-        slot: VSlot,
+        slot: Slot,
         proc: ProcId,
         ticket: SpecTicket,
         trigger: SpecTrigger,
     ) {
         let needed = self.num_procs.max(proc.0 + 1);
-        let b = self.at_mut_raw(slot);
+        let b = self.blocks.get_mut(slot);
         if b.tickets.len() <= proc.0 {
             let mut slab = std::mem::take(&mut b.tickets).into_vec();
             slab.resize(needed, None);
@@ -493,8 +402,8 @@ impl Vmsp {
     /// Consumes the open ticket for `(slot, proc)`, if any — called
     /// when the speculative copy is invalidated and its reference bit
     /// comes home.
-    pub fn close_ticket(&mut self, slot: VSlot, proc: ProcId) -> Option<(SpecTicket, SpecTrigger)> {
-        self.at_mut_raw(slot).tickets.get_mut(proc.0)?.take()
+    pub fn close_ticket(&mut self, slot: Slot, proc: ProcId) -> Option<(SpecTicket, SpecTrigger)> {
+        self.blocks.get_mut(slot).tickets.get_mut(proc.0)?.take()
     }
 
     /// Commits a symbol: last-occurrence learn + history shift.
@@ -532,17 +441,13 @@ impl SharingPredictor for Vmsp {
         let mut blocks = 0u64;
         let mut entries = 0u64;
         // Open (still-accumulating) vectors are the one place a wide
-        // set still lives outside the arena; their heap words are
+        // set still lives outside the interner; their heap words are
         // charged per copy.
         let mut open_spill = 0u64;
-        for home in &self.homes {
-            blocks += home.active as u64;
-            entries += home.table.iter().map(|b| b.table.len() as u64).sum::<u64>();
-            open_spill += home
-                .table
-                .iter()
-                .map(|b| b.open.heap_bytes() as u64)
-                .sum::<u64>();
+        for (_, b) in self.blocks.iter() {
+            blocks += u64::from(b.active);
+            entries += b.table.len() as u64;
+            open_spill += b.open.heap_bytes() as u64;
         }
         StorageReport {
             model: StorageModel {
@@ -564,7 +469,7 @@ impl SharingPredictor for Vmsp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use specdsm_types::MachineConfig;
+    use specdsm_types::{MachineConfig, NodeId};
 
     fn producer_consumer(vmsp: &mut Vmsp, b: BlockAddr, iters: usize, reorder: bool) {
         for i in 0..iters {
@@ -703,7 +608,7 @@ mod tests {
 
     #[test]
     fn swi_allowed_for_unknown_block() {
-        let mut vmsp = Vmsp::new(1, 16);
+        let vmsp = Vmsp::new(1, 16);
         let slot = vmsp.slot_of(BlockAddr(99));
         assert!(vmsp.swi_allowed_at(slot));
         assert!(vmsp.swi_ticket_at(slot).is_none());
@@ -743,21 +648,6 @@ mod tests {
     #[should_panic(expected = "history depth")]
     fn zero_depth_panics() {
         let _ = Vmsp::new(0, 16);
-    }
-
-    #[test]
-    fn foreign_homed_blocks_resolve_to_no_slot() {
-        // BlockAddr(128) is homed at node 1 on the paper machine; its
-        // dense index *at node 0* would alias slot 0. Mirroring the
-        // directory's aliasing rule, the guarded resolver refuses to
-        // hand out a slot for a block homed elsewhere.
-        let m = MachineConfig::paper_machine();
-        let mut vmsp = Vmsp::with_geometry(1, 16, HomeGeometry::of_machine(&m));
-        let foreign = BlockAddr(m.page_blocks); // first block of page 1
-        assert_eq!(m.home_of(foreign), NodeId(1));
-        assert!(vmsp.resolve_at_home(NodeId(0), foreign).is_none());
-        let slot = vmsp.resolve_at_home(NodeId(1), foreign).expect("homed");
-        assert_eq!(slot.home(), NodeId(1));
     }
 
     #[test]
@@ -834,7 +724,7 @@ mod tests {
     fn storage_counts_arena_slots_and_active_blocks() {
         let m = MachineConfig::paper_machine();
         let mut vmsp = Vmsp::with_geometry(1, 16, HomeGeometry::of_machine(&m));
-        // Touch slot 9 of home 2's arena: the dense span 0..=9 is
+        // Touch slot 9 of home 2's table: the dense span 0..=9 is
         // committed but only one block is active.
         let b = m.page_on(NodeId(2), 0).offset(9);
         vmsp.observe(b, DirMsg::write(ProcId(0)));

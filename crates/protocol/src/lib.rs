@@ -16,17 +16,17 @@
 //! flight. The base protocol is unmodified — speculation only *advises*
 //! it to execute existing coherence operations early.
 //!
-//! Speculation state lives in one slot-addressed store, the
-//! arena-backed [`Vmsp`](specdsm_core::Vmsp): the engine resolves each
-//! message's block to a dense [`VSlot`](specdsm_core::VSlot) (the
-//! predictor-side analogue of the directory's slot handle) once, so the
-//! FR/SWI fast path makes no hash-map probes.
+//! The directory and the online [`Vmsp`](specdsm_core::Vmsp) each keep
+//! one record per block in a per-home
+//! [`HomeTable`](specdsm_types::HomeTable): the engine computes each
+//! message's [`Slot`](specdsm_types::Slot) once and reaches both records
+//! by direct indexing, so the FR/SWI fast path makes no hash-map probes.
 //!
 //! The full message lifecycle (processor → network → directory →
 //! speculation engine → predictor feedback), and the design rationale
-//! for the dense directory block tables and the calendar-queue
-//! scheduler underneath them, are documented in `docs/ARCHITECTURE.md`
-//! at the repository root.
+//! for the per-home tables and the calendar-queue scheduler underneath
+//! them, are documented in `docs/ARCHITECTURE.md` at the repository
+//! root.
 //!
 //! # Example
 //!
@@ -75,7 +75,7 @@ mod sync;
 mod system;
 
 pub use cache::{Cache, LineState};
-pub use directory::{DirState, Directory};
+pub use directory::DirState;
 pub use msg::{Msg, MsgKind};
 pub use network::Network;
 pub use processor::Processor;

@@ -32,15 +32,15 @@
 
 use std::sync::Arc;
 
-use specdsm_core::{DirectoryTrace, SpecTicket, SpecTrigger, VSlot};
+use specdsm_core::{DirectoryTrace, SpecTicket, SpecTrigger};
 use specdsm_sim::{Cycle, FifoResource, KeyedQueue, SchedKey};
 use specdsm_types::{
     splitmix64, BlockAddr, DirMsg, FaultPlan, LockId, MachineConfig, NodeId, ProcId, ReaderSet,
-    ReqKind, GOLDEN_GAMMA,
+    ReqKind, Slot, GOLDEN_GAMMA,
 };
 
 use crate::audit::Auditor;
-use crate::directory::{DirBlock, DirSlot, DirState, Directory, Txn, TxnKind};
+use crate::directory::{DirBlock, DirState, Directory, Txn, TxnKind};
 use crate::msg::{Msg, MsgKind};
 use crate::network::Network;
 use crate::processor::{Blocked, ProcAction, Processor};
@@ -59,9 +59,8 @@ pub(crate) enum Event {
     Deliver(Msg),
     /// A directory block's reply-hold expires (the outgoing data has
     /// been handed to the NI; queued requests may proceed). Carries the
-    /// pre-resolved directory and predictor slots so the release path
-    /// does no lookup at all.
-    DirRelease(DirSlot, Option<VSlot>, BlockAddr),
+    /// block's slot so the release path does no lookup at all.
+    DirRelease(Slot, BlockAddr),
     /// A request's retransmission timer fires. Stale once the request
     /// completed (`seq` no longer matches the processor's outstanding
     /// request); otherwise the request is retransmitted with doubled
@@ -157,13 +156,13 @@ pub(crate) struct HomeShard {
     pub hi: usize,
     /// Owned processors, indexed by `node - lo`.
     pub procs: Vec<Processor>,
-    /// Owned home directories, indexed by `node - lo`.
-    pub dirs: Vec<Directory>,
+    /// Directory records; only the owned homes' tables are written.
+    pub dir: Directory,
     /// Owned memory buses, indexed by `node - lo`.
     pub mems: Vec<FifoResource>,
     /// Owned network interfaces (outbound and inbound).
     pub net: Network,
-    /// Per-shard speculation engine (predictor arenas populate only for
+    /// Per-shard speculation engine (predictor tables populate only for
     /// owned homes; counters merge at run end).
     pub spec: SpecEngine,
     pub queue: KeyedQueue<Event>,
@@ -235,9 +234,7 @@ impl HomeShard {
             lo,
             hi,
             procs,
-            dirs: (lo..hi)
-                .map(|n| Directory::new(NodeId(n), machine))
-                .collect(),
+            dir: Directory::new(machine),
             mems: (lo..hi).map(|_| FifoResource::new()).collect(),
             net: Network::with_range(lo, hi, machine.latency),
             spec,
@@ -423,9 +420,7 @@ impl HomeShard {
                     }
                 }
                 Event::Deliver(msg) => self.deliver(now, msg),
-                Event::DirRelease(slot, vslot, block) => {
-                    self.dir_release(now, slot, vslot, block);
-                }
+                Event::DirRelease(slot, block) => self.dir_release(now, slot, block),
                 Event::ReqTimeout { proc, seq, attempt } => {
                     self.req_timeout(now, proc, seq, attempt);
                 }
@@ -434,17 +429,17 @@ impl HomeShard {
         ShardYield::Idle
     }
 
-    /// The directory record of a resolved slot.
+    /// The directory record at `s`, marked touched.
     #[inline]
-    fn dblk(&mut self, s: DirSlot) -> &mut DirBlock {
-        self.dirs[s.home.0 - self.lo].at_mut(s.idx)
+    fn dblk(&mut self, s: Slot) -> &mut DirBlock {
+        self.dir.at_mut(s)
     }
 
-    /// Read-only access to a resolved slot's record (does not mark the
-    /// block active).
+    /// Read-only access to the record at `s` (does not mark it
+    /// touched).
     #[inline]
-    fn dblk_ref(&self, s: DirSlot) -> &DirBlock {
-        self.dirs[s.home.0 - self.lo].at(s.idx)
+    fn dblk_ref(&self, s: Slot) -> &DirBlock {
+        self.dir.at(s)
     }
 
     // ------------------------------------------------------------------
@@ -769,21 +764,6 @@ impl HomeShard {
         }
     }
 
-    /// Resolves a directory-bound message's block to its [`DirSlot`]
-    /// and — when an online predictor runs — its [`VSlot`], each
-    /// exactly once per message. The predictor resolution goes through
-    /// the store's foreign-block guard: a block not actually homed at
-    /// `dst` yields `None` and the speculation paths see no state.
-    fn resolve_dir(&mut self, dst: NodeId, block: BlockAddr) -> (DirSlot, Option<VSlot>) {
-        let slot = self.dirs[dst.0 - self.lo].slot_of(block);
-        let vslot = if self.spec.policy.uses_predictor() {
-            self.spec.vmsp.resolve_at_home(dst, block)
-        } else {
-            None
-        };
-        (slot, vslot)
-    }
-
     /// Drops a request the directory already accepted (a network
     /// duplicate or an unnecessary retransmission). Must run before any
     /// directory side effect — counters, trace, predictor observation,
@@ -804,9 +784,7 @@ impl HomeShard {
         false
     }
 
-    /// Dispatches a delivered message. Directory-bound messages resolve
-    /// their block to a [`DirSlot`] (and predictor [`VSlot`]) exactly
-    /// once, here; the handlers below only ever index.
+    /// Dispatches a delivered message.
     fn deliver(&mut self, now: Cycle, msg: Msg) {
         let Msg {
             src,
@@ -822,31 +800,12 @@ impl HomeShard {
         if let Some(audit) = &mut self.audit {
             audit.note_delivered(now, &msg);
         }
-        // Directory-bound messages get a shadow-vs-directory state
-        // cross-check after their handler runs.
-        let dir_bound = kind.is_request()
-            || matches!(kind, MsgKind::InvAck { .. } | MsgKind::WritebackData { .. });
         match kind {
-            MsgKind::ReadReq { proc, .. } => {
-                let (slot, vslot) = self.resolve_dir(dst, block);
-                self.dir_request(now, slot, vslot, block, ReqKind::Read, proc);
-            }
-            MsgKind::WriteReq { proc, .. } => {
-                let (slot, vslot) = self.resolve_dir(dst, block);
-                self.dir_request(now, slot, vslot, block, ReqKind::Write, proc);
-            }
-            MsgKind::UpgradeReq { proc, .. } => {
-                let (slot, vslot) = self.resolve_dir(dst, block);
-                self.dir_request(now, slot, vslot, block, ReqKind::Upgrade, proc);
-            }
-            MsgKind::InvAck { proc, spec_unused } => {
-                let (slot, vslot) = self.resolve_dir(dst, block);
-                self.dir_inv_ack(now, slot, vslot, block, proc, spec_unused);
-            }
-            MsgKind::WritebackData { proc, version, .. } => {
-                let (slot, vslot) = self.resolve_dir(dst, block);
-                self.dir_writeback(now, slot, vslot, block, proc, version);
-            }
+            MsgKind::ReadReq { .. }
+            | MsgKind::WriteReq { .. }
+            | MsgKind::UpgradeReq { .. }
+            | MsgKind::InvAck { .. }
+            | MsgKind::WritebackData { .. } => self.deliver_dir(now, block, kind),
             MsgKind::DataShared { version } => {
                 self.proc_grant(now, dst, block, version, Grant::Shared)
             }
@@ -860,10 +819,33 @@ impl HomeShard {
             MsgKind::InvWriteback { swi } => self.proc_inv_writeback(now, dst, block, src, swi),
             MsgKind::SpecData { version } => self.proc_spec_data(now, dst, block, version),
         }
-        if dir_bound {
-            if let Some(audit) = &mut self.audit {
-                audit.check_dir_state(block, self.dirs[dst.0 - self.lo].state(block));
+    }
+
+    /// Runs a directory-bound message's handler. The block's slot is
+    /// computed here, once; the handlers below only ever index.
+    fn deliver_dir(&mut self, now: Cycle, block: BlockAddr, kind: MsgKind) {
+        let slot = self.dir.slot_of(block);
+        match kind {
+            MsgKind::ReadReq { proc, .. } => {
+                self.dir_request(now, slot, block, ReqKind::Read, proc);
             }
+            MsgKind::WriteReq { proc, .. } => {
+                self.dir_request(now, slot, block, ReqKind::Write, proc);
+            }
+            MsgKind::UpgradeReq { proc, .. } => {
+                self.dir_request(now, slot, block, ReqKind::Upgrade, proc);
+            }
+            MsgKind::InvAck { proc, spec_unused } => {
+                self.dir_inv_ack(now, slot, block, proc, spec_unused);
+            }
+            MsgKind::WritebackData { proc, version, .. } => {
+                self.dir_writeback(now, slot, block, proc, version);
+            }
+            _ => unreachable!("{kind:?} is not directory-bound"),
+        }
+        // Shadow-vs-directory state cross-check after the handler ran.
+        if let Some(audit) = &mut self.audit {
+            audit.check_dir_state(block, &self.dir.at(slot).state);
         }
     }
 
@@ -871,15 +853,7 @@ impl HomeShard {
     // Directory side
     // ------------------------------------------------------------------
 
-    fn dir_request(
-        &mut self,
-        now: Cycle,
-        slot: DirSlot,
-        vslot: Option<VSlot>,
-        block: BlockAddr,
-        kind: ReqKind,
-        p: ProcId,
-    ) {
+    fn dir_request(&mut self, now: Cycle, slot: Slot, block: BlockAddr, kind: ReqKind, p: ProcId) {
         match kind {
             ReqKind::Read => self.dir_reads += 1,
             ReqKind::Write => self.dir_writes += 1,
@@ -889,15 +863,14 @@ impl HomeShard {
         if let Some(trace) = &mut self.trace {
             trace.record(block, dmsg);
         }
-        if let Some(vs) = vslot {
-            self.spec.vmsp.observe_at(vs, dmsg);
+        if self.spec.policy.uses_predictor() {
+            self.spec.vmsp.observe_at(slot, dmsg);
         }
         // SWI trigger: a write-like request signals that this
         // processor's previous written block (at this home) is done.
         if self.spec.policy.swi_enabled() && kind.is_write_like() {
-            let home = slot.home;
-            if let Some(prev) = self.spec.swi_tables[home.0].note_write(p, block) {
-                self.try_swi(now, home, prev, p);
+            if let Some(prev) = self.spec.swi_tables[slot.home.0].note_write(p, block) {
+                self.try_swi(now, prev, p);
             }
         }
         let blk = self.dblk(slot);
@@ -905,18 +878,10 @@ impl HomeShard {
             blk.pending.push_back((kind, p));
             return;
         }
-        self.dir_process(now, slot, vslot, block, kind, p);
+        self.dir_process(now, slot, block, kind, p);
     }
 
-    fn dir_process(
-        &mut self,
-        now: Cycle,
-        slot: DirSlot,
-        vslot: Option<VSlot>,
-        block: BlockAddr,
-        kind: ReqKind,
-        p: ProcId,
-    ) {
+    fn dir_process(&mut self, now: Cycle, slot: Slot, block: BlockAddr, kind: ReqKind, p: ProcId) {
         // SWI premature detection. A pending SWI resolves as *success*
         // once any consumption is observed — a demand read from a
         // non-owner, or (for speculatively pushed copies, whose reads
@@ -930,7 +895,7 @@ impl HomeShard {
         if let Some((owner, ticket)) = pending {
             match kind {
                 ReqKind::Read if p == owner => {
-                    self.resolve_swi_premature(slot, vslot, ticket);
+                    self.resolve_swi_premature(slot, ticket);
                 }
                 ReqKind::Read => {
                     // A consumer demanded the block: success.
@@ -942,34 +907,22 @@ impl HomeShard {
             }
         }
         match kind {
-            ReqKind::Read => self.process_read(now, slot, vslot, block, p),
+            ReqKind::Read => self.process_read(now, slot, block, p),
             ReqKind::Write | ReqKind::Upgrade => {
-                self.process_write_like(now, slot, vslot, block, kind, p);
+                self.process_write_like(now, slot, block, kind, p);
             }
         }
     }
 
-    fn resolve_swi_premature(
-        &mut self,
-        slot: DirSlot,
-        vslot: Option<VSlot>,
-        ticket: Option<SpecTicket>,
-    ) {
+    fn resolve_swi_premature(&mut self, slot: Slot, ticket: Option<SpecTicket>) {
         self.dblk(slot).swi_pending = None;
         self.spec.stats.swi_inval_premature += 1;
-        if let (Some(vs), Some(t)) = (vslot, ticket) {
-            self.spec.vmsp.mark_swi_premature_at(vs, t);
+        if let Some(t) = ticket {
+            self.spec.vmsp.mark_swi_premature_at(slot, t);
         }
     }
 
-    fn process_read(
-        &mut self,
-        now: Cycle,
-        slot: DirSlot,
-        vslot: Option<VSlot>,
-        block: BlockAddr,
-        p: ProcId,
-    ) {
+    fn process_read(&mut self, now: Cycle, slot: Slot, block: BlockAddr, p: ProcId) {
         let home = slot.home;
         let owner = match &self.dblk_ref(slot).state {
             DirState::Exclusive(o) => Some(*o),
@@ -989,8 +942,8 @@ impl HomeShard {
                     blk.version
                 };
                 self.send(t, home, p.node(), block, MsgKind::DataShared { version });
-                let spec_t = self.fr_speculate(t, slot, vslot, block);
-                self.lock_reply(now, slot, vslot, block, spec_t.unwrap_or(t).max(t));
+                let spec_t = self.fr_speculate(t, slot, block);
+                self.lock_reply(now, slot, block, spec_t.unwrap_or(t).max(t));
             }
             Some(owner) if owner != p => {
                 self.send(
@@ -1015,8 +968,7 @@ impl HomeShard {
     fn process_write_like(
         &mut self,
         now: Cycle,
-        slot: DirSlot,
-        vslot: Option<VSlot>,
+        slot: Slot,
         block: BlockAddr,
         kind: ReqKind,
         p: ProcId,
@@ -1036,13 +988,13 @@ impl HomeShard {
         };
         match state {
             None => {
-                let sent = self.grant_exclusive(now, slot, vslot, block, p, false);
-                self.lock_reply(now, slot, vslot, block, sent);
+                let sent = self.grant_exclusive(now, slot, block, p, false);
+                self.lock_reply(now, slot, block, sent);
             }
             Some(Ok((others, in_place))) => {
                 if others.is_empty() {
-                    let sent = self.grant_exclusive(now, slot, vslot, block, p, in_place);
-                    self.lock_reply(now, slot, vslot, block, sent);
+                    let sent = self.grant_exclusive(now, slot, block, p, in_place);
+                    self.lock_reply(now, slot, block, sent);
                 } else {
                     for r in others.iter() {
                         self.send(now, home, r.node(), block, MsgKind::Inval);
@@ -1085,8 +1037,7 @@ impl HomeShard {
     fn grant_exclusive(
         &mut self,
         now: Cycle,
-        slot: DirSlot,
-        vslot: Option<VSlot>,
+        slot: Slot,
         block: BlockAddr,
         p: ProcId,
         in_place: bool,
@@ -1098,7 +1049,7 @@ impl HomeShard {
         // to anyone else means production simply moved on.
         if let Some((owner, ticket)) = self.dblk_ref(slot).swi_pending {
             if p == owner {
-                self.resolve_swi_premature(slot, vslot, ticket);
+                self.resolve_swi_premature(slot, ticket);
             } else {
                 self.dblk(slot).swi_pending = None;
             }
@@ -1123,14 +1074,7 @@ impl HomeShard {
     /// speculative batch) has left the directory. Prevents a later
     /// request's invalidations from overtaking the data on the same
     /// home→processor path.
-    fn lock_reply(
-        &mut self,
-        now: Cycle,
-        slot: DirSlot,
-        vslot: Option<VSlot>,
-        block: BlockAddr,
-        until: Cycle,
-    ) {
+    fn lock_reply(&mut self, now: Cycle, slot: Slot, block: BlockAddr, until: Cycle) {
         if until <= now {
             return;
         }
@@ -1149,12 +1093,12 @@ impl HomeShard {
             }) => *u = (*u).max(until),
             Some(other) => unreachable!("reply lock over active transaction {other:?}"),
         }
-        self.sched(until, Event::DirRelease(slot, vslot, block));
+        self.sched(until, Event::DirRelease(slot, block));
     }
 
     /// A reply-hold expires: release the block if this was its final
     /// deadline and serve queued requests.
-    fn dir_release(&mut self, now: Cycle, slot: DirSlot, vslot: Option<VSlot>, block: BlockAddr) {
+    fn dir_release(&mut self, now: Cycle, slot: Slot, block: BlockAddr) {
         let blk = self.dblk(slot);
         if let Some(Txn {
             kind: TxnKind::Reply { until },
@@ -1163,7 +1107,7 @@ impl HomeShard {
         {
             if now >= until {
                 blk.busy = None;
-                self.drain_pending(now, slot, vslot, block);
+                self.drain_pending(now, slot, block);
             }
         }
     }
@@ -1171,8 +1115,7 @@ impl HomeShard {
     fn dir_inv_ack(
         &mut self,
         now: Cycle,
-        slot: DirSlot,
-        vslot: Option<VSlot>,
+        slot: Slot,
         block: BlockAddr,
         proc: ProcId,
         spec_unused: bool,
@@ -1181,8 +1124,8 @@ impl HomeShard {
             trace.record(block, DirMsg::ack_inv(proc));
         }
         // Speculation verification via the piggy-backed reference bit.
-        if let Some(vs) = vslot {
-            self.spec.note_invalidated(vs, proc, spec_unused);
+        if self.spec.policy.uses_predictor() {
+            self.spec.note_invalidated(slot, proc, spec_unused);
         }
         // A referenced copy is consumption evidence for a pending SWI.
         if !spec_unused {
@@ -1196,15 +1139,14 @@ impl HomeShard {
         assert!(txn.acks_left > 0, "unexpected InvAck for {block}");
         txn.acks_left -= 1;
         if txn.acks_left == 0 && !txn.awaiting_wb {
-            self.complete_txn(now, slot, vslot, block);
+            self.complete_txn(now, slot, block);
         }
     }
 
     fn dir_writeback(
         &mut self,
         now: Cycle,
-        slot: DirSlot,
-        vslot: Option<VSlot>,
+        slot: Slot,
         block: BlockAddr,
         proc: ProcId,
         version: u64,
@@ -1221,11 +1163,11 @@ impl HomeShard {
         assert!(txn.awaiting_wb, "unexpected writeback for {block}");
         txn.awaiting_wb = false;
         if txn.acks_left == 0 {
-            self.complete_txn(now, slot, vslot, block);
+            self.complete_txn(now, slot, block);
         }
     }
 
-    fn complete_txn(&mut self, now: Cycle, slot: DirSlot, vslot: Option<VSlot>, block: BlockAddr) {
+    fn complete_txn(&mut self, now: Cycle, slot: Slot, block: BlockAddr) {
         let home = slot.home;
         let txn = self
             .dblk(slot)
@@ -1248,15 +1190,15 @@ impl HomeShard {
                     block,
                     MsgKind::DataShared { version },
                 );
-                let spec_t = self.fr_speculate(t, slot, vslot, block);
-                self.lock_reply(now, slot, vslot, block, spec_t.unwrap_or(t).max(t));
+                let spec_t = self.fr_speculate(t, slot, block);
+                self.lock_reply(now, slot, block, spec_t.unwrap_or(t).max(t));
             }
             TxnKind::WriteLike {
                 requester,
                 in_place,
             } => {
-                let sent = self.grant_exclusive(now, slot, vslot, block, requester, in_place);
-                self.lock_reply(now, slot, vslot, block, sent);
+                let sent = self.grant_exclusive(now, slot, block, requester, in_place);
+                self.lock_reply(now, slot, block, sent);
             }
             TxnKind::Swi { owner, ticket } => {
                 // Successful speculative invalidation: memory is clean.
@@ -1266,15 +1208,15 @@ impl HomeShard {
                     blk.state = DirState::Idle;
                     blk.swi_pending = Some((owner, ticket));
                 }
-                let spec_t = self.swi_read_speculate(t, slot, vslot, block);
-                self.lock_reply(now, slot, vslot, block, spec_t.unwrap_or(t).max(t));
+                let spec_t = self.swi_read_speculate(t, slot, block);
+                self.lock_reply(now, slot, block, spec_t.unwrap_or(t).max(t));
             }
             TxnKind::Reply { .. } => unreachable!("reply holds complete via DirRelease"),
         }
-        self.drain_pending(now, slot, vslot, block);
+        self.drain_pending(now, slot, block);
     }
 
-    fn drain_pending(&mut self, now: Cycle, slot: DirSlot, vslot: Option<VSlot>, block: BlockAddr) {
+    fn drain_pending(&mut self, now: Cycle, slot: Slot, block: BlockAddr) {
         loop {
             let blk = self.dblk(slot);
             if blk.busy.is_some() {
@@ -1283,7 +1225,7 @@ impl HomeShard {
             let Some((kind, p)) = blk.pending.pop_front() else {
                 return;
             };
-            self.dir_process(now, slot, vslot, block, kind, p);
+            self.dir_process(now, slot, block, kind, p);
         }
     }
 
@@ -1305,34 +1247,20 @@ impl HomeShard {
     /// FR: after serving a demand read, forward read-only copies to the
     /// remaining predicted readers. Returns the time the speculative
     /// batch left, if any.
-    fn fr_speculate(
-        &mut self,
-        now: Cycle,
-        slot: DirSlot,
-        vslot: Option<VSlot>,
-        block: BlockAddr,
-    ) -> Option<Cycle> {
+    fn fr_speculate(&mut self, now: Cycle, slot: Slot, block: BlockAddr) -> Option<Cycle> {
         if !self.spec.policy.fr_enabled() {
             return None;
         }
-        let vslot = vslot?;
-        let (vec, ticket) = self.spec.vmsp.predicted_readers_at(vslot)?;
-        self.spec_forward(now, slot, vslot, block, vec, ticket, SpecTrigger::Fr)
+        let (vec, ticket) = self.spec.vmsp.predicted_readers_at(slot)?;
+        self.spec_forward(now, slot, block, vec, ticket, SpecTrigger::Fr)
     }
 
     /// SWI: after a successful speculative write invalidation, forward
     /// the block to the whole predicted read sequence. Returns the time
     /// the speculative batch left, if any.
-    fn swi_read_speculate(
-        &mut self,
-        now: Cycle,
-        slot: DirSlot,
-        vslot: Option<VSlot>,
-        block: BlockAddr,
-    ) -> Option<Cycle> {
-        let vslot = vslot?;
-        let (vec, ticket) = self.spec.vmsp.predicted_readers_at(vslot)?;
-        self.spec_forward(now, slot, vslot, block, vec, ticket, SpecTrigger::Swi)
+    fn swi_read_speculate(&mut self, now: Cycle, slot: Slot, block: BlockAddr) -> Option<Cycle> {
+        let (vec, ticket) = self.spec.vmsp.predicted_readers_at(slot)?;
+        self.spec_forward(now, slot, block, vec, ticket, SpecTrigger::Swi)
     }
 
     /// Forwards one speculative read-only copy of `block` to every
@@ -1340,12 +1268,10 @@ impl HomeShard {
     /// built once; the per-destination sends issue in ascending reader
     /// order (the same order the former `Network::multicast` used, so
     /// NI serialization is identical).
-    #[allow(clippy::too_many_arguments)]
     fn spec_forward(
         &mut self,
         now: Cycle,
-        slot: DirSlot,
-        vslot: VSlot,
+        slot: Slot,
         block: BlockAddr,
         vec: ReaderSet,
         ticket: SpecTicket,
@@ -1373,33 +1299,32 @@ impl HomeShard {
             self.send(t, home, r.node(), block, kind);
         }
         for r in targets.iter() {
-            self.spec.note_sent(vslot, r, ticket, trigger);
+            self.spec.note_sent(slot, r, ticket, trigger);
         }
         match &mut self.dblk(slot).state {
             DirState::Shared(sharers) => *sharers |= &targets,
             state => *state = DirState::Shared(targets.clone()),
         }
-        self.spec.vmsp.speculate_readers_at(vslot, targets);
+        self.spec.vmsp.speculate_readers_at(slot, targets);
         Some(t)
     }
 
     /// Attempts an SWI invalidation of `prev` (the block `owner` wrote
-    /// before its current write). `prev` is a different block from the
-    /// one the triggering message named, so its slots are resolved
-    /// here — once, like `deliver` does for the message's own block.
-    fn try_swi(&mut self, now: Cycle, home: NodeId, prev: BlockAddr, owner: ProcId) {
-        let slot = self.dirs[home.0 - self.lo].slot_of(prev);
-        let Some(vslot) = self.spec.vmsp.resolve_at_home(home, prev) else {
-            return;
-        };
+    /// before its current write, at the same home). `prev` is a
+    /// different block from the one the triggering message named, so
+    /// its slot is computed here — once, like `deliver_dir` does for the
+    /// message's own block.
+    fn try_swi(&mut self, now: Cycle, prev: BlockAddr, owner: ProcId) {
+        let slot = self.dir.slot_of(prev);
+        let home = slot.home;
         let eligible = {
             let b = self.dblk_ref(slot);
             b.busy.is_none() && b.state == DirState::Exclusive(owner)
         };
-        if !eligible || !self.spec.vmsp.swi_allowed_at(vslot) {
+        if !eligible || !self.spec.vmsp.swi_allowed_at(slot) {
             return;
         }
-        let ticket = self.spec.vmsp.swi_ticket_at(vslot);
+        let ticket = self.spec.vmsp.swi_ticket_at(slot);
         self.send(
             now,
             home,

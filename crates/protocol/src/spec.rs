@@ -2,8 +2,8 @@
 
 use std::fmt;
 
-use specdsm_core::{SpecTicket, SpecTrigger, SwiTable, VSlot, Vmsp};
-use specdsm_types::{HomeGeometry, MachineConfig, ProcId};
+use specdsm_core::{SpecTicket, SpecTrigger, SwiTable, Vmsp};
+use specdsm_types::{HomeGeometry, MachineConfig, ProcId, Slot};
 
 /// Which speculation mechanisms the DSM runs (paper §7.4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -108,9 +108,9 @@ impl SpecStats {
 /// Directory-side speculation engine: the online predictor, the
 /// per-home SWI tables, and the speculation activity counters.
 ///
-/// The predictor is the arena-backed [`Vmsp`]: the shard resolves each
-/// message's block to a dense [`VSlot`] once, and every later access —
-/// observe, predicted readers, ticket open/close — is a direct index.
+/// The predictor is the table-backed [`Vmsp`]: the shard computes each
+/// message's [`Slot`] once, and every later access — observe, predicted
+/// readers, ticket open/close — is a direct index.
 #[derive(Debug, Clone)]
 pub(crate) struct SpecEngine {
     pub policy: SpecPolicy,
@@ -132,7 +132,7 @@ impl SpecEngine {
     /// Records that a speculative copy was sent to `proc`.
     pub(crate) fn note_sent(
         &mut self,
-        slot: VSlot,
+        slot: Slot,
         proc: ProcId,
         ticket: SpecTicket,
         trigger: SpecTrigger,
@@ -148,7 +148,7 @@ impl SpecEngine {
     /// block at `slot` is invalidated. `unused == true` marks a
     /// misspeculation: the predictor entry is pruned and the miss
     /// attributed to its trigger.
-    pub(crate) fn note_invalidated(&mut self, slot: VSlot, proc: ProcId, unused: bool) {
+    pub(crate) fn note_invalidated(&mut self, slot: Slot, proc: ProcId, unused: bool) {
         let Some((ticket, trigger)) = self.vmsp.close_ticket(slot, proc) else {
             return;
         };
@@ -188,12 +188,10 @@ mod tests {
         assert_eq!(SpecPolicy::SwiFr.to_string(), "SWI-DSM");
     }
 
-    fn trained_engine() -> (SpecEngine, VSlot) {
+    fn trained_engine() -> (SpecEngine, Slot) {
         let machine = MachineConfig::paper_machine();
         let mut e = SpecEngine::new(SpecPolicy::SwiFr, 1, &machine);
-        let b = BlockAddr(1);
-        let home = machine.home_of(b);
-        let slot = e.vmsp.resolve_at_home(home, b).expect("homed");
+        let slot = e.vmsp.slot_of(BlockAddr(1));
         for _ in 0..5 {
             e.vmsp.observe_at(slot, DirMsg::upgrade(ProcId(3)));
             e.vmsp.observe_at(slot, DirMsg::read(ProcId(1)));

@@ -703,37 +703,35 @@ impl System {
             .flat_map(|s| (s.lo..s.hi).map(move |_| s))
             .collect();
         for shard in &self.shards {
-            for dir in &shard.dirs {
-                dir.check_invariants();
-                for (block, state, version) in dir.iter() {
-                    assert!(
-                        !dir.is_busy(block),
-                        "{block}: transaction still in flight at quiescence"
-                    );
-                    match state {
-                        DirState::Idle => {}
-                        DirState::Shared(readers) => {
-                            for reader in readers.iter() {
-                                let cache = procs[reader.0].cache();
-                                let cached = cache.state(block);
-                                assert!(
-                                    matches!(cached, Some(LineState::Shared { .. })),
-                                    "{block}: sharer {reader} holds {cached:?}"
-                                );
-                                assert_eq!(
-                                    cache.version(block),
-                                    Some(version),
-                                    "{block}: stale copy at {reader}"
-                                );
-                            }
-                        }
-                        DirState::Exclusive(owner) => {
+            shard.dir.check_invariants();
+            for (block, blk) in shard.dir.iter() {
+                assert!(
+                    blk.busy.is_none(),
+                    "{block}: transaction still in flight at quiescence"
+                );
+                match &blk.state {
+                    DirState::Idle => {}
+                    DirState::Shared(readers) => {
+                        for reader in readers.iter() {
+                            let cache = procs[reader.0].cache();
+                            let cached = cache.state(block);
+                            assert!(
+                                matches!(cached, Some(LineState::Shared { .. })),
+                                "{block}: sharer {reader} holds {cached:?}"
+                            );
                             assert_eq!(
-                                procs[owner.0].cache().state(block),
-                                Some(LineState::Exclusive),
-                                "{block}: owner {owner} lost its copy"
+                                cache.version(block),
+                                Some(blk.version),
+                                "{block}: stale copy at {reader}"
                             );
                         }
+                    }
+                    DirState::Exclusive(owner) => {
+                        assert_eq!(
+                            procs[owner.0].cache().state(block),
+                            Some(LineState::Exclusive),
+                            "{block}: owner {owner} lost its copy"
+                        );
                     }
                 }
             }
@@ -742,8 +740,7 @@ impl System {
             let id = proc.id();
             for block in proc.cache().lines() {
                 let home = self.cfg.machine.home_of(block).0;
-                let shard = home_shard[home];
-                match shard.dirs[home - shard.lo].state(block) {
+                match home_shard[home].dir.state(block) {
                     DirState::Idle => panic!("{block} is Idle but {id} holds a copy"),
                     DirState::Shared(readers) => assert!(
                         readers.contains(id),
@@ -1607,7 +1604,7 @@ mod tests {
     #[should_panic(expected = "transaction still in flight at quiescence")]
     fn audit_rejects_a_transaction_in_flight() {
         let mut sys = shared_by_p1_p2();
-        sys.shards[0].dirs[0].block_mut(homed(0)).busy = Some(crate::directory::Txn {
+        sys.shards[0].dir.block_mut(homed(0)).busy = Some(crate::directory::Txn {
             kind: crate::directory::TxnKind::Reply { until: Cycle(0) },
             acks_left: 0,
             awaiting_wb: false,
@@ -1619,7 +1616,7 @@ mod tests {
     #[should_panic(expected = "is Idle but P1 holds a copy")]
     fn audit_rejects_a_copy_of_an_idle_block() {
         let mut sys = shared_by_p1_p2();
-        sys.shards[0].dirs[0].block_mut(homed(0)).state = DirState::Idle;
+        sys.shards[0].dir.block_mut(homed(0)).state = DirState::Idle;
         sys.check_coherence();
     }
 

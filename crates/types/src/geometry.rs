@@ -1,14 +1,14 @@
-//! Dense slot arithmetic for the page-interleaved home layout.
+//! Dense slot arithmetic for the page-interleaved home layout, and the
+//! per-home record table built on it.
 //!
 //! Homes are assigned page-interleaved ([`MachineConfig::home_of`]), so
 //! the blocks homed at one node form a regular lattice in the address
 //! space: page `k * num_nodes + home`, blocks `page * page_blocks ..`.
-//! Any per-home state store (the protocol's directory block tables, the
-//! speculation engine's VMSP arena) can therefore map a block to a
-//! compact local index **arithmetically** — no hashing, no probing —
-//! and index a flat table directly. [`HomeGeometry`] is that shared
-//! mapping, so every slot-addressed store in the workspace resolves
-//! blocks with the same bijection and the same power-of-two fast path.
+//! A block therefore maps to a compact local index at its home
+//! **arithmetically** — no hashing, no probing. [`HomeGeometry`] is that
+//! mapping, [`Slot`] its result, and [`HomeTable`] the one store that
+//! indexes it: the protocol's directory and the online VMSP both keep
+//! one record per block in a `HomeTable`, found by the same `Slot`.
 
 use crate::addr::BlockAddr;
 use crate::config::MachineConfig;
@@ -38,10 +38,10 @@ use crate::ids::NodeId;
 /// let m = MachineConfig::paper_machine();
 /// let g = HomeGeometry::of_machine(&m);
 /// let b = m.page_on(NodeId(3), 2).offset(5);
-/// assert_eq!(g.home_of(b), NodeId(3));
-/// // slot_of / block_at round-trip.
-/// let slot = g.local_index(b);
-/// assert_eq!(g.block_at(NodeId(3), slot), b);
+/// let slot = g.slot(b);
+/// assert_eq!(slot.home, NodeId(3));
+/// // slot / block_at round-trip.
+/// assert_eq!(g.block_at(slot), b);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HomeGeometry {
@@ -63,12 +63,16 @@ impl HomeGeometry {
     ///
     /// # Panics
     ///
-    /// Panics if `page_blocks` or `num_nodes` is zero.
+    /// Panics if `page_blocks` or `num_nodes` is zero, or if their
+    /// product overflows `u64` ([`MachineConfig::validate`] rejects
+    /// such machines).
     #[must_use]
     pub fn new(page_blocks: u64, num_nodes: usize) -> Self {
         assert!(page_blocks > 0, "page_blocks must be positive");
         assert!(num_nodes > 0, "num_nodes must be positive");
-        let stride = page_blocks * num_nodes as u64;
+        let stride = page_blocks
+            .checked_mul(num_nodes as u64)
+            .expect("page_blocks * num_nodes overflows u64");
         let shifts = (page_blocks.is_power_of_two() && stride.is_power_of_two())
             .then(|| (page_blocks.trailing_zeros(), stride.trailing_zeros()));
         HomeGeometry {
@@ -108,18 +112,10 @@ impl HomeGeometry {
         }
     }
 
-    /// Whether `block` is homed at `home`.
-    #[must_use]
-    pub fn is_homed(&self, home: NodeId, block: BlockAddr) -> bool {
-        self.home_of(block) == home
-    }
-
     /// Dense table index of `block` **within its own home's table**.
-    ///
-    /// Only meaningful for the home [`HomeGeometry::home_of`] reports:
-    /// indexing another home's table with this value aliases a foreign
-    /// block onto an unrelated local slot. Guarded callers check
-    /// [`HomeGeometry::is_homed`] first.
+    /// Blocks homed at different nodes share index values, so an index
+    /// means nothing without its home; [`HomeGeometry::slot`] pairs the
+    /// two.
     #[must_use]
     pub fn local_index(&self, block: BlockAddr) -> usize {
         if let Some((page_shift, stride_shift)) = self.shifts {
@@ -131,14 +127,111 @@ impl HomeGeometry {
         }
     }
 
-    /// Inverse of [`HomeGeometry::local_index`]: the block address of
-    /// slot `idx` in `home`'s table.
+    /// The home and local index of `block`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the local index exceeds `u32::MAX` (a home holding more
+    /// than four billion blocks).
     #[must_use]
-    pub fn block_at(&self, home: NodeId, idx: usize) -> BlockAddr {
-        let idx = idx as u64;
+    pub fn slot(&self, block: BlockAddr) -> Slot {
+        Slot {
+            home: self.home_of(block),
+            idx: u32::try_from(self.local_index(block)).expect("home table exceeds u32 slots"),
+        }
+    }
+
+    /// Inverse of [`HomeGeometry::slot`]: the block address of `slot`.
+    #[must_use]
+    pub fn block_at(&self, slot: Slot) -> BlockAddr {
+        let idx = u64::from(slot.idx);
         let local_page = idx / self.page_blocks;
         let offset = idx % self.page_blocks;
-        BlockAddr(local_page * self.stride + home.0 as u64 * self.page_blocks + offset)
+        BlockAddr(local_page * self.stride + slot.home.0 as u64 * self.page_blocks + offset)
+    }
+}
+
+/// Where a block's records live: its home node and its dense index in
+/// that home's table. Computed once per message with
+/// [`HomeGeometry::slot`] and used for every [`HomeTable`] keyed by the
+/// same geometry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Slot {
+    /// Home node of the block.
+    pub home: NodeId,
+    /// Index into the home's table.
+    pub idx: u32,
+}
+
+/// One record per block, stored densely per home and indexed by
+/// [`Slot`].
+///
+/// Each home's records sit in one `Vec` that grows on demand to the
+/// **highest slot written**. For the page-allocated workloads this
+/// simulator runs (compact regions placed via
+/// [`MachineConfig::page_on`]) that is proportional to the footprint
+/// homed there, but a single very high block address commits the whole
+/// dense span below it. A slot never written reads as the table's blank
+/// record, so readers never allocate.
+#[derive(Debug, Clone)]
+pub struct HomeTable<T> {
+    geom: HomeGeometry,
+    homes: Vec<Vec<T>>,
+    /// The value of every record never written; growth clones it.
+    blank: T,
+}
+
+impl<T: Clone> HomeTable<T> {
+    /// An empty table over `geom`'s homes whose unwritten records read
+    /// as `blank`.
+    #[must_use]
+    pub fn new(geom: HomeGeometry, blank: T) -> Self {
+        HomeTable {
+            geom,
+            homes: vec![Vec::new(); geom.num_nodes()],
+            blank,
+        }
+    }
+
+    /// The geometry the table's slots follow.
+    #[must_use]
+    pub fn geometry(&self) -> HomeGeometry {
+        self.geom
+    }
+
+    /// The record at `slot`: the blank record if it was never written.
+    #[inline]
+    #[must_use]
+    pub fn get(&self, slot: Slot) -> &T {
+        self.homes[slot.home.0]
+            .get(slot.idx as usize)
+            .unwrap_or(&self.blank)
+    }
+
+    /// The record at `slot`, growing its home's table to cover it.
+    #[inline]
+    pub fn get_mut(&mut self, slot: Slot) -> &mut T {
+        let records = &mut self.homes[slot.home.0];
+        let idx = slot.idx as usize;
+        if idx >= records.len() {
+            records.resize(idx + 1, self.blank.clone());
+        }
+        &mut records[idx]
+    }
+
+    /// Every stored record with its slot, home by home and, within a
+    /// home, in increasing block-address order. Records the table grew
+    /// past without writing are included; they equal the blank record.
+    pub fn iter(&self) -> impl Iterator<Item = (Slot, &T)> + '_ {
+        self.homes.iter().enumerate().flat_map(|(home, records)| {
+            records.iter().enumerate().map(move |(idx, r)| {
+                let slot = Slot {
+                    home: NodeId(home),
+                    idx: idx as u32,
+                };
+                (slot, r)
+            })
+        })
     }
 }
 
@@ -181,8 +274,9 @@ mod tests {
             for page in 0..4 {
                 for off in [0, 1, 127] {
                     let b = m.page_on(NodeId(node), page).offset(off);
-                    let idx = g.local_index(b);
-                    assert_eq!(g.block_at(NodeId(node), idx), b);
+                    let slot = g.slot(b);
+                    assert_eq!(slot.home, NodeId(node));
+                    assert_eq!(g.block_at(slot), b);
                 }
             }
         }
@@ -204,15 +298,70 @@ mod tests {
         assert_eq!(seen.iter().max(), Some(&23));
     }
 
+    fn table() -> HomeTable<u64> {
+        HomeTable::new(HomeGeometry::new(128, 16), 0)
+    }
+
     #[test]
-    fn foreign_blocks_are_detected() {
-        let g = HomeGeometry::new(128, 16);
-        let foreign = BlockAddr(128); // first block of page 1, homed at node 1
-        assert!(!g.is_homed(NodeId(0), foreign));
-        assert!(g.is_homed(NodeId(1), foreign));
-        // Its local index *would* alias slot 0 — the guard exists
-        // because the arithmetic alone cannot tell.
-        assert_eq!(g.local_index(foreign), 0);
+    fn get_on_an_unwritten_slot_is_blank_and_allocates_nothing() {
+        let t = HomeTable::new(HomeGeometry::new(128, 16), 7u64);
+        let slot = t.geometry().slot(BlockAddr(5_000));
+        assert_eq!(*t.get(slot), 7);
+        assert!(t.homes.iter().all(|h| h.capacity() == 0));
+        assert_eq!(t.iter().count(), 0);
+    }
+
+    #[test]
+    fn get_mut_grows_to_the_highest_slot_written() {
+        let mut t = table();
+        let g = t.geometry();
+        *t.get_mut(g.slot(BlockAddr(9))) = 1;
+        *t.get_mut(g.slot(BlockAddr(3))) = 2;
+        assert_eq!(t.homes[0].len(), 10);
+        assert!(t.homes[1..].iter().all(Vec::is_empty));
+        assert_eq!(*t.get(g.slot(BlockAddr(9))), 1);
+        assert_eq!(*t.get(g.slot(BlockAddr(3))), 2);
+        // Grown past but never written: still the blank record.
+        assert_eq!(*t.get(g.slot(BlockAddr(5))), 0);
+    }
+
+    #[test]
+    fn iteration_is_home_major_in_address_order() {
+        let mut t = table();
+        let m = MachineConfig::paper_machine();
+        let g = t.geometry();
+        let blocks = [
+            m.page_on(NodeId(3), 1).offset(2),
+            m.page_on(NodeId(0), 2),
+            m.page_on(NodeId(3), 0).offset(7),
+        ];
+        for (i, b) in blocks.into_iter().enumerate() {
+            *t.get_mut(g.slot(b)) = i as u64 + 1;
+        }
+        let written: Vec<_> = t
+            .iter()
+            .filter(|(_, &v)| v != 0)
+            .map(|(slot, &v)| (g.block_at(slot), v))
+            .collect();
+        assert_eq!(
+            written,
+            [(blocks[1], 2), (blocks[2], 3), (blocks[0], 1)],
+            "home 0 first, then home 3 by address"
+        );
+    }
+
+    #[test]
+    fn equal_local_indices_at_two_homes_do_not_alias() {
+        let mut t = table();
+        let g = t.geometry();
+        // The first blocks of pages 0 and 1: index 0 at homes 0 and 1.
+        let (a, b) = (g.slot(BlockAddr(0)), g.slot(BlockAddr(128)));
+        assert_eq!((a.home, b.home), (NodeId(0), NodeId(1)));
+        assert_eq!(a.idx, b.idx);
+        *t.get_mut(a) = 5;
+        assert_eq!(*t.get(b), 0);
+        *t.get_mut(b) = 6;
+        assert_eq!((*t.get(a), *t.get(b)), (5, 6));
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub use addr::BlockAddr;
 pub use config::{LatencyConfig, MachineConfig, PAPER_BLOCK_BYTES, PAPER_NODES};
 pub use error::ConfigError;
 pub use fault::{FaultDecision, FaultPlan};
-pub use geometry::HomeGeometry;
+pub use geometry::{HomeGeometry, HomeTable, Slot};
 pub use ids::{NodeId, ProcId, MAX_PROCS};
 pub use mix::{splitmix64, splitmix_fold, GOLDEN_GAMMA};
 pub use msg::{AckKind, DirMsg, ReqKind};

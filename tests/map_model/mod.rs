@@ -1,57 +1,56 @@
 //! The map-addressed reference model of the speculation store, and the
-//! small operation trait the property tests drive it and the arena
-//! [`Vmsp`] through.
+//! small operation trait the property tests drive it and the
+//! table-backed [`Vmsp`] through.
 //!
-//! Before the arena rework, the online VMSP kept per-block state in a
-//! `FxHashMap<BlockAddr, _>` and the speculation engine tracked
+//! Before the dense-table rework, the online VMSP kept per-block state
+//! in a `FxHashMap<BlockAddr, _>` and the speculation engine tracked
 //! outstanding tickets in a `FxHashMap<(BlockAddr, ProcId), _>`.
 //! [`MapModel`] keeps that storage design: one hash probe per touch, no
 //! slots, no aliasing. Replaying the same operations through both
-//! stores and demanding identical results checks the arena's slot
+//! stores and demanding identical results checks the table's slot
 //! addressing, per-block ticket slabs and stale-ticket handling against
 //! the obvious implementation.
 
 use specdsm::core::{
     FxHashMap, History, Observation, PatternTable, PredictorStats, ReaderSetInterner,
-    SharingPredictor, SpecTicket, SpecTrigger, Symbol, VSlot, Vmsp,
+    SharingPredictor, SpecTicket, SpecTrigger, Symbol, Vmsp,
 };
 use specdsm::types::{
-    BlockAddr, DirMsg, HomeGeometry, MachineConfig, NodeId, ProcId, ReaderSet, ReqKind,
+    BlockAddr, DirMsg, HomeGeometry, MachineConfig, NodeId, ProcId, ReaderSet, ReqKind, Slot,
 };
 
 /// The speculation-store operations the property tests replay. Every
-/// method takes both the resolved `slot` and the `block` address: the
-/// arena uses the former, the map model the latter.
+/// method takes both the `slot` and the `block` address: the table
+/// uses the former, the map model the latter.
 pub trait SpecOps {
     /// Builds the store for a machine (history `depth`, one processor
     /// per node).
     fn build(depth: usize, machine: &MachineConfig) -> Self;
-    /// Resolves `block`, routed to `home`, to a slot handle; `None` for
-    /// a block homed elsewhere.
-    fn resolve(&mut self, home: NodeId, block: BlockAddr) -> Option<VSlot>;
+    /// The slot of `block`.
+    fn resolve(&self, block: BlockAddr) -> Slot;
     /// Feeds one directory request into the predictor.
-    fn observe(&mut self, slot: VSlot, block: BlockAddr, msg: DirMsg) -> Observation;
+    fn observe(&mut self, slot: Slot, block: BlockAddr, msg: DirMsg) -> Observation;
     /// The predicted read vector for the current history context.
-    fn predicted_readers(&self, slot: VSlot, block: BlockAddr) -> Option<(ReaderSet, SpecTicket)>;
+    fn predicted_readers(&self, slot: Slot, block: BlockAddr) -> Option<(ReaderSet, SpecTicket)>;
     /// Removes `reader` from the entry `ticket` points at; whether an
     /// entry changed.
     fn prune_reader(
         &mut self,
-        slot: VSlot,
+        slot: Slot,
         block: BlockAddr,
         ticket: SpecTicket,
         reader: ProcId,
     ) -> bool;
     /// Whether SWI is allowed in the current history context.
-    fn swi_allowed(&self, slot: VSlot, block: BlockAddr) -> bool;
+    fn swi_allowed(&self, slot: Slot, block: BlockAddr) -> bool;
     /// Ticket capturing the current history context.
-    fn swi_ticket(&self, slot: VSlot, block: BlockAddr) -> Option<SpecTicket>;
+    fn swi_ticket(&self, slot: Slot, block: BlockAddr) -> Option<SpecTicket>;
     /// Suppresses SWI for the pattern `ticket` points at.
-    fn mark_swi_premature(&mut self, slot: VSlot, block: BlockAddr, ticket: SpecTicket);
+    fn mark_swi_premature(&mut self, slot: Slot, block: BlockAddr, ticket: SpecTicket);
     /// Records an outstanding speculative copy sent to `proc`.
     fn open_ticket(
         &mut self,
-        slot: VSlot,
+        slot: Slot,
         block: BlockAddr,
         proc: ProcId,
         ticket: SpecTicket,
@@ -60,7 +59,7 @@ pub trait SpecOps {
     /// Consumes the open ticket for `(block, proc)`, if any.
     fn close_ticket(
         &mut self,
-        slot: VSlot,
+        slot: Slot,
         block: BlockAddr,
         proc: ProcId,
     ) -> Option<(SpecTicket, SpecTrigger)>;
@@ -77,21 +76,21 @@ impl SpecOps for Vmsp {
         Vmsp::with_geometry(depth, machine.num_nodes, HomeGeometry::of_machine(machine))
     }
 
-    fn resolve(&mut self, home: NodeId, block: BlockAddr) -> Option<VSlot> {
-        self.resolve_at_home(home, block)
+    fn resolve(&self, block: BlockAddr) -> Slot {
+        self.slot_of(block)
     }
 
-    fn observe(&mut self, slot: VSlot, _block: BlockAddr, msg: DirMsg) -> Observation {
+    fn observe(&mut self, slot: Slot, _block: BlockAddr, msg: DirMsg) -> Observation {
         self.observe_at(slot, msg)
     }
 
-    fn predicted_readers(&self, slot: VSlot, _block: BlockAddr) -> Option<(ReaderSet, SpecTicket)> {
+    fn predicted_readers(&self, slot: Slot, _block: BlockAddr) -> Option<(ReaderSet, SpecTicket)> {
         self.predicted_readers_at(slot)
     }
 
     fn prune_reader(
         &mut self,
-        slot: VSlot,
+        slot: Slot,
         _block: BlockAddr,
         ticket: SpecTicket,
         reader: ProcId,
@@ -99,21 +98,21 @@ impl SpecOps for Vmsp {
         self.prune_reader_at(slot, ticket, reader)
     }
 
-    fn swi_allowed(&self, slot: VSlot, _block: BlockAddr) -> bool {
+    fn swi_allowed(&self, slot: Slot, _block: BlockAddr) -> bool {
         self.swi_allowed_at(slot)
     }
 
-    fn swi_ticket(&self, slot: VSlot, _block: BlockAddr) -> Option<SpecTicket> {
+    fn swi_ticket(&self, slot: Slot, _block: BlockAddr) -> Option<SpecTicket> {
         self.swi_ticket_at(slot)
     }
 
-    fn mark_swi_premature(&mut self, slot: VSlot, _block: BlockAddr, ticket: SpecTicket) {
+    fn mark_swi_premature(&mut self, slot: Slot, _block: BlockAddr, ticket: SpecTicket) {
         self.mark_swi_premature_at(slot, ticket);
     }
 
     fn open_ticket(
         &mut self,
-        slot: VSlot,
+        slot: Slot,
         _block: BlockAddr,
         proc: ProcId,
         ticket: SpecTicket,
@@ -124,7 +123,7 @@ impl SpecOps for Vmsp {
 
     fn close_ticket(
         &mut self,
-        slot: VSlot,
+        slot: Slot,
         _block: BlockAddr,
         proc: ProcId,
     ) -> Option<(SpecTicket, SpecTrigger)> {
@@ -144,9 +143,9 @@ impl SpecOps for Vmsp {
     }
 }
 
-/// Map-addressed speculation store: the pre-arena `HashMap` layout.
-/// Slot handles are ignored ([`SpecOps::resolve`] hands out
-/// [`VSlot::NULL`]); every access keys the maps by block address.
+/// Map-addressed speculation store: the pre-table `HashMap` layout.
+/// Slots are ignored ([`SpecOps::resolve`] hands out a fixed one);
+/// every access keys the maps by block address.
 #[derive(Debug, Clone)]
 pub struct MapModel {
     depth: usize,
@@ -199,13 +198,15 @@ impl SpecOps for MapModel {
         }
     }
 
-    fn resolve(&mut self, _home: NodeId, _block: BlockAddr) -> Option<VSlot> {
-        // Map addressing has no slots (and no aliasing to guard
-        // against): every block keys its own entry.
-        Some(VSlot::NULL)
+    fn resolve(&self, _block: BlockAddr) -> Slot {
+        // Map addressing has no slots: every block keys its own entry.
+        Slot {
+            home: NodeId(0),
+            idx: 0,
+        }
     }
 
-    fn observe(&mut self, _slot: VSlot, block: BlockAddr, msg: DirMsg) -> Observation {
+    fn observe(&mut self, _slot: Slot, block: BlockAddr, msg: DirMsg) -> Observation {
         let Some((kind, p)) = msg.request() else {
             return Observation::Ignored;
         };
@@ -261,7 +262,7 @@ impl SpecOps for MapModel {
         obs
     }
 
-    fn predicted_readers(&self, _slot: VSlot, block: BlockAddr) -> Option<(ReaderSet, SpecTicket)> {
+    fn predicted_readers(&self, _slot: Slot, block: BlockAddr) -> Option<(ReaderSet, SpecTicket)> {
         let b = self.blocks.get(&block)?;
         if !b.history.is_full() {
             return None;
@@ -276,7 +277,7 @@ impl SpecOps for MapModel {
 
     fn prune_reader(
         &mut self,
-        _slot: VSlot,
+        _slot: Slot,
         block: BlockAddr,
         ticket: SpecTicket,
         reader: ProcId,
@@ -288,26 +289,26 @@ impl SpecOps for MapModel {
         }
     }
 
-    fn swi_allowed(&self, _slot: VSlot, block: BlockAddr) -> bool {
+    fn swi_allowed(&self, _slot: Slot, block: BlockAddr) -> bool {
         match self.blocks.get(&block) {
             Some(b) => !b.table.swi_suppressed_key(b.history.key()),
             None => true,
         }
     }
 
-    fn swi_ticket(&self, _slot: VSlot, block: BlockAddr) -> Option<SpecTicket> {
+    fn swi_ticket(&self, _slot: Slot, block: BlockAddr) -> Option<SpecTicket> {
         self.blocks
             .get(&block)
             .map(|b| SpecTicket::from_key(b.history.key()))
     }
 
-    fn mark_swi_premature(&mut self, _slot: VSlot, block: BlockAddr, ticket: SpecTicket) {
+    fn mark_swi_premature(&mut self, _slot: Slot, block: BlockAddr, ticket: SpecTicket) {
         self.block_mut(block).table.set_swi_premature(ticket.key());
     }
 
     fn open_ticket(
         &mut self,
-        _slot: VSlot,
+        _slot: Slot,
         block: BlockAddr,
         proc: ProcId,
         ticket: SpecTicket,
@@ -318,7 +319,7 @@ impl SpecOps for MapModel {
 
     fn close_ticket(
         &mut self,
-        _slot: VSlot,
+        _slot: Slot,
         block: BlockAddr,
         proc: ProcId,
     ) -> Option<(SpecTicket, SpecTrigger)> {

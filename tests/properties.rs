@@ -690,11 +690,11 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Arena speculation store vs the naive map model
+// Table-backed speculation store vs the naive map model
 // ---------------------------------------------------------------------
 
 /// The externally observable result of one speculation-store operation,
-/// for diffing the arena store against the map model step by step.
+/// for diffing the table-backed store against the map model step by step.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum SpecEffect {
     Observed(Observation),
@@ -719,7 +719,7 @@ fn replay_spec_ops<V: SpecOps>(
     let m = MachineConfig::paper_machine();
     let mut store = V::build(1, &m);
     // Blocks spanning three homes, including two that share home 0 (and
-    // therefore one dense arena).
+    // therefore one home's table).
     let blocks = [
         m.page_on(NodeId(0), 0),
         m.page_on(NodeId(0), 0).offset(1),
@@ -733,8 +733,7 @@ fn replay_spec_ops<V: SpecOps>(
     let mut effects = Vec::new();
     for &(kind, bi, pi) in ops {
         let block = blocks[bi % blocks.len()];
-        let home = m.home_of(block);
-        let slot = store.resolve(home, block).expect("block is homed");
+        let slot = store.resolve(block);
         let proc = ProcId(pi);
         let effect = match kind % 7 {
             0 => SpecEffect::Observed(store.observe(slot, block, DirMsg::read(proc))),
@@ -773,7 +772,7 @@ fn replay_spec_ops<V: SpecOps>(
                     SpecEffect::Noop
                 } else {
                     let (b, ticket) = pool[pi % pool.len()];
-                    let s = store.resolve(m.home_of(b), b).expect("block is homed");
+                    let s = store.resolve(b);
                     let pruned = store.prune_reader(s, b, ticket, proc);
                     store.mark_swi_premature(s, b, ticket);
                     SpecEffect::StaleFeedback(pruned, store.swi_allowed(s, b))
@@ -811,7 +810,7 @@ fn mark_swi_premature_after_evict_is_a_noop_in_both_stores() {
         let m = MachineConfig::paper_machine();
         let mut store = V::build(1, &m);
         let b = m.page_on(NodeId(2), 0);
-        let slot = store.resolve(NodeId(2), b).unwrap();
+        let slot = store.resolve(b);
         for _ in 0..5 {
             store.observe(slot, b, DirMsg::upgrade(ProcId(3)));
             store.observe(slot, b, DirMsg::read(ProcId(1)));
@@ -850,7 +849,6 @@ fn map_store_matches_vmsp_on_a_training_run() {
         let machine = MachineConfig::paper_machine();
         let mut store = V::build(1, &machine);
         let b = machine.page_on(NodeId(4), 0);
-        let home = machine.home_of(b);
         let mut seen = Vec::new();
         for _ in 0..6 {
             for msg in [
@@ -858,11 +856,11 @@ fn map_store_matches_vmsp_on_a_training_run() {
                 DirMsg::read(ProcId(1)),
                 DirMsg::read(ProcId(2)),
             ] {
-                let slot = store.resolve(home, b).unwrap();
+                let slot = store.resolve(b);
                 seen.push(store.observe(slot, b, msg));
             }
         }
-        let slot = store.resolve(home, b).unwrap();
+        let slot = store.resolve(b);
         store.observe(slot, b, DirMsg::upgrade(ProcId(3)));
         (
             seen,
