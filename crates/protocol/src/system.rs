@@ -1056,6 +1056,24 @@ mod tests {
     }
 
     #[test]
+    fn overflowing_page_stride_is_a_config_error() {
+        let mut cfg = SystemConfig::default();
+        cfg.machine.page_blocks = 1 << 62;
+        let script = Script {
+            name: "huge pages",
+            ops: vec![vec![]; cfg.machine.num_nodes],
+        };
+        let err = System::new(cfg, &script).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                BuildError::Config(ConfigError::PageStrideOverflow { .. })
+            ),
+            "{err}"
+        );
+    }
+
+    #[test]
     #[should_panic(expected = "deadlock")]
     fn mismatched_barriers_deadlock() {
         let _ = run_script(2, SpecPolicy::Base, vec![vec![Op::Barrier], vec![]]);

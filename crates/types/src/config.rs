@@ -139,7 +139,8 @@ impl MachineConfig {
     /// # Errors
     ///
     /// Returns [`ConfigError`] if the node count is zero or exceeds
-    /// [`MAX_PROCS`], if the page size is zero, or if any critical
+    /// [`MAX_PROCS`], if the page size is zero, if a page per node
+    /// overflows the 64-bit block address space, or if any critical
     /// latency is zero.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.num_nodes == 0 {
@@ -153,6 +154,16 @@ impl MachineConfig {
         }
         if self.page_blocks == 0 {
             return Err(ConfigError::ZeroPageSize);
+        }
+        if self
+            .page_blocks
+            .checked_mul(self.num_nodes as u64)
+            .is_none()
+        {
+            return Err(ConfigError::PageStrideOverflow {
+                page_blocks: self.page_blocks,
+                num_nodes: self.num_nodes,
+            });
         }
         if self.latency.one_way() == 0 {
             // Checked before ZeroLatency: the windowed engine's
@@ -317,6 +328,15 @@ mod tests {
         let mut m = MachineConfig::paper_machine();
         m.page_blocks = 0;
         assert_eq!(m.validate(), Err(ConfigError::ZeroPageSize));
+
+        let mut m = MachineConfig::paper_machine();
+        m.page_blocks = 1 << 62;
+        assert!(matches!(
+            m.validate(),
+            Err(ConfigError::PageStrideOverflow { num_nodes: 16, .. })
+        ));
+        m.page_blocks = 1 << 59;
+        assert_eq!(m.validate(), Ok(()), "16 * 2^59 = 2^63 still fits");
 
         let mut m = MachineConfig::paper_machine();
         m.latency.mem_access = 0;

@@ -18,6 +18,14 @@ pub enum ConfigError {
     },
     /// `page_blocks` is zero.
     ZeroPageSize,
+    /// `page_blocks * num_nodes`, the address stride between one home's
+    /// consecutive pages, overflows `u64`.
+    PageStrideOverflow {
+        /// Requested blocks per page.
+        page_blocks: u64,
+        /// Requested node count.
+        num_nodes: usize,
+    },
     /// A critical latency parameter is zero.
     ZeroLatency,
     /// The one-way network latency is zero, which would collapse the
@@ -41,6 +49,13 @@ impl fmt::Display for ConfigError {
                 )
             }
             ConfigError::ZeroPageSize => write!(f, "page size must be at least one block"),
+            ConfigError::PageStrideOverflow {
+                page_blocks,
+                num_nodes,
+            } => write!(
+                f,
+                "{page_blocks} blocks per page over {num_nodes} nodes overflows the 64-bit address space"
+            ),
             ConfigError::ZeroLatency => {
                 write!(f, "memory and network latencies must be non-zero")
             }
