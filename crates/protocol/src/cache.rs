@@ -193,12 +193,6 @@ impl Cache {
     pub fn len(&self) -> usize {
         self.lines.len()
     }
-
-    /// Whether the cache is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.lines.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -295,7 +289,7 @@ mod tests {
         let mut c = Cache::new();
         c.fill_exclusive(B, 5);
         assert_eq!(c.invalidate_exclusive(B), Some(5));
-        assert!(c.is_empty());
+        assert!(c.lines.is_empty());
         assert_eq!(c.invalidate_exclusive(B), None);
         // A shared copy is not eligible.
         c.fill_shared(B, 6);

@@ -74,12 +74,6 @@ mod stats;
 mod sync;
 mod system;
 
-pub use cache::{Cache, LineState};
-pub use directory::DirState;
-pub use msg::{Msg, MsgKind};
-pub use network::Network;
-pub use processor::Processor;
 pub use spec::{SpecPolicy, SpecStats};
 pub use stats::{FaultStats, ProcStats, RunStats};
-pub use sync::{BarrierManager, LockManager};
 pub use system::{BuildError, EngineConfig, EngineError, System, SystemConfig};

@@ -24,9 +24,9 @@ use specdsm_types::{LatencyConfig, NodeId};
 ///   destination's inbound NI at `at_dst` and returns the handoff
 ///   cycle.
 ///
-/// [`Network::send`] composes both for the case where one shard owns
-/// both endpoints (the sequential whole-machine shard); its timing is
-/// exactly the pre-shard monolithic network's.
+/// When one shard owns both endpoints (the sequential whole-machine
+/// shard) it runs both halves back to back; the timing is exactly the
+/// pre-shard monolithic network's.
 ///
 /// Messages between a node and itself (processor ↔ local directory)
 /// bypass the network entirely.
@@ -41,13 +41,6 @@ pub struct Network {
 }
 
 impl Network {
-    /// Creates a network range covering nodes `0..nodes` (the
-    /// whole-machine form used by the sequential engine and tests).
-    #[must_use]
-    pub fn new(nodes: usize, lat: LatencyConfig) -> Self {
-        Self::with_range(0, nodes, lat)
-    }
-
     /// Creates the network-interface slice for nodes `lo..hi`.
     #[must_use]
     pub fn with_range(lo: usize, hi: usize, lat: LatencyConfig) -> Self {
@@ -89,17 +82,6 @@ impl Network {
         in_start + self.lat.deliver
     }
 
-    /// Sends a message at `now`; returns its delivery time at `dst`.
-    /// Both endpoints must be owned by this range. Uncontended remote
-    /// delivery takes exactly [`LatencyConfig::one_way`] cycles.
-    pub fn send(&mut self, now: Cycle, src: NodeId, dst: NodeId) -> Cycle {
-        if src == dst {
-            return now;
-        }
-        let at_dst = self.depart(now, src);
-        self.arrive(at_dst, dst)
-    }
-
     /// Remote messages sent from this range so far.
     #[must_use]
     pub fn messages_sent(&self) -> u64 {
@@ -123,21 +105,32 @@ mod tests {
     use super::*;
 
     fn net() -> Network {
-        Network::new(4, LatencyConfig::default())
+        Network::with_range(0, 4, LatencyConfig::default())
+    }
+
+    /// One whole send at `now` within `n`'s range, as the sequential
+    /// shard performs it: node-local messages skip the network, remote
+    /// ones run both halves. Returns the delivery time at `dst`.
+    fn send(n: &mut Network, now: Cycle, src: NodeId, dst: NodeId) -> Cycle {
+        if src == dst {
+            return now;
+        }
+        let at_dst = n.depart(now, src);
+        n.arrive(at_dst, dst)
     }
 
     #[test]
     fn uncontended_delivery_is_one_way() {
         let mut n = net();
         let lat = LatencyConfig::default();
-        let t = n.send(Cycle(1000), NodeId(0), NodeId(1));
+        let t = send(&mut n, Cycle(1000), NodeId(0), NodeId(1));
         assert_eq!(t, Cycle(1000 + lat.one_way()));
     }
 
     #[test]
     fn local_delivery_is_immediate() {
         let mut n = net();
-        assert_eq!(n.send(Cycle(7), NodeId(2), NodeId(2)), Cycle(7));
+        assert_eq!(send(&mut n, Cycle(7), NodeId(2), NodeId(2)), Cycle(7));
         assert_eq!(n.messages_sent(), 0);
     }
 
@@ -145,9 +138,9 @@ mod tests {
     fn bursts_serialize_at_the_source_ni() {
         let mut n = net();
         let lat = LatencyConfig::default();
-        let t1 = n.send(Cycle(0), NodeId(0), NodeId(1));
-        let t2 = n.send(Cycle(0), NodeId(0), NodeId(2));
-        let t3 = n.send(Cycle(0), NodeId(0), NodeId(3));
+        let t1 = send(&mut n, Cycle(0), NodeId(0), NodeId(1));
+        let t2 = send(&mut n, Cycle(0), NodeId(0), NodeId(2));
+        let t3 = send(&mut n, Cycle(0), NodeId(0), NodeId(3));
         assert_eq!(t1, Cycle(lat.one_way()));
         assert_eq!(t2, Cycle(lat.one_way() + lat.ni_occupancy));
         assert_eq!(t3, Cycle(lat.one_way() + 2 * lat.ni_occupancy));
@@ -158,8 +151,8 @@ mod tests {
     fn fan_in_serializes_at_the_destination_ni() {
         let mut n = net();
         let lat = LatencyConfig::default();
-        let t1 = n.send(Cycle(0), NodeId(1), NodeId(0));
-        let t2 = n.send(Cycle(0), NodeId(2), NodeId(0));
+        let t1 = send(&mut n, Cycle(0), NodeId(1), NodeId(0));
+        let t2 = send(&mut n, Cycle(0), NodeId(2), NodeId(0));
         assert_eq!(t1, Cycle(lat.one_way()));
         assert_eq!(t2, Cycle(lat.one_way() + lat.ni_occupancy));
     }
@@ -168,8 +161,8 @@ mod tests {
     fn distinct_pairs_do_not_interfere() {
         let mut n = net();
         let lat = LatencyConfig::default();
-        let t1 = n.send(Cycle(0), NodeId(0), NodeId(1));
-        let t2 = n.send(Cycle(0), NodeId(2), NodeId(3));
+        let t1 = send(&mut n, Cycle(0), NodeId(0), NodeId(1));
+        let t2 = send(&mut n, Cycle(0), NodeId(2), NodeId(3));
         assert_eq!(t1, Cycle(lat.one_way()));
         assert_eq!(t2, Cycle(lat.one_way()));
     }
@@ -179,12 +172,12 @@ mod tests {
         // One network does whole sends; a pair of ranges does the same
         // traffic as depart/arrive halves. All timing must agree.
         let lat = LatencyConfig::default();
-        let mut whole = Network::new(4, lat);
+        let mut whole = Network::with_range(0, 4, lat);
         let mut left = Network::with_range(0, 2, lat);
         let mut right = Network::with_range(2, 4, lat);
         for i in 0..8u64 {
             let now = Cycle(10 * i);
-            let direct = whole.send(now, NodeId(1), NodeId(3));
+            let direct = send(&mut whole, now, NodeId(1), NodeId(3));
             let at_dst = left.depart(now, NodeId(1));
             let split = right.arrive(at_dst, NodeId(3));
             assert_eq!(direct, split, "message {i}");
@@ -203,7 +196,7 @@ mod tests {
         let mut n = net();
         let mut last = Cycle(0);
         for i in 0..10 {
-            let t = n.send(Cycle(i), NodeId(0), NodeId(1));
+            let t = send(&mut n, Cycle(i), NodeId(0), NodeId(1));
             assert!(t > last, "delivery times strictly increase");
             last = t;
         }

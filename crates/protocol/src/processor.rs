@@ -115,12 +115,6 @@ impl Processor {
         &self.cache
     }
 
-    /// Accumulated statistics.
-    #[must_use]
-    pub fn stats(&self) -> &ProcStats {
-        &self.stats
-    }
-
     /// Consumes ops until one requires the system's involvement.
     ///
     /// Consecutive compute ops and cache hits are merged into a single
@@ -213,7 +207,7 @@ mod tests {
         assert_eq!(p.next_action(), ProcAction::Busy(15));
         assert_eq!(p.next_action(), ProcAction::Barrier);
         assert_eq!(p.next_action(), ProcAction::Done);
-        assert_eq!(p.stats().compute_cycles, 15);
+        assert_eq!(p.stats.compute_cycles, 15);
     }
 
     #[test]
@@ -222,7 +216,7 @@ mod tests {
         // Busy first (merge stops at the miss), then the miss.
         assert_eq!(p.next_action(), ProcAction::Busy(7));
         assert_eq!(p.next_action(), ProcAction::ReadMiss(BlockAddr(1)));
-        assert_eq!(p.stats().read_misses, 1);
+        assert_eq!(p.stats.read_misses, 1);
     }
 
     #[test]
@@ -234,7 +228,7 @@ mod tests {
         ]);
         p.cache.fill_shared(BlockAddr(1), 0);
         assert_eq!(p.next_action(), ProcAction::Busy(2));
-        assert_eq!(p.stats().read_hits, 2);
+        assert_eq!(p.stats.read_hits, 2);
     }
 
     #[test]
@@ -250,9 +244,9 @@ mod tests {
         assert_eq!(p.next_action(), ProcAction::WriteMiss(BlockAddr(1)));
         assert_eq!(p.next_action(), ProcAction::UpgradeMiss(BlockAddr(2)));
         assert_eq!(p.next_action(), ProcAction::Busy(1));
-        assert_eq!(p.stats().write_hits, 1);
-        assert_eq!(p.stats().upgrades, 1);
-        assert_eq!(p.stats().write_misses, 1);
+        assert_eq!(p.stats.write_hits, 1);
+        assert_eq!(p.stats.upgrades, 1);
+        assert_eq!(p.stats.write_misses, 1);
     }
 
     #[test]
@@ -260,8 +254,8 @@ mod tests {
         let mut p = proc_with(vec![Op::Read(BlockAddr(1)), Op::Barrier]);
         p.cache.fill_speculative(BlockAddr(1), 5);
         assert_eq!(p.next_action(), ProcAction::Busy(1));
-        assert_eq!(p.stats().spec_read_hits, 1);
-        assert_eq!(p.stats().read_hits, 1);
+        assert_eq!(p.stats.spec_read_hits, 1);
+        assert_eq!(p.stats.read_hits, 1);
     }
 
     #[test]

@@ -11,18 +11,6 @@ use std::collections::{HashMap, VecDeque};
 use specdsm_types::{LockId, ProcId};
 
 /// A single global sense-reversing barrier over `n` processors.
-///
-/// # Example
-///
-/// ```
-/// use specdsm_protocol::BarrierManager;
-/// use specdsm_types::ProcId;
-///
-/// let mut barrier = BarrierManager::new(2);
-/// assert_eq!(barrier.arrive(ProcId(0)), None);
-/// let released = barrier.arrive(ProcId(1)).unwrap();
-/// assert_eq!(released, vec![ProcId(0), ProcId(1)]);
-/// ```
 #[derive(Debug, Clone)]
 pub struct BarrierManager {
     n: usize,
@@ -63,28 +51,9 @@ impl BarrierManager {
             None
         }
     }
-
-    /// Processors currently blocked.
-    #[must_use]
-    pub fn waiting(&self) -> &[ProcId] {
-        &self.waiting
-    }
 }
 
 /// FIFO locks.
-///
-/// # Example
-///
-/// ```
-/// use specdsm_protocol::LockManager;
-/// use specdsm_types::{LockId, ProcId};
-///
-/// let mut locks = LockManager::new();
-/// assert!(locks.acquire(LockId(0), ProcId(0)));
-/// assert!(!locks.acquire(LockId(0), ProcId(1))); // queued
-/// assert_eq!(locks.release(LockId(0), ProcId(0)), Some(ProcId(1)));
-/// assert_eq!(locks.release(LockId(0), ProcId(1)), None);
-/// ```
 #[derive(Debug, Clone, Default)]
 pub struct LockManager {
     locks: HashMap<LockId, LockState>,
@@ -139,18 +108,6 @@ impl LockManager {
         state.holder = state.queue.pop_front();
         state.holder
     }
-
-    /// Current holder of `lock`.
-    #[must_use]
-    pub fn holder(&self, lock: LockId) -> Option<ProcId> {
-        self.locks.get(&lock).and_then(|s| s.holder)
-    }
-
-    /// Number of processors queued on `lock`.
-    #[must_use]
-    pub fn queue_len(&self, lock: LockId) -> usize {
-        self.locks.get(&lock).map_or(0, |s| s.queue.len())
-    }
 }
 
 #[cfg(test)]
@@ -162,10 +119,10 @@ mod tests {
         let mut b = BarrierManager::new(3);
         assert!(b.arrive(ProcId(2)).is_none());
         assert!(b.arrive(ProcId(0)).is_none());
-        assert_eq!(b.waiting(), &[ProcId(2), ProcId(0)]);
+        assert_eq!(b.waiting, [ProcId(2), ProcId(0)]);
         let released = b.arrive(ProcId(1)).unwrap();
         assert_eq!(released, vec![ProcId(2), ProcId(0), ProcId(1)]);
-        assert!(b.waiting().is_empty(), "barrier resets");
+        assert!(b.waiting.is_empty(), "barrier resets");
     }
 
     #[test]
@@ -197,12 +154,12 @@ mod tests {
         assert!(l.acquire(LockId(1), ProcId(0)));
         assert!(!l.acquire(LockId(1), ProcId(1)));
         assert!(!l.acquire(LockId(1), ProcId(2)));
-        assert_eq!(l.queue_len(LockId(1)), 2);
+        assert_eq!(l.locks[&LockId(1)].queue.len(), 2);
         assert_eq!(l.release(LockId(1), ProcId(0)), Some(ProcId(1)));
-        assert_eq!(l.holder(LockId(1)), Some(ProcId(1)));
+        assert_eq!(l.locks[&LockId(1)].holder, Some(ProcId(1)));
         assert_eq!(l.release(LockId(1), ProcId(1)), Some(ProcId(2)));
         assert_eq!(l.release(LockId(1), ProcId(2)), None);
-        assert_eq!(l.holder(LockId(1)), None);
+        assert_eq!(l.locks[&LockId(1)].holder, None);
     }
 
     #[test]
