@@ -64,12 +64,7 @@ fn main() {
                 let v = args
                     .next()
                     .unwrap_or_else(|| bad_args("--scale needs a value"));
-                scale = match v.as_str() {
-                    "quick" => Scale::Quick,
-                    "default" => Scale::Default,
-                    "paper" => Scale::Paper,
-                    other => bad_args(&format!("unknown scale '{other}' (quick|default|paper)")),
-                };
+                scale = v.parse().unwrap_or_else(|e: String| bad_args(&e));
             }
             "--out" => {
                 out_dir = Some(PathBuf::from(

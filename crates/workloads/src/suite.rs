@@ -148,6 +148,21 @@ pub enum Scale {
     Quick,
 }
 
+impl std::str::FromStr for Scale {
+    type Err = String;
+
+    /// Parses `quick`, `default` or `paper`; anything else is an error
+    /// naming the value and the accepted ones.
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "quick" => Ok(Scale::Quick),
+            "default" => Ok(Scale::Default),
+            "paper" => Ok(Scale::Paper),
+            other => Err(format!("unknown scale '{other}' (quick|default|paper)")),
+        }
+    }
+}
+
 /// Builds all seven workloads at the given scale.
 ///
 /// # Example
@@ -186,6 +201,15 @@ pub fn fault_plan(seed: u64) -> FaultPlan {
 mod tests {
     use super::*;
     use specdsm_types::Op;
+
+    #[test]
+    fn scale_parses_its_three_names() {
+        assert_eq!("quick".parse(), Ok(Scale::Quick));
+        assert_eq!("default".parse(), Ok(Scale::Default));
+        assert_eq!("paper".parse(), Ok(Scale::Paper));
+        let err = "huge".parse::<Scale>().unwrap_err();
+        assert_eq!(err, "unknown scale 'huge' (quick|default|paper)");
+    }
 
     #[test]
     fn suite_has_seven_apps_in_order() {

@@ -23,11 +23,10 @@ use specdsm::prelude::*;
 use specdsm::protocol::{EngineConfig, SystemConfig};
 
 fn scale() -> Scale {
-    match std::env::var("SPECDSM_DIFF_SCALE").as_deref() {
-        Ok("default") => Scale::Default,
-        Ok("paper") => Scale::Paper,
-        _ => Scale::Quick,
-    }
+    std::env::var("SPECDSM_DIFF_SCALE")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(Scale::Quick)
 }
 
 fn run_with(
