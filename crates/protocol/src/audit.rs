@@ -163,7 +163,7 @@ impl Auditor {
                     self.fail(block, "invalidation sent to a processor without a copy");
                 }
             }
-            MsgKind::InvWriteback { .. } => {
+            MsgKind::InvWriteback => {
                 self.record(now, "send", msg);
                 let target = msg.dst.proc();
                 let owner = self.shadows.entry(block).or_default().owner;
@@ -183,7 +183,7 @@ impl Auditor {
     pub(crate) fn note_delivered(&mut self, now: Cycle, msg: &Msg) {
         let block = msg.block;
         match msg.kind {
-            kind if kind.is_request() => self.record(now, "recv", msg),
+            MsgKind::Req { .. } => self.record(now, "recv", msg),
             MsgKind::InvAck { proc, .. } => {
                 self.record(now, "recv", msg);
                 let listed = self
@@ -200,7 +200,7 @@ impl Auditor {
                 }
                 self.shadows.get_mut(&block).unwrap().readers.remove(proc);
             }
-            MsgKind::WritebackData { proc, version, .. } => {
+            MsgKind::WritebackData { proc, version } => {
                 self.record(now, "recv", msg);
                 let sh = self.shadows.entry(block).or_default();
                 let (owner, granted) = (sh.owner, sh.version);
@@ -325,7 +325,7 @@ mod tests {
         );
         a.note_sent(at(40), &msg(0, 2, MsgKind::DataExcl { version: 1 }));
         a.check_dir_state(BlockAddr(7), &DirState::Exclusive(ProcId(2)));
-        a.note_sent(at(50), &msg(0, 2, MsgKind::InvWriteback { swi: false }));
+        a.note_sent(at(50), &msg(0, 2, MsgKind::InvWriteback));
         a.note_delivered(
             at(60),
             &msg(
@@ -334,7 +334,6 @@ mod tests {
                 MsgKind::WritebackData {
                     proc: ProcId(2),
                     version: 1,
-                    swi: false,
                 },
             ),
         );
@@ -370,7 +369,6 @@ mod tests {
                 MsgKind::WritebackData {
                     proc: ProcId(1),
                     version: 3,
-                    swi: false,
                 },
             ),
         );

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use specdsm_types::{BlockAddr, NodeId, ProcId};
+use specdsm_types::{BlockAddr, NodeId, ProcId, ReqKind};
 
 /// A protocol message in flight between two nodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,26 +25,20 @@ pub struct Msg {
 /// tests can verify coherence end to end.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MsgKind {
-    /// Request a read-only copy (processor → home).
-    ReadReq {
+    /// A processor's request for a block (processor → home): a read
+    /// copy, a writable copy, or write permission for a cached
+    /// read-only copy.
+    Req {
+        /// What the requester asks for.
+        kind: ReqKind,
         /// Requesting processor.
         proc: ProcId,
-        /// Requester-local sequence number (see [`MsgKind::seq`]).
-        seq: u64,
-    },
-    /// Request a writable copy (processor → home).
-    WriteReq {
-        /// Requesting processor.
-        proc: ProcId,
-        /// Requester-local sequence number (see [`MsgKind::seq`]).
-        seq: u64,
-    },
-    /// Request write permission for a cached read-only copy
-    /// (processor → home).
-    UpgradeReq {
-        /// Requesting processor.
-        proc: ProcId,
-        /// Requester-local sequence number (see [`MsgKind::seq`]).
+        /// Requester-local sequence number. Each processor stamps its
+        /// requests with a strictly increasing number. On a reliable
+        /// network it is inert payload; under a fault plan the home
+        /// accepts each `(proc, seq)` at most once, so retransmitted or
+        /// duplicated requests are suppressed without protocol side
+        /// effects.
         seq: u64,
     },
 
@@ -67,13 +61,9 @@ pub enum MsgKind {
     /// Invalidate a read-only copy (home → processor).
     Inval,
     /// Invalidate a writable copy and return the data (home →
-    /// processor). `swi` marks a speculative (SWI-triggered)
-    /// invalidation, which is accounted separately but handled by the
-    /// unmodified base protocol.
-    InvWriteback {
-        /// Whether this invalidation was triggered speculatively by SWI.
-        swi: bool,
-    },
+    /// processor). An SWI invalidation is this same message: SWI only
+    /// issues it early.
+    InvWriteback,
     /// Speculatively forwarded read-only copy (home → processor). The
     /// receiver installs it with the reference bit set, or drops it if
     /// it has a demand request in flight for the block (the race rule,
@@ -81,7 +71,7 @@ pub enum MsgKind {
     ///
     /// One FR/SWI trigger materializes a single `SpecData` payload and
     /// fans it out to every predicted reader in ascending reader order
-    /// (one [`Network::depart`](crate::Network::depart) per
+    /// (one [`Network::depart`](crate::network::Network::depart) per
     /// destination).
     SpecData {
         /// Write version of the delivered data.
@@ -105,49 +95,7 @@ pub enum MsgKind {
         proc: ProcId,
         /// The version it held.
         version: u64,
-        /// Echoes the `swi` flag of the triggering invalidation.
-        swi: bool,
     },
-}
-
-impl MsgKind {
-    /// Whether this is one of the three request messages.
-    #[must_use]
-    pub fn is_request(&self) -> bool {
-        matches!(
-            self,
-            MsgKind::ReadReq { .. } | MsgKind::WriteReq { .. } | MsgKind::UpgradeReq { .. }
-        )
-    }
-
-    /// The requesting processor, for request messages.
-    #[must_use]
-    pub fn requester(&self) -> Option<ProcId> {
-        match *self {
-            MsgKind::ReadReq { proc, .. }
-            | MsgKind::WriteReq { proc, .. }
-            | MsgKind::UpgradeReq { proc, .. } => Some(proc),
-            _ => None,
-        }
-    }
-
-    /// The requester-local sequence number, for request messages.
-    ///
-    /// Each processor stamps its requests with a strictly increasing
-    /// sequence number. On a reliable network the number is inert
-    /// payload; under a fault plan it is what makes request delivery
-    /// idempotent — the home accepts each `(requester, seq)` at most
-    /// once, so retransmitted or duplicated requests are suppressed
-    /// without protocol side effects.
-    #[must_use]
-    pub fn seq(&self) -> Option<u64> {
-        match *self {
-            MsgKind::ReadReq { seq, .. }
-            | MsgKind::WriteReq { seq, .. }
-            | MsgKind::UpgradeReq { seq, .. } => Some(seq),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for Msg {
@@ -163,39 +111,6 @@ impl fmt::Display for Msg {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn req(proc: ProcId, seq: u64) -> MsgKind {
-        MsgKind::ReadReq { proc, seq }
-    }
-
-    #[test]
-    fn request_classification() {
-        assert!(req(ProcId(1), 1).is_request());
-        assert!(MsgKind::WriteReq {
-            proc: ProcId(1),
-            seq: 2
-        }
-        .is_request());
-        assert!(MsgKind::UpgradeReq {
-            proc: ProcId(1),
-            seq: 3
-        }
-        .is_request());
-        assert!(!MsgKind::Inval.is_request());
-        assert!(!MsgKind::DataShared { version: 0 }.is_request());
-    }
-
-    #[test]
-    fn requester_extraction() {
-        assert_eq!(req(ProcId(5), 9).requester(), Some(ProcId(5)));
-        assert_eq!(req(ProcId(5), 9).seq(), Some(9));
-        let ack = MsgKind::InvAck {
-            proc: ProcId(1),
-            spec_unused: false,
-        };
-        assert_eq!(ack.requester(), None);
-        assert_eq!(ack.seq(), None);
-    }
 
     #[test]
     fn display_nonempty() {

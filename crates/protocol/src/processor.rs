@@ -14,20 +14,24 @@ use crate::stats::ProcStats;
 pub(crate) enum ProcAction {
     /// Busy for the given cycles (compute or cache hits).
     Busy(u64),
-    /// A read missed: issue a read request for the block.
-    ReadMiss(BlockAddr),
-    /// A write missed with no cached copy: issue a write request.
-    WriteMiss(BlockAddr),
-    /// A write hit a read-only copy: issue an upgrade request.
-    UpgradeMiss(BlockAddr),
+    /// A miss: issue a request of this kind for the block (a read, a
+    /// write with no cached copy, or an upgrade of a read-only copy).
+    Miss(BlockAddr, ReqKind),
+    /// A synchronization operation the engine arbitrates.
+    Sync(SyncKind),
+    /// The operation stream is exhausted.
+    Done,
+}
+
+/// The synchronization operations a processor can reach.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum SyncKind {
     /// Arrive at the global barrier.
     Barrier,
     /// Acquire a lock.
     Lock(LockId),
     /// Release a lock.
     Unlock(LockId),
-    /// The operation stream is exhausted.
-    Done,
 }
 
 /// Why the processor is blocked.
@@ -152,7 +156,7 @@ impl Processor {
                         self.stream.next();
                         self.stats.reads += 1;
                         self.stats.read_misses += 1;
-                        return ProcAction::ReadMiss(b);
+                        return ProcAction::Miss(b, ReqKind::Read);
                     }
                 },
                 Some(&Op::Write(b)) => {
@@ -171,19 +175,19 @@ impl Processor {
                     self.stats.writes += 1;
                     if self.cache.has_shared(b) {
                         self.stats.upgrades += 1;
-                        return ProcAction::UpgradeMiss(b);
+                        return ProcAction::Miss(b, ReqKind::Upgrade);
                     }
                     self.stats.write_misses += 1;
-                    return ProcAction::WriteMiss(b);
+                    return ProcAction::Miss(b, ReqKind::Write);
                 }
                 Some(Op::Barrier) | Some(Op::Lock(_)) | Some(Op::Unlock(_)) | None => {
                     if busy > 0 {
                         return ProcAction::Busy(busy);
                     }
                     return match self.stream.next() {
-                        Some(Op::Barrier) => ProcAction::Barrier,
-                        Some(Op::Lock(l)) => ProcAction::Lock(l),
-                        Some(Op::Unlock(l)) => ProcAction::Unlock(l),
+                        Some(Op::Barrier) => ProcAction::Sync(SyncKind::Barrier),
+                        Some(Op::Lock(l)) => ProcAction::Sync(SyncKind::Lock(l)),
+                        Some(Op::Unlock(l)) => ProcAction::Sync(SyncKind::Unlock(l)),
                         None => ProcAction::Done,
                         Some(_) => unreachable!("peek/next mismatch"),
                     };
@@ -205,7 +209,7 @@ mod tests {
     fn merges_consecutive_computes() {
         let mut p = proc_with(vec![Op::Compute(10), Op::Compute(5), Op::Barrier]);
         assert_eq!(p.next_action(), ProcAction::Busy(15));
-        assert_eq!(p.next_action(), ProcAction::Barrier);
+        assert_eq!(p.next_action(), ProcAction::Sync(SyncKind::Barrier));
         assert_eq!(p.next_action(), ProcAction::Done);
         assert_eq!(p.stats.compute_cycles, 15);
     }
@@ -215,7 +219,10 @@ mod tests {
         let mut p = proc_with(vec![Op::Compute(7), Op::Read(BlockAddr(1))]);
         // Busy first (merge stops at the miss), then the miss.
         assert_eq!(p.next_action(), ProcAction::Busy(7));
-        assert_eq!(p.next_action(), ProcAction::ReadMiss(BlockAddr(1)));
+        assert_eq!(
+            p.next_action(),
+            ProcAction::Miss(BlockAddr(1), ReqKind::Read)
+        );
         assert_eq!(p.stats.read_misses, 1);
     }
 
@@ -234,15 +241,21 @@ mod tests {
     #[test]
     fn write_paths() {
         let mut p = proc_with(vec![
-            Op::Write(BlockAddr(1)), // no copy -> WriteMiss
-            Op::Write(BlockAddr(2)), // shared copy -> UpgradeMiss
+            Op::Write(BlockAddr(1)), // no copy -> write miss
+            Op::Write(BlockAddr(2)), // shared copy -> upgrade
             Op::Write(BlockAddr(3)), // exclusive copy -> hit
             Op::Barrier,
         ]);
         p.cache.fill_shared(BlockAddr(2), 0);
         p.cache.fill_exclusive(BlockAddr(3), 0);
-        assert_eq!(p.next_action(), ProcAction::WriteMiss(BlockAddr(1)));
-        assert_eq!(p.next_action(), ProcAction::UpgradeMiss(BlockAddr(2)));
+        assert_eq!(
+            p.next_action(),
+            ProcAction::Miss(BlockAddr(1), ReqKind::Write)
+        );
+        assert_eq!(
+            p.next_action(),
+            ProcAction::Miss(BlockAddr(2), ReqKind::Upgrade)
+        );
         assert_eq!(p.next_action(), ProcAction::Busy(1));
         assert_eq!(p.stats.write_hits, 1);
         assert_eq!(p.stats.upgrades, 1);
@@ -261,8 +274,11 @@ mod tests {
     #[test]
     fn lock_ops_surface() {
         let mut p = proc_with(vec![Op::Lock(LockId(3)), Op::Unlock(LockId(3))]);
-        assert_eq!(p.next_action(), ProcAction::Lock(LockId(3)));
-        assert_eq!(p.next_action(), ProcAction::Unlock(LockId(3)));
+        assert_eq!(p.next_action(), ProcAction::Sync(SyncKind::Lock(LockId(3))));
+        assert_eq!(
+            p.next_action(),
+            ProcAction::Sync(SyncKind::Unlock(LockId(3)))
+        );
         assert_eq!(p.next_action(), ProcAction::Done);
     }
 

@@ -35,15 +35,15 @@ use std::sync::Arc;
 use specdsm_core::{DirectoryTrace, SpecTicket, SpecTrigger};
 use specdsm_sim::{Cycle, FifoResource, KeyedQueue, SchedKey};
 use specdsm_types::{
-    splitmix64, BlockAddr, DirMsg, FaultPlan, LockId, MachineConfig, NodeId, ProcId, ReaderSet,
-    ReqKind, Slot, GOLDEN_GAMMA,
+    splitmix64, BlockAddr, DirMsg, FaultPlan, MachineConfig, NodeId, ProcId, ReaderSet, ReqKind,
+    Slot, GOLDEN_GAMMA,
 };
 
 use crate::audit::Auditor;
-use crate::directory::{DirBlock, DirState, Directory, Txn, TxnKind};
+use crate::directory::{DirState, Directory, Txn, TxnKind};
 use crate::msg::{Msg, MsgKind};
 use crate::network::Network;
-use crate::processor::{Blocked, ProcAction, Processor};
+use crate::processor::{Blocked, ProcAction, Processor, SyncKind};
 use crate::spec::SpecEngine;
 use crate::stats::FaultStats;
 
@@ -88,13 +88,6 @@ pub(crate) struct SyncOp {
     /// The processor performing it.
     pub proc: ProcId,
     pub kind: SyncKind,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum SyncKind {
-    Barrier,
-    Lock(LockId),
-    Unlock(LockId),
 }
 
 /// The engine's answer to sync operations: state changes and resume
@@ -429,19 +422,6 @@ impl HomeShard {
         ShardYield::Idle
     }
 
-    /// The directory record at `s`, marked touched.
-    #[inline]
-    fn dblk(&mut self, s: Slot) -> &mut DirBlock {
-        self.dir.at_mut(s)
-    }
-
-    /// Read-only access to the record at `s` (does not mark it
-    /// touched).
-    #[inline]
-    fn dblk_ref(&self, s: Slot) -> &DirBlock {
-        self.dir.at(s)
-    }
-
     // ------------------------------------------------------------------
     // Processor side
     // ------------------------------------------------------------------
@@ -451,28 +431,12 @@ impl HomeShard {
     fn step_proc(&mut self, now: Cycle, p: ProcId) -> Option<SyncOp> {
         match self.proc_mut(p).next_action() {
             ProcAction::Busy(n) => self.sched(now + n, Event::Resume(p)),
-            ProcAction::ReadMiss(b) => self.issue(now, p, b, ReqKind::Read),
-            ProcAction::WriteMiss(b) => self.issue(now, p, b, ReqKind::Write),
-            ProcAction::UpgradeMiss(b) => self.issue(now, p, b, ReqKind::Upgrade),
-            ProcAction::Barrier => {
+            ProcAction::Miss(b, kind) => self.issue(now, p, b, kind),
+            ProcAction::Sync(kind) => {
                 return Some(SyncOp {
                     at: now,
                     proc: p,
-                    kind: SyncKind::Barrier,
-                })
-            }
-            ProcAction::Lock(l) => {
-                return Some(SyncOp {
-                    at: now,
-                    proc: p,
-                    kind: SyncKind::Lock(l),
-                })
-            }
-            ProcAction::Unlock(l) => {
-                return Some(SyncOp {
-                    at: now,
-                    proc: p,
-                    kind: SyncKind::Unlock(l),
+                    kind,
                 })
             }
             ProcAction::Done => {
@@ -496,8 +460,7 @@ impl HomeShard {
             seq,
             retried: false,
         };
-        let home = self.machine.home_of(block);
-        self.send_request(now, p, home, block, kind, seq, 0);
+        self.send_request(now, p, block, kind, seq, 0);
     }
 
     /// Sends (or retransmits, for `attempt > 0`) one request message,
@@ -508,23 +471,18 @@ impl HomeShard {
     /// retry/duplicate-suppression pair makes their delivery
     /// at-least-once and idempotent. Every other message kind rides the
     /// reliable FIFO path the directory protocol depends on.
-    #[allow(clippy::too_many_arguments)]
     fn send_request(
         &mut self,
         now: Cycle,
         p: ProcId,
-        home: NodeId,
         block: BlockAddr,
         kind: ReqKind,
         seq: u64,
         attempt: u32,
     ) {
-        let mk = match kind {
-            ReqKind::Read => MsgKind::ReadReq { proc: p, seq },
-            ReqKind::Write => MsgKind::WriteReq { proc: p, seq },
-            ReqKind::Upgrade => MsgKind::UpgradeReq { proc: p, seq },
-        };
+        let mk = MsgKind::Req { kind, proc: p, seq };
         let src = p.node();
+        let home = self.machine.home_of(block);
         let Some(plan) = self.faults.clone() else {
             self.send(now, src, home, block, mk);
             return;
@@ -618,8 +576,7 @@ impl HomeShard {
             *retried = true;
         }
         self.fstats.retries += 1;
-        let home = self.machine.home_of(block);
-        self.send_request(now, p, home, block, kind, seq, attempt + 1);
+        self.send_request(now, p, block, kind, seq, attempt + 1);
     }
 
     /// Completes the outstanding memory request of `node`'s processor.
@@ -685,14 +642,7 @@ impl HomeShard {
         );
     }
 
-    fn proc_inv_writeback(
-        &mut self,
-        now: Cycle,
-        node: NodeId,
-        block: BlockAddr,
-        home: NodeId,
-        swi: bool,
-    ) {
+    fn proc_inv_writeback(&mut self, now: Cycle, node: NodeId, block: BlockAddr, home: NodeId) {
         let p = node.proc();
         let version = self
             .proc_mut(p)
@@ -704,16 +654,11 @@ impl HomeShard {
             node,
             home,
             block,
-            MsgKind::WritebackData {
-                proc: p,
-                version,
-                swi,
-            },
+            MsgKind::WritebackData { proc: p, version },
         );
     }
 
-    fn proc_spec_data(&mut self, now: Cycle, node: NodeId, block: BlockAddr, version: u64) {
-        let _ = now;
+    fn proc_spec_data(&mut self, node: NodeId, block: BlockAddr, version: u64) {
         let p = node.proc();
         let proc = self.proc_mut(p);
         // Race rule (§4.2): with a demand request in flight for this
@@ -792,8 +737,8 @@ impl HomeShard {
             block,
             kind,
         } = msg;
-        if let Some((p, seq)) = kind.requester().zip(kind.seq()) {
-            if self.suppress_duplicate(dst, p, seq) {
+        if let MsgKind::Req { proc, seq, .. } = kind {
+            if self.suppress_duplicate(dst, proc, seq) {
                 return;
             }
         }
@@ -801,11 +746,9 @@ impl HomeShard {
             audit.note_delivered(now, &msg);
         }
         match kind {
-            MsgKind::ReadReq { .. }
-            | MsgKind::WriteReq { .. }
-            | MsgKind::UpgradeReq { .. }
-            | MsgKind::InvAck { .. }
-            | MsgKind::WritebackData { .. } => self.deliver_dir(now, block, kind),
+            MsgKind::Req { .. } | MsgKind::InvAck { .. } | MsgKind::WritebackData { .. } => {
+                self.deliver_dir(now, block, kind)
+            }
             MsgKind::DataShared { version } => {
                 self.proc_grant(now, dst, block, version, Grant::Shared)
             }
@@ -816,8 +759,8 @@ impl HomeShard {
                 self.proc_grant(now, dst, block, version, Grant::Upgrade)
             }
             MsgKind::Inval => self.proc_inval(now, dst, block, src),
-            MsgKind::InvWriteback { swi } => self.proc_inv_writeback(now, dst, block, src, swi),
-            MsgKind::SpecData { version } => self.proc_spec_data(now, dst, block, version),
+            MsgKind::InvWriteback => self.proc_inv_writeback(now, dst, block, src),
+            MsgKind::SpecData { version } => self.proc_spec_data(dst, block, version),
         }
     }
 
@@ -826,19 +769,11 @@ impl HomeShard {
     fn deliver_dir(&mut self, now: Cycle, block: BlockAddr, kind: MsgKind) {
         let slot = self.dir.slot_of(block);
         match kind {
-            MsgKind::ReadReq { proc, .. } => {
-                self.dir_request(now, slot, block, ReqKind::Read, proc);
-            }
-            MsgKind::WriteReq { proc, .. } => {
-                self.dir_request(now, slot, block, ReqKind::Write, proc);
-            }
-            MsgKind::UpgradeReq { proc, .. } => {
-                self.dir_request(now, slot, block, ReqKind::Upgrade, proc);
-            }
+            MsgKind::Req { kind, proc, .. } => self.dir_request(now, slot, block, kind, proc),
             MsgKind::InvAck { proc, spec_unused } => {
                 self.dir_inv_ack(now, slot, block, proc, spec_unused);
             }
-            MsgKind::WritebackData { proc, version, .. } => {
+            MsgKind::WritebackData { proc, version } => {
                 self.dir_writeback(now, slot, block, proc, version);
             }
             _ => unreachable!("{kind:?} is not directory-bound"),
@@ -873,7 +808,7 @@ impl HomeShard {
                 self.try_swi(now, prev, p);
             }
         }
-        let blk = self.dblk(slot);
+        let blk = self.dir.at_mut(slot);
         if blk.busy.is_some() {
             blk.pending.push_back((kind, p));
             return;
@@ -891,15 +826,14 @@ impl HomeShard {
         // write-like requests from the owner the verdict is deferred to
         // the write grant, after the invalidation acks have reported
         // whether any pushed copy was referenced.
-        let pending = self.dblk_ref(slot).swi_pending;
-        if let Some((owner, ticket)) = pending {
+        if let Some((owner, ticket)) = self.dir.at(slot).swi_pending {
             match kind {
                 ReqKind::Read if p == owner => {
                     self.resolve_swi_premature(slot, ticket);
                 }
                 ReqKind::Read => {
                     // A consumer demanded the block: success.
-                    self.dblk(slot).swi_pending = None;
+                    self.dir.at_mut(slot).swi_pending = None;
                 }
                 ReqKind::Write | ReqKind::Upgrade => {
                     // Deferred: grant_exclusive decides.
@@ -915,7 +849,7 @@ impl HomeShard {
     }
 
     fn resolve_swi_premature(&mut self, slot: Slot, ticket: Option<SpecTicket>) {
-        self.dblk(slot).swi_pending = None;
+        self.dir.at_mut(slot).swi_pending = None;
         self.spec.stats.swi_inval_premature += 1;
         if let Some(t) = ticket {
             self.spec.vmsp.mark_swi_premature_at(slot, t);
@@ -923,45 +857,14 @@ impl HomeShard {
     }
 
     fn process_read(&mut self, now: Cycle, slot: Slot, block: BlockAddr, p: ProcId) {
-        let home = slot.home;
-        let owner = match &self.dblk_ref(slot).state {
-            DirState::Exclusive(o) => Some(*o),
-            _ => None,
-        };
-        match owner {
-            None => {
-                let t = self.mem_access(now, home);
-                let version = {
-                    let blk = self.dblk(slot);
-                    match &mut blk.state {
-                        DirState::Shared(readers) => {
-                            readers.insert(p);
-                        }
-                        state => *state = DirState::Shared(ReaderSet::single(p)),
-                    }
-                    blk.version
-                };
-                self.send(t, home, p.node(), block, MsgKind::DataShared { version });
-                let spec_t = self.fr_speculate(t, slot, block);
-                self.lock_reply(now, slot, block, spec_t.unwrap_or(t).max(t));
+        match self.dir.at(slot).state {
+            DirState::Exclusive(owner) if owner != p => {
+                self.recall_owner(now, slot, block, owner, TxnKind::Read(p));
             }
-            Some(owner) if owner != p => {
-                self.send(
-                    now,
-                    home,
-                    owner.node(),
-                    block,
-                    MsgKind::InvWriteback { swi: false },
-                );
-                self.dblk(slot).busy = Some(Txn {
-                    kind: TxnKind::Read(p),
-                    acks_left: 0,
-                    awaiting_wb: true,
-                });
-            }
-            Some(_) => {
+            DirState::Exclusive(_) => {
                 unreachable!("{p} read {block} it exclusively owns at the directory")
             }
+            _ => self.serve_read(now, slot, block, p),
         }
     }
 
@@ -973,67 +876,91 @@ impl HomeShard {
         kind: ReqKind,
         p: ProcId,
     ) {
-        let home = slot.home;
-        let state = match &self.dblk_ref(slot).state {
-            DirState::Idle => None,
+        let (others, in_place) = match &self.dir.at(slot).state {
+            DirState::Idle => (ReaderSet::new(), false),
             DirState::Shared(readers) => {
                 // The fan-out below sends while mutating the shard, so
                 // it walks a copy of the sharers minus the requester.
-                let in_place = kind == ReqKind::Upgrade && readers.contains(p);
                 let mut others = readers.clone();
                 others.remove(p);
-                Some(Ok((others, in_place)))
+                (others, kind == ReqKind::Upgrade && readers.contains(p))
             }
-            DirState::Exclusive(o) => Some(Err(*o)),
-        };
-        match state {
-            None => {
-                let sent = self.grant_exclusive(now, slot, block, p, false);
-                self.lock_reply(now, slot, block, sent);
+            &DirState::Exclusive(owner) if owner != p => {
+                let txn = TxnKind::WriteLike {
+                    requester: p,
+                    in_place: false,
+                };
+                self.recall_owner(now, slot, block, owner, txn);
+                return;
             }
-            Some(Ok((others, in_place))) => {
-                if others.is_empty() {
-                    let sent = self.grant_exclusive(now, slot, block, p, in_place);
-                    self.lock_reply(now, slot, block, sent);
-                } else {
-                    for r in others.iter() {
-                        self.send(now, home, r.node(), block, MsgKind::Inval);
-                    }
-                    self.dblk(slot).busy = Some(Txn {
-                        kind: TxnKind::WriteLike {
-                            requester: p,
-                            in_place,
-                        },
-                        acks_left: others.len() as u32,
-                        awaiting_wb: false,
-                    });
-                }
-            }
-            Some(Err(owner)) if owner != p => {
-                self.send(
-                    now,
-                    home,
-                    owner.node(),
-                    block,
-                    MsgKind::InvWriteback { swi: false },
-                );
-                self.dblk(slot).busy = Some(Txn {
-                    kind: TxnKind::WriteLike {
-                        requester: p,
-                        in_place: false,
-                    },
-                    acks_left: 0,
-                    awaiting_wb: true,
-                });
-            }
-            Some(Err(_)) => {
+            DirState::Exclusive(_) => {
                 unreachable!("{p} wrote {block} it already exclusively owns at the directory")
             }
+        };
+        if others.is_empty() {
+            self.grant_exclusive(now, slot, block, p, in_place);
+            return;
         }
+        for r in others.iter() {
+            self.send(now, slot.home, r.node(), block, MsgKind::Inval);
+        }
+        self.dir.at_mut(slot).busy = Some(Txn {
+            kind: TxnKind::WriteLike {
+                requester: p,
+                in_place,
+            },
+            acks_left: others.len() as u32,
+            awaiting_wb: false,
+        });
+    }
+
+    /// Serves a read from memory: joins `p` to the sharers, sends it the
+    /// data, lets FR forward copies to the other predicted readers, and
+    /// holds the block until the reply has left.
+    fn serve_read(&mut self, now: Cycle, slot: Slot, block: BlockAddr, p: ProcId) {
+        let t = self.mem_access(now, slot.home);
+        let blk = self.dir.at_mut(slot);
+        match &mut blk.state {
+            DirState::Shared(readers) => {
+                readers.insert(p);
+            }
+            state => *state = DirState::Shared(ReaderSet::single(p)),
+        }
+        let version = blk.version;
+        self.send(
+            t,
+            slot.home,
+            p.node(),
+            block,
+            MsgKind::DataShared { version },
+        );
+        if self.spec.policy.fr_enabled() {
+            self.speculate(t, slot, block, SpecTrigger::Fr);
+        }
+        self.lock_reply(now, slot, block, t);
+    }
+
+    /// Recalls `owner`'s writable copy with an `InvWriteback` and holds
+    /// the block busy in transaction `txn` until the data returns.
+    fn recall_owner(
+        &mut self,
+        now: Cycle,
+        slot: Slot,
+        block: BlockAddr,
+        owner: ProcId,
+        txn: TxnKind,
+    ) {
+        self.send(now, slot.home, owner.node(), block, MsgKind::InvWriteback);
+        self.dir.at_mut(slot).busy = Some(Txn {
+            kind: txn,
+            acks_left: 0,
+            awaiting_wb: true,
+        });
     }
 
     /// Grants write permission: state → `Exclusive`, new version, reply.
-    /// Returns the time the reply is handed to the NI.
+    /// A data reply holds the block until it has left the directory; an
+    /// in-place upgrade sends no data and takes no hold.
     fn grant_exclusive(
         &mut self,
         now: Cycle,
@@ -1041,32 +968,29 @@ impl HomeShard {
         block: BlockAddr,
         p: ProcId,
         in_place: bool,
-    ) -> Cycle {
+    ) {
         let home = slot.home;
         // Deferred SWI verdict: if an SWI invalidation is still pending
         // at write-grant time, no consumption was ever observed — the
         // grant to the original owner means it was premature; a grant
         // to anyone else means production simply moved on.
-        if let Some((owner, ticket)) = self.dblk_ref(slot).swi_pending {
+        if let Some((owner, ticket)) = self.dir.at(slot).swi_pending {
             if p == owner {
                 self.resolve_swi_premature(slot, ticket);
             } else {
-                self.dblk(slot).swi_pending = None;
+                self.dir.at_mut(slot).swi_pending = None;
             }
         }
-        let version = {
-            let blk = self.dblk(slot);
-            blk.state = DirState::Exclusive(p);
-            blk.grant_version()
-        };
+        let blk = self.dir.at_mut(slot);
+        blk.state = DirState::Exclusive(p);
+        let version = blk.grant_version();
         if in_place {
             // Permission only; no data, no memory access.
             self.send(now, home, p.node(), block, MsgKind::UpgradeAck { version });
-            now
         } else {
             let t = self.mem_access(now, home);
             self.send(t, home, p.node(), block, MsgKind::DataExcl { version });
-            t
+            self.lock_reply(now, slot, block, t);
         }
     }
 
@@ -1078,7 +1002,7 @@ impl HomeShard {
         if until <= now {
             return;
         }
-        let blk = self.dblk(slot);
+        let blk = self.dir.at_mut(slot);
         match &mut blk.busy {
             None => {
                 blk.busy = Some(Txn {
@@ -1099,7 +1023,7 @@ impl HomeShard {
     /// A reply-hold expires: release the block if this was its final
     /// deadline and serve queued requests.
     fn dir_release(&mut self, now: Cycle, slot: Slot, block: BlockAddr) {
-        let blk = self.dblk(slot);
+        let blk = self.dir.at_mut(slot);
         if let Some(Txn {
             kind: TxnKind::Reply { until },
             ..
@@ -1127,11 +1051,11 @@ impl HomeShard {
         if self.spec.policy.uses_predictor() {
             self.spec.note_invalidated(slot, proc, spec_unused);
         }
+        let blk = self.dir.at_mut(slot);
         // A referenced copy is consumption evidence for a pending SWI.
         if !spec_unused {
-            self.dblk(slot).swi_pending = None;
+            blk.swi_pending = None;
         }
-        let blk = self.dblk(slot);
         let txn = blk
             .busy
             .as_mut()
@@ -1154,7 +1078,7 @@ impl HomeShard {
         if let Some(trace) = &mut self.trace {
             trace.record(block, DirMsg::writeback(proc));
         }
-        let blk = self.dblk(slot);
+        let blk = self.dir.at_mut(slot);
         blk.version = version;
         let txn = blk
             .busy
@@ -1168,48 +1092,27 @@ impl HomeShard {
     }
 
     fn complete_txn(&mut self, now: Cycle, slot: Slot, block: BlockAddr) {
-        let home = slot.home;
         let txn = self
-            .dblk(slot)
+            .dir
+            .at_mut(slot)
             .busy
             .take()
             .expect("complete_txn without a transaction");
         match txn.kind {
-            TxnKind::Read(requester) => {
-                // Memory absorbs the writeback and sources the reply.
-                let t = self.mem_access(now, home);
-                let version = {
-                    let blk = self.dblk(slot);
-                    blk.state = DirState::Shared(ReaderSet::single(requester));
-                    blk.version
-                };
-                self.send(
-                    t,
-                    home,
-                    requester.node(),
-                    block,
-                    MsgKind::DataShared { version },
-                );
-                let spec_t = self.fr_speculate(t, slot, block);
-                self.lock_reply(now, slot, block, spec_t.unwrap_or(t).max(t));
-            }
+            // Memory absorbs the writeback and sources the reply.
+            TxnKind::Read(requester) => self.serve_read(now, slot, block, requester),
             TxnKind::WriteLike {
                 requester,
                 in_place,
-            } => {
-                let sent = self.grant_exclusive(now, slot, block, requester, in_place);
-                self.lock_reply(now, slot, block, sent);
-            }
+            } => self.grant_exclusive(now, slot, block, requester, in_place),
             TxnKind::Swi { owner, ticket } => {
                 // Successful speculative invalidation: memory is clean.
-                let t = self.mem_access(now, home);
-                {
-                    let blk = self.dblk(slot);
-                    blk.state = DirState::Idle;
-                    blk.swi_pending = Some((owner, ticket));
-                }
-                let spec_t = self.swi_read_speculate(t, slot, block);
-                self.lock_reply(now, slot, block, spec_t.unwrap_or(t).max(t));
+                let t = self.mem_access(now, slot.home);
+                let blk = self.dir.at_mut(slot);
+                blk.state = DirState::Idle;
+                blk.swi_pending = Some((owner, ticket));
+                self.speculate(t, slot, block, SpecTrigger::Swi);
+                self.lock_reply(now, slot, block, t);
             }
             TxnKind::Reply { .. } => unreachable!("reply holds complete via DirRelease"),
         }
@@ -1218,7 +1121,7 @@ impl HomeShard {
 
     fn drain_pending(&mut self, now: Cycle, slot: Slot, block: BlockAddr) {
         loop {
-            let blk = self.dblk(slot);
+            let blk = self.dir.at_mut(slot);
             if blk.busy.is_some() {
                 return;
             }
@@ -1244,69 +1147,42 @@ impl HomeShard {
     // Speculation triggers
     // ------------------------------------------------------------------
 
-    /// FR: after serving a demand read, forward read-only copies to the
-    /// remaining predicted readers. Returns the time the speculative
-    /// batch left, if any.
-    fn fr_speculate(&mut self, now: Cycle, slot: Slot, block: BlockAddr) -> Option<Cycle> {
-        if !self.spec.policy.fr_enabled() {
-            return None;
-        }
-        let (vec, ticket) = self.spec.vmsp.predicted_readers_at(slot)?;
-        self.spec_forward(now, slot, block, vec, ticket, SpecTrigger::Fr)
-    }
-
-    /// SWI: after a successful speculative write invalidation, forward
-    /// the block to the whole predicted read sequence. Returns the time
-    /// the speculative batch left, if any.
-    fn swi_read_speculate(&mut self, now: Cycle, slot: Slot, block: BlockAddr) -> Option<Cycle> {
-        let (vec, ticket) = self.spec.vmsp.predicted_readers_at(slot)?;
-        self.spec_forward(now, slot, block, vec, ticket, SpecTrigger::Swi)
-    }
-
     /// Forwards one speculative read-only copy of `block` to every
-    /// predicted reader not already sharing it. The message payload is
-    /// built once; the per-destination sends issue in ascending reader
-    /// order (the same order the former `Network::multicast` used, so
-    /// NI serialization is identical).
-    fn spec_forward(
-        &mut self,
-        now: Cycle,
-        slot: Slot,
-        block: BlockAddr,
-        vec: ReaderSet,
-        ticket: SpecTicket,
-        trigger: SpecTrigger,
-    ) -> Option<Cycle> {
-        let home = slot.home;
-        let (targets, version) = {
-            let blk = self.dblk_ref(slot);
-            debug_assert!(
-                !matches!(blk.state, DirState::Exclusive(_)),
-                "speculative forward while a writable copy exists"
-            );
-            (&vec - blk.sharers(), blk.version)
+    /// reader the predictor expects next and not already sharing it:
+    /// FR after serving a demand read, SWI after a successful
+    /// speculative write invalidation. The message payload is built
+    /// once; the per-destination sends issue in ascending reader order.
+    /// The data was just fetched (or written back) by the access that
+    /// triggered the speculation, so the batch is sourced from the
+    /// directory's buffer: no extra memory occupancy, only NI and
+    /// network costs.
+    fn speculate(&mut self, now: Cycle, slot: Slot, block: BlockAddr, trigger: SpecTrigger) {
+        let Some((vec, ticket)) = self.spec.vmsp.predicted_readers_at(slot) else {
+            return;
         };
+        let blk = self.dir.at(slot);
+        debug_assert!(
+            !matches!(blk.state, DirState::Exclusive(_)),
+            "speculative forward while a writable copy exists"
+        );
+        let targets = &vec - blk.sharers();
         if targets.is_empty() {
-            return None;
+            return;
         }
-        // The data was just fetched (or written back) by the access
-        // that triggered the speculation, so the batch is sourced from
-        // the directory's buffer: no extra memory occupancy, only NI
-        // and network costs.
-        let t = now;
-        let kind = MsgKind::SpecData { version };
+        let kind = MsgKind::SpecData {
+            version: blk.version,
+        };
         for r in targets.iter() {
-            self.send(t, home, r.node(), block, kind);
+            self.send(now, slot.home, r.node(), block, kind);
         }
         for r in targets.iter() {
             self.spec.note_sent(slot, r, ticket, trigger);
         }
-        match &mut self.dblk(slot).state {
+        match &mut self.dir.at_mut(slot).state {
             DirState::Shared(sharers) => *sharers |= &targets,
             state => *state = DirState::Shared(targets.clone()),
         }
         self.spec.vmsp.speculate_readers_at(slot, targets);
-        Some(t)
     }
 
     /// Attempts an SWI invalidation of `prev` (the block `owner` wrote
@@ -1316,27 +1192,13 @@ impl HomeShard {
     /// message's own block.
     fn try_swi(&mut self, now: Cycle, prev: BlockAddr, owner: ProcId) {
         let slot = self.dir.slot_of(prev);
-        let home = slot.home;
-        let eligible = {
-            let b = self.dblk_ref(slot);
-            b.busy.is_none() && b.state == DirState::Exclusive(owner)
-        };
+        let b = self.dir.at(slot);
+        let eligible = b.busy.is_none() && b.state == DirState::Exclusive(owner);
         if !eligible || !self.spec.vmsp.swi_allowed_at(slot) {
             return;
         }
         let ticket = self.spec.vmsp.swi_ticket_at(slot);
-        self.send(
-            now,
-            home,
-            owner.node(),
-            prev,
-            MsgKind::InvWriteback { swi: true },
-        );
-        self.dblk(slot).busy = Some(Txn {
-            kind: TxnKind::Swi { owner, ticket },
-            acks_left: 0,
-            awaiting_wb: true,
-        });
+        self.recall_owner(now, slot, prev, owner, TxnKind::Swi { owner, ticket });
         self.spec.stats.swi_inval_sent += 1;
     }
 }

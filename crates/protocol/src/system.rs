@@ -39,8 +39,8 @@ use specdsm_types::{ConfigError, FaultPlan, MachineConfig, ProcId, Workload};
 
 use crate::cache::LineState;
 use crate::directory::DirState;
-use crate::processor::{Blocked, Processor};
-use crate::shard::{Directive, HomeShard, InFlight, ShardId, ShardYield, SyncKind, SyncOp};
+use crate::processor::{Blocked, Processor, SyncKind};
+use crate::shard::{Directive, HomeShard, InFlight, ShardId, ShardYield, SyncOp};
 use crate::spec::{SpecEngine, SpecPolicy};
 use crate::stats::RunStats;
 use crate::sync::{BarrierManager, LockManager};
