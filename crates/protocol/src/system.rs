@@ -1,10 +1,10 @@
 //! The whole-machine engine: shard composition, execution strategies,
 //! and global synchronization.
 //!
-//! All protocol logic and node-local state live in
-//! [`HomeShard`](crate::shard::HomeShard) (see `shard.rs`); this module
-//! assembles shards into a machine and drives them under one of two
-//! strategies selected by [`SystemConfig::engine`]:
+//! All protocol logic and node-local state live in [`HomeShard`] (see
+//! `shard.rs`); this module assembles shards into a machine and drives
+//! them under one of two strategies selected by
+//! [`SystemConfig::engine`]:
 //!
 //! * [`EngineConfig::Sequential`] — one shard spanning every node, one
 //!   event loop, messages delivered inline. This is the pre-shard
@@ -13,9 +13,10 @@
 //! * [`EngineConfig::Windowed`] — one shard **per home node**, executed
 //!   on the calling thread in conservative bounded-lag windows whose
 //!   lookahead is the minimum cross-node message latency
-//!   ([`LatencyConfig::one_way`]): a message sent inside a window cannot
-//!   be delivered inside it, so each shard processes a window on its
-//!   own and the shards exchange mailboxes at window barriers, merged
+//!   ([`LatencyConfig::one_way`](specdsm_types::LatencyConfig::one_way)):
+//!   a message sent inside a window cannot be delivered inside it, so
+//!   each shard processes a window on its own and the shards exchange
+//!   mailboxes at window barriers, merged
 //!   in deterministic `(cycle, source, sequence)` key order. The
 //!   schedule is a pure function of the simulated machine, not of the
 //!   order in which shards are visited.
