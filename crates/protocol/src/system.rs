@@ -125,6 +125,24 @@ pub enum BuildError {
         /// Nodes in the machine.
         machine: usize,
     },
+    /// The workload built a different number of op streams than the
+    /// processors it declared.
+    StreamCountMismatch {
+        /// Streams the workload built.
+        streams: usize,
+        /// Processors the workload declared.
+        procs: usize,
+    },
+    /// [`SystemConfig::predictor_depth`] is 0; a history needs at least
+    /// one entry.
+    ZeroPredictorDepth,
+    /// The fault plan names a slow node the machine does not have.
+    SlowNodeOutOfRange {
+        /// The named node.
+        node: usize,
+        /// Nodes in the machine.
+        nodes: usize,
+    },
     /// [`EngineConfig::Windowed`] asked for more than one thread; the
     /// windowed engine runs on the calling thread only.
     WorkerThreads {
@@ -140,6 +158,15 @@ impl fmt::Display for BuildError {
             BuildError::ProcCountMismatch { workload, machine } => write!(
                 f,
                 "workload uses {workload} processors but the machine has {machine} nodes"
+            ),
+            BuildError::StreamCountMismatch { streams, procs } => write!(
+                f,
+                "workload built {streams} op streams for {procs} processors"
+            ),
+            BuildError::ZeroPredictorDepth => write!(f, "predictor depth must be at least 1"),
+            BuildError::SlowNodeOutOfRange { node, nodes } => write!(
+                f,
+                "fault plan slows node {node}, but the machine has {nodes} nodes"
             ),
             BuildError::WorkerThreads { requested } => write!(
                 f,
@@ -326,11 +353,14 @@ impl System {
     ///
     /// # Errors
     ///
-    /// Returns [`BuildError`] if the machine configuration is invalid,
-    /// the workload's processor count does not match the node count, or
-    /// the windowed engine is asked for more than one thread.
+    /// Returns [`BuildError`] if the machine configuration or fault
+    /// plan is invalid, the fault plan slows a node outside the machine,
+    /// the predictor depth is 0, the workload's processor or stream
+    /// count does not match the node count, or the windowed engine is
+    /// asked for more than one thread.
     pub fn new(cfg: SystemConfig, workload: &dyn Workload) -> Result<Self, BuildError> {
         cfg.machine.validate()?;
+        let n = cfg.machine.num_nodes;
         if let EngineConfig::Windowed { threads } = cfg.engine {
             if threads > 1 {
                 return Err(BuildError::WorkerThreads { requested: threads });
@@ -338,6 +368,12 @@ impl System {
         }
         if let Some(plan) = &cfg.faults {
             plan.validate()?;
+            if let Some(&node) = plan.slow_nodes.iter().find(|&&node| node >= n) {
+                return Err(BuildError::SlowNodeOutOfRange { node, nodes: n });
+            }
+        }
+        if cfg.predictor_depth == 0 {
+            return Err(BuildError::ZeroPredictorDepth);
         }
         // Normalize an all-zero plan to "no plan": the fault path is
         // never entered, so such configs stay bit-identical to the
@@ -347,7 +383,6 @@ impl System {
             .as_ref()
             .filter(|plan| !plan.is_noop())
             .map(|plan| Arc::new(plan.clone()));
-        let n = cfg.machine.num_nodes;
         if workload.num_procs() != n {
             return Err(BuildError::ProcCountMismatch {
                 workload: workload.num_procs(),
@@ -355,13 +390,12 @@ impl System {
             });
         }
         let streams = workload.build_streams();
-        assert_eq!(
-            streams.len(),
-            n,
-            "workload returned {} streams for {} processors",
-            streams.len(),
-            n
-        );
+        if streams.len() != n {
+            return Err(BuildError::StreamCountMismatch {
+                streams: streams.len(),
+                procs: n,
+            });
+        }
         let mut procs: Vec<Processor> = streams
             .into_iter()
             .enumerate()
@@ -1054,6 +1088,71 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, BuildError::ProcCountMismatch { .. }));
+    }
+
+    #[test]
+    fn wrong_stream_count_rejected() {
+        /// Declares four processors but builds no streams.
+        struct NoStreams;
+        impl Workload for NoStreams {
+            fn name(&self) -> &str {
+                "no streams"
+            }
+            fn num_procs(&self) -> usize {
+                4
+            }
+            fn build_streams(&self) -> Vec<OpStream> {
+                Vec::new()
+            }
+        }
+        let cfg = SystemConfig {
+            machine: machine(4),
+            ..SystemConfig::default()
+        };
+        let err = System::new(cfg, &NoStreams).unwrap_err();
+        assert_eq!(
+            err,
+            BuildError::StreamCountMismatch {
+                streams: 0,
+                procs: 4
+            }
+        );
+    }
+
+    #[test]
+    fn zero_predictor_depth_rejected_under_every_policy() {
+        for policy in [SpecPolicy::Base, SpecPolicy::FirstRead, SpecPolicy::SwiFr] {
+            let cfg = SystemConfig {
+                machine: machine(4),
+                policy,
+                predictor_depth: 0,
+                ..SystemConfig::default()
+            };
+            let script = Script {
+                name: "depth 0",
+                ops: vec![vec![]; 4],
+            };
+            let err = System::new(cfg, &script).unwrap_err();
+            assert_eq!(err, BuildError::ZeroPredictorDepth, "{policy:?}");
+        }
+    }
+
+    #[test]
+    fn slow_node_outside_the_machine_rejected() {
+        let cfg = SystemConfig {
+            faults: Some(FaultPlan {
+                slow_nodes: vec![99],
+                ..FaultPlan::light(1)
+            }),
+            ..SystemConfig::default()
+        };
+        let nodes = cfg.machine.num_nodes;
+        let script = Script {
+            name: "slow 99",
+            ops: vec![vec![]; nodes],
+        };
+        let err = System::new(cfg, &script).unwrap_err();
+        assert_eq!(err, BuildError::SlowNodeOutOfRange { node: 99, nodes });
     }
 
     #[test]
