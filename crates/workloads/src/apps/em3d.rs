@@ -126,6 +126,10 @@ impl Em3d {
                 let region = space.alloc_on(NodeId(q), shared_per_proc);
                 for (i, block) in region.iter().enumerate() {
                     own_q.push(block);
+                    if n == 1 {
+                        // A one-node machine has no other consumer.
+                        continue;
+                    }
                     // Small read-sharing degree: two consumers, with an
                     // occasional third ("em3d exhibits producer/consumer
                     // sharing with a small read-sharing degree"). The

@@ -123,7 +123,9 @@ impl Moldyn {
                     coord_reads[c2].push(b);
                 }
                 if jitter.chance(0.25, &[q as u64, i as u64, 2]) {
-                    let c3 = (q + n - 2) % n;
+                    // `2 * n` keeps the subtraction from underflowing
+                    // on a one-node machine.
+                    let c3 = (q + 2 * n - 2) % n;
                     if c3 != c1 && c3 != c2 && c3 != q {
                         coord_reads[c3].push(b);
                     }

@@ -331,3 +331,19 @@ fn suite_runs_at_64_nodes_under_all_policies() {
         assert!(stats.exec_cycles > 0);
     }
 }
+
+#[test]
+fn suite_runs_on_a_one_node_machine_under_all_policies() {
+    // Every access is local and no app has a second consumer; em3d used
+    // to panic building its topology here.
+    let machine = MachineConfig::with_nodes(1);
+    machine.validate().expect("one node is a valid machine");
+    for app in AppId::ALL {
+        let w = app.build(&machine, Scale::Quick);
+        for policy in SpecPolicy::ALL {
+            let stats = run(machine.clone(), policy, w.as_ref());
+            assert_eq!(stats.per_proc.len(), 1, "{app}/{policy}");
+            assert!(stats.exec_cycles > 0, "{app}/{policy}");
+        }
+    }
+}
