@@ -49,12 +49,6 @@ impl ProcStats {
     pub fn reads_effective(&self) -> u64 {
         self.read_misses + self.spec_read_hits
     }
-
-    /// Write-permission requests: write misses plus upgrades.
-    #[must_use]
-    pub fn writes_effective(&self) -> u64 {
-        self.write_misses + self.upgrades
-    }
 }
 
 /// Fault-injection and recovery accounting, summed over the run.
@@ -157,12 +151,6 @@ impl RunStats {
     #[must_use]
     pub fn reads_effective(&self) -> u64 {
         self.sum(ProcStats::reads_effective)
-    }
-
-    /// Total write-permission requests.
-    #[must_use]
-    pub fn writes_effective(&self) -> u64 {
-        self.sum(ProcStats::writes_effective)
     }
 
     /// Fraction of effective reads satisfied speculatively.
@@ -275,12 +263,9 @@ mod tests {
         let s = stats_with(vec![ProcStats {
             read_misses: 10,
             spec_read_hits: 5,
-            write_misses: 3,
-            upgrades: 4,
             ..ProcStats::default()
         }]);
         assert_eq!(s.reads_effective(), 15);
-        assert_eq!(s.writes_effective(), 7);
         assert!((s.spec_read_fraction() - 5.0 / 15.0).abs() < 1e-12);
     }
 
