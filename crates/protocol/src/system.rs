@@ -16,10 +16,10 @@
 //!   ([`LatencyConfig::one_way`](specdsm_types::LatencyConfig::one_way)):
 //!   a message sent inside a window cannot be delivered inside it, so
 //!   each shard processes a window on its own and the shards exchange
-//!   mailboxes at window barriers, merged
-//!   in deterministic `(cycle, source, sequence)` key order. The
-//!   schedule is a pure function of the simulated machine, not of the
-//!   order in which shards are visited.
+//!   mailboxes at window barriers, merged in deterministic
+//!   `(cycle, source, sequence)` key order. The schedule is a pure
+//!   function of the simulated machine, not of the order in which shards
+//!   are visited.
 //!
 //! Synchronization (the barrier and lock managers) is global state the
 //! shards cannot touch: a shard yields sync operations and the engine

@@ -26,7 +26,7 @@
 //!   under test; the 256-node run always uses the quick inputs;
 //! - `model-adv` rows carry the `model` counters of the hotspot and
 //!   false-sharing storms from `adversarial_suite` under each system,
-//!   with the coherence auditor on. They deliver a `WriteReq` to an
+//!   with the coherence auditor on. They deliver a write request to an
 //!   `Exclusive` block whose transaction is still in flight, which no
 //!   application run does;
 //! - `model-fault` rows carry the `model` counters plus every
@@ -337,7 +337,7 @@ fn render_golden(scale: Scale) -> Golden {
         );
         write_model_row(&mut out, label, AppId::Em3d, SpecPolicy::SwiFr, &r);
     }
-    // The storms reach a `WriteReq` on a busy `Exclusive` block; the
+    // The storms reach a write request on a busy `Exclusive` block; the
     // migratory ping-pong reaches nothing the applications do not.
     let machine = MachineConfig::paper_machine();
     for w in adversarial_suite(&machine, scale) {
