@@ -1121,7 +1121,7 @@ mod tests {
 
     #[test]
     fn zero_predictor_depth_rejected_under_every_policy() {
-        for policy in [SpecPolicy::Base, SpecPolicy::FirstRead, SpecPolicy::SwiFr] {
+        for policy in SpecPolicy::ALL {
             let cfg = SystemConfig {
                 machine: machine(4),
                 policy,
