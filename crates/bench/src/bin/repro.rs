@@ -186,7 +186,9 @@ fn render_ablation(lab: &mut Lab) -> String {
     let scale = lab.scale();
 
     let run = |machine: MachineConfig, policy: SpecPolicy, depth: usize, app: AppId| {
-        let w = app.build(&machine, scale);
+        let w = app
+            .build(&machine, scale)
+            .expect("every suite app builds on the paper machine");
         let cfg = SystemConfig {
             machine,
             policy,

@@ -71,7 +71,9 @@ impl Lab {
     /// Base runs also record the directory trace.
     pub fn run(&mut self, app: AppId, policy: SpecPolicy) -> &RunStats {
         if !self.runs.contains_key(&(app, policy)) {
-            let workload = app.build(&self.machine, self.scale);
+            let workload = app
+                .build(&self.machine, self.scale)
+                .expect("every suite app builds on the paper machine");
             let cfg = SystemConfig {
                 machine: self.machine.clone(),
                 policy,
@@ -119,7 +121,7 @@ mod tests {
         for app in [AppId::Em3d, AppId::Barnes, AppId::Ocean] {
             let mut traced = lab.run(app, SpecPolicy::Base).clone();
             assert!(traced.trace.take().is_some(), "{app}: Base runs trace");
-            let workload = app.build(lab.machine(), lab.scale());
+            let workload = app.build(lab.machine(), lab.scale()).unwrap();
             let cfg = SystemConfig {
                 machine: lab.machine().clone(),
                 ..SystemConfig::default()

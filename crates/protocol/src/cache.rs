@@ -135,13 +135,15 @@ impl Cache {
     }
 
     /// Installs a speculatively forwarded copy with the reference bit
-    /// set. Returns `false` (and installs nothing) if the block is
-    /// already cached — the duplicate-drop rule.
-    pub fn fill_speculative(&mut self, block: BlockAddr, version: u64) -> bool {
-        if self.lines.contains_key(&block) {
-            return false;
-        }
-        self.lines.insert(
+    /// set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the block is already cached: the home forwards only to
+    /// processors it does not list as holders, and home→processor
+    /// delivery is FIFO, so a forward never finds a copy in place.
+    pub fn fill_speculative(&mut self, block: BlockAddr, version: u64) {
+        let prev = self.lines.insert(
             block,
             Line {
                 state: LineState::Shared {
@@ -150,7 +152,10 @@ impl Cache {
                 version,
             },
         );
-        true
+        assert!(
+            prev.is_none(),
+            "speculative copy of {block}, already cached"
+        );
     }
 
     /// Invalidates a read-only copy. Returns `true` if the removed copy
@@ -242,7 +247,7 @@ mod tests {
     #[test]
     fn speculative_fill_and_first_touch() {
         let mut c = Cache::new();
-        assert!(c.fill_speculative(B, 9));
+        c.fill_speculative(B, 9);
         assert_eq!(
             c.state(B),
             Some(LineState::Shared {
@@ -255,11 +260,11 @@ mod tests {
     }
 
     #[test]
-    fn speculative_duplicate_is_dropped() {
+    #[should_panic(expected = "already cached")]
+    fn speculative_copy_of_a_cached_block_panics() {
         let mut c = Cache::new();
         c.fill_shared(B, 1);
-        assert!(!c.fill_speculative(B, 2));
-        assert_eq!(c.version(B), Some(1), "original copy untouched");
+        c.fill_speculative(B, 2);
     }
 
     #[test]

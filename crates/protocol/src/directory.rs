@@ -33,38 +33,36 @@ pub enum DirState {
     Exclusive(ProcId),
 }
 
-/// An in-flight transaction serializing access to one block.
+/// The one thing a busy block is waiting for (paper Figure 1). Requests
+/// for the block queue behind it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Txn {
-    pub kind: TxnKind,
-    /// Invalidation acks still outstanding.
-    pub acks_left: u32,
-    /// A writeback is still outstanding.
-    pub awaiting_wb: bool,
+pub(crate) enum Busy {
+    /// The owner's writeback, after which memory sources what the
+    /// recall was started for.
+    Recall(AfterRecall),
+    /// The sharers' invalidation acks, after which `requester` is
+    /// granted write permission. `in_place` means the requester keeps
+    /// its cached copy and gets an upgrade ack instead of data.
+    Invalidate {
+        requester: ProcId,
+        in_place: bool,
+        acks_left: u32,
+    },
+    /// The block's own reply (or speculative batch) still leaving the
+    /// home. Later requests must not start: their invalidations would
+    /// overtake the in-flight data on the same home→processor path.
+    Reply,
 }
 
-/// What the in-flight transaction is serving.
+/// What a recall serves once the owner's writeback has arrived.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum TxnKind {
+pub(crate) enum AfterRecall {
     /// A read that had to invalidate a writable copy.
     Read(ProcId),
-    /// A write or upgrade collecting invalidation acks / writeback.
-    /// `in_place` means the requester keeps its cached copy and gets an
-    /// upgrade ack instead of data.
-    WriteLike { requester: ProcId, in_place: bool },
-    /// A speculative (SWI) invalidation of a writable copy.
-    Swi {
-        owner: ProcId,
-        ticket: Option<SpecTicket>,
-    },
-    /// The block is held while a (memory-delayed) reply or speculative
-    /// batch is still being handed to the NI. Later requests must not
-    /// start — their invalidations would overtake the in-flight data on
-    /// the same home→processor path.
-    Reply {
-        /// When the last outgoing message for this transaction leaves.
-        until: specdsm_sim::Cycle,
-    },
+    /// A write or upgrade that had to invalidate a writable copy.
+    Write(ProcId),
+    /// A speculative (SWI) invalidation of `owner`'s writable copy.
+    Swi { owner: ProcId, ticket: SpecTicket },
 }
 
 /// Per-block directory record.
@@ -73,15 +71,13 @@ pub(crate) struct DirBlock {
     pub state: DirState,
     /// Version of the data currently in memory (updated by writebacks).
     pub version: u64,
-    /// Next write-grant version (monotonic per block).
-    pub next_version: u64,
     /// In-flight transaction, if any; requests queue behind it.
-    pub busy: Option<Txn>,
+    pub busy: Option<Busy>,
     pub pending: VecDeque<(ReqKind, ProcId)>,
     /// Set after a successful SWI invalidation: `(owner, ticket)`. If
     /// the next request for the block comes from the owner, the
     /// invalidation was premature.
-    pub swi_pending: Option<(ProcId, Option<SpecTicket>)>,
+    pub swi_pending: Option<(ProcId, SpecTicket)>,
     /// Whether the protocol ever took a mutable reference to this
     /// record. Table growth creates pristine neighbors eagerly; this
     /// flag keeps `iter` reporting only blocks with real directory
@@ -94,7 +90,6 @@ impl DirBlock {
         DirBlock {
             state: DirState::Idle,
             version: 0,
-            next_version: 1,
             busy: None,
             pending: VecDeque::new(),
             swi_pending: None,
@@ -102,11 +97,12 @@ impl DirBlock {
         }
     }
 
-    /// Assigns the next write-grant version.
-    pub fn grant_version(&mut self) -> u64 {
-        let v = self.next_version;
-        self.next_version += 1;
-        v
+    /// The version a write grant hands out: the next one after memory's.
+    /// A grant never overlaps an outstanding writable copy — the
+    /// previous owner's writeback has already set `version` — so each
+    /// grant is simply the next entry in the block's write order.
+    pub fn grant_version(&self) -> u64 {
+        self.version + 1
     }
 
     /// Current sharers (empty unless `Shared`).
@@ -175,16 +171,15 @@ impl Directory {
     }
 
     /// Asserts the directory's internal invariants (used by tests and
-    /// debug builds): a busy transaction implies consistent ack/wb
-    /// expectations, and `Shared` always has at least one sharer.
+    /// debug builds): an invalidation still awaits at least one ack, an
+    /// idle block queues nothing, and `Shared` always has at least one
+    /// sharer.
     pub(crate) fn check_invariants(&self) {
         for (addr, b) in self.iter() {
-            if let Some(txn) = &b.busy {
+            if let Some(busy) = &b.busy {
                 assert!(
-                    txn.acks_left > 0
-                        || txn.awaiting_wb
-                        || matches!(txn.kind, TxnKind::Reply { .. }),
-                    "{addr}: busy transaction with nothing outstanding"
+                    !matches!(busy, Busy::Invalidate { acks_left: 0, .. }),
+                    "{addr}: invalidation with no ack outstanding"
                 );
             } else {
                 assert!(
@@ -219,13 +214,16 @@ mod tests {
     }
 
     #[test]
-    fn grant_versions_are_monotonic() {
+    fn grant_versions_follow_the_memory_version() {
         let mut d = dir();
         let b = d.block_mut(BlockAddr(1));
         let v1 = b.grant_version();
-        let v2 = b.grant_version();
-        assert!(v2 > v1);
         assert_eq!(v1, 1, "versions start after the initial memory value 0");
+        // The owner's writeback installs its version; the next grant
+        // follows it.
+        b.version = v1;
+        let v2 = b.grant_version();
+        assert_eq!(v2, 2);
     }
 
     #[test]
@@ -342,22 +340,19 @@ mod tests {
 
         let m = MachineConfig::paper_machine();
         for app in AppId::ALL {
-            let w = app.build(&m, Scale::Quick);
+            let w = app.build(&m, Scale::Quick).unwrap();
             let mut dense = Directory::new(&m);
             let mut map = MapDirectory::new();
 
             let apply = |blk: &mut DirBlock, op: &Op, p: ProcId| match op {
                 Op::Read(_) => {
-                    if let DirState::Exclusive(_) = blk.state {
-                        blk.version = blk.next_version - 1;
-                    }
                     let mut readers = blk.sharers().clone();
                     readers.insert(p);
                     blk.state = DirState::Shared(readers);
                 }
                 Op::Write(_) => {
                     blk.state = DirState::Exclusive(p);
-                    blk.grant_version();
+                    blk.version = blk.grant_version();
                 }
                 _ => {}
             };

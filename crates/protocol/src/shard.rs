@@ -40,7 +40,7 @@ use specdsm_types::{
 };
 
 use crate::audit::Auditor;
-use crate::directory::{DirState, Directory, Txn, TxnKind};
+use crate::directory::{AfterRecall, Busy, DirState, Directory};
 use crate::msg::{Msg, MsgKind};
 use crate::network::Network;
 use crate::processor::{Blocked, ProcAction, Processor, SyncKind};
@@ -162,8 +162,9 @@ pub(crate) struct HomeShard {
     /// Monotone counter behind every scheduling action's [`SchedKey`].
     seq: u64,
     /// Cycle of the event currently being processed (the `sched` part
-    /// of keys consumed while handling it).
-    cur: Cycle,
+    /// of keys consumed while handling it); after a run, the cycle of
+    /// the shard's last event.
+    pub cur: Cycle,
     /// Cross-shard sends of the current window, routed to the shard of
     /// `msg.dst`. Drained by the engine at window barriers.
     pub outbox: Vec<InFlight>,
@@ -179,11 +180,6 @@ pub(crate) struct HomeShard {
     /// Deliver cross-node messages inline (sequential mode) instead of
     /// deferring them through the outbox (windowed mode).
     pub immediate: bool,
-    pub last_cycle: Cycle,
-    pub done_count: usize,
-    pub dir_reads: u64,
-    pub dir_writes: u64,
-    pub dir_upgrades: u64,
     // Engine configuration mirrored per shard (cheap copies).
     pub machine: MachineConfig,
     pub max_cycles: Option<u64>,
@@ -239,11 +235,6 @@ impl HomeShard {
             paused: None,
             trace: record_trace.then(DirectoryTrace::new),
             immediate,
-            last_cycle: Cycle::ZERO,
-            done_count: 0,
-            dir_reads: 0,
-            dir_writes: 0,
-            dir_upgrades: 0,
             machine: machine.clone(),
             max_cycles,
             faults,
@@ -404,7 +395,6 @@ impl HomeShard {
                 );
             }
             self.cur = now;
-            self.last_cycle = now;
             match event {
                 Event::Resume(p) => {
                     if let Some(op) = self.step_proc(now, p) {
@@ -443,7 +433,6 @@ impl HomeShard {
                 let pr = self.proc_mut(p);
                 pr.blocked = Blocked::Done;
                 pr.stats.finished_at = now.raw();
-                self.done_count += 1;
             }
         }
         None
@@ -663,9 +652,10 @@ impl HomeShard {
         let proc = self.proc_mut(p);
         // Race rule (§4.2): with a demand request in flight for this
         // block, drop the speculative copy and await the protocol reply.
-        let racing = matches!(proc.blocked, Blocked::Mem { block: b, .. } if b == block);
-        if racing || !proc.cache.fill_speculative(block, version) {
+        if matches!(proc.blocked, Blocked::Mem { block: b, .. } if b == block) {
             self.spec.stats.dropped += 1;
+        } else {
+            proc.cache.fill_speculative(block, version);
         }
     }
 
@@ -789,11 +779,6 @@ impl HomeShard {
     // ------------------------------------------------------------------
 
     fn dir_request(&mut self, now: Cycle, slot: Slot, block: BlockAddr, kind: ReqKind, p: ProcId) {
-        match kind {
-            ReqKind::Read => self.dir_reads += 1,
-            ReqKind::Write => self.dir_writes += 1,
-            ReqKind::Upgrade => self.dir_upgrades += 1,
-        }
         let dmsg = DirMsg::Request(kind, p);
         if let Some(trace) = &mut self.trace {
             trace.record(block, dmsg);
@@ -848,18 +833,16 @@ impl HomeShard {
         }
     }
 
-    fn resolve_swi_premature(&mut self, slot: Slot, ticket: Option<SpecTicket>) {
+    fn resolve_swi_premature(&mut self, slot: Slot, ticket: SpecTicket) {
         self.dir.at_mut(slot).swi_pending = None;
         self.spec.stats.swi_inval_premature += 1;
-        if let Some(t) = ticket {
-            self.spec.vmsp.mark_swi_premature_at(slot, t);
-        }
+        self.spec.vmsp.mark_swi_premature_at(slot, ticket);
     }
 
     fn process_read(&mut self, now: Cycle, slot: Slot, block: BlockAddr, p: ProcId) {
         match self.dir.at(slot).state {
             DirState::Exclusive(owner) if owner != p => {
-                self.recall_owner(now, slot, block, owner, TxnKind::Read(p));
+                self.recall_owner(now, slot, block, owner, AfterRecall::Read(p));
             }
             DirState::Exclusive(_) => {
                 unreachable!("{p} read {block} it exclusively owns at the directory")
@@ -886,11 +869,7 @@ impl HomeShard {
                 (others, kind == ReqKind::Upgrade && readers.contains(p))
             }
             &DirState::Exclusive(owner) if owner != p => {
-                let txn = TxnKind::WriteLike {
-                    requester: p,
-                    in_place: false,
-                };
-                self.recall_owner(now, slot, block, owner, txn);
+                self.recall_owner(now, slot, block, owner, AfterRecall::Write(p));
                 return;
             }
             DirState::Exclusive(_) => {
@@ -904,13 +883,10 @@ impl HomeShard {
         for r in others.iter() {
             self.send(now, slot.home, r.node(), block, MsgKind::Inval);
         }
-        self.dir.at_mut(slot).busy = Some(Txn {
-            kind: TxnKind::WriteLike {
-                requester: p,
-                in_place,
-            },
+        self.dir.at_mut(slot).busy = Some(Busy::Invalidate {
+            requester: p,
+            in_place,
             acks_left: others.len() as u32,
-            awaiting_wb: false,
         });
     }
 
@@ -937,25 +913,21 @@ impl HomeShard {
         if self.spec.policy.fr_enabled() {
             self.speculate(t, slot, block, SpecTrigger::Fr);
         }
-        self.lock_reply(now, slot, block, t);
+        self.lock_reply(slot, block, t);
     }
 
     /// Recalls `owner`'s writable copy with an `InvWriteback` and holds
-    /// the block busy in transaction `txn` until the data returns.
+    /// the block busy until the data returns, then runs `then`.
     fn recall_owner(
         &mut self,
         now: Cycle,
         slot: Slot,
         block: BlockAddr,
         owner: ProcId,
-        txn: TxnKind,
+        then: AfterRecall,
     ) {
         self.send(now, slot.home, owner.node(), block, MsgKind::InvWriteback);
-        self.dir.at_mut(slot).busy = Some(Txn {
-            kind: txn,
-            acks_left: 0,
-            awaiting_wb: true,
-        });
+        self.dir.at_mut(slot).busy = Some(Busy::Recall(then));
     }
 
     /// Grants write permission: state → `Exclusive`, new version, reply.
@@ -990,50 +962,36 @@ impl HomeShard {
         } else {
             let t = self.mem_access(now, home);
             self.send(t, home, p.node(), block, MsgKind::DataExcl { version });
-            self.lock_reply(now, slot, block, t);
+            self.lock_reply(slot, block, t);
         }
     }
 
-    /// Holds `block` busy until `until`, when its in-flight reply (or
-    /// speculative batch) has left the directory. Prevents a later
-    /// request's invalidations from overtaking the data on the same
-    /// home→processor path.
-    fn lock_reply(&mut self, now: Cycle, slot: Slot, block: BlockAddr, until: Cycle) {
-        if until <= now {
-            return;
-        }
+    /// Holds the idle `block` busy until `until`, when its in-flight
+    /// reply (or speculative batch) has left the directory. Prevents a
+    /// later request's invalidations from overtaking the data on the
+    /// same home→processor path. Every hold ends after the cycle it
+    /// starts, because validation keeps `mem_access ≥ 1`.
+    fn lock_reply(&mut self, slot: Slot, block: BlockAddr, until: Cycle) {
         let blk = self.dir.at_mut(slot);
-        match &mut blk.busy {
-            None => {
-                blk.busy = Some(Txn {
-                    kind: TxnKind::Reply { until },
-                    acks_left: 0,
-                    awaiting_wb: false,
-                });
-            }
-            Some(Txn {
-                kind: TxnKind::Reply { until: u },
-                ..
-            }) => *u = (*u).max(until),
-            Some(other) => unreachable!("reply lock over active transaction {other:?}"),
-        }
+        assert!(
+            blk.busy.is_none(),
+            "reply hold over active transaction {:?}",
+            blk.busy
+        );
+        blk.busy = Some(Busy::Reply);
         self.sched(until, Event::DirRelease(slot, block));
     }
 
-    /// A reply-hold expires: release the block if this was its final
-    /// deadline and serve queued requests.
+    /// A reply hold expires: release the block and serve queued
+    /// requests.
     fn dir_release(&mut self, now: Cycle, slot: Slot, block: BlockAddr) {
-        let blk = self.dir.at_mut(slot);
-        if let Some(Txn {
-            kind: TxnKind::Reply { until },
-            ..
-        }) = blk.busy
-        {
-            if now >= until {
-                blk.busy = None;
-                self.drain_pending(now, slot, block);
-            }
-        }
+        let hold = self.dir.at_mut(slot).busy.take();
+        assert_eq!(
+            hold,
+            Some(Busy::Reply),
+            "{block}: release without a reply hold"
+        );
+        self.drain_pending(now, slot, block);
     }
 
     fn dir_inv_ack(
@@ -1056,15 +1014,22 @@ impl HomeShard {
         if !spec_unused {
             blk.swi_pending = None;
         }
-        let txn = blk
-            .busy
-            .as_mut()
-            .unwrap_or_else(|| panic!("stray InvAck for {block} from {proc}"));
-        assert!(txn.acks_left > 0, "unexpected InvAck for {block}");
-        txn.acks_left -= 1;
-        if txn.acks_left == 0 && !txn.awaiting_wb {
-            self.complete_txn(now, slot, block);
+        let Some(Busy::Invalidate {
+            requester,
+            in_place,
+            acks_left,
+        }) = &mut blk.busy
+        else {
+            panic!("stray InvAck for {block} from {proc}");
+        };
+        *acks_left -= 1;
+        if *acks_left > 0 {
+            return;
         }
+        let (requester, in_place) = (*requester, *in_place);
+        blk.busy = None;
+        self.grant_exclusive(now, slot, block, requester, in_place);
+        self.drain_pending(now, slot, block);
     }
 
     fn dir_writeback(
@@ -1080,41 +1045,24 @@ impl HomeShard {
         }
         let blk = self.dir.at_mut(slot);
         blk.version = version;
-        let txn = blk
-            .busy
-            .as_mut()
-            .unwrap_or_else(|| panic!("stray writeback for {block} from {proc}"));
-        assert!(txn.awaiting_wb, "unexpected writeback for {block}");
-        txn.awaiting_wb = false;
-        if txn.acks_left == 0 {
-            self.complete_txn(now, slot, block);
-        }
-    }
-
-    fn complete_txn(&mut self, now: Cycle, slot: Slot, block: BlockAddr) {
-        let txn = self
-            .dir
-            .at_mut(slot)
-            .busy
-            .take()
-            .expect("complete_txn without a transaction");
-        match txn.kind {
+        let Some(Busy::Recall(then)) = blk.busy.take() else {
+            panic!("stray writeback for {block} from {proc}");
+        };
+        match then {
             // Memory absorbs the writeback and sources the reply.
-            TxnKind::Read(requester) => self.serve_read(now, slot, block, requester),
-            TxnKind::WriteLike {
-                requester,
-                in_place,
-            } => self.grant_exclusive(now, slot, block, requester, in_place),
-            TxnKind::Swi { owner, ticket } => {
+            AfterRecall::Read(requester) => self.serve_read(now, slot, block, requester),
+            AfterRecall::Write(requester) => {
+                self.grant_exclusive(now, slot, block, requester, false);
+            }
+            AfterRecall::Swi { owner, ticket } => {
                 // Successful speculative invalidation: memory is clean.
                 let t = self.mem_access(now, slot.home);
                 let blk = self.dir.at_mut(slot);
                 blk.state = DirState::Idle;
                 blk.swi_pending = Some((owner, ticket));
                 self.speculate(t, slot, block, SpecTrigger::Swi);
-                self.lock_reply(now, slot, block, t);
+                self.lock_reply(slot, block, t);
             }
-            TxnKind::Reply { .. } => unreachable!("reply holds complete via DirRelease"),
         }
         self.drain_pending(now, slot, block);
     }
@@ -1197,8 +1145,14 @@ impl HomeShard {
         if !eligible || !self.spec.vmsp.swi_allowed_at(slot) {
             return;
         }
-        let ticket = self.spec.vmsp.swi_ticket_at(slot);
-        self.recall_owner(now, slot, prev, owner, TxnKind::Swi { owner, ticket });
+        // The write request that made `prev` exclusive trained the
+        // predictor, so its history is active.
+        let ticket = self
+            .spec
+            .vmsp
+            .swi_ticket_at(slot)
+            .expect("an exclusive block has an active predictor history");
+        self.recall_owner(now, slot, prev, owner, AfterRecall::Swi { owner, ticket });
         self.spec.stats.swi_inval_sent += 1;
     }
 }

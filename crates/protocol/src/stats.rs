@@ -104,11 +104,15 @@ pub struct RunStats {
     pub mem_wait_cycles: u64,
     /// Cycles the home memories spent busy, summed over homes.
     pub mem_busy_cycles: u64,
-    /// Read requests observed at the directories.
+    /// Read requests observed at the directories. Equals the summed
+    /// [`ProcStats::read_misses`]: retries plus the homes' duplicate
+    /// suppression deliver each miss to its home exactly once.
     pub dir_reads: u64,
-    /// Write requests observed at the directories.
+    /// Write requests observed at the directories; equals the summed
+    /// [`ProcStats::write_misses`], for the same reason.
     pub dir_writes: u64,
-    /// Upgrade requests observed at the directories.
+    /// Upgrade requests observed at the directories; equals the summed
+    /// [`ProcStats::upgrades`], for the same reason.
     pub dir_upgrades: u64,
     /// Speculation counters (all zero for Base-DSM).
     pub spec: SpecStats,

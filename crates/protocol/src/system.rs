@@ -697,18 +697,15 @@ impl System {
     // End-of-run checks and statistics
     // ------------------------------------------------------------------
 
-    fn num_procs(&self) -> usize {
-        self.shards.iter().map(|s| s.procs.len()).sum()
+    fn procs(&self) -> impl Iterator<Item = &Processor> + '_ {
+        self.shards.iter().flat_map(|s| s.procs.iter())
     }
 
-    fn done_count(&self) -> usize {
-        self.shards.iter().map(|s| s.done_count).sum()
-    }
-
+    /// Cycle of the last event any shard processed.
     fn last_cycle(&self) -> Cycle {
         self.shards
             .iter()
-            .map(|s| s.last_cycle)
+            .map(|s| s.cur)
             .max()
             .unwrap_or(Cycle::ZERO)
     }
@@ -731,7 +728,7 @@ impl System {
     fn check_coherence(&self) {
         // Processor ids are dense and shards own consecutive ranges,
         // so both tables are indexed by node.
-        let procs: Vec<&Processor> = self.shards.iter().flat_map(|s| s.procs.iter()).collect();
+        let procs: Vec<&Processor> = self.procs().collect();
         let home_shard: Vec<&HomeShard> = self
             .shards
             .iter()
@@ -790,21 +787,19 @@ impl System {
     }
 
     fn check_quiescent(&self) {
-        if self.done_count() == self.num_procs() {
-            return;
-        }
         let stuck: Vec<String> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.procs.iter())
+            .procs()
             .filter(|p| p.blocked != Blocked::Done)
             .map(|p| format!("{}: {:?}", p.id(), p.blocked))
             .collect();
+        if stuck.is_empty() {
+            return;
+        }
         panic!(
             "deadlock at {}: {} of {} processors never finished: {}",
             self.last_cycle(),
             stuck.len(),
-            self.num_procs(),
+            self.procs().count(),
             stuck.join("; ")
         );
     }
@@ -817,9 +812,6 @@ impl System {
         let mut ni_wait_cycles = 0;
         let mut mem_wait_cycles = 0;
         let mut mem_busy_cycles = 0;
-        let mut dir_reads = 0;
-        let mut dir_writes = 0;
-        let mut dir_upgrades = 0;
         let mut spec = crate::spec::SpecStats::default();
         let mut faults = crate::stats::FaultStats::default();
         let mut predictor = cfg
@@ -842,9 +834,6 @@ impl System {
                 .iter()
                 .map(specdsm_sim::FifoResource::busy_cycles)
                 .sum::<u64>();
-            dir_reads += shard.dir_reads;
-            dir_writes += shard.dir_writes;
-            dir_upgrades += shard.dir_upgrades;
             spec += shard.spec.stats;
             faults += shard.fstats;
             if let Some(total) = &mut predictor {
@@ -855,6 +844,11 @@ impl System {
             }
         }
         let exec_cycles = per_proc.iter().map(|p| p.finished_at).max().unwrap_or(0);
+        // Retries plus home-side duplicate suppression deliver each miss
+        // to its home exactly once, so the homes saw every miss.
+        let dir_reads = per_proc.iter().map(|p| p.read_misses).sum();
+        let dir_writes = per_proc.iter().map(|p| p.write_misses).sum();
+        let dir_upgrades = per_proc.iter().map(|p| p.upgrades).sum();
         RunStats {
             workload: self.workload_name,
             policy: cfg.policy,
@@ -883,7 +877,10 @@ impl fmt::Debug for System {
             .field("policy", &self.cfg.policy)
             .field("engine", &self.cfg.engine)
             .field("shards", &self.shards.len())
-            .field("done", &self.done_count())
+            .field(
+                "done",
+                &self.procs().filter(|p| p.blocked == Blocked::Done).count(),
+            )
             .finish()
     }
 }
@@ -1722,11 +1719,7 @@ mod tests {
     #[should_panic(expected = "transaction still in flight at quiescence")]
     fn audit_rejects_a_transaction_in_flight() {
         let mut sys = shared_by_p1_p2();
-        sys.shards[0].dir.block_mut(homed(0)).busy = Some(crate::directory::Txn {
-            kind: crate::directory::TxnKind::Reply { until: Cycle(0) },
-            acks_left: 0,
-            awaiting_wb: false,
-        });
+        sys.shards[0].dir.block_mut(homed(0)).busy = Some(crate::directory::Busy::Reply);
         sys.check_coherence();
     }
 

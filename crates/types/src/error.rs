@@ -26,7 +26,13 @@ pub enum ConfigError {
         /// Requested node count.
         num_nodes: usize,
     },
-    /// A critical latency parameter is zero.
+    /// A critical latency parameter (`mem_access` or `net_hop`) is zero.
+    ///
+    /// `mem_access` must be non-zero for two reasons: the protocol
+    /// engine holds a block busy while its reply leaves the home, and
+    /// relies on every such hold ending after the cycle it starts; and
+    /// [`crate::MachineConfig::remote_to_local_ratio`] (the analytic
+    /// model's `rtl`) divides by it.
     ZeroLatency,
     /// The one-way network latency is zero, which would collapse the
     /// windowed engine's bounded-lag lookahead to nothing.

@@ -51,4 +51,4 @@ pub use jitter::Jitter;
 pub use micro::{Migratory, ProducerConsumer, WideSharing};
 pub use space::{AddressSpace, Region};
 pub use stream::PhasedStream;
-pub use suite::{fault_plan, suite, AppId, Scale};
+pub use suite::{fault_plan, suite, AppId, Scale, WorkloadError};

@@ -1,5 +1,6 @@
 //! The full application suite (paper Table 2).
 
+use std::error::Error;
 use std::fmt;
 
 use specdsm_types::{FaultPlan, MachineConfig, Workload};
@@ -44,9 +45,22 @@ impl AppId {
     ];
 
     /// Builds the workload at the given scale for `machine`.
-    #[must_use]
-    pub fn build(self, machine: &MachineConfig, scale: Scale) -> Box<dyn Workload> {
-        match self {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`WorkloadError::NonSquareGrid`] for appbt on a machine
+    /// whose node count is not a perfect square (its subcube grid needs
+    /// one); the other six apps build on any machine.
+    pub fn build(
+        self,
+        machine: &MachineConfig,
+        scale: Scale,
+    ) -> Result<Box<dyn Workload>, WorkloadError> {
+        let nodes = machine.num_nodes;
+        if self == AppId::Appbt && nodes.isqrt().pow(2) != nodes {
+            return Err(WorkloadError::NonSquareGrid { nodes });
+        }
+        Ok(match self {
             AppId::Appbt => Box::new(Appbt::new(
                 machine.clone(),
                 match scale {
@@ -103,7 +117,7 @@ impl AppId {
                     Scale::Quick => UnstructuredParams::quick(),
                 },
             )),
-        }
+        })
     }
 
     /// The paper's Table 2 input description.
@@ -136,6 +150,29 @@ impl fmt::Display for AppId {
     }
 }
 
+/// Why a suite application cannot be built for a machine.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[non_exhaustive]
+pub enum WorkloadError {
+    /// appbt's subcube grid needs a perfect-square node count.
+    NonSquareGrid {
+        /// The machine's node count.
+        nodes: usize,
+    },
+}
+
+impl fmt::Display for WorkloadError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            WorkloadError::NonSquareGrid { nodes } => {
+                write!(f, "appbt needs a square processor grid, not {nodes} nodes")
+            }
+        }
+    }
+}
+
+impl Error for WorkloadError {}
+
 /// Input scale for the suite.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Scale {
@@ -165,6 +202,10 @@ impl std::str::FromStr for Scale {
 
 /// Builds all seven workloads at the given scale.
 ///
+/// # Errors
+///
+/// Returns the first app's [`WorkloadError`], in Table 2 order.
+///
 /// # Example
 ///
 /// ```
@@ -172,12 +213,15 @@ impl std::str::FromStr for Scale {
 /// use specdsm_workloads::{suite, Scale};
 ///
 /// let machine = MachineConfig::paper_machine();
-/// let apps = suite(&machine, Scale::Quick);
+/// let apps = suite(&machine, Scale::Quick)?;
 /// assert_eq!(apps.len(), 7);
 /// assert_eq!(apps[2].name(), "em3d");
+/// # Ok::<(), specdsm_workloads::WorkloadError>(())
 /// ```
-#[must_use]
-pub fn suite(machine: &MachineConfig, scale: Scale) -> Vec<Box<dyn Workload>> {
+pub fn suite(
+    machine: &MachineConfig,
+    scale: Scale,
+) -> Result<Vec<Box<dyn Workload>>, WorkloadError> {
     AppId::ALL
         .iter()
         .map(|app| app.build(machine, scale))
@@ -214,7 +258,7 @@ mod tests {
     #[test]
     fn suite_has_seven_apps_in_order() {
         let machine = MachineConfig::paper_machine();
-        let apps = suite(&machine, Scale::Quick);
+        let apps = suite(&machine, Scale::Quick).unwrap();
         let names: Vec<&str> = apps.iter().map(|a| a.name()).collect();
         assert_eq!(
             names,
@@ -235,7 +279,7 @@ mod tests {
         let machine = MachineConfig::paper_machine();
         for app in AppId::ALL {
             for scale in [Scale::Default, Scale::Quick] {
-                let w = app.build(&machine, scale);
+                let w = app.build(&machine, scale).unwrap();
                 assert_eq!(w.num_procs(), 16);
                 let streams = w.build_streams();
                 assert_eq!(streams.len(), 16);
@@ -253,7 +297,7 @@ mod tests {
             let machine = MachineConfig::with_nodes(nodes);
             machine.validate().expect("wide machine is valid");
             for app in AppId::ALL {
-                let w = app.build(&machine, Scale::Quick);
+                let w = app.build(&machine, Scale::Quick).unwrap();
                 assert_eq!(w.num_procs(), nodes, "{app}@{nodes}");
                 let streams = w.build_streams();
                 assert_eq!(streams.len(), nodes, "{app}@{nodes}");
@@ -279,12 +323,34 @@ mod tests {
     fn quick_streams_are_finite_and_nonempty() {
         let machine = MachineConfig::paper_machine();
         for app in AppId::ALL {
-            let w = app.build(&machine, Scale::Quick);
+            let w = app.build(&machine, Scale::Quick).unwrap();
             for (p, s) in w.build_streams().into_iter().enumerate() {
                 let count = s.count();
                 assert!(count > 0, "{app} proc {p} has an empty stream");
                 assert!(count < 1_000_000, "{app} proc {p} quick stream too large");
             }
+        }
+    }
+
+    #[test]
+    fn appbt_alone_needs_a_square_machine() {
+        for nodes in [2usize, 3, 5, 6, 7] {
+            let machine = MachineConfig::with_nodes(nodes);
+            for app in AppId::ALL {
+                let built = app.build(&machine, Scale::Quick);
+                if app == AppId::Appbt {
+                    let err = built.err().expect("appbt rejects the machine");
+                    assert_eq!(err, WorkloadError::NonSquareGrid { nodes });
+                    assert!(err.to_string().contains(&nodes.to_string()), "{err}");
+                } else {
+                    let w = built.unwrap_or_else(|e| panic!("{app}@{nodes}: {e}"));
+                    assert_eq!(w.num_procs(), nodes, "{app}@{nodes}");
+                }
+            }
+            assert_eq!(
+                suite(&machine, Scale::Quick).err(),
+                Some(WorkloadError::NonSquareGrid { nodes })
+            );
         }
     }
 

@@ -86,7 +86,7 @@ fn faulty_windowed_suite_recovers() {
     let plan = fault_plan(0x1a1f);
     let mut total = FaultStats::default();
     for app in AppId::ALL {
-        let w = app.build(&machine, scale);
+        let w = app.build(&machine, scale).unwrap();
         for policy in SpecPolicy::ALL {
             let s = run_with(
                 &machine,
@@ -116,7 +116,7 @@ fn zero_rate_plan_is_bit_identical_to_reliable_engine() {
     let machine = MachineConfig::paper_machine();
     let zero = FaultPlan::new(0xdead);
     for app in [AppId::Appbt, AppId::Em3d] {
-        let w = app.build(&machine, Scale::Quick);
+        let w = app.build(&machine, Scale::Quick).unwrap();
         for policy in SpecPolicy::ALL {
             for engine in [
                 EngineConfig::Sequential,

@@ -92,7 +92,7 @@ fn run_app(
     engine: EngineConfig,
 ) -> RunStats {
     let machine = MachineConfig::with_nodes(nodes);
-    let w = app.build(&machine, scale);
+    let w = app.build(&machine, scale).unwrap();
     let cfg = SystemConfig {
         machine,
         policy,
@@ -358,7 +358,7 @@ fn render_golden(scale: Scale) -> Golden {
     // Lossy requests: retries, backoff and duplicate suppression.
     let plan = fault_plan(FAULT_SEED);
     for app in AppId::ALL {
-        let w = app.build(&machine, scale);
+        let w = app.build(&machine, scale).unwrap();
         for policy in SpecPolicy::ALL {
             let cfg = SystemConfig {
                 machine: machine.clone(),

@@ -87,7 +87,7 @@ fn four_hop_ownership_transfer() {
 fn all_policies_execute_the_same_program() {
     let machine = MachineConfig::paper_machine();
     for app in AppId::ALL {
-        let w = app.build(&machine, Scale::Quick);
+        let w = app.build(&machine, Scale::Quick).unwrap();
         let counts: Vec<(u64, u64)> = SpecPolicy::ALL
             .iter()
             .map(|&policy| {
@@ -105,7 +105,7 @@ fn all_policies_execute_the_same_program() {
 #[test]
 fn runs_are_deterministic() {
     let machine = MachineConfig::paper_machine();
-    let w = AppId::Ocean.build(&machine, Scale::Quick);
+    let w = AppId::Ocean.build(&machine, Scale::Quick).unwrap();
     let a = run(machine.clone(), SpecPolicy::SwiFr, w.as_ref());
     let b = run(machine, SpecPolicy::SwiFr, w.as_ref());
     assert_eq!(a.exec_cycles, b.exec_cycles);
@@ -119,7 +119,7 @@ fn whole_suite_passes_coherence_checks_under_all_policies() {
     // completing is the assertion.
     let machine = MachineConfig::paper_machine();
     for app in AppId::ALL {
-        let w = app.build(&machine, Scale::Quick);
+        let w = app.build(&machine, Scale::Quick).unwrap();
         for policy in SpecPolicy::ALL {
             let stats = run(machine.clone(), policy, w.as_ref());
             assert!(stats.exec_cycles > 0, "{app}/{policy}");
@@ -139,7 +139,7 @@ fn speculation_is_never_catastrophic() {
     // a few percent of Base even where they cannot help.
     let machine = MachineConfig::paper_machine();
     for app in AppId::ALL {
-        let w = app.build(&machine, Scale::Quick);
+        let w = app.build(&machine, Scale::Quick).unwrap();
         let base = run(machine.clone(), SpecPolicy::Base, w.as_ref()).exec_cycles as f64;
         for policy in [SpecPolicy::FirstRead, SpecPolicy::SwiFr] {
             let exec = run(machine.clone(), policy, w.as_ref()).exec_cycles as f64;
@@ -324,7 +324,7 @@ fn suite_runs_at_64_nodes_under_all_policies() {
     // A full application (em3d, quick inputs) at the former processor
     // ceiling, under every policy, on both engines.
     let machine = MachineConfig::with_nodes(64);
-    let w = AppId::Em3d.build(&machine, Scale::Quick);
+    let w = AppId::Em3d.build(&machine, Scale::Quick).unwrap();
     for policy in SpecPolicy::ALL {
         let stats = run(machine.clone(), policy, w.as_ref());
         assert_eq!(stats.per_proc.len(), 64);
@@ -339,7 +339,7 @@ fn suite_runs_on_a_one_node_machine_under_all_policies() {
     let machine = MachineConfig::with_nodes(1);
     machine.validate().expect("one node is a valid machine");
     for app in AppId::ALL {
-        let w = app.build(&machine, Scale::Quick);
+        let w = app.build(&machine, Scale::Quick).unwrap();
         for policy in SpecPolicy::ALL {
             let stats = run(machine.clone(), policy, w.as_ref());
             assert_eq!(stats.per_proc.len(), 1, "{app}/{policy}");

@@ -648,13 +648,15 @@ proptest! {
     #[test]
     fn random_programs_run_coherently_under_all_policies(w in arb_fuzz(4, 6)) {
         // System::run asserts full directory/cache coherence at
-        // quiescence; any protocol bug the random program exposes
-        // panics here.
+        // quiescence, and the runtime auditor checks every delivery on
+        // the way; any protocol bug the random program exposes panics
+        // here.
         for policy in SpecPolicy::ALL {
             let cfg = SystemConfig {
                 machine: MachineConfig::with_nodes(4),
                 policy,
                 max_cycles: Some(20_000_000),
+                audit: true,
                 ..SystemConfig::default()
             };
             let stats = System::new(cfg, &w).expect("valid").run();

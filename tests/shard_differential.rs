@@ -112,7 +112,7 @@ fn windowed_matches_sequential_across_suite() {
     let machine = MachineConfig::paper_machine();
     let scale = scale();
     for app in AppId::ALL {
-        let w = app.build(&machine, scale);
+        let w = app.build(&machine, scale).unwrap();
         for policy in SpecPolicy::ALL {
             let seq = run_with(&machine, policy, EngineConfig::Sequential, w.as_ref());
             let win = run_with(
@@ -134,7 +134,7 @@ fn windowed_matches_sequential_across_suite() {
 fn windowed_engine_scales_beyond_64_nodes() {
     for nodes in [24usize, 128] {
         let machine = MachineConfig::with_nodes(nodes);
-        let w = AppId::Em3d.build(&machine, Scale::Quick);
+        let w = AppId::Em3d.build(&machine, Scale::Quick).unwrap();
         for policy in [SpecPolicy::Base, SpecPolicy::SwiFr] {
             let seq = run_with(&machine, policy, EngineConfig::Sequential, w.as_ref());
             let win = run_with(
@@ -159,7 +159,7 @@ fn wide_sets_track_sequential_at_256_nodes() {
     let machine = MachineConfig::with_nodes(256);
     let mut spec_reads = 0u64;
     for app in AppId::ALL {
-        let w = app.build(&machine, Scale::Quick);
+        let w = app.build(&machine, Scale::Quick).unwrap();
         for policy in [SpecPolicy::Base, SpecPolicy::SwiFr] {
             let seq = run_with(&machine, policy, EngineConfig::Sequential, w.as_ref());
             let win = run_with(
