@@ -51,16 +51,19 @@ impl DirectoryTrace {
         self.blocks.entry(block).or_default().push(msg);
     }
 
-    /// Folds another trace into this one, block by block.
-    ///
-    /// The sharded protocol engine records one trace per home shard;
-    /// since a block's messages are all observed at its home, the
-    /// per-block streams of two shards are disjoint and the merge
-    /// simply appends (per-block arrival order is preserved).
-    pub fn merge(&mut self, other: DirectoryTrace) {
-        for (block, msgs) in other.blocks {
-            self.blocks.entry(block).or_default().extend(msgs);
-        }
+    /// The same trace with each block's messages copied into one
+    /// exactly-sized buffer, allocated in address order. A recorded
+    /// trace grows its buffers interleaved with the rest of the run's
+    /// allocations; after this, a replay, which walks the blocks in
+    /// address order, also walks memory in order.
+    #[must_use]
+    pub fn compacted(self) -> Self {
+        let blocks = self
+            .blocks
+            .into_iter()
+            .map(|(block, msgs)| (block, msgs.as_slice().to_vec()))
+            .collect();
+        DirectoryTrace { blocks }
     }
 
     /// Number of distinct blocks with traffic.

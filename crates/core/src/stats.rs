@@ -1,7 +1,6 @@
 //! Prediction accuracy accounting.
 
 use std::fmt;
-use std::ops::AddAssign;
 
 /// What a predictor had to say about one observed message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -114,14 +113,6 @@ impl PredictorStats {
     }
 }
 
-impl AddAssign for PredictorStats {
-    fn add_assign(&mut self, rhs: PredictorStats) {
-        self.seen += rhs.seen;
-        self.predicted += rhs.predicted;
-        self.correct += rhs.correct;
-    }
-}
-
 impl fmt::Display for PredictorStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -182,28 +173,6 @@ mod tests {
         }
         assert!(s.correct <= s.predicted);
         assert!(s.predicted <= s.seen);
-    }
-
-    #[test]
-    fn add_assign_sums_fields() {
-        let mut a = PredictorStats {
-            seen: 10,
-            predicted: 5,
-            correct: 3,
-        };
-        a += PredictorStats {
-            seen: 2,
-            predicted: 2,
-            correct: 1,
-        };
-        assert_eq!(
-            a,
-            PredictorStats {
-                seen: 12,
-                predicted: 7,
-                correct: 4
-            }
-        );
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! The [`Auditor`] is an optional, purely observational shadow of the
 //! coherence protocol: it watches every home-originated send and every
-//! delivery in its shard, maintains its own copy of each block's
+//! delivery in the machine, maintains its own copy of each block's
 //! grant state, and panics the moment a message contradicts the
 //! protocol's invariants — rather than letting the corruption surface
 //! thousands of cycles later as a wrong cache value or a deadlock. It
@@ -32,10 +32,7 @@
 //! auditing are bit-identical.
 //!
 //! On a violation it panics with the invariant violated plus a bounded
-//! trace of the most recent messages touching the offending block —
-//! inside the windowed engine that panic is caught and surfaced as a
-//! structured [`EngineError`](crate::EngineError) naming the shard and
-//! window.
+//! trace of the most recent messages touching the offending block.
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
@@ -61,14 +58,11 @@ struct Shadow {
     version: u64,
 }
 
-/// A per-shard runtime coherence auditor. See the module docs.
+/// The runtime coherence auditor of one machine. See the module docs.
 ///
-/// Sharding note: every shadow is keyed by *where its messages are
-/// observed*. Home-originated sends and home-bound deliveries happen in
-/// the block's home shard, so `shadows` is consistent there; data
-/// deliveries happen in the receiving processor's shard, so the
-/// per-processor version floor `delivered` is consistent *there*. The
-/// two never need to agree across shards.
+/// `shadows` follows each block's grant state from the home's sends
+/// and the home-bound deliveries; `delivered` holds each processor's
+/// version floor per block, from the data deliveries it received.
 #[derive(Clone)]
 pub(crate) struct Auditor {
     shadows: HashMap<BlockAddr, Shadow>,
@@ -106,9 +100,9 @@ impl Auditor {
         );
     }
 
-    /// Observes a message leaving this shard. Only home-originated
+    /// Observes a message leaving its sender. Only home-originated
     /// kinds carry grant semantics; processor-originated messages are
-    /// audited where they are delivered (their home shard).
+    /// audited where they are delivered (at their home).
     pub(crate) fn note_sent(&mut self, now: Cycle, msg: &Msg) {
         let block = msg.block;
         match msg.kind {
@@ -172,12 +166,12 @@ impl Auditor {
                 }
             }
             // Requests and acknowledgements originate at processors;
-            // they are recorded at delivery, in the home's shard.
+            // they are recorded at delivery, at the home.
             _ => {}
         }
     }
 
-    /// Observes a message delivered in this shard (after any
+    /// Observes a delivered message (after any
     /// duplicate-suppression — suppressed duplicates have no protocol
     /// effect and are deliberately invisible here).
     pub(crate) fn note_delivered(&mut self, now: Cycle, msg: &Msg) {
@@ -233,8 +227,8 @@ impl Auditor {
                 }
                 self.delivered.insert(key, version);
             }
-            // Inval / InvWriteback arriving at a processor shard carry
-            // no grant-state transition the shadow tracks there.
+            // Inval / InvWriteback arriving at a processor carry no
+            // grant-state transition the shadow tracks there.
             _ => {}
         }
     }

@@ -115,9 +115,7 @@ impl DirBlock {
     }
 }
 
-/// The directory records of every block a shard serves, in one
-/// [`HomeTable`]. A shard that owns only some homes (the windowed
-/// engine's one-home shards) writes only those homes' tables.
+/// The directory records of every block, in one [`HomeTable`].
 #[derive(Debug, Clone)]
 pub(crate) struct Directory {
     blocks: HomeTable<DirBlock>,

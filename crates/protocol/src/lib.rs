@@ -76,4 +76,4 @@ mod system;
 
 pub use spec::{SpecPolicy, SpecStats};
 pub use stats::{FaultStats, ProcStats, RunStats};
-pub use system::{BuildError, EngineConfig, EngineError, System, SystemConfig};
+pub use system::{BuildError, EngineConfig, EngineError, System, SystemConfig, Waiting};

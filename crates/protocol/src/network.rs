@@ -4,7 +4,7 @@ use specdsm_sim::{Cycle, FifoResource};
 use specdsm_types::{LatencyConfig, NodeId};
 
 /// Constant-latency point-to-point network with per-node network
-/// interfaces, owned as a **node range** by one protocol shard.
+/// interfaces.
 ///
 /// The paper assumes "a point-to-point network with a constant latency
 /// of 80 cycles but models contention at the network interfaces".
@@ -14,82 +14,73 @@ use specdsm_types::{LatencyConfig, NodeId};
 /// cycles after its inbound NI slot starts; each NI serves one message
 /// every `ni_occupancy` cycles.
 ///
-/// A send decomposes into two halves, because in the sharded engine the
-/// two endpoints may live on different shards:
+/// A send is two calls, one per NI:
 ///
-/// * [`Network::depart`] — the *sender-side* half: counts the message,
-///   acquires the source's outbound NI, and returns the cycle the
-///   message reaches the destination's inbound NI (`at_dst`).
-/// * [`Network::arrive`] — the *receiver-side* half: acquires the
-///   destination's inbound NI at `at_dst` and returns the handoff
-///   cycle.
-///
-/// When one shard owns both endpoints (the sequential whole-machine
-/// shard) it runs both halves back to back; the timing is exactly the
-/// pre-shard monolithic network's.
+/// * [`Network::depart`] counts the message, acquires the source's
+///   outbound NI, and returns the cycle the message reaches the
+///   destination's inbound NI (`at_dst`);
+/// * [`Network::arrive`] acquires the destination's inbound NI at
+///   `at_dst` and returns the handoff cycle.
 ///
 /// Messages between a node and itself (processor ↔ local directory)
 /// bypass the network entirely.
 #[derive(Debug, Clone)]
 pub struct Network {
     lat: LatencyConfig,
-    /// First owned node.
-    lo: usize,
     ni_out: Vec<FifoResource>,
     ni_in: Vec<FifoResource>,
     messages: u64,
 }
 
 impl Network {
-    /// Creates the network-interface slice for nodes `lo..hi`.
+    /// Creates the network interfaces of `nodes` nodes.
     #[must_use]
-    pub fn with_range(lo: usize, hi: usize, lat: LatencyConfig) -> Self {
+    pub fn new(nodes: usize, lat: LatencyConfig) -> Self {
         Network {
             lat,
-            lo,
-            ni_out: (lo..hi).map(|_| FifoResource::new()).collect(),
-            ni_in: (lo..hi).map(|_| FifoResource::new()).collect(),
+            ni_out: (0..nodes).map(|_| FifoResource::new()).collect(),
+            ni_in: (0..nodes).map(|_| FifoResource::new()).collect(),
             messages: 0,
         }
     }
 
-    /// Sender-side half of a remote send at `now`: outbound-NI
+    /// The sender's half of a remote send at `now`: outbound-NI
     /// serialization, injection overhead, and the network hop. Returns
     /// the cycle the message arrives at the destination's inbound NI.
     ///
     /// # Panics
     ///
-    /// Panics if `src` is not in this range.
+    /// Panics if `src` is not a node of the network.
     #[inline]
     pub fn depart(&mut self, now: Cycle, src: NodeId) -> Cycle {
         self.messages += 1;
-        let out_done = self.ni_out[src.0 - self.lo].acquire(now, self.lat.ni_occupancy);
+        let out_done = self.ni_out[src.0].acquire(now, self.lat.ni_occupancy);
         let out_start = Cycle(out_done.raw() - self.lat.ni_occupancy);
         out_start + self.lat.inject + self.lat.net_hop
     }
 
-    /// Receiver-side half: inbound-NI serialization at `at_dst` plus
+    /// The receiver's half: inbound-NI serialization at `at_dst` plus
     /// delivery overhead. Returns the cycle the message is handed to
     /// the node.
     ///
     /// # Panics
     ///
-    /// Panics if `dst` is not in this range.
+    /// Panics if `dst` is not a node of the network.
     #[inline]
     pub fn arrive(&mut self, at_dst: Cycle, dst: NodeId) -> Cycle {
-        let in_done = self.ni_in[dst.0 - self.lo].acquire(at_dst, self.lat.ni_occupancy);
+        let in_done = self.ni_in[dst.0].acquire(at_dst, self.lat.ni_occupancy);
         let in_start = Cycle(in_done.raw() - self.lat.ni_occupancy);
         in_start + self.lat.deliver
     }
 
-    /// Remote messages sent from this range so far.
+    /// Remote messages sent so far.
     #[must_use]
     pub fn messages_sent(&self) -> u64 {
         self.messages
     }
 
-    /// Total cycles messages waited for this range's NI slots (a
-    /// contention measure).
+    /// Total cycles messages waited for NI slots (a contention
+    /// measure).
     #[must_use]
     pub fn ni_wait_cycles(&self) -> u64 {
         self.ni_out
@@ -105,12 +96,12 @@ mod tests {
     use super::*;
 
     fn net() -> Network {
-        Network::with_range(0, 4, LatencyConfig::default())
+        Network::new(4, LatencyConfig::default())
     }
 
-    /// One whole send at `now` within `n`'s range, as the sequential
-    /// shard performs it: node-local messages skip the network, remote
-    /// ones run both halves. Returns the delivery time at `dst`.
+    /// One whole send at `now`, as the machine performs it: node-local
+    /// messages skip the network, remote ones run both halves. Returns
+    /// the delivery time at `dst`.
     fn send(n: &mut Network, now: Cycle, src: NodeId, dst: NodeId) -> Cycle {
         if src == dst {
             return now;
@@ -165,28 +156,6 @@ mod tests {
         let t2 = send(&mut n, Cycle(0), NodeId(2), NodeId(3));
         assert_eq!(t1, Cycle(lat.one_way()));
         assert_eq!(t2, Cycle(lat.one_way()));
-    }
-
-    #[test]
-    fn split_halves_compose_to_send() {
-        // One network does whole sends; a pair of ranges does the same
-        // traffic as depart/arrive halves. All timing must agree.
-        let lat = LatencyConfig::default();
-        let mut whole = Network::with_range(0, 4, lat);
-        let mut left = Network::with_range(0, 2, lat);
-        let mut right = Network::with_range(2, 4, lat);
-        for i in 0..8u64 {
-            let now = Cycle(10 * i);
-            let direct = send(&mut whole, now, NodeId(1), NodeId(3));
-            let at_dst = left.depart(now, NodeId(1));
-            let split = right.arrive(at_dst, NodeId(3));
-            assert_eq!(direct, split, "message {i}");
-        }
-        assert_eq!(whole.messages_sent(), left.messages_sent());
-        assert_eq!(
-            whole.ni_wait_cycles(),
-            left.ni_wait_cycles() + right.ni_wait_cycles()
-        );
     }
 
     #[test]

@@ -58,8 +58,8 @@ pub(crate) enum Blocked {
     },
     /// Waiting at the barrier since the given cycle.
     Barrier(Cycle),
-    /// Waiting for a lock since the given cycle.
-    Lock(Cycle),
+    /// Waiting for the lock since the given cycle.
+    Lock(LockId, Cycle),
     /// Finished.
     Done,
 }

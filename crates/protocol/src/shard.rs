@@ -1,34 +1,19 @@
-//! The per-home protocol shard: all node-local simulation state plus
-//! the transaction logic of the coherence protocol.
+//! The simulated machine: all node state plus the transaction logic of
+//! the coherence protocol, driven by one event loop.
 //!
-//! A [`HomeShard`] owns a contiguous range of nodes — their processors,
-//! caches, directories, memory buses, network interfaces, and
-//! speculation/predictor state — together with a private
-//! [`KeyedQueue`] event queue. The whole-machine engine
-//! ([`System`](crate::System)) is a composition of
-//! shards:
+//! A [`Machine`] owns every node's processor, cache, directory records,
+//! memory bus and network interfaces, the speculation/predictor state,
+//! the barrier and lock managers, and one [`KeyedQueue`] of events.
+//! [`Machine::run`] pops events in `(cycle, key)` order until the queue
+//! drains; each handler may schedule further events. A message is
+//! delivered inline: the sender's outbound NI, the network hop and the
+//! receiver's inbound NI are all charged at the send, and the
+//! `Deliver` event fires at the handoff cycle.
 //!
-//! * **Sequential mode** builds one shard spanning every node and runs
-//!   its queue to exhaustion; cross-node messages deliver immediately,
-//!   exactly like the pre-shard monolithic engine (bit-for-bit).
-//! * **Windowed mode** builds one shard per home and executes them in
-//!   bounded-lag windows on the calling thread. Cross-shard messages
-//!   leave through [`HomeShard::outbox`] carrying their deterministic
-//!   [`SchedKey`] and are merged into the destination shard at window
-//!   barriers.
-//!
-//! Everything order-sensitive goes through one per-shard monotone
-//! action counter: event scheduling, network-interface acquisition and
-//! mailbox keys all derive from it, which is what makes windowed runs
-//! independent of the order in which the engine visits shards. The
-//! protocol handlers themselves (directory transactions, speculation
-//! triggers, verification feedback) are the former `system.rs` logic,
-//! indexed through the shard's node range.
-//!
-//! Synchronization (barriers, locks) is global state owned by the
-//! engine, not by any shard: a shard encountering a sync operation
-//! **yields** it ([`ShardYield::Sync`]) and pauses; the engine
-//! arbitrates and answers with [`Directive`]s.
+//! Every scheduling action consumes the next key of one monotone
+//! counter, so same-cycle events pop in the order they were scheduled.
+//! Synchronization (barriers, locks) resolves inline, in the event that
+//! reaches it.
 
 use std::sync::Arc;
 
@@ -46,10 +31,8 @@ use crate::network::Network;
 use crate::processor::{Blocked, ProcAction, Processor, SyncKind};
 use crate::spec::SpecEngine;
 use crate::stats::FaultStats;
-
-/// Index of a shard within the engine (== home node id in windowed
-/// mode; 0 in sequential single-shard mode).
-pub(crate) type ShardId = u32;
+use crate::sync::{BarrierManager, LockManager};
+use crate::system::{EngineError, SystemConfig};
 
 #[derive(Debug, Clone)]
 pub(crate) enum Event {
@@ -79,329 +62,117 @@ enum Grant {
     Upgrade,
 }
 
-/// A synchronization operation a shard encountered and cannot decide
-/// locally: barrier arrival, lock acquire, lock release.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct SyncOp {
-    /// Cycle the processor reached the operation.
-    pub at: Cycle,
-    /// The processor performing it.
-    pub proc: ProcId,
-    pub kind: SyncKind,
-}
-
-/// The engine's answer to sync operations: state changes and resume
-/// schedules to apply inside a shard, in exactly the order the
-/// sequential engine would have performed them.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Directive {
-    /// Mark `proc` blocked (barrier or lock) since cycle `at`.
-    Block { proc: ProcId, at: Cycle, lock: bool },
-    /// Wake `proc` at cycle `at`: charge its sync wait, clear the
-    /// blocked state, and schedule its resume at `at + 1`.
-    Release { proc: ProcId, at: Cycle },
-    /// Schedule a resume at `at + 1` for a processor that was never
-    /// blocked (successful lock acquire; the releaser after an unlock).
-    ResumeSelf { proc: ProcId, at: Cycle },
-}
-
-impl Directive {
-    /// The processor the directive targets (→ the shard that applies it).
-    pub(crate) fn proc(&self) -> ProcId {
-        match *self {
-            Directive::Block { proc, .. }
-            | Directive::Release { proc, .. }
-            | Directive::ResumeSelf { proc, .. } => proc,
-        }
-    }
-}
-
-/// Why [`HomeShard::run_until`] stopped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ShardYield {
-    /// No pending event below the horizon.
-    Idle,
-    /// A sync operation was encountered; it is parked in
-    /// [`HomeShard::paused`] and the shard stops dead until the engine
-    /// arbitrates it (via directives) and clears the pause.
-    Sync,
-}
-
-/// One undelivered cross-shard message: the sender-side half of a
-/// network send. `at_dst` is the cycle the message reaches the
-/// destination's inbound NI (departure + network hop); the receiving
-/// shard performs the inbound-NI acquisition when the message is merged
-/// at a window barrier, in global [`SchedKey`] order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct InFlight {
-    pub key: SchedKey,
-    pub at_dst: Cycle,
-    pub msg: Msg,
-}
-
-/// All simulation state of a contiguous range of nodes, plus the
-/// protocol logic operating on it. See the module docs.
-pub(crate) struct HomeShard {
-    pub id: ShardId,
-    /// First owned node.
-    pub lo: usize,
-    /// One past the last owned node.
-    pub hi: usize,
-    /// Owned processors, indexed by `node - lo`.
+/// All simulation state of the machine, plus the protocol logic
+/// operating on it. See the module docs.
+pub(crate) struct Machine {
+    /// The processors, indexed by node.
     pub procs: Vec<Processor>,
-    /// Directory records; only the owned homes' tables are written.
+    /// Directory records of every home.
     pub dir: Directory,
-    /// Owned memory buses, indexed by `node - lo`.
+    /// The memory buses, indexed by node.
     pub mems: Vec<FifoResource>,
-    /// Owned network interfaces (outbound and inbound).
+    /// The network interfaces (outbound and inbound).
     pub net: Network,
-    /// Per-shard speculation engine (predictor tables populate only for
-    /// owned homes; counters merge at run end).
+    /// The speculation engine and its online predictor.
     pub spec: SpecEngine,
     pub queue: KeyedQueue<Event>,
     /// Monotone counter behind every scheduling action's [`SchedKey`].
     seq: u64,
-    /// Cycle of the event currently being processed (the `sched` part
-    /// of keys consumed while handling it); after a run, the cycle of
-    /// the shard's last event.
+    /// Cycle of the event currently being processed; after a run, the
+    /// cycle of the last event.
     pub cur: Cycle,
-    /// Cross-shard sends of the current window, routed to the shard of
-    /// `msg.dst`. Drained by the engine at window barriers.
-    pub outbox: Vec<InFlight>,
-    /// Cross-shard messages received but not yet eligible for inbound
-    /// NI acquisition (their send window may still be open elsewhere).
-    /// Sorted by key; key order == global send order.
-    pub pending_in: std::collections::BTreeMap<SchedKey, InFlight>,
-    /// The parked sync operation, set on [`ShardYield::Sync`] and
-    /// cleared when the engine resolves it.
-    pub paused: Option<SyncOp>,
-    /// Per-shard directory message trace (merged at run end).
+    barrier: BarrierManager,
+    locks: LockManager,
+    /// The directory message trace, when recording.
     pub trace: Option<DirectoryTrace>,
-    /// Deliver cross-node messages inline (sequential mode) instead of
-    /// deferring them through the outbox (windowed mode).
-    pub immediate: bool,
-    // Engine configuration mirrored per shard (cheap copies).
-    pub machine: MachineConfig,
-    pub max_cycles: Option<u64>,
+    cfg: MachineConfig,
+    max_cycles: Option<u64>,
     /// Active fault plan; `None` on a reliable network (all-zero plans
-    /// are normalized away by the engine, keeping them bit-identical
-    /// with no plan at all).
-    pub faults: Option<Arc<FaultPlan>>,
-    /// Fault and recovery counters (merged at run end).
+    /// are normalized away, keeping them bit-identical with no plan at
+    /// all).
+    faults: Option<Arc<FaultPlan>>,
+    /// Fault and recovery counters.
     pub fstats: FaultStats,
-    /// Highest request sequence number accepted per `(owned home -
-    /// lo, requester)` — the directory-side duplicate-suppression
-    /// state. Empty when no fault plan is active.
+    /// Highest request sequence number accepted per `(home,
+    /// requester)` — the directory-side duplicate-suppression state.
+    /// Empty when no fault plan is active.
     req_seen: Vec<Vec<u64>>,
     /// Optional runtime coherence auditor (purely observational).
-    pub audit: Option<Box<Auditor>>,
+    audit: Option<Box<Auditor>>,
 }
 
-impl HomeShard {
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
-        id: ShardId,
-        lo: usize,
-        hi: usize,
-        procs: Vec<Processor>,
-        machine: &MachineConfig,
-        spec: SpecEngine,
-        record_trace: bool,
-        immediate: bool,
-        max_cycles: Option<u64>,
-        faults: Option<Arc<FaultPlan>>,
-        audit: bool,
-    ) -> Self {
-        debug_assert_eq!(procs.len(), hi - lo);
+impl Machine {
+    /// Builds the machine `cfg` describes around `procs`.
+    pub(crate) fn new(cfg: &SystemConfig, procs: Vec<Processor>) -> Self {
+        let machine = &cfg.machine;
+        let n = machine.num_nodes;
+        // An all-zero plan never enters the fault path, so such configs
+        // stay bit-identical to the reliable network (no timeout
+        // events, no dedup bookkeeping).
+        let faults = cfg
+            .faults
+            .as_ref()
+            .filter(|plan| !plan.is_noop())
+            .map(|plan| Arc::new(plan.clone()));
         let req_seen = if faults.is_some() {
-            vec![vec![0u64; machine.num_nodes]; hi - lo]
+            vec![vec![0u64; n]; n]
         } else {
             Vec::new()
         };
-        HomeShard {
-            id,
-            lo,
-            hi,
+        Machine {
             procs,
             dir: Directory::new(machine),
-            mems: (lo..hi).map(|_| FifoResource::new()).collect(),
-            net: Network::with_range(lo, hi, machine.latency),
-            spec,
+            mems: (0..n).map(|_| FifoResource::new()).collect(),
+            net: Network::new(n, machine.latency),
+            spec: SpecEngine::new(cfg.policy, cfg.predictor_depth, machine),
             queue: KeyedQueue::new(),
             seq: 0,
             cur: Cycle::ZERO,
-            outbox: Vec::new(),
-            pending_in: std::collections::BTreeMap::new(),
-            paused: None,
-            trace: record_trace.then(DirectoryTrace::new),
-            immediate,
-            machine: machine.clone(),
-            max_cycles,
+            barrier: BarrierManager::new(n),
+            locks: LockManager::new(),
+            trace: cfg.record_trace.then(DirectoryTrace::new),
+            cfg: machine.clone(),
+            max_cycles: cfg.max_cycles,
             faults,
             fstats: FaultStats::default(),
             req_seen,
-            audit: audit.then(|| Box::new(Auditor::new())),
+            audit: cfg.audit.then(|| Box::new(Auditor::new())),
         }
     }
 
+    /// Schedules an event at `at`; the scheduling action is stamped
+    /// with the current processing cycle and the next sequence number.
     #[inline]
-    fn proc_mut(&mut self, p: ProcId) -> &mut Processor {
-        &mut self.procs[p.0 - self.lo]
-    }
-
-    /// Consumes the next scheduling-action key. `sched` is the cycle of
-    /// the action — almost always the cycle currently being processed.
-    #[inline]
-    fn next_key(&mut self, sched: Cycle) -> SchedKey {
+    fn sched(&mut self, at: Cycle, event: Event) {
         let key = SchedKey {
-            sched: sched.raw(),
-            src: self.id,
+            sched: self.cur.raw(),
+            src: 0,
             seq: self.seq,
         };
         self.seq += 1;
-        key
-    }
-
-    /// Schedules a local event at `at`; the scheduling action is
-    /// stamped with the current processing cycle.
-    #[inline]
-    fn sched(&mut self, at: Cycle, event: Event) {
-        let key = self.next_key(self.cur);
         self.queue.schedule(at, key, event);
     }
 
-    /// Schedules an engine-directed event whose scheduling action
-    /// happened at cycle `sched` (sync resolutions at window barriers).
-    pub(crate) fn sched_directed(&mut self, sched: Cycle, at: Cycle, event: Event) {
-        let key = self.next_key(sched);
-        self.queue.schedule(at, key, event);
-    }
-
-    /// Seeds the initial resume of every owned processor at cycle 0.
-    pub(crate) fn seed(&mut self) {
-        for p in self.lo..self.hi {
-            self.sched_directed(Cycle::ZERO, Cycle::ZERO, Event::Resume(ProcId(p)));
+    /// Queues every processor's first resume at cycle 0, then
+    /// processes events until the queue drains.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EngineError::MaxCycles`] when an event lies past the
+    /// configured `max_cycles`.
+    pub(crate) fn run(&mut self) -> Result<(), EngineError> {
+        for p in 0..self.procs.len() {
+            self.sched(Cycle::ZERO, Event::Resume(ProcId(p)));
         }
-    }
-
-    /// Lower bound on the delivery cycle of any pending arrival: the
-    /// earliest scheduling action plus the minimum cross-node latency.
-    /// (`handoff ≥ sched + one_way` always; taking the first key makes
-    /// this O(log n) instead of a scan — the bound is queried at every
-    /// window barrier.)
-    pub(crate) fn arrivals_bound(&self) -> Option<Cycle> {
-        let one_way = self.machine.latency.one_way();
-        self.pending_in
-            .first_key_value()
-            .map(|(k, _)| Cycle(k.sched) + one_way)
-    }
-
-    /// Whether the owned processor(s) include one blocked on
-    /// synchronization — such a shard must not run past `floor + 1`
-    /// because a sync resolution may schedule its resume at `floor + 1`.
-    pub(crate) fn has_sync_blocked(&self) -> bool {
-        self.procs
-            .iter()
-            .any(|p| matches!(p.blocked, Blocked::Barrier(_) | Blocked::Lock(_)))
-    }
-
-    /// Applies an engine directive (sync resolution effects), in the
-    /// order the engine issues them.
-    pub(crate) fn apply(&mut self, d: Directive) {
-        match d {
-            Directive::Block { proc, at, lock } => {
-                self.proc_mut(proc).blocked = if lock {
-                    Blocked::Lock(at)
-                } else {
-                    Blocked::Barrier(at)
-                };
-            }
-            Directive::Release { proc, at } => {
-                let pr = self.proc_mut(proc);
-                match pr.blocked {
-                    Blocked::Barrier(since) | Blocked::Lock(since) => {
-                        pr.stats.sync_wait += at.since(since);
-                        pr.blocked = Blocked::No;
-                    }
-                    // The final barrier arriver releases itself while
-                    // never having been marked blocked.
-                    _ => {}
-                }
-                self.sched_directed(at, at + 1, Event::Resume(proc));
-            }
-            Directive::ResumeSelf { proc, at } => {
-                self.sched_directed(at, at + 1, Event::Resume(proc));
-            }
-        }
-    }
-
-    /// Merges one batch of cross-shard messages (already sent, not yet
-    /// delivered) into the pending-arrival buffer.
-    pub(crate) fn receive(&mut self, items: impl IntoIterator<Item = InFlight>) {
-        for m in items {
-            let prev = self.pending_in.insert(m.key, m);
-            debug_assert!(prev.is_none(), "duplicate mailbox key");
-        }
-    }
-
-    /// Delivers every pending arrival whose scheduling action precedes
-    /// `floor` (no in-flight or future message can be keyed earlier):
-    /// performs the inbound-NI acquisition in global key order and
-    /// schedules the `Deliver` event at the handoff cycle.
-    pub(crate) fn drain_arrivals(&mut self, floor: Cycle) {
-        while let Some(entry) = self.pending_in.first_entry() {
-            if entry.get().key.sched >= floor.raw() {
-                break;
-            }
-            let (key, m) = entry.remove_entry();
-            self.deliver_in(key, m);
-        }
-    }
-
-    /// Delivers one merged cross-shard message: inbound-NI acquisition
-    /// plus the `Deliver` schedule, keyed by the sender's action key.
-    #[inline]
-    fn deliver_in(&mut self, key: SchedKey, m: InFlight) {
-        let handoff = self.net.arrive(m.at_dst, m.msg.dst);
-        self.queue.schedule(handoff, key, Event::Deliver(m.msg));
-    }
-
-    /// Fast path for a window merge whose every message is already
-    /// eligible (the common case: the floor advanced a whole window):
-    /// deliver the key-sorted batch directly, skipping the pending
-    /// buffer. Callers must guarantee the batch is sorted, every
-    /// `sched < floor`, and no earlier-keyed arrival is pending.
-    pub(crate) fn deliver_batch(&mut self, items: impl IntoIterator<Item = InFlight>) {
-        debug_assert!(self.pending_in.is_empty());
-        for m in items {
-            let key = m.key;
-            self.deliver_in(key, m);
-        }
-    }
-
-    /// Processes queued events with cycle **strictly below** `horizon`,
-    /// parking the first sync operation encountered in
-    /// [`HomeShard::paused`] and returning [`ShardYield::Sync`] at it
-    /// (nothing else can run until the engine resolves it).
-    pub(crate) fn run_until(&mut self, horizon: Cycle) -> ShardYield {
-        if self.paused.is_some() {
-            return ShardYield::Sync;
-        }
-        while let Some((now, event)) = self.queue.pop_before(horizon) {
+        while let Some((now, event)) = self.queue.pop() {
             if let Some(limit) = self.max_cycles {
-                assert!(
-                    now.raw() <= limit,
-                    "simulation exceeded max_cycles = {limit}"
-                );
+                if now.raw() > limit {
+                    return Err(EngineError::MaxCycles { limit });
+                }
             }
             self.cur = now;
             match event {
-                Event::Resume(p) => {
-                    if let Some(op) = self.step_proc(now, p) {
-                        self.paused = Some(op);
-                        return ShardYield::Sync;
-                    }
-                }
+                Event::Resume(p) => self.step_proc(now, p),
                 Event::Deliver(msg) => self.deliver(now, msg),
                 Event::DirRelease(slot, block) => self.dir_release(now, slot, block),
                 Event::ReqTimeout { proc, seq, attempt } => {
@@ -409,33 +180,71 @@ impl HomeShard {
                 }
             }
         }
-        ShardYield::Idle
+        Ok(())
     }
 
     // ------------------------------------------------------------------
     // Processor side
     // ------------------------------------------------------------------
 
-    /// Advances processor `p`; returns a sync operation if it reached
-    /// one (the caller parks it for the engine).
-    fn step_proc(&mut self, now: Cycle, p: ProcId) -> Option<SyncOp> {
+    #[inline]
+    fn proc_mut(&mut self, p: ProcId) -> &mut Processor {
+        &mut self.procs[p.0]
+    }
+
+    /// Advances processor `p` by one action.
+    fn step_proc(&mut self, now: Cycle, p: ProcId) {
         match self.proc_mut(p).next_action() {
             ProcAction::Busy(n) => self.sched(now + n, Event::Resume(p)),
             ProcAction::Miss(b, kind) => self.issue(now, p, b, kind),
-            ProcAction::Sync(kind) => {
-                return Some(SyncOp {
-                    at: now,
-                    proc: p,
-                    kind,
-                })
-            }
+            ProcAction::Sync(kind) => self.sync(now, p, kind),
             ProcAction::Done => {
                 let pr = self.proc_mut(p);
                 pr.blocked = Blocked::Done;
                 pr.stats.finished_at = now.raw();
             }
         }
-        None
+    }
+
+    /// Resolves a barrier arrival, lock acquire or lock release of `p`
+    /// at `now`. Each processor it lets go resumes at `now + 1`, in the
+    /// order the managers release them.
+    fn sync(&mut self, now: Cycle, p: ProcId, kind: SyncKind) {
+        match kind {
+            SyncKind::Barrier => match self.barrier.arrive(p) {
+                // The last arriver comes last and was never blocked.
+                Some(released) => {
+                    for w in released {
+                        self.wake(now, w);
+                    }
+                }
+                None => self.proc_mut(p).blocked = Blocked::Barrier(now),
+            },
+            SyncKind::Lock(lock) => {
+                if self.locks.acquire(lock, p) {
+                    self.wake(now, p);
+                } else {
+                    self.proc_mut(p).blocked = Blocked::Lock(lock, now);
+                }
+            }
+            SyncKind::Unlock(lock) => {
+                if let Some(next) = self.locks.release(lock, p) {
+                    self.wake(now, next);
+                }
+                self.wake(now, p);
+            }
+        }
+    }
+
+    /// Lets `p` go at `now`: charges its barrier or lock wait, if it
+    /// waited, and resumes it at `now + 1`.
+    fn wake(&mut self, now: Cycle, p: ProcId) {
+        let pr = self.proc_mut(p);
+        if let Blocked::Barrier(since) | Blocked::Lock(_, since) = pr.blocked {
+            pr.stats.sync_wait += now.since(since);
+            pr.blocked = Blocked::No;
+        }
+        self.sched(now + 1, Event::Resume(p));
     }
 
     fn issue(&mut self, now: Cycle, p: ProcId, block: BlockAddr, kind: ReqKind) {
@@ -471,7 +280,7 @@ impl HomeShard {
     ) {
         let mk = MsgKind::Req { kind, proc: p, seq };
         let src = p.node();
-        let home = self.machine.home_of(block);
+        let home = self.cfg.home_of(block);
         let Some(plan) = self.faults.clone() else {
             self.send(now, src, home, block, mk);
             return;
@@ -532,7 +341,7 @@ impl HomeShard {
         if drop {
             return;
         }
-        self.depart_to(at_dst, msg);
+        self.arrive(at_dst, msg);
     }
 
     /// A retransmission timer fired. A stale timer (its request was
@@ -618,7 +427,7 @@ impl HomeShard {
         // (contention with its processor for the cache): overlapped
         // invalidation acks therefore arrive in varying order, the
         // paper's §3 perturbation source for general message predictors.
-        let delay = ack_delay(now, p, self.machine.latency.ack_jitter);
+        let delay = ack_delay(now, p, self.cfg.latency.ack_jitter);
         self.send(
             now + delay,
             node,
@@ -681,22 +490,15 @@ impl HomeShard {
             return;
         }
         let at_dst = self.net.depart(now, src);
-        self.depart_to(at_dst, msg);
+        self.arrive(at_dst, msg);
     }
 
-    /// Hands a message that left its sender's NI to the destination: in
-    /// sequential mode the delivery completes inline, exactly like the
-    /// monolithic engine; in windowed mode it leaves through the outbox
-    /// (the destination node's shard).
+    /// Hands a message that left its sender's NI at `at_dst` to the
+    /// destination's inbound NI and schedules its delivery.
     #[inline]
-    fn depart_to(&mut self, at_dst: Cycle, msg: Msg) {
-        if self.immediate {
-            let handoff = self.net.arrive(at_dst, msg.dst);
-            self.sched(handoff, Event::Deliver(msg));
-        } else {
-            let key = self.next_key(self.cur);
-            self.outbox.push(InFlight { key, at_dst, msg });
-        }
+    fn arrive(&mut self, at_dst: Cycle, msg: Msg) {
+        let handoff = self.net.arrive(at_dst, msg.dst);
+        self.sched(handoff, Event::Deliver(msg));
     }
 
     /// Drops a request the directory already accepted (a network
@@ -707,7 +509,7 @@ impl HomeShard {
         if self.faults.is_none() {
             return false;
         }
-        let seen = &mut self.req_seen[dst.0 - self.lo][p.0];
+        let seen = &mut self.req_seen[dst.0][p.0];
         // One outstanding request per processor and strictly monotone
         // sequence numbers: anything at or below the watermark was
         // already accepted once.
@@ -862,7 +664,7 @@ impl HomeShard {
         let (others, in_place) = match &self.dir.at(slot).state {
             DirState::Idle => (ReaderSet::new(), false),
             DirState::Shared(readers) => {
-                // The fan-out below sends while mutating the shard, so
+                // The fan-out below sends while mutating the machine, so
                 // it walks a copy of the sharers minus the requester.
                 let mut others = readers.clone();
                 others.remove(p);
@@ -1085,8 +887,8 @@ impl HomeShard {
     /// `mem_access` cycles after its bus slot starts.
     #[inline]
     fn mem_access(&mut self, now: Cycle, home: NodeId) -> Cycle {
-        let lat = self.machine.latency;
-        let slot_end = self.mems[home.0 - self.lo].acquire(now, lat.mem_occupancy);
+        let lat = self.cfg.latency;
+        let slot_end = self.mems[home.0].acquire(now, lat.mem_occupancy);
         let start = Cycle(slot_end.raw() - lat.mem_occupancy);
         start + lat.mem_access
     }
@@ -1171,14 +973,12 @@ fn ack_delay(now: Cycle, p: ProcId, jitter: u64) -> u64 {
     splitmix64(z) % jitter
 }
 
-impl std::fmt::Debug for HomeShard {
+impl std::fmt::Debug for Machine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HomeShard")
-            .field("id", &self.id)
-            .field("nodes", &(self.lo..self.hi))
+        f.debug_struct("Machine")
+            .field("nodes", &self.procs.len())
+            .field("cycle", &self.cur)
             .field("queued", &self.queue.len())
-            .field("pending_in", &self.pending_in.len())
-            .field("paused", &self.paused)
             .finish()
     }
 }

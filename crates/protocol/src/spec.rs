@@ -75,22 +75,6 @@ pub struct SpecStats {
     pub swi_inval_premature: u64,
 }
 
-impl std::ops::AddAssign for SpecStats {
-    /// Field-wise accumulation; used to merge per-shard counters into
-    /// whole-run statistics (every field is a sum, so the merge is
-    /// order-independent).
-    fn add_assign(&mut self, rhs: SpecStats) {
-        self.fr_sent += rhs.fr_sent;
-        self.swi_sent += rhs.swi_sent;
-        self.fr_unused += rhs.fr_unused;
-        self.swi_unused += rhs.swi_unused;
-        self.verified += rhs.verified;
-        self.dropped += rhs.dropped;
-        self.swi_inval_sent += rhs.swi_inval_sent;
-        self.swi_inval_premature += rhs.swi_inval_premature;
-    }
-}
-
 impl SpecStats {
     /// Total speculative copies sent.
     #[must_use]
@@ -108,7 +92,7 @@ impl SpecStats {
 /// Directory-side speculation engine: the online predictor, the
 /// per-home SWI tables, and the speculation activity counters.
 ///
-/// The predictor is the table-backed [`Vmsp`]: the shard computes each
+/// The predictor is the table-backed [`Vmsp`]: the machine computes each
 /// message's [`Slot`] once, and every later access — observe, predicted
 /// readers, ticket open/close — is a direct index.
 #[derive(Debug, Clone)]

@@ -69,16 +69,6 @@ pub struct FaultStats {
     pub recovery_cycles: u64,
 }
 
-impl std::ops::AddAssign for FaultStats {
-    fn add_assign(&mut self, rhs: FaultStats) {
-        self.drops += rhs.drops;
-        self.duplicates += rhs.duplicates;
-        self.retries += rhs.retries;
-        self.dup_suppressed += rhs.dup_suppressed;
-        self.recovery_cycles += rhs.recovery_cycles;
-    }
-}
-
 /// Result of one complete system simulation.
 #[derive(Debug, Clone)]
 pub struct RunStats {
@@ -220,25 +210,6 @@ mod tests {
             predictor: None,
             trace: None,
         }
-    }
-
-    #[test]
-    fn fault_stats_accumulate() {
-        let mut total = FaultStats::default();
-        total += FaultStats {
-            drops: 2,
-            duplicates: 1,
-            retries: 3,
-            dup_suppressed: 4,
-            recovery_cycles: 500,
-        };
-        total += FaultStats {
-            drops: 1,
-            ..FaultStats::default()
-        };
-        assert_eq!(total.drops, 3);
-        assert_eq!(total.retries, 3);
-        assert_eq!(total.recovery_cycles, 500);
     }
 
     #[test]

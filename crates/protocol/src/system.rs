@@ -1,67 +1,41 @@
-//! The whole-machine engine: shard composition, execution strategies,
-//! and global synchronization.
+//! The whole simulated system: configuration, validation, the run and
+//! the end-of-run checks.
 //!
-//! All protocol logic and node-local state live in [`HomeShard`] (see
-//! `shard.rs`); this module assembles shards into a machine and drives
-//! them under one of two strategies selected by
-//! [`SystemConfig::engine`]:
-//!
-//! * [`EngineConfig::Sequential`] — one shard spanning every node, one
-//!   event loop, messages delivered inline. This is the pre-shard
-//!   monolithic engine, bit for bit: same event order, same
-//!   network-interface serialization, same statistics.
-//! * [`EngineConfig::Windowed`] — one shard **per home node**, executed
-//!   on the calling thread in conservative bounded-lag windows whose
-//!   lookahead is the minimum cross-node message latency
-//!   ([`LatencyConfig::one_way`](specdsm_types::LatencyConfig::one_way)):
-//!   a message sent inside a window cannot be delivered inside it, so
-//!   each shard processes a window on its own and the shards exchange
-//!   mailboxes at window barriers, merged in deterministic
-//!   `(cycle, source, sequence)` key order. The schedule is a pure
-//!   function of the simulated machine, not of the order in which shards
-//!   are visited.
-//!
-//! Synchronization (the barrier and lock managers) is global state the
-//! shards cannot touch: a shard yields sync operations and the engine
-//! arbitrates them in deterministic `(cycle, processor)` order at
-//! window barriers (inline in sequential mode), answering with
-//! [`Directive`]s. See `docs/ARCHITECTURE.md` for the full design,
-//! including when the windowed engine's tie-breaking can deviate from
-//! the sequential engine's.
+//! [`System::new`] validates a [`SystemConfig`] and builds the one
+//! [`Machine`] (see `shard.rs`) that simulates every node.
+//! [`System::try_run`] drives the machine's event loop until its queue
+//! drains, checks that every processor finished and that the
+//! directories agree with every cache, and returns the statistics. See
+//! `docs/ARCHITECTURE.md` for the full design.
 
 use std::error::Error;
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
 
-use specdsm_core::SharingPredictor;
-use specdsm_sim::Cycle;
-use specdsm_types::{ConfigError, FaultPlan, MachineConfig, ProcId, Workload};
+use specdsm_core::{DirectoryTrace, SharingPredictor};
+use specdsm_sim::FifoResource;
+use specdsm_types::{BlockAddr, ConfigError, FaultPlan, LockId, MachineConfig, ProcId, Workload};
 
 use crate::cache::LineState;
 use crate::directory::DirState;
-use crate::processor::{Blocked, Processor, SyncKind};
-use crate::shard::{Directive, HomeShard, InFlight, ShardId, ShardYield, SyncOp};
-use crate::spec::{SpecEngine, SpecPolicy};
+use crate::processor::{Blocked, Processor};
+use crate::shard::Machine;
+use crate::spec::SpecPolicy;
 use crate::stats::RunStats;
-use crate::sync::{BarrierManager, LockManager};
 
-/// Execution strategy of the protocol engine.
+/// Names the engine. Both variants run the same one engine.
+///
+/// This type and [`SystemConfig::engine`] stay only because the
+/// benchmark under `perfbench/` still constructs them. ROADMAP item 1,
+/// step 1 removes that use, and both go with it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineConfig {
-    /// A single shard spanning all nodes, run to completion on the
-    /// calling thread. Exactly reproduces the historical monolithic
-    /// engine. The default.
+    /// The one engine. The default.
     #[default]
     Sequential,
-    /// Per-home shards under the bounded-lag window scheduler, run on
-    /// the calling thread.
+    /// The same engine as [`EngineConfig::Sequential`]; `threads` is
+    /// ignored.
     Windowed {
-        /// Must be 0 or 1 (both mean the calling thread); any larger
-        /// value makes [`System::new`] return
-        /// [`BuildError::WorkerThreads`]. The field remains only because
-        /// the benchmark constructs it, and goes when the benchmark
-        /// stops doing so.
+        /// Ignored.
         threads: usize,
     },
 }
@@ -78,10 +52,11 @@ pub struct SystemConfig {
     /// Record the per-block directory message trace (for offline
     /// predictor evaluation).
     pub record_trace: bool,
-    /// Optional safety limit; the run panics if simulated time exceeds
-    /// it (guards against workload deadlocks in development).
+    /// Optional safety limit on simulated time: the run stops with
+    /// [`EngineError::MaxCycles`] at the first event past it (guards
+    /// against runaway workloads in development).
     pub max_cycles: Option<u64>,
-    /// Execution strategy (sequential single-shard by default).
+    /// Ignored; see [`EngineConfig`].
     pub engine: EngineConfig,
     /// Optional deterministic fault-injection plan for remote request
     /// messages (drop / duplicate / extra delay), with requester-side
@@ -143,12 +118,6 @@ pub enum BuildError {
         /// Nodes in the machine.
         nodes: usize,
     },
-    /// [`EngineConfig::Windowed`] asked for more than one thread; the
-    /// windowed engine runs on the calling thread only.
-    WorkerThreads {
-        /// The requested thread count.
-        requested: usize,
-    },
 }
 
 impl fmt::Display for BuildError {
@@ -168,10 +137,6 @@ impl fmt::Display for BuildError {
                 f,
                 "fault plan slows node {node}, but the machine has {nodes} nodes"
             ),
-            BuildError::WorkerThreads { requested } => write!(
-                f,
-                "the windowed engine runs on one thread, but {requested} were requested"
-            ),
         }
     }
 }
@@ -184,168 +149,98 @@ impl From<ConfigError> for BuildError {
     }
 }
 
-/// Fatal failure inside the windowed engine, surfaced structurally by
-/// [`System::try_run`] instead of unwinding.
+/// What an unfinished processor waits for when a run deadlocks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Waiting {
+    /// The barrier, since the cycle it arrived.
+    Barrier {
+        /// Arrival cycle.
+        since: u64,
+    },
+    /// A lock another processor holds.
+    Lock {
+        /// The lock.
+        lock: LockId,
+        /// Cycle of the acquire.
+        since: u64,
+    },
+    /// The reply to a memory request.
+    Memory {
+        /// The requested block.
+        block: BlockAddr,
+        /// Cycle the request was issued.
+        since: u64,
+    },
+}
+
+impl fmt::Display for Waiting {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Waiting::Barrier { since } => write!(f, "at the barrier since cycle {since}"),
+            Waiting::Lock { lock, since } => write!(f, "for {lock} since cycle {since}"),
+            Waiting::Memory { block, since } => {
+                write!(f, "for block {block} since cycle {since}")
+            }
+        }
+    }
+}
+
+/// A failure of a run that its inputs caused, returned by
+/// [`System::try_run`].
 ///
-/// A shard panics when it hits a protocol assertion, a coherence-audit
-/// violation, an exhausted retry budget, or the `max_cycles` guard; the
-/// windowed driver catches the unwind around each shard's round and
-/// reports *which* shard failed in *which* window. For diagnosis,
-/// re-run the same configuration under [`EngineConfig::Sequential`] —
-/// the failure replays in one event loop where the full panic
-/// backtrace points directly at the offending event.
+/// Protocol-invariant violations, coherence-audit violations and an
+/// exhausted retry budget are bugs or unrecoverable faults, and panic.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum EngineError {
-    /// A shard's window execution panicked.
-    WorkerPanic {
-        /// The shard that failed (== its home node id in windowed mode).
-        shard: usize,
-        /// Floor cycle of the window being executed when it failed.
-        window_floor: u64,
-        /// The panic message, verbatim.
-        message: String,
+    /// The event queue drained while processors were still unfinished,
+    /// for example after mismatched barrier or lock use.
+    Deadlock {
+        /// Cycle of the last event processed.
+        cycle: u64,
+        /// Each unfinished processor, in id order, and what it waits
+        /// for.
+        blocked: Vec<(ProcId, Waiting)>,
+    },
+    /// An event lay past [`SystemConfig::max_cycles`].
+    MaxCycles {
+        /// The configured limit.
+        limit: u64,
     },
 }
 
 impl fmt::Display for EngineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            EngineError::WorkerPanic {
-                shard,
-                window_floor,
-                message,
-            } => write!(
-                f,
-                "shard {shard} failed in the window at cycle {window_floor}: {message}"
-            ),
+            EngineError::Deadlock { cycle, blocked } => {
+                write!(
+                    f,
+                    "deadlock at cycle {cycle}: {} processors never finished:",
+                    blocked.len()
+                )?;
+                for (i, (p, waiting)) in blocked.iter().enumerate() {
+                    let sep = if i == 0 { " " } else { "; " };
+                    write!(f, "{sep}{p} waits {waiting}")?;
+                }
+                Ok(())
+            }
+            EngineError::MaxCycles { limit } => {
+                write!(f, "simulation exceeded max_cycles = {limit}")
+            }
         }
     }
 }
 
 impl Error for EngineError {}
 
-/// Best-effort extraction of a panic payload's message (panics carry
-/// `String` or `&'static str` in practice).
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    match payload.downcast::<String>() {
-        Ok(s) => *s,
-        Err(payload) => match payload.downcast::<&'static str>() {
-            Ok(s) => (*s).to_string(),
-            Err(_) => "non-string panic payload".to_string(),
-        },
-    }
-}
-
 /// A complete simulated DSM: processors, caches, directories, network,
-/// synchronization, and (optionally) the speculation engine, whose
-/// predictor state is one slot-addressed [`Vmsp`](specdsm_core::Vmsp)
-/// per shard.
+/// synchronization, and (optionally) the speculation engine.
 ///
 /// Build one with [`System::new`] and consume it with [`System::run`].
 pub struct System {
     cfg: SystemConfig,
-    shards: Vec<HomeShard>,
-    barrier: BarrierManager,
-    locks: LockManager,
+    machine: Machine,
     workload_name: String,
-}
-
-/// What one shard publishes at a window barrier.
-#[derive(Debug)]
-struct ShardReport {
-    /// Earliest queued event.
-    queue: Option<Cycle>,
-    /// Lower bound on the earliest undelivered arrival.
-    arrivals: Option<Cycle>,
-    /// The parked sync operation, if any (the shard stops dead at it
-    /// until the engine arbitrates it).
-    op: Option<SyncOp>,
-    /// Whether an owned processor is blocked on synchronization.
-    sync_blocked: bool,
-}
-
-/// One round's marching orders for one shard.
-#[derive(Debug, Default)]
-struct ShardPlan {
-    /// Sync-resolution effects to apply, in order.
-    directives: Vec<Directive>,
-    /// Whether the shard's parked op was arbitrated; clear its pause.
-    resolved: bool,
-}
-
-/// One window round, as computed by the deterministic planner.
-#[derive(Debug)]
-struct Plan {
-    /// Global floor: no event anywhere precedes this cycle.
-    floor: Cycle,
-    /// Exclusive horizon for shards with a sync-blocked processor: one
-    /// past the earliest cycle at which *any* sync operation could
-    /// still fire (held ops, ops discoverable by running shards, ops
-    /// reachable through resumes granted this round) — a later
-    /// arbitration may schedule a blocked shard's resume there, and
-    /// the shard must not have run past the insertion point. `None`
-    /// when no sync source remains (no release can ever happen).
-    sync_guard: Option<Cycle>,
-    per_shard: Vec<ShardPlan>,
-}
-
-fn opt_min(a: Option<Cycle>, b: Option<Cycle>) -> Option<Cycle> {
-    match (a, b) {
-        (None, x) | (x, None) => x,
-        (Some(x), Some(y)) => Some(x.min(y)),
-    }
-}
-
-/// Applies one sync operation to the global managers, emitting the
-/// resulting directives in exactly the order the sequential engine
-/// performs the equivalent state changes and schedules.
-fn resolve_sync(
-    barrier: &mut BarrierManager,
-    locks: &mut LockManager,
-    op: SyncOp,
-    out: &mut Vec<Directive>,
-) {
-    match op.kind {
-        SyncKind::Barrier => match barrier.arrive(op.proc) {
-            Some(released) => {
-                for w in released {
-                    out.push(Directive::Release { proc: w, at: op.at });
-                }
-            }
-            None => out.push(Directive::Block {
-                proc: op.proc,
-                at: op.at,
-                lock: false,
-            }),
-        },
-        SyncKind::Lock(l) => {
-            if locks.acquire(l, op.proc) {
-                out.push(Directive::ResumeSelf {
-                    proc: op.proc,
-                    at: op.at,
-                });
-            } else {
-                out.push(Directive::Block {
-                    proc: op.proc,
-                    at: op.at,
-                    lock: true,
-                });
-            }
-        }
-        SyncKind::Unlock(l) => {
-            if let Some(next) = locks.release(l, op.proc) {
-                out.push(Directive::Release {
-                    proc: next,
-                    at: op.at,
-                });
-            }
-            out.push(Directive::ResumeSelf {
-                proc: op.proc,
-                at: op.at,
-            });
-        }
-    }
 }
 
 impl System {
@@ -355,17 +250,11 @@ impl System {
     ///
     /// Returns [`BuildError`] if the machine configuration or fault
     /// plan is invalid, the fault plan slows a node outside the machine,
-    /// the predictor depth is 0, the workload's processor or stream
-    /// count does not match the node count, or the windowed engine is
-    /// asked for more than one thread.
+    /// the predictor depth is 0, or the workload's processor or stream
+    /// count does not match the node count.
     pub fn new(cfg: SystemConfig, workload: &dyn Workload) -> Result<Self, BuildError> {
         cfg.machine.validate()?;
         let n = cfg.machine.num_nodes;
-        if let EngineConfig::Windowed { threads } = cfg.engine {
-            if threads > 1 {
-                return Err(BuildError::WorkerThreads { requested: threads });
-            }
-        }
         if let Some(plan) = &cfg.faults {
             plan.validate()?;
             if let Some(&node) = plan.slow_nodes.iter().find(|&&node| node >= n) {
@@ -375,14 +264,6 @@ impl System {
         if cfg.predictor_depth == 0 {
             return Err(BuildError::ZeroPredictorDepth);
         }
-        // Normalize an all-zero plan to "no plan": the fault path is
-        // never entered, so such configs stay bit-identical to the
-        // reliable engine (no timeout events, no dedup bookkeeping).
-        let faults: Option<Arc<FaultPlan>> = cfg
-            .faults
-            .as_ref()
-            .filter(|plan| !plan.is_noop())
-            .map(|plan| Arc::new(plan.clone()));
         if workload.num_procs() != n {
             return Err(BuildError::ProcCountMismatch {
                 workload: workload.num_procs(),
@@ -396,40 +277,13 @@ impl System {
                 procs: n,
             });
         }
-        let mut procs: Vec<Processor> = streams
+        let procs: Vec<Processor> = streams
             .into_iter()
             .enumerate()
             .map(|(i, s)| Processor::new(ProcId(i), s, cfg.machine.latency.cache_hit))
             .collect();
-        // One shard per home node (windowed), or one for the whole
-        // machine (sequential).
-        let sharded = matches!(cfg.engine, EngineConfig::Windowed { .. });
-        let ranges: Vec<(usize, usize)> = if sharded {
-            (0..n).map(|i| (i, i + 1)).collect()
-        } else {
-            vec![(0, n)]
-        };
-        let mut shards = Vec::with_capacity(ranges.len());
-        for (id, (lo, hi)) in ranges.into_iter().enumerate() {
-            let owned: Vec<Processor> = procs.drain(..hi - lo).collect();
-            shards.push(HomeShard::new(
-                id as ShardId,
-                lo,
-                hi,
-                owned,
-                &cfg.machine,
-                SpecEngine::new(cfg.policy, cfg.predictor_depth, &cfg.machine),
-                cfg.record_trace,
-                !sharded,
-                cfg.max_cycles,
-                faults.clone(),
-                cfg.audit,
-            ));
-        }
         Ok(System {
-            shards,
-            barrier: BarrierManager::new(n),
-            locks: LockManager::new(),
+            machine: Machine::new(&cfg, procs),
             workload_name: workload.name().to_string(),
             cfg,
         })
@@ -439,275 +293,32 @@ impl System {
     ///
     /// # Panics
     ///
-    /// Panics if the workload deadlocks (all activity drains while
-    /// processors are still blocked — e.g. mismatched barrier or lock
-    /// usage), if `max_cycles` is exceeded, or on any
-    /// [`EngineError`] a windowed run surfaces (the error's message —
-    /// naming the failing shard and window — becomes the panic
-    /// message).
+    /// Panics with the [`EngineError`]'s message if
+    /// [`System::try_run`] returns one, and on any failure
+    /// [`System::try_run`] panics on.
     pub fn run(self) -> RunStats {
         self.try_run().unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Runs the simulation to completion, surfacing windowed-engine
-    /// failures as structured [`EngineError`]s instead of panics.
-    ///
-    /// A shard panic during windowed execution (protocol assertion,
-    /// coherence-audit violation, retry-budget exhaustion, `max_cycles`)
-    /// is caught around that shard's round and returned as
-    /// [`EngineError::WorkerPanic`] naming the shard and window floor.
-    /// Sequential runs are not wrapped: they panic in the caller's
-    /// thread with a full backtrace, which is exactly what you want
-    /// when replaying a windowed failure for diagnosis.
+    /// Runs the simulation to completion, returning a deadlock or an
+    /// exceeded `max_cycles` as an [`EngineError`].
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError`] if a windowed shard fails.
+    /// Returns [`EngineError::Deadlock`] if the events run out while a
+    /// processor is unfinished, and [`EngineError::MaxCycles`] if the
+    /// run passes [`SystemConfig::max_cycles`].
     ///
     /// # Panics
     ///
-    /// Panics if the workload deadlocks, or on sequential-engine
-    /// failures (see above).
+    /// Panics on a protocol-invariant or coherence-audit violation, on
+    /// an exhausted retry budget, and if the end-of-run directory state
+    /// disagrees with a cache.
     pub fn try_run(mut self) -> Result<RunStats, EngineError> {
-        for shard in &mut self.shards {
-            shard.seed();
-        }
-        match self.cfg.engine {
-            EngineConfig::Sequential => self.run_sequential(),
-            EngineConfig::Windowed { .. } => self.run_windowed()?,
-        }
-        self.check_quiescent();
+        self.machine.run()?;
+        self.check_quiescent()?;
         self.check_coherence();
         Ok(self.into_stats())
-    }
-
-    // ------------------------------------------------------------------
-    // Sequential driver
-    // ------------------------------------------------------------------
-
-    /// Drives the single whole-machine shard to exhaustion, resolving
-    /// sync operations inline — at the exact event position the
-    /// monolithic engine resolved them.
-    fn run_sequential(&mut self) {
-        let shard = &mut self.shards[0];
-        let mut directives = Vec::new();
-        loop {
-            match shard.run_until(Cycle(u64::MAX)) {
-                ShardYield::Idle => break,
-                ShardYield::Sync => {
-                    let op = shard.paused.take().expect("yielded sync op");
-                    directives.clear();
-                    resolve_sync(&mut self.barrier, &mut self.locks, op, &mut directives);
-                    for d in directives.drain(..) {
-                        shard.apply(d);
-                    }
-                }
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Windowed driver
-    // ------------------------------------------------------------------
-
-    /// The window lookahead: the minimum latency of any cross-node
-    /// message, so nothing sent inside a window can arrive inside it.
-    fn lookahead(&self) -> u64 {
-        let l = self.cfg.machine.latency.one_way();
-        debug_assert!(l >= 1, "validated configs have a non-zero network hop");
-        l.max(1)
-    }
-
-    fn report(shard: &HomeShard) -> ShardReport {
-        ShardReport {
-            queue: shard.queue.peek_cycle(),
-            arrivals: shard.arrivals_bound(),
-            op: shard.paused,
-            sync_blocked: shard.has_sync_blocked(),
-        }
-    }
-
-    /// The deterministic round planner: arbitrates parked sync
-    /// operations in `(cycle, processor)` order (holding any that a
-    /// still-running shard could yet pre-empt), computes the next
-    /// global floor, and packages per-shard directives. Pure function
-    /// of published shard state.
-    ///
-    /// Returns `None` when no activity remains anywhere: the run is
-    /// complete.
-    fn plan_round(&mut self, reports: &[ShardReport], staged_bound: Option<Cycle>) -> Option<Plan> {
-        let mut ops: Vec<SyncOp> = reports.iter().filter_map(|r| r.op).collect();
-        ops.sort_unstable_by_key(|o| (o.at, o.proc.0));
-
-        let mut arb_base: Option<Cycle> = staged_bound;
-        for r in reports {
-            // A parked shard is frozen and cannot discover earlier ops.
-            if r.op.is_none() && !r.sync_blocked {
-                arb_base = opt_min(arb_base, opt_min(r.queue, r.arrivals));
-            }
-        }
-
-        let mut per_shard: Vec<ShardPlan> = (0..self.shards.len())
-            .map(|_| ShardPlan::default())
-            .collect();
-        let mut staged_directives = Vec::new();
-        let mut resume_floor: Option<Cycle> = None;
-        let mut held: Option<Cycle> = None;
-        for op in ops {
-            let bound = opt_min(arb_base, resume_floor);
-            let applicable = bound.is_none_or(|b| op.at < b);
-            if applicable {
-                staged_directives.clear();
-                resolve_sync(
-                    &mut self.barrier,
-                    &mut self.locks,
-                    op,
-                    &mut staged_directives,
-                );
-                for d in staged_directives.drain(..) {
-                    // Processor `i` lives on node `i`, the home of shard `i`.
-                    per_shard[d.proc().0].directives.push(d);
-                }
-                per_shard[op.proc.0].resolved = true;
-                resume_floor = opt_min(resume_floor, Some(op.at + 1));
-            } else {
-                held = opt_min(held, Some(op.at));
-            }
-        }
-
-        // Earliest cycle any sync operation can still fire: a held op, a
-        // new op discovered by a runnable shard (≥ `arb_base`), or an op
-        // reached through a resume granted this round (≥ `resume_floor`).
-        // Monotone across rounds, so "blocked shards never run past
-        // `sync_guard`" stays valid for releases at *any* later barrier.
-        let sync_guard = opt_min(opt_min(arb_base, resume_floor), held).map(|c| c + 1);
-
-        let mut floor = opt_min(staged_bound, resume_floor);
-        floor = opt_min(floor, held.map(|c| c + 1));
-        for r in reports {
-            floor = opt_min(floor, opt_min(r.queue, r.arrivals));
-        }
-        floor.map(|floor| Plan {
-            floor,
-            sync_guard,
-            per_shard,
-        })
-    }
-
-    /// One shard's share of a window round: apply sync resolutions,
-    /// merge incoming mail, deliver everything now safe to deliver, and
-    /// process the window. The caller routes `shard.outbox` afterwards.
-    /// `incoming` is drained in place (its capacity is reused across
-    /// rounds — the round loop runs tens of thousands of times).
-    fn shard_round(
-        shard: &mut HomeShard,
-        plan: &mut ShardPlan,
-        incoming: &mut Vec<InFlight>,
-        floor: Cycle,
-        sync_guard: Option<Cycle>,
-        lookahead: u64,
-    ) {
-        if plan.resolved {
-            shard.paused = None;
-        }
-        for d in plan.directives.drain(..) {
-            shard.apply(d);
-        }
-        if !incoming.is_empty() {
-            incoming.sort_unstable_by_key(|m| m.key);
-            let all_eligible = shard.pending_in.is_empty()
-                && incoming.last().expect("non-empty").key.sched < floor.raw();
-            if all_eligible {
-                shard.deliver_batch(incoming.drain(..));
-            } else {
-                shard.receive(incoming.drain(..));
-            }
-        }
-        shard.drain_arrivals(floor);
-        // A parked shard stops dead until its op resolves.
-        if shard.paused.is_none() {
-            let window_end = floor + lookahead;
-            let horizon = if shard.has_sync_blocked() {
-                // The shard's resume may be scheduled at `sync_guard`
-                // or later by a future arbitration; it must not have
-                // processed past the insertion point by then.
-                sync_guard.map_or(window_end, |g| g.min(window_end))
-            } else {
-                window_end
-            };
-            shard.run_until(horizon);
-        }
-    }
-
-    /// Windowed execution: plan a round, run every shard's share of it,
-    /// route the mail, repeat until the planner finds no activity.
-    fn run_windowed(&mut self) -> Result<(), EngineError> {
-        let lookahead = self.lookahead();
-        let n = self.shards.len();
-        let one_way = self.cfg.machine.latency.one_way();
-        // Double-buffered mail staging, per destination shard: `staging`
-        // is delivered this round, `next_staging` collects this round's
-        // sends. A shard later in the loop must not see mail an earlier
-        // one sent this round, so a shard's round depends only on the
-        // round's plan and its own state, never on the visiting order.
-        let mut staging: Vec<Vec<InFlight>> = (0..n).map(|_| Vec::new()).collect();
-        let mut next_staging: Vec<Vec<InFlight>> = (0..n).map(|_| Vec::new()).collect();
-        let mut reports: Vec<ShardReport> = Vec::with_capacity(n);
-        loop {
-            reports.clear();
-            reports.extend(self.shards.iter().map(Self::report));
-            // Same lower bound as `arrivals_bound`: earliest scheduling
-            // action plus the minimum cross-node latency.
-            let staged_bound = staging
-                .iter()
-                .flatten()
-                .map(|m| Cycle(m.key.sched) + one_way)
-                .min();
-            let Some(mut plan) = self.plan_round(&reports, staged_bound) else {
-                break;
-            };
-            for (i, shard) in self.shards.iter_mut().enumerate() {
-                // A failing shard is reported by id and window floor,
-                // as `EngineError::WorkerPanic`, rather than unwound.
-                catch_unwind(AssertUnwindSafe(|| {
-                    Self::shard_round(
-                        shard,
-                        &mut plan.per_shard[i],
-                        &mut staging[i],
-                        plan.floor,
-                        plan.sync_guard,
-                        lookahead,
-                    );
-                }))
-                .map_err(|payload| EngineError::WorkerPanic {
-                    shard: i,
-                    window_floor: plan.floor.raw(),
-                    message: panic_message(payload),
-                })?;
-                for m in shard.outbox.drain(..) {
-                    next_staging[m.msg.dst.0].push(m);
-                }
-            }
-            std::mem::swap(&mut staging, &mut next_staging);
-        }
-        Ok(())
-    }
-
-    // ------------------------------------------------------------------
-    // End-of-run checks and statistics
-    // ------------------------------------------------------------------
-
-    fn procs(&self) -> impl Iterator<Item = &Processor> + '_ {
-        self.shards.iter().flat_map(|s| s.procs.iter())
-    }
-
-    /// Cycle of the last event any shard processed.
-    fn last_cycle(&self) -> Cycle {
-        self.shards
-            .iter()
-            .map(|s| s.cur)
-            .max()
-            .unwrap_or(Cycle::ZERO)
     }
 
     /// Asserts the end-of-run coherence invariants: no in-flight
@@ -726,53 +337,43 @@ impl System {
     /// Panics on any violation — these are protocol bugs, not workload
     /// errors.
     fn check_coherence(&self) {
-        // Processor ids are dense and shards own consecutive ranges,
-        // so both tables are indexed by node.
-        let procs: Vec<&Processor> = self.procs().collect();
-        let home_shard: Vec<&HomeShard> = self
-            .shards
-            .iter()
-            .flat_map(|s| (s.lo..s.hi).map(move |_| s))
-            .collect();
-        for shard in &self.shards {
-            shard.dir.check_invariants();
-            for (block, blk) in shard.dir.iter() {
-                assert!(
-                    blk.busy.is_none(),
-                    "{block}: transaction still in flight at quiescence"
-                );
-                match &blk.state {
-                    DirState::Idle => {}
-                    DirState::Shared(readers) => {
-                        for reader in readers.iter() {
-                            let cache = procs[reader.0].cache();
-                            let cached = cache.state(block);
-                            assert!(
-                                matches!(cached, Some(LineState::Shared { .. })),
-                                "{block}: sharer {reader} holds {cached:?}"
-                            );
-                            assert_eq!(
-                                cache.version(block),
-                                Some(blk.version),
-                                "{block}: stale copy at {reader}"
-                            );
-                        }
-                    }
-                    DirState::Exclusive(owner) => {
+        let Machine { procs, dir, .. } = &self.machine;
+        dir.check_invariants();
+        for (block, blk) in dir.iter() {
+            assert!(
+                blk.busy.is_none(),
+                "{block}: transaction still in flight at quiescence"
+            );
+            match &blk.state {
+                DirState::Idle => {}
+                DirState::Shared(readers) => {
+                    for reader in readers.iter() {
+                        let cache = procs[reader.0].cache();
+                        let cached = cache.state(block);
+                        assert!(
+                            matches!(cached, Some(LineState::Shared { .. })),
+                            "{block}: sharer {reader} holds {cached:?}"
+                        );
                         assert_eq!(
-                            procs[owner.0].cache().state(block),
-                            Some(LineState::Exclusive),
-                            "{block}: owner {owner} lost its copy"
+                            cache.version(block),
+                            Some(blk.version),
+                            "{block}: stale copy at {reader}"
                         );
                     }
                 }
+                DirState::Exclusive(owner) => {
+                    assert_eq!(
+                        procs[owner.0].cache().state(block),
+                        Some(LineState::Exclusive),
+                        "{block}: owner {owner} lost its copy"
+                    );
+                }
             }
         }
-        for proc in &procs {
+        for proc in procs {
             let id = proc.id();
             for block in proc.cache().lines() {
-                let home = self.cfg.machine.home_of(block).0;
-                match home_shard[home].dir.state(block) {
+                match dir.state(block) {
                     DirState::Idle => panic!("{block} is Idle but {id} holds a copy"),
                     DirState::Shared(readers) => assert!(
                         readers.contains(id),
@@ -786,86 +387,77 @@ impl System {
         }
     }
 
-    fn check_quiescent(&self) {
-        let stuck: Vec<String> = self
-            .procs()
-            .filter(|p| p.blocked != Blocked::Done)
-            .map(|p| format!("{}: {:?}", p.id(), p.blocked))
+    /// Checks that every processor finished.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EngineError::Deadlock`] naming each unfinished
+    /// processor and what it waits for.
+    fn check_quiescent(&self) -> Result<(), EngineError> {
+        let blocked: Vec<(ProcId, Waiting)> = self
+            .machine
+            .procs
+            .iter()
+            .filter_map(|p| {
+                let waiting = match p.blocked {
+                    Blocked::Done => return None,
+                    Blocked::Barrier(since) => Waiting::Barrier { since: since.raw() },
+                    Blocked::Lock(lock, since) => Waiting::Lock {
+                        lock,
+                        since: since.raw(),
+                    },
+                    Blocked::Mem { block, since, .. } => Waiting::Memory {
+                        block,
+                        since: since.raw(),
+                    },
+                    // A runnable processor always has its resume queued.
+                    Blocked::No => panic!("{} is runnable with no event queued", p.id()),
+                };
+                Some((p.id(), waiting))
+            })
             .collect();
-        if stuck.is_empty() {
-            return;
+        if blocked.is_empty() {
+            Ok(())
+        } else {
+            Err(EngineError::Deadlock {
+                cycle: self.machine.cur.raw(),
+                blocked,
+            })
         }
-        panic!(
-            "deadlock at {}: {} of {} processors never finished: {}",
-            self.last_cycle(),
-            stuck.len(),
-            self.procs().count(),
-            stuck.join("; ")
-        );
     }
 
     fn into_stats(self) -> RunStats {
-        let cfg = self.cfg;
-        let mut per_proc = Vec::with_capacity(self.shards.iter().map(|s| s.procs.len()).sum());
-        let mut sim_events = 0;
-        let mut remote_messages = 0;
-        let mut ni_wait_cycles = 0;
-        let mut mem_wait_cycles = 0;
-        let mut mem_busy_cycles = 0;
-        let mut spec = crate::spec::SpecStats::default();
-        let mut faults = crate::stats::FaultStats::default();
-        let mut predictor = cfg
-            .policy
-            .uses_predictor()
-            .then(specdsm_core::PredictorStats::default);
-        let mut trace = cfg.record_trace.then(specdsm_core::DirectoryTrace::new);
-        for shard in self.shards {
-            per_proc.extend(shard.procs.iter().map(|p| p.stats));
-            sim_events += shard.queue.scheduled_total();
-            remote_messages += shard.net.messages_sent();
-            ni_wait_cycles += shard.net.ni_wait_cycles();
-            mem_wait_cycles += shard
-                .mems
-                .iter()
-                .map(specdsm_sim::FifoResource::wait_cycles)
-                .sum::<u64>();
-            mem_busy_cycles += shard
-                .mems
-                .iter()
-                .map(specdsm_sim::FifoResource::busy_cycles)
-                .sum::<u64>();
-            spec += shard.spec.stats;
-            faults += shard.fstats;
-            if let Some(total) = &mut predictor {
-                *total += shard.spec.vmsp.stats();
-            }
-            if let (Some(total), Some(t)) = (&mut trace, shard.trace) {
-                total.merge(t);
-            }
-        }
-        let exec_cycles = per_proc.iter().map(|p| p.finished_at).max().unwrap_or(0);
+        let m = self.machine;
+        let per_proc: Vec<_> = m.procs.iter().map(|p| p.stats).collect();
+        let sum = |f: fn(&crate::ProcStats) -> u64| per_proc.iter().map(f).sum();
         // Retries plus home-side duplicate suppression deliver each miss
         // to its home exactly once, so the homes saw every miss.
-        let dir_reads = per_proc.iter().map(|p| p.read_misses).sum();
-        let dir_writes = per_proc.iter().map(|p| p.write_misses).sum();
-        let dir_upgrades = per_proc.iter().map(|p| p.upgrades).sum();
+        let (dir_reads, dir_writes, dir_upgrades) = (
+            sum(|p| p.read_misses),
+            sum(|p| p.write_misses),
+            sum(|p| p.upgrades),
+        );
         RunStats {
             workload: self.workload_name,
-            policy: cfg.policy,
-            exec_cycles,
-            sim_events,
-            per_proc,
-            remote_messages,
-            ni_wait_cycles,
-            mem_wait_cycles,
-            mem_busy_cycles,
+            policy: self.cfg.policy,
+            exec_cycles: per_proc.iter().map(|p| p.finished_at).max().unwrap_or(0),
+            sim_events: m.queue.scheduled_total(),
+            remote_messages: m.net.messages_sent(),
+            ni_wait_cycles: m.net.ni_wait_cycles(),
+            mem_wait_cycles: m.mems.iter().map(FifoResource::wait_cycles).sum(),
+            mem_busy_cycles: m.mems.iter().map(FifoResource::busy_cycles).sum(),
             dir_reads,
             dir_writes,
             dir_upgrades,
-            spec,
-            faults,
-            predictor,
-            trace,
+            spec: m.spec.stats,
+            faults: m.fstats,
+            predictor: self
+                .cfg
+                .policy
+                .uses_predictor()
+                .then(|| m.spec.vmsp.stats()),
+            trace: m.trace.map(DirectoryTrace::compacted),
+            per_proc,
         }
     }
 }
@@ -875,11 +467,15 @@ impl fmt::Debug for System {
         f.debug_struct("System")
             .field("workload", &self.workload_name)
             .field("policy", &self.cfg.policy)
-            .field("engine", &self.cfg.engine)
-            .field("shards", &self.shards.len())
+            .field("machine", &self.machine)
             .field(
                 "done",
-                &self.procs().filter(|p| p.blocked == Blocked::Done).count(),
+                &self
+                    .machine
+                    .procs
+                    .iter()
+                    .filter(|p| p.blocked == Blocked::Done)
+                    .count(),
             )
             .finish()
     }
@@ -915,16 +511,10 @@ mod tests {
         MachineConfig::with_nodes(n)
     }
 
-    fn run_script_on(
-        n: usize,
-        policy: SpecPolicy,
-        engine: EngineConfig,
-        ops: Vec<Vec<Op>>,
-    ) -> RunStats {
+    fn run_script(n: usize, policy: SpecPolicy, ops: Vec<Vec<Op>>) -> RunStats {
         let cfg = SystemConfig {
             machine: machine(n),
             policy,
-            engine,
             max_cycles: Some(50_000_000),
             ..SystemConfig::default()
         };
@@ -937,10 +527,6 @@ mod tests {
         )
         .expect("valid system")
         .run()
-    }
-
-    fn run_script(n: usize, policy: SpecPolicy, ops: Vec<Vec<Op>>) -> RunStats {
-        run_script_on(n, policy, EngineConfig::Sequential, ops)
     }
 
     /// Block homed on node `h` (first page of that home).
@@ -1171,20 +757,47 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "deadlock")]
     fn mismatched_barriers_deadlock() {
-        let _ = run_script(2, SpecPolicy::Base, vec![vec![Op::Barrier], vec![]]);
+        let cfg = SystemConfig {
+            machine: machine(2),
+            ..SystemConfig::default()
+        };
+        let ops = vec![vec![Op::Compute(5), Op::Barrier], vec![]];
+        let err = System::new(cfg, &Script { name: "one", ops })
+            .unwrap()
+            .try_run()
+            .unwrap_err();
+        // P1 finishes at cycle 0; P0 reaches the barrier at cycle 5.
+        assert_eq!(
+            err,
+            EngineError::Deadlock {
+                cycle: 5,
+                blocked: vec![(ProcId(0), Waiting::Barrier { since: 5 })],
+            }
+        );
+        let msg = err.to_string();
+        assert!(msg.contains("deadlock"), "{msg}");
+        assert!(
+            msg.contains("P0 waits at the barrier since cycle 5"),
+            "{msg}"
+        );
     }
 
     #[test]
-    #[should_panic(expected = "deadlock")]
-    fn mismatched_barriers_deadlock_windowed() {
-        let _ = run_script_on(
-            2,
-            SpecPolicy::Base,
-            EngineConfig::Windowed { threads: 1 },
-            vec![vec![Op::Barrier], vec![]],
-        );
+    fn max_cycles_guard_stops_the_run() {
+        // The one remote read cannot complete within 10 cycles.
+        let cfg = SystemConfig {
+            machine: machine(4),
+            max_cycles: Some(10),
+            ..SystemConfig::default()
+        };
+        let ops = vec![vec![], vec![Op::Read(homed(0))], vec![], vec![]];
+        let err = System::new(cfg, &Script { name: "tiny", ops })
+            .unwrap()
+            .try_run()
+            .unwrap_err();
+        assert_eq!(err, EngineError::MaxCycles { limit: 10 });
+        assert!(err.to_string().contains("max_cycles"), "{err}");
     }
 
     #[test]
@@ -1310,8 +923,43 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // Windowed (sharded) engine
+    // Synchronization
     // ------------------------------------------------------------------
+
+    #[test]
+    fn lock_hand_off_follows_arrival_order() {
+        // All four processors contend on one lock at staggered times:
+        // P3 arrives first (cycle 50), then P2, P1 and P0, 50 cycles
+        // apart. Each holder's unlock wakes the next arriver in the
+        // same cycle and finishes itself one cycle later.
+        let b = homed(2);
+        let arrival = |p: usize| 50 * (4 - p as u64);
+        let ops: Vec<Vec<Op>> = (0..4)
+            .map(|p| {
+                vec![
+                    Op::Compute(arrival(p)),
+                    Op::Lock(LockId(3)),
+                    Op::Read(b),
+                    Op::Write(b),
+                    Op::Unlock(LockId(3)),
+                ]
+            })
+            .collect();
+        let s = run_script(4, SpecPolicy::Base, ops);
+        let finished: Vec<u64> = s.per_proc.iter().map(|p| p.finished_at).collect();
+        assert_eq!(finished, [2983, 1936, 1203, 784]);
+        assert_eq!(s.per_proc[3].sync_wait, 0, "the first arriver never waits");
+        for (waiter, holder) in [(2, 3), (1, 2), (0, 1)] {
+            let unlock = s.per_proc[holder].finished_at - 1;
+            assert_eq!(
+                s.per_proc[waiter].sync_wait,
+                unlock - arrival(waiter),
+                "P{waiter} waits from its arrival until P{holder}'s unlock"
+            );
+        }
+        let waits: Vec<u64> = s.per_proc.iter().map(|p| p.sync_wait).collect();
+        assert_eq!(waits, [1735, 1052, 683, 0]);
+    }
 
     fn assert_same_model_output(a: &RunStats, b: &RunStats, ctx: &str) {
         assert_eq!(a.exec_cycles, b.exec_cycles, "{ctx}: exec_cycles");
@@ -1355,93 +1003,8 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn windowed_matches_sequential_on_mixed_script() {
-        for policy in SpecPolicy::ALL {
-            let seq = run_script_on(4, policy, EngineConfig::Sequential, mixed_script(4));
-            let win = run_script_on(
-                4,
-                policy,
-                EngineConfig::Windowed { threads: 1 },
-                mixed_script(4),
-            );
-            assert_same_model_output(&seq, &win, &format!("{policy}"));
-        }
-    }
-
-    #[test]
-    fn windowed_threads_zero_and_one_are_identical() {
-        let run = |threads| {
-            run_script_on(
-                8,
-                SpecPolicy::SwiFr,
-                EngineConfig::Windowed { threads },
-                mixed_script(8),
-            )
-        };
-        assert_eq!(format!("{:?}", run(0)), format!("{:?}", run(1)));
-    }
-
-    #[test]
-    fn windowed_rejects_worker_threads() {
-        let cfg = SystemConfig {
-            machine: machine(4),
-            engine: EngineConfig::Windowed { threads: 2 },
-            ..SystemConfig::default()
-        };
-        let err = System::new(
-            cfg,
-            &Script {
-                name: "threads",
-                ops: vec![vec![]; 4],
-            },
-        )
-        .unwrap_err();
-        assert_eq!(err, BuildError::WorkerThreads { requested: 2 });
-    }
-
-    #[test]
-    fn windowed_matches_sequential_remote_read_latency() {
-        let b = homed(0);
-        let stats = run_script_on(
-            4,
-            SpecPolicy::Base,
-            EngineConfig::Windowed { threads: 1 },
-            vec![vec![], vec![Op::Read(b)], vec![], vec![]],
-        );
-        assert_eq!(stats.per_proc[1].mem_wait, 418);
-    }
-
-    #[test]
-    fn windowed_lock_fairness_matches_sequential() {
-        // All four processors contend on one lock at staggered times;
-        // grant order (and therefore total sync wait) must match the
-        // sequential engine exactly.
-        let b = homed(2);
-        let ops: Vec<Vec<Op>> = (0..4)
-            .map(|p| {
-                vec![
-                    Op::Compute(50 * (4 - p as u64)),
-                    Op::Lock(LockId(3)),
-                    Op::Read(b),
-                    Op::Write(b),
-                    Op::Unlock(LockId(3)),
-                    Op::Barrier,
-                ]
-            })
-            .collect();
-        let seq = run_script_on(4, SpecPolicy::Base, EngineConfig::Sequential, ops.clone());
-        let win = run_script_on(
-            4,
-            SpecPolicy::Base,
-            EngineConfig::Windowed { threads: 1 },
-            ops,
-        );
-        assert_same_model_output(&seq, &win, "lock contention");
-    }
-
     // ------------------------------------------------------------------
-    // Fault injection, audit, and engine degradation
+    // Fault injection and audit
     // ------------------------------------------------------------------
 
     use crate::stats::FaultStats;
@@ -1463,7 +1026,6 @@ mod tests {
     fn run_faulty(
         n: usize,
         policy: SpecPolicy,
-        engine: EngineConfig,
         faults: Option<FaultPlan>,
         audit: bool,
         ops: Vec<Vec<Op>>,
@@ -1471,7 +1033,6 @@ mod tests {
         let cfg = SystemConfig {
             machine: machine(n),
             policy,
-            engine,
             max_cycles: Some(50_000_000),
             faults,
             audit,
@@ -1490,36 +1051,11 @@ mod tests {
 
     #[test]
     fn sequential_faulty_run_recovers_under_audit() {
-        let s = run_faulty(
-            4,
-            SpecPolicy::Base,
-            EngineConfig::Sequential,
-            Some(heavy_plan(0xFEED)),
-            true,
-            mixed_script(4),
-        );
-        assert!(s.faults.drops > 0, "drops observed: {:?}", s.faults);
-        assert!(s.faults.retries > 0, "retries observed: {:?}", s.faults);
-        assert!(
-            s.faults.recovery_cycles > 0,
-            "recovery wait accounted: {:?}",
-            s.faults
-        );
-    }
-
-    #[test]
-    fn windowed_faulty_run_recovers_under_audit() {
         for policy in SpecPolicy::ALL {
-            let s = run_faulty(
-                4,
-                policy,
-                EngineConfig::Windowed { threads: 1 },
-                Some(heavy_plan(0xFEED)),
-                true,
-                mixed_script(4),
-            );
+            let s = run_faulty(4, policy, Some(heavy_plan(0xFEED)), true, mixed_script(4));
             assert!(s.faults.drops > 0, "{policy}: {:?}", s.faults);
             assert!(s.faults.retries > 0, "{policy}: {:?}", s.faults);
+            assert!(s.faults.recovery_cycles > 0, "{policy}: {:?}", s.faults);
         }
     }
 
@@ -1576,7 +1112,6 @@ mod tests {
         let s = run_faulty(
             4,
             SpecPolicy::FirstRead,
-            EngineConfig::Sequential,
             Some(plan),
             true,
             late_upgrade_script(),
@@ -1598,14 +1133,7 @@ mod tests {
             dup_rate: 0.5,
             ..FaultPlan::new(99)
         };
-        let s = run_faulty(
-            4,
-            SpecPolicy::Base,
-            EngineConfig::Sequential,
-            Some(plan),
-            true,
-            mixed_script(4),
-        );
+        let s = run_faulty(4, SpecPolicy::Base, Some(plan), true, mixed_script(4));
         assert!(s.faults.duplicates > 0);
         assert_eq!(s.faults.dup_suppressed, s.faults.duplicates);
         assert_eq!(s.faults.drops, 0);
@@ -1613,81 +1141,24 @@ mod tests {
 
     #[test]
     fn zero_rate_plan_and_audit_are_inert() {
-        for engine in [
-            EngineConfig::Sequential,
-            EngineConfig::Windowed { threads: 1 },
-        ] {
-            let base = run_script_on(4, SpecPolicy::SwiFr, engine, mixed_script(4));
-            let z = run_faulty(
-                4,
-                SpecPolicy::SwiFr,
-                engine,
-                Some(FaultPlan::new(3)),
-                true,
-                mixed_script(4),
-            );
-            assert_same_model_output(&base, &z, &format!("{engine:?} zero-rate"));
-            assert_eq!(z.faults, FaultStats::default());
-        }
-    }
-
-    /// A windowed system whose one remote read cannot complete within
-    /// its 10-cycle `max_cycles` budget, so the shard delivering past
-    /// the limit trips the guard.
-    fn windowed_over_budget() -> System {
-        let cfg = SystemConfig {
-            machine: machine(4),
-            max_cycles: Some(10),
-            engine: EngineConfig::Windowed { threads: 1 },
-            ..SystemConfig::default()
-        };
-        let ops = vec![vec![], vec![Op::Read(homed(0))], vec![], vec![]];
-        System::new(cfg, &Script { name: "tiny", ops }).unwrap()
-    }
-
-    #[test]
-    fn windowed_failure_surfaces_as_engine_error() {
-        // The windowed driver must catch and name the failure, not
-        // unwind.
-        let msg = windowed_over_budget().try_run().unwrap_err().to_string();
-        assert!(msg.contains("max_cycles"), "inner message kept: {msg}");
-        assert!(msg.contains("shard"), "failing shard named: {msg}");
-    }
-
-    #[test]
-    #[should_panic(expected = "max_cycles")]
-    fn run_panics_on_windowed_failure() {
-        let _ = windowed_over_budget().run();
-    }
-
-    #[test]
-    fn windowed_trace_merges_across_shards() {
-        let b = homed(0);
-        let cfg = SystemConfig {
-            machine: machine(2),
-            record_trace: true,
-            engine: EngineConfig::Windowed { threads: 1 },
-            ..SystemConfig::default()
-        };
-        let script = Script {
-            name: "trace",
-            ops: vec![
-                vec![Op::Write(b), Op::Barrier],
-                vec![Op::Barrier, Op::Read(b)],
-            ],
-        };
-        let stats = System::new(cfg, &script).unwrap().run();
-        let trace = stats.trace.expect("trace recorded");
-        assert_eq!(trace.num_blocks(), 1);
-        assert_eq!(trace.total_requests(), 2);
+        let base = run_script(4, SpecPolicy::SwiFr, mixed_script(4));
+        let z = run_faulty(
+            4,
+            SpecPolicy::SwiFr,
+            Some(FaultPlan::new(3)),
+            true,
+            mixed_script(4),
+        );
+        assert_same_model_output(&base, &z, "zero-rate");
+        assert_eq!(z.faults, FaultStats::default());
     }
 
     // ------------------------------------------------------------------
     // Quiescence audit: one corrupted record per invariant
     // ------------------------------------------------------------------
 
-    /// Runs `ops` to quiescence on the sequential engine and checks the
-    /// clean machine once, then hands it back for corruption.
+    /// Runs `ops` to quiescence and checks the clean machine once,
+    /// then hands it back for corruption.
     fn quiesced(ops: Vec<Vec<Op>>) -> System {
         let cfg = SystemConfig {
             machine: machine(4),
@@ -1695,11 +1166,8 @@ mod tests {
             ..SystemConfig::default()
         };
         let mut sys = System::new(cfg, &Script { name: "audit", ops }).expect("valid system");
-        for shard in &mut sys.shards {
-            shard.seed();
-        }
-        sys.run_sequential();
-        sys.check_quiescent();
+        sys.machine.run().expect("the run finishes");
+        sys.check_quiescent().expect("every processor finished");
         sys.check_coherence();
         sys
     }
@@ -1719,7 +1187,7 @@ mod tests {
     #[should_panic(expected = "transaction still in flight at quiescence")]
     fn audit_rejects_a_transaction_in_flight() {
         let mut sys = shared_by_p1_p2();
-        sys.shards[0].dir.block_mut(homed(0)).busy = Some(crate::directory::Busy::Reply);
+        sys.machine.dir.block_mut(homed(0)).busy = Some(crate::directory::Busy::Reply);
         sys.check_coherence();
     }
 
@@ -1727,7 +1195,7 @@ mod tests {
     #[should_panic(expected = "is Idle but P1 holds a copy")]
     fn audit_rejects_a_copy_of_an_idle_block() {
         let mut sys = shared_by_p1_p2();
-        sys.shards[0].dir.block_mut(homed(0)).state = DirState::Idle;
+        sys.machine.dir.block_mut(homed(0)).state = DirState::Idle;
         sys.check_coherence();
     }
 
@@ -1735,7 +1203,7 @@ mod tests {
     #[should_panic(expected = "sharer P2 holds Some(Exclusive)")]
     fn audit_rejects_a_sharer_in_the_wrong_state() {
         let mut sys = shared_by_p1_p2();
-        sys.shards[0].procs[2].cache.fill_exclusive(homed(0), 0);
+        sys.machine.procs[2].cache.fill_exclusive(homed(0), 0);
         sys.check_coherence();
     }
 
@@ -1743,7 +1211,7 @@ mod tests {
     #[should_panic(expected = "stale copy at P1")]
     fn audit_rejects_a_stale_sharer_version() {
         let mut sys = shared_by_p1_p2();
-        sys.shards[0].procs[1].cache.fill_shared(homed(0), 7);
+        sys.machine.procs[1].cache.fill_shared(homed(0), 7);
         sys.check_coherence();
     }
 
@@ -1751,7 +1219,7 @@ mod tests {
     #[should_panic(expected = "sharer P1 holds None")]
     fn audit_rejects_a_sharer_that_lost_its_copy() {
         let mut sys = shared_by_p1_p2();
-        sys.shards[0].procs[1].cache.invalidate(homed(0));
+        sys.machine.procs[1].cache.invalidate(homed(0));
         sys.check_coherence();
     }
 
@@ -1759,7 +1227,7 @@ mod tests {
     #[should_panic(expected = "non-sharer P3 holds a copy")]
     fn audit_rejects_a_copy_at_a_non_sharer() {
         let mut sys = shared_by_p1_p2();
-        sys.shards[0].procs[3].cache.fill_shared(homed(0), 0);
+        sys.machine.procs[3].cache.fill_shared(homed(0), 0);
         sys.check_coherence();
     }
 
@@ -1767,7 +1235,7 @@ mod tests {
     #[should_panic(expected = "is Idle but P3 holds a copy")]
     fn audit_rejects_a_copy_the_directory_never_saw() {
         let mut sys = shared_by_p1_p2();
-        sys.shards[0].procs[3].cache.fill_shared(homed(1), 0);
+        sys.machine.procs[3].cache.fill_shared(homed(1), 0);
         sys.check_coherence();
     }
 
@@ -1775,7 +1243,7 @@ mod tests {
     #[should_panic(expected = "owner P1 lost its copy")]
     fn audit_rejects_an_owner_without_its_copy() {
         let mut sys = owned_by_p1();
-        sys.shards[0].procs[1].cache.invalidate_exclusive(homed(0));
+        sys.machine.procs[1].cache.invalidate_exclusive(homed(0));
         sys.check_coherence();
     }
 
@@ -1783,7 +1251,7 @@ mod tests {
     #[should_panic(expected = "P2 holds a copy besides the owner")]
     fn audit_rejects_a_copy_besides_the_owner() {
         let mut sys = owned_by_p1();
-        sys.shards[0].procs[2].cache.fill_shared(homed(0), 0);
+        sys.machine.procs[2].cache.fill_shared(homed(0), 0);
         sys.check_coherence();
     }
 }

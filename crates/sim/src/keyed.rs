@@ -4,22 +4,12 @@
 //! message delivery, processor resume, and directory release passes
 //! through it once. The order of same-cycle events is not the implicit
 //! *insertion* order but an explicit [`SchedKey`] supplied by the
-//! caller. That makes the order **reconstructible across execution
-//! strategies** — the property the windowed sharded engine is built
-//! on:
+//! caller. The protocol engine assigns keys monotonically (events are
+//! scheduled while processing in time order), so there insertion order
+//! and key order coincide and the queue is FIFO among same-cycle
+//! events; the queue orders by key whatever the insertion order.
 //!
-//! * In a single sequential event loop, insertion order and key order
-//!   coincide (events are scheduled while processing in time order, so
-//!   keys are assigned monotonically) and the queue is FIFO among
-//!   same-cycle events.
-//! * In bounded-lag windowed execution, a cross-shard message is
-//!   scheduled at its *receiver* one window barrier after it was sent.
-//!   Insertion order then depends on window boundaries and on the
-//!   order shards are visited; the key — `(scheduling cycle, source
-//!   shard, per-source sequence)` captured at the *send* — does not.
-//!
-//! See `docs/ARCHITECTURE.md` (repo root) for how the key ordering
-//! makes windowed runs deterministic.
+//! See `docs/ARCHITECTURE.md` (repo root) for how the engine uses it.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -46,21 +36,20 @@ const NIL: u32 = u32::MAX;
 /// * `sched` — the simulated cycle at which the *scheduling action*
 ///   happened (for a protocol message: the cycle its sender processed
 ///   the event that sent it, not its delivery cycle);
-/// * `src` — the shard that performed the scheduling action;
-/// * `seq` — that shard's private monotone action counter.
+/// * `src` — a tie-break between key sources; the protocol engine
+///   always sets it to 0;
+/// * `seq` — the source's monotone action counter.
 ///
-/// For two same-cycle events this reproduces the order a single
-/// sequential loop would have popped them in, except when two *distinct
-/// shards* schedule at the same `sched` cycle — there the `src` index
-/// breaks the tie, deterministically and independently of the order the
-/// shards run in.
+/// `src` stays only because the benchmark under `perfbench/` builds
+/// keys with it; ROADMAP item 1, step 1 removes that use, and the field
+/// goes with it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SchedKey {
     /// Cycle of the scheduling action.
     pub sched: u64,
-    /// Shard that scheduled the event.
+    /// Tie-break between key sources (0 in the protocol engine).
     pub src: u32,
-    /// The scheduling shard's action sequence number.
+    /// The action sequence number.
     pub seq: u64,
 }
 
@@ -68,11 +57,11 @@ impl SchedKey {
     /// Packs the key into two machine words for compact queue entries
     /// and two-instruction comparisons. Lossless while `sched < 2^48`
     /// (2.8·10^14 cycles — far beyond any simulated run) and
-    /// `src < 2^16` (shards are capped by `MAX_PROCS` = 1024).
+    /// `src < 2^16`.
     #[inline]
     fn pack(self) -> Packed {
         debug_assert!(self.sched < 1 << 48, "simulated time exceeds 2^48");
-        debug_assert!(self.src < 1 << 16, "shard index exceeds 2^16");
+        debug_assert!(self.src < 1 << 16, "key source exceeds 2^16");
         Packed((self.sched << 16) | u64::from(self.src), self.seq)
     }
 }
@@ -116,11 +105,9 @@ impl Bucket {
 ///
 /// Events pop in increasing cycle order; events scheduled for the same
 /// cycle pop in increasing [`SchedKey`] order **regardless of insertion
-/// order**. The sharded engine relies on this: window-barrier merges
-/// insert cross-shard deliveries after a shard has already scheduled
-/// its own later-keyed events for the same cycle. Both internal stores
-/// agree on `(cycle, key)` as the total order, so the guarantee holds
-/// even when same-cycle events straddle the wheel/overflow boundary.
+/// order**. Both internal stores agree on `(cycle, key)` as the total
+/// order, so the guarantee holds even when same-cycle events straddle
+/// the wheel/overflow boundary.
 ///
 /// # Structure
 ///
@@ -132,9 +119,9 @@ impl Bucket {
 ///   indexes every event scheduled within the horizon of the wheel
 ///   cursor. A bucket is just a `(head, tail)` pair of slab indices
 ///   heading a singly linked list sorted by key. Scheduling indexes by
-///   `cycle mod WHEEL_SLOTS` and appends at the tail — O(1), since a
-///   sequential loop's keys are monotone; an out-of-order key (window
-///   merges) walks the short list to its place. Popping advances the
+///   `cycle mod WHEEL_SLOTS` and appends at the tail — O(1), since the
+///   engine's keys are monotone; an out-of-order key walks the short
+///   list to its place. Popping advances the
 ///   cursor to the next occupied bucket via a two-level bitmap scan (a
 ///   few word operations) and unlinks the head.
 /// * An **overflow heap** (`BinaryHeap` of `(cycle, key, slot)`) indexes
@@ -242,7 +229,7 @@ impl<E> KeyedQueue<E> {
     ///
     /// Keys must be unique per `(cycle, key)` pair for the order to be
     /// fully deterministic; the engine guarantees this by consuming a
-    /// fresh per-shard sequence number for every scheduling action.
+    /// fresh sequence number for every scheduling action.
     #[inline]
     pub fn schedule(&mut self, at: Cycle, key: SchedKey, event: E) {
         let key = key.pack();
@@ -267,14 +254,14 @@ impl<E> KeyedQueue<E> {
             self.wheel[idx] = Bucket { head: i, tail: i };
         } else if self.slots[tail as usize].key < key {
             // Fast path: keys almost always arrive in increasing order
-            // (a sequential loop's keys are monotone).
+            // (the engine's keys are monotone).
             self.slots[tail as usize].next = i;
             self.wheel[idx].tail = i;
         } else if key < self.slots[head as usize].key {
             self.slots[i as usize].next = head;
             self.wheel[idx].head = i;
         } else {
-            // Out-of-order key (window merges): walk the short list.
+            // Out-of-order key: walk the short list.
             // The tail's key exceeds `key`, so the walk stops before it.
             let mut prev = head;
             loop {
@@ -326,29 +313,14 @@ impl<E> KeyedQueue<E> {
     /// `None` when empty.
     #[inline]
     pub fn pop(&mut self) -> Option<(Cycle, E)> {
-        self.pop_before(Cycle(u64::MAX))
-    }
-
-    /// Removes and returns the earliest event **if** its cycle is
-    /// strictly below `horizon`; leaves the queue untouched otherwise.
-    /// One structure scan per call — the windowed engine's hot loop
-    /// (`pop` + horizon check) fused.
-    #[inline]
-    pub fn pop_before(&mut self, horizon: Cycle) -> Option<(Cycle, E)> {
         let wheel = self.wheel_peek();
         let over = self.overflow.peek().map(|Reverse((c, k, _))| (*c, *k));
-        let take_wheel = match (wheel, over) {
-            (None, None) => return None,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (Some((wc, wk, _)), Some(ok)) => (wc, wk) <= ok,
-        };
-        if take_wheel {
-            let (c, _, idx) = wheel.expect("checked");
-            (c < horizon.0).then(|| self.pop_wheel(c, idx))
-        } else {
-            let (c, _) = over.expect("checked");
-            (c < horizon.0).then(|| self.pop_overflow())
+        match (wheel, over) {
+            (None, None) => None,
+            (Some((c, wk, idx)), over) if over.is_none_or(|ok| (c, wk) <= ok) => {
+                Some(self.pop_wheel(c, idx))
+            }
+            _ => Some(self.pop_overflow()),
         }
     }
 
@@ -374,18 +346,6 @@ impl<E> KeyedQueue<E> {
         // there without stranding one below the cursor.
         self.cursor = self.cursor.max(at);
         (Cycle(at), self.release(i))
-    }
-
-    /// The cycle of the earliest pending event.
-    #[must_use]
-    pub fn peek_cycle(&self) -> Option<Cycle> {
-        let wheel = self.wheel_peek().map(|(c, _, _)| c);
-        let over = self.overflow.peek().map(|Reverse((c, _, _))| *c);
-        match (wheel, over) {
-            (None, None) => None,
-            (Some(c), None) | (None, Some(c)) => Some(Cycle(c)),
-            (Some(a), Some(b)) => Some(Cycle(a.min(b))),
-        }
     }
 
     /// Number of pending events.
@@ -445,7 +405,7 @@ mod tests {
 
     #[test]
     fn monotone_keys_behave_fifo() {
-        // The sequential engine's usage pattern: keys strictly increase
+        // The engine's usage pattern: keys strictly increase
         // with each scheduling action.
         let mut q = KeyedQueue::new();
         for i in 0..100u64 {
@@ -501,7 +461,7 @@ mod tests {
         let mut q = KeyedQueue::new();
         assert!(q.is_empty());
         q.schedule(Cycle(9), key(0, 0, 0), ());
-        assert_eq!(q.peek_cycle(), Some(Cycle(9)));
+        assert_eq!(q.wheel_peek().map(|(c, _, _)| c), Some(9));
         assert_eq!(q.len(), 1);
         q.pop();
         q.schedule(Cycle(10), key(0, 0, 1), ());
@@ -553,18 +513,5 @@ mod tests {
             );
         }
         assert!(seq > 10 * peak as u64, "slots were reused many times over");
-    }
-
-    #[test]
-    fn interleaved_merge_batches_stay_sorted() {
-        // Two "shards" deliver same-cycle batches out of insertion
-        // order, as window merges do.
-        let mut q = KeyedQueue::new();
-        q.schedule(Cycle(50), key(40, 1, 0), 4);
-        q.schedule(Cycle(50), key(10, 1, 0), 1);
-        q.schedule(Cycle(50), key(10, 1, 1), 2);
-        q.schedule(Cycle(50), key(20, 0, 5), 3);
-        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, vec![1, 2, 3, 4]);
     }
 }

@@ -9,9 +9,7 @@
 //! * a [`KeyedQueue`] — a calendar queue (bucketed timing wheel with
 //!   an overflow heap, both indexing one event slab) whose same-cycle
 //!   order is an *explicit* per-event [`SchedKey`] tie-break, so runs
-//!   are reproducible bit-for-bit and the sharded windowed protocol
-//!   engine orders events independently of the order it visits shards
-//!   in,
+//!   are reproducible bit-for-bit,
 //! * [`FifoResource`] for occupancy-based contention modeling (memory
 //!   banks, network interfaces), and
 //! * a tiny, stable [`Xorshift64Star`] PRNG used to generate the timing

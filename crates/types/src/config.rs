@@ -165,14 +165,7 @@ impl MachineConfig {
                 num_nodes: self.num_nodes,
             });
         }
-        if self.latency.one_way() == 0 {
-            // Checked before ZeroLatency: the windowed engine's
-            // bounded-lag lookahead *is* one_way(), so a zero here
-            // would collapse every window to zero lag even if
-            // mem_access were fine.
-            return Err(ConfigError::ZeroLookahead);
-        }
-        if self.latency.mem_access == 0 || self.latency.net_hop == 0 {
+        if self.latency.mem_access == 0 {
             return Err(ConfigError::ZeroLatency);
         }
         Ok(())
@@ -344,23 +337,22 @@ mod tests {
     }
 
     #[test]
-    fn validation_rejects_zero_lookahead() {
-        // net_hop contributes to one_way(), so one_way() == 0 forces
-        // net_hop == 0 as well; the lookahead check must fire first so
-        // the error names the real problem, not the generic latency.
+    fn validation_accepts_a_zero_latency_network() {
+        // A message may arrive in the cycle it leaves; only the memory
+        // latency must stay non-zero.
         let mut m = MachineConfig::paper_machine();
+        m.latency.net_hop = 0;
+        assert_eq!(m.validate(), Ok(()));
         m.latency.inject = 0;
-        m.latency.net_hop = 0;
         m.latency.deliver = 0;
-        assert_eq!(m.validate(), Err(ConfigError::ZeroLookahead));
-        let msg = ConfigError::ZeroLookahead.to_string();
-        assert!(msg.contains("lookahead"), "{msg}");
-        assert!(!msg.ends_with('.'));
-        // A nonzero one_way() with zero net_hop still trips the
-        // plain latency check.
-        let mut m = MachineConfig::paper_machine();
-        m.latency.net_hop = 0;
+        m.latency.ni_occupancy = 0;
+        assert_eq!(m.latency.one_way(), 0);
+        assert_eq!(m.validate(), Ok(()));
+        m.latency.mem_access = 0;
         assert_eq!(m.validate(), Err(ConfigError::ZeroLatency));
+        let msg = ConfigError::ZeroLatency.to_string();
+        assert!(msg.contains("memory"), "{msg}");
+        assert!(!msg.ends_with('.'));
     }
 
     #[test]

@@ -26,17 +26,15 @@ pub enum ConfigError {
         /// Requested node count.
         num_nodes: usize,
     },
-    /// A critical latency parameter (`mem_access` or `net_hop`) is zero.
+    /// The memory access latency `mem_access` is zero.
     ///
-    /// `mem_access` must be non-zero for two reasons: the protocol
-    /// engine holds a block busy while its reply leaves the home, and
-    /// relies on every such hold ending after the cycle it starts; and
+    /// It must be non-zero for two reasons: the protocol engine holds a
+    /// block busy while its reply leaves the home, and relies on every
+    /// such hold ending after the cycle it starts; and
     /// [`crate::MachineConfig::remote_to_local_ratio`] (the analytic
-    /// model's `rtl`) divides by it.
+    /// model's `rtl`) divides by it. The network latencies may be zero:
+    /// a message then arrives in the cycle it leaves.
     ZeroLatency,
-    /// The one-way network latency is zero, which would collapse the
-    /// windowed engine's bounded-lag lookahead to nothing.
-    ZeroLookahead,
     /// A [`crate::FaultPlan`] violates its structural invariants.
     BadFaultPlan {
         /// What is wrong with the plan.
@@ -62,15 +60,7 @@ impl fmt::Display for ConfigError {
                 f,
                 "{page_blocks} blocks per page over {num_nodes} nodes overflows the 64-bit address space"
             ),
-            ConfigError::ZeroLatency => {
-                write!(f, "memory and network latencies must be non-zero")
-            }
-            ConfigError::ZeroLookahead => {
-                write!(
-                    f,
-                    "one-way network latency must be non-zero (it is the windowed engine's lookahead)"
-                )
-            }
+            ConfigError::ZeroLatency => write!(f, "memory access latency must be non-zero"),
             ConfigError::BadFaultPlan { reason } => {
                 write!(f, "invalid fault plan: {reason}")
             }

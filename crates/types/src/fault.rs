@@ -6,10 +6,8 @@
 //! plan itself holds **no mutable state**: every decision is a pure
 //! function of `(seed, src, dst, request sequence, attempt)` — the same
 //! SplitMix64 absorption the workload [`Jitter`] source uses — so
-//! Base-, FR-, and SWI-DSM runs see the identical fault schedule, and a
-//! windowed run's schedule does not depend on the order in which its
-//! shards are visited. That statelessness is what keeps faulty runs
-//! reproducible.
+//! Base-, FR-, and SWI-DSM runs see the identical fault schedule. That
+//! statelessness is what keeps faulty runs reproducible.
 //!
 //! Only the three *request* messages (read, write, upgrade) are ever
 //! faulted. Replies, invalidations, and acknowledgements ride the
@@ -58,7 +56,7 @@ impl FaultDecision {
 /// let plan = FaultPlan::light(42);
 /// plan.validate().expect("built-in plans are valid");
 /// // Decisions are a pure function of the coordinates: same inputs,
-/// // same fault, on every engine.
+/// // same fault.
 /// let a = plan.decide(3, 7, 19, 0, 12_345);
 /// assert_eq!(a, plan.decide(3, 7, 19, 0, 12_345));
 /// // A retry (attempt 1) of the same request redraws its fate.
@@ -187,8 +185,8 @@ impl FaultPlan {
     /// Pure function of its arguments and the plan — no internal state,
     /// no dependence on evaluation order. `now` enters only the burst
     /// gate, never the random draws, so a plan without burst windows
-    /// gives engine-independent schedules even where the two engines
-    /// time the same send differently.
+    /// gives the same fault to a request however the run times its
+    /// send.
     #[must_use]
     pub fn decide(
         &self,

@@ -2,10 +2,9 @@
 //!
 //! The application suite is *polite*: its sharing phases are
 //! barrier-separated. These generators are built to be rude — long
-//! barrier-free bursts of cross-node coherence traffic whose reply and
-//! forward chains cross shard boundaries inside every window of the
-//! windowed engine. The differential suite runs them on both engines
-//! and demands that the windowed one tracks the sequential one.
+//! barrier-free bursts of cross-node coherence traffic, such as write
+//! requests that find a block busy. The `model-adv` golden rows pin
+//! them under every policy with the coherence auditor on.
 
 use std::sync::Arc;
 
@@ -21,8 +20,7 @@ use crate::stream::PhasedStream;
 /// end-of-iteration barrier.
 ///
 /// Ownership of each hot block ping-pongs across all nodes; every
-/// access is a request to home 0 whose reply or forward crosses a shard
-/// boundary.
+/// access is a request to home 0, remote for all other processors.
 #[derive(Debug, Clone)]
 pub struct HotspotStorm {
     machine: MachineConfig,
@@ -99,91 +97,6 @@ impl Workload for HotspotStorm {
     }
 }
 
-/// Migratory ping-pong: processors are paired `(2i, 2i+1)`; each pair
-/// read-modify-writes a private block set homed on the even member's
-/// node, alternating turns on a compute-timed cadence with **no**
-/// synchronization inside an iteration.
-///
-/// Every turn handoff moves exclusive ownership across the pair's shard
-/// boundary (read → forward → invalidate → upgrade), so windows
-/// continuously carry cross-shard dependency chains in both
-/// directions.
-#[derive(Debug, Clone)]
-pub struct MigratoryPingPong {
-    machine: MachineConfig,
-    /// One region per processor pair, homed on the even member's node.
-    regions: Vec<Arc<Region>>,
-    /// Turn alternations per iteration.
-    pub turns: usize,
-    /// Iterations (barrier-separated).
-    pub iters: usize,
-    /// Compute cycles a member holds the blocks per turn.
-    pub hold: u64,
-}
-
-impl MigratoryPingPong {
-    /// Creates the ping-pong over `blocks_per_pair` blocks for each
-    /// processor pair. An odd final processor (if any) only joins the
-    /// barriers.
-    #[must_use]
-    pub fn new(machine: MachineConfig, blocks_per_pair: usize, turns: usize, iters: usize) -> Self {
-        let mut space = AddressSpace::new(machine.clone());
-        let regions = (0..machine.num_nodes / 2)
-            .map(|pair| Arc::new(space.alloc_on(NodeId(2 * pair), blocks_per_pair)))
-            .collect();
-        MigratoryPingPong {
-            machine,
-            regions,
-            turns,
-            iters,
-            hold: 400,
-        }
-    }
-}
-
-impl Workload for MigratoryPingPong {
-    fn name(&self) -> &str {
-        "migratory-ping-pong"
-    }
-
-    fn num_procs(&self) -> usize {
-        self.machine.num_nodes
-    }
-
-    fn build_streams(&self) -> Vec<OpStream> {
-        (0..self.num_procs())
-            .map(|p| {
-                let region = self.regions.get(p / 2).map(Arc::clone);
-                let (turns, hold) = (self.turns, self.hold);
-                PhasedStream::new(self.iters, move |_iter| {
-                    let mut ops = Vec::new();
-                    if let Some(region) = &region {
-                        for t in 0..turns {
-                            if (t % 2 == 0) == (p % 2 == 0) {
-                                // My turn: migrate every block here.
-                                for b in region.iter() {
-                                    ops.push(Op::Read(b));
-                                    ops.push(Op::Write(b));
-                                }
-                                ops.push(Op::Compute(hold));
-                            } else {
-                                // Partner's turn: sit out roughly as
-                                // long as a turn takes, so the RMW
-                                // trains interleave instead of queueing
-                                // behind a barrier.
-                                ops.push(Op::Compute(hold * 2));
-                            }
-                        }
-                    }
-                    ops.push(Op::Barrier);
-                    ops
-                })
-                .boxed()
-            })
-            .collect()
-    }
-}
-
 /// False-sharing storm: a small set of blocks, one homed on every
 /// node, that *all* processors write in rotated order with jittered
 /// gaps — the block-granular picture of unrelated data packed into
@@ -193,8 +106,8 @@ impl Workload for MigratoryPingPong {
 /// write-write conflicts here hit every directory at once: each write
 /// is an upgrade-or-write-miss that invalidates whichever processor
 /// wrote the block last, so exclusive ownership of every line migrates
-/// continuously across *all* shard boundaries: every shard is
-/// simultaneously a home under attack and a writer being invalidated.
+/// continuously between *all* nodes: every node is simultaneously a
+/// home under attack and a writer being invalidated.
 #[derive(Debug, Clone)]
 pub struct FalseSharingStorm {
     machine: MachineConfig,
@@ -287,14 +200,13 @@ impl Workload for FalseSharingStorm {
 /// machine, ready for the differential harness.
 #[must_use]
 pub fn adversarial_suite(machine: &MachineConfig, scale: crate::Scale) -> Vec<Box<dyn Workload>> {
-    let (burst, turns, iters) = match scale {
-        crate::Scale::Quick => (24, 6, 4),
-        crate::Scale::Default => (64, 10, 12),
-        crate::Scale::Paper => (128, 16, 30),
+    let (burst, iters) = match scale {
+        crate::Scale::Quick => (24, 4),
+        crate::Scale::Default => (64, 12),
+        crate::Scale::Paper => (128, 30),
     };
     vec![
         Box::new(HotspotStorm::new(machine.clone(), 6, burst, iters)),
-        Box::new(MigratoryPingPong::new(machine.clone(), 4, turns, iters)),
         Box::new(FalseSharingStorm::new(machine.clone(), 1, burst, iters)),
     ]
 }
@@ -349,38 +261,6 @@ mod tests {
     }
 
     #[test]
-    fn ping_pong_pairs_share_and_cross_home() {
-        let m = MachineConfig::paper_machine();
-        let w = MigratoryPingPong::new(m.clone(), 3, 4, 2);
-        let streams: Vec<Vec<Op>> = w
-            .build_streams()
-            .into_iter()
-            .map(Iterator::collect)
-            .collect();
-        let blocks = |ops: &[Op]| -> Vec<_> {
-            ops.iter()
-                .filter_map(|o| match o {
-                    Op::Read(b) | Op::Write(b) => Some(*b),
-                    _ => None,
-                })
-                .collect()
-        };
-        // Pair members touch the same blocks; the odd member is remote
-        // to every one of them (its accesses all cross shards).
-        let even = blocks(&streams[2]);
-        let odd = blocks(&streams[3]);
-        assert!(!even.is_empty());
-        assert_eq!(
-            even.iter().collect::<std::collections::HashSet<_>>(),
-            odd.iter().collect::<std::collections::HashSet<_>>()
-        );
-        assert!(even.iter().all(|&b| m.home_of(b) == NodeId(2)));
-        // Different pairs touch disjoint blocks.
-        let other = blocks(&streams[0]);
-        assert!(other.iter().all(|b| !even.contains(b)));
-    }
-
-    #[test]
     fn false_sharing_spans_every_home_and_rebuilds_identically() {
         let m = MachineConfig::paper_machine();
         let w = FalseSharingStorm::new(m.clone(), 1, 20, 2);
@@ -416,14 +296,7 @@ mod tests {
         let m = MachineConfig::paper_machine();
         let suite = adversarial_suite(&m, crate::Scale::Quick);
         let names: Vec<&str> = suite.iter().map(|w| w.name()).collect();
-        assert_eq!(
-            names,
-            vec![
-                "hotspot-storm",
-                "migratory-ping-pong",
-                "false-sharing-storm"
-            ]
-        );
+        assert_eq!(names, vec!["hotspot-storm", "false-sharing-storm"]);
         for w in &suite {
             assert_eq!(w.num_procs(), 16);
             assert!(w.build_streams().into_iter().all(|s| s.count() > 0));

@@ -39,7 +39,7 @@ mod space;
 mod stream;
 mod suite;
 
-pub use adversarial::{adversarial_suite, FalseSharingStorm, HotspotStorm, MigratoryPingPong};
+pub use adversarial::{adversarial_suite, FalseSharingStorm, HotspotStorm};
 pub use apps::appbt::{Appbt, AppbtParams};
 pub use apps::barnes::{Barnes, BarnesParams};
 pub use apps::em3d::{Em3d, Em3dParams};

@@ -291,8 +291,8 @@ mod tests {
     fn every_app_scales_to_64_and_256_processors() {
         // The paper's evaluation stops at 16 nodes; the suite itself is
         // machine-parameterized and must generate valid per-processor
-        // streams at the wide machine sizes the sharded engine targets
-        // (64 = the former ReaderSet ceiling, 256 = well past it).
+        // streams at wide machine sizes (64 = the former ReaderSet
+        // ceiling, 256 = well past it).
         for nodes in [64usize, 256] {
             let machine = MachineConfig::with_nodes(nodes);
             machine.validate().expect("wide machine is valid");

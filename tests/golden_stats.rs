@@ -12,15 +12,13 @@
 //!
 //! The fixture also pins the simulated machine itself:
 //!
-//! - a `model` row per application and system (Base, FR, SWI+FR) on
-//!   the sequential engine carries execution time, message and
+//! - a `model` row per application and system (Base, FR, SWI+FR)
+//!   carries execution time, message and
 //!   directory-request counts, NI and memory contention, event count,
 //!   the speculation counters and the online predictor's accuracy
 //!   counters;
 //! - a `proc` row per application and system carries each processor's
 //!   compute/sync/mem-wait split plus the machine-wide access counters;
-//! - a `windowed1t` row carries the windowed engine's execution time,
-//!   message and event counts on one thread;
 //! - `model-n64`/`model-n256` rows carry the `model` counters of em3d
 //!   under SWI+FR on 64 and 256 nodes. The 64-node run uses the scale
 //!   under test; the 256-node run always uses the quick inputs;
@@ -33,8 +31,8 @@
 //!   `FaultStats` field of each application under each system with the
 //!   suite-standard fault plan (`fault_plan`, fixed seed) and the
 //!   coherence auditor on. They pin retry timing, backoff and duplicate
-//!   suppression, which the fault differential only checks for
-//!   completion.
+//!   suppression; rendered at default scale, they are the suite's
+//!   default-scale audited fault runs.
 //!
 //! Any engine or protocol refactor that changes what the machine does
 //! shows up here.
@@ -63,7 +61,7 @@ use std::fmt::Display;
 use specdsm::prelude::{
     adversarial_suite, fault_plan, AppId, MachineConfig, RunStats, Scale, System, SystemConfig,
 };
-use specdsm::protocol::{EngineConfig, SpecPolicy};
+use specdsm::protocol::SpecPolicy;
 use specdsm_bench::{fig7, fig8, table3, table4, Fig7Row, Lab};
 
 /// The input scale under test: `SPECDSM_DIFF_SCALE=default` selects the
@@ -84,19 +82,12 @@ fn fixture(scale: Scale) -> &'static str {
 
 /// One simulation of `app` under `policy` on a paper machine with
 /// `nodes` nodes.
-fn run_app(
-    app: AppId,
-    policy: SpecPolicy,
-    scale: Scale,
-    nodes: usize,
-    engine: EngineConfig,
-) -> RunStats {
+fn run_app(app: AppId, policy: SpecPolicy, scale: Scale, nodes: usize) -> RunStats {
     let machine = MachineConfig::with_nodes(nodes);
     let w = app.build(&machine, scale).unwrap();
     let cfg = SystemConfig {
         machine,
         policy,
-        engine,
         ..SystemConfig::default()
     };
     System::new(cfg, w.as_ref()).expect("valid config").run()
@@ -114,7 +105,7 @@ fn policy_label(policy: SpecPolicy) -> &'static str {
 /// Seed of the fault plan behind the `model-fault` rows.
 const FAULT_SEED: u64 = 0x1a1f;
 
-/// The full machine-counter row of one sequential run.
+/// The full machine-counter row of one run.
 fn write_model_row(
     out: &mut String,
     label: &str,
@@ -179,7 +170,7 @@ fn write_model_fields(
     }
 }
 
-/// The per-processor row of one sequential run: machine-wide access
+/// The per-processor row of one run: machine-wide access
 /// counters, then each processor's `compute/sync/mem_wait` cycles.
 fn write_proc_row(out: &mut String, label: &str, app: AppId, policy: SpecPolicy, r: &RunStats) {
     let sum = |f: fn(&specdsm::protocol::ProcStats) -> u64| r.per_proc.iter().map(f).sum::<u64>();
@@ -208,7 +199,7 @@ fn write_proc_row(out: &mut String, label: &str, app: AppId, policy: SpecPolicy,
 struct Golden {
     text: String,
     fig7: Vec<Fig7Row>,
-    /// Sequential-engine execution cycles per (app, policy).
+    /// Execution cycles per (app, policy).
     exec_cycles: Vec<(AppId, SpecPolicy, u64)>,
 }
 
@@ -247,7 +238,6 @@ fn render_golden(scale: Scale) -> Golden {
     out.push_str("# fig7: accuracy per predictor; table3: coverage/correct fraction.\n");
     out.push_str("# fig8: accuracy at depths 1/2/4; table4: pte at depths 1/4 and ovh bytes.\n");
     out.push_str("# model: sequential-engine machine counters per app and system.\n");
-    out.push_str("# windowed1t: windowed-engine (1 thread) headline counters.\n");
     out.push_str("# proc: access counters, per-processor compute/sync/mem_wait cycles.\n");
     out.push_str("# model-n64/model-n256: em3d SWI+FR on 64 nodes, and on 256 at quick scale.\n");
     out.push_str("# model-adv: hotspot and false-sharing storms, auditor on.\n");
@@ -290,8 +280,8 @@ fn render_golden(scale: Scale) -> Golden {
         out.push('\n');
     }
 
-    // `Lab` runs the paper machine on the sequential engine, and its
-    // Base runs' trace recording changes no counter.
+    // `Lab` runs the paper machine, and its Base runs' trace recording
+    // changes no counter.
     let mut exec_cycles = Vec::new();
     for app in AppId::ALL {
         for policy in SpecPolicy::ALL {
@@ -302,48 +292,18 @@ fn render_golden(scale: Scale) -> Golden {
     }
     for app in AppId::ALL {
         for policy in SpecPolicy::ALL {
-            let r = run_app(
-                app,
-                policy,
-                scale,
-                16,
-                EngineConfig::Windowed { threads: 1 },
-            );
-            let _ = writeln!(
-                out,
-                "windowed1t {} {} exec_cycles={} remote_messages={} sim_events={}",
-                app,
-                policy_label(policy),
-                r.exec_cycles,
-                r.remote_messages,
-                r.sim_events
-            );
-        }
-    }
-    for app in AppId::ALL {
-        for policy in SpecPolicy::ALL {
             write_proc_row(&mut out, "proc", app, policy, lab.run(app, policy));
         }
     }
     // Wider machines: 64 nodes fill the inline reader-set word, 256
     // spill wide reader sets past it into heap words.
     for (label, nodes, scale) in [("model-n64", 64, scale), ("model-n256", 256, Scale::Quick)] {
-        let r = run_app(
-            AppId::Em3d,
-            SpecPolicy::SwiFr,
-            scale,
-            nodes,
-            EngineConfig::Sequential,
-        );
+        let r = run_app(AppId::Em3d, SpecPolicy::SwiFr, scale, nodes);
         write_model_row(&mut out, label, AppId::Em3d, SpecPolicy::SwiFr, &r);
     }
-    // The storms reach a write request on a busy `Exclusive` block; the
-    // migratory ping-pong reaches nothing the applications do not.
+    // The storms reach a write request on a busy `Exclusive` block.
     let machine = MachineConfig::paper_machine();
     for w in adversarial_suite(&machine, scale) {
-        if !matches!(w.name(), "hotspot-storm" | "false-sharing-storm") {
-            continue;
-        }
         for policy in SpecPolicy::ALL {
             let cfg = SystemConfig {
                 machine: machine.clone(),

@@ -295,34 +295,9 @@ fn wide_sharing_at_256_procs_spills_reader_sets_end_to_end() {
 }
 
 #[test]
-fn windowed_engine_runs_wide_sharing_at_256_procs() {
-    use specdsm::protocol::EngineConfig;
-    let machine = MachineConfig::with_nodes(256);
-    let w = specdsm::workloads::WideSharing::new(machine.clone(), 2, 3);
-    let run_with = |engine: EngineConfig| {
-        let cfg = SystemConfig {
-            machine: machine.clone(),
-            policy: SpecPolicy::SwiFr,
-            engine,
-            max_cycles: Some(500_000_000),
-            ..SystemConfig::default()
-        };
-        System::new(cfg, &w).expect("valid system").run()
-    };
-    let win = run_with(EngineConfig::Windowed { threads: 1 });
-    assert_eq!(win.per_proc.len(), 256);
-    // The program itself matches the sequential engine.
-    let seq = run_with(EngineConfig::Sequential);
-    for (s, w) in seq.per_proc.iter().zip(&win.per_proc) {
-        assert_eq!(s.reads, w.reads);
-        assert_eq!(s.writes, w.writes);
-    }
-}
-
-#[test]
 fn suite_runs_at_64_nodes_under_all_policies() {
     // A full application (em3d, quick inputs) at the former processor
-    // ceiling, under every policy, on both engines.
+    // ceiling, under every policy.
     let machine = MachineConfig::with_nodes(64);
     let w = AppId::Em3d.build(&machine, Scale::Quick).unwrap();
     for policy in SpecPolicy::ALL {
@@ -344,6 +319,34 @@ fn suite_runs_on_a_one_node_machine_under_all_policies() {
             let stats = run(machine.clone(), policy, w.as_ref());
             assert_eq!(stats.per_proc.len(), 1, "{app}/{policy}");
             assert!(stats.exec_cycles > 0, "{app}/{policy}");
+        }
+    }
+}
+
+#[test]
+fn suite_runs_coherently_on_a_zero_latency_network() {
+    // With `inject = net_hop = deliver = 0` a remote message is handed
+    // over in the cycle it leaves its sender's NI. Every app must still
+    // finish under every policy, pass the auditor and the end-of-run
+    // coherence check.
+    let mut machine = MachineConfig::paper_machine();
+    machine.latency.inject = 0;
+    machine.latency.net_hop = 0;
+    machine.latency.deliver = 0;
+    machine.validate().expect("a zero-latency network is valid");
+    for app in AppId::ALL {
+        let w = app.build(&machine, Scale::Quick).unwrap();
+        for policy in SpecPolicy::ALL {
+            let cfg = SystemConfig {
+                machine: machine.clone(),
+                policy,
+                audit: true,
+                max_cycles: Some(500_000_000),
+                ..SystemConfig::default()
+            };
+            let stats = System::new(cfg, w.as_ref()).expect("valid system").run();
+            assert!(stats.exec_cycles > 0, "{app}/{policy}");
+            assert!(stats.remote_messages > 0, "{app}/{policy}");
         }
     }
 }

@@ -885,10 +885,9 @@ proptest! {
     /// Drives a [`KeyedQueue`] with the access shape fault injection
     /// produces — duplicated payloads under fresh keys, extra-delayed
     /// arrivals, heavy `(sched, src)` key collisions, schedules in the
-    /// past after the cursor advanced — in phases separated by
-    /// `pop_before` drains at arbitrary horizons, and checks every
-    /// observation against a sorted-set reference model, including the
-    /// strictly-below semantics at the exact horizon boundary.
+    /// past after the cursor advanced — in phases separated by drains of
+    /// an arbitrary number of pops, and checks every observation against
+    /// a sorted-set reference model.
     #[test]
     fn keyed_queue_matches_model_under_fault_shaped_schedules(
         phases in proptest::collection::vec(
@@ -898,7 +897,7 @@ proptest! {
                     (0u64..5000, 0u64..60, 0u32..4, any::<bool>(), 1u64..300),
                     0..40,
                 ),
-                0u64..6000, // drain horizon for the phase
+                0usize..80, // pops that end the phase
             ),
             1..6,
         ),
@@ -912,35 +911,18 @@ proptest! {
         let mut payload = 0u64;
         let mut scheduled = 0u64;
         let pop_and_check = |q: &mut KeyedQueue<u64>,
-                                 model: &mut std::collections::BTreeSet<(u64, (u64, u32, u64), u64)>,
-                                 horizon: u64|
+                                 model: &mut std::collections::BTreeSet<(u64, (u64, u32, u64), u64)>|
          -> bool {
-            match q.pop_before(Cycle(horizon)) {
-                None => {
-                    // Boundary semantics: an event *at* the horizon must
-                    // not pop; anything strictly below must have.
-                    if let Some(first) = model.iter().next() {
-                        assert!(
-                            first.0 >= horizon,
-                            "queue withheld an event below the horizon: {first:?} < {horizon}"
-                        );
-                    }
-                    false
-                }
-                Some((at, got)) => {
-                    let expect = model
-                        .iter()
-                        .next()
-                        .copied()
-                        .expect("queue popped an event the model does not have");
-                    assert!(model.remove(&expect));
+            match (q.pop(), model.pop_first()) {
+                (None, None) => false,
+                (Some((at, got)), Some(expect)) => {
                     assert_eq!((at.raw(), got), (expect.0, expect.2), "pop order");
-                    assert!(at.raw() < horizon, "pop_before ignored the horizon");
                     true
                 }
+                (got, expect) => panic!("queue popped {got:?}, model {expect:?}"),
             }
         };
-        for (entries, horizon) in phases {
+        for (entries, pops) in phases {
             for (at, sched, src, dup, extra) in entries {
                 q.schedule(Cycle(at), SchedKey { sched, src, seq }, payload);
                 model.insert((at, (sched, src, seq), payload));
@@ -957,15 +939,15 @@ proptest! {
                 payload += 1;
             }
             prop_assert_eq!(q.len(), model.len());
-            prop_assert_eq!(
-                q.peek_cycle().map(Cycle::raw),
-                model.iter().next().map(|e| e.0)
-            );
-            while pop_and_check(&mut q, &mut model, horizon) {}
+            for _ in 0..pops {
+                if !pop_and_check(&mut q, &mut model) {
+                    break;
+                }
+            }
             prop_assert_eq!(q.len(), model.len());
         }
         // Final full drain: everything left pops in model order.
-        while pop_and_check(&mut q, &mut model, u64::MAX) {}
+        while pop_and_check(&mut q, &mut model) {}
         prop_assert!(model.is_empty(), "events left in the model: {:?}", model);
         prop_assert!(q.is_empty());
         prop_assert_eq!(q.scheduled_total(), scheduled);
@@ -983,8 +965,8 @@ proptest! {
     /// sorted-set reference model. With `coarse` the delays are
     /// multiples of 100 cycles, so many successors share a bucket, as
     /// a wide fan-out's deliveries do. With `merge_keys` the successors
-    /// carry earlier send cycles and mixed sources, as window-merged
-    /// deliveries do, so bucket lists also take mid-list inserts.
+    /// carry earlier send cycles and mixed sources, out of key order,
+    /// so bucket lists also take mid-list inserts.
     #[test]
     fn keyed_queue_matches_model_in_the_event_loop_shape(
         seed in any::<u64>(),
