@@ -1,4 +1,6 @@
-//! Runtime coherence auditing.
+//! Runtime coherence auditing, and the end-of-run checks of a
+//! [`System`]: every processor finished, and every cache agrees with
+//! its home directory.
 //!
 //! The [`Auditor`] is an optional, purely observational shadow of the
 //! coherence protocol: it watches every home-originated send and every
@@ -40,8 +42,11 @@ use std::fmt::Write as _;
 use specdsm_sim::Cycle;
 use specdsm_types::{BlockAddr, ProcId, ReaderSet};
 
+use crate::cache::LineState;
 use crate::directory::DirState;
 use crate::msg::{Msg, MsgKind};
+use crate::processor::Blocked;
+use crate::system::{EngineError, System, Waiting};
 
 /// Messages retained for post-mortem diagnostics.
 const RING_CAP: usize = 96;
@@ -277,6 +282,112 @@ impl std::fmt::Debug for Auditor {
             .field("blocks", &self.shadows.len())
             .field("ring", &self.ring.len())
             .finish()
+    }
+}
+
+impl System {
+    /// Asserts the end-of-run coherence invariants: no in-flight
+    /// transactions, directory state consistent with every cache
+    /// (sharers hold read-only copies of the memory version, exclusive
+    /// owners hold the writable copy, nobody else holds anything).
+    ///
+    /// Linear in the directory's sharer entries plus the cached lines:
+    /// the directory side visits only the holders each record lists,
+    /// and the cache side checks each cached line against its home's
+    /// record, so a copy the directory does not list — including one
+    /// of a block the directory never saw — fails there.
+    ///
+    /// # Panics
+    ///
+    /// Panics on any violation — these are protocol bugs, not workload
+    /// errors.
+    pub(crate) fn check_coherence(&self) {
+        let System { procs, dir, .. } = self;
+        dir.check_invariants();
+        for (block, blk) in dir.iter() {
+            assert!(
+                blk.busy.is_none(),
+                "{block}: transaction still in flight at quiescence"
+            );
+            match &blk.state {
+                DirState::Idle => {}
+                DirState::Shared(readers) => {
+                    for reader in readers.iter() {
+                        let cache = &procs[reader.0].cache;
+                        let cached = cache.state(block);
+                        assert!(
+                            matches!(cached, Some(LineState::Shared { .. })),
+                            "{block}: sharer {reader} holds {cached:?}"
+                        );
+                        assert_eq!(
+                            cache.version(block),
+                            Some(blk.version),
+                            "{block}: stale copy at {reader}"
+                        );
+                    }
+                }
+                DirState::Exclusive(owner) => {
+                    assert_eq!(
+                        procs[owner.0].cache.state(block),
+                        Some(LineState::Exclusive),
+                        "{block}: owner {owner} lost its copy"
+                    );
+                }
+            }
+        }
+        for proc in procs {
+            let id = proc.id();
+            for block in proc.cache.lines() {
+                match dir.state(block) {
+                    DirState::Idle => panic!("{block} is Idle but {id} holds a copy"),
+                    DirState::Shared(readers) => assert!(
+                        readers.contains(id),
+                        "{block}: non-sharer {id} holds a copy"
+                    ),
+                    DirState::Exclusive(owner) => {
+                        assert!(id == *owner, "{block}: {id} holds a copy besides the owner")
+                    }
+                }
+            }
+        }
+    }
+
+    /// Checks that every processor finished.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EngineError::Deadlock`] naming each unfinished
+    /// processor and what it waits for.
+    pub(crate) fn check_quiescent(&self) -> Result<(), EngineError> {
+        let blocked: Vec<(ProcId, Waiting)> = self
+            .procs
+            .iter()
+            .filter_map(|p| {
+                let waiting = match p.blocked {
+                    Blocked::Done => return None,
+                    Blocked::Barrier(since) => Waiting::Barrier { since: since.raw() },
+                    Blocked::Lock(lock, since) => Waiting::Lock {
+                        lock,
+                        since: since.raw(),
+                    },
+                    Blocked::Mem { block, since, .. } => Waiting::Memory {
+                        block,
+                        since: since.raw(),
+                    },
+                    // A runnable processor always has its resume queued.
+                    Blocked::No => panic!("{} is runnable with no event queued", p.id()),
+                };
+                Some((p.id(), waiting))
+            })
+            .collect();
+        if blocked.is_empty() {
+            Ok(())
+        } else {
+            Err(EngineError::Deadlock {
+                cycle: self.cur.raw(),
+                blocked,
+            })
+        }
     }
 }
 

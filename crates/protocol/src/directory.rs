@@ -1,5 +1,6 @@
 //! The full-map directory: one record per block in a dense per-home
-//! [`HomeTable`].
+//! [`HomeTable`], and the home's handlers for the paper's Figure 1
+//! protocol.
 //!
 //! Homes are page-interleaved ([`MachineConfig::home_of`]), so a block
 //! maps to its home and a small local index there arithmetically. The
@@ -11,10 +12,15 @@
 
 use std::collections::VecDeque;
 
-use specdsm_core::SpecTicket;
+use specdsm_core::{SpecTicket, SpecTrigger};
+use specdsm_sim::Cycle;
 use specdsm_types::{
-    BlockAddr, HomeGeometry, HomeTable, MachineConfig, ProcId, ReaderSet, ReqKind, Slot,
+    BlockAddr, DirMsg, HomeGeometry, HomeTable, MachineConfig, NodeId, ProcId, ReaderSet, ReqKind,
+    Slot,
 };
+
+use crate::msg::MsgKind;
+use crate::system::{Event, System};
 
 /// Stable sharing state of a block at its home directory (paper
 /// Figure 1).
@@ -189,6 +195,335 @@ impl Directory {
                 assert!(!r.is_empty(), "{addr}: Shared with empty sharer set");
             }
         }
+    }
+}
+
+impl System {
+    /// Runs a directory-bound message's handler. The block's slot is
+    /// computed here, once; the handlers below only ever index.
+    pub(crate) fn deliver_dir(&mut self, now: Cycle, block: BlockAddr, kind: MsgKind) {
+        let slot = self.dir.slot_of(block);
+        match kind {
+            MsgKind::Req { kind, proc, .. } => self.dir_request(now, slot, block, kind, proc),
+            MsgKind::InvAck { proc, spec_unused } => {
+                self.dir_inv_ack(now, slot, block, proc, spec_unused);
+            }
+            MsgKind::WritebackData { proc, version } => {
+                self.dir_writeback(now, slot, block, proc, version);
+            }
+            _ => unreachable!("{kind:?} is not directory-bound"),
+        }
+        // Shadow-vs-directory state cross-check after the handler ran.
+        if let Some(audit) = &mut self.audit {
+            audit.check_dir_state(block, &self.dir.at(slot).state);
+        }
+    }
+
+    fn dir_request(&mut self, now: Cycle, slot: Slot, block: BlockAddr, kind: ReqKind, p: ProcId) {
+        let dmsg = DirMsg::Request(kind, p);
+        if let Some(trace) = &mut self.trace {
+            trace.record(block, dmsg);
+        }
+        if self.cfg.policy.uses_predictor() {
+            self.vmsp.observe_at(slot, dmsg);
+        }
+        // SWI trigger: a write-like request signals that this
+        // processor's previous written block (at this home) is done.
+        if self.cfg.policy.swi_enabled() && kind.is_write_like() {
+            if let Some(prev) = self.swi_tables[slot.home.0].note_write(p, block) {
+                self.try_swi(now, prev, p);
+            }
+        }
+        let blk = self.dir.at_mut(slot);
+        if blk.busy.is_some() {
+            blk.pending.push_back((kind, p));
+            return;
+        }
+        self.dir_process(now, slot, block, kind, p);
+    }
+
+    fn dir_process(&mut self, now: Cycle, slot: Slot, block: BlockAddr, kind: ReqKind, p: ProcId) {
+        // SWI premature detection. A pending SWI resolves as *success*
+        // once any consumption is observed — a demand read from a
+        // non-owner, or (for speculatively pushed copies, whose reads
+        // never reach the directory) a piggy-backed reference bit on a
+        // later invalidation ack. It resolves as *premature* when the
+        // producer itself is the next to touch the block. For
+        // write-like requests from the owner the verdict is deferred to
+        // the write grant, after the invalidation acks have reported
+        // whether any pushed copy was referenced.
+        if let Some((owner, ticket)) = self.dir.at(slot).swi_pending {
+            match kind {
+                ReqKind::Read if p == owner => {
+                    self.resolve_swi_premature(slot, ticket);
+                }
+                ReqKind::Read => {
+                    // A consumer demanded the block: success.
+                    self.dir.at_mut(slot).swi_pending = None;
+                }
+                ReqKind::Write | ReqKind::Upgrade => {
+                    // Deferred: grant_exclusive decides.
+                }
+            }
+        }
+        match kind {
+            ReqKind::Read => self.process_read(now, slot, block, p),
+            ReqKind::Write | ReqKind::Upgrade => {
+                self.process_write_like(now, slot, block, kind, p);
+            }
+        }
+    }
+
+    fn process_read(&mut self, now: Cycle, slot: Slot, block: BlockAddr, p: ProcId) {
+        match self.dir.at(slot).state {
+            DirState::Exclusive(owner) if owner != p => {
+                self.recall_owner(now, slot, block, owner, AfterRecall::Read(p));
+            }
+            DirState::Exclusive(_) => {
+                unreachable!("{p} read {block} it exclusively owns at the directory")
+            }
+            _ => self.serve_read(now, slot, block, p),
+        }
+    }
+
+    fn process_write_like(
+        &mut self,
+        now: Cycle,
+        slot: Slot,
+        block: BlockAddr,
+        kind: ReqKind,
+        p: ProcId,
+    ) {
+        let (others, in_place) = match &self.dir.at(slot).state {
+            DirState::Idle => (ReaderSet::new(), false),
+            DirState::Shared(readers) => {
+                // The fan-out below sends while mutating the machine, so
+                // it walks a copy of the sharers minus the requester.
+                let mut others = readers.clone();
+                others.remove(p);
+                (others, kind == ReqKind::Upgrade && readers.contains(p))
+            }
+            &DirState::Exclusive(owner) if owner != p => {
+                self.recall_owner(now, slot, block, owner, AfterRecall::Write(p));
+                return;
+            }
+            DirState::Exclusive(_) => {
+                unreachable!("{p} wrote {block} it already exclusively owns at the directory")
+            }
+        };
+        if others.is_empty() {
+            self.grant_exclusive(now, slot, block, p, in_place);
+            return;
+        }
+        for r in others.iter() {
+            self.send(now, slot.home, r.node(), block, MsgKind::Inval);
+        }
+        self.dir.at_mut(slot).busy = Some(Busy::Invalidate {
+            requester: p,
+            in_place,
+            acks_left: others.len() as u32,
+        });
+    }
+
+    /// Serves a read from memory: joins `p` to the sharers, sends it the
+    /// data, lets FR forward copies to the other predicted readers, and
+    /// holds the block until the reply has left.
+    fn serve_read(&mut self, now: Cycle, slot: Slot, block: BlockAddr, p: ProcId) {
+        let t = self.mem_access(now, slot.home);
+        let blk = self.dir.at_mut(slot);
+        match &mut blk.state {
+            DirState::Shared(readers) => {
+                readers.insert(p);
+            }
+            state => *state = DirState::Shared(ReaderSet::single(p)),
+        }
+        let version = blk.version;
+        self.send(
+            t,
+            slot.home,
+            p.node(),
+            block,
+            MsgKind::DataShared { version },
+        );
+        if self.cfg.policy.fr_enabled() {
+            self.speculate(t, slot, block, SpecTrigger::Fr);
+        }
+        self.lock_reply(slot, block, t);
+    }
+
+    /// Recalls `owner`'s writable copy with an `InvWriteback` and holds
+    /// the block busy until the data returns, then runs `then`.
+    pub(crate) fn recall_owner(
+        &mut self,
+        now: Cycle,
+        slot: Slot,
+        block: BlockAddr,
+        owner: ProcId,
+        then: AfterRecall,
+    ) {
+        self.send(now, slot.home, owner.node(), block, MsgKind::InvWriteback);
+        self.dir.at_mut(slot).busy = Some(Busy::Recall(then));
+    }
+
+    /// Grants write permission: state → `Exclusive`, new version, reply.
+    /// A data reply holds the block until it has left the directory; an
+    /// in-place upgrade sends no data and takes no hold.
+    fn grant_exclusive(
+        &mut self,
+        now: Cycle,
+        slot: Slot,
+        block: BlockAddr,
+        p: ProcId,
+        in_place: bool,
+    ) {
+        let home = slot.home;
+        // Deferred SWI verdict: if an SWI invalidation is still pending
+        // at write-grant time, no consumption was ever observed — the
+        // grant to the original owner means it was premature; a grant
+        // to anyone else means production simply moved on.
+        if let Some((owner, ticket)) = self.dir.at(slot).swi_pending {
+            if p == owner {
+                self.resolve_swi_premature(slot, ticket);
+            } else {
+                self.dir.at_mut(slot).swi_pending = None;
+            }
+        }
+        let blk = self.dir.at_mut(slot);
+        blk.state = DirState::Exclusive(p);
+        let version = blk.grant_version();
+        if in_place {
+            // Permission only; no data, no memory access.
+            self.send(now, home, p.node(), block, MsgKind::UpgradeAck { version });
+        } else {
+            let t = self.mem_access(now, home);
+            self.send(t, home, p.node(), block, MsgKind::DataExcl { version });
+            self.lock_reply(slot, block, t);
+        }
+    }
+
+    /// Holds the idle `block` busy until `until`, when its in-flight
+    /// reply (or speculative batch) has left the directory. Prevents a
+    /// later request's invalidations from overtaking the data on the
+    /// same home→processor path. Every hold ends after the cycle it
+    /// starts, because validation keeps `mem_access ≥ 1`.
+    fn lock_reply(&mut self, slot: Slot, block: BlockAddr, until: Cycle) {
+        let blk = self.dir.at_mut(slot);
+        assert!(
+            blk.busy.is_none(),
+            "reply hold over active transaction {:?}",
+            blk.busy
+        );
+        blk.busy = Some(Busy::Reply);
+        self.sched(until, Event::DirRelease(slot, block));
+    }
+
+    /// A reply hold expires: release the block and serve queued
+    /// requests.
+    pub(crate) fn dir_release(&mut self, now: Cycle, slot: Slot, block: BlockAddr) {
+        let hold = self.dir.at_mut(slot).busy.take();
+        assert_eq!(
+            hold,
+            Some(Busy::Reply),
+            "{block}: release without a reply hold"
+        );
+        self.drain_pending(now, slot, block);
+    }
+
+    fn dir_inv_ack(
+        &mut self,
+        now: Cycle,
+        slot: Slot,
+        block: BlockAddr,
+        proc: ProcId,
+        spec_unused: bool,
+    ) {
+        if let Some(trace) = &mut self.trace {
+            trace.record(block, DirMsg::ack_inv(proc));
+        }
+        // Speculation verification via the piggy-backed reference bit.
+        if self.cfg.policy.uses_predictor() {
+            self.note_invalidated(slot, proc, spec_unused);
+        }
+        let blk = self.dir.at_mut(slot);
+        // A referenced copy is consumption evidence for a pending SWI.
+        if !spec_unused {
+            blk.swi_pending = None;
+        }
+        let Some(Busy::Invalidate {
+            requester,
+            in_place,
+            acks_left,
+        }) = &mut blk.busy
+        else {
+            panic!("stray InvAck for {block} from {proc}");
+        };
+        *acks_left -= 1;
+        if *acks_left > 0 {
+            return;
+        }
+        let (requester, in_place) = (*requester, *in_place);
+        blk.busy = None;
+        self.grant_exclusive(now, slot, block, requester, in_place);
+        self.drain_pending(now, slot, block);
+    }
+
+    fn dir_writeback(
+        &mut self,
+        now: Cycle,
+        slot: Slot,
+        block: BlockAddr,
+        proc: ProcId,
+        version: u64,
+    ) {
+        if let Some(trace) = &mut self.trace {
+            trace.record(block, DirMsg::writeback(proc));
+        }
+        let blk = self.dir.at_mut(slot);
+        blk.version = version;
+        let Some(Busy::Recall(then)) = blk.busy.take() else {
+            panic!("stray writeback for {block} from {proc}");
+        };
+        match then {
+            // Memory absorbs the writeback and sources the reply.
+            AfterRecall::Read(requester) => self.serve_read(now, slot, block, requester),
+            AfterRecall::Write(requester) => {
+                self.grant_exclusive(now, slot, block, requester, false);
+            }
+            AfterRecall::Swi { owner, ticket } => {
+                // Successful speculative invalidation: memory is clean.
+                let t = self.mem_access(now, slot.home);
+                let blk = self.dir.at_mut(slot);
+                blk.state = DirState::Idle;
+                blk.swi_pending = Some((owner, ticket));
+                self.speculate(t, slot, block, SpecTrigger::Swi);
+                self.lock_reply(slot, block, t);
+            }
+        }
+        self.drain_pending(now, slot, block);
+    }
+
+    fn drain_pending(&mut self, now: Cycle, slot: Slot, block: BlockAddr) {
+        loop {
+            let blk = self.dir.at_mut(slot);
+            if blk.busy.is_some() {
+                return;
+            }
+            let Some((kind, p)) = blk.pending.pop_front() else {
+                return;
+            };
+            self.dir_process(now, slot, block, kind, p);
+        }
+    }
+
+    /// One memory access at `home`: occupies the (split-transaction)
+    /// memory bus for `mem_occupancy` cycles and returns the data
+    /// `mem_access` cycles after its bus slot starts.
+    #[inline]
+    fn mem_access(&mut self, now: Cycle, home: NodeId) -> Cycle {
+        let lat = self.cfg.machine.latency;
+        let slot_end = self.mems[home.0].acquire(now, lat.mem_occupancy);
+        let start = Cycle(slot_end.raw() - lat.mem_occupancy);
+        start + lat.mem_access
     }
 }
 

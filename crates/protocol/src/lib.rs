@@ -22,11 +22,15 @@
 //! message's [`Slot`](specdsm_types::Slot) once and reaches both records
 //! by direct indexing, so the FR/SWI fast path makes no hash-map probes.
 //!
-//! The full message lifecycle (processor → network → directory →
-//! speculation engine → predictor feedback), and the design rationale
-//! for the per-home tables and the calendar-queue scheduler underneath
-//! them, are documented in `docs/ARCHITECTURE.md` at the repository
-//! root.
+//! [`System`] is the one state type. Each layer of the machine is one
+//! `impl System` block in its own module: the event loop (`system`),
+//! processor step (`processor`), sync arbitration (`sync`), network
+//! depart/arrive (`network`), the fault path (`fault`), the directory
+//! handlers (`directory`), FR/SWI speculation (`spec`) and the auditor
+//! (`audit`). The message lifecycle through these layers, and the
+//! design rationale for the per-home tables and the calendar-queue
+//! scheduler underneath them, are documented in `docs/ARCHITECTURE.md`
+//! at the repository root.
 //!
 //! # Example
 //!
@@ -65,10 +69,10 @@
 mod audit;
 mod cache;
 mod directory;
+mod fault;
 mod msg;
 mod network;
 mod processor;
-mod shard;
 mod spec;
 mod stats;
 mod sync;

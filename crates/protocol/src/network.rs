@@ -1,7 +1,13 @@
-//! The point-to-point network with NI contention.
+//! The point-to-point network with NI contention, and the handlers
+//! that send a message, hand it to its destination's NI and dispatch
+//! it on delivery.
 
 use specdsm_sim::{Cycle, FifoResource};
-use specdsm_types::{LatencyConfig, NodeId};
+use specdsm_types::{BlockAddr, LatencyConfig, NodeId};
+
+use crate::msg::{Msg, MsgKind};
+use crate::processor::Grant;
+use crate::system::{Event, System};
 
 /// Constant-latency point-to-point network with per-node network
 /// interfaces.
@@ -88,6 +94,79 @@ impl Network {
             .chain(&self.ni_in)
             .map(FifoResource::wait_cycles)
             .sum()
+    }
+}
+
+impl System {
+    #[inline]
+    pub(crate) fn send(
+        &mut self,
+        now: Cycle,
+        src: NodeId,
+        dst: NodeId,
+        block: BlockAddr,
+        kind: MsgKind,
+    ) {
+        debug_assert!(now >= self.cur, "messages are never sent in the past");
+        let msg = Msg {
+            src,
+            dst,
+            block,
+            kind,
+        };
+        if let Some(audit) = &mut self.audit {
+            audit.note_sent(now, &msg);
+        }
+        if src == dst {
+            // Node-local delivery bypasses the network entirely.
+            self.sched(now, Event::Deliver(msg));
+            return;
+        }
+        let at_dst = self.net.depart(now, src);
+        self.arrive(at_dst, msg);
+    }
+
+    /// Hands a message that left its sender's NI at `at_dst` to the
+    /// destination's inbound NI and schedules its delivery.
+    #[inline]
+    pub(crate) fn arrive(&mut self, at_dst: Cycle, msg: Msg) {
+        let handoff = self.net.arrive(at_dst, msg.dst);
+        self.sched(handoff, Event::Deliver(msg));
+    }
+
+    /// Dispatches a delivered message.
+    pub(crate) fn deliver(&mut self, now: Cycle, msg: Msg) {
+        let Msg {
+            src,
+            dst,
+            block,
+            kind,
+        } = msg;
+        if let MsgKind::Req { proc, seq, .. } = kind {
+            if self.suppress_duplicate(dst, proc, seq) {
+                return;
+            }
+        }
+        if let Some(audit) = &mut self.audit {
+            audit.note_delivered(now, &msg);
+        }
+        match kind {
+            MsgKind::Req { .. } | MsgKind::InvAck { .. } | MsgKind::WritebackData { .. } => {
+                self.deliver_dir(now, block, kind)
+            }
+            MsgKind::DataShared { version } => {
+                self.proc_grant(now, dst, block, version, Grant::Shared)
+            }
+            MsgKind::DataExcl { version } => {
+                self.proc_grant(now, dst, block, version, Grant::Exclusive)
+            }
+            MsgKind::UpgradeAck { version } => {
+                self.proc_grant(now, dst, block, version, Grant::Upgrade)
+            }
+            MsgKind::Inval => self.proc_inval(now, dst, block, src),
+            MsgKind::InvWriteback => self.proc_inv_writeback(now, dst, block, src),
+            MsgKind::SpecData { version } => self.proc_spec_data(dst, block, version),
+        }
     }
 }
 

@@ -1,12 +1,19 @@
-//! The blocking in-order processor model.
+//! The blocking in-order processor model, and the processor side of
+//! the protocol: stepping a processor, issuing its miss, and the
+//! handlers for the grants, invalidations and speculative copies the
+//! home sends it.
 
 use std::iter::Peekable;
 
 use specdsm_sim::Cycle;
-use specdsm_types::{BlockAddr, LockId, Op, OpStream, ProcId, ReqKind};
+use specdsm_types::{
+    splitmix64, BlockAddr, LockId, NodeId, Op, OpStream, ProcId, ReqKind, GOLDEN_GAMMA,
+};
 
 use crate::cache::Cache;
+use crate::msg::MsgKind;
 use crate::stats::ProcStats;
+use crate::system::{Event, System};
 
 /// What the processor wants to do next; the system turns this into
 /// events and protocol messages.
@@ -113,12 +120,6 @@ impl Processor {
         self.id
     }
 
-    /// Read access to the cache (for tests and invariant checks).
-    #[must_use]
-    pub fn cache(&self) -> &Cache {
-        &self.cache
-    }
-
     /// Consumes ops until one requires the system's involvement.
     ///
     /// Consecutive compute ops and cache hits are merged into a single
@@ -195,6 +196,166 @@ impl Processor {
             }
         }
     }
+}
+
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Grant {
+    Shared,
+    Exclusive,
+    Upgrade,
+}
+
+impl System {
+    #[inline]
+    pub(crate) fn proc_mut(&mut self, p: ProcId) -> &mut Processor {
+        &mut self.procs[p.0]
+    }
+
+    /// Advances processor `p` by one action.
+    pub(crate) fn step_proc(&mut self, now: Cycle, p: ProcId) {
+        match self.proc_mut(p).next_action() {
+            ProcAction::Busy(n) => self.sched(now + n, Event::Resume(p)),
+            ProcAction::Miss(b, kind) => self.issue(now, p, b, kind),
+            ProcAction::Sync(kind) => self.sync(now, p, kind),
+            ProcAction::Done => {
+                let pr = self.proc_mut(p);
+                pr.blocked = Blocked::Done;
+                pr.stats.finished_at = now.raw();
+            }
+        }
+    }
+
+    fn issue(&mut self, now: Cycle, p: ProcId, block: BlockAddr, kind: ReqKind) {
+        let proc = self.proc_mut(p);
+        proc.req_seq += 1;
+        let seq = proc.req_seq;
+        proc.blocked = Blocked::Mem {
+            block,
+            since: now,
+            kind,
+            seq,
+            retried: false,
+        };
+        self.send_request(now, p, block, kind, seq, 0);
+    }
+
+    /// Completes the outstanding memory request of `node`'s processor.
+    pub(crate) fn proc_grant(
+        &mut self,
+        now: Cycle,
+        node: NodeId,
+        block: BlockAddr,
+        version: u64,
+        g: Grant,
+    ) {
+        let p = node.proc();
+        let proc = self.proc_mut(p);
+        match g {
+            Grant::Shared => proc.cache.fill_shared(block, version),
+            Grant::Exclusive => proc.cache.fill_exclusive(block, version),
+            Grant::Upgrade => {
+                // The directory grants an in-place upgrade whenever it
+                // lists the requester as a sharer, and that listing can
+                // outlive the copy. While a lost upgrade awaits its
+                // retry, another writer may invalidate the copy and a
+                // speculative forward may list the requester again; the
+                // requester drops that forward under the race rule
+                // (§4.2), so the grant finds no copy to promote.
+                if proc.cache.has_shared(block) {
+                    proc.cache.upgrade(block, version);
+                } else {
+                    proc.cache.fill_exclusive(block, version);
+                }
+            }
+        }
+        let recovered = match proc.blocked {
+            Blocked::Mem {
+                block: b,
+                since,
+                retried,
+                ..
+            } if b == block => {
+                proc.stats.mem_wait += now.since(since);
+                proc.blocked = Blocked::No;
+                retried.then(|| now.since(since))
+            }
+            ref other => panic!("{p} got {g:?} grant for {block} while {other:?}"),
+        };
+        if let Some(wait) = recovered {
+            // The whole blocked stretch counts as recovery: without the
+            // loss the request would have completed within one timeout.
+            self.fstats.recovery_cycles += wait;
+        }
+        self.sched(now, Event::Resume(p));
+    }
+
+    pub(crate) fn proc_inval(&mut self, now: Cycle, node: NodeId, block: BlockAddr, home: NodeId) {
+        let p = node.proc();
+        let spec_unused = self.proc_mut(p).cache.invalidate(block);
+        // The controller answers after a small deterministic delay
+        // (contention with its processor for the cache): overlapped
+        // invalidation acks therefore arrive in varying order, the
+        // paper's §3 perturbation source for general message predictors.
+        let delay = ack_delay(now, p, self.cfg.machine.latency.ack_jitter);
+        self.send(
+            now + delay,
+            node,
+            home,
+            block,
+            MsgKind::InvAck {
+                proc: p,
+                spec_unused,
+            },
+        );
+    }
+
+    pub(crate) fn proc_inv_writeback(
+        &mut self,
+        now: Cycle,
+        node: NodeId,
+        block: BlockAddr,
+        home: NodeId,
+    ) {
+        let p = node.proc();
+        let version = self
+            .proc_mut(p)
+            .cache
+            .invalidate_exclusive(block)
+            .unwrap_or_else(|| panic!("{p} got InvWriteback for {block} without a writable copy"));
+        self.send(
+            now,
+            node,
+            home,
+            block,
+            MsgKind::WritebackData { proc: p, version },
+        );
+    }
+
+    pub(crate) fn proc_spec_data(&mut self, node: NodeId, block: BlockAddr, version: u64) {
+        let p = node.proc();
+        let proc = self.proc_mut(p);
+        // Race rule (§4.2): with a demand request in flight for this
+        // block, drop the speculative copy and await the protocol reply.
+        if matches!(proc.blocked, Blocked::Mem { block: b, .. } if b == block) {
+            self.spec_stats.dropped += 1;
+        } else {
+            proc.cache.fill_speculative(block, version);
+        }
+    }
+}
+
+/// Deterministic per-event invalidation-response delay in
+/// `[0, jitter)`: a SplitMix64 hash of `(cycle, proc)`, so runs stay
+/// exactly reproducible.
+fn ack_delay(now: Cycle, p: ProcId, jitter: u64) -> u64 {
+    if jitter == 0 {
+        return 0;
+    }
+    let z = now
+        .raw()
+        .wrapping_add((p.0 as u64) << 32)
+        .wrapping_add(GOLDEN_GAMMA);
+    splitmix64(z) % jitter
 }
 
 #[cfg(test)]

@@ -1,9 +1,21 @@
-//! Speculation policies, bookkeeping, and statistics.
+//! Speculation policies and statistics, and the FR/SWI triggers: the
+//! speculative forwarding path, SWI invalidation, and the feedback that
+//! verifies each speculative copy against the online VMSP.
+//!
+//! The predictor is the table-backed [`Vmsp`](specdsm_core::Vmsp): the
+//! directory computes each message's [`Slot`] once, and every later
+//! access — observe, predicted readers, ticket open/close — is a direct
+//! index.
 
 use std::fmt;
 
-use specdsm_core::{SpecTicket, SpecTrigger, SwiTable, Vmsp};
-use specdsm_types::{HomeGeometry, MachineConfig, ProcId, Slot};
+use specdsm_core::{SpecTicket, SpecTrigger};
+use specdsm_sim::Cycle;
+use specdsm_types::{BlockAddr, ProcId, Slot};
+
+use crate::directory::{AfterRecall, DirState};
+use crate::msg::MsgKind;
+use crate::system::System;
 
 /// Which speculation mechanisms the DSM runs (paper §7.4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -89,41 +101,84 @@ impl SpecStats {
     }
 }
 
-/// Directory-side speculation engine: the online predictor, the
-/// per-home SWI tables, and the speculation activity counters.
-///
-/// The predictor is the table-backed [`Vmsp`]: the machine computes each
-/// message's [`Slot`] once, and every later access — observe, predicted
-/// readers, ticket open/close — is a direct index.
-#[derive(Debug, Clone)]
-pub(crate) struct SpecEngine {
-    pub policy: SpecPolicy,
-    pub vmsp: Vmsp,
-    pub swi_tables: Vec<SwiTable>,
-    pub stats: SpecStats,
-}
-
-impl SpecEngine {
-    pub(crate) fn new(policy: SpecPolicy, depth: usize, machine: &MachineConfig) -> Self {
-        SpecEngine {
-            policy,
-            vmsp: Vmsp::with_geometry(depth, machine.num_nodes, HomeGeometry::of_machine(machine)),
-            swi_tables: (0..machine.num_nodes).map(|_| SwiTable::new()).collect(),
-            stats: SpecStats::default(),
+impl System {
+    /// Forwards one speculative read-only copy of `block` to every
+    /// reader the predictor expects next and not already sharing it:
+    /// FR after serving a demand read, SWI after a successful
+    /// speculative write invalidation. The message payload is built
+    /// once; the per-destination sends issue in ascending reader order.
+    /// The data was just fetched (or written back) by the access that
+    /// triggered the speculation, so the batch is sourced from the
+    /// directory's buffer: no extra memory occupancy, only NI and
+    /// network costs.
+    pub(crate) fn speculate(
+        &mut self,
+        now: Cycle,
+        slot: Slot,
+        block: BlockAddr,
+        trigger: SpecTrigger,
+    ) {
+        let Some((vec, ticket)) = self.vmsp.predicted_readers_at(slot) else {
+            return;
+        };
+        let blk = self.dir.at(slot);
+        debug_assert!(
+            !matches!(blk.state, DirState::Exclusive(_)),
+            "speculative forward while a writable copy exists"
+        );
+        let targets = &vec - blk.sharers();
+        if targets.is_empty() {
+            return;
         }
+        let kind = MsgKind::SpecData {
+            version: blk.version,
+        };
+        for r in targets.iter() {
+            self.send(now, slot.home, r.node(), block, kind);
+        }
+        for r in targets.iter() {
+            self.note_sent(slot, r, ticket, trigger);
+        }
+        match &mut self.dir.at_mut(slot).state {
+            DirState::Shared(sharers) => *sharers |= &targets,
+            state => *state = DirState::Shared(targets.clone()),
+        }
+        self.vmsp.speculate_readers_at(slot, targets);
+    }
+
+    /// Attempts an SWI invalidation of `prev` (the block `owner` wrote
+    /// before its current write, at the same home). `prev` is a
+    /// different block from the one the triggering message named, so
+    /// its slot is computed here — once, like `deliver_dir` does for the
+    /// message's own block.
+    pub(crate) fn try_swi(&mut self, now: Cycle, prev: BlockAddr, owner: ProcId) {
+        let slot = self.dir.slot_of(prev);
+        let b = self.dir.at(slot);
+        let eligible = b.busy.is_none() && b.state == DirState::Exclusive(owner);
+        if !eligible || !self.vmsp.swi_allowed_at(slot) {
+            return;
+        }
+        // The write request that made `prev` exclusive trained the
+        // predictor, so its history is active.
+        let ticket = self
+            .vmsp
+            .swi_ticket_at(slot)
+            .expect("an exclusive block has an active predictor history");
+        self.recall_owner(now, slot, prev, owner, AfterRecall::Swi { owner, ticket });
+        self.spec_stats.swi_inval_sent += 1;
+    }
+
+    pub(crate) fn resolve_swi_premature(&mut self, slot: Slot, ticket: SpecTicket) {
+        self.dir.at_mut(slot).swi_pending = None;
+        self.spec_stats.swi_inval_premature += 1;
+        self.vmsp.mark_swi_premature_at(slot, ticket);
     }
 
     /// Records that a speculative copy was sent to `proc`.
-    pub(crate) fn note_sent(
-        &mut self,
-        slot: Slot,
-        proc: ProcId,
-        ticket: SpecTicket,
-        trigger: SpecTrigger,
-    ) {
+    fn note_sent(&mut self, slot: Slot, proc: ProcId, ticket: SpecTicket, trigger: SpecTrigger) {
         match trigger {
-            SpecTrigger::Fr => self.stats.fr_sent += 1,
-            SpecTrigger::Swi => self.stats.swi_sent += 1,
+            SpecTrigger::Fr => self.spec_stats.fr_sent += 1,
+            SpecTrigger::Swi => self.spec_stats.swi_sent += 1,
         }
         self.vmsp.open_ticket(slot, proc, ticket, trigger);
     }
@@ -138,12 +193,12 @@ impl SpecEngine {
         };
         if unused {
             match trigger {
-                SpecTrigger::Fr => self.stats.fr_unused += 1,
-                SpecTrigger::Swi => self.stats.swi_unused += 1,
+                SpecTrigger::Fr => self.spec_stats.fr_unused += 1,
+                SpecTrigger::Swi => self.spec_stats.swi_unused += 1,
             }
             self.vmsp.prune_reader_at(slot, ticket, proc);
         } else {
-            self.stats.verified += 1;
+            self.spec_stats.verified += 1;
         }
     }
 }
@@ -151,7 +206,26 @@ impl SpecEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use specdsm_types::{BlockAddr, DirMsg, ReaderSet};
+    use crate::system::SystemConfig;
+    use specdsm_types::{DirMsg, OpStream, ReaderSet, Workload};
+
+    /// Sixteen processors with nothing to run: a system whose
+    /// speculation state the tests drive directly.
+    struct Idle16;
+
+    impl Workload for Idle16 {
+        fn name(&self) -> &str {
+            "idle"
+        }
+        fn num_procs(&self) -> usize {
+            16
+        }
+        fn build_streams(&self) -> Vec<OpStream> {
+            (0..16)
+                .map(|_| Box::new(std::iter::empty()) as OpStream)
+                .collect()
+        }
+    }
 
     #[test]
     fn policy_flags() {
@@ -172,9 +246,12 @@ mod tests {
         assert_eq!(SpecPolicy::SwiFr.to_string(), "SWI-DSM");
     }
 
-    fn trained_engine() -> (SpecEngine, Slot) {
-        let machine = MachineConfig::paper_machine();
-        let mut e = SpecEngine::new(SpecPolicy::SwiFr, 1, &machine);
+    fn trained_engine() -> (System, Slot) {
+        let cfg = SystemConfig {
+            policy: SpecPolicy::SwiFr,
+            ..SystemConfig::default()
+        };
+        let mut e = System::new(cfg, &Idle16).expect("valid system");
         let slot = e.vmsp.slot_of(BlockAddr(1));
         for _ in 0..5 {
             e.vmsp.observe_at(slot, DirMsg::upgrade(ProcId(3)));
@@ -191,10 +268,10 @@ mod tests {
         let (readers, ticket) = e.vmsp.predicted_readers_at(slot).unwrap();
         assert!(readers.contains(ProcId(2)));
         e.note_sent(slot, ProcId(2), ticket, SpecTrigger::Fr);
-        assert_eq!(e.stats.fr_sent, 1);
+        assert_eq!(e.spec_stats.fr_sent, 1);
 
         e.note_invalidated(slot, ProcId(2), true);
-        assert_eq!(e.stats.fr_unused, 1);
+        assert_eq!(e.spec_stats.fr_unused, 1);
         let (readers, _) = e.vmsp.predicted_readers_at(slot).unwrap();
         assert_eq!(readers, ReaderSet::single(ProcId(1)), "P2 pruned");
     }
@@ -205,18 +282,18 @@ mod tests {
         let (_, ticket) = e.vmsp.predicted_readers_at(slot).unwrap();
         e.note_sent(slot, ProcId(1), ticket, SpecTrigger::Swi);
         e.note_invalidated(slot, ProcId(1), false);
-        assert_eq!(e.stats.verified, 1);
-        assert_eq!(e.stats.swi_unused, 0);
+        assert_eq!(e.spec_stats.verified, 1);
+        assert_eq!(e.spec_stats.swi_unused, 0);
         // Ticket consumed: a second invalidation is a no-op.
         e.note_invalidated(slot, ProcId(1), true);
-        assert_eq!(e.stats.swi_unused, 0);
+        assert_eq!(e.spec_stats.swi_unused, 0);
     }
 
     #[test]
     fn invalidation_without_ticket_is_ignored() {
         let (mut e, slot) = trained_engine();
         e.note_invalidated(slot, ProcId(9), true);
-        assert_eq!(e.stats, SpecStats::default());
+        assert_eq!(e.spec_stats, SpecStats::default());
     }
 
     #[test]

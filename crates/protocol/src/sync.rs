@@ -1,4 +1,5 @@
-//! Barrier and lock managers.
+//! Barrier and lock arbitration: the managers, and the handlers that
+//! resolve a processor's sync op inline, in the event that reaches it.
 //!
 //! Synchronization is implemented directly in the simulator rather than
 //! through shared memory; time spent waiting is charged to the
@@ -8,7 +9,11 @@
 
 use std::collections::{HashMap, VecDeque};
 
+use specdsm_sim::Cycle;
 use specdsm_types::{LockId, ProcId};
+
+use crate::processor::{Blocked, SyncKind};
+use crate::system::{Event, System};
 
 /// A single global sense-reversing barrier over `n` processors.
 #[derive(Debug, Clone)]
@@ -107,6 +112,49 @@ impl LockManager {
         );
         state.holder = state.queue.pop_front();
         state.holder
+    }
+}
+
+impl System {
+    /// Resolves a barrier arrival, lock acquire or lock release of `p`
+    /// at `now`. Each processor it lets go resumes at `now + 1`, in the
+    /// order the managers release them.
+    pub(crate) fn sync(&mut self, now: Cycle, p: ProcId, kind: SyncKind) {
+        match kind {
+            SyncKind::Barrier => match self.barrier.arrive(p) {
+                // The last arriver comes last and was never blocked.
+                Some(released) => {
+                    for w in released {
+                        self.wake(now, w);
+                    }
+                }
+                None => self.proc_mut(p).blocked = Blocked::Barrier(now),
+            },
+            SyncKind::Lock(lock) => {
+                if self.locks.acquire(lock, p) {
+                    self.wake(now, p);
+                } else {
+                    self.proc_mut(p).blocked = Blocked::Lock(lock, now);
+                }
+            }
+            SyncKind::Unlock(lock) => {
+                if let Some(next) = self.locks.release(lock, p) {
+                    self.wake(now, next);
+                }
+                self.wake(now, p);
+            }
+        }
+    }
+
+    /// Lets `p` go at `now`: charges its barrier or lock wait, if it
+    /// waited, and resumes it at `now + 1`.
+    fn wake(&mut self, now: Cycle, p: ProcId) {
+        let pr = self.proc_mut(p);
+        if let Blocked::Barrier(since) | Blocked::Lock(_, since) = pr.blocked {
+            pr.stats.sync_wait += now.since(since);
+            pr.blocked = Blocked::No;
+        }
+        self.sched(now + 1, Event::Resume(p));
     }
 }
 

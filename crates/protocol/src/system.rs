@@ -1,26 +1,37 @@
-//! The whole simulated system: configuration, validation, the run and
-//! the end-of-run checks.
+//! The whole simulated system: configuration, validation, the state
+//! and the event loop.
 //!
-//! [`System::new`] validates a [`SystemConfig`] and builds the one
-//! [`Machine`] (see `shard.rs`) that simulates every node.
-//! [`System::try_run`] drives the machine's event loop until its queue
-//! drains, checks that every processor finished and that the
-//! directories agree with every cache, and returns the statistics. See
-//! `docs/ARCHITECTURE.md` for the full design.
+//! [`System::new`] validates a [`SystemConfig`] and builds one
+//! [`System`], which owns every node's processor, cache, directory
+//! records, memory bus and network interfaces, the online VMSP, the
+//! barrier and lock managers, and one [`KeyedQueue`] of events.
+//! [`System::try_run`] pops events in `(cycle, key)` order until the
+//! queue drains; each handler may schedule further events. Every
+//! scheduling action consumes the next key of one monotone counter, so
+//! same-cycle events pop in the order they were scheduled.
+//!
+//! The handlers of each layer are one `impl System` block in that
+//! layer's module: `processor.rs`, `sync.rs`, `network.rs`, `fault.rs`,
+//! `directory.rs`, `spec.rs` and `audit.rs`. See `docs/ARCHITECTURE.md`
+//! for the layer map and the full design.
 
 use std::error::Error;
 use std::fmt;
 
-use specdsm_core::{DirectoryTrace, SharingPredictor};
-use specdsm_sim::FifoResource;
-use specdsm_types::{BlockAddr, ConfigError, FaultPlan, LockId, MachineConfig, ProcId, Workload};
+use specdsm_core::{DirectoryTrace, SharingPredictor, SwiTable, Vmsp};
+use specdsm_sim::{Cycle, FifoResource, KeyedQueue, SchedKey};
+use specdsm_types::{
+    BlockAddr, ConfigError, FaultPlan, HomeGeometry, LockId, MachineConfig, ProcId, Slot, Workload,
+};
 
-use crate::cache::LineState;
-use crate::directory::DirState;
+use crate::audit::Auditor;
+use crate::directory::Directory;
+use crate::msg::Msg;
+use crate::network::Network;
 use crate::processor::{Blocked, Processor};
-use crate::shard::Machine;
-use crate::spec::SpecPolicy;
-use crate::stats::RunStats;
+use crate::spec::{SpecPolicy, SpecStats};
+use crate::stats::{FaultStats, RunStats};
+use crate::sync::{BarrierManager, LockManager};
 
 /// Names the engine. Both variants run the same one engine.
 ///
@@ -233,14 +244,69 @@ impl fmt::Display for EngineError {
 
 impl Error for EngineError {}
 
+#[derive(Debug, Clone)]
+pub(crate) enum Event {
+    /// A processor continues execution.
+    Resume(ProcId),
+    /// A message is delivered at its destination.
+    Deliver(Msg),
+    /// A directory block's reply-hold expires (the outgoing data has
+    /// been handed to the NI; queued requests may proceed). Carries the
+    /// block's slot so the release path does no lookup at all.
+    DirRelease(Slot, BlockAddr),
+    /// A request's retransmission timer fires. Stale once the request
+    /// completed (`seq` no longer matches the processor's outstanding
+    /// request); otherwise the request is retransmitted with doubled
+    /// backoff. Only scheduled under an active fault plan.
+    ReqTimeout {
+        proc: ProcId,
+        seq: u64,
+        attempt: u32,
+    },
+}
+
 /// A complete simulated DSM: processors, caches, directories, network,
 /// synchronization, and (optionally) the speculation engine.
 ///
 /// Build one with [`System::new`] and consume it with [`System::run`].
 pub struct System {
-    cfg: SystemConfig,
-    machine: Machine,
+    /// The configuration, with a no-op fault plan normalized away: an
+    /// active plan is `Some`, and all-zero plans are `None`, keeping
+    /// them bit-identical with no plan at all.
+    pub(crate) cfg: SystemConfig,
     workload_name: String,
+    /// The processors, indexed by node.
+    pub(crate) procs: Vec<Processor>,
+    /// Directory records of every home.
+    pub(crate) dir: Directory,
+    /// The memory buses, indexed by node.
+    pub(crate) mems: Vec<FifoResource>,
+    /// The network interfaces (outbound and inbound).
+    pub(crate) net: Network,
+    /// The online predictor of every home directory.
+    pub(crate) vmsp: Vmsp,
+    /// The SWI tables, indexed by home node.
+    pub(crate) swi_tables: Vec<SwiTable>,
+    /// Speculation activity counters.
+    pub(crate) spec_stats: SpecStats,
+    queue: KeyedQueue<Event>,
+    /// Monotone counter behind every scheduling action's [`SchedKey`].
+    seq: u64,
+    /// Cycle of the event currently being processed; after a run, the
+    /// cycle of the last event.
+    pub(crate) cur: Cycle,
+    pub(crate) barrier: BarrierManager,
+    pub(crate) locks: LockManager,
+    /// The directory message trace, when recording.
+    pub(crate) trace: Option<DirectoryTrace>,
+    /// Fault and recovery counters.
+    pub(crate) fstats: FaultStats,
+    /// Highest request sequence number accepted per `(home,
+    /// requester)` — the directory-side duplicate-suppression state.
+    /// Empty when no fault plan is active.
+    pub(crate) req_seen: Vec<Vec<u64>>,
+    /// Optional runtime coherence auditor (purely observational).
+    pub(crate) audit: Option<Box<Auditor>>,
 }
 
 impl System {
@@ -252,7 +318,7 @@ impl System {
     /// plan is invalid, the fault plan slows a node outside the machine,
     /// the predictor depth is 0, or the workload's processor or stream
     /// count does not match the node count.
-    pub fn new(cfg: SystemConfig, workload: &dyn Workload) -> Result<Self, BuildError> {
+    pub fn new(mut cfg: SystemConfig, workload: &dyn Workload) -> Result<Self, BuildError> {
         cfg.machine.validate()?;
         let n = cfg.machine.num_nodes;
         if let Some(plan) = &cfg.faults {
@@ -277,13 +343,36 @@ impl System {
                 procs: n,
             });
         }
-        let procs: Vec<Processor> = streams
-            .into_iter()
-            .enumerate()
-            .map(|(i, s)| Processor::new(ProcId(i), s, cfg.machine.latency.cache_hit))
-            .collect();
+        // An all-zero plan never enters the fault path, so such configs
+        // stay bit-identical to the reliable network (no timeout
+        // events, no dedup bookkeeping).
+        cfg.faults = cfg.faults.filter(|plan| !plan.is_noop());
+        let machine = &cfg.machine;
         Ok(System {
-            machine: Machine::new(&cfg, procs),
+            procs: streams
+                .into_iter()
+                .enumerate()
+                .map(|(i, s)| Processor::new(ProcId(i), s, machine.latency.cache_hit))
+                .collect(),
+            dir: Directory::new(machine),
+            mems: (0..n).map(|_| FifoResource::new()).collect(),
+            net: Network::new(n, machine.latency),
+            vmsp: Vmsp::with_geometry(cfg.predictor_depth, n, HomeGeometry::of_machine(machine)),
+            swi_tables: (0..n).map(|_| SwiTable::new()).collect(),
+            spec_stats: SpecStats::default(),
+            queue: KeyedQueue::new(),
+            seq: 0,
+            cur: Cycle::ZERO,
+            barrier: BarrierManager::new(n),
+            locks: LockManager::new(),
+            trace: cfg.record_trace.then(DirectoryTrace::new),
+            fstats: FaultStats::default(),
+            req_seen: if cfg.faults.is_some() {
+                vec![vec![0u64; n]; n]
+            } else {
+                Vec::new()
+            },
+            audit: cfg.audit.then(|| Box::new(Auditor::new())),
             workload_name: workload.name().to_string(),
             cfg,
         })
@@ -315,120 +404,57 @@ impl System {
     /// an exhausted retry budget, and if the end-of-run directory state
     /// disagrees with a cache.
     pub fn try_run(mut self) -> Result<RunStats, EngineError> {
-        self.machine.run()?;
+        self.simulate()?;
         self.check_quiescent()?;
         self.check_coherence();
         Ok(self.into_stats())
     }
 
-    /// Asserts the end-of-run coherence invariants: no in-flight
-    /// transactions, directory state consistent with every cache
-    /// (sharers hold read-only copies of the memory version, exclusive
-    /// owners hold the writable copy, nobody else holds anything).
-    ///
-    /// Linear in the directory's sharer entries plus the cached lines:
-    /// the directory side visits only the holders each record lists,
-    /// and the cache side checks each cached line against its home's
-    /// record, so a copy the directory does not list — including one
-    /// of a block the directory never saw — fails there.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any violation — these are protocol bugs, not workload
-    /// errors.
-    fn check_coherence(&self) {
-        let Machine { procs, dir, .. } = &self.machine;
-        dir.check_invariants();
-        for (block, blk) in dir.iter() {
-            assert!(
-                blk.busy.is_none(),
-                "{block}: transaction still in flight at quiescence"
-            );
-            match &blk.state {
-                DirState::Idle => {}
-                DirState::Shared(readers) => {
-                    for reader in readers.iter() {
-                        let cache = procs[reader.0].cache();
-                        let cached = cache.state(block);
-                        assert!(
-                            matches!(cached, Some(LineState::Shared { .. })),
-                            "{block}: sharer {reader} holds {cached:?}"
-                        );
-                        assert_eq!(
-                            cache.version(block),
-                            Some(blk.version),
-                            "{block}: stale copy at {reader}"
-                        );
-                    }
-                }
-                DirState::Exclusive(owner) => {
-                    assert_eq!(
-                        procs[owner.0].cache().state(block),
-                        Some(LineState::Exclusive),
-                        "{block}: owner {owner} lost its copy"
-                    );
-                }
-            }
-        }
-        for proc in procs {
-            let id = proc.id();
-            for block in proc.cache().lines() {
-                match dir.state(block) {
-                    DirState::Idle => panic!("{block} is Idle but {id} holds a copy"),
-                    DirState::Shared(readers) => assert!(
-                        readers.contains(id),
-                        "{block}: non-sharer {id} holds a copy"
-                    ),
-                    DirState::Exclusive(owner) => {
-                        assert!(id == *owner, "{block}: {id} holds a copy besides the owner")
-                    }
-                }
-            }
-        }
+    /// Schedules an event at `at`; the scheduling action is stamped
+    /// with the current processing cycle and the next sequence number.
+    #[inline]
+    pub(crate) fn sched(&mut self, at: Cycle, event: Event) {
+        let key = SchedKey {
+            sched: self.cur.raw(),
+            src: 0,
+            seq: self.seq,
+        };
+        self.seq += 1;
+        self.queue.schedule(at, key, event);
     }
 
-    /// Checks that every processor finished.
+    /// Queues every processor's first resume at cycle 0, then
+    /// processes events until the queue drains.
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::Deadlock`] naming each unfinished
-    /// processor and what it waits for.
-    fn check_quiescent(&self) -> Result<(), EngineError> {
-        let blocked: Vec<(ProcId, Waiting)> = self
-            .machine
-            .procs
-            .iter()
-            .filter_map(|p| {
-                let waiting = match p.blocked {
-                    Blocked::Done => return None,
-                    Blocked::Barrier(since) => Waiting::Barrier { since: since.raw() },
-                    Blocked::Lock(lock, since) => Waiting::Lock {
-                        lock,
-                        since: since.raw(),
-                    },
-                    Blocked::Mem { block, since, .. } => Waiting::Memory {
-                        block,
-                        since: since.raw(),
-                    },
-                    // A runnable processor always has its resume queued.
-                    Blocked::No => panic!("{} is runnable with no event queued", p.id()),
-                };
-                Some((p.id(), waiting))
-            })
-            .collect();
-        if blocked.is_empty() {
-            Ok(())
-        } else {
-            Err(EngineError::Deadlock {
-                cycle: self.machine.cur.raw(),
-                blocked,
-            })
+    /// Returns [`EngineError::MaxCycles`] when an event lies past the
+    /// configured `max_cycles`.
+    fn simulate(&mut self) -> Result<(), EngineError> {
+        for p in 0..self.procs.len() {
+            self.sched(Cycle::ZERO, Event::Resume(ProcId(p)));
         }
+        while let Some((now, event)) = self.queue.pop() {
+            if let Some(limit) = self.cfg.max_cycles {
+                if now.raw() > limit {
+                    return Err(EngineError::MaxCycles { limit });
+                }
+            }
+            self.cur = now;
+            match event {
+                Event::Resume(p) => self.step_proc(now, p),
+                Event::Deliver(msg) => self.deliver(now, msg),
+                Event::DirRelease(slot, block) => self.dir_release(now, slot, block),
+                Event::ReqTimeout { proc, seq, attempt } => {
+                    self.req_timeout(now, proc, seq, attempt);
+                }
+            }
+        }
+        Ok(())
     }
 
     fn into_stats(self) -> RunStats {
-        let m = self.machine;
-        let per_proc: Vec<_> = m.procs.iter().map(|p| p.stats).collect();
+        let per_proc: Vec<_> = self.procs.iter().map(|p| p.stats).collect();
         let sum = |f: fn(&crate::ProcStats) -> u64| per_proc.iter().map(f).sum();
         // Retries plus home-side duplicate suppression deliver each miss
         // to its home exactly once, so the homes saw every miss.
@@ -441,22 +467,18 @@ impl System {
             workload: self.workload_name,
             policy: self.cfg.policy,
             exec_cycles: per_proc.iter().map(|p| p.finished_at).max().unwrap_or(0),
-            sim_events: m.queue.scheduled_total(),
-            remote_messages: m.net.messages_sent(),
-            ni_wait_cycles: m.net.ni_wait_cycles(),
-            mem_wait_cycles: m.mems.iter().map(FifoResource::wait_cycles).sum(),
-            mem_busy_cycles: m.mems.iter().map(FifoResource::busy_cycles).sum(),
+            sim_events: self.queue.scheduled_total(),
+            remote_messages: self.net.messages_sent(),
+            ni_wait_cycles: self.net.ni_wait_cycles(),
+            mem_wait_cycles: self.mems.iter().map(FifoResource::wait_cycles).sum(),
+            mem_busy_cycles: self.mems.iter().map(FifoResource::busy_cycles).sum(),
             dir_reads,
             dir_writes,
             dir_upgrades,
-            spec: m.spec.stats,
-            faults: m.fstats,
-            predictor: self
-                .cfg
-                .policy
-                .uses_predictor()
-                .then(|| m.spec.vmsp.stats()),
-            trace: m.trace.map(DirectoryTrace::compacted),
+            spec: self.spec_stats,
+            faults: self.fstats,
+            predictor: self.cfg.policy.uses_predictor().then(|| self.vmsp.stats()),
+            trace: self.trace.map(DirectoryTrace::compacted),
             per_proc,
         }
     }
@@ -464,19 +486,14 @@ impl System {
 
 impl fmt::Debug for System {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let done = self.procs.iter().filter(|p| p.blocked == Blocked::Done);
         f.debug_struct("System")
             .field("workload", &self.workload_name)
             .field("policy", &self.cfg.policy)
-            .field("machine", &self.machine)
-            .field(
-                "done",
-                &self
-                    .machine
-                    .procs
-                    .iter()
-                    .filter(|p| p.blocked == Blocked::Done)
-                    .count(),
-            )
+            .field("nodes", &self.procs.len())
+            .field("cycle", &self.cur)
+            .field("queued", &self.queue.len())
+            .field("done", &done.count())
             .finish()
     }
 }
@@ -484,7 +501,8 @@ impl fmt::Debug for System {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use specdsm_types::{BlockAddr, LockId, NodeId, Op, OpStream};
+    use crate::directory::DirState;
+    use specdsm_types::{NodeId, Op, OpStream};
 
     /// A workload described directly as per-processor op vectors.
     struct Script {
@@ -1166,7 +1184,7 @@ mod tests {
             ..SystemConfig::default()
         };
         let mut sys = System::new(cfg, &Script { name: "audit", ops }).expect("valid system");
-        sys.machine.run().expect("the run finishes");
+        sys.simulate().expect("the run finishes");
         sys.check_quiescent().expect("every processor finished");
         sys.check_coherence();
         sys
@@ -1187,7 +1205,7 @@ mod tests {
     #[should_panic(expected = "transaction still in flight at quiescence")]
     fn audit_rejects_a_transaction_in_flight() {
         let mut sys = shared_by_p1_p2();
-        sys.machine.dir.block_mut(homed(0)).busy = Some(crate::directory::Busy::Reply);
+        sys.dir.block_mut(homed(0)).busy = Some(crate::directory::Busy::Reply);
         sys.check_coherence();
     }
 
@@ -1195,7 +1213,7 @@ mod tests {
     #[should_panic(expected = "is Idle but P1 holds a copy")]
     fn audit_rejects_a_copy_of_an_idle_block() {
         let mut sys = shared_by_p1_p2();
-        sys.machine.dir.block_mut(homed(0)).state = DirState::Idle;
+        sys.dir.block_mut(homed(0)).state = DirState::Idle;
         sys.check_coherence();
     }
 
@@ -1203,7 +1221,7 @@ mod tests {
     #[should_panic(expected = "sharer P2 holds Some(Exclusive)")]
     fn audit_rejects_a_sharer_in_the_wrong_state() {
         let mut sys = shared_by_p1_p2();
-        sys.machine.procs[2].cache.fill_exclusive(homed(0), 0);
+        sys.procs[2].cache.fill_exclusive(homed(0), 0);
         sys.check_coherence();
     }
 
@@ -1211,7 +1229,7 @@ mod tests {
     #[should_panic(expected = "stale copy at P1")]
     fn audit_rejects_a_stale_sharer_version() {
         let mut sys = shared_by_p1_p2();
-        sys.machine.procs[1].cache.fill_shared(homed(0), 7);
+        sys.procs[1].cache.fill_shared(homed(0), 7);
         sys.check_coherence();
     }
 
@@ -1219,7 +1237,7 @@ mod tests {
     #[should_panic(expected = "sharer P1 holds None")]
     fn audit_rejects_a_sharer_that_lost_its_copy() {
         let mut sys = shared_by_p1_p2();
-        sys.machine.procs[1].cache.invalidate(homed(0));
+        sys.procs[1].cache.invalidate(homed(0));
         sys.check_coherence();
     }
 
@@ -1227,7 +1245,7 @@ mod tests {
     #[should_panic(expected = "non-sharer P3 holds a copy")]
     fn audit_rejects_a_copy_at_a_non_sharer() {
         let mut sys = shared_by_p1_p2();
-        sys.machine.procs[3].cache.fill_shared(homed(0), 0);
+        sys.procs[3].cache.fill_shared(homed(0), 0);
         sys.check_coherence();
     }
 
@@ -1235,7 +1253,7 @@ mod tests {
     #[should_panic(expected = "is Idle but P3 holds a copy")]
     fn audit_rejects_a_copy_the_directory_never_saw() {
         let mut sys = shared_by_p1_p2();
-        sys.machine.procs[3].cache.fill_shared(homed(1), 0);
+        sys.procs[3].cache.fill_shared(homed(1), 0);
         sys.check_coherence();
     }
 
@@ -1243,7 +1261,7 @@ mod tests {
     #[should_panic(expected = "owner P1 lost its copy")]
     fn audit_rejects_an_owner_without_its_copy() {
         let mut sys = owned_by_p1();
-        sys.machine.procs[1].cache.invalidate_exclusive(homed(0));
+        sys.procs[1].cache.invalidate_exclusive(homed(0));
         sys.check_coherence();
     }
 
@@ -1251,7 +1269,7 @@ mod tests {
     #[should_panic(expected = "P2 holds a copy besides the owner")]
     fn audit_rejects_a_copy_besides_the_owner() {
         let mut sys = owned_by_p1();
-        sys.machine.procs[2].cache.fill_shared(homed(0), 0);
+        sys.procs[2].cache.fill_shared(homed(0), 0);
         sys.check_coherence();
     }
 }
