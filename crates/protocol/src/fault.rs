@@ -9,7 +9,7 @@ use specdsm_types::{BlockAddr, NodeId, ProcId, ReqKind};
 
 use crate::msg::{Msg, MsgKind};
 use crate::processor::Blocked;
-use crate::system::{Event, System};
+use crate::system::{EngineError, Event, System};
 
 impl System {
     /// Sends (or retransmits, for `attempt > 0`) one request message,
@@ -98,7 +98,18 @@ impl System {
     /// A retransmission timer fired. A stale timer (its request was
     /// answered and the processor moved on) is a no-op; a live one
     /// retransmits with a fresh fault draw, up to the plan's retry cap.
-    pub(crate) fn req_timeout(&mut self, now: Cycle, p: ProcId, seq: u64, attempt: u32) {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EngineError::RetryBudget`] when the timer of the last
+    /// retry the plan allows fires.
+    pub(crate) fn req_timeout(
+        &mut self,
+        now: Cycle,
+        p: ProcId,
+        seq: u64,
+        attempt: u32,
+    ) -> Result<(), EngineError> {
         let (block, kind) = match self.proc_mut(p).blocked {
             Blocked::Mem {
                 block,
@@ -106,7 +117,7 @@ impl System {
                 seq: outstanding,
                 ..
             } if outstanding == seq => (block, kind),
-            _ => return,
+            _ => return Ok(()),
         };
         let plan = self
             .cfg
@@ -116,17 +127,19 @@ impl System {
         // `attempt` is the 0-based transmission whose timer fired; the
         // resend below is retry number `attempt + 1`. Permit at most
         // `retry_cap` retries.
-        assert!(
-            attempt < plan.retry_cap,
-            "request retry cap exceeded: {p} {kind} request for {block} (seq {seq}) \
-             unanswered after {} transmissions",
-            attempt + 1,
-        );
+        if attempt >= plan.retry_cap {
+            return Err(EngineError::RetryBudget {
+                proc: p,
+                block,
+                attempts: attempt + 1,
+            });
+        }
         if let Blocked::Mem { retried, .. } = &mut self.proc_mut(p).blocked {
             *retried = true;
         }
         self.fstats.retries += 1;
         self.send_request(now, p, block, kind, seq, attempt + 1);
+        Ok(())
     }
 
     /// Drops a request the directory already accepted (a network

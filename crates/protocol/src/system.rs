@@ -199,8 +199,8 @@ impl fmt::Display for Waiting {
 /// A failure of a run that its inputs caused, returned by
 /// [`System::try_run`].
 ///
-/// Protocol-invariant violations, coherence-audit violations and an
-/// exhausted retry budget are bugs or unrecoverable faults, and panic.
+/// Protocol-invariant violations and coherence-audit violations are
+/// bugs, and panic.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum EngineError {
@@ -217,6 +217,16 @@ pub enum EngineError {
     MaxCycles {
         /// The configured limit.
         limit: u64,
+    },
+    /// A request stayed unanswered after every retransmission the
+    /// fault plan's `retry_cap` allows.
+    RetryBudget {
+        /// The requesting processor.
+        proc: ProcId,
+        /// The requested block.
+        block: BlockAddr,
+        /// Transmissions made, the first included.
+        attempts: u32,
     },
 }
 
@@ -238,6 +248,15 @@ impl fmt::Display for EngineError {
             EngineError::MaxCycles { limit } => {
                 write!(f, "simulation exceeded max_cycles = {limit}")
             }
+            EngineError::RetryBudget {
+                proc,
+                block,
+                attempts,
+            } => write!(
+                f,
+                "request retry cap exceeded: {proc}'s request for {block} \
+                 unanswered after {attempts} transmissions"
+            ),
         }
     }
 }
@@ -389,20 +408,22 @@ impl System {
         self.try_run().unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Runs the simulation to completion, returning a deadlock or an
-    /// exceeded `max_cycles` as an [`EngineError`].
+    /// Runs the simulation to completion, returning a deadlock, an
+    /// exceeded `max_cycles` or an exhausted retry budget as an
+    /// [`EngineError`].
     ///
     /// # Errors
     ///
     /// Returns [`EngineError::Deadlock`] if the events run out while a
-    /// processor is unfinished, and [`EngineError::MaxCycles`] if the
-    /// run passes [`SystemConfig::max_cycles`].
+    /// processor is unfinished, [`EngineError::MaxCycles`] if the run
+    /// passes [`SystemConfig::max_cycles`], and
+    /// [`EngineError::RetryBudget`] if a request is still unanswered
+    /// after the fault plan's last retry.
     ///
     /// # Panics
     ///
-    /// Panics on a protocol-invariant or coherence-audit violation, on
-    /// an exhausted retry budget, and if the end-of-run directory state
-    /// disagrees with a cache.
+    /// Panics on a protocol-invariant or coherence-audit violation, and
+    /// if the end-of-run directory state disagrees with a cache.
     pub fn try_run(mut self) -> Result<RunStats, EngineError> {
         self.simulate()?;
         self.check_quiescent()?;
@@ -429,7 +450,8 @@ impl System {
     /// # Errors
     ///
     /// Returns [`EngineError::MaxCycles`] when an event lies past the
-    /// configured `max_cycles`.
+    /// configured `max_cycles`, and [`EngineError::RetryBudget`] when a
+    /// request exhausts its retries.
     fn simulate(&mut self) -> Result<(), EngineError> {
         for p in 0..self.procs.len() {
             self.sched(Cycle::ZERO, Event::Resume(ProcId(p)));
@@ -446,7 +468,7 @@ impl System {
                 Event::Deliver(msg) => self.deliver(now, msg),
                 Event::DirRelease(slot, block) => self.dir_release(now, slot, block),
                 Event::ReqTimeout { proc, seq, attempt } => {
-                    self.req_timeout(now, proc, seq, attempt);
+                    self.req_timeout(now, proc, seq, attempt)?;
                 }
             }
         }
@@ -1140,6 +1162,38 @@ mod tests {
         // FR forwards `b` in the second and third rounds and, to P1,
         // in the last one.
         assert_eq!(s.spec.fr_sent, 3, "{:?}", s.spec);
+    }
+
+    #[test]
+    fn exhausted_retry_budget_is_an_engine_error() {
+        // Every remote request is dropped and one retry is allowed, so
+        // P1's read goes out twice and is never answered.
+        let block = homed(0);
+        let cfg = SystemConfig {
+            machine: machine(4),
+            faults: Some(FaultPlan {
+                drop_rate: 1.0,
+                retry_cap: 1,
+                ..FaultPlan::new(5)
+            }),
+            ..SystemConfig::default()
+        };
+        let ops = vec![vec![], vec![Op::Read(block)], vec![], vec![]];
+        let err = System::new(cfg, &Script { name: "lossy", ops })
+            .unwrap()
+            .try_run()
+            .unwrap_err();
+        assert_eq!(
+            err,
+            EngineError::RetryBudget {
+                proc: ProcId(1),
+                block,
+                attempts: 2,
+            }
+        );
+        let msg = err.to_string();
+        assert!(msg.contains("request retry cap exceeded"), "{msg}");
+        assert!(msg.contains("after 2 transmissions"), "{msg}");
     }
 
     #[test]
