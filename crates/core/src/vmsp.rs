@@ -377,11 +377,12 @@ impl Vmsp {
     /// block at `slot` under `ticket`. At most one ticket per `(block,
     /// proc)` is open at a time; a second send overwrites the first,
     /// exactly like the `(block, proc)`-keyed map this slab replaced.
-    /// The slab is allocated (sized to `num_procs`) on a block's first
-    /// speculative send and grows for an out-of-range `proc` rather
-    /// than dropping the ticket — the map accepted any processor id,
-    /// and losing a ticket would silently lose its verification
-    /// feedback.
+    /// The slab is allocated, with `num_procs` entries, on a block's
+    /// first speculative send.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `proc` is not below the predictor's `num_procs`.
     pub fn open_ticket(
         &mut self,
         slot: Slot,
@@ -389,12 +390,9 @@ impl Vmsp {
         ticket: SpecTicket,
         trigger: SpecTrigger,
     ) {
-        let needed = self.num_procs.max(proc.0 + 1);
         let b = self.blocks.get_mut(slot);
-        if b.tickets.len() <= proc.0 {
-            let mut slab = std::mem::take(&mut b.tickets).into_vec();
-            slab.resize(needed, None);
-            b.tickets = slab.into_boxed_slice();
+        if b.tickets.is_empty() {
+            b.tickets = vec![None; self.num_procs].into_boxed_slice();
         }
         b.tickets[proc.0] = Some((ticket, trigger));
     }
@@ -674,22 +672,6 @@ mod tests {
         assert_eq!(
             vmsp.close_ticket(slot, ProcId(5)),
             Some((ticket, SpecTrigger::Swi))
-        );
-    }
-
-    #[test]
-    fn ticket_slab_grows_for_out_of_range_proc() {
-        // The (block, proc)-keyed map accepted any processor id; the
-        // slab must too (growing, not silently dropping the ticket).
-        let mut vmsp = Vmsp::new(1, 4);
-        let b = BlockAddr(3);
-        vmsp.observe(b, DirMsg::write(ProcId(0)));
-        let slot = vmsp.slot_of(b);
-        let ticket = vmsp.swi_ticket_at(slot).unwrap();
-        vmsp.open_ticket(slot, ProcId(20), ticket, SpecTrigger::Fr);
-        assert_eq!(
-            vmsp.close_ticket(slot, ProcId(20)),
-            Some((ticket, SpecTrigger::Fr))
         );
     }
 
