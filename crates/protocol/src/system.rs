@@ -234,11 +234,9 @@ impl fmt::Display for EngineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             EngineError::Deadlock { cycle, blocked } => {
-                write!(
-                    f,
-                    "deadlock at cycle {cycle}: {} processors never finished:",
-                    blocked.len()
-                )?;
+                let n = blocked.len();
+                let noun = if n == 1 { "processor" } else { "processors" };
+                write!(f, "deadlock at cycle {cycle}: {n} {noun} never finished:")?;
                 for (i, (p, waiting)) in blocked.iter().enumerate() {
                     let sep = if i == 0 { " " } else { "; " };
                     write!(f, "{sep}{p} waits {waiting}")?;
@@ -524,7 +522,7 @@ impl fmt::Debug for System {
 mod tests {
     use super::*;
     use crate::directory::DirState;
-    use specdsm_types::{NodeId, Op, OpStream};
+    use specdsm_types::{NodeId, Op, OpStream, ReqKind};
 
     /// A workload described directly as per-processor op vectors.
     struct Script {
@@ -820,6 +818,41 @@ mod tests {
         assert!(
             msg.contains("P0 waits at the barrier since cycle 5"),
             "{msg}"
+        );
+    }
+
+    #[test]
+    fn lock_held_at_the_end_deadlocks() {
+        // P0 finishes holding L0; P1 asks for it at cycle 10 and waits
+        // forever.
+        let cfg = SystemConfig {
+            machine: machine(2),
+            ..SystemConfig::default()
+        };
+        let ops = vec![
+            vec![Op::Lock(LockId(0))],
+            vec![Op::Compute(10), Op::Lock(LockId(0))],
+        ];
+        let err = System::new(cfg, &Script { name: "held", ops })
+            .unwrap()
+            .try_run()
+            .unwrap_err();
+        assert_eq!(
+            err,
+            EngineError::Deadlock {
+                cycle: 10,
+                blocked: vec![(
+                    ProcId(1),
+                    Waiting::Lock {
+                        lock: LockId(0),
+                        since: 10
+                    }
+                )],
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "deadlock at cycle 10: 1 processor never finished: P1 waits for L0 since cycle 10"
         );
     }
 
@@ -1253,6 +1286,26 @@ mod tests {
     /// P1 holds the writable copy of `homed(0)`.
     fn owned_by_p1() -> System {
         quiesced(vec![vec![], vec![Op::Write(homed(0))], vec![], vec![]])
+    }
+
+    #[test]
+    fn quiescence_check_reports_a_processor_waiting_for_memory() {
+        let mut sys = shared_by_p1_p2();
+        let block = homed(0);
+        sys.procs[2].blocked = Blocked::Mem {
+            block,
+            since: Cycle(40),
+            kind: ReqKind::Upgrade,
+            seq: 2,
+            retried: false,
+        };
+        assert_eq!(
+            sys.check_quiescent(),
+            Err(EngineError::Deadlock {
+                cycle: sys.cur.raw(),
+                blocked: vec![(ProcId(2), Waiting::Memory { block, since: 40 })],
+            })
+        );
     }
 
     #[test]
