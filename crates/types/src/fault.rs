@@ -89,7 +89,8 @@ pub struct FaultPlan {
     /// Requester-side retransmission timeout in cycles (doubled per
     /// attempt — exponential backoff).
     pub retry_timeout: u64,
-    /// Maximum retries of one request before the run aborts.
+    /// Maximum retries of one request; the run fails with a
+    /// retry-budget error when the last one goes unanswered.
     pub retry_cap: u32,
 }
 
