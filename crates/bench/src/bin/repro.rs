@@ -26,7 +26,7 @@ use std::path::{Path, PathBuf};
 
 use specdsm_bench::{fig6, fig7, fig8, fig9, table3, table4, table5, Lab, Scale, TextTable};
 use specdsm_protocol::SpecPolicy;
-use specdsm_types::MachineConfig;
+use specdsm_types::{MachineConfig, PAPER_BLOCK_BYTES};
 use specdsm_workloads::AppId;
 
 const USAGE: &str = "usage: repro [config|fig6|fig7|fig8|table3|table4|fig9|table5|all ...] \
@@ -276,7 +276,10 @@ fn render_config() -> String {
         "Remote-to-local access ratio (rtl)",
         &format!("~{:.1}", m.remote_to_local_ratio()),
     ]);
-    t.row(["Coherence block size", &format!("{} bytes", m.block_bytes)]);
+    t.row([
+        "Coherence block size",
+        &format!("{PAPER_BLOCK_BYTES} bytes"),
+    ]);
     let _ = writeln!(s, "{t}");
     let _ = writeln!(s, "== Table 2: applications and input data sets ==");
     let mut t2 = TextTable::new(["application", "paper input"]);

@@ -31,12 +31,14 @@
 //! triggers — is documented in `docs/ARCHITECTURE.md` at the
 //! repository root (see "The message lifecycle").
 //!
-//! The crate also hosts the decision logic of the speculative DSM:
-//! [`SwiTable`] (the Speculative Write-Invalidation early-write-invalidate
-//! table, one entry per processor) and the VMSP speculation hooks
-//! ([`Vmsp::predicted_readers_at`], [`Vmsp::speculate_readers_at`],
-//! [`Vmsp::prune_reader_at`]) used by the protocol crate to implement
-//! the FR and SWI trigger mechanisms.
+//! The crate holds the predictors and nothing else. The speculative
+//! DSM's FR and SWI triggers live in the protocol crate, which asks the
+//! VMSP who reads next ([`Vmsp::predicted_readers_at`]), folds
+//! speculative readers into its open vector
+//! ([`Vmsp::speculate_readers_at`]) and feeds verification back into
+//! its pattern table ([`Vmsp::prune_reader_at`],
+//! [`Vmsp::mark_swi_premature_at`]) under the [`SpecTicket`] each
+//! prediction hands out.
 //!
 //! # Example: the paper's Figure 3/4 producer–consumer pattern
 //!
@@ -68,7 +70,6 @@ mod intern;
 mod predictor;
 mod stats;
 mod storage;
-mod swi;
 mod symbol;
 mod table;
 mod twolevel;
@@ -80,9 +81,8 @@ pub use intern::{ReaderSetInterner, SetId};
 pub use predictor::{PredictorKind, SharingPredictor};
 pub use stats::{Observation, PredictorStats};
 pub use storage::{StorageModel, StorageReport};
-pub use swi::SwiTable;
 pub use symbol::{HistoryKey, Symbol};
 pub use table::{History, PatternEntry, PatternTable};
-pub use vmsp::{SpecTicket, SpecTrigger, Vmsp};
+pub use vmsp::{SpecTicket, Vmsp};
 
 pub use specdsm_types::{DirMsg, ReaderSet};

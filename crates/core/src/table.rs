@@ -381,6 +381,12 @@ impl History {
         self.buf.len() == self.depth
     }
 
+    /// Whether no symbol was ever pushed.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.buf.is_empty()
+    }
+
     /// Shifts in a new symbol, discarding the oldest once full. O(1):
     /// one ring-slot overwrite plus the rolling-key update.
     pub fn push(&mut self, sym: Symbol) {

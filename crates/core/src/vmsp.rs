@@ -3,17 +3,17 @@
 //! # Storage layout
 //!
 //! The online VMSP sits on the coherence fast path: every directory
-//! request triggers an observe, every demand read may consult
-//! [`Vmsp::predicted_readers_at`], and every speculative send/ack pair
-//! opens and closes a verification ticket. Per-block state therefore
-//! lives in a [`HomeTable`], the same dense per-home table the
-//! protocol's directory uses, so one [`Slot`] computed per message
-//! reaches both records by direct indexing.
+//! request triggers an observe, and every demand read may consult
+//! [`Vmsp::predicted_readers_at`]. Per-block state therefore lives in a
+//! [`HomeTable`], the same dense per-home table the protocol's
+//! directory uses, so one [`Slot`] computed per message reaches both
+//! records by direct indexing.
 //!
-//! Outstanding speculation tickets live in a small per-block slab
-//! indexed by processor id (at most one open ticket per `(block,
-//! proc)`, and the paper's machines have 16–64 nodes), replacing the
-//! speculation engine's former `(block, proc)`-keyed ticket map.
+//! A record is exactly the paper's per-block state (§3.1, §4.2): the
+//! history register, the pattern table, whose entries carry the SWI
+//! bit, and the read vector still accumulating. Which speculative
+//! copies are outstanding, and under which [`SpecTicket`], is the
+//! protocol's verification bookkeeping, not the predictor's.
 
 use specdsm_types::{BlockAddr, DirMsg, HomeGeometry, HomeTable, ProcId, ReaderSet, ReqKind, Slot};
 
@@ -89,16 +89,6 @@ struct VBlock {
     table: PatternTable,
     /// The read vector currently being accumulated (open read phase).
     open: ReaderSet,
-    /// Open speculation tickets, indexed by processor id. Empty until
-    /// the first speculative send touches this block, then sized to
-    /// `num_procs` once (speculation is concentrated on few blocks, so
-    /// most records never pay for the slab).
-    tickets: Box<[Option<(SpecTicket, SpecTrigger)>]>,
-    /// Whether an observation, a speculative reader or SWI feedback
-    /// ever touched this record. Table growth creates pristine
-    /// neighbors eagerly; the flag keeps storage accounting reporting
-    /// only blocks with real predictor activity.
-    active: bool,
 }
 
 impl VBlock {
@@ -110,23 +100,16 @@ impl VBlock {
             history: History::new(depth),
             table: PatternTable::new(),
             open: ReaderSet::new(),
-            tickets: Box::new([]),
-            active: false,
         }
     }
-}
 
-/// How a speculative copy was triggered (paper §4.1): by the first
-/// demand read of a predicted sequence (FR) or by a successful
-/// speculative write invalidation (SWI). Carried in the per-block
-/// ticket slab so verification feedback attributes each outcome to the
-/// right trigger's statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SpecTrigger {
-    /// First-read trigger.
-    Fr,
-    /// Speculative-write-invalidation trigger.
-    Swi,
+    /// Whether the predictor ever observed a request for this block. A
+    /// read opens the vector, a write pushes history, and the vector
+    /// only ever empties into history, so the records the table merely
+    /// grew past are exactly the inactive ones.
+    fn is_active(&self) -> bool {
+        !self.history.is_empty() || !self.open.is_empty()
+    }
 }
 
 /// Handle identifying the pattern-table context in which a speculation
@@ -208,18 +191,6 @@ impl Vmsp {
         self.blocks.geometry().slot(block)
     }
 
-    /// The record at `slot`, marking it active. Used by the operations
-    /// whose map-based counterpart would allocate an entry (observe,
-    /// speculative-reader folding, SWI suppression); ticket bookkeeping
-    /// and prune feedback only shrink or probe state, so they reach the
-    /// record through `blocks.get_mut` and leave a pristine slot
-    /// indistinguishable from a block a sparse map never held.
-    fn at_mut(&mut self, slot: Slot) -> &mut VBlock {
-        let b = self.blocks.get_mut(slot);
-        b.active = true;
-        b
-    }
-
     // ------------------------------------------------------------------
     // Slot-addressed hot path (used by the speculative protocol)
     // ------------------------------------------------------------------
@@ -231,8 +202,7 @@ impl Vmsp {
             return Observation::Ignored;
         };
         // Field-split borrow: the record lives in `blocks`, the read
-        // vectors in `sets` — both are needed mutably in one pass
-        // (this inlines `at_mut`, activity marking included).
+        // vectors in `sets` — both are needed mutably in one pass.
         let Vmsp {
             blocks,
             sets,
@@ -240,7 +210,6 @@ impl Vmsp {
             ..
         } = self;
         let b = blocks.get_mut(slot);
-        b.active = true;
         let obs = match kind {
             ReqKind::Read => {
                 // Each read is checked against the vector predicted to
@@ -320,7 +289,7 @@ impl Vmsp {
     /// sharer state even though their read requests never reach the
     /// directory.
     pub fn speculate_readers_at(&mut self, slot: Slot, readers: ReaderSet) {
-        self.at_mut(slot).open |= readers;
+        self.blocks.get_mut(slot).open |= readers;
     }
 
     /// Verification failure: `reader` never referenced the copy of the
@@ -359,7 +328,7 @@ impl Vmsp {
     #[must_use]
     pub fn swi_ticket_at(&self, slot: Slot) -> Option<SpecTicket> {
         let b = self.blocks.get(slot);
-        b.active.then(|| SpecTicket {
+        b.is_active().then(|| SpecTicket {
             key: b.history.key(),
         })
     }
@@ -370,38 +339,10 @@ impl Vmsp {
     /// pattern entry has since been evicted (its suppression state went
     /// with it).
     pub fn mark_swi_premature_at(&mut self, slot: Slot, ticket: SpecTicket) {
-        self.at_mut(slot).table.set_swi_premature(ticket.key);
-    }
-
-    /// Records an outstanding speculative copy: `proc` was sent the
-    /// block at `slot` under `ticket`. At most one ticket per `(block,
-    /// proc)` is open at a time; a second send overwrites the first,
-    /// exactly like the `(block, proc)`-keyed map this slab replaced.
-    /// The slab is allocated, with `num_procs` entries, on a block's
-    /// first speculative send.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `proc` is not below the predictor's `num_procs`.
-    pub fn open_ticket(
-        &mut self,
-        slot: Slot,
-        proc: ProcId,
-        ticket: SpecTicket,
-        trigger: SpecTrigger,
-    ) {
-        let b = self.blocks.get_mut(slot);
-        if b.tickets.is_empty() {
-            b.tickets = vec![None; self.num_procs].into_boxed_slice();
-        }
-        b.tickets[proc.0] = Some((ticket, trigger));
-    }
-
-    /// Consumes the open ticket for `(slot, proc)`, if any — called
-    /// when the speculative copy is invalidated and its reference bit
-    /// comes home.
-    pub fn close_ticket(&mut self, slot: Slot, proc: ProcId) -> Option<(SpecTicket, SpecTrigger)> {
-        self.blocks.get_mut(slot).tickets.get_mut(proc.0)?.take()
+        self.blocks
+            .get_mut(slot)
+            .table
+            .set_swi_premature(ticket.key);
     }
 
     /// Commits a symbol: last-occurrence learn + history shift.
@@ -443,7 +384,7 @@ impl SharingPredictor for Vmsp {
         // charged per copy.
         let mut open_spill = 0u64;
         for (_, b) in self.blocks.iter() {
-            blocks += u64::from(b.active);
+            blocks += u64::from(b.is_active());
             entries += b.table.len() as u64;
             open_spill += b.open.heap_bytes() as u64;
         }
@@ -646,33 +587,6 @@ mod tests {
     #[should_panic(expected = "history depth")]
     fn zero_depth_panics() {
         let _ = Vmsp::new(0, 16);
-    }
-
-    #[test]
-    fn ticket_slab_open_close_round_trip() {
-        let mut vmsp = Vmsp::new(1, 16);
-        let b = BlockAddr(3);
-        producer_consumer(&mut vmsp, b, 5, false);
-        vmsp.observe(b, DirMsg::upgrade(ProcId(3)));
-        let slot = vmsp.slot_of(b);
-        let (_, ticket) = vmsp.predicted_readers_at(slot).unwrap();
-
-        assert_eq!(vmsp.close_ticket(slot, ProcId(2)), None, "nothing open");
-        vmsp.open_ticket(slot, ProcId(2), ticket, SpecTrigger::Fr);
-        assert_eq!(
-            vmsp.close_ticket(slot, ProcId(2)),
-            Some((ticket, SpecTrigger::Fr))
-        );
-        // Consumed: a second close is a no-op.
-        assert_eq!(vmsp.close_ticket(slot, ProcId(2)), None);
-
-        // Re-opening overwrites, like the (block, proc)-keyed map did.
-        vmsp.open_ticket(slot, ProcId(5), ticket, SpecTrigger::Fr);
-        vmsp.open_ticket(slot, ProcId(5), ticket, SpecTrigger::Swi);
-        assert_eq!(
-            vmsp.close_ticket(slot, ProcId(5)),
-            Some((ticket, SpecTrigger::Swi))
-        );
     }
 
     #[test]

@@ -5,13 +5,16 @@
 //! The predictor is the table-backed [`Vmsp`](specdsm_core::Vmsp): the
 //! directory computes each message's [`Slot`] once, and every later
 //! access — observe, predicted readers, ticket open/close — is a direct
-//! index.
+//! index. The verification bookkeeping is this layer's own: each
+//! outstanding speculative copy's ticket sits in its block's directory
+//! record ([`DirBlock::tickets`](crate::directory::DirBlock)), and each
+//! home's SWI last-write map sits in [`System::swi_last_write`].
 
 use std::fmt;
 
-use specdsm_core::{SpecTicket, SpecTrigger};
+use specdsm_core::SpecTicket;
 use specdsm_sim::Cycle;
-use specdsm_types::{BlockAddr, ProcId, Slot};
+use specdsm_types::{BlockAddr, NodeId, ProcId, Slot};
 
 use crate::directory::{AfterRecall, DirState};
 use crate::msg::MsgKind;
@@ -61,6 +64,19 @@ impl fmt::Display for SpecPolicy {
         };
         f.write_str(s)
     }
+}
+
+/// How a speculative copy was triggered (paper §4.1): by the first
+/// demand read of a predicted sequence (FR) or by a successful
+/// speculative write invalidation (SWI). Kept with the copy's ticket so
+/// verification feedback attributes each outcome to the right
+/// trigger's statistics.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum SpecTrigger {
+    /// First-read trigger.
+    Fr,
+    /// Speculative-write-invalidation trigger.
+    Swi,
 }
 
 /// Speculation activity counters (the raw material of Table 5).
@@ -146,6 +162,20 @@ impl System {
         self.vmsp.speculate_readers_at(slot, targets);
     }
 
+    /// Records a write or upgrade by `p` for `block` in the SWI table of
+    /// `home` (paper §4.1). Returns the block `p` wrote there before
+    /// when it differs from `block`: the signal that `p` is done
+    /// writing it.
+    pub(crate) fn swi_signal(
+        &mut self,
+        home: NodeId,
+        p: ProcId,
+        block: BlockAddr,
+    ) -> Option<BlockAddr> {
+        let prev = self.swi_last_write[home.0].insert(p, block);
+        prev.filter(|&prev| prev != block)
+    }
+
     /// Attempts an SWI invalidation of `prev` (the block `owner` wrote
     /// before its current write, at the same home). `prev` is a
     /// different block from the one the triggering message named, so
@@ -174,21 +204,32 @@ impl System {
         self.vmsp.mark_swi_premature_at(slot, ticket);
     }
 
-    /// Records that a speculative copy was sent to `proc`.
+    /// Records that a speculative copy was sent to `proc`, opening its
+    /// ticket in the block's slab. At most one ticket per `(block,
+    /// proc)` is open at a time; a second send overwrites the first.
+    /// The slab is allocated, with one entry per processor, on a
+    /// block's first speculative send.
     fn note_sent(&mut self, slot: Slot, proc: ProcId, ticket: SpecTicket, trigger: SpecTrigger) {
         match trigger {
             SpecTrigger::Fr => self.spec_stats.fr_sent += 1,
             SpecTrigger::Swi => self.spec_stats.swi_sent += 1,
         }
-        self.vmsp.open_ticket(slot, proc, ticket, trigger);
+        let n = self.cfg.machine.num_nodes;
+        let tickets = &mut self.dir.at_mut(slot).tickets;
+        if tickets.is_empty() {
+            *tickets = vec![None; n].into_boxed_slice();
+        }
+        tickets[proc.0] = Some((ticket, trigger));
     }
 
     /// Applies the piggy-backed reference bit when `proc`'s copy of the
     /// block at `slot` is invalidated. `unused == true` marks a
     /// misspeculation: the predictor entry is pruned and the miss
-    /// attributed to its trigger.
+    /// attributed to its trigger. The copy's ticket is taken, so a
+    /// second invalidation is a no-op.
     pub(crate) fn note_invalidated(&mut self, slot: Slot, proc: ProcId, unused: bool) {
-        let Some((ticket, trigger)) = self.vmsp.close_ticket(slot, proc) else {
+        let tickets = &mut self.dir.at_mut(slot).tickets;
+        let Some((ticket, trigger)) = tickets.get_mut(proc.0).and_then(Option::take) else {
             return;
         };
         if unused {
@@ -287,6 +328,54 @@ mod tests {
         // Ticket consumed: a second invalidation is a no-op.
         e.note_invalidated(slot, ProcId(1), true);
         assert_eq!(e.spec_stats.swi_unused, 0);
+    }
+
+    #[test]
+    fn ticket_slab_open_close_round_trip() {
+        let (mut e, slot) = trained_engine();
+        let (_, ticket) = e.vmsp.predicted_readers_at(slot).unwrap();
+        let open = |e: &System, p: usize| e.dir.at(slot).tickets.get(p).copied().flatten();
+
+        e.note_invalidated(slot, ProcId(2), false);
+        assert_eq!(e.spec_stats, SpecStats::default(), "nothing open");
+        assert!(e.dir.at(slot).tickets.is_empty(), "no slab before a send");
+        e.note_sent(slot, ProcId(2), ticket, SpecTrigger::Fr);
+        assert_eq!(e.dir.at(slot).tickets.len(), 16, "one entry per processor");
+        assert_eq!(open(&e, 2), Some((ticket, SpecTrigger::Fr)));
+        e.note_invalidated(slot, ProcId(2), false);
+        assert_eq!(open(&e, 2), None);
+        assert_eq!(e.spec_stats.verified, 1);
+        // Consumed: a second close is a no-op.
+        e.note_invalidated(slot, ProcId(2), false);
+        assert_eq!(e.spec_stats.verified, 1);
+
+        // Re-opening overwrites, like the (block, proc)-keyed map did.
+        e.note_sent(slot, ProcId(5), ticket, SpecTrigger::Fr);
+        e.note_sent(slot, ProcId(5), ticket, SpecTrigger::Swi);
+        assert_eq!(open(&e, 5), Some((ticket, SpecTrigger::Swi)));
+        e.note_invalidated(slot, ProcId(5), true);
+        assert_eq!((e.spec_stats.fr_unused, e.spec_stats.swi_unused), (0, 1));
+    }
+
+    #[test]
+    fn swi_signals_the_previous_block_each_processor_wrote() {
+        let (mut e, _) = trained_engine();
+        let home = NodeId(0);
+        let (p0, p1) = (ProcId(0), ProcId(1));
+        // A first write gives no signal.
+        assert_eq!(e.swi_signal(home, p0, BlockAddr(1)), None);
+        // Writing the same block again is no signal, and the block stays
+        // tracked: the next different block signals it.
+        assert_eq!(e.swi_signal(home, p0, BlockAddr(1)), None);
+        assert_eq!(e.swi_signal(home, p0, BlockAddr(2)), Some(BlockAddr(1)));
+        assert_eq!(e.swi_signal(home, p0, BlockAddr(3)), Some(BlockAddr(2)));
+        // Processors are independent: each one's next write signals
+        // only its own previous block.
+        assert_eq!(e.swi_signal(home, p1, BlockAddr(4)), None);
+        assert_eq!(e.swi_signal(home, p0, BlockAddr(5)), Some(BlockAddr(3)));
+        assert_eq!(e.swi_signal(home, p1, BlockAddr(6)), Some(BlockAddr(4)));
+        // So are homes: another home's table has seen nothing from P0.
+        assert_eq!(e.swi_signal(NodeId(1), p0, BlockAddr(7)), None);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 use std::error::Error;
 use std::fmt;
 
-use specdsm_core::{DirectoryTrace, SharingPredictor, SwiTable, Vmsp};
+use specdsm_core::{DirectoryTrace, FxHashMap, SharingPredictor, Vmsp};
 use specdsm_sim::{Cycle, FifoResource, KeyedQueue, SchedKey};
 use specdsm_types::{
     BlockAddr, ConfigError, FaultPlan, HomeGeometry, LockId, MachineConfig, ProcId, Slot, Workload,
@@ -302,8 +302,11 @@ pub struct System {
     pub(crate) net: Network,
     /// The online predictor of every home directory.
     pub(crate) vmsp: Vmsp,
-    /// The SWI tables, indexed by home node.
-    pub(crate) swi_tables: Vec<SwiTable>,
+    /// The SWI early-write-invalidate table of every home, indexed by
+    /// home node (paper §4.1): the block each processor last wrote or
+    /// upgraded at that home. A write to a different block there
+    /// signals that the previous one is done. Never iterated.
+    pub(crate) swi_last_write: Vec<FxHashMap<ProcId, BlockAddr>>,
     /// Speculation activity counters.
     pub(crate) spec_stats: SpecStats,
     queue: KeyedQueue<Event>,
@@ -375,7 +378,7 @@ impl System {
             mems: (0..n).map(|_| FifoResource::new()).collect(),
             net: Network::new(n, machine.latency),
             vmsp: Vmsp::with_geometry(cfg.predictor_depth, n, HomeGeometry::of_machine(machine)),
-            swi_tables: (0..n).map(|_| SwiTable::new()).collect(),
+            swi_last_write: vec![FxHashMap::default(); n],
             spec_stats: SpecStats::default(),
             queue: KeyedQueue::new(),
             seq: 0,

@@ -8,6 +8,7 @@ use crate::ids::{NodeId, MAX_PROCS};
 pub const PAPER_NODES: usize = 16;
 
 /// Coherence block size in bytes (paper §6: 32-byte coherence blocks).
+/// The simulator is block-grained, so no model code reads it.
 pub const PAPER_BLOCK_BYTES: usize = 32;
 
 /// All latencies of the simulated machine, in processor cycles.
@@ -103,8 +104,6 @@ impl Default for LatencyConfig {
 pub struct MachineConfig {
     /// Number of DSM nodes (= processors; one processor per node).
     pub num_nodes: usize,
-    /// Coherence block size in bytes (used only for storage accounting).
-    pub block_bytes: usize,
     /// Blocks per page; homes are assigned page-interleaved, so a region
     /// allocator can place data on a chosen home node.
     pub page_blocks: u64,
@@ -118,7 +117,6 @@ impl MachineConfig {
     pub fn paper_machine() -> Self {
         MachineConfig {
             num_nodes: PAPER_NODES,
-            block_bytes: PAPER_BLOCK_BYTES,
             page_blocks: 128,
             latency: LatencyConfig::default(),
         }

@@ -76,12 +76,6 @@ impl AppbtParams {
     }
 }
 
-impl Default for AppbtParams {
-    fn default() -> Self {
-        Self::paper()
-    }
-}
-
 #[derive(Debug)]
 struct Layout {
     /// Per proc: blocks consumed by the X-dimension neighbor only.
@@ -138,12 +132,6 @@ impl Appbt {
             params,
             layout: Arc::new(layout),
         }
-    }
-
-    /// Parameters in effect.
-    #[must_use]
-    pub fn params(&self) -> &AppbtParams {
-        &self.params
     }
 }
 

@@ -76,12 +76,6 @@ impl BarnesParams {
     }
 }
 
-impl Default for BarnesParams {
-    fn default() -> Self {
-        Self::paper()
-    }
-}
-
 #[derive(Debug)]
 struct Tree {
     cells: Vec<BlockAddr>,
@@ -132,12 +126,6 @@ impl Barnes {
                 base_readers,
             }),
         }
-    }
-
-    /// Parameters in effect.
-    #[must_use]
-    pub fn params(&self) -> &BarnesParams {
-        &self.params
     }
 
     /// The owner of `cell` in `iter` (stateless churn).

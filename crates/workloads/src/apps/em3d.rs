@@ -72,12 +72,6 @@ impl Em3dParams {
     }
 }
 
-impl Default for Em3dParams {
-    fn default() -> Self {
-        Self::paper()
-    }
-}
-
 #[derive(Debug)]
 struct Topology {
     /// Per proc: the shared blocks it produces in the E phase.
@@ -157,12 +151,6 @@ impl Em3d {
             params,
             topo: Arc::new(topo),
         }
-    }
-
-    /// Parameters in effect.
-    #[must_use]
-    pub fn params(&self) -> &Em3dParams {
-        &self.params
     }
 }
 

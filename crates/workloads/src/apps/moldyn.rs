@@ -76,12 +76,6 @@ impl MoldynParams {
     }
 }
 
-impl Default for MoldynParams {
-    fn default() -> Self {
-        Self::paper()
-    }
-}
-
 #[derive(Debug)]
 struct Topology {
     /// Per proc: its shared coordinate blocks.
@@ -154,12 +148,6 @@ impl Moldyn {
                 pairs,
             }),
         }
-    }
-
-    /// Parameters in effect.
-    #[must_use]
-    pub fn params(&self) -> &MoldynParams {
-        &self.params
     }
 }
 

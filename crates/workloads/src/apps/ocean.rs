@@ -66,12 +66,6 @@ impl OceanParams {
     }
 }
 
-impl Default for OceanParams {
-    fn default() -> Self {
-        Self::paper()
-    }
-}
-
 #[derive(Debug)]
 struct Layout {
     boundary: Vec<Vec<BlockAddr>>,
@@ -111,12 +105,6 @@ impl Ocean {
                 sum_block,
             }),
         }
-    }
-
-    /// Parameters in effect.
-    #[must_use]
-    pub fn params(&self) -> &OceanParams {
-        &self.params
     }
 }
 

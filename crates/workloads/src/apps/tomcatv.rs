@@ -60,12 +60,6 @@ impl TomcatvParams {
     }
 }
 
-impl Default for TomcatvParams {
-    fn default() -> Self {
-        Self::paper()
-    }
-}
-
 #[derive(Debug)]
 struct Layout {
     /// Per proc: its boundary blocks (produced for the next proc).
@@ -101,12 +95,6 @@ impl Tomcatv {
             params,
             layout: Arc::new(Layout { boundary }),
         }
-    }
-
-    /// Parameters in effect.
-    #[must_use]
-    pub fn params(&self) -> &TomcatvParams {
-        &self.params
     }
 }
 

@@ -73,12 +73,6 @@ impl UnstructuredParams {
     }
 }
 
-impl Default for UnstructuredParams {
-    fn default() -> Self {
-        Self::paper()
-    }
-}
-
 #[derive(Debug)]
 struct Topology {
     /// Per proc: its widely shared mesh blocks.
@@ -151,12 +145,6 @@ impl Unstructured {
                 reduction,
             }),
         }
-    }
-
-    /// Parameters in effect.
-    #[must_use]
-    pub fn params(&self) -> &UnstructuredParams {
-        &self.params
     }
 
     /// Whether `p` participates in the reduction in `iter`: half the

@@ -3,17 +3,15 @@
 //! table-backed [`Vmsp`] through.
 //!
 //! Before the dense-table rework, the online VMSP kept per-block state
-//! in a `FxHashMap<BlockAddr, _>` and the speculation engine tracked
-//! outstanding tickets in a `FxHashMap<(BlockAddr, ProcId), _>`.
-//! [`MapModel`] keeps that storage design: one hash probe per touch, no
-//! slots, no aliasing. Replaying the same operations through both
-//! stores and demanding identical results checks the table's slot
-//! addressing, per-block ticket slabs and stale-ticket handling against
-//! the obvious implementation.
+//! in a `FxHashMap<BlockAddr, _>`. [`MapModel`] keeps that storage
+//! design: one hash probe per touch, no slots, no aliasing. Replaying
+//! the same operations through both stores and demanding identical
+//! results checks the table's slot addressing, derived block activity
+//! and stale-ticket handling against the obvious implementation.
 
 use specdsm::core::{
     FxHashMap, History, Observation, PatternTable, PredictorStats, ReaderSetInterner,
-    SharingPredictor, SpecTicket, SpecTrigger, Symbol, Vmsp,
+    SharingPredictor, SpecTicket, Symbol, Vmsp,
 };
 use specdsm::types::{
     BlockAddr, DirMsg, HomeGeometry, MachineConfig, NodeId, ProcId, ReaderSet, ReqKind, Slot,
@@ -47,22 +45,6 @@ pub trait SpecOps {
     fn swi_ticket(&self, slot: Slot, block: BlockAddr) -> Option<SpecTicket>;
     /// Suppresses SWI for the pattern `ticket` points at.
     fn mark_swi_premature(&mut self, slot: Slot, block: BlockAddr, ticket: SpecTicket);
-    /// Records an outstanding speculative copy sent to `proc`.
-    fn open_ticket(
-        &mut self,
-        slot: Slot,
-        block: BlockAddr,
-        proc: ProcId,
-        ticket: SpecTicket,
-        trigger: SpecTrigger,
-    );
-    /// Consumes the open ticket for `(block, proc)`, if any.
-    fn close_ticket(
-        &mut self,
-        slot: Slot,
-        block: BlockAddr,
-        proc: ProcId,
-    ) -> Option<(SpecTicket, SpecTrigger)>;
     /// Aggregate predictor accuracy statistics.
     fn predictor_stats(&self) -> PredictorStats;
     /// Pattern-table entries over all blocks.
@@ -110,26 +92,6 @@ impl SpecOps for Vmsp {
         self.mark_swi_premature_at(slot, ticket);
     }
 
-    fn open_ticket(
-        &mut self,
-        slot: Slot,
-        _block: BlockAddr,
-        proc: ProcId,
-        ticket: SpecTicket,
-        trigger: SpecTrigger,
-    ) {
-        Vmsp::open_ticket(self, slot, proc, ticket, trigger);
-    }
-
-    fn close_ticket(
-        &mut self,
-        slot: Slot,
-        _block: BlockAddr,
-        proc: ProcId,
-    ) -> Option<(SpecTicket, SpecTrigger)> {
-        Vmsp::close_ticket(self, slot, proc)
-    }
-
     fn predictor_stats(&self) -> PredictorStats {
         SharingPredictor::stats(self)
     }
@@ -150,9 +112,6 @@ impl SpecOps for Vmsp {
 pub struct MapModel {
     depth: usize,
     blocks: FxHashMap<BlockAddr, RefBlock>,
-    /// Outstanding speculative copies: `(block, receiver)` → how and
-    /// under which pattern context they were sent.
-    tickets: FxHashMap<(BlockAddr, ProcId), (SpecTicket, SpecTrigger)>,
     /// Hash-cons arena for spilled (>64-processor) read vectors, owned
     /// by the model so its `SetId`s follow their own insertion order.
     sets: ReaderSetInterner,
@@ -168,15 +127,6 @@ struct RefBlock {
 }
 
 impl MapModel {
-    fn block_mut(&mut self, block: BlockAddr) -> &mut RefBlock {
-        let depth = self.depth;
-        self.blocks.entry(block).or_insert_with(|| RefBlock {
-            history: History::new(depth),
-            table: PatternTable::new(),
-            open: ReaderSet::new(),
-        })
-    }
-
     /// Commits a symbol: last-occurrence learn + history shift.
     fn commit(b: &mut RefBlock, sym: Symbol) {
         if b.history.is_full() {
@@ -192,7 +142,6 @@ impl SpecOps for MapModel {
         MapModel {
             depth,
             blocks: FxHashMap::default(),
-            tickets: FxHashMap::default(),
             sets: ReaderSetInterner::new(),
             stats: PredictorStats::default(),
         }
@@ -303,27 +252,11 @@ impl SpecOps for MapModel {
     }
 
     fn mark_swi_premature(&mut self, _slot: Slot, block: BlockAddr, ticket: SpecTicket) {
-        self.block_mut(block).table.set_swi_premature(ticket.key());
-    }
-
-    fn open_ticket(
-        &mut self,
-        _slot: Slot,
-        block: BlockAddr,
-        proc: ProcId,
-        ticket: SpecTicket,
-        trigger: SpecTrigger,
-    ) {
-        self.tickets.insert((block, proc), (ticket, trigger));
-    }
-
-    fn close_ticket(
-        &mut self,
-        _slot: Slot,
-        block: BlockAddr,
-        proc: ProcId,
-    ) -> Option<(SpecTicket, SpecTrigger)> {
-        self.tickets.remove(&(block, proc))
+        // Feedback only ever marks an existing entry, so it creates no
+        // block.
+        if let Some(b) = self.blocks.get_mut(&block) {
+            b.table.set_swi_premature(ticket.key());
+        }
     }
 
     fn predictor_stats(&self) -> PredictorStats {

@@ -9,7 +9,7 @@ use std::collections::HashMap;
 
 use specdsm::core::{
     evaluate_trace, DirectoryTrace, History, Observation, PatternEntry, PatternTable,
-    PredictorKind, ReaderSetInterner, SpecTicket, SpecTrigger, Symbol, Vmsp,
+    PredictorKind, ReaderSetInterner, SpecTicket, Symbol, Vmsp,
 };
 use specdsm::prelude::*;
 use specdsm::protocol::{System, SystemConfig};
@@ -701,8 +701,10 @@ proptest! {
 enum SpecEffect {
     Observed(Observation),
     Predicted(Option<(ReaderSet, SpecTicket)>),
-    /// `(a ticket was open, the prune changed an entry)`.
-    ClosedPruned(bool, bool),
+    /// Feedback on an unused copy through the block's latest
+    /// prediction ticket: whether the prune changed an entry, `None`
+    /// if the block has no ticket yet.
+    Pruned(Option<bool>),
     /// `(swi allowed, current-context ticket)`.
     SwiProbe(bool, Option<SpecTicket>),
     /// Feedback through a *stale* ticket: `(prune changed an entry,
@@ -712,12 +714,12 @@ enum SpecEffect {
 }
 
 /// Replays one random operation sequence through any [`SpecOps`] store,
-/// recording every observable effect plus the final accuracy stats and
-/// pattern-entry count. Running it for the arena and the map model and
-/// diffing the outputs is the whole property.
+/// recording every observable effect plus the final accuracy stats,
+/// pattern-entry count and active-block count. Running it for the arena
+/// and the map model and diffing the outputs is the whole property.
 fn replay_spec_ops<V: SpecOps>(
     ops: &[(u8, usize, usize)],
-) -> (Vec<SpecEffect>, specdsm::core::PredictorStats, u64) {
+) -> (Vec<SpecEffect>, specdsm::core::PredictorStats, u64, u64) {
     let m = MachineConfig::paper_machine();
     let mut store = V::build(1, &m);
     // Blocks spanning three homes, including two that share home 0 (and
@@ -745,20 +747,17 @@ fn replay_spec_ops<V: SpecOps>(
                 let pred = store.predicted_readers(slot, block);
                 if let Some((_, ticket)) = pred {
                     pool.push((block, ticket));
-                    store.open_ticket(slot, block, proc, ticket, SpecTrigger::Fr);
                 }
                 SpecEffect::Predicted(pred)
             }
             4 => {
-                // Verification feedback: close the ticket and, as the
-                // engine would on an unused copy, prune the reader.
-                match store.close_ticket(slot, block, proc) {
-                    Some((ticket, _)) => {
-                        let pruned = store.prune_reader(slot, block, ticket, proc);
-                        SpecEffect::ClosedPruned(true, pruned)
-                    }
-                    None => SpecEffect::ClosedPruned(false, false),
-                }
+                // Verification feedback, as the engine applies it when a
+                // copy comes home unused: prune the reader under the
+                // ticket the block's latest prediction handed out.
+                let latest = pool.iter().rev().find(|(b, _)| *b == block);
+                SpecEffect::Pruned(
+                    latest.map(|&(_, ticket)| store.prune_reader(slot, block, ticket, proc)),
+                )
             }
             5 => {
                 let allowed = store.swi_allowed(slot, block);
@@ -783,7 +782,12 @@ fn replay_spec_ops<V: SpecOps>(
         };
         effects.push(effect);
     }
-    (effects, store.predictor_stats(), store.entries())
+    (
+        effects,
+        store.predictor_stats(),
+        store.entries(),
+        store.blocks(),
+    )
 }
 
 proptest! {
@@ -793,13 +797,14 @@ proptest! {
     fn arena_spec_store_matches_map_model_under_random_interleavings(
         ops in proptest::collection::vec((0u8..7, 0usize..4, 0usize..6), 1..250),
     ) {
-        let (arena_fx, arena_stats, arena_entries) = replay_spec_ops::<Vmsp>(&ops);
-        let (map_fx, map_stats, map_entries) = replay_spec_ops::<MapModel>(&ops);
+        let (arena_fx, arena_stats, arena_entries, arena_blocks) = replay_spec_ops::<Vmsp>(&ops);
+        let (map_fx, map_stats, map_entries, map_blocks) = replay_spec_ops::<MapModel>(&ops);
         for (i, (a, m)) in arena_fx.iter().zip(&map_fx).enumerate() {
             prop_assert_eq!(a, m, "step {} of {:?}", i, ops);
         }
         prop_assert_eq!(arena_stats, map_stats);
         prop_assert_eq!(arena_entries, map_entries);
+        prop_assert_eq!(arena_blocks, map_blocks);
     }
 }
 
