@@ -21,6 +21,7 @@ use specdsm_types::{
 
 use crate::msg::MsgKind;
 use crate::spec::SpecTrigger;
+use crate::swi;
 use crate::system::{Event, System};
 
 /// Stable sharing state of a block at its home directory (paper
@@ -230,7 +231,7 @@ impl System {
         // SWI trigger: a write-like request signals that this
         // processor's previous written block (at this home) is done.
         if self.cfg.policy.swi_enabled() && kind.is_write_like() {
-            if let Some(prev) = self.swi_signal(slot.home, p, block) {
+            if let Some(prev) = swi::note_write(&mut self.swi_last_write[slot.home.0], p, block) {
                 self.try_swi(now, prev, p);
             }
         }

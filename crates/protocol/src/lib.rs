@@ -26,11 +26,11 @@
 //! `impl System` block in its own module: the event loop (`system`),
 //! processor step (`processor`), sync arbitration (`sync`), network
 //! depart/arrive (`network`), the fault path (`fault`), the directory
-//! handlers (`directory`), FR/SWI speculation (`spec`) and the auditor
-//! (`audit`). The message lifecycle through these layers, and the
-//! design rationale for the per-home tables and the calendar-queue
-//! scheduler underneath them, are documented in `docs/ARCHITECTURE.md`
-//! at the repository root.
+//! handlers (`directory`), FR/SWI speculation (`spec`, with the SWI
+//! last-write rule in `swi`) and the auditor (`audit`). The message
+//! lifecycle through these layers, and the design rationale for the
+//! per-home tables and the calendar-queue scheduler underneath them,
+//! are documented in `docs/ARCHITECTURE.md` at the repository root.
 //!
 //! # Example
 //!
@@ -75,6 +75,7 @@ mod network;
 mod processor;
 mod spec;
 mod stats;
+mod swi;
 mod sync;
 mod system;
 

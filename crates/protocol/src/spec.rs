@@ -8,13 +8,14 @@
 //! index. The verification bookkeeping is this layer's own: each
 //! outstanding speculative copy's ticket sits in its block's directory
 //! record ([`DirBlock::tickets`](crate::directory::DirBlock)), and each
-//! home's SWI last-write map sits in [`System::swi_last_write`].
+//! home's SWI last-write map sits in [`System::swi_last_write`], kept by
+//! the rule in [`crate::swi`].
 
 use std::fmt;
 
 use specdsm_core::SpecTicket;
 use specdsm_sim::Cycle;
-use specdsm_types::{BlockAddr, NodeId, ProcId, Slot};
+use specdsm_types::{BlockAddr, ProcId, Slot};
 
 use crate::directory::{AfterRecall, DirState};
 use crate::msg::MsgKind;
@@ -160,20 +161,6 @@ impl System {
             state => *state = DirState::Shared(targets.clone()),
         }
         self.vmsp.speculate_readers_at(slot, targets);
-    }
-
-    /// Records a write or upgrade by `p` for `block` in the SWI table of
-    /// `home` (paper §4.1). Returns the block `p` wrote there before
-    /// when it differs from `block`: the signal that `p` is done
-    /// writing it.
-    pub(crate) fn swi_signal(
-        &mut self,
-        home: NodeId,
-        p: ProcId,
-        block: BlockAddr,
-    ) -> Option<BlockAddr> {
-        let prev = self.swi_last_write[home.0].insert(p, block);
-        prev.filter(|&prev| prev != block)
     }
 
     /// Attempts an SWI invalidation of `prev` (the block `owner` wrote
@@ -355,27 +342,6 @@ mod tests {
         assert_eq!(open(&e, 5), Some((ticket, SpecTrigger::Swi)));
         e.note_invalidated(slot, ProcId(5), true);
         assert_eq!((e.spec_stats.fr_unused, e.spec_stats.swi_unused), (0, 1));
-    }
-
-    #[test]
-    fn swi_signals_the_previous_block_each_processor_wrote() {
-        let (mut e, _) = trained_engine();
-        let home = NodeId(0);
-        let (p0, p1) = (ProcId(0), ProcId(1));
-        // A first write gives no signal.
-        assert_eq!(e.swi_signal(home, p0, BlockAddr(1)), None);
-        // Writing the same block again is no signal, and the block stays
-        // tracked: the next different block signals it.
-        assert_eq!(e.swi_signal(home, p0, BlockAddr(1)), None);
-        assert_eq!(e.swi_signal(home, p0, BlockAddr(2)), Some(BlockAddr(1)));
-        assert_eq!(e.swi_signal(home, p0, BlockAddr(3)), Some(BlockAddr(2)));
-        // Processors are independent: each one's next write signals
-        // only its own previous block.
-        assert_eq!(e.swi_signal(home, p1, BlockAddr(4)), None);
-        assert_eq!(e.swi_signal(home, p0, BlockAddr(5)), Some(BlockAddr(3)));
-        assert_eq!(e.swi_signal(home, p1, BlockAddr(6)), Some(BlockAddr(4)));
-        // So are homes: another home's table has seen nothing from P0.
-        assert_eq!(e.swi_signal(NodeId(1), p0, BlockAddr(7)), None);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 use std::error::Error;
 use std::fmt;
 
-use specdsm_core::{DirectoryTrace, FxHashMap, SharingPredictor, Vmsp};
+use specdsm_core::{DirectoryTrace, SharingPredictor, Vmsp};
 use specdsm_sim::{Cycle, FifoResource, KeyedQueue, SchedKey};
 use specdsm_types::{
     BlockAddr, ConfigError, FaultPlan, HomeGeometry, LockId, MachineConfig, ProcId, Slot, Workload,
@@ -31,6 +31,7 @@ use crate::network::Network;
 use crate::processor::{Blocked, Processor};
 use crate::spec::{SpecPolicy, SpecStats};
 use crate::stats::{FaultStats, RunStats};
+use crate::swi;
 use crate::sync::{BarrierManager, LockManager};
 
 /// Names the engine. Both variants run the same one engine.
@@ -306,7 +307,7 @@ pub struct System {
     /// home node (paper §4.1): the block each processor last wrote or
     /// upgraded at that home. A write to a different block there
     /// signals that the previous one is done. Never iterated.
-    pub(crate) swi_last_write: Vec<FxHashMap<ProcId, BlockAddr>>,
+    pub(crate) swi_last_write: Vec<swi::LastWrites>,
     /// Speculation activity counters.
     pub(crate) spec_stats: SpecStats,
     queue: KeyedQueue<Event>,
@@ -378,7 +379,7 @@ impl System {
             mems: (0..n).map(|_| FifoResource::new()).collect(),
             net: Network::new(n, machine.latency),
             vmsp: Vmsp::with_geometry(cfg.predictor_depth, n, HomeGeometry::of_machine(machine)),
-            swi_last_write: vec![FxHashMap::default(); n],
+            swi_last_write: vec![swi::LastWrites::default(); n],
             spec_stats: SpecStats::default(),
             queue: KeyedQueue::new(),
             seq: 0,
