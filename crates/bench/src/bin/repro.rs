@@ -24,25 +24,47 @@
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-use specdsm_bench::{fig6, fig7, fig8, fig9, table3, table4, table5, Lab, Scale, TextTable};
+use specdsm_bench::{Lab, Scale, TextTable};
+use specdsm_core::PredictorKind;
 use specdsm_protocol::SpecPolicy;
 use specdsm_types::{MachineConfig, PAPER_BLOCK_BYTES};
 use specdsm_workloads::AppId;
 
-const USAGE: &str = "usage: repro [config|fig6|fig7|fig8|table3|table4|fig9|table5|all ...] \
-                     [--scale quick|default|paper] [--out DIR]";
+/// Renders one experiment's output from the shared runs in `lab`.
+type Render = fn(&mut Lab) -> String;
 
 /// What `all` (or no experiment at all) runs.
-const ALL: [&str; 8] = [
-    "config", "fig6", "fig7", "fig8", "table3", "table4", "fig9", "table5",
+const ALL: [(&str, Render); 8] = [
+    ("config", render_config),
+    ("fig6", render_fig6),
+    ("fig7", render_fig7),
+    ("fig8", render_fig8),
+    ("table3", render_table3),
+    ("table4", render_table4),
+    ("fig9", render_fig9),
+    ("table5", render_table5),
 ];
 
 /// Experiments run only when named.
-const EXTRA: [&str; 2] = ["detail", "ablation"];
+const EXTRA: [(&str, Render); 2] = [("detail", render_detail), ("ablation", render_ablation)];
+
+/// The usage line, naming every experiment `repro` accepts.
+fn usage() -> String {
+    let names: Vec<&str> = ALL
+        .iter()
+        .map(|(name, _)| *name)
+        .chain(["all"])
+        .chain(EXTRA.iter().map(|(name, _)| *name))
+        .collect();
+    format!(
+        "usage: repro [{} ...] [--scale quick|default|paper] [--out DIR]",
+        names.join("|")
+    )
+}
 
 /// Reports a bad command line with the usage and exits with status 2.
 fn bad_args(msg: &str) -> ! {
-    eprintln!("{msg}\n{USAGE}");
+    eprintln!("{msg}\n{}", usage());
     std::process::exit(2);
 }
 
@@ -52,8 +74,18 @@ fn io_failure(action: &str, path: &Path, err: &std::io::Error) -> ! {
     std::process::exit(1);
 }
 
+/// Appends the experiments in `named` that are not yet in `experiments`:
+/// each experiment runs once, in the order it was first named.
+fn add(experiments: &mut Vec<(&'static str, Render)>, named: &[(&'static str, Render)]) {
+    for &experiment in named {
+        if !experiments.iter().any(|(name, _)| *name == experiment.0) {
+            experiments.push(experiment);
+        }
+    }
+}
+
 fn main() {
-    let mut experiments: Vec<String> = Vec::new();
+    let mut experiments: Vec<(&'static str, Render)> = Vec::new();
     let mut scale = Scale::Default;
     let mut out_dir: Option<PathBuf> = None;
 
@@ -73,23 +105,19 @@ fn main() {
                 ));
             }
             "--help" | "-h" => {
-                println!("{USAGE}");
+                println!("{}", usage());
                 return;
             }
             other if other.starts_with('-') => bad_args(&format!("unknown option '{other}'")),
-            other if other == "all" || ALL.contains(&other) || EXTRA.contains(&other) => {
-                let named: &[&str] = if other == "all" { &ALL } else { &[other] };
-                for &name in named {
-                    if !experiments.iter().any(|e| e == name) {
-                        experiments.push(name.to_string());
-                    }
-                }
-            }
-            other => bad_args(&format!("unknown experiment '{other}'")),
+            "all" => add(&mut experiments, &ALL),
+            other => match ALL.iter().chain(&EXTRA).find(|(name, _)| *name == other) {
+                Some(experiment) => add(&mut experiments, std::slice::from_ref(experiment)),
+                None => bad_args(&format!("unknown experiment '{other}'")),
+            },
         }
     }
     if experiments.is_empty() {
-        experiments = ALL.iter().map(ToString::to_string).collect();
+        experiments.extend(ALL);
     }
 
     if let Some(dir) = &out_dir {
@@ -99,23 +127,11 @@ fn main() {
     }
 
     let mut lab = Lab::new(scale);
-    for exp in &experiments {
-        let text = match exp.as_str() {
-            "config" => render_config(),
-            "fig6" => render_fig6(),
-            "fig7" => render_fig7(&mut lab),
-            "fig8" => render_fig8(&mut lab),
-            "table3" => render_table3(&mut lab),
-            "table4" => render_table4(&mut lab),
-            "fig9" => render_fig9(&mut lab),
-            "table5" => render_table5(&mut lab),
-            "detail" => render_detail(&mut lab),
-            "ablation" => render_ablation(&mut lab),
-            other => unreachable!("experiment '{other}' was validated"),
-        };
+    for (name, render) in experiments {
+        let text = render(&mut lab);
         println!("{text}");
         if let Some(dir) = &out_dir {
-            let path = dir.join(format!("{exp}.txt"));
+            let path = dir.join(format!("{name}.txt"));
             if let Err(e) = std::fs::write(&path, &text) {
                 io_failure("write", &path, &e);
             }
@@ -257,8 +273,8 @@ fn render_ablation(lab: &mut Lab) -> String {
     s
 }
 
-fn render_config() -> String {
-    let m = MachineConfig::paper_machine();
+fn render_config(lab: &mut Lab) -> String {
+    let m = lab.machine();
     let mut s = String::new();
     let _ = writeln!(s, "== Table 1: system configuration parameters ==");
     let mut t = TextTable::new(["parameter", "value"]);
@@ -290,13 +306,13 @@ fn render_config() -> String {
     s
 }
 
-fn render_fig6() -> String {
+fn render_fig6(_: &mut Lab) -> String {
     let mut s = String::new();
     let _ = writeln!(
         s,
         "== Figure 6: potential speedup in a speculative coherent DSM =="
     );
-    for panel in fig6(10) {
+    for panel in specdsm_analytic::figure6(10) {
         let _ = writeln!(s, "\n-- {} --", panel.title);
         let mut headers = vec!["c".to_string()];
         headers.extend(panel.series.iter().map(|ser| ser.label.clone()));
@@ -324,13 +340,10 @@ fn render_fig7(lab: &mut Lab) -> String {
         "== Figure 7: base predictor accuracy comparison (d=1, %) =="
     );
     let mut t = TextTable::new(["application", "Cosmos", "MSP", "VMSP"]);
-    for row in fig7(lab) {
-        t.row([
-            row.app.to_string(),
-            pct(row.accuracy[0]),
-            pct(row.accuracy[1]),
-            pct(row.accuracy[2]),
-        ]);
+    for app in AppId::ALL {
+        let mut cells = vec![app.to_string()];
+        cells.extend(PredictorKind::ALL.map(|kind| pct(lab.eval(app, kind, 1).stats.accuracy())));
+        t.row(cells);
     }
     let _ = write!(s, "{t}");
     s
@@ -354,12 +367,10 @@ fn render_fig8(lab: &mut Lab) -> String {
         "VMSP d=2",
         "VMSP d=4",
     ]);
-    for row in fig8(lab) {
-        let mut cells = vec![row.app.to_string()];
-        for p in 0..3 {
-            for d in 0..3 {
-                cells.push(pct(row.accuracy[p][d]));
-            }
+    for app in AppId::ALL {
+        let mut cells = vec![app.to_string()];
+        for kind in PredictorKind::ALL {
+            cells.extend([1, 2, 4].map(|d| pct(lab.eval(app, kind, d).stats.accuracy())));
         }
         t.row(cells);
     }
@@ -374,9 +385,17 @@ fn render_table3(lab: &mut Lab) -> String {
         "== Table 3: messages predicted (and correctly predicted), d=1, % =="
     );
     let mut t = TextTable::new(["application", "Cosmos", "MSP", "VMSP"]);
-    for row in table3(lab) {
-        let cell = |i: usize| format!("{} ({})", pct(row.predicted[i].0), pct(row.predicted[i].1));
-        t.row([row.app.to_string(), cell(0), cell(1), cell(2)]);
+    for app in AppId::ALL {
+        let mut cells = vec![app.to_string()];
+        cells.extend(PredictorKind::ALL.map(|kind| {
+            let stats = lab.eval(app, kind, 1).stats;
+            format!(
+                "{} ({})",
+                pct(stats.coverage()),
+                pct(stats.correct_fraction())
+            )
+        }));
+        t.row(cells);
     }
     let _ = write!(s, "{t}");
     s
@@ -401,12 +420,14 @@ fn render_table4(lab: &mut Lab) -> String {
         "VMSP pte d=4",
         "VMSP ovh",
     ]);
-    for row in table4(lab) {
-        let mut cells = vec![row.app.to_string()];
-        for (d1, d4, ovh) in row.storage {
-            cells.push(format!("{d1:.1}"));
-            cells.push(format!("{d4:.1}"));
-            cells.push(format!("{ovh:.1}"));
+    for app in AppId::ALL {
+        let mut cells = vec![app.to_string()];
+        for kind in PredictorKind::ALL {
+            let d1 = lab.eval(app, kind, 1).storage;
+            let d4 = lab.eval(app, kind, 4).storage;
+            for x in [d1.pte_per_block(), d4.pte_per_block(), d1.bytes_per_block()] {
+                cells.push(format!("{x:.1}"));
+            }
         }
         t.row(cells);
     }
@@ -432,30 +453,38 @@ fn render_fig9(lab: &mut Lab) -> String {
         "SWI req",
         "SWI total",
     ]);
-    for row in fig9(lab) {
-        let mut cells = vec![row.app.to_string()];
-        for (comp, req) in row.bars {
+    // Each app's bar height per system, for the summary below.
+    let mut totals: Vec<[f64; 3]> = Vec::new();
+    for app in AppId::ALL {
+        let base_exec = lab.run(app, SpecPolicy::Base).exec_cycles as f64;
+        let mut cells = vec![app.to_string()];
+        let bars = SpecPolicy::ALL.map(|policy| {
+            let run = lab.run(app, policy);
+            let total = run.exec_cycles as f64 / base_exec;
+            let request = run.avg_mem_wait() / base_exec;
+            let (comp, req) = ((total - request) * 100.0, request * 100.0);
             cells.push(format!("{comp:.1}"));
             cells.push(format!("{req:.1}"));
             cells.push(format!("{:.1}", comp + req));
-        }
+            comp + req
+        });
+        totals.push(bars);
         t.row(cells);
     }
     let _ = write!(s, "{t}");
     let _ = writeln!(s);
-    let _ = writeln!(s, "{}", summary_fig9(lab));
+    let _ = writeln!(s, "{}", summary_fig9(&totals));
     s
 }
 
-fn summary_fig9(lab: &mut Lab) -> String {
-    let rows = fig9(lab);
-    let avg = |idx: usize| {
-        let sum: f64 = rows.iter().map(|r| r.bars[idx].0 + r.bars[idx].1).sum();
-        sum / rows.len() as f64
-    };
+/// The average and best FR and SWI bars of Figure 9, given each app's
+/// bar heights for Base, FR and SWI.
+fn summary_fig9(totals: &[[f64; 3]]) -> String {
+    let avg = |idx: usize| totals.iter().map(|bars| bars[idx]).sum::<f64>() / totals.len() as f64;
     let best = |idx: usize| {
-        rows.iter()
-            .map(|r| r.bars[idx].0 + r.bars[idx].1)
+        totals
+            .iter()
+            .map(|bars| bars[idx])
             .fold(f64::INFINITY, f64::min)
     };
     format!(
@@ -488,30 +517,34 @@ fn render_table5(lab: &mut Lab) -> String {
         "SWI winv sent",
         "SWI winv miss",
     ]);
-    for row in table5(lab) {
-        t.row([
-            row.app.to_string(),
-            format!("{:.0}", row.base_reads as f64 / 1000.0),
-            format!("{:.0}", row.base_writes as f64 / 1000.0),
-            pct(row.fr_dsm.0),
-            pct(row.fr_dsm.1),
-            pct(row.swi_dsm_reads.0),
-            pct(row.swi_dsm_reads.1),
-            pct(row.swi_dsm_reads.2),
-            pct(row.swi_dsm_reads.3),
-            pct(row.swi_dsm_invals.0),
-            pct(row.swi_dsm_invals.1),
-        ]);
-    }
-    let _ = write!(s, "{t}");
     // Also report the spec-read fractions the paper quotes in the text.
-    let _ = writeln!(s);
     let mut t2 = TextTable::new(["application", "FR-DSM spec reads %", "SWI-DSM spec reads %"]);
     for app in AppId::ALL {
-        let fr = lab.run(app, SpecPolicy::FirstRead).spec_read_fraction();
-        let swi = lab.run(app, SpecPolicy::SwiFr).spec_read_fraction();
-        t2.row([app.to_string(), pct(fr), pct(swi)]);
+        let base = lab.run(app, SpecPolicy::Base);
+        let (reads, writes) = (base.dir_reads, base.dir_writes + base.dir_upgrades);
+        let frac_r = |x: u64| pct(x as f64 / reads.max(1) as f64);
+        let frac_w = |x: u64| pct(x as f64 / writes.max(1) as f64);
+        let fr = lab.run(app, SpecPolicy::FirstRead);
+        let (fr_spec, fr_reads) = (fr.spec, fr.spec_read_fraction());
+        let swi = lab.run(app, SpecPolicy::SwiFr);
+        let (swi_spec, swi_reads) = (swi.spec, swi.spec_read_fraction());
+        t.row([
+            app.to_string(),
+            format!("{:.0}", reads as f64 / 1000.0),
+            format!("{:.0}", writes as f64 / 1000.0),
+            frac_r(fr_spec.fr_sent),
+            frac_r(fr_spec.fr_unused),
+            frac_r(swi_spec.fr_sent),
+            frac_r(swi_spec.fr_unused),
+            frac_r(swi_spec.swi_sent),
+            frac_r(swi_spec.swi_unused),
+            frac_w(swi_spec.swi_inval_sent),
+            frac_w(swi_spec.swi_inval_premature),
+        ]);
+        t2.row([app.to_string(), pct(fr_reads), pct(swi_reads)]);
     }
+    let _ = write!(s, "{t}");
+    let _ = writeln!(s);
     let _ = write!(s, "{t2}");
     s
 }

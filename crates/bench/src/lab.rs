@@ -142,6 +142,51 @@ mod tests {
         assert_eq!(first, fresh);
     }
 
+    /// The invariants of Figures 7–8 and Tables 3–4, on every app:
+    /// accuracies lie in [0, 1], the correctly predicted fraction is at
+    /// most the coverage, and the depth-1 storage figures are populated.
+    /// (At quick scale, d=4 can legitimately hold *fewer* entries than
+    /// d=1: per-block streams are so short that the deeper history
+    /// register barely warms up.)
+    #[test]
+    fn quick_predictor_experiments_cover_all_apps() {
+        let mut lab = Lab::new(Scale::Quick);
+        for app in AppId::ALL {
+            for kind in PredictorKind::ALL {
+                for depth in [1, 2, 4] {
+                    let a = lab.eval(app, kind, depth).stats.accuracy();
+                    assert!((0.0..=1.0).contains(&a), "{app} {kind:?} d={depth}: {a}");
+                }
+                let d1 = lab.eval(app, kind, 1);
+                let (cov, correct) = (d1.stats.coverage(), d1.stats.correct_fraction());
+                assert!(correct <= cov + 1e-12, "{app} {kind:?}: {correct} > {cov}");
+                assert!(d1.storage.pte_per_block() > 0.0, "{app} {kind:?}");
+                assert!(d1.storage.bytes_per_block() > 0.0, "{app} {kind:?}");
+            }
+        }
+    }
+
+    /// Figure 9 splits each run's execution time, as a share of Base's,
+    /// into computation and request waiting: Base's bar is exactly 100%,
+    /// and no system waits on requests longer than it runs.
+    #[test]
+    fn quick_fig9_bars_are_sane() {
+        let mut lab = Lab::new(Scale::Quick);
+        for app in AppId::ALL {
+            let base_exec = lab.run(app, SpecPolicy::Base).exec_cycles as f64;
+            for policy in SpecPolicy::ALL {
+                let run = lab.run(app, policy);
+                let total = run.exec_cycles as f64 / base_exec;
+                let request = run.avg_mem_wait() / base_exec;
+                let (comp, req) = ((total - request) * 100.0, request * 100.0);
+                assert!(comp >= 0.0 && req >= 0.0, "{app} {policy}: {comp}+{req}");
+                if policy == SpecPolicy::Base {
+                    assert!((comp + req - 100.0).abs() < 1e-6, "{app}: {comp}+{req}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn runs_complete_for_all_policies() {
         let mut lab = Lab::new(Scale::Quick);

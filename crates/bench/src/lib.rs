@@ -1,35 +1,35 @@
 //! Experiment harness for the paper's evaluation section.
 //!
-//! One function per table/figure of the paper, each returning a
-//! structured result that the `repro` binary renders as an aligned text
-//! table mirroring the paper's rows and series:
+//! The `repro` binary renders each table and figure of the paper as an
+//! aligned [`TextTable`] mirroring the paper's rows and series, straight
+//! from the runs and trace replays this library caches:
 //!
-//! | Paper artifact | Function |
-//! |---|---|
-//! | Figure 6 (analytic model, 4 panels) | [`fig6`] |
-//! | Figure 7 (predictor accuracy, d=1) | [`fig7`] |
-//! | Figure 8 (accuracy vs history depth) | [`fig8`] |
-//! | Table 3 (messages predicted / correct) | [`table3`] |
-//! | Table 4 (predictor storage) | [`table4`] |
-//! | Figure 9 (speculative DSM execution time) | [`fig9`] |
-//! | Table 5 (speculation frequencies) | [`table5`] |
+//! | Paper artifact | `repro` experiment | Computed from |
+//! |---|---|---|
+//! | Tables 1–2 (machine, applications) | `config` | the paper machine |
+//! | Figure 6 (analytic model, 4 panels) | `fig6` | `specdsm_analytic::figure6` |
+//! | Figure 7 (predictor accuracy, d=1) | `fig7` | [`Lab::eval`] |
+//! | Figure 8 (accuracy vs history depth) | `fig8` | [`Lab::eval`] |
+//! | Table 3 (messages predicted / correct) | `table3` | [`Lab::eval`] |
+//! | Table 4 (predictor storage) | `table4` | [`Lab::eval`] |
+//! | Figure 9 (speculative DSM execution time) | `fig9` | [`Lab::run`] |
+//! | Table 5 (speculation frequencies) | `table5` | [`Lab::run`] |
+//! | Per-run diagnostic counters | `detail` | [`Lab::run`] |
+//! | Ablations: online depth, network hop | `ablation` | [`Lab::run`] plus its own runs |
 //!
-//! All simulation-backed experiments share per-app artifacts through
-//! [`Lab`], which caches the three system runs per application (the
-//! Base-DSM run records the directory trace) and every replay of that
-//! trace through one predictor at one history depth.
+//! [`Lab`] caches the three system runs per application (the Base-DSM
+//! run records the directory trace) and every replay of that trace
+//! through one predictor at one history depth, so the experiments of
+//! one `repro` invocation share them. `repro`'s quick-scale output is
+//! pinned byte for byte in `tests/fixtures/repro/` by the
+//! `repro_args` test.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod experiments;
 mod lab;
 mod table;
 
-pub use experiments::{
-    fig6, fig7, fig8, fig9, table3, table4, table5, Fig7Row, Fig8Row, Fig9Row, Table3Row,
-    Table4Row, Table5Row,
-};
 pub use lab::Lab;
 pub use table::TextTable;
 

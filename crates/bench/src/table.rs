@@ -15,7 +15,7 @@ use std::fmt;
 /// assert!(s.contains("em3d"));
 /// assert!(s.lines().count() >= 3);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct TextTable {
     headers: Vec<String>,
     rows: Vec<Vec<String>>,
@@ -54,18 +54,6 @@ impl TextTable {
             self.headers.len()
         );
         self.rows.push(row);
-    }
-
-    /// Number of data rows.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
     }
 }
 
@@ -116,13 +104,5 @@ mod tests {
     fn ragged_row_panics() {
         let mut t = TextTable::new(["a", "b"]);
         t.row(["only-one"]);
-    }
-
-    #[test]
-    fn len_and_empty() {
-        let mut t = TextTable::new(["x"]);
-        assert!(t.is_empty());
-        t.row(["1"]);
-        assert_eq!(t.len(), 1);
     }
 }

@@ -619,7 +619,7 @@ mod tests {
     }
 
     #[test]
-    fn iter_reports_only_touched_blocks_in_order() {
+    fn iter_yields_every_record_in_address_order() {
         let m = MachineConfig::paper_machine();
         let mut d = Directory::new(&m);
         let hi = m.page_on(NodeId(1), 2).offset(7);

@@ -7,11 +7,12 @@
 //! * [`core`] — the paper's contribution: the Cosmos baseline general
 //!   message predictor and the MSP memory sharing predictor (two
 //!   [kinds](core::PredictorKind) of one two-level predictor), the
-//!   [`Vmsp`](core::Vmsp) vector memory sharing predictor, storage
-//!   accounting, and the SWI early-write-invalidate table.
+//!   [`Vmsp`](core::Vmsp) vector memory sharing predictor, and storage
+//!   accounting.
 //! * [`protocol`] — the substrate: an event-driven sixteen-node CC-NUMA
 //!   with a full-map write-invalidate protocol, plus the speculative
-//!   extensions (FR and SWI triggers, reference-bit verification).
+//!   extensions (FR and SWI triggers, the SWI early-write-invalidate
+//!   rule, reference-bit verification).
 //! * [`workloads`] — the seven applications of the paper's Table 2 as
 //!   deterministic synthetic kernels, plus micro-patterns.
 //! * [`analytic`] — the closed-form performance model (Equations 1–2).

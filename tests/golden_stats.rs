@@ -4,11 +4,11 @@
 //! application), Figure 8 (accuracy at history depths 1, 2 and 4),
 //! Table 3 (coverage and correctly-predicted fraction) and Table 4
 //! (pattern entries per block at depths 1 and 4, bytes per block) —
-//! are regenerated by the `repro` binary, but nothing used to *fail*
-//! when a refactor nudged them: drift only showed up if someone read
-//! the BENCH json. This test renders the same `fig7`/`fig8`/`table3`/
-//! `table4` experiments the repro path uses and diffs them against a
-//! checked-in fixture.
+//! are rendered by the `repro` binary to one decimal place, and pinned
+//! at quick scale by `crates/bench/tests/repro_args.rs`. This test
+//! renders the same numbers from the same replays (`Lab::eval`) to 6
+//! decimal places, as `fig7`/`table3`/`fig8`/`table4` rows, and diffs
+//! them against a checked-in fixture.
 //!
 //! The fixture also pins the simulated machine itself:
 //!
@@ -53,16 +53,15 @@
 //!
 //! and justify the diff in the commit that carries it.
 
-use std::fmt::Write as _;
+use std::fmt::{Display, Write as _};
 use std::sync::OnceLock;
 
-use std::fmt::Display;
-
 use specdsm::prelude::{
-    adversarial_suite, fault_plan, AppId, MachineConfig, RunStats, Scale, System, SystemConfig,
+    adversarial_suite, fault_plan, AppId, MachineConfig, PredictorKind, RunStats, Scale, System,
+    SystemConfig,
 };
 use specdsm::protocol::SpecPolicy;
-use specdsm_bench::{fig7, fig8, table3, table4, Fig7Row, Lab};
+use specdsm_bench::Lab;
 
 /// The input scale under test: `SPECDSM_DIFF_SCALE=default` selects the
 /// default-scale inputs, anything else the quick ones.
@@ -198,7 +197,8 @@ fn write_proc_row(out: &mut String, label: &str, app: AppId, policy: SpecPolicy,
 /// binary and shared by the fixture diff and the paper-claim checks.
 struct Golden {
     text: String,
-    fig7: Vec<Fig7Row>,
+    /// Cosmos, MSP and VMSP accuracy at depth 1, per app.
+    fig7: Vec<(AppId, [f64; 3])>,
     /// Execution cycles per (app, policy).
     exec_cycles: Vec<(AppId, SpecPolicy, u64)>,
 }
@@ -250,31 +250,40 @@ fn render_golden(scale: Scale) -> Golden {
     } else {
         out.push_str("# Regenerate with UPDATE_GOLDEN=1 cargo test --test golden_stats\n");
     }
-    let fig7_rows = fig7(&mut lab);
-    for row in &fig7_rows {
+    let kinds = PredictorKind::ALL.map(|kind| (kind, kind.to_string().to_lowercase()));
+    let mut fig7 = Vec::new();
+    for app in AppId::ALL {
+        let accuracy = PredictorKind::ALL.map(|kind| lab.eval(app, kind, 1).stats.accuracy());
+        let [cosmos, msp, vmsp] = accuracy;
         let _ = writeln!(
             out,
-            "fig7 {} cosmos={:.6} msp={:.6} vmsp={:.6}",
-            row.app, row.accuracy[0], row.accuracy[1], row.accuracy[2]
+            "fig7 {app} cosmos={cosmos:.6} msp={msp:.6} vmsp={vmsp:.6}"
         );
+        fig7.push((app, accuracy));
     }
-    for row in table3(&mut lab) {
-        let _ = write!(out, "table3 {}", row.app);
-        for (name, (cov, correct)) in ["cosmos", "msp", "vmsp"].iter().zip(row.predicted) {
+    for app in AppId::ALL {
+        let _ = write!(out, "table3 {app}");
+        for (kind, name) in &kinds {
+            let stats = lab.eval(app, *kind, 1).stats;
+            let (cov, correct) = (stats.coverage(), stats.correct_fraction());
             let _ = write!(out, " {name}={cov:.6}/{correct:.6}");
         }
         out.push('\n');
     }
-    for row in fig8(&mut lab) {
-        let _ = write!(out, "fig8 {}", row.app);
-        for (name, [d1, d2, d4]) in ["cosmos", "msp", "vmsp"].iter().zip(row.accuracy) {
+    for app in AppId::ALL {
+        let _ = write!(out, "fig8 {app}");
+        for (kind, name) in &kinds {
+            let [d1, d2, d4] = [1, 2, 4].map(|d| lab.eval(app, *kind, d).stats.accuracy());
             let _ = write!(out, " {name}={d1:.6}/{d2:.6}/{d4:.6}");
         }
         out.push('\n');
     }
-    for row in table4(&mut lab) {
-        let _ = write!(out, "table4 {}", row.app);
-        for (name, (pte1, pte4, ovh)) in ["cosmos", "msp", "vmsp"].iter().zip(row.storage) {
+    for app in AppId::ALL {
+        let _ = write!(out, "table4 {app}");
+        for (kind, name) in &kinds {
+            let d1 = lab.eval(app, *kind, 1).storage;
+            let d4 = lab.eval(app, *kind, 4).storage;
+            let (pte1, pte4, ovh) = (d1.pte_per_block(), d4.pte_per_block(), d1.bytes_per_block());
             let _ = write!(out, " {name}={pte1:.6}/{pte4:.6}/{ovh:.6}");
         }
         out.push('\n');
@@ -333,7 +342,7 @@ fn render_golden(scale: Scale) -> Golden {
     }
     Golden {
         text: out,
-        fig7: fig7_rows,
+        fig7,
         exec_cycles,
     }
 }
@@ -381,12 +390,10 @@ fn predictor_accuracy_matches_golden_fixture() {
 #[test]
 fn quick_scale_runs_reproduce_the_paper_claims() {
     let g = golden(Scale::Quick);
-    for row in &g.fig7 {
-        let [cosmos, msp, vmsp] = row.accuracy;
+    for &(app, [cosmos, msp, vmsp]) in &g.fig7 {
         assert!(
             vmsp >= msp && msp >= cosmos,
-            "fig7 {}: expected vmsp >= msp >= cosmos, got cosmos={cosmos} msp={msp} vmsp={vmsp}",
-            row.app
+            "fig7 {app}: expected vmsp >= msp >= cosmos, got cosmos={cosmos} msp={msp} vmsp={vmsp}"
         );
     }
 
