@@ -73,7 +73,11 @@ pub(crate) enum AfterRecall {
     Swi { owner: ProcId, ticket: SpecTicket },
 }
 
-/// Per-block directory record.
+/// Per-block directory record, sized for its common case: a block that
+/// is never contended and never speculated is the 72 bytes of `state`,
+/// `version`, `busy` and an empty `more`. What only contended or
+/// speculated blocks need sits in one [`DirMore`] side record,
+/// allocated on first use and kept for the rest of the run.
 #[derive(Debug, Clone)]
 pub(crate) struct DirBlock {
     pub state: DirState,
@@ -81,17 +85,28 @@ pub(crate) struct DirBlock {
     pub version: u64,
     /// In-flight transaction, if any; requests queue behind it.
     pub busy: Option<Busy>,
+    /// The seldom-used rest of the record; `None` until the block first
+    /// queues a request or takes a speculative copy or SWI.
+    pub more: Option<Box<DirMore>>,
+}
+
+/// The part of a [`DirBlock`] that only contended or speculated blocks
+/// use.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct DirMore {
+    /// Requests queued behind the block's in-flight transaction.
     pub pending: VecDeque<(ReqKind, ProcId)>,
     /// Set after a successful SWI invalidation: `(owner, ticket)`. If
     /// the next request for the block comes from the owner, the
     /// invalidation was premature.
     pub swi_pending: Option<(ProcId, SpecTicket)>,
-    /// Outstanding speculative copies, indexed by processor id: the
-    /// ticket each was sent under and its trigger. Empty until the
-    /// block's first speculative send, then one entry per processor
-    /// (speculation is concentrated on few blocks, so most records
-    /// never pay for the slab).
-    pub tickets: Box<[Option<(SpecTicket, SpecTrigger)>]>,
+    /// Outstanding speculative copies, one batch per `speculate` call
+    /// that still has copies out: the ticket and trigger every copy of
+    /// the batch was sent under, and the readers holding one. Batches
+    /// are non-empty and pairwise disjoint, so each processor has at
+    /// most one open ticket, and the state grows with the copies out,
+    /// not with the machine.
+    pub open: Vec<(SpecTicket, SpecTrigger, ReaderSet)>,
 }
 
 impl DirBlock {
@@ -100,10 +115,31 @@ impl DirBlock {
             state: DirState::Idle,
             version: 0,
             busy: None,
-            pending: VecDeque::new(),
-            swi_pending: None,
-            tickets: Box::new([]),
+            more: None,
         }
+    }
+
+    /// The side record, allocated on first use.
+    pub fn more_mut(&mut self) -> &mut DirMore {
+        self.more.get_or_insert_with(Box::default)
+    }
+
+    /// The pending SWI verdict, if any.
+    pub fn swi_pending(&self) -> Option<(ProcId, SpecTicket)> {
+        self.more.as_ref().and_then(|m| m.swi_pending)
+    }
+
+    /// Drops the pending SWI verdict (a no-op if there is none).
+    pub fn clear_swi_pending(&mut self) {
+        if let Some(m) = &mut self.more {
+            m.swi_pending = None;
+        }
+    }
+
+    /// The open ticket batches (empty if the block was never
+    /// speculated).
+    pub fn open_batches(&self) -> &[(SpecTicket, SpecTrigger, ReaderSet)] {
+        self.more.as_ref().map_or(&[], |m| &m.open)
     }
 
     /// The version a write grant hands out: the next one after memory's.
@@ -177,8 +213,9 @@ impl Directory {
 
     /// Asserts the directory's internal invariants (used by tests and
     /// debug builds): an invalidation still awaits at least one ack, an
-    /// idle block queues nothing, and `Shared` always has at least one
-    /// sharer.
+    /// idle block queues nothing, `Shared` always has at least one
+    /// sharer, and a block's open ticket batches are non-empty and
+    /// pairwise disjoint.
     pub(crate) fn check_invariants(&self) {
         for (addr, b) in self.iter() {
             if let Some(busy) = &b.busy {
@@ -188,12 +225,23 @@ impl Directory {
                 );
             } else {
                 assert!(
-                    b.pending.is_empty(),
+                    b.more.as_ref().is_none_or(|m| m.pending.is_empty()),
                     "{addr}: queued requests but no transaction"
                 );
             }
             if let DirState::Shared(r) = &b.state {
                 assert!(!r.is_empty(), "{addr}: Shared with empty sharer set");
+            }
+            let batches = b.open_batches();
+            for (i, (_, _, readers)) in batches.iter().enumerate() {
+                assert!(!readers.is_empty(), "{addr}: empty ticket batch");
+                for (_, _, later) in &batches[i + 1..] {
+                    assert!(
+                        (readers & later).is_empty(),
+                        "{addr}: ticket batches overlap on {}",
+                        readers & later
+                    );
+                }
             }
         }
     }
@@ -237,7 +285,7 @@ impl System {
         }
         let blk = self.dir.at_mut(slot);
         if blk.busy.is_some() {
-            blk.pending.push_back((kind, p));
+            blk.more_mut().pending.push_back((kind, p));
             return;
         }
         self.dir_process(now, slot, block, kind, p);
@@ -253,14 +301,14 @@ impl System {
         // write-like requests from the owner the verdict is deferred to
         // the write grant, after the invalidation acks have reported
         // whether any pushed copy was referenced.
-        if let Some((owner, ticket)) = self.dir.at(slot).swi_pending {
+        if let Some((owner, ticket)) = self.dir.at(slot).swi_pending() {
             match kind {
                 ReqKind::Read if p == owner => {
                     self.resolve_swi_premature(slot, ticket);
                 }
                 ReqKind::Read => {
                     // A consumer demanded the block: success.
-                    self.dir.at_mut(slot).swi_pending = None;
+                    self.dir.at_mut(slot).clear_swi_pending();
                 }
                 ReqKind::Write | ReqKind::Upgrade => {
                     // Deferred: grant_exclusive decides.
@@ -382,11 +430,11 @@ impl System {
         // at write-grant time, no consumption was ever observed — the
         // grant to the original owner means it was premature; a grant
         // to anyone else means production simply moved on.
-        if let Some((owner, ticket)) = self.dir.at(slot).swi_pending {
+        if let Some((owner, ticket)) = self.dir.at(slot).swi_pending() {
             if p == owner {
                 self.resolve_swi_premature(slot, ticket);
             } else {
-                self.dir.at_mut(slot).swi_pending = None;
+                self.dir.at_mut(slot).clear_swi_pending();
             }
         }
         let blk = self.dir.at_mut(slot);
@@ -448,7 +496,7 @@ impl System {
         let blk = self.dir.at_mut(slot);
         // A referenced copy is consumption evidence for a pending SWI.
         if !spec_unused {
-            blk.swi_pending = None;
+            blk.clear_swi_pending();
         }
         let Some(Busy::Invalidate {
             requester,
@@ -495,7 +543,7 @@ impl System {
                 let t = self.mem_access(now, slot.home);
                 let blk = self.dir.at_mut(slot);
                 blk.state = DirState::Idle;
-                blk.swi_pending = Some((owner, ticket));
+                blk.more_mut().swi_pending = Some((owner, ticket));
                 self.speculate(t, slot, block, SpecTrigger::Swi);
                 self.lock_reply(slot, block, t);
             }
@@ -509,7 +557,7 @@ impl System {
             if blk.busy.is_some() {
                 return;
             }
-            let Some((kind, p)) = blk.pending.pop_front() else {
+            let Some((kind, p)) = blk.more.as_mut().and_then(|m| m.pending.pop_front()) else {
                 return;
             };
             self.dir_process(now, slot, block, kind, p);
@@ -613,8 +661,50 @@ mod tests {
     fn invariants_catch_orphan_pending() {
         let mut d = dir();
         d.block_mut(BlockAddr(1))
+            .more_mut()
             .pending
             .push_back((ReqKind::Read, ProcId(0)));
+        d.check_invariants();
+    }
+
+    #[test]
+    fn record_is_72_bytes() {
+        // state:   DirState, 32 B — a 24 B ReaderSet (inline word plus
+        //          spill pointer) and the enum tag;
+        // version: u64, 8 B;
+        // busy:    Option<Busy>, 24 B — Invalidate's ProcId, u32 and bool
+        //          plus the tags;
+        // more:    Option<Box<DirMore>>, 8 B — null until first use.
+        assert_eq!(std::mem::size_of::<DirState>(), 32);
+        assert_eq!(std::mem::size_of::<Option<Busy>>(), 24);
+        assert_eq!(std::mem::size_of::<Option<Box<DirMore>>>(), 8);
+        assert_eq!(std::mem::size_of::<DirBlock>(), 72);
+    }
+
+    fn ticket() -> SpecTicket {
+        SpecTicket::from_key(specdsm_core::HistoryKey::EMPTY)
+    }
+
+    #[test]
+    #[should_panic(expected = "ticket batches overlap on {P2}")]
+    fn invariants_catch_overlapping_ticket_batches() {
+        let mut d = dir();
+        let open = &mut d.block_mut(BlockAddr(1)).more_mut().open;
+        let set = |ps: &[usize]| ps.iter().map(|&p| ProcId(p)).collect::<ReaderSet>();
+        open.push((ticket(), SpecTrigger::Fr, set(&[1, 2])));
+        open.push((ticket(), SpecTrigger::Swi, set(&[2, 3])));
+        d.check_invariants();
+    }
+
+    #[test]
+    #[should_panic(expected = "empty ticket batch")]
+    fn invariants_catch_an_empty_ticket_batch() {
+        let mut d = dir();
+        d.block_mut(BlockAddr(1)).more_mut().open.push((
+            ticket(),
+            SpecTrigger::Fr,
+            ReaderSet::new(),
+        ));
         d.check_invariants();
     }
 
@@ -640,7 +730,7 @@ mod tests {
                 assert_eq!(b.state, DirState::Exclusive(ProcId(4)));
             } else {
                 assert_eq!((&b.state, b.version), (&DirState::Idle, 0), "{addr}");
-                assert!(b.busy.is_none() && b.pending.is_empty() && b.tickets.is_empty());
+                assert!(b.busy.is_none() && b.more.is_none());
             }
         }
         // Only home 1's table grew, to cover `hi` and everything below.

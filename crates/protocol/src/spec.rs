@@ -5,17 +5,18 @@
 //! The predictor is the table-backed [`Vmsp`](specdsm_core::Vmsp): the
 //! directory computes each message's [`Slot`] once, and every later
 //! access — observe, predicted readers, ticket open/close — is a direct
-//! index. The verification bookkeeping is this layer's own: each
-//! outstanding speculative copy's ticket sits in its block's directory
-//! record ([`DirBlock::tickets`](crate::directory::DirBlock)), and each
-//! home's SWI last-write map sits in [`System::swi_last_write`], kept by
-//! the rule in [`crate::swi`].
+//! index. The verification bookkeeping is this layer's own: the
+//! outstanding speculative copies of a block sit in its directory
+//! record's side record, one batch per speculative send
+//! ([`DirMore::open`](crate::directory::DirMore)), and each home's SWI
+//! last-write map sits in [`System::swi_last_write`], kept by the rule
+//! in [`crate::swi`].
 
 use std::fmt;
 
 use specdsm_core::SpecTicket;
 use specdsm_sim::Cycle;
-use specdsm_types::{BlockAddr, ProcId, Slot};
+use specdsm_types::{BlockAddr, ProcId, ReaderSet, Slot};
 
 use crate::directory::{AfterRecall, DirState};
 use crate::msg::MsgKind;
@@ -153,14 +154,12 @@ impl System {
         for r in targets.iter() {
             self.send(now, slot.home, r.node(), block, kind);
         }
-        for r in targets.iter() {
-            self.note_sent(slot, r, ticket, trigger);
-        }
         match &mut self.dir.at_mut(slot).state {
             DirState::Shared(sharers) => *sharers |= &targets,
             state => *state = DirState::Shared(targets.clone()),
         }
-        self.vmsp.speculate_readers_at(slot, targets);
+        self.vmsp.speculate_readers_at(slot, targets.clone());
+        self.note_sent(slot, targets, ticket, trigger);
     }
 
     /// Attempts an SWI invalidation of `prev` (the block `owner` wrote
@@ -186,39 +185,56 @@ impl System {
     }
 
     pub(crate) fn resolve_swi_premature(&mut self, slot: Slot, ticket: SpecTicket) {
-        self.dir.at_mut(slot).swi_pending = None;
+        self.dir.at_mut(slot).clear_swi_pending();
         self.spec_stats.swi_inval_premature += 1;
         self.vmsp.mark_swi_premature_at(slot, ticket);
     }
 
-    /// Records that a speculative copy was sent to `proc`, opening its
-    /// ticket in the block's slab. At most one ticket per `(block,
-    /// proc)` is open at a time; a second send overwrites the first.
-    /// The slab is allocated, with one entry per processor, on a
-    /// block's first speculative send.
-    fn note_sent(&mut self, slot: Slot, proc: ProcId, ticket: SpecTicket, trigger: SpecTrigger) {
+    /// Records that every reader in `targets` was sent a speculative
+    /// copy under `ticket`, opening one batch in the block's side
+    /// record. At most one ticket per `(block, proc)` is open at a time:
+    /// a second send moves the reader out of its older batch, which is
+    /// dropped once empty.
+    fn note_sent(
+        &mut self,
+        slot: Slot,
+        targets: ReaderSet,
+        ticket: SpecTicket,
+        trigger: SpecTrigger,
+    ) {
+        let sent = targets.len() as u64;
         match trigger {
-            SpecTrigger::Fr => self.spec_stats.fr_sent += 1,
-            SpecTrigger::Swi => self.spec_stats.swi_sent += 1,
+            SpecTrigger::Fr => self.spec_stats.fr_sent += sent,
+            SpecTrigger::Swi => self.spec_stats.swi_sent += sent,
         }
-        let n = self.cfg.machine.num_nodes;
-        let tickets = &mut self.dir.at_mut(slot).tickets;
-        if tickets.is_empty() {
-            *tickets = vec![None; n].into_boxed_slice();
-        }
-        tickets[proc.0] = Some((ticket, trigger));
+        let open = &mut self.dir.at_mut(slot).more_mut().open;
+        open.retain_mut(|(_, _, readers)| {
+            for p in targets.iter() {
+                readers.remove(p);
+            }
+            !readers.is_empty()
+        });
+        open.push((ticket, trigger, targets));
     }
 
     /// Applies the piggy-backed reference bit when `proc`'s copy of the
     /// block at `slot` is invalidated. `unused == true` marks a
     /// misspeculation: the predictor entry is pruned and the miss
-    /// attributed to its trigger. The copy's ticket is taken, so a
-    /// second invalidation is a no-op.
+    /// attributed to its trigger. The copy's ticket is taken out of its
+    /// batch, so a second invalidation is a no-op.
     pub(crate) fn note_invalidated(&mut self, slot: Slot, proc: ProcId, unused: bool) {
-        let tickets = &mut self.dir.at_mut(slot).tickets;
-        let Some((ticket, trigger)) = tickets.get_mut(proc.0).and_then(Option::take) else {
+        let Some(more) = self.dir.at_mut(slot).more.as_deref_mut() else {
             return;
         };
+        let Some(i) = more.open.iter().position(|(_, _, r)| r.contains(proc)) else {
+            return;
+        };
+        let (ticket, trigger, readers) = &mut more.open[i];
+        let (ticket, trigger) = (*ticket, *trigger);
+        readers.remove(proc);
+        if readers.is_empty() {
+            more.open.swap_remove(i);
+        }
         if unused {
             match trigger {
                 SpecTrigger::Fr => self.spec_stats.fr_unused += 1,
@@ -235,24 +251,55 @@ impl System {
 mod tests {
     use super::*;
     use crate::system::SystemConfig;
-    use specdsm_types::{DirMsg, OpStream, ReaderSet, Workload};
+    use specdsm_core::{HistoryKey, Symbol};
+    use specdsm_sim::Xorshift64Star;
+    use specdsm_types::{DirMsg, MachineConfig, OpStream, ReqKind, Workload};
 
-    /// Sixteen processors with nothing to run: a system whose
-    /// speculation state the tests drive directly.
-    struct Idle16;
+    /// `n` processors with nothing to run: a system whose speculation
+    /// state the tests drive directly.
+    struct Idle(usize);
 
-    impl Workload for Idle16 {
+    impl Workload for Idle {
         fn name(&self) -> &str {
             "idle"
         }
         fn num_procs(&self) -> usize {
-            16
+            self.0
         }
         fn build_streams(&self) -> Vec<OpStream> {
-            (0..16)
+            (0..self.0)
                 .map(|_| Box::new(std::iter::empty()) as OpStream)
                 .collect()
         }
+    }
+
+    fn idle_engine(n: usize) -> System {
+        let cfg = SystemConfig {
+            machine: MachineConfig::with_nodes(n),
+            policy: SpecPolicy::SwiFr,
+            ..SystemConfig::default()
+        };
+        System::new(cfg, &Idle(n)).expect("valid system")
+    }
+
+    fn set(procs: &[usize]) -> ReaderSet {
+        procs.iter().map(|&p| ProcId(p)).collect()
+    }
+
+    /// A ticket no predictor entry answers to: pruning under it is a
+    /// no-op, which is all the bookkeeping tests need.
+    fn ticket(i: usize) -> SpecTicket {
+        SpecTicket::from_key(HistoryKey::of(&[Symbol::Req(ReqKind::Write, ProcId(i))]))
+    }
+
+    /// The open ticket of `proc` at `slot`, read out of the batches.
+    fn ticket_of(e: &System, slot: Slot, proc: ProcId) -> Option<(SpecTicket, SpecTrigger)> {
+        e.dir
+            .at(slot)
+            .open_batches()
+            .iter()
+            .find(|(_, _, r)| r.contains(proc))
+            .map(|&(ticket, trigger, _)| (ticket, trigger))
     }
 
     #[test]
@@ -275,11 +322,7 @@ mod tests {
     }
 
     fn trained_engine() -> (System, Slot) {
-        let cfg = SystemConfig {
-            policy: SpecPolicy::SwiFr,
-            ..SystemConfig::default()
-        };
-        let mut e = System::new(cfg, &Idle16).expect("valid system");
+        let mut e = idle_engine(16);
         let slot = e.vmsp.slot_of(BlockAddr(1));
         for _ in 0..5 {
             e.vmsp.observe_at(slot, DirMsg::upgrade(ProcId(3)));
@@ -295,7 +338,7 @@ mod tests {
         let (mut e, slot) = trained_engine();
         let (readers, ticket) = e.vmsp.predicted_readers_at(slot).unwrap();
         assert!(readers.contains(ProcId(2)));
-        e.note_sent(slot, ProcId(2), ticket, SpecTrigger::Fr);
+        e.note_sent(slot, ReaderSet::single(ProcId(2)), ticket, SpecTrigger::Fr);
         assert_eq!(e.spec_stats.fr_sent, 1);
 
         e.note_invalidated(slot, ProcId(2), true);
@@ -308,7 +351,7 @@ mod tests {
     fn verification_confirms_on_used() {
         let (mut e, slot) = trained_engine();
         let (_, ticket) = e.vmsp.predicted_readers_at(slot).unwrap();
-        e.note_sent(slot, ProcId(1), ticket, SpecTrigger::Swi);
+        e.note_sent(slot, ReaderSet::single(ProcId(1)), ticket, SpecTrigger::Swi);
         e.note_invalidated(slot, ProcId(1), false);
         assert_eq!(e.spec_stats.verified, 1);
         assert_eq!(e.spec_stats.swi_unused, 0);
@@ -318,30 +361,126 @@ mod tests {
     }
 
     #[test]
-    fn ticket_slab_open_close_round_trip() {
+    fn ticket_batches_open_close_round_trip() {
         let (mut e, slot) = trained_engine();
         let (_, ticket) = e.vmsp.predicted_readers_at(slot).unwrap();
-        let open = |e: &System, p: usize| e.dir.at(slot).tickets.get(p).copied().flatten();
+        let batches = |e: &System| e.dir.at(slot).open_batches().to_vec();
 
         e.note_invalidated(slot, ProcId(2), false);
         assert_eq!(e.spec_stats, SpecStats::default(), "nothing open");
-        assert!(e.dir.at(slot).tickets.is_empty(), "no slab before a send");
-        e.note_sent(slot, ProcId(2), ticket, SpecTrigger::Fr);
-        assert_eq!(e.dir.at(slot).tickets.len(), 16, "one entry per processor");
-        assert_eq!(open(&e, 2), Some((ticket, SpecTrigger::Fr)));
+        assert!(
+            e.dir.at(slot).more.is_none(),
+            "no side record before a send"
+        );
+        e.note_sent(slot, set(&[2, 5]), ticket, SpecTrigger::Fr);
+        assert_eq!(e.spec_stats.fr_sent, 2, "one copy per reader");
+        assert_eq!(
+            batches(&e),
+            [(ticket, SpecTrigger::Fr, set(&[2, 5]))],
+            "one batch after the first send"
+        );
         e.note_invalidated(slot, ProcId(2), false);
-        assert_eq!(open(&e, 2), None);
+        assert_eq!(batches(&e), [(ticket, SpecTrigger::Fr, set(&[5]))]);
         assert_eq!(e.spec_stats.verified, 1);
         // Consumed: a second close is a no-op.
         e.note_invalidated(slot, ProcId(2), false);
         assert_eq!(e.spec_stats.verified, 1);
 
-        // Re-opening overwrites, like the (block, proc)-keyed map did.
-        e.note_sent(slot, ProcId(5), ticket, SpecTrigger::Fr);
-        e.note_sent(slot, ProcId(5), ticket, SpecTrigger::Swi);
-        assert_eq!(open(&e, 5), Some((ticket, SpecTrigger::Swi)));
+        // Re-opening overwrites: P5 moves into the new batch, and the
+        // batch it empties is dropped.
+        let other = self::ticket(1);
+        e.note_sent(slot, set(&[5, 7]), other, SpecTrigger::Swi);
+        assert_eq!(batches(&e), [(other, SpecTrigger::Swi, set(&[5, 7]))]);
         e.note_invalidated(slot, ProcId(5), true);
         assert_eq!((e.spec_stats.fr_unused, e.spec_stats.swi_unused), (0, 1));
+        assert_eq!(batches(&e), [(other, SpecTrigger::Swi, set(&[7]))]);
+        e.dir.check_invariants();
+    }
+
+    /// The representation the batches replaced, kept as the reference:
+    /// one `(ticket, trigger)` entry per processor, overwritten by a
+    /// second send and taken by the first ack.
+    struct DenseSlab {
+        entries: Vec<Option<(SpecTicket, SpecTrigger)>>,
+        stats: SpecStats,
+    }
+
+    impl DenseSlab {
+        fn send(&mut self, targets: &ReaderSet, ticket: SpecTicket, trigger: SpecTrigger) {
+            for r in targets.iter() {
+                match trigger {
+                    SpecTrigger::Fr => self.stats.fr_sent += 1,
+                    SpecTrigger::Swi => self.stats.swi_sent += 1,
+                }
+                self.entries[r.0] = Some((ticket, trigger));
+            }
+        }
+
+        fn ack(&mut self, proc: ProcId, unused: bool) -> Option<(SpecTicket, SpecTrigger)> {
+            let taken = self.entries[proc.0].take()?;
+            match (unused, taken.1) {
+                (false, _) => self.stats.verified += 1,
+                (true, SpecTrigger::Fr) => self.stats.fr_unused += 1,
+                (true, SpecTrigger::Swi) => self.stats.swi_unused += 1,
+            }
+            Some(taken)
+        }
+    }
+
+    /// A seeded mix of overlapping batch sends and acks, used and unused,
+    /// against the dense per-processor slab: every ack takes the same
+    /// `(ticket, trigger)`, the statistics agree after every step, and
+    /// so does every processor's open ticket.
+    #[test]
+    fn ticket_batches_match_the_dense_slab_reference() {
+        for n in [16, 256] {
+            let mut e = idle_engine(n);
+            let slot = e.dir.slot_of(BlockAddr(1));
+            let mut dense = DenseSlab {
+                entries: vec![None; n],
+                stats: SpecStats::default(),
+            };
+            let mut rng = Xorshift64Star::new(n as u64);
+            // A few hot readers spread over the machine, so batches
+            // overlap and, at 256, spill past the inline word.
+            let hot: Vec<ProcId> = (0..12)
+                .map(|_| ProcId(rng.range(0, n as u64) as usize))
+                .collect();
+            for step in 0..3000 {
+                if rng.chance(0.35) {
+                    let targets: ReaderSet =
+                        hot.iter().copied().filter(|_| rng.chance(0.3)).collect();
+                    if targets.is_empty() {
+                        continue;
+                    }
+                    let ticket = ticket(rng.range(0, 8) as usize);
+                    let trigger = if rng.chance(0.5) {
+                        SpecTrigger::Fr
+                    } else {
+                        SpecTrigger::Swi
+                    };
+                    dense.send(&targets, ticket, trigger);
+                    e.note_sent(slot, targets, ticket, trigger);
+                } else {
+                    let proc = hot[rng.range(0, hot.len() as u64) as usize];
+                    let unused = rng.chance(0.5);
+                    let taken = ticket_of(&e, slot, proc);
+                    assert_eq!(taken, dense.ack(proc, unused), "n={n} step {step}: {proc}");
+                    e.note_invalidated(slot, proc, unused);
+                }
+                assert_eq!(e.spec_stats, dense.stats, "n={n} step {step}");
+                for &p in &hot {
+                    assert_eq!(
+                        ticket_of(&e, slot, p),
+                        dense.entries[p.0],
+                        "n={n} step {step}"
+                    );
+                }
+                e.dir.check_invariants();
+            }
+            assert!(dense.stats.total_sent() > 1000, "n={n}: the mix sends");
+            assert!(dense.stats.verified > 100 && dense.stats.total_unused() > 100);
+        }
     }
 
     #[test]

@@ -1262,6 +1262,35 @@ mod tests {
         assert_eq!(z.faults, FaultStats::default());
     }
 
+    /// Base-DSM never speculates, so after a whole run no directory
+    /// record holds a pending SWI verdict or an open ticket batch.
+    #[test]
+    fn base_run_opens_no_speculation_state() {
+        use specdsm_workloads::{AppId, Scale};
+
+        let m = MachineConfig::paper_machine();
+        for app in AppId::ALL {
+            let w = app.build(&m, Scale::Quick).unwrap();
+            let cfg = SystemConfig {
+                machine: m.clone(),
+                policy: SpecPolicy::Base,
+                ..SystemConfig::default()
+            };
+            let mut sys = System::new(cfg, &*w).expect("valid system");
+            sys.simulate().expect("the run finishes");
+            for (addr, b) in sys.dir.iter() {
+                assert!(
+                    b.swi_pending().is_none(),
+                    "{app}: {addr} holds an SWI verdict"
+                );
+                assert!(
+                    b.open_batches().is_empty(),
+                    "{app}: {addr} holds a ticket batch"
+                );
+            }
+        }
+    }
+
     // ------------------------------------------------------------------
     // Quiescence audit: one corrupted record per invariant
     // ------------------------------------------------------------------
