@@ -10,9 +10,12 @@ use std::collections::BTreeMap;
 
 use specdsm_types::{BlockAddr, DirMsg};
 
+use crate::intern::ReaderSetInterner;
 use crate::predictor::PredictorKind;
 use crate::stats::PredictorStats;
-use crate::storage::StorageReport;
+use crate::storage::{StorageModel, StorageReport};
+use crate::twolevel::{symbol, BlockState};
+use crate::vmsp::VBlock;
 
 /// Per-block message streams observed at the home directories.
 ///
@@ -109,9 +112,18 @@ pub struct TraceEval {
 
 /// Replays `trace` through a fresh predictor of the given kind/depth.
 ///
-/// `num_procs` sizes the storage model. Blocks are replayed in address
-/// order; since predictor state is per-block this is equivalent to the
-/// original interleaving.
+/// `num_procs` sizes the storage model. Predictor state is strictly
+/// per block, and a trace yields each block's run exactly once, so the
+/// replay keeps one block's state at a time: it steps one reusable
+/// record through a run, adds that block's share of the storage report
+/// and clears the record, keeping its allocations, for the next run.
+/// Only VMSP's reader-set arena is shared by all blocks, as in the
+/// persistent predictor. The result equals feeding every message to
+/// `kind.build(depth, num_procs)` one at a time.
+///
+/// # Panics
+///
+/// Panics if `depth` is zero.
 #[must_use]
 pub fn evaluate_trace(
     trace: &DirectoryTrace,
@@ -119,15 +131,51 @@ pub fn evaluate_trace(
     depth: usize,
     num_procs: usize,
 ) -> TraceEval {
-    let mut predictor = kind.build(depth, num_procs);
-    for (block, msgs) in trace.iter() {
-        predictor.observe_run(block, msgs);
+    let mut stats = PredictorStats::default();
+    let (mut blocks, mut entries, mut spill_bytes) = (0u64, 0u64, 0u64);
+    match kind {
+        PredictorKind::Cosmos | PredictorKind::Msp => {
+            let mut state = BlockState::new(depth);
+            for (_, msgs) in trace.iter() {
+                for sym in msgs.iter().filter_map(|&m| symbol(kind, m)) {
+                    stats.record(state.observe(sym));
+                }
+                blocks += u64::from(state.is_active());
+                entries += state.table.len() as u64;
+                state.clear();
+            }
+        }
+        PredictorKind::Vmsp => {
+            let mut sets = ReaderSetInterner::new();
+            let mut state = VBlock::new(depth);
+            for (_, msgs) in trace.iter() {
+                for (req, p) in msgs.iter().filter_map(|m| m.request()) {
+                    stats.record(state.observe(&mut sets, req, p));
+                }
+                blocks += u64::from(state.is_active());
+                entries += state.table.len() as u64;
+                // An open vector is the one place a wide set lives
+                // outside the arena; its heap words are charged per copy.
+                spill_bytes += state.open.heap_bytes() as u64;
+                state.clear();
+            }
+            spill_bytes += sets.spill_bytes();
+        }
     }
     TraceEval {
         kind,
         depth,
-        stats: predictor.stats(),
-        storage: predictor.storage(),
+        stats,
+        storage: StorageReport {
+            model: StorageModel {
+                kind,
+                depth,
+                num_procs,
+            },
+            blocks,
+            entries,
+            spill_bytes,
+        },
     }
 }
 

@@ -22,16 +22,6 @@ pub trait SharingPredictor {
     /// predictor had predicted for it.
     fn observe(&mut self, block: BlockAddr, msg: DirMsg) -> Observation;
 
-    /// Observes a run of messages for one block, in order: exactly
-    /// [`SharingPredictor::observe`] on each. Trace replay calls this
-    /// once per block, so an implementation can resolve the block's
-    /// state once for the whole run.
-    fn observe_run(&mut self, block: BlockAddr, msgs: &[DirMsg]) {
-        for &msg in msgs {
-            self.observe(block, msg);
-        }
-    }
-
     /// Aggregate accuracy statistics so far.
     fn stats(&self) -> PredictorStats;
 

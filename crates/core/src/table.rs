@@ -290,6 +290,16 @@ impl PatternTable {
         true
     }
 
+    /// Removes every entry, SWI bits included, and keeps the storage
+    /// for reuse: the table then behaves exactly like a fresh one fed
+    /// registers of the depth it learned from before.
+    pub fn clear(&mut self) {
+        if let Some(slab) = self.slab.as_deref_mut() {
+            slab.index.clear();
+            slab.records.clear();
+        }
+    }
+
     /// Number of entries.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -402,6 +412,14 @@ impl History {
                 self.head = 0;
             }
         }
+    }
+
+    /// Empties the register, keeping its depth and its ring storage:
+    /// it then behaves exactly like a fresh register of that depth.
+    pub fn clear(&mut self) {
+        self.buf.clear();
+        self.head = 0;
+        self.key = HistoryKey::EMPTY;
     }
 
     /// The configured depth.
@@ -668,6 +686,98 @@ mod tests {
         assert_eq!(t.len(), 1);
         assert_eq!(t.predict(&live), Some(req(ReqKind::Read, 1)));
         assert!(!t.peek(&live).unwrap().swi_premature);
+    }
+
+    /// A cleared register, whose ring wrapped before the clear, steps
+    /// through a stream exactly like a fresh one.
+    #[test]
+    fn cleared_history_behaves_like_fresh() {
+        let stream = [
+            req(ReqKind::Upgrade, 3),
+            req(ReqKind::Read, 1),
+            req(ReqKind::Read, 2),
+            req(ReqKind::Write, 5),
+            req(ReqKind::Upgrade, 2),
+            req(ReqKind::Read, 4),
+            req(ReqKind::Write, 3),
+        ];
+        for depth in 1..=4usize {
+            let mut used = History::new(depth);
+            for s in stream.iter().rev() {
+                used.push(*s);
+            }
+            used.clear();
+            let mut fresh = History::new(depth);
+            assert!(used.is_empty() && !used.is_full(), "depth {depth}");
+            assert_eq!(used.key(), fresh.key(), "depth {depth}");
+            for s in &stream {
+                used.push(*s);
+                fresh.push(*s);
+                assert_eq!(used.is_full(), fresh.is_full(), "depth {depth}");
+                assert_eq!(used.key(), fresh.key(), "depth {depth}");
+                assert!(used.window().eq(fresh.window()), "depth {depth}");
+            }
+        }
+    }
+
+    /// A cleared table holds no entry, no SWI bit and no collision
+    /// record, and then predicts and learns exactly like a fresh one.
+    #[test]
+    fn cleared_table_behaves_like_fresh() {
+        let stream = [
+            req(ReqKind::Upgrade, 3),
+            req(ReqKind::Read, 1),
+            req(ReqKind::Read, 2),
+            req(ReqKind::Upgrade, 2),
+            req(ReqKind::Read, 1),
+        ];
+        let replay = |t: &mut PatternTable, check: &mut dyn FnMut(&PatternTable, &History)| {
+            let mut h = History::new(2);
+            let mut predictions = Vec::new();
+            for _ in 0..3 {
+                for sym in &stream {
+                    if h.is_full() {
+                        check(t, &h);
+                        predictions.push(t.predict_and_learn(&h, sym));
+                    }
+                    h.push(*sym);
+                }
+            }
+            predictions
+        };
+        let mut used = PatternTable::new();
+        let mut keys = Vec::new();
+        replay(&mut used, &mut |_, h| keys.push(h.key()));
+        for &key in &keys {
+            assert!(used.set_swi_premature(key));
+        }
+        // A record under a live key but another window, as a 64-bit
+        // key collision leaves it.
+        let live = history_of(&[req(ReqKind::Read, 1), req(ReqKind::Read, 2)]);
+        used.insert_forged(
+            live.key(),
+            &[req(ReqKind::Write, 7), req(ReqKind::Write, 8)],
+            req(ReqKind::Write, 9),
+        );
+        used.clear();
+
+        assert_eq!(used.len(), 0);
+        assert!(used.is_empty());
+        assert_eq!(used.iter().count(), 0);
+        for &key in keys.iter().chain([&live.key()]) {
+            assert!(!used.swi_suppressed_key(key));
+            assert!(!used.set_swi_premature(key), "no entry survives the clear");
+        }
+        let mut fresh = PatternTable::new();
+        let mut no_swi = |t: &PatternTable, h: &History| assert!(!t.swi_suppressed(h));
+        assert_eq!(
+            replay(&mut used, &mut no_swi),
+            replay(&mut fresh, &mut no_swi)
+        );
+        assert_eq!(used.len(), fresh.len());
+        for (w, e) in fresh.iter() {
+            assert_eq!(used.peek(&history_of(w)), Some(e));
+        }
     }
 
     #[test]

@@ -26,9 +26,11 @@
 //! re-learn path. The block index itself uses the same FxHash-style
 //! hasher as the pattern tables ([`FxHashMap`]).
 //!
-//! Trace replay hands a predictor each block's whole run of messages
-//! at once ([`SharingPredictor::observe_run`]), so the block is
-//! resolved once per run and each symbol steps the resolved state.
+//! Trace replay ([`evaluate_trace`](crate::evaluate_trace)) keeps no
+//! block index at all: a trace yields each block's run exactly once,
+//! so the replay steps one [`BlockState`] through a run, adds up what
+//! the storage report needs, and clears the state, keeping its
+//! allocations, for the next block.
 
 use specdsm_types::{BlockAddr, DirMsg};
 
@@ -52,24 +54,36 @@ pub(crate) struct TwoLevel {
 
 /// One block's history register and pattern table.
 #[derive(Debug, Clone)]
-struct BlockState {
+pub(crate) struct BlockState {
     history: History,
-    table: PatternTable,
+    pub(crate) table: PatternTable,
 }
 
 impl BlockState {
     /// A block's state before its first observed symbol.
-    fn new(depth: usize) -> Self {
+    pub(crate) fn new(depth: usize) -> Self {
         BlockState {
             history: History::new(depth),
             table: PatternTable::new(),
         }
     }
 
+    /// Whether the block observed a symbol: exactly the blocks the
+    /// persistent predictor allocates state for.
+    pub(crate) fn is_active(&self) -> bool {
+        !self.history.is_empty()
+    }
+
+    /// Returns the state to [`BlockState::new`]'s, keeping its storage.
+    pub(crate) fn clear(&mut self) {
+        self.history.clear();
+        self.table.clear();
+    }
+
     /// Core PAp step: predict the successor of the current history,
     /// compare with `sym`, learn `sym` as the new successor
     /// (last-occurrence update), and shift `sym` into the history.
-    fn observe(&mut self, sym: Symbol) -> Observation {
+    pub(crate) fn observe(&mut self, sym: Symbol) -> Observation {
         let obs = if self.history.is_full() {
             // Fused predict + last-occurrence learn: one table access.
             match self.table.predict_and_learn(&self.history, &sym) {
@@ -89,7 +103,7 @@ impl BlockState {
 
 /// The symbol `msg` enters a `kind` predictor's tables as, or `None`
 /// if that predictor ignores it: MSP filters out the acks.
-fn symbol(kind: PredictorKind, msg: DirMsg) -> Option<Symbol> {
+pub(crate) fn symbol(kind: PredictorKind, msg: DirMsg) -> Option<Symbol> {
     match msg {
         DirMsg::Ack(..) if kind == PredictorKind::Msp => None,
         _ => Some(Symbol::from_msg(msg)),
@@ -128,22 +142,6 @@ impl SharingPredictor for TwoLevel {
         let obs = state.observe(sym);
         self.stats.record(obs);
         obs
-    }
-
-    fn observe_run(&mut self, block: BlockAddr, msgs: &[DirMsg]) {
-        // Like `observe`, a run this predictor ignores entirely
-        // allocates no state.
-        let (kind, depth) = (self.kind, self.depth);
-        let Some(first) = msgs.iter().position(|&m| symbol(kind, m).is_some()) else {
-            return;
-        };
-        let state = self
-            .blocks
-            .entry(block)
-            .or_insert_with(|| BlockState::new(depth));
-        for sym in msgs[first..].iter().filter_map(|&m| symbol(kind, m)) {
-            self.stats.record(state.observe(sym));
-        }
     }
 
     fn stats(&self) -> PredictorStats {

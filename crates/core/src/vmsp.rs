@@ -83,16 +83,17 @@ pub struct Vmsp {
     stats: PredictorStats,
 }
 
+/// One block's VMSP state.
 #[derive(Debug, Clone)]
-struct VBlock {
+pub(crate) struct VBlock {
     history: History,
-    table: PatternTable,
+    pub(crate) table: PatternTable,
     /// The read vector currently being accumulated (open read phase).
-    open: ReaderSet,
+    pub(crate) open: ReaderSet,
 }
 
 impl VBlock {
-    fn new(depth: usize) -> Self {
+    pub(crate) fn new(depth: usize) -> Self {
         VBlock {
             // `History` defers its ring allocation to the first push,
             // so growing the table over pristine spans allocates
@@ -107,8 +108,84 @@ impl VBlock {
     /// read opens the vector, a write pushes history, and the vector
     /// only ever empties into history, so the records the table merely
     /// grew past are exactly the inactive ones.
-    fn is_active(&self) -> bool {
+    pub(crate) fn is_active(&self) -> bool {
         !self.history.is_empty() || !self.open.is_empty()
+    }
+
+    /// Returns the record to [`VBlock::new`]'s, keeping the storage of
+    /// its history and pattern table.
+    pub(crate) fn clear(&mut self) {
+        self.history.clear();
+        self.table.clear();
+        self.open = ReaderSet::new();
+    }
+
+    /// The VMSP rule for one `kind` request from `p`: what the record
+    /// predicted for it, after which the request is learned. Spilled
+    /// read vectors intern through `sets`.
+    // Always inlined: out of line, the online `observe_at` shrinks
+    // enough to be inlined into the directory handler around a call
+    // to this, and paper16 `wall_s` rose about 6% on a 2-CPU host.
+    #[inline(always)]
+    pub(crate) fn observe(
+        &mut self,
+        sets: &mut ReaderSetInterner,
+        kind: ReqKind,
+        p: ProcId,
+    ) -> Observation {
+        match kind {
+            ReqKind::Read => {
+                // Each read is checked against the vector predicted to
+                // follow the current history; order inside the vector is
+                // irrelevant by construction.
+                let obs = if self.history.is_full() {
+                    match self.table.predict(&self.history) {
+                        Some(Symbol::ReadVec(v)) => Observation::Predicted {
+                            correct: sets.contains(v, p),
+                        },
+                        Some(_) => Observation::Predicted { correct: false },
+                        None => Observation::NoPrediction,
+                    }
+                } else {
+                    Observation::NoPrediction
+                };
+                self.open.insert(p);
+                obs
+            }
+            ReqKind::Write | ReqKind::Upgrade => {
+                // A write/upgrade closes any open read phase: the
+                // accumulated vector is interned (one arena id however
+                // often this pattern recurs) and becomes one history
+                // symbol.
+                if !self.open.is_empty() {
+                    let vec = Symbol::ReadVec(sets.intern(std::mem::take(&mut self.open)));
+                    self.commit(vec);
+                }
+                let sym = Symbol::Req(kind, p);
+                // Fused predict + learn + history shift: one table
+                // access for the whole write-side commit.
+                let obs = if self.history.is_full() {
+                    match self.table.predict_and_learn(&self.history, &sym) {
+                        Some(pred) => Observation::Predicted {
+                            correct: pred == sym,
+                        },
+                        None => Observation::NoPrediction,
+                    }
+                } else {
+                    Observation::NoPrediction
+                };
+                self.history.push(sym);
+                obs
+            }
+        }
+    }
+
+    /// Commits a symbol: last-occurrence learn + history shift.
+    fn commit(&mut self, sym: Symbol) {
+        if self.history.is_full() {
+            self.table.learn(&self.history, sym);
+        }
+        self.history.push(sym);
     }
 }
 
@@ -209,52 +286,7 @@ impl Vmsp {
             stats,
             ..
         } = self;
-        let b = blocks.get_mut(slot);
-        let obs = match kind {
-            ReqKind::Read => {
-                // Each read is checked against the vector predicted to
-                // follow the current history; order inside the vector is
-                // irrelevant by construction.
-                let obs = if b.history.is_full() {
-                    match b.table.predict(&b.history) {
-                        Some(Symbol::ReadVec(v)) => Observation::Predicted {
-                            correct: sets.contains(v, p),
-                        },
-                        Some(_) => Observation::Predicted { correct: false },
-                        None => Observation::NoPrediction,
-                    }
-                } else {
-                    Observation::NoPrediction
-                };
-                b.open.insert(p);
-                obs
-            }
-            ReqKind::Write | ReqKind::Upgrade => {
-                // A write/upgrade closes any open read phase: the
-                // accumulated vector is interned (one arena id however
-                // often this pattern recurs) and becomes one history
-                // symbol.
-                if !b.open.is_empty() {
-                    let vec = Symbol::ReadVec(sets.intern(std::mem::take(&mut b.open)));
-                    Self::commit(b, vec);
-                }
-                let sym = Symbol::Req(kind, p);
-                // Fused predict + learn + history shift: one table
-                // access for the whole write-side commit.
-                let obs = if b.history.is_full() {
-                    match b.table.predict_and_learn(&b.history, &sym) {
-                        Some(pred) => Observation::Predicted {
-                            correct: pred == sym,
-                        },
-                        None => Observation::NoPrediction,
-                    }
-                } else {
-                    Observation::NoPrediction
-                };
-                b.history.push(sym);
-                obs
-            }
-        };
+        let obs = blocks.get_mut(slot).observe(sets, kind, p);
         stats.record(obs);
         obs
     }
@@ -344,32 +376,12 @@ impl Vmsp {
             .table
             .set_swi_premature(ticket.key);
     }
-
-    /// Commits a symbol: last-occurrence learn + history shift.
-    fn commit(b: &mut VBlock, sym: Symbol) {
-        if b.history.is_full() {
-            b.table.learn(&b.history, sym);
-        }
-        b.history.push(sym);
-    }
 }
 
 impl SharingPredictor for Vmsp {
     fn observe(&mut self, block: BlockAddr, msg: DirMsg) -> Observation {
         let slot = self.slot_of(block);
         self.observe_at(slot, msg)
-    }
-
-    fn observe_run(&mut self, block: BlockAddr, msgs: &[DirMsg]) {
-        if msgs.is_empty() {
-            return;
-        }
-        // Acks included: `observe` resolves (and so commits) the slot
-        // for every message.
-        let slot = self.slot_of(block);
-        for &msg in msgs {
-            self.observe_at(slot, msg);
-        }
     }
 
     fn stats(&self) -> PredictorStats {

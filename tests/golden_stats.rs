@@ -35,7 +35,9 @@
 //!   default-scale audited fault runs.
 //!
 //! Any engine or protocol refactor that changes what the machine does
-//! shows up here.
+//! shows up here. A third test replays the same Base traces through
+//! persistent predictors, one message at a time, and asserts that the
+//! streaming `evaluate_trace` behind the predictor rows agrees exactly.
 //!
 //! Scale: quick by default, against `tests/fixtures/golden_stats.txt`.
 //! With `SPECDSM_DIFF_SCALE=default` the same rows are rendered from
@@ -54,8 +56,9 @@
 //! and justify the diff in the commit that carries it.
 
 use std::fmt::{Display, Write as _};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 
+use specdsm::core::evaluate_trace;
 use specdsm::prelude::{
     adversarial_suite, fault_plan, AppId, MachineConfig, PredictorKind, RunStats, Scale, System,
     SystemConfig,
@@ -201,6 +204,8 @@ struct Golden {
     fig7: Vec<(AppId, [f64; 3])>,
     /// Execution cycles per (app, policy).
     exec_cycles: Vec<(AppId, SpecPolicy, u64)>,
+    /// The lab the rows came from, with its Base traces.
+    lab: Mutex<Lab>,
 }
 
 impl Golden {
@@ -344,6 +349,7 @@ fn render_golden(scale: Scale) -> Golden {
         text: out,
         fig7,
         exec_cycles,
+        lab: Mutex::new(lab),
     }
 }
 
@@ -370,6 +376,35 @@ fn predictor_accuracy_matches_golden_fixture() {
             "predictor accuracy drifted from {fixture}; if intentional, regenerate with \
              UPDATE_GOLDEN=1 (see the module docs)"
         );
+    }
+}
+
+/// The replay behind every predictor row is exact: for each app's Base
+/// trace, every kind at depths 1, 2 and 4, `evaluate_trace` equals a
+/// persistent predictor fed every message one at a time, in the
+/// statistics and in the whole storage report.
+#[test]
+fn trace_replay_equals_per_message_observe() {
+    let mut lab = golden(scale())
+        .lab
+        .lock()
+        .expect("no test panics holding the lab");
+    let num_procs = lab.machine().num_nodes;
+    for app in AppId::ALL {
+        let trace = lab.trace(app);
+        for kind in PredictorKind::ALL {
+            for depth in [1, 2, 4] {
+                let eval = evaluate_trace(trace, kind, depth, num_procs);
+                let mut p = kind.build(depth, num_procs);
+                for (block, msgs) in trace.iter() {
+                    for &msg in msgs {
+                        p.observe(block, msg);
+                    }
+                }
+                assert_eq!(eval.stats, p.stats(), "{app} {kind} d={depth}");
+                assert_eq!(eval.storage, p.storage(), "{app} {kind} d={depth}");
+            }
+        }
     }
 }
 

@@ -257,7 +257,12 @@ proptest! {
 // ---------------------------------------------------------------------
 
 fn arb_msg() -> impl Strategy<Value = DirMsg> {
-    (0usize..5, 0usize..8).prop_map(|(kind, p)| {
+    arb_msg_among(8)
+}
+
+/// Any directory message from a processor drawn from `0..procs`.
+fn arb_msg_among(procs: usize) -> impl Strategy<Value = DirMsg> {
+    (0usize..5, 0usize..procs).prop_map(|(kind, p)| {
         let p = ProcId(p);
         match kind {
             0 => DirMsg::read(p),
@@ -346,12 +351,12 @@ proptest! {
     }
 }
 
-/// A trace-shaped message: blocks 0–5 see any message, blocks 6–7
-/// only acks, so some blocks' runs hold no request at all. The block
-/// number is spread over several 128-block pages, and so over several
-/// VMSP homes.
-fn arb_trace_msg() -> impl Strategy<Value = (BlockAddr, DirMsg)> {
-    (0u64..8, arb_msg(), 0usize..8).prop_map(|(b, m, p)| {
+/// A trace-shaped message from a processor drawn from `0..procs`:
+/// blocks 0–5 see any message, blocks 6–7 only acks, so some blocks'
+/// runs hold no request at all. The block number is spread over
+/// several 128-block pages, and so over several VMSP homes.
+fn arb_trace_msg(procs: usize) -> impl Strategy<Value = (BlockAddr, DirMsg)> {
+    (0u64..8, arb_msg_among(procs), 0usize..procs).prop_map(|(b, m, p)| {
         let m = if b >= 6 && m.is_request() {
             DirMsg::ack_inv(ProcId(p))
         } else {
@@ -364,26 +369,34 @@ fn arb_trace_msg() -> impl Strategy<Value = (BlockAddr, DirMsg)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// `evaluate_trace` hands each block's run to `observe_run`; that
-    /// must equal observing every message one at a time, in recording
-    /// order, in the statistics and in the whole storage report.
+    /// `evaluate_trace` streams each block's run through one reusable
+    /// record; that must equal observing every message one at a time
+    /// in a persistent predictor, in recording order, in the
+    /// statistics and in the whole storage report. The 128-processor
+    /// input spills read vectors past the inline word, so `spill_bytes`
+    /// compares the shared arena plus the per-block open vectors.
     #[test]
-    fn observe_run_replay_equals_per_message_observe(
-        msgs in proptest::collection::vec(arb_trace_msg(), 0..300),
+    fn streaming_replay_equals_per_message_observe(
+        narrow in proptest::collection::vec(arb_trace_msg(8), 0..300),
+        wide in proptest::collection::vec(arb_trace_msg(128), 0..300),
     ) {
-        let mut trace = DirectoryTrace::new();
-        for &(b, m) in &msgs {
-            trace.record(b, m);
-        }
-        for kind in PredictorKind::ALL {
-            for depth in [1, 2, 4] {
-                let mut p = kind.build(depth, 8);
-                for &(b, m) in &msgs {
-                    p.observe(b, m);
+        for (msgs, procs) in [(&narrow, 8), (&wide, 128)] {
+            let mut trace = DirectoryTrace::new();
+            for &(b, m) in msgs {
+                trace.record(b, m);
+            }
+            for kind in PredictorKind::ALL {
+                for depth in [1, 2, 4] {
+                    let mut p = kind.build(depth, procs);
+                    for &(b, m) in msgs {
+                        p.observe(b, m);
+                    }
+                    let eval = evaluate_trace(&trace, kind, depth, procs);
+                    prop_assert_eq!(eval.stats, p.stats(), "{} d={} n={}", kind, depth, procs);
+                    prop_assert_eq!(
+                        eval.storage, p.storage(), "{} d={} n={}", kind, depth, procs
+                    );
                 }
-                let eval = evaluate_trace(&trace, kind, depth, 8);
-                prop_assert_eq!(eval.stats, p.stats(), "{} d={}", kind, depth);
-                prop_assert_eq!(eval.storage, p.storage(), "{} d={}", kind, depth);
             }
         }
     }
