@@ -14,8 +14,7 @@ use crate::intern::ReaderSetInterner;
 use crate::predictor::PredictorKind;
 use crate::stats::PredictorStats;
 use crate::storage::{StorageModel, StorageReport};
-use crate::twolevel::{symbol, BlockState};
-use crate::vmsp::VBlock;
+use crate::twolevel::{symbol, BlockRecord, StorageFold};
 
 /// Per-block message streams observed at the home directories.
 ///
@@ -115,11 +114,10 @@ pub struct TraceEval {
 /// `num_procs` sizes the storage model. Predictor state is strictly
 /// per block, and a trace yields each block's run exactly once, so the
 /// replay keeps one block's state at a time: it steps one reusable
-/// record through a run, adds that block's share of the storage report
-/// and clears the record, keeping its allocations, for the next run.
-/// Only VMSP's reader-set arena is shared by all blocks, as in the
-/// persistent predictor. The result equals feeding every message to
-/// `kind.build(depth, num_procs)` one at a time.
+/// record through a run, folds it into the storage report and clears
+/// it, keeping its allocations, for the next run. Only VMSP's
+/// reader-set arena is shared by all blocks. The result equals feeding
+/// every message to `kind.build(depth, num_procs)` one at a time.
 ///
 /// # Panics
 ///
@@ -132,50 +130,32 @@ pub fn evaluate_trace(
     num_procs: usize,
 ) -> TraceEval {
     let mut stats = PredictorStats::default();
-    let (mut blocks, mut entries, mut spill_bytes) = (0u64, 0u64, 0u64);
-    match kind {
-        PredictorKind::Cosmos | PredictorKind::Msp => {
-            let mut state = BlockState::new(depth);
-            for (_, msgs) in trace.iter() {
-                for sym in msgs.iter().filter_map(|&m| symbol(kind, m)) {
-                    stats.record(state.observe(sym));
-                }
-                blocks += u64::from(state.is_active());
-                entries += state.table.len() as u64;
-                state.clear();
+    let mut fold = StorageFold::default();
+    let mut sets = ReaderSetInterner::new();
+    let mut record = BlockRecord::new(depth);
+    for (_, msgs) in trace.iter() {
+        if kind == PredictorKind::Vmsp {
+            for (req, p) in msgs.iter().filter_map(|m| m.request()) {
+                stats.record(record.observe_request(&mut sets, req, p));
+            }
+        } else {
+            for sym in msgs.iter().filter_map(|&m| symbol(kind, m)) {
+                stats.record(record.observe_symbol(sym));
             }
         }
-        PredictorKind::Vmsp => {
-            let mut sets = ReaderSetInterner::new();
-            let mut state = VBlock::new(depth);
-            for (_, msgs) in trace.iter() {
-                for (req, p) in msgs.iter().filter_map(|m| m.request()) {
-                    stats.record(state.observe(&mut sets, req, p));
-                }
-                blocks += u64::from(state.is_active());
-                entries += state.table.len() as u64;
-                // An open vector is the one place a wide set lives
-                // outside the arena; its heap words are charged per copy.
-                spill_bytes += state.open.heap_bytes() as u64;
-                state.clear();
-            }
-            spill_bytes += sets.spill_bytes();
-        }
+        fold.add(&record);
+        record.clear();
     }
+    let model = StorageModel {
+        kind,
+        depth,
+        num_procs,
+    };
     TraceEval {
         kind,
         depth,
         stats,
-        storage: StorageReport {
-            model: StorageModel {
-                kind,
-                depth,
-                num_procs,
-            },
-            blocks,
-            entries,
-            spill_bytes,
-        },
+        storage: fold.report(model, &sets),
     }
 }
 

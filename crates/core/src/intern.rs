@@ -14,8 +14,8 @@
 //! the same sets in the same order produce the same ids. The dedup
 //! index is a digest → candidate-id map that is only ever *probed*
 //! (never iterated), so its internal ordering cannot leak into model
-//! outputs. Each `Vmsp` predictor owns its own interner, so its ids
-//! follow its own event order alone.
+//! outputs. Each predictor owns its own interner, so its ids follow
+//! its own event order alone.
 
 use std::collections::HashMap;
 

@@ -16,15 +16,17 @@
 //!   always expected anyway, and dropping them removes the perturbation
 //!   caused by ack re-ordering, shrinks the tables, and needs one bit
 //!   less per message type.
-//! * [`Vmsp`] — the **Vector MSP**. Folds an entire read sequence into a
-//!   single [`ReaderSet`] bit-vector pattern entry, the way a full-map
-//!   directory tracks sharers, eliminating read re-ordering effects
-//!   entirely.
+//! * [`PredictorKind::Vmsp`] — the **Vector MSP**. Folds an entire read
+//!   sequence into a single [`ReaderSet`] bit-vector pattern entry, the
+//!   way a full-map directory tracks sharers, eliminating read
+//!   re-ordering effects entirely.
 //!
-//! All three implement [`SharingPredictor`], observe a per-block
-//! [`DirMsg`] stream, and report accuracy/coverage via
-//! [`PredictorStats`] and storage via [`StorageReport`] (the byte
-//! formulas of the paper's Table 4).
+//! All three keep one two-level record per block and report
+//! accuracy/coverage via [`PredictorStats`] and storage via
+//! [`StorageReport`] (the byte formulas of the paper's Table 4). A
+//! [`Predictor`] observes a per-block [`DirMsg`] stream one message at
+//! a time, [`evaluate_trace`] replays a recorded [`DirectoryTrace`], and
+//! [`Vmsp`] is the online VMSP the speculative protocol queries.
 //!
 //! Where this crate sits in the full simulator — predictors observe
 //! the directory request stream and feed the FR/SWI speculation
@@ -43,14 +45,14 @@
 //! # Example: the paper's Figure 3/4 producer–consumer pattern
 //!
 //! ```
-//! use specdsm_core::{SharingPredictor, Vmsp};
+//! use specdsm_core::PredictorKind;
 //! use specdsm_types::{BlockAddr, DirMsg, ProcId};
 //!
 //! let block = BlockAddr(0x100);
 //! let (p1, p2, p3) = (ProcId(1), ProcId(2), ProcId(3));
 //! let phase = [DirMsg::upgrade(p3), DirMsg::read(p1), DirMsg::read(p2)];
 //!
-//! let mut vmsp = Vmsp::new(1, 16);
+//! let mut vmsp = PredictorKind::Vmsp.build(1, 16);
 //! for _ in 0..8 {
 //!     for msg in phase {
 //!         vmsp.observe(block, msg);
@@ -78,7 +80,7 @@ mod vmsp;
 pub use eval::{evaluate_trace, DirectoryTrace, TraceEval};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHasher};
 pub use intern::{ReaderSetInterner, SetId};
-pub use predictor::{PredictorKind, SharingPredictor};
+pub use predictor::{Predictor, PredictorKind};
 pub use stats::{Observation, PredictorStats};
 pub use storage::{StorageModel, StorageReport};
 pub use symbol::{HistoryKey, Symbol};

@@ -1,36 +1,14 @@
-//! The common predictor interface.
+//! The three predictor designs and the per-message [`Predictor`].
 
 use std::fmt;
 
 use specdsm_types::{BlockAddr, DirMsg};
 
+use crate::fxhash::FxHashMap;
+use crate::intern::ReaderSetInterner;
 use crate::stats::{Observation, PredictorStats};
-use crate::storage::StorageReport;
-use crate::twolevel::TwoLevel;
-use crate::vmsp::Vmsp;
-
-/// A directory-side coherence predictor.
-///
-/// Implementations observe the stream of incoming directory messages for
-/// each home block, maintain two-level history/pattern tables, and report
-/// per-message [`Observation`]s plus aggregate [`PredictorStats`].
-///
-/// The trait is object-safe so evaluation harnesses can treat the three
-/// predictors uniformly; see [`PredictorKind::build`].
-pub trait SharingPredictor {
-    /// Observes one incoming message for `block` and reports what the
-    /// predictor had predicted for it.
-    fn observe(&mut self, block: BlockAddr, msg: DirMsg) -> Observation;
-
-    /// Aggregate accuracy statistics so far.
-    fn stats(&self) -> PredictorStats;
-
-    /// Pattern-table storage accounting (paper Table 4).
-    fn storage(&self) -> StorageReport;
-
-    /// Which of the three designs this is.
-    fn kind(&self) -> PredictorKind;
-}
+use crate::storage::{StorageModel, StorageReport};
+use crate::twolevel::{symbol, BlockRecord, StorageFold};
 
 /// The three predictor designs compared in the paper.
 ///
@@ -87,10 +65,14 @@ impl PredictorKind {
         PredictorKind::Vmsp,
     ];
 
-    /// Builds a fresh predictor of this kind.
+    /// Builds a fresh per-message predictor of this kind.
     ///
     /// `num_procs` sizes the storage model (processor-id width, vector
     /// width); `depth` is the history depth.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `depth` is zero.
     ///
     /// # Example
     ///
@@ -103,13 +85,96 @@ impl PredictorKind {
     /// assert_eq!(p.stats().seen, 1);
     /// ```
     #[must_use]
-    pub fn build(self, depth: usize, num_procs: usize) -> Box<dyn SharingPredictor> {
-        match self {
-            PredictorKind::Cosmos | PredictorKind::Msp => {
-                Box::new(TwoLevel::new(self, depth, num_procs))
-            }
-            PredictorKind::Vmsp => Box::new(Vmsp::new(depth, num_procs)),
+    pub fn build(self, depth: usize, num_procs: usize) -> Predictor {
+        assert!(depth > 0, "history depth must be at least 1");
+        Predictor {
+            kind: self,
+            depth,
+            num_procs,
+            blocks: FxHashMap::default(),
+            sets: ReaderSetInterner::new(),
+            stats: PredictorStats::default(),
         }
+    }
+}
+
+/// A per-message predictor of one [`PredictorKind`]: one two-level
+/// record for each block it has observed a message of, kept in a map
+/// keyed by block address. [`PredictorKind::build`] makes one.
+///
+/// It takes messages one at a time, for any blocks in any order.
+/// [`evaluate_trace`](crate::evaluate_trace) replays a whole recorded
+/// trace one block at a time and equals feeding this predictor every
+/// message; the tests compare the two. The protocol's online VMSP is
+/// [`Vmsp`](crate::Vmsp).
+#[derive(Debug, Clone)]
+pub struct Predictor {
+    kind: PredictorKind,
+    depth: usize,
+    num_procs: usize,
+    blocks: FxHashMap<BlockAddr, BlockRecord>,
+    /// Hash-cons arena for VMSP's spilled (>64-processor) read vectors.
+    sets: ReaderSetInterner,
+    stats: PredictorStats,
+}
+
+impl Predictor {
+    /// Observes one incoming message for `block` and reports what the
+    /// predictor had predicted for it. A message the kind ignores
+    /// creates no record.
+    pub fn observe(&mut self, block: BlockAddr, msg: DirMsg) -> Observation {
+        let depth = self.depth;
+        let obs = match self.kind {
+            PredictorKind::Vmsp => {
+                let Some((req, p)) = msg.request() else {
+                    return Observation::Ignored;
+                };
+                let record = self
+                    .blocks
+                    .entry(block)
+                    .or_insert_with(|| BlockRecord::new(depth));
+                record.observe_request(&mut self.sets, req, p)
+            }
+            kind => {
+                let Some(sym) = symbol(kind, msg) else {
+                    return Observation::Ignored;
+                };
+                let record = self
+                    .blocks
+                    .entry(block)
+                    .or_insert_with(|| BlockRecord::new(depth));
+                record.observe_symbol(sym)
+            }
+        };
+        self.stats.record(obs);
+        obs
+    }
+
+    /// Aggregate accuracy statistics so far.
+    #[must_use]
+    pub fn stats(&self) -> PredictorStats {
+        self.stats
+    }
+
+    /// Pattern-table storage accounting (paper Table 4).
+    #[must_use]
+    pub fn storage(&self) -> StorageReport {
+        let mut fold = StorageFold::default();
+        for record in self.blocks.values() {
+            fold.add(record);
+        }
+        let model = StorageModel {
+            kind: self.kind,
+            depth: self.depth,
+            num_procs: self.num_procs,
+        };
+        fold.report(model, &self.sets)
+    }
+
+    /// Which of the three designs this is.
+    #[must_use]
+    pub fn kind(&self) -> PredictorKind {
+        self.kind
     }
 }
 
@@ -146,6 +211,8 @@ mod tests {
             p.observe(BlockAddr(1), DirMsg::ack_inv(ProcId(0)));
             let expected = if kind == PredictorKind::Cosmos { 1 } else { 0 };
             assert_eq!(p.stats().seen, expected, "{kind}");
+            // An ignored message allocates no record.
+            assert_eq!(p.blocks.len() as u64, expected, "{kind}");
         }
     }
 

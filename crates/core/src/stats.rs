@@ -43,13 +43,12 @@ impl Observation {
 /// # Example
 ///
 /// ```
-/// use specdsm_core::PredictorStats;
+/// use specdsm_core::{Observation, PredictorStats};
 /// let mut s = PredictorStats::default();
-/// s.record_seen();
-/// s.record_prediction(true);
-/// s.record_seen();
-/// s.record_prediction(false);
-/// s.record_seen(); // no prediction for this one
+/// s.record(Observation::Predicted { correct: true });
+/// s.record(Observation::Predicted { correct: false });
+/// s.record(Observation::NoPrediction);
+/// s.record(Observation::Ignored); // outside the alphabet: not seen
 /// assert_eq!(s.accuracy(), 0.5);
 /// assert!((s.coverage() - 2.0 / 3.0).abs() < 1e-12);
 /// assert!((s.correct_fraction() - 1.0 / 3.0).abs() < 1e-12);
@@ -66,12 +65,12 @@ pub struct PredictorStats {
 
 impl PredictorStats {
     /// Records one observed message.
-    pub fn record_seen(&mut self) {
+    fn record_seen(&mut self) {
         self.seen += 1;
     }
 
     /// Records a made prediction and whether it was correct.
-    pub fn record_prediction(&mut self, correct: bool) {
+    fn record_prediction(&mut self, correct: bool) {
         self.predicted += 1;
         if correct {
             self.correct += 1;

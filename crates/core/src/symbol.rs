@@ -41,15 +41,6 @@ impl Symbol {
         }
     }
 
-    /// The request content if this symbol is a request.
-    #[must_use]
-    pub fn request(&self) -> Option<(ReqKind, ProcId)> {
-        match *self {
-            Symbol::Req(kind, p) => Some((kind, p)),
-            _ => None,
-        }
-    }
-
     /// The symbol's contribution to a rolling [`HistoryKey`]: a
     /// two-round SplitMix64 over the symbol's `(type tag, payload)`
     /// pair. The tag is diffused first and the **full 64-bit payload**
@@ -212,14 +203,6 @@ mod tests {
         assert_eq!(Symbol::from_msg(m), Symbol::Req(ReqKind::Read, ProcId(2)));
         let a = DirMsg::ack_inv(ProcId(1));
         assert_eq!(Symbol::from_msg(a), Symbol::Ack(AckKind::InvAck, ProcId(1)));
-    }
-
-    #[test]
-    fn accessors() {
-        let s = Symbol::Req(ReqKind::Write, ProcId(4));
-        assert_eq!(s.request(), Some((ReqKind::Write, ProcId(4))));
-        let v = read_vec_of(&[1]);
-        assert_eq!(v.request(), None);
     }
 
     #[test]

@@ -1,8 +1,8 @@
-//! Cosmos and MSP: the two-level (history table + pattern tables)
-//! message predictors.
+//! The per-block two-level record all three predictors share.
 //!
-//! Both are Yeh & Patt's per-block PAp scheme over directory messages
-//! and differ only in which messages enter the tables (paper §3):
+//! Cosmos, MSP and VMSP are each Yeh & Patt's per-block PAp scheme over
+//! directory messages: a history register feeding a pattern table
+//! (paper §2.1, §3). They differ only in what enters the tables:
 //!
 //! * **Cosmos**, the general message predictor of Mukherjee & Hill
 //!   (ISCA '98), learns and predicts **every** incoming message,
@@ -15,6 +15,9 @@
 //!   removes the ack re-ordering perturbation, roughly halves the
 //!   entries of common producer/consumer patterns, and saves one
 //!   message-type bit per symbol.
+//! * **VMSP** also ignores the acks and folds each run of reads into
+//!   one read-vector symbol (paper §3.1), so its record also holds the
+//!   vector still accumulating. Under Cosmos and MSP it stays empty.
 //!
 //! # Storage layout
 //!
@@ -23,67 +26,68 @@
 //! keyed by that key, so one observed symbol costs one fused
 //! predict-and-learn probe of the table's index and an O(1) ring push:
 //! no per-symbol window re-hash, and no allocation on the steady-state
-//! re-learn path. The block index itself uses the same FxHash-style
-//! hasher as the pattern tables ([`FxHashMap`]).
+//! re-learn path.
 //!
-//! Trace replay ([`evaluate_trace`](crate::evaluate_trace)) keeps no
-//! block index at all: a trace yields each block's run exactly once,
-//! so the replay steps one [`BlockState`] through a run, adds up what
-//! the storage report needs, and clears the state, keeping its
-//! allocations, for the next block.
+//! Three owners keep these records: the per-message
+//! [`Predictor`](crate::Predictor) in a map keyed by block address,
+//! the online [`Vmsp`](crate::Vmsp) in a dense per-home table like the
+//! directory's, and trace replay ([`evaluate_trace`](crate::evaluate_trace))
+//! one record at a time, cleared between blocks. Each folds its records
+//! into a [`StorageReport`] through [`StorageFold`].
 
-use specdsm_types::{BlockAddr, DirMsg};
+use specdsm_types::{DirMsg, ProcId, ReaderSet, ReqKind};
 
-use crate::fxhash::FxHashMap;
-use crate::predictor::{PredictorKind, SharingPredictor};
-use crate::stats::{Observation, PredictorStats};
+use crate::intern::ReaderSetInterner;
+use crate::predictor::PredictorKind;
+use crate::stats::Observation;
 use crate::storage::{StorageModel, StorageReport};
 use crate::symbol::Symbol;
 use crate::table::{History, PatternTable};
 
-/// A Cosmos or MSP predictor: per-block first-level history registers
-/// plus second-level pattern tables, for all blocks it has seen.
+/// One block's predictor state (paper §3.1, §4.2): the history
+/// register, the pattern table, whose entries carry the SWI bit, and
+/// the read vector still accumulating.
 #[derive(Debug, Clone)]
-pub(crate) struct TwoLevel {
-    kind: PredictorKind,
-    depth: usize,
-    num_procs: usize,
-    blocks: FxHashMap<BlockAddr, BlockState>,
-    stats: PredictorStats,
-}
-
-/// One block's history register and pattern table.
-#[derive(Debug, Clone)]
-pub(crate) struct BlockState {
-    history: History,
+pub(crate) struct BlockRecord {
+    pub(crate) history: History,
     pub(crate) table: PatternTable,
+    /// The open read phase's vector; VMSP only.
+    pub(crate) open: ReaderSet,
 }
 
-impl BlockState {
-    /// A block's state before its first observed symbol.
+impl BlockRecord {
     pub(crate) fn new(depth: usize) -> Self {
-        BlockState {
+        BlockRecord {
+            // `History` defers its ring allocation to the first push,
+            // so growing a table over pristine spans allocates nothing
+            // per record.
             history: History::new(depth),
             table: PatternTable::new(),
+            open: ReaderSet::new(),
         }
     }
 
-    /// Whether the block observed a symbol: exactly the blocks the
-    /// persistent predictor allocates state for.
+    /// Whether the record observed a symbol or a read. A read opens
+    /// the vector, any other symbol pushes history, and the vector only
+    /// ever empties into history, so records a table merely grew past
+    /// are exactly the inactive ones.
     pub(crate) fn is_active(&self) -> bool {
-        !self.history.is_empty()
+        !self.history.is_empty() || !self.open.is_empty()
     }
 
-    /// Returns the state to [`BlockState::new`]'s, keeping its storage.
+    /// Returns the record to [`BlockRecord::new`]'s, keeping the
+    /// storage of its history and pattern table.
     pub(crate) fn clear(&mut self) {
         self.history.clear();
         self.table.clear();
+        self.open = ReaderSet::new();
     }
 
-    /// Core PAp step: predict the successor of the current history,
+    /// The PAp step: predict the successor of the current history,
     /// compare with `sym`, learn `sym` as the new successor
     /// (last-occurrence update), and shift `sym` into the history.
-    pub(crate) fn observe(&mut self, sym: Symbol) -> Observation {
+    #[inline]
+    pub(crate) fn observe_symbol(&mut self, sym: Symbol) -> Observation {
         let obs = if self.history.is_full() {
             // Fused predict + last-occurrence learn: one table access.
             match self.table.predict_and_learn(&self.history, &sym) {
@@ -99,10 +103,59 @@ impl BlockState {
         self.history.push(sym);
         obs
     }
+
+    /// The VMSP rule for one `kind` request from `p`: what the record
+    /// predicted for it, after which the request is learned. Spilled
+    /// read vectors intern through `sets`.
+    // Always inlined: out of line, the online `observe_at` shrinks
+    // enough to be inlined into the directory handler around a call
+    // to this, and paper16 `wall_s` rose about 6% on a 2-CPU host.
+    #[inline(always)]
+    pub(crate) fn observe_request(
+        &mut self,
+        sets: &mut ReaderSetInterner,
+        kind: ReqKind,
+        p: ProcId,
+    ) -> Observation {
+        match kind {
+            ReqKind::Read => {
+                // Each read is checked against the vector predicted to
+                // follow the current history; order inside the vector is
+                // irrelevant by construction.
+                let obs = if self.history.is_full() {
+                    match self.table.predict(&self.history) {
+                        Some(Symbol::ReadVec(v)) => Observation::Predicted {
+                            correct: sets.contains(v, p),
+                        },
+                        Some(_) => Observation::Predicted { correct: false },
+                        None => Observation::NoPrediction,
+                    }
+                } else {
+                    Observation::NoPrediction
+                };
+                self.open.insert(p);
+                obs
+            }
+            ReqKind::Write | ReqKind::Upgrade => {
+                // A write/upgrade closes any open read phase: the
+                // accumulated vector is interned (one arena id however
+                // often this pattern recurs) and becomes one history
+                // symbol, learned without scoring a prediction.
+                if !self.open.is_empty() {
+                    let vec = Symbol::ReadVec(sets.intern(std::mem::take(&mut self.open)));
+                    if self.history.is_full() {
+                        self.table.learn(&self.history, vec);
+                    }
+                    self.history.push(vec);
+                }
+                self.observe_symbol(Symbol::Req(kind, p))
+            }
+        }
+    }
 }
 
-/// The symbol `msg` enters a `kind` predictor's tables as, or `None`
-/// if that predictor ignores it: MSP filters out the acks.
+/// The symbol `msg` enters a Cosmos or MSP predictor's tables as, or
+/// `None` if that predictor ignores it: MSP filters out the acks.
 pub(crate) fn symbol(kind: PredictorKind, msg: DirMsg) -> Option<Symbol> {
     match msg {
         DirMsg::Ack(..) if kind == PredictorKind::Msp => None,
@@ -110,74 +163,49 @@ pub(crate) fn symbol(kind: PredictorKind, msg: DirMsg) -> Option<Symbol> {
     }
 }
 
-impl TwoLevel {
-    /// Creates a `kind` predictor (Cosmos or MSP) with the given
-    /// history depth for a machine with `num_procs` processors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `depth` is zero.
-    pub(crate) fn new(kind: PredictorKind, depth: usize, num_procs: usize) -> Self {
-        assert!(depth > 0, "history depth must be at least 1");
-        TwoLevel {
-            kind,
-            depth,
-            num_procs,
-            blocks: FxHashMap::default(),
-            stats: PredictorStats::default(),
-        }
-    }
+/// Table 4's storage counters, folded one [`BlockRecord`] at a time:
+/// the one place a [`StorageReport`] is assembled.
+#[derive(Debug, Default)]
+pub(crate) struct StorageFold {
+    blocks: u64,
+    entries: u64,
+    open_bytes: u64,
 }
 
-impl SharingPredictor for TwoLevel {
-    fn observe(&mut self, block: BlockAddr, msg: DirMsg) -> Observation {
-        let Some(sym) = symbol(self.kind, msg) else {
-            return Observation::Ignored;
-        };
-        let depth = self.depth;
-        let state = self
-            .blocks
-            .entry(block)
-            .or_insert_with(|| BlockState::new(depth));
-        let obs = state.observe(sym);
-        self.stats.record(obs);
-        obs
+impl StorageFold {
+    /// Adds one record: whether it is active, its pattern entries and
+    /// its open vector's heap words.
+    pub(crate) fn add(&mut self, record: &BlockRecord) {
+        self.blocks += u64::from(record.is_active());
+        self.entries += record.table.len() as u64;
+        self.open_bytes += record.open.heap_bytes() as u64;
     }
 
-    fn stats(&self) -> PredictorStats {
-        self.stats
-    }
-
-    fn storage(&self) -> StorageReport {
+    /// The report of the records added so far under `model`. The
+    /// arena `sets` is charged once; an open vector is the one place a
+    /// wide set lives outside it, so open vectors are charged per copy.
+    pub(crate) fn report(&self, model: StorageModel, sets: &ReaderSetInterner) -> StorageReport {
         StorageReport {
-            model: StorageModel {
-                kind: self.kind,
-                depth: self.depth,
-                num_procs: self.num_procs,
-            },
-            blocks: self.blocks.len() as u64,
-            entries: self.blocks.values().map(|b| b.table.len() as u64).sum(),
-            // Message-grain symbols carry no reader vectors.
-            spill_bytes: 0,
+            model,
+            blocks: self.blocks,
+            entries: self.entries,
+            spill_bytes: sets.spill_bytes() + self.open_bytes,
         }
-    }
-
-    fn kind(&self) -> PredictorKind {
-        self.kind
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use specdsm_types::ProcId;
+    use crate::predictor::Predictor;
+    use specdsm_types::{BlockAddr, ProcId};
 
-    fn cosmos(depth: usize) -> TwoLevel {
-        TwoLevel::new(PredictorKind::Cosmos, depth, 16)
+    fn cosmos(depth: usize) -> Predictor {
+        PredictorKind::Cosmos.build(depth, 16)
     }
 
-    fn msp(depth: usize) -> TwoLevel {
-        TwoLevel::new(PredictorKind::Msp, depth, 16)
+    fn msp(depth: usize) -> Predictor {
+        PredictorKind::Msp.build(depth, 16)
     }
 
     fn read(p: usize) -> DirMsg {
@@ -199,6 +227,18 @@ mod tests {
             read(1),
             read(2),
         ]
+    }
+
+    #[test]
+    fn record_is_88_bytes() {
+        // history: History, 56 B — depth, the ring's Vec, head, rolling
+        //          key and the shift constant;
+        // table:   PatternTable, 8 B — null until the first learn;
+        // open:    ReaderSet, 24 B — inline word plus spill pointer.
+        // The online VMSP commits whole spans of these per home, so a
+        // wider record widens the table paper16 and wide256 measure.
+        assert_eq!(std::mem::size_of::<History>(), 56);
+        assert_eq!(std::mem::size_of::<BlockRecord>(), 88);
     }
 
     #[test]

@@ -9,24 +9,19 @@
 //! directory uses, so one [`Slot`] computed per message reaches both
 //! records by direct indexing.
 //!
-//! A record is exactly the paper's per-block state (§3.1, §4.2): the
-//! history register, the pattern table, whose entries carry the SWI
-//! bit, and the read vector still accumulating. Which speculative
-//! copies are outstanding, and under which [`SpecTicket`], is the
-//! protocol's verification bookkeeping, not the predictor's.
+//! A record is the paper's per-block state (§3.1, §4.2), the
+//! [`BlockRecord`] every predictor shares. Which speculative copies are
+//! outstanding, and under which [`SpecTicket`], is the protocol's
+//! verification bookkeeping, not the predictor's.
 
-use specdsm_types::{BlockAddr, DirMsg, HomeGeometry, HomeTable, ProcId, ReaderSet, ReqKind, Slot};
+use specdsm_types::{BlockAddr, DirMsg, HomeGeometry, HomeTable, ProcId, ReaderSet, Slot};
 
 use crate::intern::ReaderSetInterner;
-use crate::predictor::{PredictorKind, SharingPredictor};
+use crate::predictor::PredictorKind;
 use crate::stats::{Observation, PredictorStats};
 use crate::storage::{StorageModel, StorageReport};
 use crate::symbol::{HistoryKey, Symbol};
-use crate::table::{History, PatternTable};
-
-/// Default page size (blocks) for standalone predictors constructed
-/// without a machine geometry — the paper machine's 128-block pages.
-const DEFAULT_PAGE_BLOCKS: u64 = 128;
+use crate::twolevel::{BlockRecord, StorageFold};
 
 /// The Vector MSP (paper §3.1): read sequences become bit-vectors.
 ///
@@ -47,27 +42,30 @@ const DEFAULT_PAGE_BLOCKS: u64 = 128;
 /// feedback. Every speculation query takes a [`Slot`], computed once
 /// per message with [`Vmsp::slot_of`] or [`HomeGeometry::slot`].
 ///
+/// This is the online predictor; [`PredictorKind::build`] makes the
+/// per-message reference of all three designs, VMSP included.
+///
 /// # Example
 ///
 /// ```
-/// use specdsm_core::{SharingPredictor, Vmsp};
-/// use specdsm_types::{BlockAddr, DirMsg, ProcId, ReaderSet};
+/// use specdsm_core::Vmsp;
+/// use specdsm_types::{BlockAddr, DirMsg, HomeGeometry, MachineConfig, ProcId, ReaderSet};
 ///
-/// let mut vmsp = Vmsp::new(1, 16);
-/// let b = BlockAddr(0x100);
+/// let machine = MachineConfig::paper_machine();
+/// let mut vmsp = Vmsp::with_geometry(1, 16, HomeGeometry::of_machine(&machine));
+/// let slot = vmsp.slot_of(BlockAddr(0x100));
 /// for i in 0..50 {
 ///     // Readers arrive in a different order every iteration: VMSP
 ///     // does not care.
 ///     let (r1, r2) = if i % 2 == 0 { (1, 2) } else { (2, 1) };
-///     vmsp.observe(b, DirMsg::upgrade(ProcId(3)));
-///     vmsp.observe(b, DirMsg::read(ProcId(r1)));
-///     vmsp.observe(b, DirMsg::read(ProcId(r2)));
+///     vmsp.observe_at(slot, DirMsg::upgrade(ProcId(3)));
+///     vmsp.observe_at(slot, DirMsg::read(ProcId(r1)));
+///     vmsp.observe_at(slot, DirMsg::read(ProcId(r2)));
 /// }
 /// assert!(vmsp.stats().accuracy() > 0.9);
 ///
 /// // After the upgrade, the predicted readers are {P1, P2}.
-/// vmsp.observe(b, DirMsg::upgrade(ProcId(3)));
-/// let slot = vmsp.slot_of(b);
+/// vmsp.observe_at(slot, DirMsg::upgrade(ProcId(3)));
 /// let (readers, _ticket) = vmsp.predicted_readers_at(slot).unwrap();
 /// assert_eq!(readers, ReaderSet::from_iter([ProcId(1), ProcId(2)]));
 /// ```
@@ -75,118 +73,12 @@ const DEFAULT_PAGE_BLOCKS: u64 = 128;
 pub struct Vmsp {
     depth: usize,
     num_procs: usize,
-    blocks: HomeTable<VBlock>,
+    blocks: HomeTable<BlockRecord>,
     /// Hash-cons arena for the spilled (>64-processor) read vectors
     /// this predictor retains in its pattern tables. Owned per
     /// predictor instance, so clones stay self-contained and `Send`.
     sets: ReaderSetInterner,
     stats: PredictorStats,
-}
-
-/// One block's VMSP state.
-#[derive(Debug, Clone)]
-pub(crate) struct VBlock {
-    history: History,
-    pub(crate) table: PatternTable,
-    /// The read vector currently being accumulated (open read phase).
-    pub(crate) open: ReaderSet,
-}
-
-impl VBlock {
-    pub(crate) fn new(depth: usize) -> Self {
-        VBlock {
-            // `History` defers its ring allocation to the first push,
-            // so growing the table over pristine spans allocates
-            // nothing per record.
-            history: History::new(depth),
-            table: PatternTable::new(),
-            open: ReaderSet::new(),
-        }
-    }
-
-    /// Whether the predictor ever observed a request for this block. A
-    /// read opens the vector, a write pushes history, and the vector
-    /// only ever empties into history, so the records the table merely
-    /// grew past are exactly the inactive ones.
-    pub(crate) fn is_active(&self) -> bool {
-        !self.history.is_empty() || !self.open.is_empty()
-    }
-
-    /// Returns the record to [`VBlock::new`]'s, keeping the storage of
-    /// its history and pattern table.
-    pub(crate) fn clear(&mut self) {
-        self.history.clear();
-        self.table.clear();
-        self.open = ReaderSet::new();
-    }
-
-    /// The VMSP rule for one `kind` request from `p`: what the record
-    /// predicted for it, after which the request is learned. Spilled
-    /// read vectors intern through `sets`.
-    // Always inlined: out of line, the online `observe_at` shrinks
-    // enough to be inlined into the directory handler around a call
-    // to this, and paper16 `wall_s` rose about 6% on a 2-CPU host.
-    #[inline(always)]
-    pub(crate) fn observe(
-        &mut self,
-        sets: &mut ReaderSetInterner,
-        kind: ReqKind,
-        p: ProcId,
-    ) -> Observation {
-        match kind {
-            ReqKind::Read => {
-                // Each read is checked against the vector predicted to
-                // follow the current history; order inside the vector is
-                // irrelevant by construction.
-                let obs = if self.history.is_full() {
-                    match self.table.predict(&self.history) {
-                        Some(Symbol::ReadVec(v)) => Observation::Predicted {
-                            correct: sets.contains(v, p),
-                        },
-                        Some(_) => Observation::Predicted { correct: false },
-                        None => Observation::NoPrediction,
-                    }
-                } else {
-                    Observation::NoPrediction
-                };
-                self.open.insert(p);
-                obs
-            }
-            ReqKind::Write | ReqKind::Upgrade => {
-                // A write/upgrade closes any open read phase: the
-                // accumulated vector is interned (one arena id however
-                // often this pattern recurs) and becomes one history
-                // symbol.
-                if !self.open.is_empty() {
-                    let vec = Symbol::ReadVec(sets.intern(std::mem::take(&mut self.open)));
-                    self.commit(vec);
-                }
-                let sym = Symbol::Req(kind, p);
-                // Fused predict + learn + history shift: one table
-                // access for the whole write-side commit.
-                let obs = if self.history.is_full() {
-                    match self.table.predict_and_learn(&self.history, &sym) {
-                        Some(pred) => Observation::Predicted {
-                            correct: pred == sym,
-                        },
-                        None => Observation::NoPrediction,
-                    }
-                } else {
-                    Observation::NoPrediction
-                };
-                self.history.push(sym);
-                obs
-            }
-        }
-    }
-
-    /// Commits a symbol: last-occurrence learn + history shift.
-    fn commit(&mut self, sym: Symbol) {
-        if self.history.is_full() {
-            self.table.learn(&self.history, sym);
-        }
-        self.history.push(sym);
-    }
 }
 
 /// Handle identifying the pattern-table context in which a speculation
@@ -224,27 +116,9 @@ impl SpecTicket {
 }
 
 impl Vmsp {
-    /// Creates a VMSP with the given history depth for a machine with
-    /// `num_procs` processors, using a default page-interleaved
-    /// geometry (the paper's 128-block pages, one home per processor).
-    /// The protocol constructs its online predictor with
-    /// [`Vmsp::with_geometry`] so slots match the machine's actual home
-    /// layout.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `depth` is zero.
-    #[must_use]
-    pub fn new(depth: usize, num_procs: usize) -> Self {
-        Self::with_geometry(
-            depth,
-            num_procs,
-            HomeGeometry::new(DEFAULT_PAGE_BLOCKS, num_procs.max(1)),
-        )
-    }
-
-    /// Creates a VMSP whose table follows an explicit home layout —
-    /// the protocol passes the machine's [`HomeGeometry`] so one
+    /// Creates a VMSP with history depth `depth` for a machine with
+    /// `num_procs` processors whose table follows the home layout
+    /// `geom`: the protocol passes the machine's [`HomeGeometry`] so one
     /// [`Slot`] indexes both the directory and the predictor.
     ///
     /// # Panics
@@ -252,11 +126,10 @@ impl Vmsp {
     /// Panics if `depth` is zero.
     #[must_use]
     pub fn with_geometry(depth: usize, num_procs: usize, geom: HomeGeometry) -> Self {
-        assert!(depth > 0, "history depth must be at least 1");
         Vmsp {
             depth,
             num_procs,
-            blocks: HomeTable::new(geom, VBlock::new(depth)),
+            blocks: HomeTable::new(geom, BlockRecord::new(depth)),
             sets: ReaderSetInterner::new(),
             stats: PredictorStats::default(),
         }
@@ -272,8 +145,9 @@ impl Vmsp {
     // Slot-addressed hot path (used by the speculative protocol)
     // ------------------------------------------------------------------
 
-    /// Observes one request for the block at `slot` (the slot-addressed
-    /// hot-path form of [`SharingPredictor::observe`]).
+    /// Observes one directory message for the block at `slot` and
+    /// reports what the predictor had predicted for it. Acks are
+    /// ignored.
     pub fn observe_at(&mut self, slot: Slot, msg: DirMsg) -> Observation {
         let Some((kind, p)) = msg.request() else {
             return Observation::Ignored;
@@ -286,7 +160,7 @@ impl Vmsp {
             stats,
             ..
         } = self;
-        let obs = blocks.get_mut(slot).observe(sets, kind, p);
+        let obs = blocks.get_mut(slot).observe_request(sets, kind, p);
         stats.record(obs);
         obs
     }
@@ -376,44 +250,27 @@ impl Vmsp {
             .table
             .set_swi_premature(ticket.key);
     }
-}
 
-impl SharingPredictor for Vmsp {
-    fn observe(&mut self, block: BlockAddr, msg: DirMsg) -> Observation {
-        let slot = self.slot_of(block);
-        self.observe_at(slot, msg)
-    }
-
-    fn stats(&self) -> PredictorStats {
+    /// Aggregate accuracy statistics so far.
+    #[must_use]
+    pub fn stats(&self) -> PredictorStats {
         self.stats
     }
 
-    fn storage(&self) -> StorageReport {
-        let mut blocks = 0u64;
-        let mut entries = 0u64;
-        // Open (still-accumulating) vectors are the one place a wide
-        // set still lives outside the interner; their heap words are
-        // charged per copy.
-        let mut open_spill = 0u64;
-        for (_, b) in self.blocks.iter() {
-            blocks += u64::from(b.is_active());
-            entries += b.table.len() as u64;
-            open_spill += b.open.heap_bytes() as u64;
+    /// Pattern-table storage accounting (paper Table 4), over the
+    /// records of every block the predictor observed.
+    #[must_use]
+    pub fn storage(&self) -> StorageReport {
+        let mut fold = StorageFold::default();
+        for (_, record) in self.blocks.iter() {
+            fold.add(record);
         }
-        StorageReport {
-            model: StorageModel {
-                kind: PredictorKind::Vmsp,
-                depth: self.depth,
-                num_procs: self.num_procs,
-            },
-            blocks,
-            entries,
-            spill_bytes: self.sets.spill_bytes() + open_spill,
-        }
-    }
-
-    fn kind(&self) -> PredictorKind {
-        PredictorKind::Vmsp
+        let model = StorageModel {
+            kind: PredictorKind::Vmsp,
+            depth: self.depth,
+            num_procs: self.num_procs,
+        };
+        fold.report(model, &self.sets)
     }
 }
 
@@ -422,6 +279,20 @@ mod tests {
     use super::*;
     use specdsm_types::{MachineConfig, NodeId};
 
+    /// A VMSP on the geometry of an `n`-node machine.
+    fn vmsp_of(depth: usize, n: usize) -> Vmsp {
+        Vmsp::with_geometry(
+            depth,
+            n,
+            HomeGeometry::of_machine(&MachineConfig::with_nodes(n)),
+        )
+    }
+
+    fn observe(vmsp: &mut Vmsp, b: BlockAddr, msg: DirMsg) -> Observation {
+        let slot = vmsp.slot_of(b);
+        vmsp.observe_at(slot, msg)
+    }
+
     fn producer_consumer(vmsp: &mut Vmsp, b: BlockAddr, iters: usize, reorder: bool) {
         for i in 0..iters {
             let (r1, r2) = if reorder && i % 2 == 1 {
@@ -429,16 +300,16 @@ mod tests {
             } else {
                 (1, 2)
             };
-            vmsp.observe(b, DirMsg::upgrade(ProcId(3)));
-            vmsp.observe(b, DirMsg::read(ProcId(r1)));
-            vmsp.observe(b, DirMsg::read(ProcId(r2)));
+            observe(vmsp, b, DirMsg::upgrade(ProcId(3)));
+            observe(vmsp, b, DirMsg::read(ProcId(r1)));
+            observe(vmsp, b, DirMsg::read(ProcId(r2)));
         }
     }
 
     #[test]
     fn immune_to_read_reordering() {
         let b = BlockAddr(1);
-        let mut vmsp = Vmsp::new(1, 16);
+        let mut vmsp = vmsp_of(1, 16);
         producer_consumer(&mut vmsp, b, 100, true);
         assert!(
             vmsp.stats().accuracy() > 0.95,
@@ -450,7 +321,7 @@ mod tests {
     #[test]
     fn beats_msp_under_read_reordering_at_depth_one() {
         let b = BlockAddr(1);
-        let mut vmsp = Vmsp::new(1, 16);
+        let mut vmsp = vmsp_of(1, 16);
         let mut msp = PredictorKind::Msp.build(1, 16);
         for i in 0..100 {
             let (r1, r2) = if i % 2 == 1 { (2, 1) } else { (1, 2) };
@@ -459,7 +330,7 @@ mod tests {
                 DirMsg::read(ProcId(r1)),
                 DirMsg::read(ProcId(r2)),
             ] {
-                vmsp.observe(b, m);
+                observe(&mut vmsp, b, m);
                 msp.observe(b, m);
             }
         }
@@ -471,18 +342,18 @@ mod tests {
     #[test]
     fn two_entries_for_figure_4_pattern() {
         let b = BlockAddr(0x100);
-        let mut vmsp = Vmsp::new(1, 16);
+        let mut vmsp = vmsp_of(1, 16);
         producer_consumer(&mut vmsp, b, 10, false);
         // Close the last read phase so the final vector commits.
-        vmsp.observe(b, DirMsg::upgrade(ProcId(3)));
+        observe(&mut vmsp, b, DirMsg::upgrade(ProcId(3)));
         assert_eq!(vmsp.storage().entries, 2);
     }
 
     #[test]
     fn acks_ignored() {
-        let mut vmsp = Vmsp::new(1, 16);
+        let mut vmsp = vmsp_of(1, 16);
         assert_eq!(
-            vmsp.observe(BlockAddr(1), DirMsg::ack_inv(ProcId(1))),
+            observe(&mut vmsp, BlockAddr(1), DirMsg::ack_inv(ProcId(1))),
             Observation::Ignored
         );
         assert_eq!(vmsp.stats().seen, 0);
@@ -491,9 +362,9 @@ mod tests {
     #[test]
     fn predicted_readers_after_write() {
         let b = BlockAddr(1);
-        let mut vmsp = Vmsp::new(1, 16);
+        let mut vmsp = vmsp_of(1, 16);
         producer_consumer(&mut vmsp, b, 5, false);
-        vmsp.observe(b, DirMsg::upgrade(ProcId(3)));
+        observe(&mut vmsp, b, DirMsg::upgrade(ProcId(3)));
         let slot = vmsp.slot_of(b);
         let (readers, _) = vmsp.predicted_readers_at(slot).expect("pattern learned");
         assert_eq!(readers, ReaderSet::from_iter([ProcId(1), ProcId(2)]));
@@ -501,7 +372,7 @@ mod tests {
 
     #[test]
     fn predicted_readers_cold_block_is_none() {
-        let mut vmsp = Vmsp::new(1, 16);
+        let mut vmsp = vmsp_of(1, 16);
         let slot = vmsp.slot_of(BlockAddr(7));
         assert!(vmsp.predicted_readers_at(slot).is_none());
         // One write: history warm but no pattern yet.
@@ -512,9 +383,9 @@ mod tests {
     #[test]
     fn prune_reader_removes_from_prediction() {
         let b = BlockAddr(1);
-        let mut vmsp = Vmsp::new(1, 16);
+        let mut vmsp = vmsp_of(1, 16);
         producer_consumer(&mut vmsp, b, 5, false);
-        vmsp.observe(b, DirMsg::upgrade(ProcId(3)));
+        observe(&mut vmsp, b, DirMsg::upgrade(ProcId(3)));
         let slot = vmsp.slot_of(b);
         let (readers, ticket) = vmsp.predicted_readers_at(slot).unwrap();
         assert!(readers.contains(ProcId(2)));
@@ -526,9 +397,9 @@ mod tests {
     #[test]
     fn speculate_readers_fold_into_next_vector() {
         let b = BlockAddr(1);
-        let mut vmsp = Vmsp::new(1, 16);
+        let mut vmsp = vmsp_of(1, 16);
         producer_consumer(&mut vmsp, b, 5, false);
-        vmsp.observe(b, DirMsg::upgrade(ProcId(3)));
+        observe(&mut vmsp, b, DirMsg::upgrade(ProcId(3)));
         // The directory forwards copies to P1 and P2 speculatively; their
         // reads never arrive. The next write must still commit the full
         // vector.
@@ -542,9 +413,9 @@ mod tests {
     #[test]
     fn swi_premature_suppression() {
         let b = BlockAddr(1);
-        let mut vmsp = Vmsp::new(1, 16);
+        let mut vmsp = vmsp_of(1, 16);
         producer_consumer(&mut vmsp, b, 5, false);
-        vmsp.observe(b, DirMsg::upgrade(ProcId(3)));
+        observe(&mut vmsp, b, DirMsg::upgrade(ProcId(3)));
         let slot = vmsp.slot_of(b);
         assert!(vmsp.swi_allowed_at(slot));
         let ticket = vmsp.swi_ticket_at(slot).unwrap();
@@ -559,7 +430,7 @@ mod tests {
 
     #[test]
     fn swi_allowed_for_unknown_block() {
-        let vmsp = Vmsp::new(1, 16);
+        let vmsp = vmsp_of(1, 16);
         let slot = vmsp.slot_of(BlockAddr(99));
         assert!(vmsp.swi_allowed_at(slot));
         assert!(vmsp.swi_ticket_at(slot).is_none());
@@ -571,7 +442,7 @@ mod tests {
         // (a whole vector must be seen once) but correctly predicts more
         // when reads re-order.
         let b = BlockAddr(1);
-        let mut vmsp = Vmsp::new(1, 16);
+        let mut vmsp = vmsp_of(1, 16);
         let mut msp = PredictorKind::Msp.build(1, 16);
         for i in 0..60 {
             let order: [usize; 3] = match i % 3 {
@@ -582,7 +453,7 @@ mod tests {
             let mut msgs = vec![DirMsg::upgrade(ProcId(3))];
             msgs.extend(order.iter().map(|&r| DirMsg::read(ProcId(r))));
             for m in msgs {
-                vmsp.observe(b, m);
+                observe(&mut vmsp, b, m);
                 msp.observe(b, m);
             }
         }
@@ -598,25 +469,25 @@ mod tests {
     #[test]
     #[should_panic(expected = "history depth")]
     fn zero_depth_panics() {
-        let _ = Vmsp::new(0, 16);
+        let _ = vmsp_of(0, 16);
     }
 
     #[test]
     fn wide_machine_storage_charges_spill_bytes() {
         // On a >64-proc machine the spilled reader-set heap words are
         // charged on top of the fixed-size records.
-        let mut vmsp = Vmsp::new(1, 256);
+        let mut vmsp = vmsp_of(1, 256);
         let readers = [1usize, 70, 130, 200, 255];
         for bi in 0..8u64 {
             let b = BlockAddr(bi);
             for _ in 0..4 {
-                vmsp.observe(b, DirMsg::upgrade(ProcId(3)));
+                observe(&mut vmsp, b, DirMsg::upgrade(ProcId(3)));
                 for r in readers {
-                    vmsp.observe(b, DirMsg::read(ProcId(r)));
+                    observe(&mut vmsp, b, DirMsg::read(ProcId(r)));
                 }
             }
             // Close the final read phase so the last vector commits.
-            vmsp.observe(b, DirMsg::upgrade(ProcId(3)));
+            observe(&mut vmsp, b, DirMsg::upgrade(ProcId(3)));
         }
         let rep = vmsp.storage();
         assert!(rep.spill_bytes > 0, "wide vectors must be charged");
@@ -635,7 +506,7 @@ mod tests {
         // Touch slot 9 of home 2's table: the dense span 0..=9 is
         // committed but only one block is active.
         let b = m.page_on(NodeId(2), 0).offset(9);
-        vmsp.observe(b, DirMsg::write(ProcId(0)));
+        observe(&mut vmsp, b, DirMsg::write(ProcId(0)));
         let rep = vmsp.storage();
         assert_eq!(rep.blocks, 1);
     }

@@ -18,7 +18,7 @@
 use std::error::Error;
 use std::fmt;
 
-use specdsm_core::{DirectoryTrace, SharingPredictor, Vmsp};
+use specdsm_core::{DirectoryTrace, Vmsp};
 use specdsm_sim::{Cycle, FifoResource, KeyedQueue, SchedKey};
 use specdsm_types::{
     BlockAddr, ConfigError, FaultPlan, HomeGeometry, LockId, MachineConfig, ProcId, Slot, Workload,

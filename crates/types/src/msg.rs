@@ -139,14 +139,6 @@ impl DirMsg {
         }
     }
 
-    /// The sending processor.
-    #[must_use]
-    pub fn sender(&self) -> ProcId {
-        match *self {
-            DirMsg::Request(_, p) | DirMsg::Ack(_, p) => p,
-        }
-    }
-
     /// Whether this is a request message (vs. an acknowledgement).
     #[must_use]
     pub fn is_request(&self) -> bool {
@@ -182,12 +174,6 @@ mod tests {
         assert!(ReqKind::Write.is_write_like());
         assert!(ReqKind::Upgrade.is_write_like());
         assert!(!ReqKind::Read.is_write_like());
-    }
-
-    #[test]
-    fn sender_of_each_variant() {
-        assert_eq!(DirMsg::upgrade(ProcId(3)).sender(), ProcId(3));
-        assert_eq!(DirMsg::writeback(ProcId(4)).sender(), ProcId(4));
     }
 
     #[test]

@@ -28,7 +28,7 @@ fn main() {
         ]
     };
 
-    let mut predictors: Vec<Box<dyn SharingPredictor>> =
+    let mut predictors: Vec<Predictor> =
         PredictorKind::ALL.iter().map(|k| k.build(1, 16)).collect();
 
     for iter in 0..40 {

@@ -57,7 +57,7 @@ pub use specdsm_workloads as workloads;
 /// Convenience prelude re-exporting the items most programs need.
 pub mod prelude {
     pub use specdsm_analytic::ModelParams;
-    pub use specdsm_core::{DirectoryTrace, PredictorKind, SharingPredictor, Vmsp};
+    pub use specdsm_core::{DirectoryTrace, Predictor, PredictorKind, Vmsp};
     pub use specdsm_protocol::{FaultStats, RunStats, SpecPolicy, System, SystemConfig};
     pub use specdsm_types::{
         BlockAddr, DirMsg, FaultPlan, MachineConfig, NodeId, Op, OpStream, ProcId, ReaderSet,

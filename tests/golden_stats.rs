@@ -35,9 +35,10 @@
 //!   default-scale audited fault runs.
 //!
 //! Any engine or protocol refactor that changes what the machine does
-//! shows up here. A third test replays the same Base traces through
-//! persistent predictors, one message at a time, and asserts that the
-//! streaming `evaluate_trace` behind the predictor rows agrees exactly.
+//! shows up here. A third test feeds the same Base traces to the
+//! per-message `Predictor` of each kind, one message at a time, and
+//! asserts that the streaming `evaluate_trace` behind the predictor rows
+//! agrees exactly.
 //!
 //! Scale: quick by default, against `tests/fixtures/golden_stats.txt`.
 //! With `SPECDSM_DIFF_SCALE=default` the same rows are rendered from
@@ -381,7 +382,7 @@ fn predictor_accuracy_matches_golden_fixture() {
 
 /// The replay behind every predictor row is exact: for each app's Base
 /// trace, every kind at depths 1, 2 and 4, `evaluate_trace` equals a
-/// persistent predictor fed every message one at a time, in the
+/// per-message `Predictor` fed every message one at a time, in the
 /// statistics and in the whole storage report.
 #[test]
 fn trace_replay_equals_per_message_observe() {

@@ -10,8 +10,8 @@
 //! and stale-ticket handling against the obvious implementation.
 
 use specdsm::core::{
-    FxHashMap, History, Observation, PatternTable, PredictorStats, ReaderSetInterner,
-    SharingPredictor, SpecTicket, Symbol, Vmsp,
+    FxHashMap, History, Observation, PatternTable, PredictorStats, ReaderSetInterner, SpecTicket,
+    Symbol, Vmsp,
 };
 use specdsm::types::{
     BlockAddr, DirMsg, HomeGeometry, MachineConfig, NodeId, ProcId, ReaderSet, ReqKind, Slot,
@@ -93,15 +93,15 @@ impl SpecOps for Vmsp {
     }
 
     fn predictor_stats(&self) -> PredictorStats {
-        SharingPredictor::stats(self)
+        self.stats()
     }
 
     fn entries(&self) -> u64 {
-        SharingPredictor::storage(self).entries
+        self.storage().entries
     }
 
     fn blocks(&self) -> u64 {
-        SharingPredictor::storage(self).blocks
+        self.storage().blocks
     }
 }
 

@@ -14,7 +14,7 @@ use specdsm::core::{
 use specdsm::prelude::*;
 use specdsm::protocol::{System, SystemConfig};
 use specdsm::sim::{Cycle, FifoResource};
-use specdsm::types::NodeId;
+use specdsm::types::{HomeGeometry, NodeId};
 
 // ---------------------------------------------------------------------
 // ReaderSet behaves like a set of small integers
@@ -371,10 +371,13 @@ proptest! {
 
     /// `evaluate_trace` streams each block's run through one reusable
     /// record; that must equal observing every message one at a time
-    /// in a persistent predictor, in recording order, in the
+    /// in the per-message `Predictor`, in recording order, in the
     /// statistics and in the whole storage report. The 128-processor
     /// input spills read vectors past the inline word, so `spill_bytes`
     /// compares the shared arena plus the per-block open vectors.
+    /// VMSP streams also go through the online, slot-addressed `Vmsp`,
+    /// whose table also holds the records it grew past, so its
+    /// `blocks` counts active records only.
     #[test]
     fn streaming_replay_equals_per_message_observe(
         narrow in proptest::collection::vec(arb_trace_msg(8), 0..300),
@@ -396,6 +399,18 @@ proptest! {
                     prop_assert_eq!(
                         eval.storage, p.storage(), "{} d={} n={}", kind, depth, procs
                     );
+                    if kind == PredictorKind::Vmsp {
+                        let machine = MachineConfig::with_nodes(procs);
+                        let geom = HomeGeometry::of_machine(&machine);
+                        let mut online = Vmsp::with_geometry(depth, procs, geom);
+                        for &(b, m) in msgs {
+                            online.observe_at(online.slot_of(b), m);
+                        }
+                        prop_assert_eq!(online.stats(), eval.stats, "online d={} n={}", depth, procs);
+                        prop_assert_eq!(
+                            online.storage(), eval.storage, "online d={} n={}", depth, procs
+                        );
+                    }
                 }
             }
         }
