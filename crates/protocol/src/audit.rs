@@ -111,7 +111,7 @@ impl Auditor {
     pub(crate) fn note_sent(&mut self, now: Cycle, msg: &Msg) {
         let block = msg.block;
         match msg.kind {
-            MsgKind::DataShared { version } | MsgKind::SpecData { version } => {
+            MsgKind::DataShared { version } | MsgKind::SpecData { version, .. } => {
                 self.record(now, "send", msg);
                 let sh = self.shadows.entry(block).or_default();
                 let (owner, current) = (sh.owner, sh.version);
@@ -183,8 +183,9 @@ impl Auditor {
         let block = msg.block;
         match msg.kind {
             MsgKind::Req { .. } => self.record(now, "recv", msg),
-            MsgKind::InvAck { proc, .. } => {
+            MsgKind::InvAck { .. } => {
                 self.record(now, "recv", msg);
+                let proc = msg.src.proc();
                 let listed = self
                     .shadows
                     .entry(block)
@@ -217,7 +218,7 @@ impl Auditor {
             MsgKind::DataShared { version }
             | MsgKind::DataExcl { version }
             | MsgKind::UpgradeAck { version }
-            | MsgKind::SpecData { version } => {
+            | MsgKind::SpecData { version, .. } => {
                 // No stale read after an invalidation ack: once a
                 // processor acknowledges losing a copy, any data it
                 // receives next must be at least as new as everything
@@ -394,6 +395,7 @@ impl System {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::SpecVerdict;
     use specdsm_types::NodeId;
 
     fn msg(src: usize, dst: usize, kind: MsgKind) -> Msg {
@@ -423,8 +425,7 @@ mod tests {
                 1,
                 0,
                 MsgKind::InvAck {
-                    proc: ProcId(1),
-                    spec_unused: false,
+                    verdict: SpecVerdict::Demand,
                 },
             ),
         );
@@ -492,8 +493,7 @@ mod tests {
                 2,
                 0,
                 MsgKind::InvAck {
-                    proc: ProcId(2),
-                    spec_unused: false,
+                    verdict: SpecVerdict::Demand,
                 },
             ),
         );
@@ -504,7 +504,12 @@ mod tests {
     fn version_regression_at_processor_fails() {
         let mut a = Auditor::new();
         a.note_delivered(at(0), &msg(0, 1, MsgKind::DataShared { version: 5 }));
-        a.note_delivered(at(9), &msg(0, 1, MsgKind::SpecData { version: 4 }));
+        let spec = MsgKind::SpecData {
+            version: 4,
+            ticket: specdsm_core::SpecTicket::from_key(specdsm_core::HistoryKey::EMPTY),
+            trigger: crate::spec::SpecTrigger::Fr,
+        };
+        a.note_delivered(at(9), &msg(0, 1, spec));
     }
 
     #[test]
@@ -553,8 +558,7 @@ mod tests {
                     r,
                     0,
                     MsgKind::InvAck {
-                        proc: ProcId(r),
-                        spec_unused: false,
+                        verdict: SpecVerdict::Demand,
                     },
                 ),
             );

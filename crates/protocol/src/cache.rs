@@ -1,7 +1,15 @@
 //! Per-processor caches.
+//!
+//! Each read-only line keeps its own [`SpecVerdict`]: a speculative
+//! copy arrives `Unused` under the ticket and trigger it was sent with,
+//! its first read makes it `Referenced`, and its invalidation hands the
+//! verdict to the ack, so the home learns the copy's fate without
+//! keeping a record of it (paper §4.2).
 
-use specdsm_core::FxHashMap;
+use specdsm_core::{FxHashMap, SpecTicket};
 use specdsm_types::BlockAddr;
+
+use crate::spec::{SpecTrigger, SpecVerdict};
 
 /// State of one cached block.
 ///
@@ -11,19 +19,19 @@ use specdsm_types::BlockAddr;
 /// evicts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LineState {
-    /// Read-only copy. `spec_unreferenced` is the reference bit of the
-    /// speculation verification scheme: set when the copy was placed
-    /// speculatively and has not yet been referenced (paper §4.2).
+    /// Read-only copy. `verdict` is the copy's side of the speculation
+    /// verification scheme (paper §4.2): a demand copy, or a speculative
+    /// one that is unused until its first read.
     Shared {
-        /// Speculative copy not yet referenced by the processor.
-        spec_unreferenced: bool,
+        /// How the copy was placed and whether it has been read since.
+        verdict: SpecVerdict,
     },
     /// Writable copy.
     Exclusive,
 }
 
 #[derive(Debug, Clone, Copy)]
-struct Line {
+pub(crate) struct Line {
     state: LineState,
     version: u64,
 }
@@ -62,21 +70,21 @@ impl Cache {
         self.lines.get(&block).map(|l| l.version)
     }
 
-    /// Processor read. On a hit returns the version and clears the
-    /// reference bit; `true` in the second slot means this was the
-    /// first touch of a speculatively placed copy (i.e. a read that
-    /// would have been remote without speculation).
+    /// Processor read. On a hit returns the version and marks an unused
+    /// speculative copy referenced; `true` in the second slot means this
+    /// was the first touch of a speculatively placed copy (i.e. a read
+    /// that would have been remote without speculation).
     pub fn read(&mut self, block: BlockAddr) -> Option<(u64, bool)> {
         let line = self.lines.get_mut(&block)?;
         let first_touch = matches!(
             line.state,
             LineState::Shared {
-                spec_unreferenced: true
+                verdict: SpecVerdict::Unused(..)
             }
         );
         if first_touch {
             line.state = LineState::Shared {
-                spec_unreferenced: false,
+                verdict: SpecVerdict::Referenced,
             };
         }
         Some((line.version, first_touch))
@@ -101,7 +109,7 @@ impl Cache {
             block,
             Line {
                 state: LineState::Shared {
-                    spec_unreferenced: false,
+                    verdict: SpecVerdict::Demand,
                 },
                 version,
             },
@@ -120,6 +128,8 @@ impl Cache {
     }
 
     /// Promotes a read-only copy to writable with the granted version.
+    /// A speculative copy's verdict goes with it: written before any
+    /// read, it counts as neither used nor unused.
     ///
     /// # Panics
     ///
@@ -134,20 +144,26 @@ impl Cache {
         line.version = version;
     }
 
-    /// Installs a speculatively forwarded copy with the reference bit
-    /// set.
+    /// Installs a speculatively forwarded copy, unused under the
+    /// `ticket` and `trigger` it was sent with.
     ///
     /// # Panics
     ///
     /// Panics if the block is already cached: the home forwards only to
     /// processors it does not list as holders, and home→processor
     /// delivery is FIFO, so a forward never finds a copy in place.
-    pub fn fill_speculative(&mut self, block: BlockAddr, version: u64) {
+    pub fn fill_speculative(
+        &mut self,
+        block: BlockAddr,
+        version: u64,
+        ticket: SpecTicket,
+        trigger: SpecTrigger,
+    ) {
         let prev = self.lines.insert(
             block,
             Line {
                 state: LineState::Shared {
-                    spec_unreferenced: true,
+                    verdict: SpecVerdict::Unused(ticket, trigger),
                 },
                 version,
             },
@@ -158,19 +174,16 @@ impl Cache {
         );
     }
 
-    /// Invalidates a read-only copy. Returns `true` if the removed copy
-    /// was speculative and never referenced (the piggy-backed
-    /// verification bit). Idempotent: invalidating an absent line
-    /// returns `false`.
-    pub fn invalidate(&mut self, block: BlockAddr) -> bool {
+    /// Invalidates a read-only copy and returns its verdict for the
+    /// ack. Idempotent: invalidating an absent line returns
+    /// [`SpecVerdict::Demand`], which verifies nothing.
+    pub fn invalidate(&mut self, block: BlockAddr) -> SpecVerdict {
         match self.lines.remove(&block) {
-            Some(line) => matches!(
-                line.state,
-                LineState::Shared {
-                    spec_unreferenced: true
-                }
-            ),
-            None => false,
+            Some(Line {
+                state: LineState::Shared { verdict },
+                ..
+            }) => verdict,
+            _ => SpecVerdict::Demand,
         }
     }
 
@@ -203,8 +216,13 @@ impl Cache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use specdsm_core::HistoryKey;
 
     const B: BlockAddr = BlockAddr(42);
+
+    fn ticket() -> SpecTicket {
+        SpecTicket::from_key(HistoryKey::EMPTY)
+    }
 
     #[test]
     fn read_miss_on_empty() {
@@ -247,16 +265,22 @@ mod tests {
     #[test]
     fn speculative_fill_and_first_touch() {
         let mut c = Cache::new();
-        c.fill_speculative(B, 9);
+        c.fill_speculative(B, 9, ticket(), SpecTrigger::Fr);
         assert_eq!(
             c.state(B),
             Some(LineState::Shared {
-                spec_unreferenced: true
+                verdict: SpecVerdict::Unused(ticket(), SpecTrigger::Fr)
             })
         );
-        // First read clears the reference bit and reports first touch.
+        // The first read marks the copy referenced and reports first touch.
         assert_eq!(c.read(B), Some((9, true)));
         assert_eq!(c.read(B), Some((9, false)));
+        assert_eq!(
+            c.state(B),
+            Some(LineState::Shared {
+                verdict: SpecVerdict::Referenced
+            })
+        );
     }
 
     #[test]
@@ -264,20 +288,26 @@ mod tests {
     fn speculative_copy_of_a_cached_block_panics() {
         let mut c = Cache::new();
         c.fill_shared(B, 1);
-        c.fill_speculative(B, 2);
+        c.fill_speculative(B, 2, ticket(), SpecTrigger::Fr);
     }
 
     #[test]
     fn invalidate_reports_unused_spec_bit() {
         let mut c = Cache::new();
-        c.fill_speculative(B, 1);
-        assert!(c.invalidate(B), "never referenced: bit set");
+        c.fill_speculative(B, 1, ticket(), SpecTrigger::Swi);
+        assert_eq!(
+            c.invalidate(B),
+            SpecVerdict::Unused(ticket(), SpecTrigger::Swi),
+            "never referenced: the ticket goes back"
+        );
 
-        c.fill_speculative(B, 2);
+        c.fill_speculative(B, 2, ticket(), SpecTrigger::Fr);
         c.read(B);
-        assert!(!c.invalidate(B), "referenced: bit cleared");
+        assert_eq!(c.invalidate(B), SpecVerdict::Referenced);
 
-        assert!(!c.invalidate(B), "absent line: no bit");
+        c.fill_shared(B, 3);
+        assert_eq!(c.invalidate(B), SpecVerdict::Demand, "demand copy");
+        assert_eq!(c.invalidate(B), SpecVerdict::Demand, "absent line");
     }
 
     #[test]

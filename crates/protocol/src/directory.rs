@@ -20,7 +20,7 @@ use specdsm_types::{
 };
 
 use crate::msg::MsgKind;
-use crate::spec::SpecTrigger;
+use crate::spec::{SpecTrigger, SpecVerdict};
 use crate::swi;
 use crate::system::{Event, System};
 
@@ -74,10 +74,11 @@ pub(crate) enum AfterRecall {
 }
 
 /// Per-block directory record, sized for its common case: a block that
-/// is never contended and never speculated is the 72 bytes of `state`,
-/// `version`, `busy` and an empty `more`. What only contended or
-/// speculated blocks need sits in one [`DirMore`] side record,
-/// allocated on first use and kept for the rest of the run.
+/// is never contended and never SWI-invalidated is the 72 bytes of
+/// `state`, `version`, `busy` and an empty `more`. What only contended
+/// or SWI-invalidated blocks need sits in one [`DirMore`] side record,
+/// allocated on first use and kept for the rest of the run. The record
+/// holds nothing per speculative copy: each copy carries its own ticket.
 #[derive(Debug, Clone)]
 pub(crate) struct DirBlock {
     pub state: DirState,
@@ -86,12 +87,12 @@ pub(crate) struct DirBlock {
     /// In-flight transaction, if any; requests queue behind it.
     pub busy: Option<Busy>,
     /// The seldom-used rest of the record; `None` until the block first
-    /// queues a request or takes a speculative copy or SWI.
+    /// queues a request or takes an SWI.
     pub more: Option<Box<DirMore>>,
 }
 
-/// The part of a [`DirBlock`] that only contended or speculated blocks
-/// use.
+/// The part of a [`DirBlock`] that only contended or SWI-invalidated
+/// blocks use.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct DirMore {
     /// Requests queued behind the block's in-flight transaction.
@@ -100,13 +101,6 @@ pub(crate) struct DirMore {
     /// the next request for the block comes from the owner, the
     /// invalidation was premature.
     pub swi_pending: Option<(ProcId, SpecTicket)>,
-    /// Outstanding speculative copies, one batch per `speculate` call
-    /// that still has copies out: the ticket and trigger every copy of
-    /// the batch was sent under, and the readers holding one. Batches
-    /// are non-empty and pairwise disjoint, so each processor has at
-    /// most one open ticket, and the state grows with the copies out,
-    /// not with the machine.
-    pub open: Vec<(SpecTicket, SpecTrigger, ReaderSet)>,
 }
 
 impl DirBlock {
@@ -134,12 +128,6 @@ impl DirBlock {
         if let Some(m) = &mut self.more {
             m.swi_pending = None;
         }
-    }
-
-    /// The open ticket batches (empty if the block was never
-    /// speculated).
-    pub fn open_batches(&self) -> &[(SpecTicket, SpecTrigger, ReaderSet)] {
-        self.more.as_ref().map_or(&[], |m| &m.open)
     }
 
     /// The version a write grant hands out: the next one after memory's.
@@ -213,9 +201,8 @@ impl Directory {
 
     /// Asserts the directory's internal invariants (used by tests and
     /// debug builds): an invalidation still awaits at least one ack, an
-    /// idle block queues nothing, `Shared` always has at least one
-    /// sharer, and a block's open ticket batches are non-empty and
-    /// pairwise disjoint.
+    /// idle block queues nothing, and `Shared` always has at least one
+    /// sharer.
     pub(crate) fn check_invariants(&self) {
         for (addr, b) in self.iter() {
             if let Some(busy) = &b.busy {
@@ -232,30 +219,20 @@ impl Directory {
             if let DirState::Shared(r) = &b.state {
                 assert!(!r.is_empty(), "{addr}: Shared with empty sharer set");
             }
-            let batches = b.open_batches();
-            for (i, (_, _, readers)) in batches.iter().enumerate() {
-                assert!(!readers.is_empty(), "{addr}: empty ticket batch");
-                for (_, _, later) in &batches[i + 1..] {
-                    assert!(
-                        (readers & later).is_empty(),
-                        "{addr}: ticket batches overlap on {}",
-                        readers & later
-                    );
-                }
-            }
         }
     }
 }
 
 impl System {
-    /// Runs a directory-bound message's handler. The block's slot is
-    /// computed here, once; the handlers below only ever index.
-    pub(crate) fn deliver_dir(&mut self, now: Cycle, block: BlockAddr, kind: MsgKind) {
+    /// Runs a directory-bound message's handler; `src` is the sending
+    /// node. The block's slot is computed here, once; the handlers below
+    /// only ever index.
+    pub(crate) fn deliver_dir(&mut self, now: Cycle, src: NodeId, block: BlockAddr, kind: MsgKind) {
         let slot = self.dir.slot_of(block);
         match kind {
             MsgKind::Req { kind, proc, .. } => self.dir_request(now, slot, block, kind, proc),
-            MsgKind::InvAck { proc, spec_unused } => {
-                self.dir_inv_ack(now, slot, block, proc, spec_unused);
+            MsgKind::InvAck { verdict } => {
+                self.dir_inv_ack(now, slot, block, src.proc(), verdict);
             }
             MsgKind::WritebackData { proc, version } => {
                 self.dir_writeback(now, slot, block, proc, version);
@@ -295,12 +272,12 @@ impl System {
         // SWI premature detection. A pending SWI resolves as *success*
         // once any consumption is observed — a demand read from a
         // non-owner, or (for speculatively pushed copies, whose reads
-        // never reach the directory) a piggy-backed reference bit on a
-        // later invalidation ack. It resolves as *premature* when the
-        // producer itself is the next to touch the block. For
-        // write-like requests from the owner the verdict is deferred to
-        // the write grant, after the invalidation acks have reported
-        // whether any pushed copy was referenced.
+        // never reach the directory) a later invalidation ack whose
+        // piggy-backed verdict is not `Unused`. It resolves as
+        // *premature* when the producer itself is the next to touch the
+        // block. For write-like requests from the owner the verdict is
+        // deferred to the write grant, after the invalidation acks have
+        // reported whether any pushed copy was referenced.
         if let Some((owner, ticket)) = self.dir.at(slot).swi_pending() {
             match kind {
                 ReqKind::Read if p == owner => {
@@ -484,18 +461,17 @@ impl System {
         slot: Slot,
         block: BlockAddr,
         proc: ProcId,
-        spec_unused: bool,
+        verdict: SpecVerdict,
     ) {
         if let Some(trace) = &mut self.trace {
             trace.record(block, DirMsg::ack_inv(proc));
         }
-        // Speculation verification via the piggy-backed reference bit.
-        if self.cfg.policy.uses_predictor() {
-            self.note_invalidated(slot, proc, spec_unused);
-        }
+        // Speculation verification via the piggy-backed verdict.
+        self.note_invalidated(slot, proc, verdict);
         let blk = self.dir.at_mut(slot);
-        // A referenced copy is consumption evidence for a pending SWI.
-        if !spec_unused {
+        // Any copy but an unused speculative one is consumption evidence
+        // for a pending SWI.
+        if !matches!(verdict, SpecVerdict::Unused(..)) {
             blk.clear_swi_pending();
         }
         let Some(Busy::Invalidate {
@@ -681,31 +657,21 @@ mod tests {
         assert_eq!(std::mem::size_of::<DirBlock>(), 72);
     }
 
-    fn ticket() -> SpecTicket {
-        SpecTicket::from_key(specdsm_core::HistoryKey::EMPTY)
-    }
-
     #[test]
-    #[should_panic(expected = "ticket batches overlap on {P2}")]
-    fn invariants_catch_overlapping_ticket_batches() {
-        let mut d = dir();
-        let open = &mut d.block_mut(BlockAddr(1)).more_mut().open;
-        let set = |ps: &[usize]| ps.iter().map(|&p| ProcId(p)).collect::<ReaderSet>();
-        open.push((ticket(), SpecTrigger::Fr, set(&[1, 2])));
-        open.push((ticket(), SpecTrigger::Swi, set(&[2, 3])));
-        d.check_invariants();
-    }
-
-    #[test]
-    #[should_panic(expected = "empty ticket batch")]
-    fn invariants_catch_an_empty_ticket_batch() {
-        let mut d = dir();
-        d.block_mut(BlockAddr(1)).more_mut().open.push((
-            ticket(),
-            SpecTrigger::Fr,
-            ReaderSet::new(),
-        ));
-        d.check_invariants();
+    fn message_is_48_bytes_and_cache_line_24() {
+        use crate::cache::Line;
+        use crate::msg::Msg;
+        use crate::spec::SpecVerdict;
+        // A verdict is a ticket (8 B) and a trigger, with the tag in the
+        // trigger's spare values; a line adds the 8 B version.
+        assert_eq!(std::mem::size_of::<SpecVerdict>(), 16);
+        assert_eq!(std::mem::size_of::<Line>(), 24);
+        // The largest payloads, `Req` and `SpecData`, are 8 B + 8 B + a
+        // byte: 24 B with the tag. `InvAck` names no processor (the
+        // sender is the acking one), so it fits too. Source,
+        // destination and block make up the rest of the message.
+        assert_eq!(std::mem::size_of::<MsgKind>(), 24);
+        assert_eq!(std::mem::size_of::<Msg>(), 48);
     }
 
     #[test]

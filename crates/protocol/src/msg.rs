@@ -2,7 +2,10 @@
 
 use std::fmt;
 
+use specdsm_core::SpecTicket;
 use specdsm_types::{BlockAddr, NodeId, ProcId, ReqKind};
+
+use crate::spec::{SpecTrigger, SpecVerdict};
 
 /// A protocol message in flight between two nodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,9 +68,9 @@ pub enum MsgKind {
     /// issues it early.
     InvWriteback,
     /// Speculatively forwarded read-only copy (home → processor). The
-    /// receiver installs it with the reference bit set, or drops it if
-    /// it has a demand request in flight for the block (the race rule,
-    /// paper §4.2).
+    /// receiver installs it as [`SpecVerdict::Unused`] under the ticket
+    /// and trigger it carries, or drops it if it has a demand request in
+    /// flight for the block (the race rule, paper §4.2).
     ///
     /// One FR/SWI trigger materializes a single `SpecData` payload and
     /// fans it out to every predicted reader in ascending reader order
@@ -76,17 +79,20 @@ pub enum MsgKind {
     SpecData {
         /// Write version of the delivered data.
         version: u64,
+        /// The predictor entry that named the receiver.
+        ticket: SpecTicket,
+        /// What triggered the forward.
+        trigger: SpecTrigger,
     },
 
-    /// Acknowledge an [`MsgKind::Inval`] (processor → home).
-    /// `spec_unused` piggy-backs the reference bit: `true` means the
-    /// copy was placed speculatively and never referenced — a
-    /// misspeculation signal for the home predictor.
+    /// Acknowledge an [`MsgKind::Inval`] (processor → home; the
+    /// acknowledging processor is the sender). `verdict` piggy-backs the
+    /// invalidated copy's reference state: an
+    /// [`Unused`](SpecVerdict::Unused) copy is a misspeculation signal
+    /// for the home predictor.
     InvAck {
-        /// Acknowledging processor.
-        proc: ProcId,
-        /// Speculative copy was never referenced.
-        spec_unused: bool,
+        /// The invalidated copy's fate.
+        verdict: SpecVerdict,
     },
     /// Writable copy's data returned after [`MsgKind::InvWriteback`]
     /// (processor → home).

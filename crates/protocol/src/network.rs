@@ -152,7 +152,7 @@ impl System {
         }
         match kind {
             MsgKind::Req { .. } | MsgKind::InvAck { .. } | MsgKind::WritebackData { .. } => {
-                self.deliver_dir(now, block, kind)
+                self.deliver_dir(now, src, block, kind)
             }
             MsgKind::DataShared { version } => {
                 self.proc_grant(now, dst, block, version, Grant::Shared)
@@ -165,7 +165,11 @@ impl System {
             }
             MsgKind::Inval => self.proc_inval(now, dst, block, src),
             MsgKind::InvWriteback => self.proc_inv_writeback(now, dst, block, src),
-            MsgKind::SpecData { version } => self.proc_spec_data(dst, block, version),
+            MsgKind::SpecData {
+                version,
+                ticket,
+                trigger,
+            } => self.proc_spec_data(dst, block, version, ticket, trigger),
         }
     }
 }

@@ -5,6 +5,7 @@
 
 use std::iter::Peekable;
 
+use specdsm_core::SpecTicket;
 use specdsm_sim::Cycle;
 use specdsm_types::{
     splitmix64, BlockAddr, LockId, NodeId, Op, OpStream, ProcId, ReqKind, GOLDEN_GAMMA,
@@ -12,6 +13,7 @@ use specdsm_types::{
 
 use crate::cache::Cache;
 use crate::msg::MsgKind;
+use crate::spec::SpecTrigger;
 use crate::stats::ProcStats;
 use crate::system::{Event, System};
 
@@ -225,7 +227,7 @@ impl System {
         }
     }
 
-    fn issue(&mut self, now: Cycle, p: ProcId, block: BlockAddr, kind: ReqKind) {
+    pub(crate) fn issue(&mut self, now: Cycle, p: ProcId, block: BlockAddr, kind: ReqKind) {
         let proc = self.proc_mut(p);
         proc.req_seq += 1;
         let seq = proc.req_seq;
@@ -291,22 +293,13 @@ impl System {
 
     pub(crate) fn proc_inval(&mut self, now: Cycle, node: NodeId, block: BlockAddr, home: NodeId) {
         let p = node.proc();
-        let spec_unused = self.proc_mut(p).cache.invalidate(block);
+        let verdict = self.proc_mut(p).cache.invalidate(block);
         // The controller answers after a small deterministic delay
         // (contention with its processor for the cache): overlapped
         // invalidation acks therefore arrive in varying order, the
         // paper's §3 perturbation source for general message predictors.
         let delay = ack_delay(now, p, self.cfg.machine.latency.ack_jitter);
-        self.send(
-            now + delay,
-            node,
-            home,
-            block,
-            MsgKind::InvAck {
-                proc: p,
-                spec_unused,
-            },
-        );
+        self.send(now + delay, node, home, block, MsgKind::InvAck { verdict });
     }
 
     pub(crate) fn proc_inv_writeback(
@@ -331,7 +324,14 @@ impl System {
         );
     }
 
-    pub(crate) fn proc_spec_data(&mut self, node: NodeId, block: BlockAddr, version: u64) {
+    pub(crate) fn proc_spec_data(
+        &mut self,
+        node: NodeId,
+        block: BlockAddr,
+        version: u64,
+        ticket: SpecTicket,
+        trigger: SpecTrigger,
+    ) {
         let p = node.proc();
         let proc = self.proc_mut(p);
         // Race rule (§4.2): with a demand request in flight for this
@@ -339,7 +339,7 @@ impl System {
         if matches!(proc.blocked, Blocked::Mem { block: b, .. } if b == block) {
             self.spec_stats.dropped += 1;
         } else {
-            proc.cache.fill_speculative(block, version);
+            proc.cache.fill_speculative(block, version, ticket, trigger);
         }
     }
 }
@@ -426,7 +426,9 @@ mod tests {
     #[test]
     fn spec_first_touch_counted() {
         let mut p = proc_with(vec![Op::Read(BlockAddr(1)), Op::Barrier]);
-        p.cache.fill_speculative(BlockAddr(1), 5);
+        let ticket = SpecTicket::from_key(specdsm_core::HistoryKey::EMPTY);
+        p.cache
+            .fill_speculative(BlockAddr(1), 5, ticket, SpecTrigger::Fr);
         assert_eq!(p.next_action(), ProcAction::Busy(1));
         assert_eq!(p.stats.spec_read_hits, 1);
         assert_eq!(p.stats.read_hits, 1);

@@ -4,19 +4,20 @@
 //!
 //! The predictor is the table-backed [`Vmsp`](specdsm_core::Vmsp): the
 //! directory computes each message's [`Slot`] once, and every later
-//! access — observe, predicted readers, ticket open/close — is a direct
-//! index. The verification bookkeeping is this layer's own: the
-//! outstanding speculative copies of a block sit in its directory
-//! record's side record, one batch per speculative send
-//! ([`DirMore::open`](crate::directory::DirMore)), and each home's SWI
-//! last-write map sits in [`System::swi_last_write`], kept by the rule
-//! in [`crate::swi`].
+//! access — observe, predicted readers, pruning — is a direct index.
+//! The verification state travels with the copy (paper §4.2): each
+//! [`MsgKind::SpecData`] carries the [`SpecTicket`] and trigger it was
+//! sent under, the receiving cache keeps them as the line's
+//! [`SpecVerdict`], and the invalidation ack brings the verdict back to
+//! the home, which applies it in [`System::note_invalidated`]. The home
+//! keeps no per-copy record. Each home's SWI last-write map sits in
+//! [`System::swi_last_write`], kept by the rule in [`crate::swi`].
 
 use std::fmt;
 
 use specdsm_core::SpecTicket;
 use specdsm_sim::Cycle;
-use specdsm_types::{BlockAddr, ProcId, ReaderSet, Slot};
+use specdsm_types::{BlockAddr, ProcId, Slot};
 
 use crate::directory::{AfterRecall, DirState};
 use crate::msg::MsgKind;
@@ -70,8 +71,8 @@ impl fmt::Display for SpecPolicy {
 
 /// How a speculative copy was triggered (paper §4.1): by the first
 /// demand read of a predicted sequence (FR) or by a successful
-/// speculative write invalidation (SWI). Kept with the copy's ticket so
-/// verification feedback attributes each outcome to the right
+/// speculative write invalidation (SWI). Travels with the copy's ticket
+/// so verification feedback attributes each outcome to the right
 /// trigger's statistics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum SpecTrigger {
@@ -81,7 +82,26 @@ pub(crate) enum SpecTrigger {
     Swi,
 }
 
+/// The fate of a read-only copy, kept by the cache line that holds it
+/// and piggy-backed on the copy's invalidation ack (paper §4.2).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum SpecVerdict {
+    /// A demand copy: nothing to verify.
+    Demand,
+    /// A speculative copy the processor has read.
+    Referenced,
+    /// A speculative copy not yet read, with the ticket and trigger it
+    /// was sent under.
+    Unused(SpecTicket, SpecTrigger),
+}
+
 /// Speculation activity counters (the raw material of Table 5).
+///
+/// Each speculative copy sent is either dropped on arrival (the race
+/// rule), or installed and later found used (`verified`) or unused
+/// (`fr_unused`/`swi_unused`) by its invalidation ack, or neither: a
+/// copy upgraded before any read, or still cached at the end of the
+/// run. So `verified + total_unused() + dropped <= total_sent()`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SpecStats {
     /// Speculative read-only copies sent by the FR trigger.
@@ -89,7 +109,8 @@ pub struct SpecStats {
     /// Speculative read-only copies sent by the SWI trigger.
     pub swi_sent: u64,
     /// FR copies invalidated without ever being referenced
-    /// (misspeculations, detected via the piggy-backed reference bit).
+    /// (misspeculations, detected via the verdict piggy-backed on the
+    /// invalidation ack).
     pub fr_unused: u64,
     /// SWI copies invalidated without ever being referenced.
     pub swi_unused: u64,
@@ -150,6 +171,8 @@ impl System {
         }
         let kind = MsgKind::SpecData {
             version: blk.version,
+            ticket,
+            trigger,
         };
         for r in targets.iter() {
             self.send(now, slot.home, r.node(), block, kind);
@@ -158,8 +181,12 @@ impl System {
             DirState::Shared(sharers) => *sharers |= &targets,
             state => *state = DirState::Shared(targets.clone()),
         }
-        self.vmsp.speculate_readers_at(slot, targets.clone());
-        self.note_sent(slot, targets, ticket, trigger);
+        let sent = targets.len() as u64;
+        match trigger {
+            SpecTrigger::Fr => self.spec_stats.fr_sent += sent,
+            SpecTrigger::Swi => self.spec_stats.swi_sent += sent,
+        }
+        self.vmsp.speculate_readers_at(slot, targets);
     }
 
     /// Attempts an SWI invalidation of `prev` (the block `owner` wrote
@@ -190,59 +217,22 @@ impl System {
         self.vmsp.mark_swi_premature_at(slot, ticket);
     }
 
-    /// Records that every reader in `targets` was sent a speculative
-    /// copy under `ticket`, opening one batch in the block's side
-    /// record. At most one ticket per `(block, proc)` is open at a time:
-    /// a second send moves the reader out of its older batch, which is
-    /// dropped once empty.
-    fn note_sent(
-        &mut self,
-        slot: Slot,
-        targets: ReaderSet,
-        ticket: SpecTicket,
-        trigger: SpecTrigger,
-    ) {
-        let sent = targets.len() as u64;
-        match trigger {
-            SpecTrigger::Fr => self.spec_stats.fr_sent += sent,
-            SpecTrigger::Swi => self.spec_stats.swi_sent += sent,
-        }
-        let open = &mut self.dir.at_mut(slot).more_mut().open;
-        open.retain_mut(|(_, _, readers)| {
-            for p in targets.iter() {
-                readers.remove(p);
+    /// Applies the verdict piggy-backed on `proc`'s invalidation ack
+    /// for the block at `slot`. A referenced copy is verified; an unused
+    /// one is a misspeculation: the pattern entry its ticket names stops
+    /// predicting `proc`, and the miss counts against its trigger. A
+    /// demand copy carries nothing to verify.
+    pub(crate) fn note_invalidated(&mut self, slot: Slot, proc: ProcId, verdict: SpecVerdict) {
+        match verdict {
+            SpecVerdict::Demand => {}
+            SpecVerdict::Referenced => self.spec_stats.verified += 1,
+            SpecVerdict::Unused(ticket, trigger) => {
+                match trigger {
+                    SpecTrigger::Fr => self.spec_stats.fr_unused += 1,
+                    SpecTrigger::Swi => self.spec_stats.swi_unused += 1,
+                }
+                self.vmsp.prune_reader_at(slot, ticket, proc);
             }
-            !readers.is_empty()
-        });
-        open.push((ticket, trigger, targets));
-    }
-
-    /// Applies the piggy-backed reference bit when `proc`'s copy of the
-    /// block at `slot` is invalidated. `unused == true` marks a
-    /// misspeculation: the predictor entry is pruned and the miss
-    /// attributed to its trigger. The copy's ticket is taken out of its
-    /// batch, so a second invalidation is a no-op.
-    pub(crate) fn note_invalidated(&mut self, slot: Slot, proc: ProcId, unused: bool) {
-        let Some(more) = self.dir.at_mut(slot).more.as_deref_mut() else {
-            return;
-        };
-        let Some(i) = more.open.iter().position(|(_, _, r)| r.contains(proc)) else {
-            return;
-        };
-        let (ticket, trigger, readers) = &mut more.open[i];
-        let (ticket, trigger) = (*ticket, *trigger);
-        readers.remove(proc);
-        if readers.is_empty() {
-            more.open.swap_remove(i);
-        }
-        if unused {
-            match trigger {
-                SpecTrigger::Fr => self.spec_stats.fr_unused += 1,
-                SpecTrigger::Swi => self.spec_stats.swi_unused += 1,
-            }
-            self.vmsp.prune_reader_at(slot, ticket, proc);
-        } else {
-            self.spec_stats.verified += 1;
         }
     }
 }
@@ -251,9 +241,7 @@ impl System {
 mod tests {
     use super::*;
     use crate::system::SystemConfig;
-    use specdsm_core::{HistoryKey, Symbol};
-    use specdsm_sim::Xorshift64Star;
-    use specdsm_types::{DirMsg, MachineConfig, OpStream, ReqKind, Workload};
+    use specdsm_types::{DirMsg, MachineConfig, OpStream, ReaderSet, ReqKind, Workload};
 
     /// `n` processors with nothing to run: a system whose speculation
     /// state the tests drive directly.
@@ -286,22 +274,6 @@ mod tests {
         procs.iter().map(|&p| ProcId(p)).collect()
     }
 
-    /// A ticket no predictor entry answers to: pruning under it is a
-    /// no-op, which is all the bookkeeping tests need.
-    fn ticket(i: usize) -> SpecTicket {
-        SpecTicket::from_key(HistoryKey::of(&[Symbol::Req(ReqKind::Write, ProcId(i))]))
-    }
-
-    /// The open ticket of `proc` at `slot`, read out of the batches.
-    fn ticket_of(e: &System, slot: Slot, proc: ProcId) -> Option<(SpecTicket, SpecTrigger)> {
-        e.dir
-            .at(slot)
-            .open_batches()
-            .iter()
-            .find(|(_, _, r)| r.contains(proc))
-            .map(|&(ticket, trigger, _)| (ticket, trigger))
-    }
-
     #[test]
     fn policy_flags() {
         assert!(!SpecPolicy::Base.fr_enabled());
@@ -321,9 +293,14 @@ mod tests {
         assert_eq!(SpecPolicy::SwiFr.to_string(), "SWI-DSM");
     }
 
+    /// The block every test speculates on.
+    const B: BlockAddr = BlockAddr(1);
+
+    /// A 16-node engine whose predictor has learned that P1 and P2 read
+    /// `B` after each upgrade by P3, and has just seen that upgrade.
     fn trained_engine() -> (System, Slot) {
         let mut e = idle_engine(16);
-        let slot = e.vmsp.slot_of(BlockAddr(1));
+        let slot = e.vmsp.slot_of(B);
         for _ in 0..5 {
             e.vmsp.observe_at(slot, DirMsg::upgrade(ProcId(3)));
             e.vmsp.observe_at(slot, DirMsg::read(ProcId(1)));
@@ -333,161 +310,116 @@ mod tests {
         (e, slot)
     }
 
+    /// The trained engine after the home forwarded `B` to P1 and P2
+    /// under `trigger`, with the copies delivered.
+    fn speculated(trigger: SpecTrigger) -> (System, Slot) {
+        let (mut e, slot) = trained_engine();
+        e.speculate(e.cur, slot, B, trigger);
+        e.drain().expect("the events drain");
+        (e, slot)
+    }
+
+    /// `p` misses on `B` with a request of `kind`, and every message
+    /// the request causes is delivered.
+    fn request(e: &mut System, p: ProcId, kind: ReqKind) {
+        e.issue(e.cur, p, B, kind);
+        e.drain().expect("the events drain");
+    }
+
+    /// The readers the pattern entry of P3's upgrade predicts, read by
+    /// replaying that upgrade into the history.
+    fn predicted_after_upgrade(e: &mut System, slot: Slot) -> ReaderSet {
+        e.vmsp.observe_at(slot, DirMsg::upgrade(ProcId(3)));
+        e.vmsp.predicted_readers_at(slot).expect("trained").0
+    }
+
     #[test]
     fn verification_prunes_on_unused() {
-        let (mut e, slot) = trained_engine();
-        let (readers, ticket) = e.vmsp.predicted_readers_at(slot).unwrap();
-        assert!(readers.contains(ProcId(2)));
-        e.note_sent(slot, ReaderSet::single(ProcId(2)), ticket, SpecTrigger::Fr);
-        assert_eq!(e.spec_stats.fr_sent, 1);
-
-        e.note_invalidated(slot, ProcId(2), true);
-        assert_eq!(e.spec_stats.fr_unused, 1);
-        let (readers, _) = e.vmsp.predicted_readers_at(slot).unwrap();
-        assert_eq!(readers, ReaderSet::single(ProcId(1)), "P2 pruned");
+        let (mut e, slot) = speculated(SpecTrigger::Fr);
+        assert!(
+            e.dir.at(slot).more.is_none(),
+            "the home keeps no record of the copies"
+        );
+        e.proc_mut(ProcId(1)).cache.read(B);
+        request(&mut e, ProcId(3), ReqKind::Write);
+        let want = SpecStats {
+            fr_sent: 2,
+            fr_unused: 1,
+            verified: 1,
+            ..SpecStats::default()
+        };
+        assert_eq!(e.spec_stats, want);
+        // P2's ack carried the ticket of P3's upgrade: that entry no
+        // longer predicts P2.
+        assert_eq!(predicted_after_upgrade(&mut e, slot), set(&[1]));
     }
 
     #[test]
     fn verification_confirms_on_used() {
-        let (mut e, slot) = trained_engine();
-        let (_, ticket) = e.vmsp.predicted_readers_at(slot).unwrap();
-        e.note_sent(slot, ReaderSet::single(ProcId(1)), ticket, SpecTrigger::Swi);
-        e.note_invalidated(slot, ProcId(1), false);
-        assert_eq!(e.spec_stats.verified, 1);
-        assert_eq!(e.spec_stats.swi_unused, 0);
-        // Ticket consumed: a second invalidation is a no-op.
-        e.note_invalidated(slot, ProcId(1), true);
-        assert_eq!(e.spec_stats.swi_unused, 0);
-    }
-
-    #[test]
-    fn ticket_batches_open_close_round_trip() {
-        let (mut e, slot) = trained_engine();
-        let (_, ticket) = e.vmsp.predicted_readers_at(slot).unwrap();
-        let batches = |e: &System| e.dir.at(slot).open_batches().to_vec();
-
-        e.note_invalidated(slot, ProcId(2), false);
-        assert_eq!(e.spec_stats, SpecStats::default(), "nothing open");
-        assert!(
-            e.dir.at(slot).more.is_none(),
-            "no side record before a send"
-        );
-        e.note_sent(slot, set(&[2, 5]), ticket, SpecTrigger::Fr);
-        assert_eq!(e.spec_stats.fr_sent, 2, "one copy per reader");
-        assert_eq!(
-            batches(&e),
-            [(ticket, SpecTrigger::Fr, set(&[2, 5]))],
-            "one batch after the first send"
-        );
-        e.note_invalidated(slot, ProcId(2), false);
-        assert_eq!(batches(&e), [(ticket, SpecTrigger::Fr, set(&[5]))]);
-        assert_eq!(e.spec_stats.verified, 1);
-        // Consumed: a second close is a no-op.
-        e.note_invalidated(slot, ProcId(2), false);
-        assert_eq!(e.spec_stats.verified, 1);
-
-        // Re-opening overwrites: P5 moves into the new batch, and the
-        // batch it empties is dropped.
-        let other = self::ticket(1);
-        e.note_sent(slot, set(&[5, 7]), other, SpecTrigger::Swi);
-        assert_eq!(batches(&e), [(other, SpecTrigger::Swi, set(&[5, 7]))]);
-        e.note_invalidated(slot, ProcId(5), true);
-        assert_eq!((e.spec_stats.fr_unused, e.spec_stats.swi_unused), (0, 1));
-        assert_eq!(batches(&e), [(other, SpecTrigger::Swi, set(&[7]))]);
-        e.dir.check_invariants();
-    }
-
-    /// The representation the batches replaced, kept as the reference:
-    /// one `(ticket, trigger)` entry per processor, overwritten by a
-    /// second send and taken by the first ack.
-    struct DenseSlab {
-        entries: Vec<Option<(SpecTicket, SpecTrigger)>>,
-        stats: SpecStats,
-    }
-
-    impl DenseSlab {
-        fn send(&mut self, targets: &ReaderSet, ticket: SpecTicket, trigger: SpecTrigger) {
-            for r in targets.iter() {
-                match trigger {
-                    SpecTrigger::Fr => self.stats.fr_sent += 1,
-                    SpecTrigger::Swi => self.stats.swi_sent += 1,
-                }
-                self.entries[r.0] = Some((ticket, trigger));
-            }
+        let (mut e, slot) = speculated(SpecTrigger::Swi);
+        for p in [1, 2] {
+            e.proc_mut(ProcId(p)).cache.read(B);
         }
-
-        fn ack(&mut self, proc: ProcId, unused: bool) -> Option<(SpecTicket, SpecTrigger)> {
-            let taken = self.entries[proc.0].take()?;
-            match (unused, taken.1) {
-                (false, _) => self.stats.verified += 1,
-                (true, SpecTrigger::Fr) => self.stats.fr_unused += 1,
-                (true, SpecTrigger::Swi) => self.stats.swi_unused += 1,
-            }
-            Some(taken)
-        }
-    }
-
-    /// A seeded mix of overlapping batch sends and acks, used and unused,
-    /// against the dense per-processor slab: every ack takes the same
-    /// `(ticket, trigger)`, the statistics agree after every step, and
-    /// so does every processor's open ticket.
-    #[test]
-    fn ticket_batches_match_the_dense_slab_reference() {
-        for n in [16, 256] {
-            let mut e = idle_engine(n);
-            let slot = e.dir.slot_of(BlockAddr(1));
-            let mut dense = DenseSlab {
-                entries: vec![None; n],
-                stats: SpecStats::default(),
-            };
-            let mut rng = Xorshift64Star::new(n as u64);
-            // A few hot readers spread over the machine, so batches
-            // overlap and, at 256, spill past the inline word.
-            let hot: Vec<ProcId> = (0..12)
-                .map(|_| ProcId(rng.range(0, n as u64) as usize))
-                .collect();
-            for step in 0..3000 {
-                if rng.chance(0.35) {
-                    let targets: ReaderSet =
-                        hot.iter().copied().filter(|_| rng.chance(0.3)).collect();
-                    if targets.is_empty() {
-                        continue;
-                    }
-                    let ticket = ticket(rng.range(0, 8) as usize);
-                    let trigger = if rng.chance(0.5) {
-                        SpecTrigger::Fr
-                    } else {
-                        SpecTrigger::Swi
-                    };
-                    dense.send(&targets, ticket, trigger);
-                    e.note_sent(slot, targets, ticket, trigger);
-                } else {
-                    let proc = hot[rng.range(0, hot.len() as u64) as usize];
-                    let unused = rng.chance(0.5);
-                    let taken = ticket_of(&e, slot, proc);
-                    assert_eq!(taken, dense.ack(proc, unused), "n={n} step {step}: {proc}");
-                    e.note_invalidated(slot, proc, unused);
-                }
-                assert_eq!(e.spec_stats, dense.stats, "n={n} step {step}");
-                for &p in &hot {
-                    assert_eq!(
-                        ticket_of(&e, slot, p),
-                        dense.entries[p.0],
-                        "n={n} step {step}"
-                    );
-                }
-                e.dir.check_invariants();
-            }
-            assert!(dense.stats.total_sent() > 1000, "n={n}: the mix sends");
-            assert!(dense.stats.verified > 100 && dense.stats.total_unused() > 100);
-        }
+        request(&mut e, ProcId(3), ReqKind::Write);
+        let want = SpecStats {
+            swi_sent: 2,
+            verified: 2,
+            ..SpecStats::default()
+        };
+        assert_eq!(e.spec_stats, want);
+        assert_eq!(predicted_after_upgrade(&mut e, slot), set(&[1, 2]));
     }
 
     #[test]
     fn invalidation_without_ticket_is_ignored() {
-        let (mut e, slot) = trained_engine();
-        e.note_invalidated(slot, ProcId(9), true);
+        // A demand copy carries no ticket: its ack verifies nothing.
+        let mut e = idle_engine(16);
+        request(&mut e, ProcId(9), ReqKind::Read);
+        request(&mut e, ProcId(3), ReqKind::Write);
         assert_eq!(e.spec_stats, SpecStats::default());
+        assert_eq!(
+            *e.dir.state(B),
+            crate::directory::DirState::Exclusive(ProcId(3))
+        );
+    }
+
+    #[test]
+    fn dropped_copy_leaves_the_later_demand_copy_unverified() {
+        // P2's demand read is in flight when the forwarded copy arrives,
+        // so P2 drops the copy (the race rule) and caches the demand
+        // reply instead. That copy's ack is no verdict on the dropped
+        // one.
+        let (mut e, slot) = trained_engine();
+        e.issue(e.cur, ProcId(2), B, ReqKind::Read);
+        e.speculate(e.cur, slot, B, SpecTrigger::Fr);
+        e.drain().expect("the events drain");
+        request(&mut e, ProcId(3), ReqKind::Write);
+        let want = SpecStats {
+            fr_sent: 2,
+            fr_unused: 1,
+            dropped: 1,
+            ..SpecStats::default()
+        };
+        assert_eq!(e.spec_stats, want, "P1's copy unused, P2's dropped");
+    }
+
+    #[test]
+    fn upgraded_copy_is_neither_verified_nor_unused() {
+        // P2 writes its forwarded copy before reading it: the upgrade
+        // takes the copy's verdict with it. P2's later demand copy is
+        // invalidated with nothing to verify.
+        let (mut e, _) = speculated(SpecTrigger::Fr);
+        request(&mut e, ProcId(2), ReqKind::Upgrade);
+        request(&mut e, ProcId(3), ReqKind::Write);
+        request(&mut e, ProcId(2), ReqKind::Read);
+        request(&mut e, ProcId(1), ReqKind::Write);
+        let want = SpecStats {
+            fr_sent: 2,
+            fr_unused: 1,
+            ..SpecStats::default()
+        };
+        assert_eq!(e.spec_stats, want, "only P1's copy has a verdict");
+        e.dir.check_invariants();
     }
 
     #[test]

@@ -458,6 +458,11 @@ impl System {
         for p in 0..self.procs.len() {
             self.sched(Cycle::ZERO, Event::Resume(ProcId(p)));
         }
+        self.drain()
+    }
+
+    /// Processes events until the queue drains, failing as `simulate`.
+    pub(crate) fn drain(&mut self) -> Result<(), EngineError> {
         while let Some((now, event)) = self.queue.pop() {
             if let Some(limit) = self.cfg.max_cycles {
                 if now.raw() > limit {
@@ -1263,9 +1268,12 @@ mod tests {
     }
 
     /// Base-DSM never speculates, so after a whole run no directory
-    /// record holds a pending SWI verdict or an open ticket batch.
+    /// record holds a pending SWI verdict and no cache holds a
+    /// speculative copy.
     #[test]
     fn base_run_opens_no_speculation_state() {
+        use crate::cache::LineState;
+        use crate::spec::SpecVerdict;
         use specdsm_workloads::{AppId, Scale};
 
         let m = MachineConfig::paper_machine();
@@ -1283,10 +1291,23 @@ mod tests {
                     b.swi_pending().is_none(),
                     "{app}: {addr} holds an SWI verdict"
                 );
-                assert!(
-                    b.open_batches().is_empty(),
-                    "{app}: {addr} holds a ticket batch"
-                );
+            }
+            for p in &sys.procs {
+                for block in p.cache.lines() {
+                    assert!(
+                        matches!(
+                            p.cache.state(block),
+                            Some(
+                                LineState::Exclusive
+                                    | LineState::Shared {
+                                        verdict: SpecVerdict::Demand
+                                    }
+                            )
+                        ),
+                        "{app}: {} holds a speculative copy of {block}",
+                        p.id()
+                    );
+                }
             }
         }
     }

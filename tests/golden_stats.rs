@@ -132,6 +132,8 @@ fn write_fault_row(out: &mut String, app: AppId, policy: SpecPolicy, r: &RunStat
 }
 
 /// The machine counters of a `model` row, without the line break.
+/// Asserts the run's speculation accounting first: each copy sent is
+/// dropped, verified, found unused, or none of these; never two.
 fn write_model_fields(
     out: &mut String,
     label: &str,
@@ -140,6 +142,11 @@ fn write_model_fields(
     r: &RunStats,
 ) {
     let s = r.spec;
+    assert!(
+        s.verified + s.total_unused() + s.dropped <= s.total_sent(),
+        "{label} {app} {}: speculation accounting out of balance: {s:?}",
+        policy_label(policy)
+    );
     let _ = write!(
         out,
         "{label} {app} {} exec_cycles={} remote_messages={} dir_reads={} dir_writes={} \

@@ -123,10 +123,12 @@ fn whole_suite_passes_coherence_checks_under_all_policies() {
         for policy in SpecPolicy::ALL {
             let stats = run(machine.clone(), policy, w.as_ref());
             assert!(stats.exec_cycles > 0, "{app}/{policy}");
-            let correct = stats.spec.verified + stats.spec.total_unused();
+            // Each copy sent is dropped, verified, found unused, or
+            // none of these; never two.
+            let s = stats.spec;
             assert!(
-                correct <= stats.spec.total_sent() + stats.spec.dropped,
-                "{app}/{policy}: speculation accounting out of balance"
+                s.verified + s.total_unused() + s.dropped <= s.total_sent(),
+                "{app}/{policy}: speculation accounting out of balance: {s:?}"
             );
         }
     }

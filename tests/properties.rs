@@ -689,6 +689,15 @@ proptest! {
             };
             let stats = System::new(cfg, &w).expect("valid").run();
             prop_assert!(stats.exec_cycles > 0);
+            // Each copy sent is dropped, verified, found unused, or
+            // none of these; never two.
+            let s = stats.spec;
+            prop_assert!(
+                s.verified + s.total_unused() + s.dropped <= s.total_sent(),
+                "{}: speculation accounting out of balance: {:?}",
+                policy,
+                s
+            );
         }
     }
 
