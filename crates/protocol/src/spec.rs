@@ -377,10 +377,7 @@ mod tests {
         request(&mut e, ProcId(9), ReqKind::Read);
         request(&mut e, ProcId(3), ReqKind::Write);
         assert_eq!(e.spec_stats, SpecStats::default());
-        assert_eq!(
-            *e.dir.state(B),
-            crate::directory::DirState::Exclusive(ProcId(3))
-        );
+        assert_eq!(*e.dir.state(B), DirState::Exclusive(ProcId(3)));
     }
 
     #[test]
