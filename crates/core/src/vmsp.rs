@@ -52,7 +52,7 @@ use crate::twolevel::{BlockRecord, StorageFold};
 /// use specdsm_types::{BlockAddr, DirMsg, HomeGeometry, MachineConfig, ProcId, ReaderSet};
 ///
 /// let machine = MachineConfig::paper_machine();
-/// let mut vmsp = Vmsp::with_geometry(1, 16, HomeGeometry::of_machine(&machine));
+/// let mut vmsp = Vmsp::with_geometry(1, HomeGeometry::of_machine(&machine));
 /// let slot = vmsp.slot_of(BlockAddr(0x100));
 /// for i in 0..50 {
 ///     // Readers arrive in a different order every iteration: VMSP
@@ -116,8 +116,8 @@ impl SpecTicket {
 }
 
 impl Vmsp {
-    /// Creates a VMSP with history depth `depth` for a machine with
-    /// `num_procs` processors whose table follows the home layout
+    /// Creates a VMSP with history depth `depth` whose table follows the
+    /// home layout `geom`, for a machine with one processor per node of
     /// `geom`: the protocol passes the machine's [`HomeGeometry`] so one
     /// [`Slot`] indexes both the directory and the predictor.
     ///
@@ -125,10 +125,10 @@ impl Vmsp {
     ///
     /// Panics if `depth` is zero.
     #[must_use]
-    pub fn with_geometry(depth: usize, num_procs: usize, geom: HomeGeometry) -> Self {
+    pub fn with_geometry(depth: usize, geom: HomeGeometry) -> Self {
         Vmsp {
             depth,
-            num_procs,
+            num_procs: geom.num_nodes(),
             blocks: HomeTable::new(geom, BlockRecord::new(depth)),
             sets: ReaderSetInterner::new(),
             stats: PredictorStats::default(),
@@ -283,7 +283,6 @@ mod tests {
     fn vmsp_of(depth: usize, n: usize) -> Vmsp {
         Vmsp::with_geometry(
             depth,
-            n,
             HomeGeometry::of_machine(&MachineConfig::with_nodes(n)),
         )
     }
@@ -502,7 +501,7 @@ mod tests {
     #[test]
     fn storage_counts_arena_slots_and_active_blocks() {
         let m = MachineConfig::paper_machine();
-        let mut vmsp = Vmsp::with_geometry(1, 16, HomeGeometry::of_machine(&m));
+        let mut vmsp = Vmsp::with_geometry(1, HomeGeometry::of_machine(&m));
         // Touch slot 9 of home 2's table: the dense span 0..=9 is
         // committed but only one block is active.
         let b = m.page_on(NodeId(2), 0).offset(9);

@@ -21,7 +21,6 @@ use specdsm_types::{
 
 use crate::msg::MsgKind;
 use crate::spec::{SpecTrigger, SpecVerdict};
-use crate::swi;
 use crate::system::{Event, System};
 
 /// Stable sharing state of a block at its home directory (paper
@@ -97,9 +96,8 @@ pub(crate) struct DirBlock {
 pub(crate) struct DirMore {
     /// Requests queued behind the block's in-flight transaction.
     pub pending: VecDeque<(ReqKind, ProcId)>,
-    /// Set after a successful SWI invalidation: `(owner, ticket)`. If
-    /// the next request for the block comes from the owner, the
-    /// invalidation was premature.
+    /// Set after a successful SWI invalidation: `(owner, ticket)`,
+    /// until [`System::settle_swi`] or a used copy's ack settles it.
     pub swi_pending: Option<(ProcId, SpecTicket)>,
 }
 
@@ -118,16 +116,9 @@ impl DirBlock {
         self.more.get_or_insert_with(Box::default)
     }
 
-    /// The pending SWI verdict, if any.
-    pub fn swi_pending(&self) -> Option<(ProcId, SpecTicket)> {
-        self.more.as_ref().and_then(|m| m.swi_pending)
-    }
-
-    /// Drops the pending SWI verdict (a no-op if there is none).
-    pub fn clear_swi_pending(&mut self) {
-        if let Some(m) = &mut self.more {
-            m.swi_pending = None;
-        }
+    /// Takes the pending SWI verdict, if any, leaving none.
+    pub fn take_swi_pending(&mut self) -> Option<(ProcId, SpecTicket)> {
+        self.more.as_mut().and_then(|m| m.swi_pending.take())
     }
 
     /// The version a write grant hands out: the next one after memory's.
@@ -201,8 +192,9 @@ impl Directory {
 
     /// Asserts the directory's internal invariants (used by tests and
     /// debug builds): an invalidation still awaits at least one ack, an
-    /// idle block queues nothing, and `Shared` always has at least one
-    /// sharer.
+    /// idle block queues nothing, `Shared` always has at least one
+    /// sharer, and no `Exclusive` block has a pending SWI verdict (every
+    /// write grant settles it).
     pub(crate) fn check_invariants(&self) {
         for (addr, b) in self.iter() {
             if let Some(busy) = &b.busy {
@@ -216,8 +208,15 @@ impl Directory {
                     "{addr}: queued requests but no transaction"
                 );
             }
-            if let DirState::Shared(r) = &b.state {
-                assert!(!r.is_empty(), "{addr}: Shared with empty sharer set");
+            match &b.state {
+                DirState::Shared(r) => {
+                    assert!(!r.is_empty(), "{addr}: Shared with empty sharer set");
+                }
+                DirState::Exclusive(_) => assert!(
+                    b.more.as_ref().is_none_or(|m| m.swi_pending.is_none()),
+                    "{addr}: Exclusive with a pending SWI verdict"
+                ),
+                DirState::Idle => {}
             }
         }
     }
@@ -253,13 +252,7 @@ impl System {
         if self.cfg.policy.uses_predictor() {
             self.vmsp.observe_at(slot, dmsg);
         }
-        // SWI trigger: a write-like request signals that this
-        // processor's previous written block (at this home) is done.
-        if self.cfg.policy.swi_enabled() && kind.is_write_like() {
-            if let Some(prev) = swi::note_write(&mut self.swi_last_write[slot.home.0], p, block) {
-                self.try_swi(now, prev, p);
-            }
-        }
+        self.swi_trigger(now, slot.home, block, kind, p);
         let blk = self.dir.at_mut(slot);
         if blk.busy.is_some() {
             blk.more_mut().pending.push_back((kind, p));
@@ -269,29 +262,6 @@ impl System {
     }
 
     fn dir_process(&mut self, now: Cycle, slot: Slot, block: BlockAddr, kind: ReqKind, p: ProcId) {
-        // SWI premature detection. A pending SWI resolves as *success*
-        // once any consumption is observed — a demand read from a
-        // non-owner, or (for speculatively pushed copies, whose reads
-        // never reach the directory) a later invalidation ack whose
-        // piggy-backed verdict is not `Unused`. It resolves as
-        // *premature* when the producer itself is the next to touch the
-        // block. For write-like requests from the owner the verdict is
-        // deferred to the write grant, after the invalidation acks have
-        // reported whether any pushed copy was referenced.
-        if let Some((owner, ticket)) = self.dir.at(slot).swi_pending() {
-            match kind {
-                ReqKind::Read if p == owner => {
-                    self.resolve_swi_premature(slot, ticket);
-                }
-                ReqKind::Read => {
-                    // A consumer demanded the block: success.
-                    self.dir.at_mut(slot).clear_swi_pending();
-                }
-                ReqKind::Write | ReqKind::Upgrade => {
-                    // Deferred: grant_exclusive decides.
-                }
-            }
-        }
         match kind {
             ReqKind::Read => self.process_read(now, slot, block, p),
             ReqKind::Write | ReqKind::Upgrade => {
@@ -351,10 +321,12 @@ impl System {
         });
     }
 
-    /// Serves a read from memory: joins `p` to the sharers, sends it the
-    /// data, lets FR forward copies to the other predicted readers, and
-    /// holds the block until the reply has left.
+    /// Serves a read from memory: settles a pending SWI verdict, joins
+    /// `p` to the sharers, sends it the data, lets FR forward copies to
+    /// the other predicted readers, and holds the block until the reply
+    /// has left.
     fn serve_read(&mut self, now: Cycle, slot: Slot, block: BlockAddr, p: ProcId) {
+        self.settle_swi(slot, p);
         let t = self.mem_access(now, slot.home);
         let blk = self.dir.at_mut(slot);
         match &mut blk.state {
@@ -391,9 +363,10 @@ impl System {
         self.dir.at_mut(slot).busy = Some(Busy::Recall(then));
     }
 
-    /// Grants write permission: state → `Exclusive`, new version, reply.
-    /// A data reply holds the block until it has left the directory; an
-    /// in-place upgrade sends no data and takes no hold.
+    /// Grants write permission: settles a pending SWI verdict, then
+    /// state → `Exclusive`, new version, reply. A data reply holds the
+    /// block until it has left the directory; an in-place upgrade sends
+    /// no data and takes no hold.
     fn grant_exclusive(
         &mut self,
         now: Cycle,
@@ -402,18 +375,8 @@ impl System {
         p: ProcId,
         in_place: bool,
     ) {
+        self.settle_swi(slot, p);
         let home = slot.home;
-        // Deferred SWI verdict: if an SWI invalidation is still pending
-        // at write-grant time, no consumption was ever observed — the
-        // grant to the original owner means it was premature; a grant
-        // to anyone else means production simply moved on.
-        if let Some((owner, ticket)) = self.dir.at(slot).swi_pending() {
-            if p == owner {
-                self.resolve_swi_premature(slot, ticket);
-            } else {
-                self.dir.at_mut(slot).clear_swi_pending();
-            }
-        }
         let blk = self.dir.at_mut(slot);
         blk.state = DirState::Exclusive(p);
         let version = blk.grant_version();
@@ -469,11 +432,6 @@ impl System {
         // Speculation verification via the piggy-backed verdict.
         self.note_invalidated(slot, proc, verdict);
         let blk = self.dir.at_mut(slot);
-        // Any copy but an unused speculative one is consumption evidence
-        // for a pending SWI.
-        if !matches!(verdict, SpecVerdict::Unused(..)) {
-            blk.clear_swi_pending();
-        }
         let Some(Busy::Invalidate {
             requester,
             in_place,
@@ -516,6 +474,7 @@ impl System {
             }
             AfterRecall::Swi { owner, ticket } => {
                 // Successful speculative invalidation: memory is clean.
+                // The verdict waits for the block's next grant.
                 let t = self.mem_access(now, slot.home);
                 let blk = self.dir.at_mut(slot);
                 blk.state = DirState::Idle;
@@ -546,9 +505,7 @@ impl System {
     #[inline]
     fn mem_access(&mut self, now: Cycle, home: NodeId) -> Cycle {
         let lat = self.cfg.machine.latency;
-        let slot_end = self.mems[home.0].acquire(now, lat.mem_occupancy);
-        let start = Cycle(slot_end.raw() - lat.mem_occupancy);
-        start + lat.mem_access
+        self.mems[home.0].acquire(now, lat.mem_occupancy) + lat.mem_access
     }
 }
 

@@ -60,8 +60,7 @@ impl Network {
     #[inline]
     pub fn depart(&mut self, now: Cycle, src: NodeId) -> Cycle {
         self.messages += 1;
-        let out_done = self.ni_out[src.0].acquire(now, self.lat.ni_occupancy);
-        let out_start = Cycle(out_done.raw() - self.lat.ni_occupancy);
+        let out_start = self.ni_out[src.0].acquire(now, self.lat.ni_occupancy);
         out_start + self.lat.inject + self.lat.net_hop
     }
 
@@ -74,8 +73,7 @@ impl Network {
     /// Panics if `dst` is not a node of the network.
     #[inline]
     pub fn arrive(&mut self, at_dst: Cycle, dst: NodeId) -> Cycle {
-        let in_done = self.ni_in[dst.0].acquire(at_dst, self.lat.ni_occupancy);
-        let in_start = Cycle(in_done.raw() - self.lat.ni_occupancy);
+        let in_start = self.ni_in[dst.0].acquire(at_dst, self.lat.ni_occupancy);
         in_start + self.lat.deliver
     }
 

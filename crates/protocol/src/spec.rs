@@ -1,6 +1,6 @@
-//! Speculation policies and statistics, and the FR/SWI triggers: the
-//! speculative forwarding path, SWI invalidation, and the feedback that
-//! verifies each speculative copy against the online VMSP.
+//! Speculation policies and statistics, the speculative forwarding
+//! path FR and SWI share, and the feedback that verifies each
+//! speculative copy against the online VMSP.
 //!
 //! The predictor is the table-backed [`Vmsp`](specdsm_core::Vmsp): the
 //! directory computes each message's [`Slot`] once, and every later
@@ -10,8 +10,8 @@
 //! sent under, the receiving cache keeps them as the line's
 //! [`SpecVerdict`], and the invalidation ack brings the verdict back to
 //! the home, which applies it in [`System::note_invalidated`]. The home
-//! keeps no per-copy record. Each home's SWI last-write map sits in
-//! [`System::swi_last_write`], kept by the rule in [`crate::swi`].
+//! keeps no per-copy record. The SWI rule — its trigger and its
+//! premature/success verdict — is in [`crate::swi`].
 
 use std::fmt;
 
@@ -19,7 +19,7 @@ use specdsm_core::SpecTicket;
 use specdsm_sim::Cycle;
 use specdsm_types::{BlockAddr, ProcId, Slot};
 
-use crate::directory::{AfterRecall, DirState};
+use crate::directory::DirState;
 use crate::msg::MsgKind;
 use crate::system::System;
 
@@ -121,8 +121,9 @@ pub struct SpecStats {
     pub dropped: u64,
     /// SWI write invalidations issued.
     pub swi_inval_sent: u64,
-    /// SWI invalidations that proved premature (the producer
-    /// re-accessed the block next).
+    /// SWI invalidations that proved premature: the block's next grant
+    /// went to the producer it was taken from, with no used copy acked
+    /// in between.
     pub swi_inval_premature: u64,
 }
 
@@ -189,43 +190,22 @@ impl System {
         self.vmsp.speculate_readers_at(slot, targets);
     }
 
-    /// Attempts an SWI invalidation of `prev` (the block `owner` wrote
-    /// before its current write, at the same home). `prev` is a
-    /// different block from the one the triggering message named, so
-    /// its slot is computed here — once, like `deliver_dir` does for the
-    /// message's own block.
-    pub(crate) fn try_swi(&mut self, now: Cycle, prev: BlockAddr, owner: ProcId) {
-        let slot = self.dir.slot_of(prev);
-        let b = self.dir.at(slot);
-        let eligible = b.busy.is_none() && b.state == DirState::Exclusive(owner);
-        if !eligible || !self.vmsp.swi_allowed_at(slot) {
-            return;
-        }
-        // The write request that made `prev` exclusive trained the
-        // predictor, so its history is active.
-        let ticket = self
-            .vmsp
-            .swi_ticket_at(slot)
-            .expect("an exclusive block has an active predictor history");
-        self.recall_owner(now, slot, prev, owner, AfterRecall::Swi { owner, ticket });
-        self.spec_stats.swi_inval_sent += 1;
-    }
-
-    pub(crate) fn resolve_swi_premature(&mut self, slot: Slot, ticket: SpecTicket) {
-        self.dir.at_mut(slot).clear_swi_pending();
-        self.spec_stats.swi_inval_premature += 1;
-        self.vmsp.mark_swi_premature_at(slot, ticket);
-    }
-
     /// Applies the verdict piggy-backed on `proc`'s invalidation ack
     /// for the block at `slot`. A referenced copy is verified; an unused
     /// one is a misspeculation: the pattern entry its ticket names stops
     /// predicting `proc`, and the miss counts against its trigger. A
-    /// demand copy carries nothing to verify.
+    /// demand copy carries nothing to verify. Any copy but an unused one
+    /// shows the block was consumed, settling a pending SWI verdict as a
+    /// success.
     pub(crate) fn note_invalidated(&mut self, slot: Slot, proc: ProcId, verdict: SpecVerdict) {
         match verdict {
-            SpecVerdict::Demand => {}
-            SpecVerdict::Referenced => self.spec_stats.verified += 1,
+            SpecVerdict::Demand => {
+                self.dir.at_mut(slot).take_swi_pending();
+            }
+            SpecVerdict::Referenced => {
+                self.spec_stats.verified += 1;
+                self.dir.at_mut(slot).take_swi_pending();
+            }
             SpecVerdict::Unused(ticket, trigger) => {
                 match trigger {
                     SpecTrigger::Fr => self.spec_stats.fr_unused += 1,
@@ -238,7 +218,7 @@ impl System {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::system::SystemConfig;
     use specdsm_types::{DirMsg, MachineConfig, OpStream, ReaderSet, ReqKind, Workload};
@@ -261,7 +241,7 @@ mod tests {
         }
     }
 
-    fn idle_engine(n: usize) -> System {
+    pub(crate) fn idle_engine(n: usize) -> System {
         let cfg = SystemConfig {
             machine: MachineConfig::with_nodes(n),
             policy: SpecPolicy::SwiFr,

@@ -378,7 +378,7 @@ impl System {
             dir: Directory::new(machine),
             mems: (0..n).map(|_| FifoResource::new()).collect(),
             net: Network::new(n, machine.latency),
-            vmsp: Vmsp::with_geometry(cfg.predictor_depth, n, HomeGeometry::of_machine(machine)),
+            vmsp: Vmsp::with_geometry(cfg.predictor_depth, HomeGeometry::of_machine(machine)),
             swi_last_write: vec![swi::LastWrites::default(); n],
             spec_stats: SpecStats::default(),
             queue: KeyedQueue::new(),
@@ -1288,7 +1288,7 @@ mod tests {
             sys.simulate().expect("the run finishes");
             for (addr, b) in sys.dir.iter() {
                 assert!(
-                    b.swi_pending().is_none(),
+                    b.more.as_ref().is_none_or(|m| m.swi_pending.is_none()),
                     "{app}: {addr} holds an SWI verdict"
                 );
             }

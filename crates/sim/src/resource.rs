@@ -18,10 +18,10 @@ use crate::clock::Cycle;
 ///
 /// let mut ni = FifoResource::new();
 /// // Two messages arrive back-to-back; the second waits for the first.
+/// assert_eq!(ni.acquire(Cycle(100), 8), Cycle(100));
 /// assert_eq!(ni.acquire(Cycle(100), 8), Cycle(108));
-/// assert_eq!(ni.acquire(Cycle(100), 8), Cycle(116));
 /// // A later arrival after the queue drains sees no waiting.
-/// assert_eq!(ni.acquire(Cycle(200), 8), Cycle(208));
+/// assert_eq!(ni.acquire(Cycle(200), 8), Cycle(200));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct FifoResource {
@@ -39,13 +39,14 @@ impl FifoResource {
 
     /// Requests the resource at time `at` for `occupancy` cycles.
     ///
-    /// Returns the completion time (service start plus occupancy).
+    /// Returns the service start; the resource is held until
+    /// `start + occupancy`.
     pub fn acquire(&mut self, at: Cycle, occupancy: u64) -> Cycle {
         let start = at.max(self.next_free);
         self.wait_cycles += start.since(at);
         self.next_free = start + occupancy;
         self.busy_cycles += occupancy;
-        self.next_free
+        start
     }
 
     /// Total cycles spent serving requests.
@@ -71,21 +72,24 @@ mod tests {
         let a = r.acquire(Cycle(0), 10);
         let b = r.acquire(Cycle(0), 10);
         let c = r.acquire(Cycle(0), 10);
-        assert_eq!((a, b, c), (Cycle(10), Cycle(20), Cycle(30)));
+        assert_eq!((a, b, c), (Cycle(0), Cycle(10), Cycle(20)));
         assert_eq!(r.wait_cycles(), 10 + 20);
     }
 
     #[test]
     fn idle_resource_has_no_wait() {
         let mut r = FifoResource::new();
-        assert_eq!(r.acquire(Cycle(50), 4), Cycle(54));
-        assert_eq!(r.acquire(Cycle(60), 4), Cycle(64));
+        assert_eq!(r.acquire(Cycle(50), 4), Cycle(50));
+        assert_eq!(r.acquire(Cycle(60), 4), Cycle(60));
         assert_eq!(r.wait_cycles(), 0);
+        // The second request found the resource free again at 64.
+        assert_eq!(r.acquire(Cycle(60), 4), Cycle(64));
     }
 
     #[test]
     fn zero_occupancy_passes_through() {
         let mut r = FifoResource::new();
+        assert_eq!(r.acquire(Cycle(5), 0), Cycle(5));
         assert_eq!(r.acquire(Cycle(5), 0), Cycle(5));
         assert_eq!(r.busy_cycles(), 0);
     }

@@ -55,7 +55,7 @@ pub trait SpecOps {
 
 impl SpecOps for Vmsp {
     fn build(depth: usize, machine: &MachineConfig) -> Self {
-        Vmsp::with_geometry(depth, machine.num_nodes, HomeGeometry::of_machine(machine))
+        Vmsp::with_geometry(depth, HomeGeometry::of_machine(machine))
     }
 
     fn resolve(&self, block: BlockAddr) -> Slot {

@@ -243,11 +243,10 @@ proptest! {
         sorted.sort();
         let mut last_end = 0u64;
         for (at, occ) in sorted {
-            let done = r.acquire(Cycle(at), occ);
-            let start = done.raw() - occ;
+            let start = r.acquire(Cycle(at), occ).raw();
             prop_assert!(start >= at, "no service before arrival");
             prop_assert!(start >= last_end, "no overlapping service");
-            last_end = done.raw();
+            last_end = start + occ;
         }
     }
 }
@@ -402,7 +401,7 @@ proptest! {
                     if kind == PredictorKind::Vmsp {
                         let machine = MachineConfig::with_nodes(procs);
                         let geom = HomeGeometry::of_machine(&machine);
-                        let mut online = Vmsp::with_geometry(depth, procs, geom);
+                        let mut online = Vmsp::with_geometry(depth, geom);
                         for &(b, m) in msgs {
                             online.observe_at(online.slot_of(b), m);
                         }
